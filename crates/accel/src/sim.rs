@@ -21,6 +21,19 @@
 //! contract; all share one accounting loop, so the equivalence reduces to
 //! the per-pair outcomes the differential tests pin down.
 //!
+//! The v2 path is **fused** across configurations:
+//! [`simulate_head_shard_fused`] runs one early-terminating sweep per
+//! distinct bit-serial plan and folds each row's outcomes into every
+//! requested configuration at once. The conservative margin makes early
+//! termination exact, so a configuration that runs each dot product to
+//! completion (no early termination, or fully parallel) prunes exactly the
+//! scores the sweep pruned and only its cycle and bit accounting differs
+//! (alone, it runs its own full-width kernel, which is cheaper than an
+//! early-terminating sweep); an unpruned configuration (the baseline)
+//! reads no sweep at all. The suite's four units of a head therefore cost
+//! one sweep plus four folds, and the single-configuration entry points
+//! are the fused pass with one configuration.
+//!
 //! The accounting loop itself operates at **shard** granularity: a
 //! contiguous range of Q rows yields a [`TileShardSim`], and
 //! [`merge_shards`] reconstructs the exact single-tile [`HeadSimResult`]
@@ -53,9 +66,9 @@ pub struct HeadWorkload {
     /// Head dimension `d`.
     pub head_dim: usize,
     /// Packed bit-plane decomposition of `k_codes`, built **once** at
-    /// construction and shared by every simulation unit of this head (the
+    /// construction and shared by every simulation of this head (the
     /// runtime cache hands the whole workload out behind an `Arc`, so the
-    /// four per-configuration units never rebuild it).
+    /// row blocks of a head never rebuild it).
     ///
     /// Invariant: this must stay in sync with `k_codes` — build workloads
     /// through [`HeadWorkload::from_codes`] / [`HeadWorkload::from_float`]
@@ -414,12 +427,71 @@ pub fn simulate_head_shard_with_path(
     rows: Range<usize>,
     path: KernelPath,
 ) -> TileShardSim {
-    let kernel = QkKernelV2::with_path(*config, path); // validates the config once per shard
-    let packed = workload.packed_keys_at(kernel.plan());
+    let mut shards = simulate_head_shard_fused_with_path(workload, &[*config], rows, path);
+    shards.swap_remove(0)
+}
+
+/// Simulates one contiguous shard of a head's Q rows on several tile
+/// configurations at once, returning one [`TileShardSim`] per
+/// configuration (in `configs` order), each bit-identical to
+/// [`simulate_head_shard`] on that configuration alone.
+///
+/// The configurations share the per-pair dot-product outcomes: the exact
+/// margin makes early termination prune exactly the scores a full-width
+/// dot product prunes, so one early-terminating v2 sweep per distinct
+/// bit-serial plan serves every configuration. Configurations that run
+/// each dot product to completion (no early termination, or fully
+/// parallel) read only a sweep's pruning decision, and run their own
+/// kernel only when no sweep has their magnitude width; configurations
+/// without pruning need no sweep at all. Rows stream one at a time
+/// through the sweeps and every configuration's fold, so no `s x s`
+/// outcome buffer is kept.
+///
+/// # Panics
+///
+/// Panics if a configuration is invalid or `rows` does not lie within
+/// the workload's sequence.
+pub fn simulate_head_shard_fused(
+    workload: &HeadWorkload,
+    configs: &[TileConfig],
+    rows: Range<usize>,
+) -> Vec<TileShardSim> {
+    simulate_head_shard_fused_with_path(workload, configs, rows, KernelPath::detect())
+}
+
+/// [`simulate_head_shard_fused`] on an explicitly requested dispatch path.
+///
+/// # Panics
+///
+/// Panics if a configuration is invalid or `rows` does not lie within
+/// the workload's sequence.
+pub fn simulate_head_shard_fused_with_path(
+    workload: &HeadWorkload,
+    configs: &[TileConfig],
+    rows: Range<usize>,
+    path: KernelPath,
+) -> Vec<TileShardSim> {
+    for config in configs {
+        config
+            .validate()
+            // lint:allow(panic-in-library, reason = "documented under # Panics; configs are validated at parse time and invalid ones here are programmer errors")
+            .unwrap_or_else(|e| panic!("invalid tile config: {e}"));
+    }
+    let (sweeps, maps) = plan_sweeps(configs);
+    let kernels: Vec<(QkKernelV2, Arc<PackedKeys>)> = sweeps
+        .iter()
+        .map(|sweep| {
+            let kernel = QkKernelV2::with_path(*sweep, path);
+            let packed = workload.packed_keys_at(kernel.plan());
+            (kernel, packed)
+        })
+        .collect();
     let mut scratch = RowScratchV2::new();
     let threshold = workload.threshold_int;
-    accumulate_rows(workload, config, rows, |q_row, out| {
-        kernel.compute_row_into(q_row, &packed, threshold, &mut scratch, out);
+    accumulate_rows(workload, configs, &maps, rows, |q_row, outcomes| {
+        for ((kernel, packed), out) in kernels.iter().zip(outcomes.iter_mut()) {
+            kernel.compute_row_into(q_row, packed, threshold, &mut scratch, out);
+        }
     })
 }
 
@@ -460,9 +532,14 @@ pub fn simulate_head_shard_pairwise(
     let planes = workload.k_planes_at(kernel.plan().magnitude_bits);
     let mut scratch = RowScratch::new();
     let threshold = workload.threshold_int;
-    accumulate_rows(workload, config, rows, |q_row, out| {
-        kernel.compute_row_into(q_row, &planes, threshold, &mut scratch, out);
-    })
+    let mut shards = accumulate_rows(
+        workload,
+        &[*config],
+        &[OutcomeMap::AsIs(0)],
+        rows,
+        |q_row, out| kernel.compute_row_into(q_row, &planes, threshold, &mut scratch, &mut out[0]),
+    );
+    shards.swap_remove(0)
 }
 
 /// [`simulate_head_shard`] on the scalar per-pair reference DPU — the
@@ -487,10 +564,17 @@ pub fn simulate_head_shard_reference(
         .map(|codes| BitSerialVector::new(codes, plan))
         .collect();
     let threshold = workload.threshold_int;
-    accumulate_rows(workload, config, rows, |q_row, out| {
-        out.clear();
-        out.extend(k_vectors.iter().map(|k| dpu.compute(q_row, k, threshold)));
-    })
+    let mut shards = accumulate_rows(
+        workload,
+        &[*config],
+        &[OutcomeMap::AsIs(0)],
+        rows,
+        |q_row, out| {
+            out[0].clear();
+            out[0].extend(k_vectors.iter().map(|k| dpu.compute(q_row, k, threshold)));
+        },
+    );
+    shards.swap_remove(0)
 }
 
 /// Simulates one attention head with the scalar per-pair [`QkDpu`] — the
@@ -624,9 +708,9 @@ impl OutcomeMix {
 /// Merges contiguous shard accountings into the **exact** single-tile
 /// [`HeadSimResult`]: the result is bit-identical — every field, including
 /// cycle totals, stalls, and utilization — to simulating the same rows in
-/// one piece. Counters and histograms are sums; the timing fields replay
-/// the pipeline recurrence across the shard boundaries (see
-/// [`TileShardSim`]). Empty shards are identities and may appear anywhere.
+/// one piece. The shards are [joined](TileShardSim::join) in order into
+/// one whole-head shard, whose pipeline terms then give the timing fields.
+/// Empty shards are identities and may appear anywhere.
 ///
 /// This is the merge/determinism contract of the tile scheduler
 /// (`crate::schedule`): partitioning a head across tiles changes *where*
@@ -639,148 +723,227 @@ impl OutcomeMix {
 /// contiguous in ascending row order, or if histogram widths disagree
 /// (shards simulated under different tile configurations).
 pub fn merge_shards(shards: &[TileShardSim]) -> HeadSimResult {
-    let mut events = EventCounts::default();
-    let mut pruned_scores = 0u64;
-    let mut surviving_scores = 0u64;
-    let mut bits_histogram: Vec<u64> = Vec::new();
-    let mut pruned_bits_histogram: Vec<u64> = Vec::new();
-    let mut frontend_busy = 0u64;
-    let mut backend_busy = 0u64;
-    // The pipeline state the recurrence threads across rows: the front-end
-    // hand-off clock and the previous row's back-end cycles.
-    let mut frontend_free = 0u64;
-    let mut prev_backend = 0u64;
-    let mut rows_merged = 0usize;
-    let mut expected_start: Option<usize> = None;
-
-    for shard in shards {
-        if bits_histogram.is_empty() {
-            bits_histogram = vec![0; shard.bits_histogram.len()];
-            pruned_bits_histogram = vec![0; shard.pruned_bits_histogram.len()];
-        }
-        assert_eq!(
-            shard.bits_histogram.len(),
-            bits_histogram.len(),
-            "shards were simulated under different bit-serial plans"
-        );
-        for (slot, &count) in bits_histogram.iter_mut().zip(&shard.bits_histogram) {
-            *slot += count;
-        }
-        for (slot, &count) in pruned_bits_histogram
-            .iter_mut()
-            .zip(&shard.pruned_bits_histogram)
-        {
-            *slot += count;
-        }
-        events.qk_dpu_cycles += shard.events.qk_dpu_cycles;
-        events.key_buffer_reads += shard.events.key_buffer_reads;
-        events.softmax_ops += shard.events.softmax_ops;
-        events.v_mac_ops += shard.events.v_mac_ops;
-        events.value_buffer_reads += shard.events.value_buffer_reads;
-        events.fifo_pushes += shard.events.fifo_pushes;
-        pruned_scores += shard.pruned_scores;
-        surviving_scores += shard.surviving_scores;
-        frontend_busy += shard.frontend_busy_cycles;
-        backend_busy += shard.backend_busy_cycles;
-
-        if shard.is_empty() {
-            continue;
-        }
-        if let Some(expected) = expected_start {
-            assert_eq!(
-                shard.rows.start, expected,
-                "tile shards must be contiguous in ascending row order"
-            );
-        }
-        expected_start = Some(shard.rows.end);
-        rows_merged += shard.rows.len();
-        // The shard's first row overlaps the previous shard's trailing
-        // back-end work; its interior rows already carry their advance.
-        frontend_free +=
-            shard.first_row_frontend_cycles.max(prev_backend) + shard.interior_advance_cycles;
-        prev_backend = shard.last_row_backend_cycles;
-    }
-
-    assert!(rows_merged > 0, "merge requires at least one simulated row");
-    let total_cycles = (frontend_free + prev_backend).max(1);
-    let frontend_unstalled = frontend_busy.max(1);
+    assert!(
+        shards.iter().any(|shard| !shard.is_empty()),
+        "merge requires at least one simulated row"
+    );
+    let whole = shards[1..]
+        .iter()
+        .fold(shards[0].clone(), |acc, next| acc.join(next));
+    // The front-end clock advances by fe_i + stall_i per row; the head
+    // drains once the last row's back-end work completes.
+    let frontend_free = whole.first_row_frontend_cycles + whole.interior_advance_cycles;
+    let total_cycles = (frontend_free + whole.last_row_backend_cycles).max(1);
+    let frontend_busy = whole.frontend_busy_cycles;
+    let backend_busy = whole.backend_busy_cycles;
     HeadSimResult {
         total_cycles,
         frontend_busy_cycles: frontend_busy,
         backend_busy_cycles: backend_busy,
-        // The front-end clock advances by fe_i + stall_i per row, so the
-        // total stall is the advance beyond the busy time.
+        // The total stall is the front-end advance beyond the busy time.
         frontend_stall_cycles: frontend_free - frontend_busy,
         vpu_utilization: backend_busy as f64 / total_cycles as f64,
-        vpu_demand: backend_busy as f64 / frontend_unstalled as f64,
-        pruned_scores,
-        surviving_scores,
-        bits_histogram,
-        pruned_bits_histogram,
-        events,
+        vpu_demand: backend_busy as f64 / frontend_busy.max(1) as f64,
+        pruned_scores: whole.pruned_scores,
+        surviving_scores: whole.surviving_scores,
+        bits_histogram: whole.bits_histogram,
+        pruned_bits_histogram: whole.pruned_bits_histogram,
+        events: whole.events,
     }
 }
 
-/// The shared accounting loop behind every simulation path: feeds each Q
-/// row in `rows` through `row_outcomes` (which fills one
-/// [`DotProductOutcome`] per K column) and turns the outcomes into cycle
-/// timing, event counts, and histograms for that shard. Keeping a single
-/// implementation here is what makes the kernel ≡ reference equivalence a
-/// statement about outcomes only — and the tile ≡ single-tile equivalence
-/// a statement about [`merge_shards`] only.
-fn accumulate_rows(
-    workload: &HeadWorkload,
-    config: &TileConfig,
-    rows: Range<usize>,
-    mut row_outcomes: impl FnMut(&[i32], &mut Vec<DotProductOutcome>),
-) -> TileShardSim {
-    assert!(
-        rows.start <= rows.end && rows.end <= workload.seq_len(),
-        "shard rows {rows:?} outside the workload's {} queries",
-        workload.seq_len()
-    );
-    let plan = config.bit_serial_plan();
-    let max_bits = plan.magnitude_bits as usize;
-    let mut shard = TileShardSim {
-        rows: rows.clone(),
-        frontend_busy_cycles: 0,
-        backend_busy_cycles: 0,
-        events: EventCounts::default(),
-        pruned_scores: 0,
-        surviving_scores: 0,
-        bits_histogram: vec![0u64; max_bits + 1],
-        pruned_bits_histogram: vec![0u64; max_bits + 1],
-        first_row_frontend_cycles: 0,
-        last_row_backend_cycles: 0,
-        interior_advance_cycles: 0,
-    };
+impl TileShardSim {
+    /// Joins this shard with the one that follows it into the shard
+    /// covering both row ranges — exactly the accounting of simulating
+    /// them in one piece. Counters and histograms sum; the first row of
+    /// `next` advances by `max(fe, be)` against this shard's last row, the
+    /// pipeline recurrence's only cross-row term. Empty shards are
+    /// identities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both shards are non-empty and `next` does not start where
+    /// this shard ends, or if their histogram widths disagree.
+    pub fn join(&self, next: &TileShardSim) -> TileShardSim {
+        assert_eq!(
+            self.bits_histogram.len(),
+            next.bits_histogram.len(),
+            "shards were simulated under different bit-serial plans"
+        );
+        let sum = |a: &[u64], b: &[u64]| a.iter().zip(b).map(|(x, y)| x + y).collect();
+        let (rows, first, interior, last) = if next.is_empty() {
+            (
+                self.rows.clone(),
+                self.first_row_frontend_cycles,
+                self.interior_advance_cycles,
+                self.last_row_backend_cycles,
+            )
+        } else if self.is_empty() {
+            (
+                next.rows.clone(),
+                next.first_row_frontend_cycles,
+                next.interior_advance_cycles,
+                next.last_row_backend_cycles,
+            )
+        } else {
+            assert_eq!(
+                next.rows.start, self.rows.end,
+                "tile shards must be contiguous in ascending row order"
+            );
+            (
+                self.rows.start..next.rows.end,
+                self.first_row_frontend_cycles,
+                self.interior_advance_cycles
+                    + next
+                        .first_row_frontend_cycles
+                        .max(self.last_row_backend_cycles)
+                    + next.interior_advance_cycles,
+                next.last_row_backend_cycles,
+            )
+        };
+        let (a, b) = (&self.events, &next.events);
+        TileShardSim {
+            rows,
+            frontend_busy_cycles: self.frontend_busy_cycles + next.frontend_busy_cycles,
+            backend_busy_cycles: self.backend_busy_cycles + next.backend_busy_cycles,
+            events: EventCounts {
+                qk_dpu_cycles: a.qk_dpu_cycles + b.qk_dpu_cycles,
+                key_buffer_reads: a.key_buffer_reads + b.key_buffer_reads,
+                softmax_ops: a.softmax_ops + b.softmax_ops,
+                v_mac_ops: a.v_mac_ops + b.v_mac_ops,
+                value_buffer_reads: a.value_buffer_reads + b.value_buffer_reads,
+                fifo_pushes: a.fifo_pushes + b.fifo_pushes,
+            },
+            pruned_scores: self.pruned_scores + next.pruned_scores,
+            surviving_scores: self.surviving_scores + next.surviving_scores,
+            bits_histogram: sum(&self.bits_histogram, &next.bits_histogram),
+            pruned_bits_histogram: sum(&self.pruned_bits_histogram, &next.pruned_bits_histogram),
+            first_row_frontend_cycles: first,
+            last_row_backend_cycles: last,
+            interior_advance_cycles: interior,
+        }
+    }
+}
 
-    // Row-level buffers, allocated once per shard and reused across rows.
-    let mut dpu_cycles = vec![0u64; config.n_qk_dpu];
-    let mut outcomes: Vec<DotProductOutcome> = Vec::with_capacity(workload.k_codes.len());
-    let mut prev_backend = 0u64;
+/// How one configuration reads a row's per-pair outcomes from the sweeps
+/// [`accumulate_rows`] is fed.
+#[derive(Debug, Clone, Copy)]
+enum OutcomeMap {
+    /// The outcomes of sweep `i` as they are: the sweep of the
+    /// configuration's own plan and flags (`n_qk` only changes the lane
+    /// fold).
+    AsIs(usize),
+    /// Every dot product runs to completion in `cycles` over the full
+    /// `bits` width. With `pruned_by: Some(i)` a score is pruned exactly
+    /// where sweep `i` pruned it (the margin is exact, so early
+    /// termination prunes what a full-width dot product prunes); with
+    /// `None` (pruning disabled) nothing is pruned and no sweep is read.
+    Complete {
+        cycles: u32,
+        bits: u32,
+        pruned_by: Option<usize>,
+    },
+}
 
-    for (offset, q_row) in workload.q_codes[rows].iter().enumerate() {
-        // --- Front-end: distribute the s key columns over the N_QK DPUs.
-        row_outcomes(q_row, &mut outcomes);
-        dpu_cycles.fill(0);
-        let mut row_survivors = 0u64;
-        for (j, outcome) in outcomes.iter().enumerate() {
-            let dpu_idx = j % config.n_qk_dpu;
-            dpu_cycles[dpu_idx] += u64::from(outcome.cycles);
-            shard.events.qk_dpu_cycles += u64::from(outcome.cycles);
-            shard.events.key_buffer_reads += u64::from(outcome.cycles);
-            shard.bits_histogram[outcome.bits_processed as usize] += 1;
-            if outcome.pruned {
-                shard.pruned_scores += 1;
-                shard.pruned_bits_histogram[outcome.bits_processed as usize] += 1;
+/// The v2 kernel sweeps a set of configurations needs, and how each
+/// configuration reads them.
+///
+/// Every early-terminating configuration reads the sweep of its bit-serial
+/// plan, one sweep per distinct plan. A configuration that runs dot
+/// products to completion but prunes borrows the pruning decisions of any
+/// sweep with its magnitude width: the full-width dot product, and so the
+/// decision, does not depend on the bits revealed per cycle. Only when no
+/// sweep has its width does it run its own kernel, whose outcomes it reads
+/// as they are. A configuration without pruning reads no sweep.
+fn plan_sweeps(configs: &[TileConfig]) -> (Vec<TileConfig>, Vec<OutcomeMap>) {
+    let early_terminating =
+        |c: &TileConfig| c.early_termination && c.pruning_enabled && c.serial_bits < c.k_bits;
+    let mut sweeps: Vec<TileConfig> = Vec::new();
+    for config in configs.iter().filter(|c| early_terminating(c)) {
+        let plan = config.bit_serial_plan();
+        if !sweeps.iter().any(|s| s.bit_serial_plan() == plan) {
+            sweeps.push(*config);
+        }
+    }
+    let maps = configs
+        .iter()
+        .map(|config| {
+            let plan = config.bit_serial_plan();
+            let complete = |pruned_by| OutcomeMap::Complete {
+                cycles: config.full_dot_cycles(),
+                bits: plan.magnitude_bits,
+                pruned_by,
+            };
+            if early_terminating(config) {
+                let i = sweeps.iter().position(|s| s.bit_serial_plan() == plan);
+                // lint:allow(panic-in-library, reason = "the loop above pushed a sweep for every early-terminating plan")
+                OutcomeMap::AsIs(i.expect("own sweep planned"))
+            } else if !config.pruning_enabled {
+                complete(None)
+            } else if let Some(i) = sweeps
+                .iter()
+                .position(|s| s.bit_serial_plan().magnitude_bits == plan.magnitude_bits)
+            {
+                complete(Some(i))
             } else {
-                shard.surviving_scores += 1;
+                sweeps.push(*config);
+                OutcomeMap::AsIs(sweeps.len() - 1)
+            }
+        })
+        .collect();
+    (sweeps, maps)
+}
+
+/// One configuration's running shard accounting in [`accumulate_rows`].
+struct ShardFold {
+    shard: TileShardSim,
+    /// Per-DPU cycles of the current row.
+    dpu_cycles: Vec<u64>,
+}
+
+impl ShardFold {
+    fn new(config: &TileConfig, rows: Range<usize>) -> Self {
+        let max_bits = config.bit_serial_plan().magnitude_bits as usize;
+        Self {
+            shard: TileShardSim {
+                rows,
+                frontend_busy_cycles: 0,
+                backend_busy_cycles: 0,
+                events: EventCounts::default(),
+                pruned_scores: 0,
+                surviving_scores: 0,
+                bits_histogram: vec![0u64; max_bits + 1],
+                pruned_bits_histogram: vec![0u64; max_bits + 1],
+                first_row_frontend_cycles: 0,
+                last_row_backend_cycles: 0,
+                interior_advance_cycles: 0,
+            },
+            dpu_cycles: vec![0u64; config.n_qk_dpu],
+        }
+    }
+
+    /// Folds one row's `(cycles, bits processed, pruned)` outcomes, in K
+    /// column order, into the shard: column `j` runs on DPU `j % N_QK`.
+    fn fold_row(&mut self, first_row: bool, outcomes: impl Iterator<Item = (u32, u32, bool)>) {
+        let shard = &mut self.shard;
+        let lanes = self.dpu_cycles.len();
+        self.dpu_cycles.fill(0);
+        let mut lane = 0;
+        let mut row_dpu_cycles = 0u64;
+        let mut row_survivors = 0u64;
+        for (cycles, bits, pruned) in outcomes {
+            self.dpu_cycles[lane] += u64::from(cycles);
+            lane = if lane + 1 == lanes { 0 } else { lane + 1 };
+            row_dpu_cycles += u64::from(cycles);
+            shard.bits_histogram[bits as usize] += 1;
+            if pruned {
+                shard.pruned_scores += 1;
+                shard.pruned_bits_histogram[bits as usize] += 1;
+            } else {
                 row_survivors += 1;
-                shard.events.fifo_pushes += 1;
             }
         }
-        let row_frontend_cycles = *dpu_cycles.iter().max().expect("at least one DPU"); // lint:allow(panic-in-library, reason = "TileConfig validation guarantees at least one DPU lane")
+        let row_frontend_cycles = *self.dpu_cycles.iter().max().expect("at least one DPU"); // lint:allow(panic-in-library, reason = "TileConfig validation guarantees at least one DPU lane")
         let row_backend_cycles = row_survivors * BACKEND_CYCLES_PER_SCORE;
 
         // --- Timing: the front-end of this row overlaps the back-end of
@@ -788,21 +951,91 @@ fn accumulate_rows(
         // first row's advance depends on the *previous shard's* trailing
         // back-end work, which only the merge knows — record its fe as a
         // boundary term instead.
-        if offset == 0 {
+        if first_row {
             shard.first_row_frontend_cycles = row_frontend_cycles;
         } else {
-            shard.interior_advance_cycles += row_frontend_cycles.max(prev_backend);
+            shard.interior_advance_cycles += row_frontend_cycles.max(shard.last_row_backend_cycles);
         }
-        prev_backend = row_backend_cycles;
+        shard.last_row_backend_cycles = row_backend_cycles;
 
         shard.frontend_busy_cycles += row_frontend_cycles;
         shard.backend_busy_cycles += row_backend_cycles;
+        shard.surviving_scores += row_survivors;
+        shard.events.qk_dpu_cycles += row_dpu_cycles;
+        shard.events.key_buffer_reads += row_dpu_cycles;
+        shard.events.fifo_pushes += row_survivors;
         shard.events.softmax_ops += row_survivors;
         shard.events.v_mac_ops += row_survivors;
         shard.events.value_buffer_reads += row_survivors;
     }
-    shard.last_row_backend_cycles = prev_backend;
-    shard
+}
+
+/// The shared accounting loop behind every simulation path: feeds each Q
+/// row in `rows` through `row_outcomes` (which fills one buffer of
+/// [`DotProductOutcome`]s per sweep, one outcome per K column) and folds
+/// the row into every configuration's shard, each reading the sweeps
+/// through its [`OutcomeMap`]. Rows stream one at a time, so memory stays
+/// at one row of outcomes per sweep. Keeping a single implementation here
+/// is what makes the kernel ≡ reference equivalence a statement about
+/// outcomes only — and the tile ≡ single-tile equivalence a statement
+/// about [`merge_shards`] only.
+fn accumulate_rows(
+    workload: &HeadWorkload,
+    configs: &[TileConfig],
+    maps: &[OutcomeMap],
+    rows: Range<usize>,
+    mut row_outcomes: impl FnMut(&[i32], &mut [Vec<DotProductOutcome>]),
+) -> Vec<TileShardSim> {
+    assert!(
+        rows.start <= rows.end && rows.end <= workload.seq_len(),
+        "shard rows {rows:?} outside the workload's {} queries",
+        workload.seq_len()
+    );
+    let cols = workload.k_codes.len();
+    let sweeps = maps
+        .iter()
+        .filter_map(|map| match *map {
+            OutcomeMap::AsIs(i) => Some(i + 1),
+            OutcomeMap::Complete { pruned_by, .. } => pruned_by.map(|i| i + 1),
+        })
+        .max()
+        .unwrap_or(0);
+    let mut outcomes: Vec<Vec<DotProductOutcome>> = vec![Vec::with_capacity(cols); sweeps];
+    let mut folds: Vec<ShardFold> = configs
+        .iter()
+        .map(|config| ShardFold::new(config, rows.clone()))
+        .collect();
+
+    for (offset, q_row) in workload.q_codes[rows].iter().enumerate() {
+        if sweeps > 0 {
+            row_outcomes(q_row, &mut outcomes);
+        }
+        for (fold, map) in folds.iter_mut().zip(maps) {
+            let first_row = offset == 0;
+            match *map {
+                OutcomeMap::AsIs(i) => fold.fold_row(
+                    first_row,
+                    outcomes[i]
+                        .iter()
+                        .map(|o| (o.cycles, o.bits_processed, o.pruned)),
+                ),
+                OutcomeMap::Complete {
+                    cycles,
+                    bits,
+                    pruned_by: Some(i),
+                } => fold.fold_row(
+                    first_row,
+                    outcomes[i].iter().map(|o| (cycles, bits, o.pruned)),
+                ),
+                OutcomeMap::Complete {
+                    cycles,
+                    bits,
+                    pruned_by: None,
+                } => fold.fold_row(first_row, std::iter::repeat_n((cycles, bits, false), cols)),
+            }
+        }
+    }
+    folds.into_iter().map(|fold| fold.shard).collect()
 }
 
 #[cfg(test)]
@@ -1117,6 +1350,38 @@ mod tests {
         );
         assert!(!Arc::ptr_eq(&first, &other));
         assert!(Arc::ptr_eq(&other, &w.packed_keys_at(other.plan())));
+    }
+
+    #[test]
+    fn fused_presets_run_one_sweep_and_pack_one_plan() {
+        // AE and HP share the (11, 2) sweep, pruning-only borrows its
+        // pruning decisions and the baseline reads no sweep — so the four
+        // presets pack the keys once, and the baseline alone packs nothing.
+        let configs = [
+            TileConfig::baseline(),
+            TileConfig::ae_leopard(),
+            TileConfig::hp_leopard(),
+            TileConfig::pruning_only(),
+        ];
+        let (sweeps, _) = plan_sweeps(&configs);
+        assert_eq!(sweeps.len(), 1);
+        let packs = |w: &HeadWorkload| w.plane_cache.packed.lock().unwrap().len();
+        let w = workload(20, 32, 0.3, 54);
+        let _ = simulate_head(&w, &TileConfig::baseline());
+        assert_eq!(packs(&w), 0, "the baseline needs no kernel operands");
+        let fused = simulate_head_shard_fused(&w, &configs, 0..20);
+        assert_eq!(packs(&w), 1);
+        for (config, shard) in configs.iter().zip(&fused) {
+            let reference = simulate_head_reference(&w, config);
+            assert_eq!(merge_shards(std::slice::from_ref(shard)), reference);
+        }
+        // A finer granularity is a second plan: a second sweep.
+        let finer = TileConfig::ae_leopard().with_serial_bits(1);
+        assert_eq!(plan_sweeps(&[configs[1], finer, configs[3]]).0.len(), 2);
+        // Pruning-only alone runs its own full-width kernel, not an
+        // early-terminating sweep.
+        let (sweeps, _) = plan_sweeps(&[TileConfig::pruning_only()]);
+        assert_eq!(sweeps, vec![TileConfig::pruning_only()]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! workloads by `(task, seed, seq_len)` plus the quantization knobs that
 //! change the operands, so:
 //!
-//! * the four per-configuration simulation units of one head share a single
-//!   construction, and
+//! * every row block of one head (each simulating all four configurations)
+//!   shares a single construction, and
 //! * parameter sweeps (`leopard sweep --param nqk=2..10`) construct each
 //!   workload once and hit the cache for every subsequent design point.
 //!

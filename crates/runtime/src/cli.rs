@@ -54,7 +54,7 @@ use leopard_accel::cost::head_cost;
 use leopard_accel::energy::EnergyModel;
 use leopard_accel::schedule::{schedule_layer, simulate_head_tiled, Placement};
 use leopard_accel::sim::simulate_head;
-use leopard_workloads::pipeline::{PipelineOptions, SimUnitKind};
+use leopard_workloads::pipeline::{PipelineOptions, SimUnitKind, MIN_SIM_SEQ_LEN};
 use leopard_workloads::suite::{full_suite, quick_subset, TaskDescriptor};
 use std::sync::Arc;
 
@@ -290,7 +290,8 @@ USAGE:
 
 FLAGS:
     --threads N       worker threads (default 0 = one per core)
-    --max-seq-len L   cap the simulated sequence length (default 96)
+    --max-seq-len L   cap the simulated sequence length (default 96, at
+                      least 8)
     --heads H         attention heads simulated per task (default 1)
     --tiles T         partition each head's Q rows across T tiles (default
                       1; suite results are bit-identical for every T — in
@@ -499,6 +500,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 let v = take_value(&mut it, "--max-seq-len")?;
                 common.pipeline.max_sim_seq_len =
                     v.parse().map_err(|_| format!("bad length {v:?}"))?;
+                if common.pipeline.max_sim_seq_len < MIN_SIM_SEQ_LEN {
+                    return Err(format!(
+                        "--max-seq-len must be at least {MIN_SIM_SEQ_LEN}, got {v}"
+                    ));
+                }
                 max_seq_len_set = true;
             }
             "--heads" => {
@@ -1790,6 +1796,17 @@ mod tests {
         // Each flag alone still parses.
         assert!(parse(&args(&["suite", "--max-seq-len", "64"])).is_ok());
         assert!(parse(&args(&["serve", "--full-scale"])).is_ok());
+    }
+
+    #[test]
+    fn max_seq_len_below_the_simulated_minimum_is_rejected() {
+        // sim_seq_len pads every task to 8 rows, so a smaller cap could
+        // only be ignored.
+        for bad in ["0", "1", "7"] {
+            let err = parse(&args(&["suite", "--max-seq-len", bad])).unwrap_err();
+            assert_eq!(err, format!("--max-seq-len must be at least 8, got {bad}"));
+        }
+        assert!(parse(&args(&["suite", "--max-seq-len", "8"])).is_ok());
     }
 
     #[test]

@@ -3,32 +3,34 @@
 //! A suite run decomposes into a DAG of jobs per task:
 //!
 //! ```text
-//! task ──▶ build(head 0) ──▶ sim(head 0, Baseline) ──┐
-//!      │                 ──▶ sim(head 0, AE)       ──┤
-//!      │                 ──▶ sim(head 0, HP)       ──┼──▶ aggregate(task) ──▶ result
-//!      │                 ──▶ sim(head 0, PruneOnly)──┤
-//!      └──▶ build(head 1) ──▶ ...                  ──┘
+//! task ──▶ build(head 0) ──▶ sweep+fold(head 0, block 0) ──┐
+//!      │                 ──▶ sweep+fold(head 0, block 1) ──┼──▶ aggregate(task) ──▶ result
+//!      └──▶ build(head 1) ──▶ sweep+fold(head 1, block 0) ──┘
 //! ```
 //!
 //! Build jobs construct (or fetch from the [`WorkloadCache`]) the quantized
-//! head workload and then spawn the per-configuration simulation units onto
-//! the worker's local queue. Each unit fans out one level further, following
-//! the task's **layer plan**
-//! ([`plan_task_layer`]): the
-//! placement policy assigns every head a tile split (whole heads while
-//! `heads >= tiles`, load-predicted splits when tiles would idle), and a
-//! unit becomes one **tile-shard job** per planned shard (contiguous Q-row
-//! ranges from [`TilePartition`]), so the engine parallelizes *within* a
-//! head the way the paper's accelerator partitions work across its tiles.
-//! The job that completes a task's last shard merges every unit's shards
-//! ([`merge_head_shards`]) and runs the aggregation. Aggregation consumes
-//! the units in head order and runs exactly the same arithmetic as the
-//! serial [`run_task`](leopard_workloads::pipeline::run_task), so results
-//! are **bit-identical** for any thread count, any tile count, *and any
-//! placement policy* — scheduling only changes *when* a shard runs, never
-//! what it computes, because every shard is a pure function of `(task,
-//! options, head, kind, shard)` with a fixed per-head seed, and the shard
-//! merge reconstructs the single-tile accounting exactly.
+//! head workload and then spawn the head's sweep+fold jobs onto the
+//! worker's local queue. One sweep+fold job covers a contiguous block of Q
+//! rows for **all four** simulation units ([`SimUnitKind::ALL`]): one
+//! kernel sweep per row, folded into every unit's accounting
+//! ([`simulate_units_shard`]), since the units differ only in how they
+//! read the same per-pair outcomes. The blocks follow the task's **layer
+//! plan** ([`plan_task_layer`]): the placement policy assigns every head a
+//! tile split (whole heads while `heads >= tiles`, load-predicted splits
+//! when tiles would idle), each tile shard (a contiguous Q-row range from
+//! [`TilePartition`]) is one block, and a shard of more than 2^19 score
+//! pairs is cut further into row blocks so that the longest full-scale
+//! head does not run alone at the end of a run. The job that completes a
+//! task's last block joins each shard's blocks
+//! ([`TileShardSim::join`]), merges the shards ([`merge_head_shards`]) and
+//! runs the aggregation. Aggregation consumes the units in head order and
+//! runs exactly the same arithmetic as the serial
+//! [`run_task`](leopard_workloads::pipeline::run_task), so results are
+//! **bit-identical** for any thread count, any tile count, *and any
+//! placement policy* — scheduling only changes *when* a block runs, never
+//! what it computes, because every block is a pure function of `(task,
+//! options, head, rows)` with a fixed per-head seed, and the join and
+//! merge reconstruct the single-tile accounting exactly.
 //!
 //! Per-stage wall-clock totals (build / simulate / aggregate) are
 //! accumulated with atomics and reported alongside the results.
@@ -42,10 +44,11 @@ use leopard_accel::config::TileConfig;
 use leopard_accel::schedule::{merge_head_shards, simulate_head_tiled, LayerPlan, TilePartition};
 use leopard_accel::sim::TileShardSim;
 use leopard_workloads::pipeline::{
-    aggregate_task, plan_task_layer, predict_task_cycles, simulate_unit_shard, HeadUnitResults,
-    PipelineOptions, SimUnitKind, TaskResult,
+    aggregate_task, plan_task_layer, predict_task_cycles, sim_seq_len, simulate_units_shard,
+    HeadUnitResults, PipelineOptions, SimUnitKind, TaskResult,
 };
 use leopard_workloads::suite::TaskDescriptor;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
@@ -100,9 +103,9 @@ pub struct SuiteReport {
     pub wall: Duration,
     /// Per-stage totals summed over workers.
     pub stages: StageTotals,
-    /// Number of jobs executed (builds + simulation shard jobs +
-    /// aggregations; each simulation unit contributes one shard job per
-    /// tile).
+    /// Number of jobs executed: builds + sweep+fold jobs + aggregations.
+    /// Each head contributes one sweep+fold job per tile shard (more when
+    /// a long shard is cut into row blocks), covering all four units.
     pub jobs: usize,
     /// Workload-cache counters for this runner (cumulative across runs).
     pub cache: CacheStats,
@@ -123,40 +126,67 @@ struct TaskState {
     /// count) and the tiles the shards land on. Pure function of `(task,
     /// options)`, so every thread count spawns the same shard jobs.
     plan: LayerPlan,
-    /// Per head, the base slot index of its `4 * split` shard slots.
+    /// Per head, the row blocks its sweep+fold jobs cover, in row order,
+    /// each tagged with the tile shard it belongs to.
+    blocks: Vec<Vec<(usize, Range<usize>)>>,
+    /// Per head, the index of its first block's slot.
     offsets: Vec<usize>,
-    /// `4 * sum(splits)` shard slots, indexed
-    /// `offsets[head] + kind.index() * split + shard`.
-    slots: Vec<Mutex<Option<TileShardSim>>>,
+    /// One slot per row block: the block's four unit shards, indexed by
+    /// [`SimUnitKind::index`].
+    slots: Vec<Mutex<Option<Vec<TileShardSim>>>>,
     remaining: AtomicUsize,
 }
 
 impl TaskState {
-    fn slot_index(&self, head: usize, kind: SimUnitKind, shard: usize) -> usize {
-        self.offsets[head] + kind.index() * self.plan.split(head) + shard
-    }
-
-    /// Reassembles every unit from its tile shards (merge order is fixed by
-    /// shard index, so the merged results are independent of execution
-    /// order) and groups them per head.
-    fn assemble_heads(&self) -> Vec<HeadUnitResults> {
+    /// Reassembles every unit from its row blocks — a tile shard's blocks
+    /// join in row order, the shards merge in shard order, so the results
+    /// are independent of execution order — and groups them per head.
+    /// Charges each tile shard's standalone cycles to its planned tile.
+    fn assemble_heads(&self, telemetry: Option<&Telemetry>) -> Vec<HeadUnitResults> {
+        let blocks: Vec<Vec<TileShardSim>> = self
+            .slots
+            .iter()
+            .map(|slot| {
+                slot.lock()
+                    // lint:allow(panic-in-library, reason = "a poisoned slot means a simulation worker panicked; propagating is the only sound recovery")
+                    .expect("slot poisoned")
+                    .take()
+                    // lint:allow(panic-in-library, reason = "the remaining-counter protocol guarantees every block slot is filled before assembly; a missing block is a scheduler bug, not an input error")
+                    .expect("every row block simulated before assembly")
+            })
+            .collect();
         (0..self.heads)
             .map(|head| {
                 let split = self.plan.split(head);
+                let head_blocks = &blocks[self.offsets[head]..][..self.blocks[head].len()];
                 let units: Vec<Option<_>> = SimUnitKind::ALL
                     .iter()
                     .map(|kind| {
                         let shards: Vec<TileShardSim> = (0..split)
                             .map(|shard| {
-                                self.slots[self.slot_index(head, *kind, shard)]
-                                    .lock()
-                                    // lint:allow(panic-in-library, reason = "a poisoned slot means a simulation worker panicked; propagating is the only sound recovery")
-                                    .expect("slot poisoned")
-                                    .take()
-                                    // lint:allow(panic-in-library, reason = "the remaining-counter protocol guarantees every shard slot is filled before assembly; a missing shard is a scheduler bug, not an input error")
-                                    .unwrap_or_else(|| panic!("missing shard {shard} for {kind:?}"))
+                                self.blocks[head]
+                                    .iter()
+                                    .zip(head_blocks)
+                                    .filter(|((of, _), _)| *of == shard)
+                                    .map(|(_, units)| &units[kind.index()])
+                                    .fold(None, |joined: Option<TileShardSim>, block| {
+                                        Some(match joined {
+                                            Some(joined) => joined.join(block),
+                                            None => block.clone(),
+                                        })
+                                    })
+                                    // lint:allow(panic-in-library, reason = "row_blocks gives every tile shard at least one block")
+                                    .expect("every tile shard has a block")
                             })
                             .collect();
+                        if let Some(t) = telemetry {
+                            for (shard, &tile) in shards.iter().zip(&self.plan.shard_tiles[head]) {
+                                t.metrics().incr(
+                                    &format!("suite.tile{tile:02}.busy_cycles"),
+                                    shard.standalone_cycles(),
+                                );
+                            }
+                        }
                         Some(merge_head_shards(split, &shards).merged)
                     })
                     .collect();
@@ -164,6 +194,28 @@ impl TaskState {
             })
             .collect()
     }
+}
+
+/// Score pairs above which a tile shard's sweep+fold job is cut into
+/// contiguous row blocks of about this many pairs each. The cut is a pure
+/// function of the shard's shape, so every thread count runs the same
+/// jobs; it only bites on the longest full-scale heads, whose single job
+/// would otherwise keep one worker busy while the others idle at the end
+/// of a run.
+const BLOCK_PAIRS: usize = 1 << 19;
+
+/// The row blocks of one tile shard: `rows` cut into contiguous blocks of
+/// at most about [`BLOCK_PAIRS`] score pairs (each row meets `seq_len` K
+/// columns). A shard never yields zero blocks, so an empty shard is one
+/// empty block.
+fn row_blocks(rows: Range<usize>, seq_len: usize) -> Vec<Range<usize>> {
+    let pairs = rows.len() * seq_len;
+    let count = pairs.div_ceil(BLOCK_PAIRS).max(1);
+    TilePartition::new(rows.len(), count)
+        .ranges()
+        .into_iter()
+        .map(|block| rows.start + block.start..rows.start + block.end)
+        .collect()
 }
 
 /// The suite runner: a thread pool plus a workload cache that persists
@@ -268,7 +320,6 @@ impl SuiteRunner {
         let jobs = Arc::new(AtomicUsize::new(0));
         let heads = options.heads.max(1);
         let tiles = options.tiles.max(1);
-        let unit_count = SimUnitKind::ALL.len();
         // The placement is planned against the serving configuration's cost
         // constants; only *relative* predicted loads matter for the shard
         // decomposition, and merged results are split-independent anyway.
@@ -282,18 +333,30 @@ impl SuiteRunner {
         for task_index in submission_order(&costs, policy) {
             let task = &tasks[task_index];
             let plan = plan_task_layer(task, options, &plan_config, tiles);
-            let total_split: usize = (0..heads).map(|head| plan.split(head)).sum();
-            let slot_count = unit_count * total_split;
+            let seq_len = sim_seq_len(task, options);
+            let blocks: Vec<Vec<(usize, Range<usize>)>> = (0..heads)
+                .map(|head| {
+                    let partition = TilePartition::new(seq_len, plan.split(head));
+                    (0..plan.split(head))
+                        .flat_map(|shard| {
+                            row_blocks(partition.range(shard), seq_len)
+                                .into_iter()
+                                .map(move |rows| (shard, rows))
+                        })
+                        .collect()
+                })
+                .collect();
             let mut offsets = Vec::with_capacity(heads);
-            let mut offset = 0usize;
-            for head in 0..heads {
-                offsets.push(offset);
-                offset += unit_count * plan.split(head);
+            let mut slot_count = 0usize;
+            for head_blocks in &blocks {
+                offsets.push(slot_count);
+                slot_count += head_blocks.len();
             }
             let state = Arc::new(TaskState {
                 task: task.clone(),
                 heads,
                 plan,
+                blocks,
                 offsets,
                 slots: (0..slot_count).map(|_| Mutex::new(None)).collect(),
                 remaining: AtomicUsize::new(slot_count),
@@ -373,88 +436,85 @@ impl SuiteRunner {
                 t.metrics().incr("suite.jobs.build", 1);
             }
 
-            // Sub-DAG fan-out: one shard job per (unit kind, planned
-            // shard). The plan — and with it the partition — is a pure
-            // function of `(task, options)`, so every thread count spawns
-            // the same shards; merge order is fixed by shard index.
-            let split = state.plan.split(head);
-            let partition = TilePartition::new(workload.seq_len(), split);
-            for kind in SimUnitKind::ALL {
-                for shard in 0..split {
-                    let state = Arc::clone(&state);
-                    let workload = Arc::clone(&workload);
-                    let tx = tx.clone();
-                    let clocks = Arc::clone(&clocks);
-                    let jobs = Arc::clone(&jobs);
-                    let rows = partition.range(shard);
-                    let telemetry = telemetry.clone();
-                    spawner.spawn(move || {
-                        jobs.fetch_add(1, Ordering::Relaxed);
-                        // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
-                        let sim_start = Instant::now();
-                        let result = simulate_unit_shard(&workload, kind, rows);
-                        StageClocks::charge(&clocks.simulate_ns, sim_start);
-                        if let Some(t) = &telemetry {
-                            // The planned physical tile, not the shard
-                            // index: per-tile busy accounting follows the
-                            // placement.
-                            let tile = state.plan.shard_tiles[head][shard];
-                            t.record_wall_span(
-                                "sim",
-                                state.task.name.clone(),
-                                sim_start,
-                                vec![
-                                    ("task", state.task.id as u64),
-                                    ("head", head as u64),
-                                    ("unit", kind.index() as u64),
-                                    ("tile", tile as u64),
-                                ],
-                            );
-                            let metrics = t.metrics();
-                            metrics.incr("suite.jobs.sim", 1);
-                            metrics.incr(
-                                &format!("suite.tile{tile:02}.busy_cycles"),
-                                result.standalone_cycles(),
-                            );
-                            let mix = result.outcome_mix();
+            // Sub-DAG fan-out: one sweep+fold job per planned row block,
+            // producing all four unit shards of its rows. The blocks are a
+            // pure function of `(task, options)`, so every thread count
+            // spawns the same jobs; assembly order is fixed by block index.
+            assert_eq!(
+                workload.seq_len(),
+                sim_seq_len(&state.task, &options),
+                "the cached workload has the planned sequence length"
+            );
+            for (block, (shard, rows)) in state.blocks[head].iter().enumerate() {
+                let state = Arc::clone(&state);
+                let workload = Arc::clone(&workload);
+                let tx = tx.clone();
+                let clocks = Arc::clone(&clocks);
+                let jobs = Arc::clone(&jobs);
+                let rows = rows.clone();
+                let tile = state.plan.shard_tiles[head][*shard];
+                let telemetry = telemetry.clone();
+                spawner.spawn(move || {
+                    jobs.fetch_add(1, Ordering::Relaxed);
+                    // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
+                    let sim_start = Instant::now();
+                    let units = simulate_units_shard(&workload, rows);
+                    StageClocks::charge(&clocks.simulate_ns, sim_start);
+                    if let Some(t) = &telemetry {
+                        // Tagged with the planned physical tile, not the
+                        // shard index: the span follows the placement.
+                        t.record_wall_span(
+                            "sim",
+                            state.task.name.clone(),
+                            sim_start,
+                            vec![
+                                ("task", state.task.id as u64),
+                                ("head", head as u64),
+                                ("tile", tile as u64),
+                            ],
+                        );
+                        let metrics = t.metrics();
+                        metrics.incr("suite.jobs.sim", 1);
+                        for unit in &units {
+                            let mix = unit.outcome_mix();
                             metrics.incr("kernel.outcomes.early_terminated", mix.early_terminated);
                             metrics.incr(
                                 "kernel.outcomes.full_precision_pruned",
                                 mix.full_precision_pruned,
                             );
                             metrics.incr("kernel.outcomes.surviving", mix.surviving);
-                            metrics.merge_indexed("kernel.bits_processed", &result.bits_histogram);
+                            metrics.merge_indexed("kernel.bits_processed", &unit.bits_histogram);
                         }
+                    }
 
-                        *state.slots[state.slot_index(head, kind, shard)]
-                            .lock()
-                            // lint:allow(panic-in-library, reason = "a poisoned slot means a simulation worker panicked; propagating is the only sound recovery")
-                            .expect("slot poisoned") = Some(result);
-                        if state.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            // Last shard of the task: merge and aggregate
-                            // right here (the slots are complete and this
-                            // worker is warm).
-                            jobs.fetch_add(1, Ordering::Relaxed);
-                            // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
-                            let agg_start = Instant::now();
-                            let heads = state.assemble_heads();
-                            let result = aggregate_task(&state.task, &options, &heads);
-                            StageClocks::charge(&clocks.aggregate_ns, agg_start);
-                            if let Some(t) = &telemetry {
-                                t.record_wall_span(
-                                    "aggregate",
-                                    state.task.name.clone(),
-                                    agg_start,
-                                    vec![("task", state.task.id as u64)],
-                                );
-                                t.metrics().incr("suite.jobs.aggregate", 1);
-                            }
-                            // The receiver only disappears if the caller
-                            // panicked; dropping the result is then fine.
-                            let _ = tx.send((task_index, result));
+                    *state.slots[state.offsets[head] + block]
+                        .lock()
+                        // lint:allow(panic-in-library, reason = "a poisoned slot means a simulation worker panicked; propagating is the only sound recovery")
+                        .expect("slot poisoned") = Some(units);
+                    if state.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        // Last block of the task: merge and aggregate right
+                        // here (the slots are complete and this worker is
+                        // warm).
+                        jobs.fetch_add(1, Ordering::Relaxed);
+                        // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
+                        let agg_start = Instant::now();
+                        let heads = state.assemble_heads(telemetry.as_deref());
+                        let result = aggregate_task(&state.task, &options, &heads);
+                        StageClocks::charge(&clocks.aggregate_ns, agg_start);
+                        if let Some(t) = &telemetry {
+                            t.record_wall_span(
+                                "aggregate",
+                                state.task.name.clone(),
+                                agg_start,
+                                vec![("task", state.task.id as u64)],
+                            );
+                            t.metrics().incr("suite.jobs.aggregate", 1);
                         }
-                    });
-                }
+                        // The receiver only disappears if the caller
+                        // panicked; dropping the result is then fine.
+                        let _ = tx.send((task_index, result));
+                    }
+                });
             }
         });
     }
@@ -546,8 +606,8 @@ mod tests {
         let report = run_suite_parallel(&tasks, &options, 4);
         assert_eq!(report.results, serial);
         assert_eq!(report.threads, 4);
-        // 4 tasks x (1 build + 4 sims + 1 aggregate).
-        assert_eq!(report.jobs, 4 * 6);
+        // 4 tasks x (1 build + 1 fused sweep+fold + 1 aggregate).
+        assert_eq!(report.jobs, 4 * 3);
     }
 
     #[test]
@@ -619,8 +679,9 @@ mod tests {
                     report.results, serial,
                     "tiles={tiles}, threads={threads} diverged from serial"
                 );
-                // 3 tasks x (1 build + 4 units x tiles shards + 1 aggregate).
-                assert_eq!(report.jobs, 3 * (1 + 4 * tiles + 1));
+                // 3 tasks x (1 build + 1 sweep+fold job per tile shard +
+                // 1 aggregate).
+                assert_eq!(report.jobs, 3 * (1 + tiles + 1));
             }
         }
     }
@@ -643,15 +704,15 @@ mod tests {
             let report = run_suite_parallel(&tasks, &options, 4);
             assert_eq!(report.results, serial, "{placement:?} diverged from serial");
             let split = if placement == Placement::Static { 1 } else { 4 };
-            // 2 tasks x (1 build + 4 units x split shards + 1 aggregate).
-            assert_eq!(report.jobs, 2 * (1 + 4 * split + 1), "{placement:?}");
+            // 2 tasks x (1 build + split sweep+fold jobs + 1 aggregate).
+            assert_eq!(report.jobs, 2 * (1 + split + 1), "{placement:?}");
         }
     }
 
     #[test]
     fn tile_shards_share_one_workload_build() {
         // The shard fan-out must not multiply workload construction: all
-        // 4 * tiles shards of a head consume the same cached build.
+        // tile shards of a head consume the same cached build.
         let tasks: Vec<_> = full_suite().into_iter().take(2).collect();
         let options = PipelineOptions {
             tiles: 4,
@@ -678,7 +739,8 @@ mod tests {
         assert_eq!(plain.jobs, traced.jobs);
         let metrics = traced.metrics.expect("telemetry enabled");
         assert_eq!(metrics.counter("suite.jobs.build"), Some(3));
-        assert_eq!(metrics.counter("suite.jobs.sim"), Some(3 * 4 * 2));
+        // One sweep+fold job per (task, tile shard), all four units in it.
+        assert_eq!(metrics.counter("suite.jobs.sim"), Some(3 * 2));
         assert_eq!(metrics.counter("suite.jobs.aggregate"), Some(3));
         let outcomes = metrics.counter("kernel.outcomes.early_terminated").unwrap()
             + metrics
@@ -689,6 +751,42 @@ mod tests {
         // One wall span per job.
         let telemetry = runner.telemetry().expect("enabled");
         assert_eq!(telemetry.event_count(), traced.jobs);
+    }
+
+    #[test]
+    fn long_shards_are_cut_into_contiguous_row_blocks() {
+        // Short shards stay one block; an empty shard is one empty block.
+        assert_eq!(row_blocks(0..96, 96), vec![0..96]);
+        assert_eq!(row_blocks(5..5, 96), vec![5..5]);
+        // A shard of more than BLOCK_PAIRS pairs splits into near-equal
+        // contiguous blocks that tile its rows exactly.
+        let blocks = row_blocks(100..1380, 1280);
+        assert_eq!(blocks.len(), (1280 * 1280usize).div_ceil(BLOCK_PAIRS));
+        assert_eq!(blocks.first().map(|b| b.start), Some(100));
+        assert_eq!(blocks.last().map(|b| b.end), Some(1380));
+        for pair in blocks.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start);
+        }
+        assert!(blocks.iter().all(|b| b.len() * 1280 <= BLOCK_PAIRS + 1280));
+    }
+
+    #[test]
+    fn row_blocked_heads_are_bit_identical_to_serial() {
+        // GPT-2 capped at 760 rows has 577,600 pairs per head: its one
+        // tile shard runs as two row-block jobs, joined before the merge.
+        let gpt2: Vec<_> = full_suite()
+            .into_iter()
+            .filter(|t| t.name.starts_with("GPT-2"))
+            .collect();
+        let options = PipelineOptions {
+            max_sim_seq_len: 760,
+            ..PipelineOptions::default()
+        };
+        let serial: Vec<TaskResult> = gpt2.iter().map(|t| run_task(t, &options)).collect();
+        let report = run_suite_parallel(&gpt2, &options, 2);
+        assert_eq!(report.results, serial);
+        // 1 build + 2 row blocks + 1 aggregate.
+        assert_eq!(report.jobs, 4);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! reproduction.
 //!
 //! The 43-task evaluation suite decomposes naturally into independent
-//! simulation units — one per `(task, head, tile configuration)` — and this
-//! crate executes that DAG on a work-stealing thread pool built from std
-//! threads and channels:
+//! simulation jobs — one per `(task, head, row block)`, each producing all
+//! four tile configurations from one kernel sweep — and this crate
+//! executes that DAG on a work-stealing thread pool built from std threads
+//! and channels:
 //!
 //! * [`pool`] — the work-stealing [`ThreadPool`]: per
 //!   worker local deques (LIFO for locality), a shared injector, FIFO
@@ -16,7 +17,7 @@
 //!   so per-head construction happens once per run and parameter sweeps
 //!   reuse it across design points.
 //! * [`engine`] — the [`SuiteRunner`]: builds the job
-//!   DAG (build → four simulation units → aggregate per task), tracks
+//!   DAG (build → fused sweep+fold per row block → aggregate per task), tracks
 //!   per-stage wall-clock totals, and returns results that are
 //!   **bit-identical** to the serial pipeline for any thread count (every
 //!   job is a pure function of its fixed per-head seed, and aggregation

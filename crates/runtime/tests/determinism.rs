@@ -98,9 +98,10 @@ fn engine_accounts_for_every_job() {
     let tasks = reduced_suite();
     let options = reduced_options();
     let report = run_suite_parallel(&tasks, &options, 4);
-    // Per task: heads builds + heads*4 sims + 1 aggregate.
+    // Per task: heads builds + one fused sweep+fold job per head (all four
+    // units) + 1 aggregate.
     let heads = options.heads;
-    let expected = tasks.len() * (heads + heads * 4 + 1);
+    let expected = tasks.len() * (heads + heads + 1);
     assert_eq!(report.jobs, expected);
     assert_eq!(report.cache.misses as usize, tasks.len() * heads);
 }

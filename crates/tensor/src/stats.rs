@@ -46,8 +46,13 @@ pub fn geometric_mean(values: &[f32]) -> f32 {
     (log_sum / values.len() as f32).exp()
 }
 
-/// Linear-interpolated percentile (`p` in `[0, 100]`) of a slice.
+/// Linear-interpolated percentile (`p` in `[0, 100]`) of a slice, in the
+/// IEEE 754 total order ([`f32::total_cmp`]): NaNs sort past the
+/// infinities instead of panicking, and `-0.0` sorts before `+0.0`.
 /// Returns 0.0 for an empty slice.
+///
+/// Runs in linear time: one selection finds the lower rank, and the upper
+/// rank is the minimum of the partition above it.
 ///
 /// # Panics
 ///
@@ -57,17 +62,22 @@ pub fn percentile(values: &[f32], p: f32) -> f32 {
     if values.is_empty() {
         return 0.0;
     }
-    let mut sorted: Vec<f32> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = p / 100.0 * (sorted.len() - 1) as f32;
+    let mut scratch: Vec<f32> = values.to_vec();
+    let rank = p / 100.0 * (scratch.len() - 1) as f32;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
+    let (_, &mut lo_value, upper) = scratch.select_nth_unstable_by(lo, f32::total_cmp);
     if lo == hi {
-        sorted[lo]
-    } else {
-        let w = rank - lo as f32;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
+        return lo_value;
     }
+    // hi == lo + 1, so the upper rank is the smallest value above lo.
+    let hi_value = upper
+        .iter()
+        .copied()
+        .min_by(f32::total_cmp)
+        .unwrap_or(lo_value);
+    let w = rank - lo as f32;
+    lo_value * (1.0 - w) + hi_value * w
 }
 
 /// A fixed-width histogram over a closed interval, used to inspect attention
@@ -253,6 +263,57 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 4.0);
         assert!((percentile(&v, 50.0) - 2.5).abs() < 1e-6);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    /// The sort-based definition the selection must reproduce bit for bit.
+    fn sorted_percentile(values: &[f32], p: f32) -> f32 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f32::total_cmp);
+        let rank = p / 100.0 * (sorted.len() - 1) as f32;
+        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+        let w = rank - lo as f32;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            sorted[lo] * (1.0 - w) + sorted[hi] * w
+        }
+    }
+
+    #[test]
+    fn percentile_matches_a_sorted_reference_bit_for_bit() {
+        use rand::Rng;
+        let mut r = crate::rng::seeded(17);
+        for len in [1usize, 2, 3, 7, 64, 1001] {
+            // Few distinct values (heavy duplicates, both zero signs) and
+            // continuous values.
+            let coarse: Vec<f32> = (0..len)
+                .map(|_| [-1.5f32, -0.0, 0.0, 0.25, 2.0][r.gen_range(0..5usize)])
+                .collect();
+            let fine: Vec<f32> = (0..len).map(|_| r.gen_range(-3.0f32..3.0)).collect();
+            for values in [&coarse, &fine] {
+                for p in [0.0f32, 0.1, 12.5, 33.3, 50.0, 77.7, 90.0, 99.9, 100.0] {
+                    assert_eq!(
+                        percentile(values, p).to_bits(),
+                        sorted_percentile(values, p).to_bits(),
+                        "len {len}, p {p}"
+                    );
+                }
+            }
+        }
+        // The zero signs order -0.0 before +0.0.
+        assert_eq!(percentile(&[0.0, -0.0], 0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(percentile(&[0.0, -0.0], 100.0).to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn percentile_of_nan_input_does_not_panic() {
+        let values = [f32::NAN, 1.0, -f32::NAN, 3.0, f32::NAN, 2.0];
+        // Total order: [-NaN, 1, 2, 3, NaN, NaN] (a NaN sorts past the
+        // infinity of its sign), so the middle ranks stay finite.
+        assert_eq!(percentile(&values, 50.0), 2.5);
+        assert!(percentile(&values, 0.0).is_nan());
+        assert!(percentile(&values, 100.0).is_nan());
+        assert!(percentile(&[f32::NAN; 4], 37.0).is_nan());
     }
 
     #[test]

@@ -16,7 +16,10 @@ use leopard_accel::config::TileConfig;
 use leopard_accel::cost::{CostModel, FitObservation};
 use leopard_accel::energy::{energy_from_events, EnergyBreakdown, EnergyModel};
 use leopard_accel::schedule::{plan_layer, LayerPlan, Placement, PlannedHead};
-use leopard_accel::sim::{simulate_head, HeadSimResult, HeadWorkload};
+use leopard_accel::sim::{
+    merge_shards, simulate_head, simulate_head_shard_fused, HeadSimResult, HeadWorkload,
+    TileShardSim,
+};
 use leopard_tensor::{rng, stats, Matrix};
 use leopard_transformer::config::ModelFamily;
 use serde::{Deserialize, Serialize};
@@ -139,9 +142,11 @@ pub fn threshold_for_rate(q: &Matrix, k: &Matrix, target_rate: f32) -> f32 {
 
 /// The tile configurations every (task, head) pair is simulated on.
 ///
-/// A suite run decomposes into `tasks x heads x SimUnitKind::ALL` independent
-/// simulation units — the job granularity of the parallel engine in
-/// `leopard-runtime`. [`run_task`] executes the same units inline.
+/// A suite run simulates `tasks x heads x SimUnitKind::ALL` units. The four
+/// units of a head share one kernel sweep ([`simulate_units_shard`]), so
+/// the parallel engine in `leopard-runtime` schedules one job per (head,
+/// row block) that produces all four; [`run_task`] runs the same fused
+/// pass inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimUnitKind {
     /// Unpruned full-precision baseline (the denominator of every ratio).
@@ -184,12 +189,16 @@ impl SimUnitKind {
     }
 }
 
+/// The shortest sequence the pipeline simulates: tasks shorter than this
+/// are padded up to it, and the CLI rejects a `--max-seq-len` below it.
+pub const MIN_SIM_SEQ_LEN: usize = 8;
+
 /// Sequence length actually simulated for a task under the given options.
 pub fn sim_seq_len(task: &TaskDescriptor, options: &PipelineOptions) -> usize {
     task.model_config()
         .seq_len
         .min(options.max_sim_seq_len)
-        .max(8)
+        .max(MIN_SIM_SEQ_LEN)
 }
 
 /// Deterministic seed for one head of one task. Workload construction is
@@ -389,18 +398,20 @@ pub fn simulate_unit(workload: &HeadWorkload, kind: SimUnitKind) -> HeadSimResul
     simulate_head(workload, &kind.tile_config())
 }
 
-/// Runs one tile shard of a simulation unit: the contiguous `rows` slice of
-/// one head workload on one tile configuration. The engine schedules these
-/// as sub-DAG jobs and reassembles them with
-/// [`leopard_accel::schedule::merge_head_shards`]; merging every shard of a
-/// unit reproduces [`simulate_unit`] bit-identically (the tile scheduler's
-/// conformance contract).
-pub fn simulate_unit_shard(
+/// Runs one row block of all four simulation units of a head in one fused
+/// pass: the contiguous `rows` slice of one head workload, one kernel sweep
+/// per row folded into every [`SimUnitKind`]'s accounting. Returns one
+/// [`TileShardSim`] per kind, indexed by [`SimUnitKind::index`]. The engine
+/// schedules these as sub-DAG jobs, joins a tile shard's blocks with
+/// [`TileShardSim::join`] and merges the shards with
+/// [`leopard_accel::schedule::merge_head_shards`]; the merged results
+/// reproduce [`simulate_unit`] bit-identically for every kind.
+pub fn simulate_units_shard(
     workload: &HeadWorkload,
-    kind: SimUnitKind,
     rows: std::ops::Range<usize>,
-) -> leopard_accel::sim::TileShardSim {
-    leopard_accel::sim::simulate_head_shard(workload, &kind.tile_config(), rows)
+) -> Vec<TileShardSim> {
+    let configs = SimUnitKind::ALL.map(|kind| kind.tile_config());
+    simulate_head_shard_fused(workload, &configs, rows)
 }
 
 /// The four per-configuration simulation results for one head.
@@ -417,14 +428,16 @@ pub struct HeadUnitResults {
 }
 
 impl HeadUnitResults {
-    /// Runs all four units serially for one head.
+    /// Runs all four units for one head in one fused pass (one kernel
+    /// sweep, four folds).
     pub fn compute(workload: &HeadWorkload) -> Self {
-        Self {
-            baseline: simulate_unit(workload, SimUnitKind::Baseline),
-            ae: simulate_unit(workload, SimUnitKind::AeLeopard),
-            hp: simulate_unit(workload, SimUnitKind::HpLeopard),
-            pruning_only: simulate_unit(workload, SimUnitKind::PruningOnly),
-        }
+        let units = simulate_units_shard(workload, 0..workload.seq_len());
+        Self::from_indexed(
+            units
+                .iter()
+                .map(|unit| Some(merge_shards(std::slice::from_ref(unit))))
+                .collect(),
+        )
     }
 
     /// Assembles the struct from results keyed by [`SimUnitKind::index`].
@@ -543,9 +556,9 @@ pub fn aggregate_task(
 /// Runs the full pipeline for one task, serially.
 ///
 /// This is the reference implementation the parallel engine in
-/// `leopard-runtime` is checked against: both execute exactly the same
-/// decomposition — [`build_head_workload`] per head, [`simulate_unit`] per
-/// `(head, SimUnitKind)`, [`aggregate_task`] at the end — so their results
+/// `leopard-runtime` is checked against: both execute the same
+/// decomposition — [`build_head_workload`] per head, the four units of a
+/// head in one fused pass, [`aggregate_task`] at the end — so their results
 /// are bit-identical.
 pub fn run_task(task: &TaskDescriptor, options: &PipelineOptions) -> TaskResult {
     let heads: Vec<HeadUnitResults> = (0..options.heads.max(1))
@@ -774,8 +787,9 @@ mod tests {
         // The kernel-v2 pack is keyed by (magnitude width, bits per cycle),
         // and the three bit-serial presets share the (11, 2) plan — so one
         // head workload packs its keys once and every unit reuses the same
-        // Arc. The baseline preset collapses to a one-cycle plan and packs
-        // separately, but still hits its own cache on re-simulation.
+        // Arc. The baseline preset's one-cycle plan would pack separately
+        // (the simulator never asks: the unpruned baseline reads no sweep),
+        // and still hits its own cache on a repeated request.
         let suite = full_suite();
         let workload = build_head_workload(&suite[0], &quick_options(), 0);
         let shared: Vec<_> = [
