@@ -92,6 +92,19 @@ impl CommonOptions {
 /// counter-addressed, so only reproducibility matters.
 pub const DEFAULT_FAULT_SEED: u64 = 0x5EED_FA17;
 
+/// Largest `--requests` a serve run accepts. A replayed request costs
+/// about 400 bytes end to end (the arrival, its record, queue sample and
+/// ready-queue slot, plus its CSV/JSON rows), so the cap bounds a run near
+/// 4 GB instead of letting a typo ask the allocator for terabytes.
+pub const MAX_SERVE_REQUESTS: usize = 10_000_000;
+
+/// Largest `--servers` a serve run accepts. Per-tile replay state is about
+/// 40 bytes (free time, busy cycles, liveness, gang-order slot), so the cap
+/// bounds it near 160 KB; the tighter limit is time, since every replay
+/// step counts in-flight tiles across the whole array and the summary
+/// prints one utilization cell per tile.
+pub const MAX_SERVE_SERVERS: usize = 4096;
+
 /// The `leopard serve`-specific knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeSpec {
@@ -318,7 +331,8 @@ FLAGS:
     --all-tasks       (sweep) use all 43 tasks, not the representative set
 
 SERVE FLAGS:
-    --requests N      requests in the stream (default 256)
+    --requests N      requests in the stream (default 256, at most
+                      10000000)
     --rate R          offered load in requests per virtual second (default
                       100000000 — deliberately above capacity so a backlog
                       forms and the admission order matters)
@@ -331,7 +345,8 @@ SERVE FLAGS:
     --slo-cycles N    shed requests whose predicted completion exceeds N
                       virtual cycles after arrival; reports shed rate and
                       goodput (default: admit everything)
-    --servers T       virtual tiles to dispatch onto (default 32)
+    --servers T       virtual tiles to dispatch onto (default 32, at most
+                      4096)
     --slo-headroom H  multiplicative headroom applied to predicted cycles
                       before the SLO comparison (default 1.4; must be a
                       positive finite number)
@@ -551,6 +566,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             "--requests" => {
                 let v = take_value(&mut it, "--requests")?;
                 serve.requests = v.parse().map_err(|_| format!("bad request count {v:?}"))?;
+                if serve.requests > MAX_SERVE_REQUESTS {
+                    return Err(format!(
+                        "--requests must be at most {MAX_SERVE_REQUESTS}, got {v}"
+                    ));
+                }
                 serve_flag_seen = serve_flag_seen.or(Some("--requests"));
             }
             "--rate" => {
@@ -594,6 +614,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 serve.servers = v.parse().map_err(|_| format!("bad server count {v:?}"))?;
                 if serve.servers == 0 {
                     return Err("--servers must be at least 1".to_string());
+                }
+                if serve.servers > MAX_SERVE_SERVERS {
+                    return Err(format!(
+                        "--servers must be at most {MAX_SERVE_SERVERS}, got {v}"
+                    ));
                 }
                 serve_flag_seen = serve_flag_seen.or(Some("--servers"));
             }
@@ -1845,6 +1870,20 @@ mod tests {
                 assert_eq!(common.schedule, SchedulePolicy::Fifo);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn serve_resource_caps_admit_their_bound_and_reject_past_it() {
+        for (flag, cap) in [
+            ("--requests", MAX_SERVE_REQUESTS),
+            ("--servers", MAX_SERVE_SERVERS),
+        ] {
+            assert!(parse(&args(&["serve", flag, &cap.to_string()])).is_ok());
+            let over = (cap + 1).to_string();
+            let err = parse(&args(&["serve", flag, &over])).unwrap_err();
+            assert_eq!(err, format!("{flag} must be at most {cap}, got {over}"));
+            assert!(USAGE.contains(&format!("at most\n                      {cap})")));
         }
     }
 

@@ -18,6 +18,7 @@
 use crate::engine::SuiteReport;
 use crate::serving::ServingReport;
 use leopard_workloads::pipeline::{summarize, TaskResult};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 fn escape_json(s: &str) -> String {
@@ -37,6 +38,47 @@ fn escape_json(s: &str) -> String {
     }
     out
 }
+
+/// Each task's name, rendered once: serving reports repeat a task's name on
+/// every row of that task, so rows look the rendered text up by task id
+/// instead of re-escaping it. An entry is rebuilt when a row pairs the id
+/// with a different name, so the output never relies on ids and names
+/// agreeing.
+struct EscapedNames<'a> {
+    escape: fn(&str) -> String,
+    by_task: BTreeMap<usize, (&'a str, String)>,
+}
+
+impl<'a> EscapedNames<'a> {
+    fn new(escape: fn(&str) -> String) -> Self {
+        Self {
+            escape,
+            by_task: BTreeMap::new(),
+        }
+    }
+
+    fn get(&mut self, task_id: usize, name: &'a str) -> &str {
+        let escape = self.escape;
+        let entry = self
+            .by_task
+            .entry(task_id)
+            .or_insert_with(|| (name, escape(name)));
+        if entry.0 != name {
+            *entry = (name, escape(name));
+        }
+        &entry.1
+    }
+}
+
+/// Bytes reserved per row of the serving CSV and of the serving JSON's
+/// `requests_detail`, `shed_detail` and `queue_samples` arrays (plus the
+/// JSON's fixed head): a little above the typical row at 10⁸-cycle
+/// timestamps, so one up-front reservation usually holds the whole report.
+const JSON_HEAD_BYTES: usize = 2048;
+const CSV_ROW_BYTES: usize = 72;
+const REQUEST_ROW_BYTES: usize = 200;
+const SHED_ROW_BYTES: usize = 160;
+const SAMPLE_BYTES: usize = 24;
 
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -212,17 +254,18 @@ pub fn task_results_csv(results: &[TaskResult]) -> String {
 /// count on the virtual clock, so the file is bit-identical across thread
 /// counts — the property the CI determinism check compares.
 pub fn serving_requests_csv(report: &ServingReport) -> String {
-    let mut out = String::from(
-        "request,task_id,task,arrival_cycle,start_cycle,finish_cycle,\
-         wait_cycles,service_cycles,predicted_cycles\n",
-    );
+    const HEADER: &str = "request,task_id,task,arrival_cycle,start_cycle,finish_cycle,\
+                          wait_cycles,service_cycles,predicted_cycles\n";
+    let mut out = String::with_capacity(HEADER.len() + report.records.len() * CSV_ROW_BYTES);
+    out.push_str(HEADER);
+    let mut names = EscapedNames::new(|name| name.replace('"', "\"\""));
     for r in &report.records {
         let _ = writeln!(
             out,
             "{},{},\"{}\",{},{},{},{},{},{}",
             r.id,
             r.task_id,
-            r.task_name.replace('"', "\"\""),
+            names.get(r.task_id, &r.task_name),
             r.arrival_cycle,
             r.start_cycle,
             r.finish_cycle,
@@ -239,7 +282,12 @@ pub fn serving_requests_csv(report: &ServingReport) -> String {
 /// request.
 pub fn serving_report_json(report: &ServingReport) -> String {
     let latency = report.latency();
-    let mut out = String::new();
+    let mut out = String::with_capacity(
+        JSON_HEAD_BYTES
+            + report.shed.len() * SHED_ROW_BYTES
+            + report.queue_samples.len() * SAMPLE_BYTES
+            + report.records.len() * REQUEST_ROW_BYTES,
+    );
     out.push_str("{\n");
     let _ = writeln!(out, "  \"policy\": \"{}\",", report.policy.label());
     let _ = writeln!(out, "  \"arrivals\": \"{}\",", report.arrivals.label());
@@ -315,72 +363,68 @@ pub fn serving_report_json(report: &ServingReport) -> String {
             json_f64(report.tile_availability()),
         );
     }
+    let mut names = EscapedNames::new(escape_json);
     // Shed requests, in decision order (empty without an SLO).
-    let shed_rows: Vec<String> = report
-        .shed
-        .iter()
-        .map(|s| {
-            let attempts = if ft {
-                format!(", \"attempts\": {}", s.attempts)
-            } else {
-                String::new()
-            };
-            format!(
-                "{{\"id\": {}, \"task_id\": {}, \"task\": \"{}\", \"arrival_cycle\": {}, \
-                 \"shed_cycle\": {}, \"predicted_cycles\": {}{attempts}}}",
-                s.id,
-                s.task_id,
-                escape_json(&s.task_name),
-                s.arrival_cycle,
-                s.shed_cycle,
-                s.predicted_cycles,
-            )
-        })
-        .collect();
-    let _ = writeln!(out, "  \"shed_detail\": [{}],", shed_rows.join(", "));
+    out.push_str("  \"shed_detail\": [");
+    for (i, s) in report.shed.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(
+            out,
+            "{sep}{{\"id\": {}, \"task_id\": {}, \"task\": \"{}\", \"arrival_cycle\": {}, \
+             \"shed_cycle\": {}, \"predicted_cycles\": {}",
+            s.id,
+            s.task_id,
+            names.get(s.task_id, &s.task_name),
+            s.arrival_cycle,
+            s.shed_cycle,
+            s.predicted_cycles,
+        );
+        if ft {
+            let _ = write!(out, ", \"attempts\": {}", s.attempts);
+        }
+        out.push('}');
+    }
+    out.push_str("],\n");
     // The depth-over-time series: one [dispatch_cycle, depth] pair per
     // dispatch, in virtual-time order.
-    let samples: Vec<String> = report
-        .queue_samples
-        .iter()
-        .map(|s| format!("[{}, {}]", s.cycle, s.depth))
-        .collect();
-    let _ = writeln!(out, "  \"queue_samples\": [{}],", samples.join(", "));
+    out.push_str("  \"queue_samples\": [");
+    for (i, s) in report.queue_samples.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}[{}, {}]", s.cycle, s.depth);
+    }
+    out.push_str("],\n");
     let _ = writeln!(
         out,
         "  \"workload_cache\": {{\"hits\": {}, \"misses\": {}}},",
         report.cache.hits, report.cache.misses
     );
     out.push_str("  \"requests_detail\": [\n");
-    let rows: Vec<String> = report
-        .records
-        .iter()
-        .map(|r| {
-            let ft_cols = if ft {
-                format!(
-                    ", \"attempts\": {}, \"degraded\": {}",
-                    r.attempts, r.degraded
-                )
-            } else {
-                String::new()
-            };
-            format!(
-                "    {{\"id\": {}, \"task_id\": {}, \"task\": \"{}\", \"arrival_cycle\": {}, \
-                 \"start_cycle\": {}, \"finish_cycle\": {}, \"service_cycles\": {}, \
-                 \"predicted_cycles\": {}{ft_cols}}}",
-                r.id,
-                r.task_id,
-                escape_json(&r.task_name),
-                r.arrival_cycle,
-                r.start_cycle,
-                r.finish_cycle,
-                r.service_cycles,
-                r.predicted_cycles,
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    if !rows.is_empty() {
+    for (i, r) in report.records.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ",\n" };
+        let _ = write!(
+            out,
+            "{sep}    {{\"id\": {}, \"task_id\": {}, \"task\": \"{}\", \"arrival_cycle\": {}, \
+             \"start_cycle\": {}, \"finish_cycle\": {}, \"service_cycles\": {}, \
+             \"predicted_cycles\": {}",
+            r.id,
+            r.task_id,
+            names.get(r.task_id, &r.task_name),
+            r.arrival_cycle,
+            r.start_cycle,
+            r.finish_cycle,
+            r.service_cycles,
+            r.predicted_cycles,
+        );
+        if ft {
+            let _ = write!(
+                out,
+                ", \"attempts\": {}, \"degraded\": {}",
+                r.attempts, r.degraded
+            );
+        }
+        out.push('}');
+    }
+    if !report.records.is_empty() {
         out.push('\n');
     }
     out.push_str("  ]\n}\n");

@@ -37,7 +37,11 @@
 //!    predicted completion misses the deadline, and each dispatch occupies
 //!    a **gang** of `min(tiles, servers)` tiles for the request's layer
 //!    makespan — concurrent requests share the chip's tiles instead of
-//!    each request owning an opaque server.
+//!    each request owning an opaque server. The gang is the cheapest live
+//!    tiles by `(free_at, tile)`, read off an incrementally maintained
+//!    index of the live set: a dispatch re-inserts only its own tiles and
+//!    a fail/recover moves one tile, so no replay step sorts the tile
+//!    array.
 //!
 //! Latency is therefore accounted in simulated cycles, not wall-clock time:
 //! worker threads only change how fast phase 1 runs, never a single number
@@ -935,8 +939,9 @@ impl GapGenerator {
 ///
 /// # Panics
 ///
-/// Panics if `suite` is empty, the rate is not positive, or the mix
-/// matches no task in `suite`.
+/// Panics if `suite` is empty, the rate is not positive and finite or is
+/// so small that the mean inter-arrival gap overflows, or the mix matches
+/// no task in `suite`.
 pub fn generate_requests(suite: &[TaskDescriptor], options: &ServingOptions) -> Vec<Request> {
     assert!(!suite.is_empty(), "serving needs at least one task to draw");
     assert!(
@@ -986,41 +991,31 @@ pub fn generate_requests(suite: &[TaskDescriptor], options: &ServingOptions) -> 
         .collect()
 }
 
-/// The cheapest gang of `take` **live** tiles by `(free_at, index)` and
-/// the instant the whole gang is free (the maximum of the chosen tiles'
-/// free times). Deterministic: ties always resolve toward the lower tile
-/// index. With every tile live and `take == 1` this is exactly "the first
-/// tile to free up" of the legacy one-request-per-server model; with
-/// failed tiles it is the topology-aware replan — the gang simply is the
-/// cheapest subset of the live set, so placement follows fail/recover
-/// events with no extra mechanism.
+/// The tile array during the replay: when each tile next frees up, which
+/// tiles are down, the live tiles in gang order, and the availability
+/// integral — all advanced deterministically by dispatches and the fault
+/// plan's (sorted) tile events.
 ///
-/// # Panics
-///
-/// Panics if fewer than `take` tiles are live (the replay clamps `take`
-/// to the live count before calling).
-fn free_tile_gang(tile_free_at: &[u64], tile_down: &[bool], take: usize) -> (Vec<usize>, u64) {
-    let mut order: Vec<usize> = (0..tile_free_at.len())
-        .filter(|&tile| !tile_down[tile])
-        .collect();
-    order.sort_by_key(|&tile| (tile_free_at[tile], tile));
-    let gang: Vec<usize> = order[..take].to_vec();
-    let ready_at = gang
-        .iter()
-        .map(|&tile| tile_free_at[tile])
-        .max()
-        .unwrap_or(0);
-    (gang, ready_at)
-}
-
-/// Live-set state of the tile array during the replay: which tiles are
-/// down, how many are live, and the availability integral — all advanced
-/// deterministically by the fault plan's (sorted) tile events.
+/// Gang selection is incremental. `order` holds exactly the live tiles,
+/// kept sorted by `(free_at, tile)`, so the cheapest gang of `take` tiles
+/// is always its prefix `order[..take]` (ties toward the lower tile index,
+/// so the replay is deterministic) and the gang is whole once its last
+/// member frees up. A dispatch re-inserts the `take` gang tiles at their
+/// new finish time and a fail/recover removes or inserts one tile, so no
+/// step of the replay sorts the tile array. With every tile live and
+/// `take == 1` the gang is exactly "the first tile to free up" of the
+/// legacy one-request-per-server model; with failed tiles it is the
+/// topology-aware replan — the cheapest subset of the live set — so
+/// placement follows fail/recover events with no extra mechanism.
 struct LiveTiles {
+    /// Cycle each tile next frees up, down tiles included: a failing tile
+    /// drains its in-flight gang, and the in-flight count reads this.
+    free_at: Vec<u64>,
     /// Tiles currently drained out of the live set.
     down: Vec<bool>,
-    /// Live tile count (`down.len() - down.iter().filter(..)`).
-    live: usize,
+    /// The live tiles sorted by `(free_at, tile)`; `order.len()` is the
+    /// live tile count.
+    order: Vec<usize>,
     /// Fewest tiles ever simultaneously live.
     min_live: usize,
     /// ∫ live-tiles d(cycles), charged piecewise at every liveness change
@@ -1037,14 +1032,72 @@ struct LiveTiles {
 impl LiveTiles {
     fn new(servers: usize) -> Self {
         Self {
+            free_at: vec![0; servers],
             down: vec![false; servers],
-            live: servers,
+            order: (0..servers).collect(),
             min_live: servers,
             integral: 0,
             last_cycle: 0,
             fail_events: 0,
             recover_events: 0,
         }
+    }
+
+    /// Live tile count.
+    fn live(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The cheapest gang of `take` live tiles by `(free_at, tile)` and the
+    /// instant the whole gang is free (its last member's free time).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= take <= self.live()` (the replay clamps `take`
+    /// to the live count and only asks while a tile is live).
+    fn gang(&self, take: usize) -> (&[usize], u64) {
+        let gang = &self.order[..take];
+        (gang, self.free_at[gang[take - 1]])
+    }
+
+    /// Occupies the gang `order[..take]` until `finish`, moving each of its
+    /// tiles to its new place in the gang order.
+    fn dispatch(&mut self, take: usize, finish: u64) {
+        for left in (0..take).rev() {
+            // `left` gang tiles still wait at the front; the rest is sorted.
+            let tile = self.order.remove(0);
+            self.free_at[tile] = finish;
+            let at = self.slot_in(left, tile);
+            self.order.insert(at, tile);
+        }
+    }
+
+    /// Where `tile` belongs by `(free_at, tile)` in the sorted `order[from..]`.
+    fn slot_in(&self, from: usize, tile: usize) -> usize {
+        let key = (self.free_at[tile], tile);
+        from + self.order[from..].partition_point(|&other| (self.free_at[other], other) < key)
+    }
+
+    /// Takes `tile` out of the live set (a no-op if it is already down).
+    fn fail(&mut self, tile: usize) -> bool {
+        if self.down[tile] {
+            return false;
+        }
+        self.down[tile] = true;
+        self.order.remove(self.slot_in(0, tile));
+        self.fail_events += 1;
+        true
+    }
+
+    /// Returns `tile` to the live set (a no-op if it is already live).
+    fn recover(&mut self, tile: usize) -> bool {
+        if !self.down[tile] {
+            return false;
+        }
+        self.down[tile] = false;
+        self.order.insert(self.slot_in(0, tile), tile);
+        self.recover_events += 1;
+        true
     }
 
     /// Applies every event at or before `clock`, charging the availability
@@ -1062,28 +1115,10 @@ impl LiveTiles {
             *next_event += 1;
             self.charge(event.cycle);
             let applied = match event.kind {
-                TileFaultKind::Fail => {
-                    if self.down[event.tile] {
-                        false
-                    } else {
-                        self.down[event.tile] = true;
-                        self.live -= 1;
-                        self.fail_events += 1;
-                        true
-                    }
-                }
-                TileFaultKind::Recover => {
-                    if self.down[event.tile] {
-                        self.down[event.tile] = false;
-                        self.live += 1;
-                        self.recover_events += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
+                TileFaultKind::Fail => self.fail(event.tile),
+                TileFaultKind::Recover => self.recover(event.tile),
             };
-            self.min_live = self.min_live.min(self.live);
+            self.min_live = self.min_live.min(self.live());
             if applied {
                 if let Some(t) = telemetry {
                     let name = match event.kind {
@@ -1095,7 +1130,7 @@ impl LiveTiles {
                         name.to_string(),
                         event.tile as u64,
                         event.cycle,
-                        vec![("tile", event.tile as u64), ("live", self.live as u64)],
+                        vec![("tile", event.tile as u64), ("live", self.live() as u64)],
                     );
                     t.metrics().incr(&format!("serve.faults.tile_{name}"), 1);
                 }
@@ -1107,7 +1142,7 @@ impl LiveTiles {
     /// count (no-op when `cycle` is not ahead of the charged point).
     fn charge(&mut self, cycle: u64) {
         if cycle > self.last_cycle {
-            self.integral += u128::from(cycle - self.last_cycle) * self.live as u128;
+            self.integral += u128::from(cycle - self.last_cycle) * self.live() as u128;
             self.last_cycle = cycle;
         }
     }
@@ -1120,11 +1155,13 @@ impl LiveTiles {
 ///
 /// # Panics
 ///
-/// Panics if `suite` is empty, the rate is not positive, `options.servers`
-/// is zero, `options.slo_headroom` is not a positive finite number, the
-/// retry backoff base is zero while retries are enabled, or the fault plan
-/// fails validation against `options.servers` (out-of-range tiles,
-/// sub-100% slow multipliers, a fail rate outside `[0, 1]`).
+/// Panics if `options.servers` is zero, `options.slo_headroom` is not a
+/// positive finite number, the retry backoff base is zero while retries
+/// are enabled, the fault plan fails validation against `options.servers`
+/// (out-of-range tiles, sub-100% slow multipliers, a fail rate outside
+/// `[0, 1]`), or [`generate_requests`] panics: `suite` is empty, the rate
+/// is not positive and finite or is too small for the clock, or the mix
+/// matches no task in `suite`.
 pub fn run_serving(
     runner: &SuiteRunner,
     suite: &[TaskDescriptor],
@@ -1270,7 +1307,6 @@ pub fn run_serving(
     let mut slo_deferrals = 0u64;
     let mut degraded_count = 0u64;
     let mut shed_after_retries = 0u64;
-    let mut tile_free_at = vec![0u64; options.servers];
     let mut next_arrival = 0usize;
     let mut records: Vec<Option<RequestRecord>> = vec![None; requests.len()];
     let mut shed: Vec<ShedRecord> = Vec::new();
@@ -1287,19 +1323,21 @@ pub fn run_serving(
     // Event loop on a monotone virtual clock. At each clock value: dispatch
     // ready requests onto every free tile **gang** — a request's layer
     // schedule spans `min(tiles, servers)` tiles, so dispatch claims the
-    // gang-size cheapest tiles by `(free_at, index)` (ties toward the lower
-    // tile index, so the replay is deterministic) and occupies all of them
-    // for the layer makespan. At one tile per request this reduces exactly
+    // gang-size cheapest live tiles by `(free_at, index)` (ties toward the
+    // lower tile index, so the replay is deterministic) and occupies all of
+    // them for the layer makespan. The gang and its ready time are the
+    // prefix of the `LiveTiles` index, read in O(1); a dispatch re-inserts
+    // just the gang's tiles. At one tile per request this reduces exactly
     // to the legacy one-request-per-server model. The clock then advances
     // to the next event — the earlier of the next arrival and the next
-    // gang-free instant. Arrivals are always admitted before a later
-    // dispatch is decided, so the policy sees exactly the requests that
-    // have arrived by dispatch time, never more. With an SLO set, a picked
-    // request whose *predicted* completion (`clock + headroom-padded
-    // prediction`) already misses its deadline (`arrival + slo`) is shed
-    // instead of dispatched — the controller sees only cost-model
-    // predictions (padded by SLO_PREDICTION_HEADROOM against residual
-    // model error), never ground truth.
+    // gang-free instant (the same index prefix). Arrivals are always
+    // admitted before a later dispatch is decided, so the policy sees
+    // exactly the requests that have arrived by dispatch time, never more.
+    // With an SLO set, a picked request whose *predicted* completion
+    // (`clock + headroom-padded prediction`) already misses its deadline
+    // (`arrival + slo`) is shed instead of dispatched — the controller sees
+    // only cost-model predictions (padded by SLO_PREDICTION_HEADROOM
+    // against residual model error), never ground truth.
     let mut clock = 0u64;
     loop {
         // Fault events and due retries settle before any dispatch at this
@@ -1315,10 +1353,9 @@ pub fn run_serving(
         while let Some(job) = deferred.pop_ready(clock) {
             ready.push(job);
         }
-        while !ready.is_empty() && live_tiles.live > 0 {
-            let take = gang_size.min(live_tiles.live);
-            let (gang, free_at) = free_tile_gang(&tile_free_at, &live_tiles.down, take);
-            if free_at > clock {
+        while !ready.is_empty() && live_tiles.live() > 0 {
+            let take = gang_size.min(live_tiles.live());
+            if live_tiles.gang(take).1 > clock {
                 break;
             }
             depth_cycle_integral += u128::from(clock - depth_last_cycle) * ready.len() as u128;
@@ -1329,10 +1366,10 @@ pub fn run_serving(
             let attempt = attempts[job.index];
             // The plan width the gang spans: full-capacity plans use the
             // configured tile count; below it, the whole live set.
-            let width = if live_tiles.live >= gang_size {
+            let width = if live_tiles.live() >= gang_size {
                 tiles
             } else {
-                live_tiles.live
+                live_tiles.live()
             };
             // Transient dispatch fault? Decided by the counter-addressed
             // seeded stream — a pure function of (request, attempt), so
@@ -1497,6 +1534,7 @@ pub fn run_serving(
             // A gang advances at its slowest member's pace: the worst slow
             // multiplier across the gang stretches the service (ceiling
             // division keeps it integer cycles).
+            let gang = live_tiles.gang(take).0;
             let slow_pct = gang
                 .iter()
                 .map(|&tile| fault_plan.slow_pct(tile))
@@ -1507,10 +1545,11 @@ pub fn run_serving(
                     (u128::from(service_cycles) * u128::from(slow_pct)).div_ceil(100) as u64;
             }
             let finish = clock + service_cycles;
-            for &tile in &gang {
-                tile_free_at[tile] = finish;
+            for &tile in gang {
                 tile_busy_cycles[tile] += service_cycles;
             }
+            let lead = gang[0];
+            live_tiles.dispatch(take, finish);
             if let Some(t) = &telemetry {
                 // One span on the gang's lead tile lane (first by
                 // `(free_at, index)`) — at one tile per request this is
@@ -1518,7 +1557,7 @@ pub fn run_serving(
                 t.record_virtual_span(
                     "dispatch",
                     task.name.clone(),
-                    gang[0] as u64,
+                    lead as u64,
                     clock,
                     service_cycles,
                     vec![
@@ -1532,7 +1571,7 @@ pub fn run_serving(
                     t.record_instant(
                         "degrade",
                         task.name.clone(),
-                        gang[0] as u64,
+                        lead as u64,
                         clock,
                         vec![("id", request.id as u64), ("level", u64::from(level))],
                     );
@@ -1560,7 +1599,11 @@ pub fn run_serving(
         // settles exactly once: the clock strictly advances per outer
         // iteration).
         let queue_depth = ready.len();
-        let in_flight = tile_free_at.iter().filter(|&&free| free > clock).count();
+        let in_flight = live_tiles
+            .free_at
+            .iter()
+            .filter(|&&free| free > clock)
+            .count();
         if series.last().map(|s| (s.queue_depth, s.in_flight)) != Some((queue_depth, in_flight)) {
             series.push(ReplaySample {
                 cycle: clock,
@@ -1583,10 +1626,9 @@ pub fn run_serving(
         if next_arrival < requests.len() {
             next_clock = earlier(next_clock, requests[next_arrival].arrival_cycle);
         }
-        if !ready.is_empty() && live_tiles.live > 0 {
-            let take = gang_size.min(live_tiles.live);
-            let (_, next_free) = free_tile_gang(&tile_free_at, &live_tiles.down, take);
-            next_clock = earlier(next_clock, next_free);
+        if !ready.is_empty() && live_tiles.live() > 0 {
+            let take = gang_size.min(live_tiles.live());
+            next_clock = earlier(next_clock, live_tiles.gang(take).1);
         }
         if let Some(ready_cycle) = deferred.next_ready_cycle() {
             next_clock = earlier(next_clock, ready_cycle);
@@ -1745,6 +1787,67 @@ pub fn run_serving(
 mod tests {
     use super::*;
     use leopard_workloads::suite::full_suite;
+    use proptest::prelude::*;
+
+    /// Brute-force oracle for [`LiveTiles::gang`]: sorts the live tiles by
+    /// `(free_at, tile)` from scratch and takes the first `take`, with the
+    /// latest free time among them as the gang's ready time.
+    fn free_tile_gang(tile_free_at: &[u64], tile_down: &[bool], take: usize) -> (Vec<usize>, u64) {
+        let mut order: Vec<usize> = (0..tile_free_at.len())
+            .filter(|&tile| !tile_down[tile])
+            .collect();
+        order.sort_by_key(|&tile| (tile_free_at[tile], tile));
+        let gang: Vec<usize> = order[..take].to_vec();
+        let ready_at = gang
+            .iter()
+            .map(|&tile| tile_free_at[tile])
+            .max()
+            .unwrap_or(0);
+        (gang, ready_at)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Through any sequence of dispatches, fails and recovers, the
+        /// incremental gang order picks the same tiles in the same order,
+        /// with the same ready time, as a full re-sort of the live set.
+        #[test]
+        fn prop_live_tile_index_matches_a_full_sort(
+            servers in 1usize..65,
+            steps in collection::vec((0u32..4, 0usize..64, 0u64..5_000, 0usize..64), 0..160),
+        ) {
+            let mut tiles = LiveTiles::new(servers);
+            for &(kind, pick, service, take_pick) in &steps {
+                match kind {
+                    // Dispatch twice as often as fail or recover.
+                    0 | 1 if tiles.live() > 0 => {
+                        let take = 1 + take_pick % tiles.live();
+                        let ready_at = tiles.gang(take).1;
+                        tiles.dispatch(take, ready_at + service);
+                    }
+                    2 => {
+                        tiles.fail(pick % servers);
+                    }
+                    3 => {
+                        tiles.recover(pick % servers);
+                    }
+                    _ => {}
+                }
+                let live = tiles.down.iter().filter(|&&down| !down).count();
+                prop_assert_eq!(tiles.live(), live);
+                if live == 0 {
+                    continue;
+                }
+                // The whole order, and a gang of the step's random width.
+                for take in [live, 1 + take_pick % live] {
+                    let (gang, ready_at) = tiles.gang(take);
+                    let expected = free_tile_gang(&tiles.free_at, &tiles.down, take);
+                    prop_assert_eq!((gang.to_vec(), ready_at), expected);
+                }
+            }
+        }
+    }
 
     fn quick_options() -> ServingOptions {
         ServingOptions {

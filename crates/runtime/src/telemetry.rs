@@ -329,11 +329,12 @@ fn render_map<V>(out: &mut String, entries: &[(String, V)], render: impl Fn(&V) 
         out.push('}');
         return;
     }
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|(k, v)| format!("    \"{}\": {}", escape_json(k), render(v)))
-        .collect();
-    let _ = write!(out, "\n{}\n  }}", rows.join(",\n"));
+    for (i, (k, v)) in entries.iter().enumerate() {
+        out.push_str(if i == 0 { "\n    \"" } else { ",\n    \"" });
+        push_escaped(out, k);
+        let _ = write!(out, "\": {}", render(v));
+    }
+    out.push_str("\n  }");
 }
 
 fn join_u64(values: &[u64]) -> String {
@@ -352,8 +353,8 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` as the body of a JSON string literal.
+fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -367,7 +368,6 @@ fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// The telemetry layer: per-worker span buffers, a metrics registry, and
@@ -534,19 +534,18 @@ impl Telemetry {
     /// `ts`/`dur` in microseconds; virtual spans render under pid 2 with
     /// the raw cycle count in the `ts`/`dur` fields.
     pub fn chrome_trace_json(&self) -> String {
-        let mut events: Vec<TraceEvent> = Vec::new();
-        for buffer in &self.buffers {
-            events.extend(
-                buffer
-                    .lock()
-                    .expect("telemetry buffer poisoned") // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
-                    .iter()
-                    .cloned(),
-            );
-        }
+        // Hold every buffer for the export and sort references: events are
+        // rendered in place, never copied.
+        let buffers: Vec<_> = self
+            .buffers
+            .iter()
+            .map(|b| b.lock().expect("telemetry buffer poisoned")) // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+            .collect();
+        let mut events: Vec<&TraceEvent> = buffers.iter().flat_map(|b| b.iter()).collect();
         events.sort_by(|a, b| sort_key(a).cmp(&sort_key(b)));
 
-        let mut out = String::from("{\n\"traceEvents\": [\n");
+        let mut out = String::with_capacity(256 + events.len() * TRACE_EVENT_BYTES);
+        out.push_str("{\n\"traceEvents\": [\n");
         out.push_str(
             "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"args\": {\"name\": \
              \"pool workers (wall clock)\"}},\n",
@@ -555,7 +554,7 @@ impl Telemetry {
             "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, \"args\": {\"name\": \
              \"virtual tiles (cycle clock)\"}}",
         );
-        for event in &events {
+        for event in events {
             out.push_str(",\n  ");
             render_event(&mut out, event);
         }
@@ -597,17 +596,22 @@ fn sort_key(
     }
 }
 
+/// Bytes reserved per rendered trace event: a little above the ~125-byte
+/// mean of a serving trace, so the export usually fits one reservation.
+const TRACE_EVENT_BYTES: usize = 144;
+
 fn render_event(out: &mut String, event: &TraceEvent) {
-    let args: Vec<String> = event
-        .args
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    let scope = if event.phase == TracePhase::Instant {
-        "\"s\": \"t\", "
-    } else {
-        ""
-    };
+    out.push_str("{\"name\": \"");
+    push_escaped(out, &event.name);
+    let _ = write!(
+        out,
+        "\", \"cat\": \"{}\", \"ph\": \"{}\", ",
+        event.cat,
+        event.phase.label()
+    );
+    if event.phase == TracePhase::Instant {
+        out.push_str("\"s\": \"t\", ");
+    }
     match &event.clock {
         SpanClock::Wall {
             start_ns,
@@ -616,14 +620,9 @@ fn render_event(out: &mut String, event: &TraceEvent) {
         } => {
             let _ = write!(
                 out,
-                "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"{}\", {scope}\"pid\": 1, \
-                 \"tid\": {worker}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{{}}}}}",
-                escape_json(&event.name),
-                event.cat,
-                event.phase.label(),
+                "\"pid\": 1, \"tid\": {worker}, \"ts\": {:.3}, \"dur\": {:.3}, ",
                 *start_ns as f64 / 1e3,
                 *dur_ns as f64 / 1e3,
-                args.join(", "),
             );
         }
         SpanClock::Virtual {
@@ -631,22 +630,18 @@ fn render_event(out: &mut String, event: &TraceEvent) {
             dur_cycles,
             lane,
         } => {
-            let dur = if event.phase == TracePhase::Complete {
-                format!("\"dur\": {dur_cycles}, ")
-            } else {
-                String::new()
-            };
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"{}\", {scope}\"pid\": 2, \
-                 \"tid\": {lane}, \"ts\": {start_cycle}, {dur}\"args\": {{{}}}}}",
-                escape_json(&event.name),
-                event.cat,
-                event.phase.label(),
-                args.join(", "),
-            );
+            let _ = write!(out, "\"pid\": 2, \"tid\": {lane}, \"ts\": {start_cycle}, ");
+            if event.phase == TracePhase::Complete {
+                let _ = write!(out, "\"dur\": {dur_cycles}, ");
+            }
         }
     }
+    out.push_str("\"args\": {");
+    for (i, (k, v)) in event.args.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}\"{k}\": {v}");
+    }
+    out.push_str("}}");
 }
 
 #[cfg(test)]

@@ -239,3 +239,75 @@ fn placement_serve_reports_match_golden_fixtures() {
         "rr and static snapshots coincide — the fixture config no longer discriminates"
     );
 }
+
+/// FNV-1a, 64-bit: a dependency-free digest for pinning outputs too large
+/// to commit as fixtures.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn deep_queue_faulted_serve_matches_pinned_digest() {
+    // The other serve goldens replay 16 requests and never build a deep
+    // queue. This one replays 2×10⁴ requests far above capacity on 8 tiles
+    // in gangs of 3, through a tile outage that shrinks the live set below
+    // the gang size (reduced-width plans) and a recovery, a slow tile,
+    // transient faults with retries, and SLO deferral. Its CSV and masked
+    // JSON are pinned by length and FNV-1a-64 digest rather than as
+    // multi-megabyte fixtures.
+    use leopard_runtime::faults::{FaultPlan, SlowTile, TileFaultEvent, TileFaultKind};
+    let event = |cycle, tile, kind| TileFaultEvent { cycle, tile, kind };
+    let suite = full_suite();
+    let runner = SuiteRunner::new(2);
+    let mut tile_events = vec![event(300_000, 1, TileFaultKind::Fail)];
+    for tile in [2, 4, 5, 6, 7] {
+        tile_events.push(event(500_000, tile, TileFaultKind::Fail));
+    }
+    for tile in [1, 2, 4, 5, 6, 7] {
+        tile_events.push(event(650_000, tile, TileFaultKind::Recover));
+    }
+    let options = ServingOptions {
+        requests: 20_000,
+        servers: 8,
+        slo_cycles: Some(600_000),
+        retry_max: 2,
+        faults: Some(FaultPlan {
+            seed: 11,
+            fail_rate: 0.05,
+            tile_events,
+            slow_tiles: vec![SlowTile {
+                tile: 3,
+                multiplier_pct: 140,
+            }],
+        }),
+        pipeline: PipelineOptions {
+            tiles: 3,
+            ..pinned_pipeline()
+        },
+        ..ServingOptions::default()
+    };
+    let report = run_serving(&runner, &suite, &options);
+    let summary = report.fault_summary.as_ref().expect("fault layer active");
+    // The run must actually build the deep queue and drive the live set
+    // below the gang size and back.
+    assert!(report.max_queue_depth() > 10_000, "queue never got deep");
+    assert_eq!(summary.min_live_tiles, 2);
+    assert_eq!(summary.tile_fail_events, 6);
+    assert_eq!(summary.tile_recover_events, 6);
+    assert!(summary.transient_faults > 0 && summary.slo_deferrals > 0);
+    assert!(!report.shed.is_empty(), "nothing exhausted its retries");
+    let csv = serving_requests_csv(&report);
+    assert_eq!(
+        (csv.len(), fnv1a64(csv.as_bytes())),
+        (557_407, 0x73c0_0b6e_b51e_e0e0),
+        "deep-queue serve CSV drifted"
+    );
+    let json = mask_timing(&serving_report_json(&report));
+    assert_eq!(
+        (json.len(), fnv1a64(json.as_bytes())),
+        (3_609_016, 0xd07c_4b4f_012e_6769),
+        "deep-queue serve JSON drifted"
+    );
+}
