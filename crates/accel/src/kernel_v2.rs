@@ -47,7 +47,7 @@ use std::sync::Arc;
 /// Which compilation of the batched sweep a [`QkKernelV2`] runs. The two
 /// paths are bit-identical by construction; the only difference is the
 /// instruction set the sweep is compiled for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum KernelPath {
     /// The wide path: compiled with AVX2 enabled, selected only when
     /// `std::arch` runtime detection reports AVX2 on this machine.

@@ -34,6 +34,21 @@
 //! one sweep plus four folds, and the single-configuration entry points
 //! are the fused pass with one configuration.
 //!
+//! The v2 path also **records** its sweeps. Each sweep writes one byte per
+//! score pair (the cycles spent, and whether the score was pruned) into an
+//! outcome table in the workload's [`PlaneCache`], keyed by everything the
+//! outcomes depend on: the bit-serial plan, the pruning and early-
+//! termination flags, the threshold and the resolved [`KernelPath`]. A
+//! later simulation with the same key folds the recorded bytes instead of
+//! sweeping again, so design points that differ only in `N_QK` or in the
+//! tile partition cost one sweep per head between them. A full table costs
+//! `s x s` bytes; once its last row is recorded the plan's [`PackedKeys`]
+//! are released from the cache, and a later key that needs them packs
+//! them again. The packs are the larger of the two at the suite's sizes
+//! (about 10 MB of packs against 5.5 MB of tables for the 43 tasks at
+//! s ≤ 512), so recording lowers peak memory. The v1 and scalar-reference
+//! oracles never read or write a table.
+//!
 //! The accounting loop itself operates at **shard** granularity: a
 //! contiguous range of Q rows yields a [`TileShardSim`], and
 //! [`merge_shards`] reconstructs the exact single-tile [`HeadSimResult`]
@@ -52,16 +67,20 @@ use leopard_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::{Deref, Range};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A quantized attention-head workload ready for simulation.
 #[derive(Debug, Clone)]
 pub struct HeadWorkload {
-    /// Quantized Q codes, one row per query token (`s x d`).
+    /// Quantized Q codes, one row per query token (`s x d`). Not to be
+    /// mutated in place once the workload has been simulated: the recorded
+    /// outcome tables in `plane_cache` depend on them.
     pub q_codes: Vec<Vec<i32>>,
     /// Quantized K codes, one row per key token (`s x d`).
     pub k_codes: Vec<Vec<i32>>,
-    /// Pruning threshold in the integer product domain.
+    /// Pruning threshold in the integer product domain. Free to change
+    /// between simulations: it is part of every outcome table's key.
     pub threshold_int: i64,
     /// Head dimension `d`.
     pub head_dim: usize,
@@ -76,33 +95,41 @@ pub struct HeadWorkload {
     /// it empty (the kernel path then re-decomposes), but stale planes for
     /// *different* same-shape codes cannot be detected cheaply.
     pub k_planes: Vec<KPlanes>,
-    /// Lazily-built derived layouts of `k_codes`, shared across simulation
+    /// Lazily-built derived data of the codes, shared across simulation
     /// units: one K decomposition per *non-native* magnitude width (the
     /// `k_planes_at` cache — hot in `--param qk-bits` sweeps, which used to
-    /// re-decompose on every call) and one [`PackedKeys`] operand pack per
-    /// bit-serial plan (the batched v2 kernel's input). Cloning a workload
-    /// keeps the cache warm (the entries are `Arc`-shared).
+    /// re-decompose on every call), one [`PackedKeys`] operand pack per
+    /// bit-serial plan (the batched v2 kernel's input), and one recorded
+    /// per-pair outcome table per v2 sweep key (see the module docs).
+    /// Cloning a workload keeps the K layouts warm (the entries are
+    /// `Arc`-shared) but not the outcome tables.
     ///
-    /// Invariant: like `k_planes`, the cache must stay in sync with
-    /// `k_codes` — build workloads through the constructors rather than
-    /// mutating `k_codes` in place. A struct literal may start it empty
+    /// Invariant: like `k_planes`, the cache must stay in sync with the
+    /// codes — build workloads through the constructors rather than
+    /// mutating `k_codes` **or `q_codes`** in place (the outcome tables
+    /// depend on both). `threshold_int` may change: it is part of an
+    /// outcome table's key. A struct literal may start the cache empty
     /// ([`PlaneCache::default`]); entries are built on first use.
     pub plane_cache: PlaneCache,
 }
 
 /// The per-workload cache behind [`HeadWorkload::k_planes_at`] and
-/// [`HeadWorkload::packed_keys_at`]: width-keyed K decompositions and
-/// plan-keyed packed kernel operands, both behind `Arc` so concurrent
-/// simulation units share one build.
+/// [`HeadWorkload::packed_keys_at`]: width-keyed K decompositions,
+/// plan-keyed packed kernel operands and key-keyed recorded outcome
+/// tables, all behind `Arc` so concurrent simulation units share one
+/// build.
 #[derive(Debug, Default)]
 pub struct PlaneCache {
     widths: Mutex<BTreeMap<u32, Arc<Vec<KPlanes>>>>,
     packed: Mutex<BTreeMap<(u32, u32), Arc<PackedKeys>>>,
+    outcomes: Mutex<BTreeMap<OutcomeKey, Arc<OutcomeTable>>>,
 }
 
 impl Clone for PlaneCache {
-    /// Clones the cache *contents* (cheap `Arc` clones), so a cloned
-    /// workload starts warm instead of re-deriving every layout.
+    /// Clones the K layouts (cheap `Arc` clones), so a cloned workload
+    /// starts warm instead of re-deriving every layout. Outcome tables are
+    /// not carried over: they depend on the Q codes and the threshold,
+    /// which a struct-update clone may replace.
     fn clone(&self) -> Self {
         // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
         let widths = self.widths.lock().unwrap().clone();
@@ -111,7 +138,69 @@ impl Clone for PlaneCache {
         Self {
             widths: Mutex::new(widths),
             packed: Mutex::new(packed),
+            outcomes: Mutex::default(),
         }
+    }
+}
+
+/// What a workload's [`PlaneCache`] currently holds — see
+/// [`HeadWorkload::cache_census`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheCensus {
+    /// Packed kernel operand sets, one per bit-serial plan.
+    pub packs: usize,
+    /// Recorded outcome tables, one per v2 sweep key.
+    pub tables: usize,
+    /// Outcome tables whose every row has been recorded.
+    pub full_tables: usize,
+}
+
+/// Key of a recorded outcome table: everything a v2 sweep's per-pair
+/// outcomes depend on besides the workload's codes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct OutcomeKey {
+    magnitude_bits: u32,
+    bits_per_cycle: u32,
+    pruning: bool,
+    early_termination: bool,
+    threshold_int: i64,
+    path: KernelPath,
+}
+
+/// The recorded per-pair outcome codes of one v2 sweep key: one row per Q
+/// row, each filled at most once by the first simulation that sweeps it.
+/// Rows are independent cells, so the engine's parallel row blocks of a
+/// head fill disjoint rows concurrently.
+#[derive(Debug)]
+struct OutcomeTable {
+    rows: Vec<OnceLock<Box<[u8]>>>,
+    filled: AtomicUsize,
+}
+
+impl OutcomeTable {
+    fn new(rows: usize) -> Self {
+        Self {
+            rows: (0..rows).map(|_| OnceLock::new()).collect(),
+            filled: AtomicUsize::new(0),
+        }
+    }
+
+    /// Row `r`'s codes, produced by `sweep` if no simulation has recorded
+    /// the row yet, and whether this call recorded the table's last row.
+    fn row(&self, r: usize, sweep: impl FnOnce() -> Box<[u8]>) -> (&[u8], bool) {
+        let mut swept = false;
+        let codes = self.rows[r].get_or_init(|| {
+            swept = true;
+            sweep()
+        });
+        // Each row's `OnceLock` publishes its own bytes; the count only
+        // orders `is_full` readers (Acquire) after the fills it counts.
+        let completed = swept && self.filled.fetch_add(1, Ordering::AcqRel) + 1 == self.rows.len();
+        (codes, completed)
+    }
+
+    fn is_full(&self) -> bool {
+        self.filled.load(Ordering::Acquire) == self.rows.len()
     }
 }
 
@@ -235,9 +324,11 @@ impl HeadWorkload {
     }
 
     /// The packed batched-kernel operands ([`PackedKeys`]) for a bit-serial
-    /// plan, built at most once per `(magnitude width, bits per cycle)` per
-    /// workload and shared behind an `Arc` — every row, shard, and repeated
-    /// simulation of this head amortizes one pack.
+    /// plan, cached per `(magnitude width, bits per cycle)` and shared
+    /// behind an `Arc` — every row, shard, and repeated simulation of this
+    /// head amortizes one pack. A simulation that records the last row of
+    /// an outcome table releases its plan's pack (later simulations with
+    /// that key never sweep); the next call for the plan packs it again.
     pub fn packed_keys_at(&self, plan: BitSerialPlan) -> Arc<PackedKeys> {
         let key = (plan.magnitude_bits, plan.bits_per_cycle);
         // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded section only packs and inserts, so propagating the poison panic is the correct failure mode")
@@ -252,6 +343,56 @@ impl HeadWorkload {
         let built = Arc::new(PackedKeys::pack(planes, plan));
         packed.insert(key, Arc::clone(&built));
         built
+    }
+
+    /// Drops every recorded outcome table, keeping the K layouts and packs:
+    /// the next v2 simulation sweeps again. Benchmarks that time the kernel
+    /// sweep itself call this between runs.
+    pub fn forget_outcomes(&self) {
+        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        self.plane_cache.outcomes.lock().unwrap().clear();
+    }
+
+    /// How many packs and outcome tables the workload's cache holds.
+    pub fn cache_census(&self) -> CacheCensus {
+        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        let packs = self.plane_cache.packed.lock().unwrap().len();
+        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        let outcomes = self.plane_cache.outcomes.lock().unwrap();
+        CacheCensus {
+            packs,
+            tables: outcomes.len(),
+            full_tables: outcomes.values().filter(|t| t.is_full()).count(),
+        }
+    }
+
+    /// The outcome table `kernel` records into on this workload at its
+    /// current threshold, created empty on first use.
+    fn outcome_table(&self, kernel: &QkKernelV2) -> Arc<OutcomeTable> {
+        let plan = kernel.plan();
+        let config = kernel.config();
+        let key = OutcomeKey {
+            magnitude_bits: plan.magnitude_bits,
+            bits_per_cycle: plan.bits_per_cycle,
+            pruning: config.pruning_enabled,
+            early_termination: config.pruning_enabled && config.early_termination,
+            threshold_int: self.threshold_int,
+            path: kernel.path(),
+        };
+        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        let mut outcomes = self.plane_cache.outcomes.lock().unwrap();
+        Arc::clone(
+            outcomes
+                .entry(key)
+                .or_insert_with(|| Arc::new(OutcomeTable::new(self.seq_len()))),
+        )
+    }
+
+    /// Drops the cache's pack for `plan` (a full outcome table replaced it).
+    fn release_pack(&self, plan: BitSerialPlan) {
+        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        let mut packed = self.plane_cache.packed.lock().unwrap();
+        packed.remove(&(plan.magnitude_bits, plan.bits_per_cycle));
     }
 }
 
@@ -443,9 +584,11 @@ pub fn simulate_head_shard_with_path(
 /// each dot product to completion (no early termination, or fully
 /// parallel) read only a sweep's pruning decision, and run their own
 /// kernel only when no sweep has their magnitude width; configurations
-/// without pruning need no sweep at all. Rows stream one at a time
-/// through the sweeps and every configuration's fold, so no `s x s`
-/// outcome buffer is kept.
+/// without pruning need no sweep at all. Each sweep's outcomes are
+/// recorded in the workload's outcome table for its key, one byte per
+/// score pair, and rows an earlier simulation already recorded are folded
+/// from the table without sweeping; a table's last row releases the
+/// plan's packed operands (see the module docs).
 ///
 /// # Panics
 ///
@@ -478,21 +621,40 @@ pub fn simulate_head_shard_fused_with_path(
             .unwrap_or_else(|e| panic!("invalid tile config: {e}"));
     }
     let (sweeps, maps) = plan_sweeps(configs);
-    let kernels: Vec<(QkKernelV2, Arc<PackedKeys>)> = sweeps
+    let mut folds = RowFolds::new(workload, configs, &maps, rows.clone());
+    let kernels: Vec<QkKernelV2> = sweeps
         .iter()
-        .map(|sweep| {
-            let kernel = QkKernelV2::with_path(*sweep, path);
-            let packed = workload.packed_keys_at(kernel.plan());
-            (kernel, packed)
-        })
+        .map(|sweep| QkKernelV2::with_path(*sweep, path))
         .collect();
+    let tables: Vec<Arc<OutcomeTable>> = kernels
+        .iter()
+        .map(|kernel| workload.outcome_table(kernel))
+        .collect();
+    // Packs are fetched on the first row that needs a sweep, so a replay
+    // of recorded rows never rebuilds a released pack.
+    let mut packs: Vec<Option<Arc<PackedKeys>>> = vec![None; kernels.len()];
     let mut scratch = RowScratchV2::new();
-    let threshold = workload.threshold_int;
-    accumulate_rows(workload, configs, &maps, rows, |q_row, outcomes| {
-        for ((kernel, packed), out) in kernels.iter().zip(outcomes.iter_mut()) {
-            kernel.compute_row_into(q_row, packed, threshold, &mut scratch, out);
+    let mut outcomes = Vec::new();
+    let mut codes: Vec<&[u8]> = Vec::with_capacity(kernels.len());
+    for r in rows {
+        codes.clear();
+        for ((kernel, table), packed) in kernels.iter().zip(&tables).zip(&mut packs) {
+            let plan = kernel.plan();
+            let (row, completed) = table.row(r, || {
+                let packed = packed.get_or_insert_with(|| workload.packed_keys_at(plan));
+                let q_row = &workload.q_codes[r];
+                let threshold = workload.threshold_int;
+                kernel.compute_row_into(q_row, packed, threshold, &mut scratch, &mut outcomes);
+                outcomes.iter().map(|o| encode(o, plan)).collect()
+            });
+            if completed {
+                workload.release_pack(plan);
+            }
+            codes.push(row);
         }
-    })
+        folds.fold_row(&codes);
+    }
+    folds.finish()
 }
 
 /// Simulates one attention head on the retained v1 per-pair kernel
@@ -532,14 +694,9 @@ pub fn simulate_head_shard_pairwise(
     let planes = workload.k_planes_at(kernel.plan().magnitude_bits);
     let mut scratch = RowScratch::new();
     let threshold = workload.threshold_int;
-    let mut shards = accumulate_rows(
-        workload,
-        &[*config],
-        &[OutcomeMap::AsIs(0)],
-        rows,
-        |q_row, out| kernel.compute_row_into(q_row, &planes, threshold, &mut scratch, &mut out[0]),
-    );
-    shards.swap_remove(0)
+    accumulate_fresh(workload, config, rows, |q_row, out| {
+        kernel.compute_row_into(q_row, &planes, threshold, &mut scratch, out)
+    })
 }
 
 /// [`simulate_head_shard`] on the scalar per-pair reference DPU — the
@@ -564,17 +721,10 @@ pub fn simulate_head_shard_reference(
         .map(|codes| BitSerialVector::new(codes, plan))
         .collect();
     let threshold = workload.threshold_int;
-    let mut shards = accumulate_rows(
-        workload,
-        &[*config],
-        &[OutcomeMap::AsIs(0)],
-        rows,
-        |q_row, out| {
-            out[0].clear();
-            out[0].extend(k_vectors.iter().map(|k| dpu.compute(q_row, k, threshold)));
-        },
-    );
-    shards.swap_remove(0)
+    accumulate_fresh(workload, config, rows, |q_row, out| {
+        out.clear();
+        out.extend(k_vectors.iter().map(|k| dpu.compute(q_row, k, threshold)));
+    })
 }
 
 /// Simulates one attention head with the scalar per-pair [`QkDpu`] — the
@@ -825,22 +975,37 @@ impl TileShardSim {
     }
 }
 
-/// How one configuration reads a row's per-pair outcomes from the sweeps
-/// [`accumulate_rows`] is fed.
+/// A score pair's outcome as one byte: the DPU cycles spent in the low
+/// seven bits, the pruning decision in the top bit. The bits processed are
+/// not stored: every kernel processes `plan.bits_after(cycles)` magnitude
+/// bits, which is exact because `bits_after(total_cycles)` is the full
+/// magnitude width.
+const PRUNED_BIT: u8 = 0x80;
+/// The cycles field of an outcome code.
+const CYCLES_MASK: u8 = 0x7f;
+
+/// Encodes one outcome of a kernel following `plan`.
+fn encode(outcome: &DotProductOutcome, plan: BitSerialPlan) -> u8 {
+    debug_assert_eq!(outcome.bits_processed, plan.bits_after(outcome.cycles));
+    debug_assert!(outcome.cycles <= u32::from(CYCLES_MASK));
+    outcome.cycles as u8 | if outcome.pruned { PRUNED_BIT } else { 0 }
+}
+
+/// How one configuration reads a row's outcome codes from the sweeps
+/// [`RowFolds`] is fed.
 #[derive(Debug, Clone, Copy)]
 enum OutcomeMap {
-    /// The outcomes of sweep `i` as they are: the sweep of the
+    /// The codes of sweep `i` as they are: the sweep of the
     /// configuration's own plan and flags (`n_qk` only changes the lane
     /// fold).
     AsIs(usize),
-    /// Every dot product runs to completion in `cycles` over the full
-    /// `bits` width. With `pruned_by: Some(i)` a score is pruned exactly
+    /// Every dot product runs to completion in `cycles`, over the full
+    /// magnitude width. With `pruned_by: Some(i)` a score is pruned exactly
     /// where sweep `i` pruned it (the margin is exact, so early
     /// termination prunes what a full-width dot product prunes); with
     /// `None` (pruning disabled) nothing is pruned and no sweep is read.
     Complete {
         cycles: u32,
-        bits: u32,
         pruned_by: Option<usize>,
     },
 }
@@ -871,7 +1036,6 @@ fn plan_sweeps(configs: &[TileConfig]) -> (Vec<TileConfig>, Vec<OutcomeMap>) {
             let plan = config.bit_serial_plan();
             let complete = |pruned_by| OutcomeMap::Complete {
                 cycles: config.full_dot_cycles(),
-                bits: plan.magnitude_bits,
                 pruned_by,
             };
             if early_terminating(config) {
@@ -894,16 +1058,27 @@ fn plan_sweeps(configs: &[TileConfig]) -> (Vec<TileConfig>, Vec<OutcomeMap>) {
     (sweeps, maps)
 }
 
-/// One configuration's running shard accounting in [`accumulate_rows`].
+/// One configuration's running shard accounting in [`RowFolds`].
 struct ShardFold {
     shard: TileShardSim,
+    map: OutcomeMap,
+    plan: BitSerialPlan,
     /// Per-DPU cycles of the current row.
     dpu_cycles: Vec<u64>,
+    /// Score pairs folded so far per outcome code; the bit histograms and
+    /// the pruned count are read off it once, by `finish`.
+    code_counts: Vec<u64>,
 }
 
 impl ShardFold {
-    fn new(config: &TileConfig, rows: Range<usize>) -> Self {
-        let max_bits = config.bit_serial_plan().magnitude_bits as usize;
+    fn new(config: &TileConfig, map: OutcomeMap, rows: Range<usize>) -> Self {
+        let plan = config.bit_serial_plan();
+        assert!(
+            plan.total_cycles() <= u32::from(CYCLES_MASK),
+            "a {}-cycle dot product does not fit an outcome code",
+            plan.total_cycles()
+        );
+        let max_bits = plan.magnitude_bits as usize;
         Self {
             shard: TileShardSim {
                 rows,
@@ -918,33 +1093,50 @@ impl ShardFold {
                 last_row_backend_cycles: 0,
                 interior_advance_cycles: 0,
             },
+            map,
+            plan,
             dpu_cycles: vec![0u64; config.n_qk_dpu],
+            code_counts: vec![0u64; 256],
         }
     }
 
-    /// Folds one row's `(cycles, bits processed, pruned)` outcomes, in K
-    /// column order, into the shard: column `j` runs on DPU `j % N_QK`.
-    fn fold_row(&mut self, first_row: bool, outcomes: impl Iterator<Item = (u32, u32, bool)>) {
-        let shard = &mut self.shard;
+    /// Folds one row of `cols` score pairs into the shard, reading the
+    /// sweeps' codes (in K column order) through this configuration's
+    /// [`OutcomeMap`]: column `j` runs on DPU `j % N_QK`.
+    fn fold_row(&mut self, first_row: bool, codes: &[&[u8]], cols: usize) {
         let lanes = self.dpu_cycles.len();
-        self.dpu_cycles.fill(0);
-        let mut lane = 0;
-        let mut row_dpu_cycles = 0u64;
-        let mut row_survivors = 0u64;
-        for (cycles, bits, pruned) in outcomes {
-            self.dpu_cycles[lane] += u64::from(cycles);
-            lane = if lane + 1 == lanes { 0 } else { lane + 1 };
-            row_dpu_cycles += u64::from(cycles);
-            shard.bits_histogram[bits as usize] += 1;
-            if pruned {
-                shard.pruned_scores += 1;
-                shard.pruned_bits_histogram[bits as usize] += 1;
-            } else {
-                row_survivors += 1;
+        let (row_frontend_cycles, row_dpu_cycles, row_pruned) = match self.map {
+            OutcomeMap::AsIs(i) => {
+                self.dpu_cycles.fill(0);
+                let mut lane = 0;
+                let mut row_pruned = 0u64;
+                for &code in codes[i] {
+                    self.dpu_cycles[lane] += u64::from(code & CYCLES_MASK);
+                    lane = if lane + 1 == lanes { 0 } else { lane + 1 };
+                    self.code_counts[usize::from(code)] += 1;
+                    row_pruned += u64::from(code >> 7);
+                }
+                let frontend = *self.dpu_cycles.iter().max().expect("at least one DPU"); // lint:allow(panic-in-library, reason = "TileConfig validation guarantees at least one DPU lane")
+                (frontend, self.dpu_cycles.iter().sum(), row_pruned)
             }
-        }
-        let row_frontend_cycles = *self.dpu_cycles.iter().max().expect("at least one DPU"); // lint:allow(panic-in-library, reason = "TileConfig validation guarantees at least one DPU lane")
+            OutcomeMap::Complete { cycles, pruned_by } => {
+                let row_pruned = pruned_by.map_or(0, |i| {
+                    codes[i].iter().filter(|&&c| c & PRUNED_BIT != 0).count()
+                }) as u64;
+                let (cycles, cols) = (u64::from(cycles), cols as u64);
+                self.code_counts[cycles as usize] += cols - row_pruned;
+                self.code_counts[cycles as usize | usize::from(PRUNED_BIT)] += row_pruned;
+                // Lane 0 runs the most columns: ceil(cols / N_QK).
+                (
+                    cycles * cols.div_ceil(lanes as u64),
+                    cycles * cols,
+                    row_pruned,
+                )
+            }
+        };
+        let row_survivors = cols as u64 - row_pruned;
         let row_backend_cycles = row_survivors * BACKEND_CYCLES_PER_SCORE;
+        let shard = &mut self.shard;
 
         // --- Timing: the front-end of this row overlaps the back-end of
         // the previous one, so its advance is max(fe_i, be_{i-1}). The
@@ -968,74 +1160,102 @@ impl ShardFold {
         shard.events.v_mac_ops += row_survivors;
         shard.events.value_buffer_reads += row_survivors;
     }
-}
 
-/// The shared accounting loop behind every simulation path: feeds each Q
-/// row in `rows` through `row_outcomes` (which fills one buffer of
-/// [`DotProductOutcome`]s per sweep, one outcome per K column) and folds
-/// the row into every configuration's shard, each reading the sweeps
-/// through its [`OutcomeMap`]. Rows stream one at a time, so memory stays
-/// at one row of outcomes per sweep. Keeping a single implementation here
-/// is what makes the kernel ≡ reference equivalence a statement about
-/// outcomes only — and the tile ≡ single-tile equivalence a statement
-/// about [`merge_shards`] only.
-fn accumulate_rows(
-    workload: &HeadWorkload,
-    configs: &[TileConfig],
-    maps: &[OutcomeMap],
-    rows: Range<usize>,
-    mut row_outcomes: impl FnMut(&[i32], &mut [Vec<DotProductOutcome>]),
-) -> Vec<TileShardSim> {
-    assert!(
-        rows.start <= rows.end && rows.end <= workload.seq_len(),
-        "shard rows {rows:?} outside the workload's {} queries",
-        workload.seq_len()
-    );
-    let cols = workload.k_codes.len();
-    let sweeps = maps
-        .iter()
-        .filter_map(|map| match *map {
-            OutcomeMap::AsIs(i) => Some(i + 1),
-            OutcomeMap::Complete { pruned_by, .. } => pruned_by.map(|i| i + 1),
-        })
-        .max()
-        .unwrap_or(0);
-    let mut outcomes: Vec<Vec<DotProductOutcome>> = vec![Vec::with_capacity(cols); sweeps];
-    let mut folds: Vec<ShardFold> = configs
-        .iter()
-        .map(|config| ShardFold::new(config, rows.clone()))
-        .collect();
-
-    for (offset, q_row) in workload.q_codes[rows].iter().enumerate() {
-        if sweeps > 0 {
-            row_outcomes(q_row, &mut outcomes);
-        }
-        for (fold, map) in folds.iter_mut().zip(maps) {
-            let first_row = offset == 0;
-            match *map {
-                OutcomeMap::AsIs(i) => fold.fold_row(
-                    first_row,
-                    outcomes[i]
-                        .iter()
-                        .map(|o| (o.cycles, o.bits_processed, o.pruned)),
-                ),
-                OutcomeMap::Complete {
-                    cycles,
-                    bits,
-                    pruned_by: Some(i),
-                } => fold.fold_row(
-                    first_row,
-                    outcomes[i].iter().map(|o| (cycles, bits, o.pruned)),
-                ),
-                OutcomeMap::Complete {
-                    cycles,
-                    bits,
-                    pruned_by: None,
-                } => fold.fold_row(first_row, std::iter::repeat_n((cycles, bits, false), cols)),
+    /// The finished shard: the outcome-code counts become the bit
+    /// histograms (`bits_after(cycles)` bits per code) and the pruned count.
+    fn finish(mut self) -> TileShardSim {
+        let shard = &mut self.shard;
+        for (code, &count) in self.code_counts.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            let bits = self.plan.bits_after(code as u32 & u32::from(CYCLES_MASK)) as usize;
+            shard.bits_histogram[bits] += count;
+            if code & usize::from(PRUNED_BIT) != 0 {
+                shard.pruned_bits_histogram[bits] += count;
+                shard.pruned_scores += count;
             }
         }
+        self.shard
     }
-    folds.into_iter().map(|fold| fold.shard).collect()
+}
+
+/// The shared accounting loop behind every simulation path: each Q row of
+/// a shard is fed in as one buffer of outcome codes per sweep (one code
+/// per K column) and folded into every configuration's shard, each
+/// reading the sweeps through its [`OutcomeMap`]. Keeping a single
+/// implementation here is what makes the kernel ≡ reference equivalence a
+/// statement about outcomes only — and the tile ≡ single-tile equivalence
+/// a statement about [`merge_shards`] only.
+struct RowFolds {
+    folds: Vec<ShardFold>,
+    cols: usize,
+    first_row: bool,
+}
+
+impl RowFolds {
+    /// Empty accounting of `rows` for each configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not lie within the workload's sequence.
+    fn new(
+        workload: &HeadWorkload,
+        configs: &[TileConfig],
+        maps: &[OutcomeMap],
+        rows: Range<usize>,
+    ) -> Self {
+        assert!(
+            rows.start <= rows.end && rows.end <= workload.seq_len(),
+            "shard rows {rows:?} outside the workload's {} queries",
+            workload.seq_len()
+        );
+        Self {
+            folds: configs
+                .iter()
+                .zip(maps)
+                .map(|(config, &map)| ShardFold::new(config, map, rows.clone()))
+                .collect(),
+            cols: workload.k_codes.len(),
+            first_row: true,
+        }
+    }
+
+    /// Folds the next row, given one code buffer per sweep.
+    fn fold_row(&mut self, codes: &[&[u8]]) {
+        for fold in &mut self.folds {
+            fold.fold_row(self.first_row, codes, self.cols);
+        }
+        self.first_row = false;
+    }
+
+    /// One finished shard per configuration, in configuration order.
+    fn finish(self) -> Vec<TileShardSim> {
+        self.folds.into_iter().map(ShardFold::finish).collect()
+    }
+}
+
+/// The oracles' accounting: `row_outcomes` computes each row's outcomes
+/// afresh, which are encoded like a recorded table's codes but never
+/// recorded.
+fn accumulate_fresh(
+    workload: &HeadWorkload,
+    config: &TileConfig,
+    rows: Range<usize>,
+    mut row_outcomes: impl FnMut(&[i32], &mut Vec<DotProductOutcome>),
+) -> TileShardSim {
+    let plan = config.bit_serial_plan();
+    let map = [OutcomeMap::AsIs(0)];
+    let mut folds = RowFolds::new(workload, std::slice::from_ref(config), &map, rows.clone());
+    let mut outcomes = Vec::new();
+    let mut codes = Vec::new();
+    for q_row in &workload.q_codes[rows] {
+        row_outcomes(q_row, &mut outcomes);
+        codes.clear();
+        codes.extend(outcomes.iter().map(|o| encode(o, plan)));
+        folds.fold_row(&[&codes]);
+    }
+    folds.finish().swap_remove(0)
 }
 
 #[cfg(test)]
@@ -1356,7 +1576,9 @@ mod tests {
     fn fused_presets_run_one_sweep_and_pack_one_plan() {
         // AE and HP share the (11, 2) sweep, pruning-only borrows its
         // pruning decisions and the baseline reads no sweep — so the four
-        // presets pack the keys once, and the baseline alone packs nothing.
+        // presets record one outcome table, and the baseline alone packs
+        // nothing. Once a full-head run has recorded every row, the table
+        // replaces the plan's pack.
         let configs = [
             TileConfig::baseline(),
             TileConfig::ae_leopard(),
@@ -1365,12 +1587,16 @@ mod tests {
         ];
         let (sweeps, _) = plan_sweeps(&configs);
         assert_eq!(sweeps.len(), 1);
-        let packs = |w: &HeadWorkload| w.plane_cache.packed.lock().unwrap().len();
         let w = workload(20, 32, 0.3, 54);
         let _ = simulate_head(&w, &TileConfig::baseline());
-        assert_eq!(packs(&w), 0, "the baseline needs no kernel operands");
+        assert_eq!(
+            w.cache_census(),
+            CacheCensus::default(),
+            "the baseline needs no kernel operands and records nothing"
+        );
         let fused = simulate_head_shard_fused(&w, &configs, 0..20);
-        assert_eq!(packs(&w), 1);
+        let census = w.cache_census();
+        assert_eq!((census.packs, census.tables, census.full_tables), (0, 1, 1));
         for (config, shard) in configs.iter().zip(&fused) {
             let reference = simulate_head_reference(&w, config);
             assert_eq!(merge_shards(std::slice::from_ref(shard)), reference);

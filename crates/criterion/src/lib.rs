@@ -3,7 +3,8 @@
 //! The build environment has no crates.io access, so this crate implements
 //! the small slice of criterion's API the workspace benches use
 //! (`criterion_group!` / `criterion_main!`, `benchmark_group`,
-//! `bench_function`, `bench_with_input`, `BenchmarkId`, `Bencher::iter`) on
+//! `bench_function`, `bench_with_input`, `BenchmarkId`, `Bencher::iter`,
+//! `Bencher::iter_batched`) on
 //! top of plain `std::time::Instant`. Each benchmark runs a short warm-up,
 //! then a fixed measurement batch, and prints the mean wall-clock time per
 //! iteration. It is deliberately simple: no statistics, no plots — enough to
@@ -128,6 +129,48 @@ impl Bencher {
     }
 }
 
+impl Bencher {
+    /// Times `routine` on inputs from `setup`, storing the mean duration
+    /// per iteration. Only `routine` is timed: each iteration runs `setup`
+    /// first, and the routine's output is dropped after the clock stops.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let mut timed = |iters: u64| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let input = setup();
+                let start = Instant::now();
+                let output = black_box(routine(input));
+                total += start.elapsed();
+                drop(output);
+            }
+            total
+        };
+        // Warm-up: at least ~20ms of routine time, as in `iter`.
+        let mut warm_iters = 0u64;
+        let mut warm = Duration::ZERO;
+        while warm < Duration::from_millis(20) {
+            warm += timed(1);
+            warm_iters += 1;
+        }
+        let per_iter = warm.as_secs_f64() / warm_iters as f64;
+        let iters = ((0.2 / per_iter.max(1e-9)).ceil() as u64).clamp(10, 1_000_000);
+        self.measured = Some(timed(iters));
+        self.iters = iters;
+    }
+}
+
+/// How many inputs `Bencher::iter_batched` prepares at once, mirroring
+/// the one `criterion::BatchSize` variant the workspace benches use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// One setup call per iteration.
+    PerIteration,
+}
+
 /// Identity function that defeats constant-folding of benchmark results,
 /// mirroring `criterion::black_box`.
 pub fn black_box<T>(value: T) -> T {
@@ -194,6 +237,15 @@ mod tests {
         b.iter(|| 40 + 2);
         assert!(b.iters >= 10);
         assert!(b.measured.unwrap() > Duration::ZERO);
+    }
+
+    #[test]
+    fn iter_batched_runs_setup_before_every_timed_routine() {
+        let mut b = Bencher::default();
+        let (mut setups, mut routines) = (0u64, 0u64);
+        b.iter_batched(|| setups += 1, |()| routines += 1, BatchSize::PerIteration);
+        assert_eq!(setups, routines);
+        assert!(b.iters >= 10);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The `leopard` binary's error contract: bad input exits with code 2 and
-//! an `error: ...` line on stderr, before any work runs.
+//! The `leopard` binary's contracts: bad input exits with code 2 and an
+//! `error: ...` line on stderr, before any work runs; the nqk design-space
+//! sweep prints its pinned golden report.
 
 use std::process::Command;
 
@@ -43,4 +44,46 @@ fn request_count_past_the_cap_exits_2_naming_the_cap() {
         stderr.contains("error: --requests must be at most 10000000, got 1000000000000"),
         "stderr: {stderr}"
     );
+}
+
+/// Replaces the wall-seconds figure of the sweep footer
+/// (`swept N design points in 1.234s (...)`) with `<wall>`.
+fn mask_wall_seconds(report: &str) -> String {
+    report
+        .lines()
+        .map(|line| match (line.find(" in "), line.find("s (")) {
+            (Some(start), Some(end)) if line.starts_with("swept ") && start < end => {
+                format!("{} in <wall>{}", &line[..start], &line[end..])
+            }
+            _ => line.to_string(),
+        })
+        .map(|line| line + "\n")
+        .collect()
+}
+
+#[test]
+fn nqk_sweep_over_all_tasks_matches_its_golden_report() {
+    // The Figure 13 axis over the whole suite at s <= 512: every design
+    // point after the first replays the per-pair outcomes the first one
+    // recorded, and must still print exactly the table of per-point sweeps.
+    let out = Command::new(env!("CARGO_BIN_EXE_leopard"))
+        .args([
+            "sweep",
+            "--param",
+            "nqk=2..10",
+            "--all-tasks",
+            "--max-seq-len",
+            "512",
+            "--threads",
+            "2",
+        ])
+        .output()
+        .expect("run the leopard binary");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = mask_wall_seconds(&String::from_utf8_lossy(&out.stdout));
+    assert_eq!(report, include_str!("fixtures/sweep_nqk.txt"));
 }
