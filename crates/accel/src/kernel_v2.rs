@@ -1,24 +1,24 @@
-//! The batched bit-parallel QK kernel (v2) — one Q row against the whole
-//! K-column set per call, with a runtime-dispatched wide path.
+//! The batched bit-parallel QK kernel — one Q row against the whole K-column
+//! set per call, with a runtime-dispatched wide path.
 //!
-//! [`crate::kernel::QkKernel`] (v1) walks one (Q row, K column) pair per
-//! step: per pair it replays the reveal window, paying table lookups per
-//! plane word. This module restructures the inner loop around two ideas:
+//! The scalar [`crate::dpu::QkDpu`] walks one (Q row, K column) pair per
+//! step and recomputes the partial sum and margin element by element every
+//! cycle. This module restructures that loop around two ideas:
 //!
-//! 1. **Structure-of-arrays keys.** [`PackedKeys`] holds the head's K
-//!    columns as [`KPlanesSoa`] words (one `u64` covers 64 columns per
-//!    magnitude bit per element) plus dense column-major `i16` operand
-//!    matrices derived from them: per reveal cycle `c`, the *truncated*
-//!    operand `T_c` zeroes every magnitude bit the window has not yet
-//!    revealed. The MSB-first partial-sum identity
-//!    (`KPlanes::partial_dot_seen`) then collapses to a plain dense dot
-//!    product: `partial_c(j) = Σ_i q_i · T_c[j, i]`, exact in integers.
+//! 1. **One dense operand per reveal cycle.** The DPU reads K MSB-first,
+//!    `B` bits per cycle, so after cycle `c` it has seen exactly
+//!    `sign · (|k| & !(2^remaining(c) − 1))` of each element. [`PackedKeys`]
+//!    stores that truncated operand `T_c` as one column-major `i16` matrix
+//!    per cycle, masked straight from the quantized codes, so the bit-serial
+//!    partial sum collapses to a plain dense dot product:
+//!    `partial_c(j) = Σ_i q_i · T_c[j, i]`, exact in integers (the identity
+//!    `BitSerialVector::partial_dot` defines).
 //! 2. **Batched reveal sweep.** One call computes all `s` outcomes for a Q
 //!    row: the concordant margin sums for every column come from one dense
-//!    sign-factored dot product (`Σ s_ji·q_i`) plus a sparse SoA-mask
-//!    correction for zero positions (`Σ nz_ji·|q_i| = Σ|q| − Σ_{zero}|q|`;
-//!    the mean of the two terms is the concordant |Q| sum exactly), and
-//!    the per-cycle margin test walks a
+//!    sign-factored dot product (`Σ s_ji·q_i`) plus a sparse correction for
+//!    zero positions read off transposed nonzero masks
+//!    (`Σ nz_ji·|q_i| = Σ|q| − Σ_{zero}|q|`; the mean of the two terms is
+//!    the concordant |Q| sum exactly), and the per-cycle margin test walks a
 //!    tail-masked `u64` alive mask per 64 columns, so pruned columns drop
 //!    out of later cycles at word granularity.
 //!
@@ -29,20 +29,19 @@
 //! `std::arch` feature detection: an AVX2 wide path on x86-64 machines that
 //! have it, and a portable scalar-word fallback (the same source, baseline
 //! target features) everywhere else. Both are **bit-identical** to each
-//! other, to the v1 kernel, and to the scalar [`crate::dpu::QkDpu`]
-//! reference — all arithmetic is exact integer math; the differential tests
-//! below and `tests/kernel_dispatch.rs` pin the equivalence.
+//! other and to the scalar [`crate::dpu::QkDpu`] reference — all arithmetic
+//! is exact integer math; the differential tests below and
+//! `tests/kernel_dispatch.rs` pin the equivalence.
 //!
 //! Q rows whose codes exceed the `i16` operand range (the public API admits
-//! arbitrary `i32` Q codes) fall back to the retained v1 per-pair kernel,
-//! preserving exactness for every input.
+//! arbitrary `i32` Q codes) run on the scalar reference DPU instead, over
+//! per-column [`BitSerialVector`]s the pack builds the first time such a
+//! row appears, preserving exactness for every input.
 
 use crate::config::TileConfig;
-use crate::dpu::DotProductOutcome;
-use crate::kernel::{QkKernel, RowScratch};
-use leopard_quant::bitserial::BitSerialPlan;
-use leopard_quant::planes::{KPlanes, KPlanesSoa};
-use std::sync::Arc;
+use crate::dpu::{DotProductOutcome, QkDpu};
+use leopard_quant::bitserial::{BitSerialPlan, BitSerialVector};
+use std::sync::OnceLock;
 
 /// Which compilation of the batched sweep a [`QkKernelV2`] runs. The two
 /// paths are bit-identical by construction; the only difference is the
@@ -82,13 +81,12 @@ impl KernelPath {
     }
 }
 
-/// A head's K columns packed for the batched kernel: the per-column
-/// [`KPlanes`] (retained for the exact v1 fallback), their
-/// structure-of-arrays transpose, and the dense `i16` operand matrices the
-/// sweep's dot products run over — one truncated matrix per reveal cycle,
-/// plus the sign-factor matrix behind the factored margin.
+/// A head's K columns packed for the batched kernel, in exactly the layout
+/// the sweep reads: one truncated `i16` operand matrix per reveal cycle, the
+/// sign-factor matrix behind the factored margin, and the transposed
+/// nonzero masks behind its zero correction.
 ///
-/// Packing costs one pass over the column set and is amortized by the
+/// Packing is one pass over the quantized codes and is amortized by the
 /// per-workload cache (`HeadWorkload::packed_keys_at`) across every row,
 /// shard, and repeated simulation of the same head.
 #[derive(Debug, Clone)]
@@ -96,64 +94,89 @@ pub struct PackedKeys {
     plan: BitSerialPlan,
     cols: usize,
     len: usize,
-    planes: Arc<Vec<KPlanes>>,
-    soa: KPlanesSoa,
-    /// Column-major truncated operands, indexed by `cycle - 1`; entry
-    /// `total_cycles - 1` is the full-precision operand matrix.
+    /// Column-major truncated operands, indexed by `cycle - 1`: entry
+    /// `j * len + i` of matrix `c - 1` is `sign_ji · (|k_ji| & !(2^r − 1))`
+    /// with `r = plan.remaining_bits(c)`. Entry `total_cycles - 1` is the
+    /// full-precision operand matrix.
     trunc: Vec<Vec<i16>>,
     /// Column-major sign factors `s_ji ∈ {-1, 0, +1}` (0 ⇔ zero magnitude).
     signs: Vec<i16>,
+    /// Element-major nonzero masks: `col_words` words per element `i`, bit
+    /// `j % 64` of word `j / 64` set iff `k_ji ≠ 0`. Bits past `cols` are 0.
+    nonzero: Vec<u64>,
+    /// `u64` words per element row of `nonzero` (`ceil(cols / 64)`).
+    col_words: usize,
+    /// Valid column bits of the last word (all ones when `cols % 64 == 0`
+    /// and the set is non-empty, 0 when it is empty).
+    tail_mask: u64,
+    /// Per-column vectors for the scalar reference DPU, built the first time
+    /// a Q row outside the `i16` operand range needs them.
+    reference: OnceLock<Vec<BitSerialVector>>,
 }
 
 impl PackedKeys {
-    /// Packs a column set for one bit-serial plan.
+    /// Packs a column set (one `Vec` of quantized codes per K column) for
+    /// one bit-serial plan, in one pass over the codes.
     ///
     /// # Panics
     ///
     /// Panics if the plan's magnitude width exceeds 15 bits (the `i16`
     /// operand range; `TileConfig` admits at most 16-bit codes, i.e. 15
-    /// magnitude bits) or any column's width or length disagrees with the
-    /// plan.
-    pub fn pack(planes: Arc<Vec<KPlanes>>, plan: BitSerialPlan) -> Self {
+    /// magnitude bits), if any magnitude does not fit the plan's width, or
+    /// if the columns differ in length.
+    pub fn pack(columns: &[Vec<i32>], plan: BitSerialPlan) -> Self {
         assert!(
             plan.magnitude_bits <= 15,
             "packed i16 operands support at most 15 magnitude bits"
         );
-        let soa = KPlanesSoa::from_planes(&planes, plan.magnitude_bits);
-        let (cols, len) = (soa.cols(), soa.len());
-        let trunc = (1..=plan.total_cycles())
+        let max_mag = (1u32 << plan.magnitude_bits) - 1;
+        let cols = columns.len();
+        let len = columns.first().map_or(0, Vec::len);
+        let col_words = cols.div_ceil(64);
+        let mut full = Vec::with_capacity(cols * len);
+        let mut nonzero = vec![0u64; len * col_words];
+        for (j, column) in columns.iter().enumerate() {
+            assert_eq!(column.len(), len, "K columns must share one length");
+            let (word, bit) = (j / 64, j % 64);
+            for (i, &code) in column.iter().enumerate() {
+                let magnitude = code.unsigned_abs();
+                assert!(
+                    magnitude <= max_mag,
+                    "magnitude {magnitude} does not fit in {} bits",
+                    plan.magnitude_bits
+                );
+                // Fits 15 bits by the asserts above.
+                full.push(code as i16);
+                nonzero[i * col_words + word] |= u64::from(magnitude != 0) << bit;
+            }
+        }
+        let signs = full.iter().map(|v| v.signum()).collect();
+        let total = plan.total_cycles();
+        let mut trunc: Vec<Vec<i16>> = (1..total)
             .map(|cycle| {
-                soa.truncated_codes(plan.remaining_bits(cycle))
-                    .into_iter()
-                    // Magnitudes fit 15 bits by the assert above.
-                    .map(|code| code as i16)
+                let keep = !((1u16 << plan.remaining_bits(cycle)) - 1);
+                full.iter()
+                    .map(|&v| v.signum() * (v.unsigned_abs() & keep) as i16)
                     .collect()
             })
             .collect();
-        let mut signs = vec![0i16; cols * len];
-        for i in 0..len {
-            let sign_row = soa.sign_row(i);
-            for (w, &nz) in soa.nonzero_row(i).iter().enumerate() {
-                let mut m = nz;
-                while m != 0 {
-                    let j = w * 64 + m.trailing_zeros() as usize;
-                    signs[j * len + i] = if sign_row[w] >> (j % 64) & 1 != 0 {
-                        -1
-                    } else {
-                        1
-                    };
-                    m &= m - 1;
-                }
-            }
-        }
+        // Every bit is revealed on the last cycle: its operand is the code.
+        trunc.push(full);
+        let tail_mask = match cols % 64 {
+            0 if cols == 0 => 0,
+            0 => u64::MAX,
+            tail => (1u64 << tail) - 1,
+        };
         Self {
             plan,
             cols,
             len,
-            planes,
-            soa,
             trunc,
             signs,
+            nonzero,
+            col_words,
+            tail_mask,
+            reference: OnceLock::new(),
         }
     }
 
@@ -177,29 +200,52 @@ impl PackedKeys {
         self.cols == 0
     }
 
-    /// The per-column decompositions the pack was built from (the v1
-    /// fallback path and the differential tests read these).
-    pub fn planes(&self) -> &Arc<Vec<KPlanes>> {
-        &self.planes
+    /// Column `j`'s quantized codes, read back from the full-precision
+    /// operand matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= cols`.
+    pub fn column_codes(&self, j: usize) -> Vec<i32> {
+        assert!(j < self.cols, "column {j} out of range");
+        let full = &self.trunc[self.trunc.len() - 1];
+        full[j * self.len..(j + 1) * self.len]
+            .iter()
+            .map(|&v| i32::from(v))
+            .collect()
     }
 
-    /// The structure-of-arrays transpose of the column set.
-    pub fn soa(&self) -> &KPlanesSoa {
-        &self.soa
+    /// Whether the per-column reference vectors behind the out-of-`i16`
+    /// fallback have been built (only a Q row outside the `i16` operand
+    /// range builds them).
+    pub fn has_reference_columns(&self) -> bool {
+        self.reference.get().is_some()
+    }
+
+    /// The per-column reference vectors, built on first use.
+    fn reference_columns(&self) -> &[BitSerialVector] {
+        self.reference.get_or_init(|| {
+            (0..self.cols)
+                .map(|j| BitSerialVector::new(&self.column_codes(j), self.plan))
+                .collect()
+        })
+    }
+
+    /// Element `i`'s nonzero mask words.
+    fn nonzero_row(&self, i: usize) -> &[u64] {
+        &self.nonzero[i * self.col_words..(i + 1) * self.col_words]
     }
 }
 
 /// Reusable per-row buffers for [`QkKernelV2::compute_row_into`]: the `i16`
-/// Q operands, per-column concordant sums, the alive mask, and a v1 scratch
-/// for the out-of-range fallback. Caller-owned so a head simulation reuses
-/// one across rows instead of reallocating.
+/// Q operands, per-column concordant sums and the alive mask. Caller-owned
+/// so a head simulation reuses one across rows instead of reallocating.
 #[derive(Debug, Default, Clone)]
 pub struct RowScratchV2 {
     q16: Vec<i16>,
     absq16: Vec<i16>,
     conc: Vec<i64>,
     alive: Vec<u64>,
-    v1: RowScratch,
 }
 
 impl RowScratchV2 {
@@ -211,7 +257,7 @@ impl RowScratchV2 {
 
 /// The batched bit-parallel QK kernel for one tile configuration. See the
 /// module docs for the algorithm; outcomes are bit-identical to
-/// [`QkKernel`] and [`crate::dpu::QkDpu`] on every input.
+/// [`QkDpu`] on every input.
 #[derive(Debug, Clone)]
 pub struct QkKernelV2 {
     config: TileConfig,
@@ -222,9 +268,9 @@ pub struct QkKernelV2 {
     /// `max_remaining_magnitude(c)` for `c` in `0..=total_cycles`.
     mrm: Vec<i64>,
     path: KernelPath,
-    /// The retained per-pair v1 kernel: the exact path for Q rows outside
-    /// the `i16` operand range.
-    fallback: QkKernel,
+    /// The scalar reference DPU: the exact path for Q rows outside the
+    /// `i16` operand range.
+    dpu: QkDpu,
 }
 
 impl QkKernelV2 {
@@ -245,7 +291,7 @@ impl QkKernelV2 {
     ///
     /// Panics if the configuration is invalid.
     pub fn with_path(config: TileConfig, path: KernelPath) -> Self {
-        let fallback = QkKernel::new(config); // validates the config
+        let dpu = QkDpu::new(config); // validates the config
         let plan = config.bit_serial_plan();
         let mrm = (0..=plan.total_cycles())
             .map(|c| plan.max_remaining_magnitude(c) as i64)
@@ -258,7 +304,7 @@ impl QkKernelV2 {
             early_termination: config.pruning_enabled && config.early_termination,
             mrm,
             path: path.resolve(),
-            fallback,
+            dpu,
         }
     }
 
@@ -278,14 +324,9 @@ impl QkKernelV2 {
         self.path
     }
 
-    /// Packs a K-column set for this kernel's plan.
-    pub fn pack(&self, planes: Arc<Vec<KPlanes>>) -> PackedKeys {
-        PackedKeys::pack(planes, self.plan)
-    }
-
     /// Computes one outcome per K column for one Q row, appending into
-    /// `out` (cleared first), in column order — the batched counterpart of
-    /// [`QkKernel::compute_row_into`] with identical outcome semantics.
+    /// `out` (cleared first), in column order, each equal to
+    /// [`QkDpu::compute`] on that column.
     ///
     /// # Panics
     ///
@@ -308,13 +349,17 @@ impl QkKernelV2 {
         if packed.cols == 0 {
             return;
         }
-        // Q codes outside the i16 operand range: exact per-pair fallback.
+        // Q codes outside the i16 operand range: the exact scalar DPU.
         if q_row
             .iter()
             .any(|&q| !(-(i16::MAX as i32)..=i16::MAX as i32).contains(&q))
         {
-            self.fallback
-                .compute_row_into(q_row, &packed.planes, threshold, &mut scratch.v1, out);
+            out.extend(
+                packed
+                    .reference_columns()
+                    .iter()
+                    .map(|k| self.dpu.compute(q_row, k, threshold)),
+            );
             return;
         }
 
@@ -327,7 +372,7 @@ impl QkKernelV2 {
         scratch.conc.clear();
         scratch.conc.resize(packed.cols, 0);
         scratch.alive.clear();
-        scratch.alive.resize(packed.soa.col_words(), 0);
+        scratch.alive.resize(packed.col_words, 0);
 
         // Largest number of i16×i16 products an i32 accumulator can hold
         // without overflow for this row's operand range.
@@ -670,21 +715,22 @@ fn sweep_core(
     // and signed_j = Σ s_ji·q_i, conc_j is their mean (exact: the sum is
     // always even). The weight term never needs a dense dot — it is
     // Σ|q| minus the |q_i| at this column's zero positions, and zeros are
-    // sparse, so the SoA complement masks scatter the correction directly.
+    // sparse, so the complemented nonzero masks scatter the correction
+    // directly.
     // The complement of a tail-clean word is NOT tail-clean: the last
     // word's phantom bits must be re-masked or they would scatter out of
     // bounds (the s=23/65 boundary tests pin this).
     let sum_abs: i64 = absq16.iter().map(|&v| i64::from(v)).sum();
-    let col_words = packed.soa.col_words();
+    let col_words = packed.col_words;
     conc.fill(0);
     for (i, &a) in absq16.iter().enumerate() {
         if a == 0 {
             continue;
         }
-        let nz_row = packed.soa.nonzero_row(i);
+        let nz_row = packed.nonzero_row(i);
         for (w, &nz_word) in nz_row.iter().enumerate().take(col_words) {
             let full = if w + 1 == col_words {
-                packed.soa.tail_mask()
+                packed.tail_mask
             } else {
                 u64::MAX
             };
@@ -711,11 +757,11 @@ fn sweep_core(
         j += 1;
     }
 
-    // All-alive mask over the column set, tail-masked per the SoA invariant
-    // so bits beyond `cols` never count as phantom columns.
+    // All-alive mask over the column set, tail-masked so bits beyond `cols`
+    // never count as phantom columns.
     for (w, word) in alive.iter_mut().enumerate() {
         *word = if w + 1 == col_words {
-            packed.soa.tail_mask()
+            packed.tail_mask
         } else {
             u64::MAX
         };
@@ -827,8 +873,6 @@ fn sweep_portable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpu::QkDpu;
-    use leopard_quant::bitserial::BitSerialVector;
     use leopard_tensor::rng;
     use proptest::prelude::*;
 
@@ -848,16 +892,11 @@ mod tests {
     }
 
     fn packed_for(config: TileConfig, k_columns: &[Vec<i32>]) -> PackedKeys {
-        let plan = config.bit_serial_plan();
-        let planes: Vec<KPlanes> = k_columns
-            .iter()
-            .map(|codes| KPlanes::new(codes, plan.magnitude_bits))
-            .collect();
-        PackedKeys::pack(Arc::new(planes), plan)
+        PackedKeys::pack(k_columns, config.bit_serial_plan())
     }
 
-    /// v2 on both paths ≡ v1 ≡ scalar DPU, for one (config, Q, keys,
-    /// threshold) instance.
+    /// v2 on both paths ≡ scalar DPU, for one (config, Q, keys, threshold)
+    /// instance.
     fn assert_v2_matches_oracles(
         config: TileConfig,
         q: &[i32],
@@ -866,18 +905,11 @@ mod tests {
     ) {
         let plan = config.bit_serial_plan();
         let packed = packed_for(config, k_columns);
-        let v1 = QkKernel::new(config);
         let dpu = QkDpu::new(config);
         let expected: Vec<DotProductOutcome> = k_columns
             .iter()
             .map(|codes| dpu.compute(q, &BitSerialVector::new(codes, plan), threshold))
             .collect();
-        assert_eq!(
-            v1.compute_row_outcomes(q, &packed.planes, threshold),
-            expected,
-            "v1 kernel diverged from DPU on {}",
-            config.name
-        );
         for path in [KernelPath::Wide, KernelPath::Portable] {
             let v2 = QkKernelV2::with_path(config, path);
             assert_eq!(
@@ -907,8 +939,8 @@ mod tests {
 
     #[test]
     fn v2_matches_reference_across_column_and_dim_boundaries() {
-        // s = 23 and s = 65 are the tail-word boundary cases the SoA mask
-        // fix pins; d crosses the element-word boundary too.
+        // s = 23 and s = 65 are the tail-word boundary cases of the nonzero
+        // and alive masks; d crosses the element-word boundary too.
         for s in [1usize, 23, 63, 64, 65, 130] {
             for d in [1usize, 7, 64, 65] {
                 let q = random_codes(d, (s * d) as u64, 2047);
@@ -925,13 +957,77 @@ mod tests {
     #[test]
     fn out_of_range_q_rows_take_the_exact_fallback() {
         // The public API admits arbitrary i32 Q codes; rows outside the i16
-        // operand range must still be exact (via the per-pair v1 kernel).
+        // operand range must still be exact (via the scalar reference DPU).
         let config = TileConfig::ae_leopard();
         let mut q = random_codes(64, 3, 2047);
         q[5] = 1_000_000;
         q[40] = -40_000;
         let keys: Vec<Vec<i32>> = (0..65).map(|j| random_codes(64, 50 + j, 2047)).collect();
         assert_v2_matches_oracles(config, &q, &keys, 12_345);
+    }
+
+    #[test]
+    fn pack_builds_reference_columns_only_for_out_of_range_rows() {
+        let config = TileConfig::ae_leopard();
+        let keys: Vec<Vec<i32>> = (0..9).map(|j| random_codes(16, 80 + j, 2047)).collect();
+        let packed = packed_for(config, &keys);
+        let v2 = QkKernelV2::new(config);
+        let in_range = random_codes(16, 4, 32_767);
+        let _ = v2.compute_row_outcomes(&in_range, &packed, 0);
+        assert!(
+            !packed.has_reference_columns(),
+            "an i16 row must not build the fallback vectors"
+        );
+        let mut out_of_range = in_range;
+        out_of_range[3] = -32_768;
+        let _ = v2.compute_row_outcomes(&out_of_range, &packed, 0);
+        assert!(packed.has_reference_columns());
+    }
+
+    #[test]
+    fn pack_round_trips_codes_and_masks_at_boundary_column_counts() {
+        // Column counts around the 64-column word, with an all-zero column
+        // and full-magnitude codes at the widest operand.
+        let plan = BitSerialPlan::new(15, 2);
+        for cols in [1usize, 23, 63, 64, 65, 130] {
+            let mut keys: Vec<Vec<i32>> = (0..cols)
+                .map(|j| random_codes(7, 200 + j as u64, 32_767))
+                .collect();
+            keys[cols / 2] = vec![0; 7];
+            keys[0][0] = -32_767;
+            let packed = PackedKeys::pack(&keys, plan);
+            assert_eq!((packed.cols(), packed.len()), (cols, 7));
+            assert_eq!(packed.col_words, cols.div_ceil(64));
+            let tail_bits = if cols % 64 == 0 { 64 } else { cols % 64 };
+            assert_eq!(packed.tail_mask.count_ones() as usize, tail_bits);
+            for (j, column) in keys.iter().enumerate() {
+                assert_eq!(&packed.column_codes(j), column, "column {j}");
+                for (i, &code) in column.iter().enumerate() {
+                    let row = packed.nonzero_row(i);
+                    assert_eq!(row[j / 64] >> (j % 64) & 1 == 1, code != 0);
+                    assert_eq!(packed.signs[j * 7 + i], code.signum() as i16);
+                }
+            }
+            for i in 0..packed.len() {
+                let last = packed.nonzero_row(i)[packed.col_words - 1];
+                assert_eq!(last & !packed.tail_mask, 0, "tail garbage at s={cols}");
+            }
+        }
+    }
+
+    #[test]
+    fn pack_of_empty_set_is_well_formed() {
+        let packed = PackedKeys::pack(&[], BitSerialPlan::paper_default());
+        assert!(packed.is_empty());
+        assert_eq!((packed.col_words, packed.tail_mask), (0, 0));
+        let exact = PackedKeys::pack(&vec![vec![1, -2, 3]; 64], BitSerialPlan::paper_default());
+        assert_eq!((exact.col_words, exact.tail_mask), (1, u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn pack_rejects_oversized_magnitude() {
+        let _ = PackedKeys::pack(&[vec![100]], BitSerialPlan::new(4, 2));
     }
 
     #[test]
@@ -992,6 +1088,36 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The truncated-operand identity the sweep rests on: after cycle
+        /// `c`, the dense dot product `Σ_i q_i · T_c[j, i]` equals the
+        /// bit-serial partial sum `BitSerialVector::partial_dot(q, c)` of
+        /// column `j`, for every magnitude width and reveal granularity.
+        #[test]
+        fn pack_truncations_replay_bitserial_partial_sums(
+            q in proptest::collection::vec(-32_767i32..=32_767, 1..16),
+            cols in 1usize..70,
+            seed in 0u64..1000,
+            magnitude_bits in 1u32..=15,
+            bits_per_cycle in 1u32..=4,
+        ) {
+            let len = q.len();
+            let max = (1i32 << magnitude_bits) - 1;
+            let keys: Vec<Vec<i32>> = (0..cols)
+                .map(|j| random_codes(len, seed + j as u64, max))
+                .collect();
+            let plan = BitSerialPlan::new(magnitude_bits, bits_per_cycle.min(magnitude_bits));
+            let packed = PackedKeys::pack(&keys, plan);
+            prop_assert_eq!(packed.trunc.len() as u32, plan.total_cycles());
+            for (j, column) in keys.iter().enumerate() {
+                let reference = BitSerialVector::new(column, plan);
+                for cycle in 1..=plan.total_cycles() {
+                    let t = &packed.trunc[(cycle - 1) as usize][j * len..(j + 1) * len];
+                    let dense: i64 = t.iter().zip(&q).map(|(&t, &qi)| i64::from(t) * i64::from(qi)).sum();
+                    prop_assert_eq!(dense, reference.partial_dot(&q, cycle));
+                }
+            }
+        }
 
         /// The v2 differential contract: for random (Q, K-set, threshold),
         /// every bit-serial granularity in 1..=4, all four presets, and both

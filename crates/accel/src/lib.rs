@@ -13,23 +13,18 @@
 //! * [`dpu`] — the bit-serial dot-product unit with dynamic margin
 //!   calculation and exact early termination (Figure 3 / Figure 5). This is
 //!   the scalar *reference* implementation.
-//! * [`kernel`] — the incremental bit-plane QK kernel (v1): row-batched,
-//!   table-driven arithmetic over `leopard_quant::planes::KPlanes` that
-//!   produces outcomes bit-identical to the reference DPU, several times
-//!   faster. Retained as a differential oracle under kernel v2.
-//! * [`kernel_v2`] — the batched bit-parallel SoA kernel (the simulator's
-//!   hot path): truncated-operand arithmetic over
-//!   `leopard_quant::planes::KPlanesSoa` with per-cycle alive-lane `u64`
-//!   masks, runtime-dispatched between a wide (`std::arch`-detected) path
-//!   and a portable scalar-word fallback, both bit-identical to the
-//!   reference DPU.
+//! * [`kernel_v2`] — the batched bit-parallel QK kernel (the simulator's
+//!   hot path): dense `i16` dot products over per-cycle truncated K operands
+//!   packed straight from the quantized codes ([`PackedKeys`]), with
+//!   per-cycle alive-lane `u64` masks, runtime-dispatched between a wide
+//!   (`std::arch`-detected) path and a portable scalar-word fallback, both
+//!   bit-identical to the reference DPU.
 //! * [`sim`] — the tile simulator: Q rows stream through `N_QK` DPUs, pruned
 //!   scores never reach the back-end, surviving scores queue through the
 //!   Score/IDX FIFOs to the V-PU; the simulator reports cycle counts, event
-//!   counts, V-PU utilization, and bit-profile statistics. Runs on kernel
-//!   v2; `sim::simulate_head_pairwise` and `sim::simulate_head_reference`
-//!   retain the v1 kernel and DPU paths for differential tests and
-//!   benchmarks.
+//!   counts, V-PU utilization, and bit-profile statistics. Runs on the
+//!   batched kernel; `sim::simulate_head_reference` retains the DPU path
+//!   for differential tests and benchmarks.
 //! * [`baseline`] — the same tile without pruning or bit-serial early
 //!   termination (one full-precision dot product per cycle), the comparison
 //!   point for Figures 9–11.
@@ -69,7 +64,6 @@ pub mod config;
 pub mod cost;
 pub mod dpu;
 pub mod energy;
-pub mod kernel;
 pub mod kernel_v2;
 pub mod schedule;
 pub mod sim;
@@ -79,7 +73,6 @@ pub use config::TileConfig;
 pub use cost::{head_cost, HeadCost};
 pub use dpu::{DotProductOutcome, QkDpu};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use kernel::{QkKernel, RowScratch};
 pub use kernel_v2::{KernelPath, PackedKeys, QkKernelV2, RowScratchV2};
 pub use schedule::{schedule_layer, schedule_model, LayerSchedule, ModelSchedule, Placement};
 pub use sim::{simulate_head, simulate_head_reference, HeadSimResult, HeadWorkload};

@@ -1,18 +1,14 @@
 //! Micro-benchmarks of the hot kernels: dense vs bit-serial dot products,
 //! the early-termination path at different pruning thresholds, and the
-//! row-batched kernels (v1 incremental bit-plane, v2 bit-parallel SoA on
-//! both dispatch paths) against the scalar reference DPU.
-
-use std::sync::Arc;
+//! row-batched bit-parallel kernel on both dispatch paths against the
+//! scalar reference DPU.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use leopard_accel::config::TileConfig;
 use leopard_accel::dpu::QkDpu;
-use leopard_accel::kernel::{QkKernel, RowScratch};
 use leopard_accel::kernel_v2::{KernelPath, PackedKeys, QkKernelV2, RowScratchV2};
 use leopard_quant::bitserial::BitSerialVector;
 use leopard_quant::fixed::QuantParams;
-use leopard_quant::planes::KPlanes;
 use leopard_tensor::rng;
 
 fn dot_product_kernels(c: &mut Criterion) {
@@ -55,7 +51,7 @@ fn dot_product_kernels(c: &mut Criterion) {
 fn row_batched_kernel(c: &mut Criterion) {
     // One full-precision Q row against 256 K columns (one simulator row at
     // s = 256, d = 64): the reference DPU loop versus the row-batched
-    // incremental kernel, with and without early termination pressure.
+    // kernel, with and without early termination pressure.
     let d = 64usize;
     let s = 256usize;
     let mut r = rng::seeded(7);
@@ -68,14 +64,12 @@ fn row_batched_kernel(c: &mut Criterion) {
 
     let ae = TileConfig::ae_leopard();
     let dpu = QkDpu::new(ae);
-    let kernel = QkKernel::new(ae);
     let plan = ae.bit_serial_plan();
     let k_vecs: Vec<BitSerialVector> = (0..s)
         .map(|j| BitSerialVector::new(kq.row(j), plan))
         .collect();
-    let k_planes: Vec<KPlanes> = (0..s)
-        .map(|j| KPlanes::new(kq.row(j), plan.magnitude_bits))
-        .collect();
+    let k_columns: Vec<Vec<i32>> = (0..s).map(|j| kq.row(j).to_vec()).collect();
+    let packed = PackedKeys::pack(&k_columns, plan);
 
     let mut group = c.benchmark_group("qk_row_256_cols");
     for (label, threshold) in [("no_pruning", i64::MIN / 4), ("median_threshold", 0i64)] {
@@ -87,15 +81,6 @@ fn row_batched_kernel(c: &mut Criterion) {
                     .sum::<u64>()
             })
         });
-        group.bench_function(&format!("bitplane_kernel_v1/{label}"), |b| {
-            let mut scratch = RowScratch::new();
-            let mut out = Vec::new();
-            b.iter(|| {
-                kernel.compute_row_into(qq.row(0), &k_planes, threshold, &mut scratch, &mut out);
-                out.iter().map(|o| o.cycles as u64).sum::<u64>()
-            })
-        });
-        let packed = PackedKeys::pack(Arc::new(k_planes.clone()), plan);
         for (path_label, path) in [
             ("wide", KernelPath::Wide),
             ("portable", KernelPath::Portable),

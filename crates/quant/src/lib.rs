@@ -14,9 +14,6 @@
 //!   of configurable width `B` (the paper uses `B = 2`), together with the
 //!   "maximum possible remaining contribution" helper the conservative margin
 //!   calculation relies on.
-//! * [`planes`] — the same decomposition packed as per-magnitude-bit
-//!   bitmasks (`u64` words) plus sign and nonzero masks, the layout the
-//!   incremental QK kernel in `leopard-accel` consumes.
 //!
 //! # Example
 //!
@@ -33,10 +30,8 @@
 
 pub mod bitserial;
 pub mod fixed;
-pub mod planes;
 pub mod signmag;
 
 pub use bitserial::{BitSerialPlan, BitSerialVector};
 pub use fixed::{QuantParams, QuantizedMatrix};
-pub use planes::{KPlanes, KPlanesSoa};
 pub use signmag::SignMagnitude;

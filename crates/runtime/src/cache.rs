@@ -206,6 +206,7 @@ impl WorkloadCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leopard_accel::config::TileConfig;
     use leopard_workloads::suite::full_suite;
 
     fn options() -> PipelineOptions {
@@ -258,11 +259,14 @@ mod tests {
         assert_eq!(cached.q_codes, direct.q_codes);
         assert_eq!(cached.k_codes, direct.k_codes);
         assert_eq!(cached.threshold_int, direct.threshold_int);
-        // The bit-plane K decomposition rides along in the cached workload,
-        // so the four simulation units of a head (and every sweep design
-        // point that shares the operands) never rebuild it.
-        assert_eq!(cached.k_planes, direct.k_planes);
-        assert!(!cached.k_planes.is_empty());
+        // The kernel's K pack rides along in the cached workload once
+        // built, so the four simulation units of a head (and every sweep
+        // design point that shares the operands) never rebuild it.
+        let plan = TileConfig::ae_leopard().bit_serial_plan();
+        let packed = cached.packed_keys_at(plan);
+        assert_eq!(packed.cols(), direct.k_codes.len());
+        let again = cache.head_workload(&suite[2], &options(), 0);
+        assert!(Arc::ptr_eq(&packed, &again.packed_keys_at(plan)));
     }
 
     #[test]

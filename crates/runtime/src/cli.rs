@@ -105,6 +105,18 @@ pub const MAX_SERVE_REQUESTS: usize = 10_000_000;
 /// prints one utilization cell per tile.
 pub const MAX_SERVE_SERVERS: usize = 4096;
 
+/// Largest `--heads` a run accepts: the most attention heads per layer of
+/// any model in the paper's suite (ALBERT-xx-L's 64). Every head is its
+/// own workload build and simulation, so the cap bounds a run at 64 times
+/// its one-head cost instead of letting a typo run for days.
+pub const MAX_SUITE_HEADS: usize = 64;
+
+/// Largest retry budget a serve run accepts (`--retry-max` and
+/// `sweep --param retry-max=`). A request costs at most one dispatch per
+/// attempt, so the cap bounds a fully faulted run at 33 dispatches per
+/// request instead of retrying up to 2³² times.
+pub const MAX_RETRY_BUDGET: u32 = 32;
+
 /// The `leopard serve`-specific knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeSpec {
@@ -305,7 +317,8 @@ FLAGS:
     --threads N       worker threads (default 0 = one per core)
     --max-seq-len L   cap the simulated sequence length (default 96, at
                       least 8)
-    --heads H         attention heads simulated per task (default 1)
+    --heads H         attention heads simulated per task (default 1, at
+                      most 64)
     --tiles T         partition each head's Q rows across T tiles (default
                       1; suite results are bit-identical for every T — in
                       serve mode, service cycles become the layer makespan)
@@ -359,7 +372,7 @@ SERVE FLAGS:
                       --fail-rate; default 0x5EEDFA17)
     --retry-max N     retries a request may consume before it is shed
                       (default 0 = shed on first transient fault or
-                      predicted SLO miss)
+                      predicted SLO miss; at most 32)
     --backoff-base-cycles B
                       exponential-backoff base of the retry queue, in
                       virtual cycles (default 4096; retry n waits B*2^n
@@ -382,7 +395,7 @@ PARAM SPECS:
                                  policy (duplicate names are rejected)
     --param retry-max=0,1,3      retry-budget ablation: replays the default
                                  request stream per design point and reports
-                                 served/shed/goodput
+                                 served/shed/goodput (budgets at most 32)
     --param fail-rate=0,5,20     transient fault-rate ablation, in integer
                                  percent; serving axes (retry-max,
                                  fail-rate) cross only with each other
@@ -467,10 +480,15 @@ fn parse_param(arg: &str) -> Result<(SweepParam, Vec<u32>), String> {
             SweepParam::SerialBits => (1..=12).contains(&v),
             SweepParam::QkBits => (4..=16).contains(&v),
             SweepParam::Tiles => (1..=64).contains(&v),
-            SweepParam::RetryMax => v <= 32,
+            SweepParam::RetryMax => v <= MAX_RETRY_BUDGET,
             SweepParam::FailRate => v <= 100,
             SweepParam::Placement => unreachable!("handled above"),
         };
+        if !ok && param == SweepParam::RetryMax {
+            return Err(format!(
+                "retry-max must be at most {MAX_RETRY_BUDGET}, got {v}"
+            ));
+        }
         if !ok {
             return Err(format!("value {v} out of range for {}", param.label()));
         }
@@ -525,6 +543,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             "--heads" => {
                 let v = take_value(&mut it, "--heads")?;
                 common.pipeline.heads = v.parse().map_err(|_| format!("bad head count {v:?}"))?;
+                if common.pipeline.heads == 0 {
+                    return Err("--heads must be at least 1".to_string());
+                }
+                if common.pipeline.heads > MAX_SUITE_HEADS {
+                    return Err(format!(
+                        "--heads must be at most {MAX_SUITE_HEADS}, got {v}"
+                    ));
+                }
             }
             "--tiles" => {
                 let v = take_value(&mut it, "--tiles")?;
@@ -653,6 +679,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             "--retry-max" => {
                 let v = take_value(&mut it, "--retry-max")?;
                 serve.retry_max = v.parse().map_err(|_| format!("bad retry budget {v:?}"))?;
+                if serve.retry_max > MAX_RETRY_BUDGET {
+                    return Err(format!(
+                        "--retry-max must be at most {MAX_RETRY_BUDGET}, got {v}"
+                    ));
+                }
                 serve_flag_seen = serve_flag_seen.or(Some("--retry-max"));
             }
             "--backoff-base-cycles" => {
@@ -1885,6 +1916,45 @@ mod tests {
             assert_eq!(err, format!("{flag} must be at most {cap}, got {over}"));
             assert!(USAGE.contains(&format!("at most\n                      {cap})")));
         }
+    }
+
+    #[test]
+    fn head_and_retry_caps_admit_their_bound_and_reject_past_it() {
+        let usage: String = USAGE.split_whitespace().collect::<Vec<_>>().join(" ");
+        for (argv, flag, cap) in [
+            (&["suite", "--heads"][..], "--heads", MAX_SUITE_HEADS),
+            (&["serve", "--heads"][..], "--heads", MAX_SUITE_HEADS),
+            (
+                &["serve", "--retry-max"][..],
+                "--retry-max",
+                MAX_RETRY_BUDGET as usize,
+            ),
+        ] {
+            let with = |v: &str| parse(&args(&[argv, &[v]].concat()));
+            assert!(with(&cap.to_string()).is_ok(), "{flag} {cap}");
+            let over = (cap + 1).to_string();
+            assert_eq!(
+                with(&over).unwrap_err(),
+                format!("{flag} must be at most {cap}, got {over}")
+            );
+            assert!(
+                usage.contains(&format!("at most {cap})")),
+                "USAGE names {flag}'s cap"
+            );
+        }
+        assert_eq!(
+            parse(&args(&["suite", "--heads", "0"])).unwrap_err(),
+            "--heads must be at least 1"
+        );
+        let cap = MAX_RETRY_BUDGET;
+        assert_eq!(
+            parse_param(&format!("retry-max=0,{cap}")).unwrap(),
+            (SweepParam::RetryMax, vec![0, cap])
+        );
+        assert_eq!(
+            parse_param(&format!("retry-max=0..{}", cap + 1)).unwrap_err(),
+            format!("retry-max must be at most {cap}, got {}", cap + 1)
+        );
     }
 
     #[test]

@@ -58,15 +58,31 @@ pub fn geometric_mean(values: &[f32]) -> f32 {
 ///
 /// Panics if `p` is outside `[0, 100]`.
 pub fn percentile(values: &[f32], p: f32) -> f32 {
+    percentile_mapped_in_place(&mut values.to_vec(), p, |v| v)
+}
+
+/// [`percentile`] of `values` mapped through `map`, without the copy:
+/// selects on `values` in place (reordering it) and maps only the two order
+/// statistics it picked before interpolating.
+///
+/// `map` must be non-decreasing in the total order (for example
+/// multiplication by a positive constant). Order statistics commute with
+/// such a map, so the result is bit for bit
+/// `percentile(&mapped, p)` with `mapped[i] = map(values[i])`.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]`.
+pub fn percentile_mapped_in_place(values: &mut [f32], p: f32, map: impl Fn(f32) -> f32) -> f32 {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     if values.is_empty() {
         return 0.0;
     }
-    let mut scratch: Vec<f32> = values.to_vec();
-    let rank = p / 100.0 * (scratch.len() - 1) as f32;
+    let rank = p / 100.0 * (values.len() - 1) as f32;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
-    let (_, &mut lo_value, upper) = scratch.select_nth_unstable_by(lo, f32::total_cmp);
+    let (_, &mut lo_value, upper) = values.select_nth_unstable_by(lo, f32::total_cmp);
+    let lo_value = map(lo_value);
     if lo == hi {
         return lo_value;
     }
@@ -75,7 +91,7 @@ pub fn percentile(values: &[f32], p: f32) -> f32 {
         .iter()
         .copied()
         .min_by(f32::total_cmp)
-        .unwrap_or(lo_value);
+        .map_or(lo_value, map);
     let w = rank - lo as f32;
     lo_value * (1.0 - w) + hi_value * w
 }

@@ -134,10 +134,19 @@ pub fn synthesize_qk(
 
 /// Places the pruning threshold at the score-distribution quantile that
 /// reproduces `target_rate` (fraction of scores below the threshold).
+///
+/// The quantile is selected on the unscaled `q · kᵀ` scores in place; only
+/// the two order statistics it picks are scaled by `1/√d`. Scaling by a
+/// positive constant is monotone, so the threshold is bit for bit the
+/// quantile of the scaled scores.
 pub fn threshold_for_rate(q: &Matrix, k: &Matrix, target_rate: f32) -> f32 {
-    let d = q.cols();
-    let scores = q.matmul(&k.transpose()).scale(1.0 / (d as f32).sqrt());
-    stats::percentile(scores.as_slice(), (target_rate * 100.0).clamp(0.0, 100.0))
+    let factor = 1.0 / (q.cols() as f32).sqrt();
+    let mut scores = q.matmul(&k.transpose());
+    stats::percentile_mapped_in_place(
+        scores.as_mut_slice(),
+        (target_rate * 100.0).clamp(0.0, 100.0),
+        |v| v * factor,
+    )
 }
 
 /// The tile configurations every (task, head) pair is simulated on.
@@ -371,11 +380,12 @@ pub fn plan_task_layer_at_rate(
 /// pruning-rate quantile, quantize. This is the (memoizable) construction
 /// stage of the pipeline; it is a pure function of `(task, options, head)`.
 ///
-/// The returned workload carries the bit-plane K decomposition
-/// (`HeadWorkload::k_planes`), built here **once per head**: the four
-/// simulation units of [`SimUnitKind::ALL`] — and, through the runtime
-/// cache, every sweep design point sharing the operands — reuse it instead
-/// of re-decomposing K per unit.
+/// The returned workload holds only the quantized codes. The kernel packs
+/// K once per bit-serial plan on first use (`HeadWorkload::packed_keys_at`)
+/// and keeps the pack in the workload, so the four simulation units of
+/// [`SimUnitKind::ALL`] — and, through the runtime cache, every sweep
+/// design point sharing the operands — reuse it instead of packing K per
+/// unit.
 pub fn build_head_workload(
     task: &TaskDescriptor,
     options: &PipelineOptions,
@@ -757,20 +767,45 @@ mod tests {
     }
 
     #[test]
+    fn threshold_matches_the_scaled_copy_formula_bit_for_bit() {
+        // Selecting in place and scaling two order statistics must give
+        // the bits of the percentile of a scaled copy of every score.
+        let mut r = rng::seeded(77);
+        for (s, d) in [(1, 1), (2, 3), (8, 20), (17, 64), (96, 64), (130, 7)] {
+            let q = rng::normal_matrix(&mut r, s, d, 0.0, 1.0);
+            let k = rng::normal_matrix(&mut r, s, d, 0.0, 1.0);
+            for rate in [0.0, 0.01, 0.3, 0.5, 0.77, 0.9, 0.999, 1.0, 1.5] {
+                let scaled = q.matmul(&k.transpose()).scale(1.0 / (d as f32).sqrt());
+                let old = stats::percentile(scaled.as_slice(), (rate * 100.0f32).clamp(0.0, 100.0));
+                assert_eq!(
+                    threshold_for_rate(&q, &k, rate).to_bits(),
+                    old.to_bits(),
+                    "s={s}, d={d}, rate={rate}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn built_workload_carries_the_bit_plane_decomposition() {
-        // One decomposition per head, sized for the quantization width, so
-        // the four simulation units never rebuild it — and the kernel path
+        // The built workload packs its K codes at the quantization width's
+        // native plan, column for column, and the kernel path
         // (simulate_head) agrees exactly with the retained reference.
         let suite = full_suite();
         let task = &suite[0];
         let options = quick_options();
         let workload = build_head_workload(task, &options, 0);
-        assert_eq!(workload.k_planes.len(), workload.k_codes.len());
+        let plan = TileConfig::ae_leopard().bit_serial_plan();
         assert_eq!(
-            workload.k_planes[0].magnitude_bits(),
+            plan.magnitude_bits,
             options.qk_bits - 1,
-            "planes must be sized for the simulated operand width"
+            "the presets simulate the quantization width"
         );
+        let packed = workload.packed_keys_at(plan);
+        assert_eq!(packed.cols(), workload.k_codes.len());
+        for (j, codes) in workload.k_codes.iter().enumerate() {
+            assert_eq!(&packed.column_codes(j), codes);
+        }
         for kind in SimUnitKind::ALL {
             let config = kind.tile_config();
             assert_eq!(

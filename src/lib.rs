@@ -15,7 +15,7 @@
 //! | [`autodiff`] | `leopard-autodiff` | reverse-mode autodiff tape, Adam/SGD |
 //! | [`transformer`] | `leopard-transformer` | attention, encoder layers, synthetic tasks |
 //! | [`pruning`] | `leopard-core` | soft threshold, surrogate L0, pruning-aware fine-tuning |
-//! | [`quant`] | `leopard-quant` | fixed-point quantization, sign-magnitude, bit planes |
+//! | [`quant`] | `leopard-quant` | fixed-point quantization, sign-magnitude, bit-serial decomposition |
 //! | [`accel`] | `leopard-accel` | cycle-level tile simulator, energy/area models, Table 2 |
 //! | [`workloads`] | `leopard-workloads` | the 43-task suite and end-to-end pipeline |
 //! | [`runtime`] | `leopard-runtime` | parallel suite-execution engine, serving-mode engine, cost-model scheduler, `leopard` CLI |

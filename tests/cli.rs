@@ -46,6 +46,39 @@ fn request_count_past_the_cap_exits_2_naming_the_cap() {
     );
 }
 
+#[test]
+fn head_count_past_the_cap_exits_2_naming_the_cap() {
+    // Used to run for minutes: every head is a workload build.
+    let stderr = rejected(&["suite", "--heads", "1000000", "--max-seq-len", "8"]);
+    assert!(
+        stderr.contains("error: --heads must be at most 64, got 1000000"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn retry_budget_past_the_cap_exits_2_naming_the_cap() {
+    // Used to retry every faulted request up to 2^32 times.
+    let stderr = rejected(&[
+        "serve",
+        "--fail-rate",
+        "100",
+        "--retry-max",
+        "4294967295",
+        "--requests",
+        "16",
+    ]);
+    assert!(
+        stderr.contains("error: --retry-max must be at most 32, got 4294967295"),
+        "stderr: {stderr}"
+    );
+    let stderr = rejected(&["sweep", "--param", "retry-max=0,4294967295"]);
+    assert!(
+        stderr.contains("retry-max must be at most 32, got 4294967295"),
+        "stderr: {stderr}"
+    );
+}
+
 /// Replaces the wall-seconds figure of the sweep footer
 /// (`swept N design points in 1.234s (...)`) with `<wall>`.
 fn mask_wall_seconds(report: &str) -> String {

@@ -2,7 +2,7 @@
 # Perf-regression guard for the three committed benchmark trajectories.
 #
 # Reruns the kernel micro-benchmark (`kernel_bench`, wall-clock speedup of
-# the incremental bit-plane QK kernel over the reference DPU), the tile
+# the batched QK kernel over the reference DPU), the tile
 # scaling ablation (`tile_scaling`, virtual-cycle makespan speedup at 8
 # tiles), the layer-placement ablation (`layer_placement`, LPT-vs-
 # round-robin makespan speedup on a ragged 12-head layer at 4 tiles), and
