@@ -248,19 +248,13 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-#[test]
-fn deep_queue_faulted_serve_matches_pinned_digest() {
-    // The other serve goldens replay 16 requests and never build a deep
-    // queue. This one replays 2×10⁴ requests far above capacity on 8 tiles
-    // in gangs of 3, through a tile outage that shrinks the live set below
-    // the gang size (reduced-width plans) and a recovery, a slow tile,
-    // transient faults with retries, and SLO deferral. Its CSV and masked
-    // JSON are pinned by length and FNV-1a-64 digest rather than as
-    // multi-megabyte fixtures.
+/// The deep-queue scenario: 2×10⁴ requests far above capacity on 8 tiles
+/// in gangs of 3, through a tile outage that shrinks the live set below
+/// the gang size (reduced-width plans) and a recovery, a slow tile,
+/// transient faults with retries, and SLO deferral.
+fn deep_queue_faulted_options() -> ServingOptions {
     use leopard_runtime::faults::{FaultPlan, SlowTile, TileFaultEvent, TileFaultKind};
     let event = |cycle, tile, kind| TileFaultEvent { cycle, tile, kind };
-    let suite = full_suite();
-    let runner = SuiteRunner::new(2);
     let mut tile_events = vec![event(300_000, 1, TileFaultKind::Fail)];
     for tile in [2, 4, 5, 6, 7] {
         tile_events.push(event(500_000, tile, TileFaultKind::Fail));
@@ -268,7 +262,7 @@ fn deep_queue_faulted_serve_matches_pinned_digest() {
     for tile in [1, 2, 4, 5, 6, 7] {
         tile_events.push(event(650_000, tile, TileFaultKind::Recover));
     }
-    let options = ServingOptions {
+    ServingOptions {
         requests: 20_000,
         servers: 8,
         slo_cycles: Some(600_000),
@@ -287,8 +281,16 @@ fn deep_queue_faulted_serve_matches_pinned_digest() {
             ..pinned_pipeline()
         },
         ..ServingOptions::default()
-    };
-    let report = run_serving(&runner, &suite, &options);
+    }
+}
+
+#[test]
+fn deep_queue_faulted_serve_matches_pinned_digest() {
+    // The other serve goldens replay 16 requests and never build a deep
+    // queue. This one's CSV and masked JSON are pinned by length and
+    // FNV-1a-64 digest rather than as multi-megabyte fixtures.
+    let runner = SuiteRunner::new(2);
+    let report = run_serving(&runner, &full_suite(), &deep_queue_faulted_options());
     let summary = report.fault_summary.as_ref().expect("fault layer active");
     // The run must actually build the deep queue and drive the live set
     // below the gang size and back.
@@ -309,5 +311,121 @@ fn deep_queue_faulted_serve_matches_pinned_digest() {
         (json.len(), fnv1a64(json.as_bytes())),
         (3_609_016, 0xd07c_4b4f_012e_6769),
         "deep-queue serve JSON drifted"
+    );
+}
+
+/// Masks the wall-clock quantities of a Chrome trace: the `tid`, `ts` and
+/// `dur` values of every pid-1 (wall-clock) span line. Virtual-clock
+/// (pid-2) lines and the process-name metadata pass through untouched.
+fn mask_wall_clock(trace: &str) -> String {
+    trace
+        .lines()
+        .map(|line| {
+            let mut line = line.to_string();
+            if line.contains("\"pid\": 1,") && !line.contains("\"ph\": \"M\"") {
+                for key in ["tid", "ts", "dur"] {
+                    let needle = format!("\"{key}\": ");
+                    let start = line.find(&needle).expect("wall span has the key") + needle.len();
+                    let end = start + line[start..].find(',').expect("key is not last");
+                    line.replace_range(start..end, &format!("<{key}>"));
+                }
+            }
+            line + "\n"
+        })
+        .collect()
+}
+
+/// Runs `options` on `suite` with telemetry on and returns the report, the
+/// wall-masked Chrome trace and the metrics JSON.
+fn traced_serve(
+    suite: &[TaskDescriptor],
+    options: &ServingOptions,
+) -> (leopard_runtime::serving::ServingReport, String, String) {
+    let runner = SuiteRunner::new(2).with_telemetry();
+    let report = run_serving(&runner, suite, options);
+    let telemetry = runner.telemetry().expect("telemetry enabled");
+    let trace = mask_wall_clock(&telemetry.chrome_trace_json());
+    let metrics = telemetry.metrics().snapshot().to_json();
+    (report, trace, metrics)
+}
+
+/// `(length, FNV-1a-64)` of a rendered output.
+fn digest(text: &str) -> (usize, u64) {
+    (text.len(), fnv1a64(text.as_bytes()))
+}
+
+#[test]
+fn deep_queue_faulted_serve_trace_and_metrics_match_pinned_digests() {
+    // Every fault-path trace event on a deep queue: transient-fault
+    // instants, retry spans (transient and SLO deferrals), retries-
+    // exhausted sheds, tile inject/recover instants and slow-tile
+    // dispatch spans, plus the queue-depth and in-flight counters.
+    let (report, trace, metrics) = traced_serve(&full_suite(), &deep_queue_faulted_options());
+    let summary = report.fault_summary.as_ref().expect("fault layer active");
+    assert!(summary.transient_faults > 0 && summary.slo_deferrals > 0);
+    assert!(summary.shed_after_retries > 0, "no retries-exhausted sheds");
+    for needle in [
+        "\"cat\": \"retry\"",
+        "\"name\": \"transient\"",
+        "\"name\": \"inject\"",
+        "\"name\": \"recover\"",
+        "\"cat\": \"shed\"",
+    ] {
+        assert!(trace.contains(needle), "trace lacks {needle}");
+    }
+    assert!(metrics.contains("serve.shed.retries_exhausted"));
+    assert_eq!(
+        digest(&trace),
+        (14_443_222, 0x0da3_1b73_f7dd_a397),
+        "deep-queue trace drifted"
+    );
+    assert_eq!(
+        digest(&metrics),
+        (1_092, 0xaedc_18d5_0976_b6e2),
+        "deep-queue metrics drifted"
+    );
+}
+
+#[test]
+fn degraded_outage_serve_trace_and_metrics_match_pinned_digests() {
+    // Graceful degradation under an SLO, then a permanent outage of every
+    // tile: `degrade` instants while tiles are live, and the stranded
+    // requests shed as `serve.shed.no_live_tiles` once none are.
+    use leopard_runtime::faults::{FaultPlan, TileFaultEvent, TileFaultKind};
+    let fail = |tile| TileFaultEvent {
+        cycle: 2_500,
+        tile,
+        kind: TileFaultKind::Fail,
+    };
+    let options = ServingOptions {
+        requests: 64,
+        servers: 4,
+        slo_cycles: Some(2_000),
+        retry_max: 1,
+        degrade: true,
+        faults: Some(FaultPlan {
+            seed: 5,
+            fail_rate: 0.1,
+            tile_events: (0..4).map(fail).collect(),
+            slow_tiles: Vec::new(),
+        }),
+        pipeline: pinned_pipeline(),
+        ..ServingOptions::default()
+    };
+    let (report, trace, metrics) = traced_serve(&full_suite(), &options);
+    let summary = report.fault_summary.as_ref().expect("fault layer active");
+    assert!(summary.degraded > 0, "nothing served degraded");
+    assert_eq!(summary.min_live_tiles, 0);
+    assert!(trace.contains("\"cat\": \"degrade\""));
+    assert!(metrics.contains("serve.shed.no_live_tiles"));
+    assert_eq!(
+        digest(&trace),
+        (47_322, 0x5d16_e1e0_42b4_689a),
+        "degraded-outage trace drifted"
+    );
+    assert_eq!(
+        digest(&metrics),
+        (824, 0x7a40_1988_140c_e927),
+        "degraded-outage metrics drifted"
     );
 }
