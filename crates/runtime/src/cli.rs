@@ -111,6 +111,12 @@ pub const MAX_SERVE_SERVERS: usize = 4096;
 /// its one-head cost instead of letting a typo run for days.
 pub const MAX_SUITE_HEADS: usize = 64;
 
+/// Largest `--tiles` a run accepts, and the top of `sweep --param tiles=`.
+/// The layer planner and the per-tile accounting walk every tile of every
+/// head, so an unbounded count hangs even a tiny run on tiles that get no
+/// Q rows.
+pub const MAX_TILES: usize = 64;
+
 /// Largest retry budget a serve run accepts (`--retry-max` and
 /// `sweep --param retry-max=`). A request costs at most one dispatch per
 /// attempt, so the cap bounds a fully faulted run at 33 dispatches per
@@ -320,8 +326,9 @@ FLAGS:
     --heads H         attention heads simulated per task (default 1, at
                       most 64)
     --tiles T         partition each head's Q rows across T tiles (default
-                      1; suite results are bit-identical for every T — in
-                      serve mode, service cycles become the layer makespan)
+                      1, at most 64; suite results are bit-identical for
+                      every T — in serve mode, service cycles become the
+                      layer makespan)
     --placement P     head→tile placement policy: lpt (greedy longest-
                       predicted-first, default), rr (round-robin), or
                       static (head index mod tile count). Moves only the
@@ -479,7 +486,7 @@ fn parse_param(arg: &str) -> Result<(SweepParam, Vec<u32>), String> {
             SweepParam::NQk => (1..=64).contains(&v),
             SweepParam::SerialBits => (1..=12).contains(&v),
             SweepParam::QkBits => (4..=16).contains(&v),
-            SweepParam::Tiles => (1..=64).contains(&v),
+            SweepParam::Tiles => (1..=MAX_TILES as u32).contains(&v),
             SweepParam::RetryMax => v <= MAX_RETRY_BUDGET,
             SweepParam::FailRate => v <= 100,
             SweepParam::Placement => unreachable!("handled above"),
@@ -557,6 +564,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 common.pipeline.tiles = v.parse().map_err(|_| format!("bad tile count {v:?}"))?;
                 if common.pipeline.tiles == 0 {
                     return Err("--tiles must be at least 1".to_string());
+                }
+                if common.pipeline.tiles > MAX_TILES {
+                    return Err(format!("--tiles must be at most {MAX_TILES}, got {v}"));
                 }
                 tiles_set = true;
             }
@@ -1919,11 +1929,13 @@ mod tests {
     }
 
     #[test]
-    fn head_and_retry_caps_admit_their_bound_and_reject_past_it() {
+    fn head_tile_and_retry_caps_admit_their_bound_and_reject_past_it() {
         let usage: String = USAGE.split_whitespace().collect::<Vec<_>>().join(" ");
         for (argv, flag, cap) in [
             (&["suite", "--heads"][..], "--heads", MAX_SUITE_HEADS),
             (&["serve", "--heads"][..], "--heads", MAX_SUITE_HEADS),
+            (&["suite", "--tiles"][..], "--tiles", MAX_TILES),
+            (&["serve", "--tiles"][..], "--tiles", MAX_TILES),
             (
                 &["serve", "--retry-max"][..],
                 "--retry-max",

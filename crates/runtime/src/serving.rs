@@ -82,7 +82,7 @@ use crate::cache::CacheStats;
 use crate::engine::{measure_layer_makespans, SuiteRunner};
 use crate::faults::{FaultPlan, TileFaultEvent, TileFaultKind};
 use crate::sched::{DeferralQueue, PredictedJob, ReadyQueue, SchedulePolicy};
-use crate::telemetry::{MetricsSnapshot, Telemetry};
+use crate::telemetry::{MetricsSnapshot, ReplayEvent, ReplayTape, ShedCause};
 use leopard_accel::config::TileConfig;
 use leopard_accel::cost::degraded_pruning_rate;
 use leopard_accel::schedule::Placement;
@@ -1108,7 +1108,7 @@ impl LiveTiles {
         clock: u64,
         events: &[TileFaultEvent],
         next_event: &mut usize,
-        telemetry: Option<&Telemetry>,
+        tape: &mut ReplayTape,
     ) {
         while *next_event < events.len() && events[*next_event].cycle <= clock {
             let event = events[*next_event];
@@ -1120,20 +1120,13 @@ impl LiveTiles {
             };
             self.min_live = self.min_live.min(self.live());
             if applied {
-                if let Some(t) = telemetry {
-                    let name = match event.kind {
-                        TileFaultKind::Fail => "inject",
-                        TileFaultKind::Recover => "recover",
-                    };
-                    t.record_instant(
-                        "fault",
-                        name.to_string(),
-                        event.tile as u64,
-                        event.cycle,
-                        vec![("tile", event.tile as u64), ("live", self.live() as u64)],
-                    );
-                    t.metrics().incr(&format!("serve.faults.tile_{name}"), 1);
-                }
+                let recovered = event.kind == TileFaultKind::Recover;
+                tape.push(ReplayEvent::Tile(
+                    recovered,
+                    event.tile,
+                    event.cycle,
+                    self.live(),
+                ));
             }
         }
     }
@@ -1239,6 +1232,7 @@ pub fn run_serving(
         .collect();
     let service = measure_layer_makespans(runner, jobs, &options.pipeline, &options.config);
     let telemetry = runner.telemetry().cloned();
+    let mut tape = ReplayTape::new(telemetry.is_some());
     let task_pos = |task_index: usize| -> usize {
         used.binary_search(&task_index).expect("task was executed") // lint:allow(panic-in-library, reason = "`used` is built from exactly the task indices the requests reference, so the binary search cannot miss")
     };
@@ -1306,7 +1300,6 @@ pub fn run_serving(
     let mut transient_faults = 0u64;
     let mut slo_deferrals = 0u64;
     let mut degraded_count = 0u64;
-    let mut shed_after_retries = 0u64;
     let mut next_arrival = 0usize;
     let mut records: Vec<Option<RequestRecord>> = vec![None; requests.len()];
     let mut shed: Vec<ShedRecord> = Vec::new();
@@ -1344,12 +1337,7 @@ pub fn run_serving(
         // instant: liveness changes at cycle C are visible to dispatches
         // at C, and a request whose backoff expires at C re-enters the
         // policy queue at C.
-        live_tiles.apply_until(
-            clock,
-            &fault_plan.tile_events,
-            &mut next_event,
-            telemetry.as_deref(),
-        );
+        live_tiles.apply_until(clock, &fault_plan.tile_events, &mut next_event, &mut tape);
         while let Some(job) = deferred.pop_ready(clock) {
             ready.push(job);
         }
@@ -1364,6 +1352,8 @@ pub fn run_serving(
             let request = requests[job.index];
             let task = &suite[request.task_index];
             let attempt = attempts[job.index];
+            let (id, task_index, predicted) =
+                (request.id, request.task_index, job.predicted_cycles);
             // The plan width the gang spans: full-capacity plans use the
             // configured tile count; below it, the whole live set.
             let width = if live_tiles.live() >= gang_size {
@@ -1376,36 +1366,18 @@ pub fn run_serving(
             // retry reordering never perturbs the pattern.
             if fault_plan.transient_fails(job.index, attempt) {
                 transient_faults += 1;
-                if let Some(t) = &telemetry {
-                    t.record_instant(
-                        "fault",
-                        "transient".to_string(),
-                        options.servers as u64,
-                        clock,
-                        vec![("id", request.id as u64), ("attempt", u64::from(attempt))],
-                    );
-                    t.metrics().incr("serve.faults.transient", 1);
-                }
+                tape.push(ReplayEvent::Transient(request.id, clock, attempt));
                 if attempt < options.retry_max {
                     attempts[job.index] = attempt + 1;
                     let delay =
                         fault_plan.backoff_cycles(options.backoff_base_cycles, job.index, attempt);
-                    if let Some(t) = &telemetry {
-                        // The retry span is the deferral window, rendered
-                        // on the lane past the last tile.
-                        t.record_virtual_span(
-                            "retry",
-                            task.name.clone(),
-                            options.servers as u64,
-                            clock,
-                            delay,
-                            vec![
-                                ("id", request.id as u64),
-                                ("attempt", u64::from(attempt + 1)),
-                            ],
-                        );
-                        t.metrics().incr("serve.retries", 1);
-                    }
+                    tape.push(ReplayEvent::Retry(
+                        id,
+                        task_index,
+                        clock,
+                        delay,
+                        attempt + 1,
+                    ));
                     deferred.defer(job, clock.saturating_add(delay));
                 } else {
                     shed.push(ShedRecord {
@@ -1417,22 +1389,8 @@ pub fn run_serving(
                         predicted_cycles: job.predicted_cycles,
                         attempts: attempt,
                     });
-                    if attempt > 0 {
-                        shed_after_retries += 1;
-                    }
-                    if let Some(t) = &telemetry {
-                        t.record_instant(
-                            "shed",
-                            task.name.clone(),
-                            options.servers as u64,
-                            clock,
-                            vec![
-                                ("id", request.id as u64),
-                                ("predicted", job.predicted_cycles),
-                            ],
-                        );
-                        t.metrics().incr("serve.shed.transient_fault", 1);
-                    }
+                    let cause = ShedCause::TransientFault;
+                    tape.push(ReplayEvent::Shed(cause, id, task_index, clock, predicted));
                 }
                 continue;
             }
@@ -1467,20 +1425,13 @@ pub fn run_serving(
                                 job.index,
                                 attempt,
                             );
-                            if let Some(t) = &telemetry {
-                                t.record_virtual_span(
-                                    "retry",
-                                    task.name.clone(),
-                                    options.servers as u64,
-                                    clock,
-                                    delay,
-                                    vec![
-                                        ("id", request.id as u64),
-                                        ("attempt", u64::from(attempt + 1)),
-                                    ],
-                                );
-                                t.metrics().incr("serve.retries", 1);
-                            }
+                            tape.push(ReplayEvent::Retry(
+                                id,
+                                task_index,
+                                clock,
+                                delay,
+                                attempt + 1,
+                            ));
                             deferred.defer(job, clock.saturating_add(delay));
                             continue;
                         }
@@ -1493,28 +1444,12 @@ pub fn run_serving(
                             predicted_cycles: job.predicted_cycles,
                             attempts: attempt,
                         });
-                        if attempt > 0 {
-                            shed_after_retries += 1;
-                        }
-                        if let Some(t) = &telemetry {
-                            // Sheds render as instants on the lane past the
-                            // last tile — they never occupied one.
-                            t.record_instant(
-                                "shed",
-                                task.name.clone(),
-                                options.servers as u64,
-                                clock,
-                                vec![
-                                    ("id", request.id as u64),
-                                    ("predicted", job.predicted_cycles),
-                                ],
-                            );
-                            if attempt > 0 {
-                                t.metrics().incr("serve.shed.retries_exhausted", 1);
-                            } else {
-                                t.metrics().incr("serve.shed.predicted_slo_miss", 1);
-                            }
-                        }
+                        let cause = if attempt > 0 {
+                            ShedCause::RetriesExhausted
+                        } else {
+                            ShedCause::PredictedSloMiss
+                        };
+                        tape.push(ReplayEvent::Shed(cause, id, task_index, clock, predicted));
                         continue;
                     }
                 }
@@ -1550,33 +1485,21 @@ pub fn run_serving(
             }
             let lead = gang[0];
             live_tiles.dispatch(take, finish);
-            if let Some(t) = &telemetry {
-                // One span on the gang's lead tile lane (first by
-                // `(free_at, index)`) — at one tile per request this is
-                // exactly the dispatched tile of the legacy model.
-                t.record_virtual_span(
-                    "dispatch",
-                    task.name.clone(),
-                    lead as u64,
-                    clock,
-                    service_cycles,
-                    vec![
-                        ("id", request.id as u64),
-                        ("task", task.id as u64),
-                        ("wait", clock - request.arrival_cycle),
-                        ("predicted", job.predicted_cycles),
-                    ],
-                );
-                if level > 0 {
-                    t.record_instant(
-                        "degrade",
-                        task.name.clone(),
-                        lead as u64,
-                        clock,
-                        vec![("id", request.id as u64), ("level", u64::from(level))],
-                    );
-                    t.metrics().incr("serve.degraded", 1);
-                }
+            // The trace shows the gang on its lead tile's lane (first by
+            // `(free_at, index)`) — at one tile per request this is exactly
+            // the dispatched tile of the legacy model.
+            let wait = clock - request.arrival_cycle;
+            tape.push(ReplayEvent::Dispatch(
+                id,
+                task_index,
+                lead,
+                clock,
+                service_cycles,
+                wait,
+                predicted,
+            ));
+            if level > 0 {
+                tape.push(ReplayEvent::Degrade(id, task_index, lead, clock, level));
             }
             queue_samples.push(QueueSample {
                 cycle: clock,
@@ -1610,10 +1533,7 @@ pub fn run_serving(
                 queue_depth,
                 in_flight,
             });
-            if let Some(t) = &telemetry {
-                t.record_counter("queue_depth", clock, queue_depth as u64);
-                t.record_counter("in_flight", clock, in_flight as u64);
-            }
+            tape.push(ReplayEvent::Settle(clock, queue_depth, in_flight));
         }
         // Advance to the next event: the earliest of the next arrival, the
         // next whole-gang-free instant (only meaningful with queued work
@@ -1662,22 +1582,13 @@ pub fn run_serving(
                         predicted_cycles: job.predicted_cycles,
                         attempts: attempts[job.index],
                     });
-                    if attempts[job.index] > 0 {
-                        shed_after_retries += 1;
-                    }
-                    if let Some(t) = &telemetry {
-                        t.record_instant(
-                            "shed",
-                            task.name.clone(),
-                            options.servers as u64,
-                            clock,
-                            vec![
-                                ("id", request.id as u64),
-                                ("predicted", job.predicted_cycles),
-                            ],
-                        );
-                        t.metrics().incr("serve.shed.no_live_tiles", 1);
-                    }
+                    tape.push(ReplayEvent::Shed(
+                        ShedCause::NoLiveTiles,
+                        request.id,
+                        request.task_index,
+                        clock,
+                        job.predicted_cycles,
+                    ));
                 }
             }
             break;
@@ -1709,11 +1620,17 @@ pub fn run_serving(
         observed_cycles,
         &fault_plan.tile_events,
         &mut next_event,
-        telemetry.as_deref(),
+        &mut tape,
     );
     live_tiles.charge(observed_cycles);
 
     if let Some(t) = &telemetry {
+        t.record_replay(
+            tape,
+            suite.iter().map(|task| task.name.clone()).collect(),
+            suite.iter().map(|task| task.id as u64).collect(),
+            options.servers as u64,
+        );
         let metrics = t.metrics();
         metrics.incr(
             "serve.requests.offered",
@@ -1726,13 +1643,11 @@ pub fn run_serving(
         for (tile, &busy) in tile_busy_cycles.iter().enumerate() {
             metrics.set_gauge(&format!("serve.tile{tile:02}.busy_cycles"), busy as f64);
         }
-        for record in &records {
-            metrics.observe(
-                "serve.latency_cycles",
-                &LATENCY_HISTOGRAM_BOUNDS,
-                record.latency_cycles(),
-            );
-        }
+        metrics.observe_all(
+            "serve.latency_cycles",
+            &LATENCY_HISTOGRAM_BOUNDS,
+            records.iter().map(RequestRecord::latency_cycles),
+        );
         // Fault-tolerance gauges only exist when the machinery ran, so
         // fault-free metric snapshots stay byte-identical to the plain
         // engine's.
@@ -1752,7 +1667,7 @@ pub fn run_serving(
         retries: deferred.deferrals(),
         slo_deferrals,
         degraded: degraded_count,
-        shed_after_retries,
+        shed_after_retries: shed.iter().filter(|s| s.attempts > 0).count() as u64,
         tile_fail_events: live_tiles.fail_events,
         tile_recover_events: live_tiles.recover_events,
         min_live_tiles: live_tiles.min_live,

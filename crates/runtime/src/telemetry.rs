@@ -1,5 +1,5 @@
-//! Deterministic, observe-only telemetry: span tracing, a metrics
-//! registry, and Chrome trace-event export.
+//! Deterministic, observe-only telemetry: span tracing, the serving
+//! replay's event tape, a metrics registry, and Chrome trace-event export.
 //!
 //! The engine's outputs are pinned byte-for-byte by golden fixtures, so
 //! instrumentation must never feed back into them. This module therefore
@@ -9,30 +9,35 @@
 //!   result, report, or fixture byte. Telemetry is carried as an
 //!   `Option<Arc<Telemetry>>`; disabled overhead is a branch on that
 //!   `Option`.
-//! * **Two clocks, two determinism classes** — spans on the **virtual
-//!   cycle clock** ([`SpanClock::Virtual`]: serving dispatches, sheds,
-//!   queue-depth counters) are bit-identical across thread counts. Spans
-//!   on the **wall clock** ([`SpanClock::Wall`]: pool jobs) carry real
-//!   nanoseconds and worker ids; tests mask those fields, and
-//!   [`Telemetry::chrome_trace_json`] sorts events by a key that excludes
-//!   them, so the *set* of spans (names, categories, tags, virtual
-//!   timestamps) is identical for every thread count even though the
-//!   interleaving differs.
-//! * **Contention-free recording** — each pool worker appends to its own
-//!   buffer (plus one slot for external threads), so recording never
-//!   contends on a shared lock in the hot path; the per-buffer mutex only
-//!   serializes the single writer against the end-of-run export.
+//! * **Two clocks, two determinism classes** — the serving replay's
+//!   decisions live on the **virtual cycle clock**: the replay appends one
+//!   heap-free `ReplayEvent` per dispatch, shed, retry, fault, degrade and
+//!   settled instant to a tape it owns and never reads, and hands the tape
+//!   over once at the end of the run (`Telemetry::record_replay`). Those
+//!   events are bit-identical across thread counts, and observe-only holds
+//!   by construction: no replay decision can depend on a tape entry. Spans
+//!   on the **wall clock** (pool jobs) carry real nanoseconds and worker
+//!   ids; tests mask those fields, and [`Telemetry::chrome_trace_json`]
+//!   sorts events by a key that excludes them, so the *set* of spans
+//!   (names, categories, tags, virtual timestamps) is identical for every
+//!   thread count even though the interleaving differs.
+//! * **Contention-free recording** — each pool worker appends wall spans to
+//!   its own buffer (plus one slot for external threads), so recording
+//!   never contends on a shared lock in the hot path; the per-buffer mutex
+//!   only serializes the single writer against the end-of-run export.
 //!
 //! The trace export is the Chrome trace-event JSON format: load the file
 //! in [Perfetto](https://ui.perfetto.dev) ("Open trace file") or
 //! `chrome://tracing`. Process 1 holds the wall-clock pool spans (one
-//! track per worker), process 2 the virtual-clock serving spans (one
-//! track per tile, timestamps in cycles).
+//! track per worker), process 2 the virtual-clock serving events (one
+//! track per tile, timestamps in cycles), rendered straight from the tapes:
+//! each event's sort key is a fixed-width integer tuple that is also
+//! everything its line shows.
 //!
 //! # Serve fault-tolerance taxonomy
 //!
-//! Serving runs with the fault layer active (see [`crate::faults`]) emit,
-//! under the same observe-only contract:
+//! Serving runs with the fault layer active (see [`crate::faults`]) put
+//! these entries on the tape, rendered and counted as:
 //!
 //! * **Virtual instants** — category `fault`: `inject`/`recover` on the
 //!   failed tile's lane (args `tile`, `live`) when a tile-fault event
@@ -43,13 +48,15 @@
 //! * **Virtual spans** — category `retry`: one span per deferral, named
 //!   after the task, on the shed lane, from the deferral cycle for the
 //!   backoff duration (args `id`, `attempt`).
-//! * **Metrics** — counters `serve.faults.tile_inject`,
+//! * **Metrics** — folded from the tape at hand-over, one registry update
+//!   per name: counters `serve.faults.tile_inject`,
 //!   `serve.faults.tile_recover`, `serve.faults.transient`,
 //!   `serve.retries`, `serve.degraded`, and the shed-cause counters
 //!   `serve.shed.transient_fault` / `serve.shed.retries_exhausted` /
-//!   `serve.shed.no_live_tiles` (alongside the existing
-//!   `serve.shed.predicted_slo_miss`); gauges `serve.deferred.peak`,
-//!   `serve.deferred.total`, and `serve.tiles.min_live`.
+//!   `serve.shed.no_live_tiles` (alongside
+//!   `serve.shed.predicted_slo_miss`). The replay itself sets the gauges
+//!   `serve.deferred.peak`, `serve.deferred.total`, and
+//!   `serve.tiles.min_live`.
 //!
 //! With the fault layer off none of these names appear, keeping traces
 //! and metrics snapshots byte-identical to pre-fault runs.
@@ -60,77 +67,145 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Which clock a trace event's timestamps live on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpanClock {
-    /// Real time relative to the telemetry epoch. Non-deterministic; the
-    /// export renders it under pid 1 and tests mask `ts`/`dur`/`tid`.
-    Wall {
-        /// Nanoseconds from the epoch to the span start.
-        start_ns: u64,
-        /// Span duration in nanoseconds.
-        dur_ns: u64,
-        /// Pool worker (or the external slot) that recorded the span.
-        worker: usize,
-    },
-    /// The virtual cycle clock. Fully deterministic; rendered under pid 2.
-    Virtual {
-        /// Cycle the span starts at.
-        start_cycle: u64,
-        /// Span length in cycles (0 for instants and counters).
-        dur_cycles: u64,
-        /// Track within the virtual process (tile index; sheds use the
-        /// lane one past the last tile).
-        lane: u64,
-    },
+/// One recorded wall-clock span. Non-deterministic: the export renders it
+/// under pid 1 and tests mask `ts`/`dur`/`tid`.
+#[derive(Debug)]
+struct TraceEvent {
+    /// Category: the span taxonomy (`build`, `sim`, `aggregate`, `execute`).
+    cat: &'static str,
+    /// Event name (typically the task name).
+    name: String,
+    /// Nanoseconds from the epoch to the span start.
+    start_ns: u64,
+    /// Span duration in nanoseconds.
+    dur_ns: u64,
+    /// Pool worker (or the external slot) that recorded the span.
+    worker: usize,
+    /// Structured tags (`task`, `head`, `unit`, `tile`, ...), in a fixed
+    /// per-category order.
+    args: Vec<(&'static str, u64)>,
 }
 
-/// Chrome trace-event phase of one recorded event.
+/// Why the serving replay shed a request; each cause has its own counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TracePhase {
-    /// A complete span (`"ph": "X"` — begin plus duration in one event).
-    Complete,
-    /// A zero-duration instant (`"ph": "i"`), e.g. an SLO shed decision.
-    Instant,
-    /// A counter sample (`"ph": "C"`), e.g. queue depth over virtual time.
-    Counter,
+pub(crate) enum ShedCause {
+    /// The SLO controller predicted a miss at the first dispatch attempt.
+    PredictedSloMiss,
+    /// A predicted SLO miss after the request spent its retry budget.
+    RetriesExhausted,
+    /// A transient dispatch fault after the retry budget was spent.
+    TransientFault,
+    /// Every tile is down with no recovery ahead.
+    NoLiveTiles,
 }
 
-impl TracePhase {
-    fn label(self) -> &'static str {
-        match self {
-            TracePhase::Complete => "X",
-            TracePhase::Instant => "i",
-            TracePhase::Counter => "C",
-        }
+/// One decision of the serving replay, on the virtual cycle clock. `task`
+/// fields index the suite the replay ran; the export names them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplayEvent {
+    /// `(id, task, lead tile, start, service, wait, predicted)`: a request
+    /// started on a gang, drawn as a span on the lead tile's lane.
+    Dispatch(usize, usize, usize, u64, u64, u64, u64),
+    /// `(cycle, queue depth, in-flight tiles)` at a settled clock instant.
+    Settle(u64, usize, usize),
+    /// `(cause, id, task, cycle, predicted)`: a request dropped undispatched.
+    Shed(ShedCause, usize, usize, u64, u64),
+    /// `(id, task, cycle, delay, attempt)`: a request deferred for `delay`
+    /// cycles before its `attempt`-th retry.
+    Retry(usize, usize, u64, u64, u32),
+    /// `(id, cycle, attempt)`: a dispatch attempt drew a transient fault.
+    Transient(usize, u64, u32),
+    /// `(id, task, lead tile, cycle, level)`: a request served at a
+    /// tightened-pruning level.
+    Degrade(usize, usize, usize, u64, u32),
+    /// `(recovered, tile, cycle, live tiles)`: a tile failed or came back.
+    Tile(bool, usize, u64, usize),
+}
+
+impl ReplayEvent {
+    /// The counter this decision bumps, if any.
+    fn metric(&self) -> Option<&'static str> {
+        Some(match self {
+            ReplayEvent::Dispatch(..) | ReplayEvent::Settle(..) => return None,
+            ReplayEvent::Shed(ShedCause::PredictedSloMiss, ..) => "serve.shed.predicted_slo_miss",
+            ReplayEvent::Shed(ShedCause::RetriesExhausted, ..) => "serve.shed.retries_exhausted",
+            ReplayEvent::Shed(ShedCause::TransientFault, ..) => "serve.shed.transient_fault",
+            ReplayEvent::Shed(ShedCause::NoLiveTiles, ..) => "serve.shed.no_live_tiles",
+            ReplayEvent::Retry(..) => "serve.retries",
+            ReplayEvent::Transient(..) => "serve.faults.transient",
+            ReplayEvent::Degrade(..) => "serve.degraded",
+            ReplayEvent::Tile(false, ..) => "serve.faults.tile_inject",
+            ReplayEvent::Tile(true, ..) => "serve.faults.tile_recover",
+        })
+    }
+}
+
+/// The serving replay's decisions in order. The replay only appends to it
+/// and hands it to [`Telemetry::record_replay`]; with telemetry off it
+/// records nothing.
+#[derive(Debug)]
+pub(crate) struct ReplayTape(Option<Vec<ReplayEvent>>);
+
+impl ReplayTape {
+    /// A tape that records when `on`.
+    pub(crate) fn new(on: bool) -> Self {
+        Self(on.then(Vec::new))
     }
 
-    /// Sort rank within a process: spans, then instants, then counters.
-    fn rank(self) -> u8 {
-        match self {
-            TracePhase::Complete => 0,
-            TracePhase::Instant => 1,
-            TracePhase::Counter => 2,
+    /// Appends one decision.
+    pub(crate) fn push(&mut self, event: ReplayEvent) {
+        if let Some(events) = &mut self.0 {
+            events.push(event);
         }
     }
 }
 
-/// One recorded trace event (span, instant, or counter sample).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Category: the span taxonomy (`build`, `sim`, `aggregate`,
-    /// `execute`, `dispatch`, `shed`, `serve`).
-    pub cat: &'static str,
-    /// Event name (typically the task name, or the counter name).
-    pub name: String,
-    /// Chrome trace-event phase.
-    pub phase: TracePhase,
-    /// Timestamps and track assignment.
-    pub clock: SpanClock,
-    /// Structured tags (`task`, `head`, `unit`, `tile`, `id`, ...), in a
-    /// fixed per-category order.
-    pub args: Vec<(&'static str, u64)>,
+/// A handed-over tape with the suite's task names and ids its `task`
+/// fields index, and the lane past the last tile, where sheds, retries
+/// and transient faults render.
+#[derive(Debug)]
+struct Replay {
+    events: Vec<ReplayEvent>,
+    names: Vec<String>,
+    ids: Vec<u64>,
+    shed_lane: u64,
 }
+
+/// The pid-2 tracks in export order: by Chrome phase (spans, then
+/// instants), then category. Tile and transient faults share the `fault`
+/// category; `inject` and `recover` sort before `transient`, so two
+/// tracks keep the name order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Track {
+    Dispatch,
+    Retry,
+    Degrade,
+    TileFault,
+    Transient,
+    Shed,
+}
+
+impl Track {
+    /// `(category, arg keys)`; the arg keys are fixed per track.
+    fn labels(self) -> (&'static str, &'static [&'static str]) {
+        match self {
+            Track::Dispatch => ("dispatch", &["id", "task", "wait", "predicted"]),
+            Track::Retry => ("retry", &["id", "attempt"]),
+            Track::Degrade => ("degrade", &["id", "level"]),
+            Track::TileFault => ("fault", &["tile", "live"]),
+            Track::Transient => ("fault", &["id", "attempt"]),
+            Track::Shed => ("shed", &["id", "predicted"]),
+        }
+    }
+}
+
+/// One pid-2 span or instant as its sort key, which is also everything it
+/// renders. `name` ranks the task name in the export's sorted name table
+/// (tile faults: 0 = `inject`, 1 = `recover`), so integer order is name
+/// order; with fixed arg keys per track, comparing arg values orders
+/// events exactly as comparing `(key, value)` lists does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct VirtualLine(Track, u32, u64, u64, u64, [u64; 4]);
 
 /// A fixed-bucket histogram: `counts[i]` counts observed values
 /// `<= bounds[i]` (first matching bound wins), with one trailing overflow
@@ -216,19 +291,22 @@ impl MetricsRegistry {
         gauges.insert(name.to_string(), value);
     }
 
-    /// Observes `value` in the named fixed-bucket histogram; `bounds` are
-    /// the inclusive bucket upper bounds, used on first touch.
-    pub fn observe(&self, name: &str, bounds: &[u64], value: u64) {
+    /// Observes every value in the named fixed-bucket histogram under one
+    /// lock; `bounds` are the inclusive bucket upper bounds, used on first
+    /// touch.
+    pub fn observe_all(&self, name: &str, bounds: &[u64], values: impl IntoIterator<Item = u64>) {
         let mut histograms = self.histograms.lock().expect("metrics lock poisoned"); // lint:allow(panic-in-library, reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
-        histograms
+        let histogram = histograms
             .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds))
-            .observe(value);
+            .or_insert_with(|| Histogram::with_bounds(bounds));
+        values
+            .into_iter()
+            .for_each(|value| histogram.observe(value));
     }
 
     /// Merges an index-valued count vector (`counts[i]` observations of
     /// value `i`) into the named histogram. Do not mix with
-    /// [`observe`](Self::observe) on the same name.
+    /// [`observe_all`](Self::observe_all) on the same name.
     pub fn merge_indexed(&self, name: &str, counts: &[u64]) {
         let mut histograms = self.histograms.lock().expect("metrics lock poisoned"); // lint:allow(panic-in-library, reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
         histograms
@@ -370,8 +448,9 @@ fn push_escaped(out: &mut String, s: &str) {
     }
 }
 
-/// The telemetry layer: per-worker span buffers, a metrics registry, and
-/// the wall-clock epoch every wall span is measured against.
+/// The telemetry layer: per-worker wall-span buffers, the serving replay
+/// tapes, a metrics registry, and the wall-clock epoch every wall span is
+/// measured against.
 ///
 /// Created by `SuiteRunner::with_telemetry` and threaded through the
 /// suite and serving engines as an `Option<Arc<Telemetry>>`.
@@ -382,6 +461,8 @@ pub struct Telemetry {
     /// threads (the CLI/replay thread). A worker only ever pushes to its
     /// own slot, so recording never contends.
     buffers: Vec<Mutex<Vec<TraceEvent>>>,
+    /// One tape per finished serving replay, in hand-over order.
+    replays: Mutex<Vec<Replay>>,
     metrics: MetricsRegistry,
 }
 
@@ -391,13 +472,9 @@ impl Telemetry {
         Self {
             epoch: Instant::now(),
             buffers: (0..workers + 1).map(|_| Mutex::new(Vec::new())).collect(),
+            replays: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::default(),
         }
-    }
-
-    /// The wall-clock epoch wall spans are measured from.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// The metrics registry.
@@ -405,20 +482,9 @@ impl Telemetry {
         &self.metrics
     }
 
-    fn push(&self, worker: usize, event: TraceEvent) {
-        self.buffers[worker]
-            .lock()
-            .expect("telemetry buffer poisoned") // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
-            .push(event);
-    }
-
-    /// The buffer slot (and wall-span `tid`) of the calling thread: the
-    /// worker index inside the pool, the external slot everywhere else.
-    fn slot(&self) -> usize {
-        current_worker_index().unwrap_or(self.buffers.len() - 1)
-    }
-
-    /// Records a completed wall-clock span that began at `start`.
+    /// Records a completed wall-clock span that began at `start`, in the
+    /// calling thread's buffer: the worker index inside the pool, the
+    /// external slot everywhere else.
     pub fn record_wall_span(
         &self,
         cat: &'static str,
@@ -426,113 +492,77 @@ impl Telemetry {
         start: Instant,
         args: Vec<(&'static str, u64)>,
     ) {
-        let worker = self.slot();
-        let start_ns = start.duration_since(self.epoch).as_nanos() as u64;
-        let dur_ns = start.elapsed().as_nanos() as u64;
-        self.push(
+        let worker = current_worker_index().unwrap_or(self.buffers.len() - 1);
+        let event = TraceEvent {
+            cat,
+            name,
+            start_ns: start.duration_since(self.epoch).as_nanos() as u64,
+            dur_ns: start.elapsed().as_nanos() as u64,
             worker,
-            TraceEvent {
-                cat,
-                name,
-                phase: TracePhase::Complete,
-                clock: SpanClock::Wall {
-                    start_ns,
-                    dur_ns,
-                    worker,
-                },
-                args,
-            },
-        );
+            args,
+        };
+        self.buffers[worker]
+            .lock()
+            .expect("telemetry buffer poisoned") // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+            .push(event);
     }
 
-    /// Records a completed virtual-clock span on `lane`.
-    pub fn record_virtual_span(
+    /// Takes a finished serving replay's tape: folds its counters into the
+    /// registry (one update per counter name) and keeps the events for the
+    /// trace export. `names[t]`/`ids[t]` are the name and suite id of the
+    /// task the events' task index `t` refers to.
+    pub(crate) fn record_replay(
         &self,
-        cat: &'static str,
-        name: String,
-        lane: u64,
-        start_cycle: u64,
-        dur_cycles: u64,
-        args: Vec<(&'static str, u64)>,
+        tape: ReplayTape,
+        names: Vec<String>,
+        ids: Vec<u64>,
+        shed_lane: u64,
     ) {
-        self.push(
-            self.slot(),
-            TraceEvent {
-                cat,
-                name,
-                phase: TracePhase::Complete,
-                clock: SpanClock::Virtual {
-                    start_cycle,
-                    dur_cycles,
-                    lane,
-                },
-                args,
-            },
-        );
+        let Some(events) = tape.0 else { return };
+        let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for name in events.iter().filter_map(ReplayEvent::metric) {
+            *counts.entry(name).or_default() += 1;
+        }
+        for (name, count) in counts {
+            self.metrics.incr(name, count);
+        }
+        self.lock_replays().push(Replay {
+            events,
+            names,
+            ids,
+            shed_lane,
+        });
     }
 
-    /// Records a zero-duration virtual-clock instant on `lane`.
-    pub fn record_instant(
-        &self,
-        cat: &'static str,
-        name: String,
-        lane: u64,
-        cycle: u64,
-        args: Vec<(&'static str, u64)>,
-    ) {
-        self.push(
-            self.slot(),
-            TraceEvent {
-                cat,
-                name,
-                phase: TracePhase::Instant,
-                clock: SpanClock::Virtual {
-                    start_cycle: cycle,
-                    dur_cycles: 0,
-                    lane,
-                },
-                args,
-            },
-        );
+    fn lock_replays(&self) -> std::sync::MutexGuard<'_, Vec<Replay>> {
+        self.replays.lock().expect("replay tapes poisoned") // lint:allow(panic-in-library, reason = "a poisoned tape list means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
     }
 
-    /// Records a virtual-clock counter sample (rendered as a Chrome
-    /// counter track named `name`).
-    pub fn record_counter(&self, name: &'static str, cycle: u64, value: u64) {
-        self.push(
-            self.slot(),
-            TraceEvent {
-                cat: "serve",
-                name: name.to_string(),
-                phase: TracePhase::Counter,
-                clock: SpanClock::Virtual {
-                    start_cycle: cycle,
-                    dur_cycles: 0,
-                    lane: 0,
-                },
-                args: vec![("value", value)],
-            },
-        );
-    }
-
-    /// Number of events recorded so far, across all buffers.
+    /// Number of trace events recorded so far: wall spans plus the events
+    /// the replay tapes render (a settled instant is two counter samples).
     pub fn event_count(&self) -> usize {
-        self.buffers
+        let wall: usize = self
+            .buffers
             .iter()
             .map(|b| b.lock().expect("telemetry buffer poisoned").len()) // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
-            .sum()
+            .sum();
+        let settles = |e: &&ReplayEvent| matches!(e, ReplayEvent::Settle(..));
+        let replays = self.lock_replays();
+        let tape = replays.iter().flat_map(|r| &r.events);
+        wall + tape.clone().count() + tape.filter(settles).count()
     }
 
     /// Renders every recorded event as Chrome trace-event JSON, one event
     /// per line, loadable in Perfetto or `chrome://tracing`.
     ///
-    /// Events are sorted by a deterministic key — `(pid, phase, category,
-    /// name, virtual timestamp, lane, duration, args)` — that **excludes**
-    /// every wall-clock quantity, so the rendered event order is identical
-    /// across thread counts; only the wall `ts`/`dur`/`tid` values differ
-    /// (and tests mask exactly those). Wall spans render under pid 1 with
-    /// `ts`/`dur` in microseconds; virtual spans render under pid 2 with
-    /// the raw cycle count in the `ts`/`dur` fields.
+    /// The event order is a deterministic key that **excludes** every
+    /// wall-clock quantity, so it is identical across thread counts; only
+    /// the wall `ts`/`dur`/`tid` values differ (and tests mask exactly
+    /// those). Wall spans render first, under pid 1, sorted by `(category,
+    /// name, args)` with `ts`/`dur` in microseconds. The replay tapes
+    /// render under pid 2 with raw cycle counts in `ts`/`dur`: spans, then
+    /// instants, each by `(category, name, ts, lane, dur, args)`, then the
+    /// `in_flight` and `queue_depth` counters by `(ts, value)`.
     pub fn chrome_trace_json(&self) -> String {
         // Hold every buffer for the export and sort references: events are
         // rendered in place, never copied.
@@ -541,10 +571,21 @@ impl Telemetry {
             .iter()
             .map(|b| b.lock().expect("telemetry buffer poisoned")) // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
             .collect();
-        let mut events: Vec<&TraceEvent> = buffers.iter().flat_map(|b| b.iter()).collect();
-        events.sort_by(|a, b| sort_key(a).cmp(&sort_key(b)));
+        let mut wall: Vec<&TraceEvent> = buffers.iter().flat_map(|b| b.iter()).collect();
+        wall.sort_by(|a, b| (a.cat, &a.name, &a.args).cmp(&(b.cat, &b.name, &b.args)));
+        let replays = self.lock_replays();
+        let (lines, names) = virtual_lines(&replays);
+        let mut samples: Vec<[u64; 3]> = replays
+            .iter()
+            .flat_map(|r| &r.events)
+            .filter_map(|e| match *e {
+                ReplayEvent::Settle(cycle, depth, busy) => Some([cycle, busy as u64, depth as u64]),
+                _ => None,
+            })
+            .collect();
 
-        let mut out = String::with_capacity(256 + events.len() * TRACE_EVENT_BYTES);
+        let events = wall.len() + lines.len() + 2 * samples.len();
+        let mut out = String::with_capacity(256 + events * TRACE_EVENT_BYTES);
         out.push_str("{\n\"traceEvents\": [\n");
         out.push_str(
             "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"args\": {\"name\": \
@@ -554,94 +595,165 @@ impl Telemetry {
             "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, \"args\": {\"name\": \
              \"virtual tiles (cycle clock)\"}}",
         );
-        for event in events {
-            out.push_str(",\n  ");
-            render_event(&mut out, event);
+        for event in wall {
+            render_wall(&mut out, event);
+        }
+        for line in &lines {
+            render_virtual(&mut out, line, &names);
+        }
+        for (name, value) in [("in_flight", 1), ("queue_depth", 2)] {
+            // Settle cycles strictly increase within a tape, so one tape's
+            // samples are already in order and this sort is a linear scan.
+            samples.sort_unstable_by_key(|sample| (sample[0], sample[value]));
+            for sample in &samples {
+                out.push_str(",\n  {\"name\": \"");
+                out.push_str(name);
+                out.push_str(
+                    "\", \"cat\": \"serve\", \"ph\": \"C\", \"pid\": 2, \"tid\": 0, \"ts\": ",
+                );
+                push_u64(&mut out, sample[0]);
+                out.push_str(", \"args\": {\"value\": ");
+                push_u64(&mut out, sample[value]);
+                out.push_str("}}");
+            }
         }
         out.push_str("\n]\n}\n");
         out
     }
 }
 
-/// Deterministic sort key: everything except wall-clock quantities.
-#[allow(clippy::type_complexity)]
-fn sort_key(
-    e: &TraceEvent,
-) -> (
-    u8,
-    u8,
-    &'static str,
-    &str,
-    u64,
-    u64,
-    u64,
-    &[(&'static str, u64)],
-) {
-    match &e.clock {
-        SpanClock::Wall { .. } => (1, e.phase.rank(), e.cat, &e.name, 0, 0, 0, &e.args),
-        SpanClock::Virtual {
-            start_cycle,
-            dur_cycles,
-            lane,
-        } => (
-            2,
-            e.phase.rank(),
-            e.cat,
-            &e.name,
-            *start_cycle,
-            *lane,
-            *dur_cycles,
-            &e.args,
-        ),
+/// The pid-2 spans and instants of every tape, sorted, with the escaped
+/// name table their name ranks index.
+fn virtual_lines(replays: &[Replay]) -> (Vec<VirtualLine>, Vec<String>) {
+    let mut names: Vec<&str> = replays
+        .iter()
+        .flat_map(|r| r.names.iter().map(String::as_str))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    let mut lines = Vec::new();
+    for replay in replays {
+        let (ids, lane) = (&replay.ids, replay.shed_lane);
+        let rank = |task: usize| names.partition_point(|&n| n < replay.names[task].as_str()) as u32;
+        lines.extend(replay.events.iter().filter_map(|event| {
+            Some(match *event {
+                ReplayEvent::Dispatch(id, task, lead, start, service, wait, predicted) => {
+                    let args = [id as u64, ids[task], wait, predicted];
+                    VirtualLine(
+                        Track::Dispatch,
+                        rank(task),
+                        start,
+                        lead as u64,
+                        service,
+                        args,
+                    )
+                }
+                ReplayEvent::Settle(..) => return None,
+                ReplayEvent::Shed(_, id, task, cycle, predicted) => {
+                    let args = [id as u64, predicted, 0, 0];
+                    VirtualLine(Track::Shed, rank(task), cycle, lane, 0, args)
+                }
+                ReplayEvent::Retry(id, task, cycle, delay, attempt) => {
+                    let args = [id as u64, attempt.into(), 0, 0];
+                    VirtualLine(Track::Retry, rank(task), cycle, lane, delay, args)
+                }
+                ReplayEvent::Transient(id, cycle, attempt) => {
+                    let args = [id as u64, attempt.into(), 0, 0];
+                    VirtualLine(Track::Transient, 0, cycle, lane, 0, args)
+                }
+                ReplayEvent::Degrade(id, task, lead, cycle, level) => {
+                    let args = [id as u64, level.into(), 0, 0];
+                    VirtualLine(Track::Degrade, rank(task), cycle, lead as u64, 0, args)
+                }
+                ReplayEvent::Tile(recovered, tile, cycle, live) => {
+                    let (tile, args) = (tile as u64, [tile as u64, live as u64, 0, 0]);
+                    VirtualLine(Track::TileFault, recovered.into(), cycle, tile, 0, args)
+                }
+            })
+        }));
     }
+    lines.sort_unstable();
+    let escaped = names
+        .iter()
+        .map(|name| {
+            let mut out = String::new();
+            push_escaped(&mut out, name);
+            out
+        })
+        .collect();
+    (lines, escaped)
 }
 
 /// Bytes reserved per rendered trace event: a little above the ~125-byte
 /// mean of a serving trace, so the export usually fits one reservation.
 const TRACE_EVENT_BYTES: usize = 144;
 
-fn render_event(out: &mut String, event: &TraceEvent) {
-    out.push_str("{\"name\": \"");
+fn render_wall(out: &mut String, event: &TraceEvent) {
+    out.push_str(",\n  {\"name\": \"");
     push_escaped(out, &event.name);
     let _ = write!(
         out,
-        "\", \"cat\": \"{}\", \"ph\": \"{}\", ",
+        "\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \
+         \"args\": {{",
         event.cat,
-        event.phase.label()
+        event.worker,
+        event.start_ns as f64 / 1e3,
+        event.dur_ns as f64 / 1e3,
     );
-    if event.phase == TracePhase::Instant {
-        out.push_str("\"s\": \"t\", ");
-    }
-    match &event.clock {
-        SpanClock::Wall {
-            start_ns,
-            dur_ns,
-            worker,
-        } => {
-            let _ = write!(
-                out,
-                "\"pid\": 1, \"tid\": {worker}, \"ts\": {:.3}, \"dur\": {:.3}, ",
-                *start_ns as f64 / 1e3,
-                *dur_ns as f64 / 1e3,
-            );
-        }
-        SpanClock::Virtual {
-            start_cycle,
-            dur_cycles,
-            lane,
-        } => {
-            let _ = write!(out, "\"pid\": 2, \"tid\": {lane}, \"ts\": {start_cycle}, ");
-            if event.phase == TracePhase::Complete {
-                let _ = write!(out, "\"dur\": {dur_cycles}, ");
-            }
-        }
-    }
-    out.push_str("\"args\": {");
     for (i, (k, v)) in event.args.iter().enumerate() {
         let sep = if i == 0 { "" } else { ", " };
         let _ = write!(out, "{sep}\"{k}\": {v}");
     }
     out.push_str("}}");
+}
+
+fn render_virtual(out: &mut String, line: &VirtualLine, names: &[String]) {
+    let VirtualLine(track, name, ts, lane, dur, args) = *line;
+    out.push_str(",\n  {\"name\": \"");
+    out.push_str(match track {
+        Track::TileFault => ["inject", "recover"][name as usize],
+        Track::Transient => "transient",
+        _ => &names[name as usize],
+    });
+    let (cat, keys) = track.labels();
+    out.push_str("\", \"cat\": \"");
+    out.push_str(cat);
+    let span = matches!(track, Track::Dispatch | Track::Retry);
+    out.push_str(if span {
+        "\", \"ph\": \"X\", \"pid\": 2, \"tid\": "
+    } else {
+        "\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 2, \"tid\": "
+    });
+    push_u64(out, lane);
+    out.push_str(", \"ts\": ");
+    push_u64(out, ts);
+    if span {
+        out.push_str(", \"dur\": ");
+        push_u64(out, dur);
+    }
+    out.push_str(", \"args\": {");
+    for (i, (key, &value)) in keys.iter().zip(&args).enumerate() {
+        out.push_str(if i == 0 { "\"" } else { ", \"" });
+        out.push_str(key);
+        out.push_str("\": ");
+        push_u64(out, value);
+    }
+    out.push_str("}}");
+}
+
+/// Appends `value` in decimal.
+fn push_u64(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
 }
 
 #[cfg(test)]
@@ -655,9 +767,8 @@ mod tests {
         registry.incr("jobs", 3);
         registry.set_gauge("steals", 7.0);
         registry.set_gauge("steals", 9.0);
-        registry.observe("latency", &[10, 100], 5);
-        registry.observe("latency", &[10, 100], 50);
-        registry.observe("latency", &[10, 100], 5000);
+        registry.observe_all("latency", &[10, 100], [5, 50]);
+        registry.observe_all("latency", &[10, 100], [5000]);
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("jobs"), Some(5));
         assert_eq!(snapshot.gauge("steals"), Some(9.0));
@@ -702,26 +813,163 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
+    /// A telemetry layer holding one tape per `(events, shed lane)`, each
+    /// with its name table and the task ids 7, 3, 9, 1.
+    fn with_tapes(tapes: &[(Vec<ReplayEvent>, u64)], names: &[Vec<&str>]) -> Telemetry {
+        let telemetry = Telemetry::new(1);
+        for ((events, shed_lane), names) in tapes.iter().zip(names) {
+            let names = names.iter().map(|n| n.to_string()).collect();
+            let tape = ReplayTape(Some(events.clone()));
+            telemetry.record_replay(tape, names, vec![7, 3, 9, 1], *shed_lane);
+        }
+        telemetry
+    }
+
     #[test]
     fn trace_export_sorts_virtual_events_deterministically() {
-        let telemetry = Telemetry::new(2);
         // Recorded out of order on purpose.
-        telemetry.record_virtual_span("dispatch", "b".into(), 1, 200, 10, vec![("id", 1)]);
-        telemetry.record_virtual_span("dispatch", "a".into(), 0, 100, 10, vec![("id", 0)]);
-        telemetry.record_instant("shed", "c".into(), 2, 150, vec![("id", 2)]);
-        telemetry.record_counter("queue_depth", 120, 3);
-        assert_eq!(telemetry.event_count(), 4);
+        let tape = vec![
+            ReplayEvent::Dispatch(1, 1, 1, 200, 10, 0, 9),
+            ReplayEvent::Settle(120, 3, 1),
+            ReplayEvent::Shed(ShedCause::PredictedSloMiss, 2, 2, 150, 9),
+            ReplayEvent::Dispatch(0, 0, 0, 100, 10, 0, 9),
+        ];
+        let telemetry = with_tapes(&[(tape, 4)], &[vec!["a", "b", "c"]]);
         let json = telemetry.chrome_trace_json();
         // Spans sort before instants before counters; within spans, by
         // virtual timestamp.
-        let a = json.find("\"name\": \"a\"").unwrap();
-        let b = json.find("\"name\": \"b\"").unwrap();
-        let c = json.find("\"name\": \"c\"").unwrap();
-        let q = json.find("queue_depth").unwrap();
-        assert!(a < b && b < c && c < q, "order drifted:\n{json}");
-        assert!(json.contains("\"ph\": \"C\""));
-        assert!(json.contains("\"s\": \"t\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let order = ["\"a\"", "\"b\"", "\"c\"", "in_flight", "queue_depth"].map(|n| json.find(n));
+        assert!(
+            order.is_sorted() && order[0].is_some(),
+            "order drifted:\n{json}"
+        );
+        // The shed's cause is folded into its counter at hand-over.
+        let counters = telemetry.metrics().snapshot().counters;
+        assert_eq!(counters, [("serve.shed.predicted_slo_miss".into(), 1)]);
+    }
+
+    /// The oracle for the tape export: every tape entry expanded into the
+    /// per-event form the replay recorded before the tape — `(phase rank,
+    /// category, name, ts, lane, dur, args)`, whose tuple order is the
+    /// string key the export sorted by — sorted stably, and rendered with
+    /// `write!`. Returns the pid-2 lines and their count.
+    fn oracle_pid2(tapes: &[(Vec<ReplayEvent>, u64)], names: &[Vec<&str>]) -> (String, usize) {
+        let mut events = Vec::new();
+        for ((tape, shed), names) in tapes.iter().zip(names) {
+            let (ids, shed, name) = ([7, 3, 9, 1], *shed, |task: usize| names[task].to_string());
+            for event in tape {
+                let (id, attempt) = ("id", "attempt");
+                let expanded = match *event {
+                    ReplayEvent::Dispatch(i, task, lead, start, service, wait, predicted) => {
+                        let args = [(id, i as u64), ("task", ids[task]), ("wait", wait)];
+                        let args = [&args[..], &[("predicted", predicted)]].concat();
+                        (
+                            0u8,
+                            "dispatch",
+                            name(task),
+                            start,
+                            lead as u64,
+                            service,
+                            args,
+                        )
+                    }
+                    ReplayEvent::Settle(cycle, depth, in_flight) => {
+                        let depth = vec![("value", depth as u64)];
+                        events.push((2, "serve", "queue_depth".into(), cycle, 0, 0, depth));
+                        let args = vec![("value", in_flight as u64)];
+                        (2, "serve", "in_flight".into(), cycle, 0, 0, args)
+                    }
+                    ReplayEvent::Shed(_, i, task, cycle, predicted) => {
+                        let args = vec![(id, i as u64), ("predicted", predicted)];
+                        (1, "shed", name(task), cycle, shed, 0, args)
+                    }
+                    ReplayEvent::Retry(i, task, cycle, delay, n) => {
+                        let args = vec![(id, i as u64), (attempt, u64::from(n))];
+                        (0, "retry", name(task), cycle, shed, delay, args)
+                    }
+                    ReplayEvent::Transient(i, cycle, n) => {
+                        let args = vec![(id, i as u64), (attempt, u64::from(n))];
+                        (1, "fault", "transient".into(), cycle, shed, 0, args)
+                    }
+                    ReplayEvent::Degrade(i, task, lead, cycle, level) => {
+                        let args = vec![(id, i as u64), ("level", u64::from(level))];
+                        (1, "degrade", name(task), cycle, lead as u64, 0, args)
+                    }
+                    ReplayEvent::Tile(recovered, tile, cycle, live) => {
+                        let name = if recovered { "recover" } else { "inject" };
+                        let args = vec![("tile", tile as u64), ("live", live as u64)];
+                        (1, "fault", name.into(), cycle, tile as u64, 0, args)
+                    }
+                };
+                events.push(expanded);
+            }
+        }
+        events.sort();
+        let mut out = String::new();
+        for (phase, cat, name, ts, lane, dur, args) in &events {
+            out.push_str(",\n  {\"name\": \"");
+            push_escaped(&mut out, name);
+            let label = ["X", "i", "C"][usize::from(*phase)];
+            let _ = write!(out, "\", \"cat\": \"{cat}\", \"ph\": \"{label}\", ");
+            if *phase == 1 {
+                out.push_str("\"s\": \"t\", ");
+            }
+            let _ = write!(out, "\"pid\": 2, \"tid\": {lane}, \"ts\": {ts}, ");
+            if *phase == 0 {
+                let _ = write!(out, "\"dur\": {dur}, ");
+            }
+            out.push_str("\"args\": {");
+            for (i, (k, v)) in args.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                let _ = write!(out, "{sep}\"{k}\": {v}");
+            }
+            out.push_str("}}");
+        }
+        (out, events.len())
+    }
+
+    /// A tape entry of kind `kind % 7` whose fields are 2-bit slices of
+    /// `bits` (so names, cycles, lanes and args tie often), with `big`
+    /// standing in for one field when `bits` says so.
+    fn entry(kind: u32, bits: u64, big: u64) -> ReplayEvent {
+        let f = |i: u32| (bits >> (2 * i)) & 3;
+        let wide = if f(9) == 0 { big } else { f(8) };
+        let (id, task, lane, cycle) = (f(0) as usize, f(1) as usize, f(2) as usize, f(3));
+        let small = f(4) as u32;
+        match kind % 7 {
+            0 => ReplayEvent::Dispatch(id, task, lane, cycle, f(4), f(5), wide),
+            1 => ReplayEvent::Settle(wide, small as usize, lane),
+            2 => ReplayEvent::Shed(ShedCause::NoLiveTiles, id, task, cycle, wide),
+            3 => ReplayEvent::Retry(id, task, cycle, wide, small),
+            4 => ReplayEvent::Transient(id, cycle, small),
+            5 => ReplayEvent::Degrade(id, task, lane, cycle, small),
+            _ => ReplayEvent::Tile(small & 1 == 1, lane, cycle, f(5) as usize),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Over random tapes of every event kind, split across two replays
+        /// with their own name tables and shed lanes, the tape export
+        /// renders exactly the oracle's pid-2 lines, and `event_count`
+        /// counts them.
+        #[test]
+        fn prop_tape_export_matches_the_string_key_oracle(
+            entries in proptest::collection::vec((0u32..7, 0u64..1 << 20, 0u64..u64::MAX), 0..96),
+            split in 0usize..96,
+        ) {
+            let events: Vec<ReplayEvent> = entries.iter().map(|&(k, b, w)| entry(k, b, w)).collect();
+            let (first, second) = events.split_at(split.min(events.len()));
+            let tapes = [(first.to_vec(), 4), (second.to_vec(), 2)];
+            let names = [vec!["b", "a\"q", "b", "c\n"], vec!["c\n", "b", "zz", "a\"q"]];
+            let telemetry = with_tapes(&tapes, &names);
+            let (oracle, count) = oracle_pid2(&tapes, &names);
+            let json = telemetry.chrome_trace_json();
+            let pid2 = json.split_once("(cycle clock)\"}}").expect("pid-2 metadata line").1;
+            proptest::prop_assert_eq!(pid2, oracle + "\n]\n}\n");
+            proptest::prop_assert_eq!(telemetry.event_count(), count);
+        }
     }
 
     #[test]

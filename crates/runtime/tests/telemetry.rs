@@ -28,111 +28,10 @@ use leopard_runtime::report::{
     serving_report_json, serving_requests_csv, suite_report_json, task_results_csv,
 };
 use leopard_runtime::serving::{run_serving, ServingOptions, ServingReport};
-use leopard_workloads::pipeline::PipelineOptions;
 use leopard_workloads::suite::{full_suite, TaskDescriptor};
-use std::path::PathBuf;
 
-fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
-
-/// Compares `actual` against the committed fixture, or rewrites the
-/// fixture when `LEOPARD_BLESS` is set (same protocol as `tests/golden.rs`).
-fn assert_golden(name: &str, actual: &str) {
-    let path = fixture_path(name);
-    if std::env::var_os("LEOPARD_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir fixtures");
-        std::fs::write(&path, actual).expect("write fixture");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); regenerate with LEOPARD_BLESS=1 cargo test -p \
-             leopard-runtime --test telemetry",
-            path.display()
-        )
-    });
-    if expected != actual {
-        for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
-            assert_eq!(
-                want,
-                got,
-                "{name} drifted at line {} (regenerate with LEOPARD_BLESS=1 if intentional)",
-                line + 1
-            );
-        }
-        panic!(
-            "{name} drifted in length: fixture {} lines, actual {} lines",
-            expected.lines().count(),
-            actual.lines().count()
-        );
-    }
-}
-
-/// Masks the wall-clock-dependent JSON report lines (as in
-/// `tests/golden.rs`), keeping everything else.
-fn mask_timing(json: &str) -> String {
-    json.lines()
-        .map(|line| {
-            if line.trim_start().starts_with("\"wall_seconds\"")
-                || line.trim_start().starts_with("\"stage_seconds\"")
-            {
-                let key_end = line.find(':').expect("masked line has a key");
-                format!("{}: \"<timing>\",", &line[..key_end])
-            } else {
-                line.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n"
-}
-
-/// Replaces the value following `"key": ` in `line` with `<key>`.
-fn mask_key(line: &str, key: &str) -> String {
-    let needle = format!("\"{key}\": ");
-    match line.find(&needle) {
-        None => line.to_string(),
-        Some(start) => {
-            let value_start = start + needle.len();
-            let rest = &line[value_start..];
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            format!("{}<{key}>{}", &line[..value_start], &rest[end..])
-        }
-    }
-}
-
-/// Masks the wall-clock quantities of a Chrome trace: on every pid-1 span
-/// line (the pool workers' wall-clock process) the worker id, timestamp,
-/// and duration are replaced with placeholders. Virtual-clock (pid-2)
-/// lines and the process-name metadata pass through untouched.
-fn mask_wall_clock(trace: &str) -> String {
-    trace
-        .lines()
-        .map(|line| {
-            if line.contains("\"pid\": 1") && !line.contains("\"ph\": \"M\"") {
-                let mut masked = line.to_string();
-                for key in ["tid", "ts", "dur"] {
-                    masked = mask_key(&masked, key);
-                }
-                masked
-            } else {
-                line.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n"
-}
-
-fn pinned_pipeline() -> PipelineOptions {
-    PipelineOptions {
-        max_sim_seq_len: 24,
-        ..PipelineOptions::default()
-    }
-}
+mod common;
+use common::{assert_golden, mask_timing, pinned_pipeline, traced_serve};
 
 fn pinned_serve_options() -> ServingOptions {
     ServingOptions {
@@ -143,16 +42,11 @@ fn pinned_serve_options() -> ServingOptions {
     }
 }
 
-/// Runs the pinned serve scenario with telemetry on and returns the report
-/// plus the rendered Chrome trace.
-fn traced_serve(threads: usize) -> (ServingReport, String) {
+/// Runs the pinned serve scenario at `threads` threads with telemetry on
+/// and returns the report plus the wall-masked Chrome trace.
+fn traced_pinned_serve(threads: usize) -> (ServingReport, String) {
     let suite: Vec<TaskDescriptor> = full_suite().into_iter().take(8).collect();
-    let runner = SuiteRunner::new(threads).with_telemetry();
-    let report = run_serving(&runner, &suite, &pinned_serve_options());
-    let trace = runner
-        .telemetry()
-        .expect("telemetry enabled")
-        .chrome_trace_json();
+    let (report, trace, _) = traced_serve(threads, &suite, &pinned_serve_options());
     (report, trace)
 }
 
@@ -180,7 +74,7 @@ fn serve_reports_are_byte_identical_with_telemetry_enabled() {
     let suite: Vec<TaskDescriptor> = full_suite().into_iter().take(8).collect();
     let plain_runner = SuiteRunner::new(2);
     let plain = run_serving(&plain_runner, &suite, &pinned_serve_options());
-    let (traced, _) = traced_serve(2);
+    let (traced, _) = traced_pinned_serve(2);
     assert_eq!(
         serving_requests_csv(&plain),
         serving_requests_csv(&traced),
@@ -195,7 +89,7 @@ fn serve_reports_are_byte_identical_with_telemetry_enabled() {
 
 #[test]
 fn serve_trace_matches_golden_fixture_with_wall_clock_masked() {
-    let (report, trace) = traced_serve(1);
+    let (report, trace) = traced_pinned_serve(1);
     assert!(
         !report.records.is_empty(),
         "pinned scenario admits requests"
@@ -205,16 +99,14 @@ fn serve_trace_matches_golden_fixture_with_wall_clock_masked() {
     assert!(trace.starts_with("{\n\"traceEvents\": [\n"));
     assert_eq!(trace.matches('{').count(), trace.matches('}').count());
     assert_eq!(trace.matches('[').count(), trace.matches(']').count());
-    assert_golden("trace_serve.json", &mask_wall_clock(&trace));
+    assert_golden("trace_serve.json", &trace);
 }
 
 #[test]
 fn masked_trace_is_byte_identical_across_thread_counts() {
-    let (report_1, trace_1) = traced_serve(1);
-    let (report_4, trace_4) = traced_serve(4);
+    let (report_1, masked_1) = traced_pinned_serve(1);
+    let (report_4, masked_4) = traced_pinned_serve(4);
     assert_eq!(report_1.records, report_4.records);
-    let masked_1 = mask_wall_clock(&trace_1);
-    let masked_4 = mask_wall_clock(&trace_4);
     // The set of spans (names, tags, virtual-clock fields) is identical...
     let mut lines_1: Vec<&str> = masked_1.lines().collect();
     let mut lines_4: Vec<&str> = masked_4.lines().collect();
@@ -227,7 +119,7 @@ fn masked_trace_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn serve_metrics_snapshot_is_consistent_with_the_report() {
-    let (report, _) = traced_serve(2);
+    let (report, _) = traced_pinned_serve(2);
     let metrics = report.metrics.as_ref().expect("metrics snapshot");
     assert_eq!(
         metrics.counter("serve.requests.admitted"),

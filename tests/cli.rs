@@ -57,6 +57,21 @@ fn head_count_past_the_cap_exits_2_naming_the_cap() {
 }
 
 #[test]
+fn tile_count_past_the_cap_exits_2_naming_the_cap() {
+    // Both used to hang past a 10 s timeout.
+    let stderr = rejected(&["suite", "--tiles", "100000", "--max-seq-len", "8"]);
+    assert!(
+        stderr.contains("error: --tiles must be at most 64, got 100000"),
+        "stderr: {stderr}"
+    );
+    let stderr = rejected(&["serve", "--tiles", "4294967296", "--requests", "8"]);
+    assert!(
+        stderr.contains("error: --tiles must be at most 64, got 4294967296"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn retry_budget_past_the_cap_exits_2_naming_the_cap() {
     // Used to retry every faulted request up to 2^32 times.
     let stderr = rejected(&[
