@@ -1366,7 +1366,7 @@ pub fn run_serving(
             // retry reordering never perturbs the pattern.
             if fault_plan.transient_fails(job.index, attempt) {
                 transient_faults += 1;
-                tape.push(ReplayEvent::Transient(request.id, clock, attempt));
+                tape.push(ReplayEvent::Transient(id, clock, attempt));
                 if attempt < options.retry_max {
                     attempts[job.index] = attempt + 1;
                     let delay =

@@ -299,9 +299,9 @@ impl MetricsRegistry {
         let histogram = histograms
             .entry(name.to_string())
             .or_insert_with(|| Histogram::with_bounds(bounds));
-        values
-            .into_iter()
-            .for_each(|value| histogram.observe(value));
+        for value in values {
+            histogram.observe(value);
+        }
     }
 
     /// Merges an index-valued count vector (`counts[i]` observations of
