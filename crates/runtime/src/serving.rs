@@ -1232,7 +1232,7 @@ pub fn run_serving(
         .collect();
     let service = measure_layer_makespans(runner, jobs, &options.pipeline, &options.config);
     let telemetry = runner.telemetry().cloned();
-    let mut tape = ReplayTape::new(telemetry.is_some());
+    let mut tape = ReplayTape::new(telemetry.is_some(), suite, options.servers);
     let task_pos = |task_index: usize| -> usize {
         used.binary_search(&task_index).expect("task was executed") // lint:allow(panic-in-library, reason = "`used` is built from exactly the task indices the requests reference, so the binary search cannot miss")
     };
@@ -1625,12 +1625,7 @@ pub fn run_serving(
     live_tiles.charge(observed_cycles);
 
     if let Some(t) = &telemetry {
-        t.record_replay(
-            tape,
-            suite.iter().map(|task| task.name.clone()).collect(),
-            suite.iter().map(|task| task.id as u64).collect(),
-            options.servers as u64,
-        );
+        t.record_replay(tape);
         let metrics = t.metrics();
         metrics.incr(
             "serve.requests.offered",

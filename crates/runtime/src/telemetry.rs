@@ -62,6 +62,7 @@
 //! and metrics snapshots byte-identical to pre-fault runs.
 
 use crate::pool::current_worker_index;
+use leopard_workloads::suite::TaskDescriptor;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -144,23 +145,29 @@ impl ReplayEvent {
 /// and hands it to [`Telemetry::record_replay`]; with telemetry off it
 /// records nothing.
 #[derive(Debug)]
-pub(crate) struct ReplayTape(Option<Vec<ReplayEvent>>);
+pub(crate) struct ReplayTape(Option<Replay>);
 
 impl ReplayTape {
-    /// A tape that records when `on`.
-    pub(crate) fn new(on: bool) -> Self {
-        Self(on.then(Vec::new))
+    /// A tape for a replay of `suite` on `servers` tiles, recording when
+    /// `on`.
+    pub(crate) fn new(on: bool, suite: &[TaskDescriptor], servers: usize) -> Self {
+        Self(on.then(|| Replay {
+            events: Vec::new(),
+            names: suite.iter().map(|task| task.name.clone()).collect(),
+            ids: suite.iter().map(|task| task.id as u64).collect(),
+            shed_lane: servers as u64,
+        }))
     }
 
     /// Appends one decision.
     pub(crate) fn push(&mut self, event: ReplayEvent) {
-        if let Some(events) = &mut self.0 {
-            events.push(event);
+        if let Some(replay) = &mut self.0 {
+            replay.events.push(event);
         }
     }
 }
 
-/// A handed-over tape with the suite's task names and ids its `task`
+/// A tape's events with the suite's task names and ids their `task`
 /// fields index, and the lane past the last tile, where sheds, retries
 /// and transient faults render.
 #[derive(Debug)]
@@ -509,29 +516,17 @@ impl Telemetry {
 
     /// Takes a finished serving replay's tape: folds its counters into the
     /// registry (one update per counter name) and keeps the events for the
-    /// trace export. `names[t]`/`ids[t]` are the name and suite id of the
-    /// task the events' task index `t` refers to.
-    pub(crate) fn record_replay(
-        &self,
-        tape: ReplayTape,
-        names: Vec<String>,
-        ids: Vec<u64>,
-        shed_lane: u64,
-    ) {
-        let Some(events) = tape.0 else { return };
+    /// trace export.
+    pub(crate) fn record_replay(&self, tape: ReplayTape) {
+        let Some(replay) = tape.0 else { return };
         let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for name in events.iter().filter_map(ReplayEvent::metric) {
+        for name in replay.events.iter().filter_map(ReplayEvent::metric) {
             *counts.entry(name).or_default() += 1;
         }
         for (name, count) in counts {
             self.metrics.incr(name, count);
         }
-        self.lock_replays().push(Replay {
-            events,
-            names,
-            ids,
-            shed_lane,
-        });
+        self.lock_replays().push(replay);
     }
 
     fn lock_replays(&self) -> std::sync::MutexGuard<'_, Vec<Replay>> {
@@ -818,9 +813,12 @@ mod tests {
     fn with_tapes(tapes: &[(Vec<ReplayEvent>, u64)], names: &[Vec<&str>]) -> Telemetry {
         let telemetry = Telemetry::new(1);
         for ((events, shed_lane), names) in tapes.iter().zip(names) {
-            let names = names.iter().map(|n| n.to_string()).collect();
-            let tape = ReplayTape(Some(events.clone()));
-            telemetry.record_replay(tape, names, vec![7, 3, 9, 1], *shed_lane);
+            telemetry.record_replay(ReplayTape(Some(Replay {
+                events: events.clone(),
+                names: names.iter().map(|n| n.to_string()).collect(),
+                ids: vec![7, 3, 9, 1],
+                shed_lane: *shed_lane,
+            })));
         }
         telemetry
     }
