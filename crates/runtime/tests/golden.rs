@@ -11,7 +11,10 @@
 //! CSV fixtures are compared byte-for-byte. JSON fixtures are compared
 //! after masking the wall-clock lines (`*_seconds`), which are the only
 //! non-deterministic fields; everything else — cache counters, job counts,
-//! cycle numbers, float formatting — is part of the snapshot.
+//! cycle numbers, float formatting — is part of the snapshot. Outputs too
+//! large to commit (a deep-queue replay, traced runs' Chrome traces with
+//! the pid-1 wall-clock fields masked, their metrics JSON) are pinned by
+//! length and FNV-1a-64 digest constants in this file instead.
 //!
 //! To regenerate after an intentional format change:
 //!
