@@ -94,6 +94,82 @@ fn retry_budget_past_the_cap_exits_2_naming_the_cap() {
     );
 }
 
+/// FNV-1a-64 of `bytes`, the digest the pinned outputs below use.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn help_output_matches_its_pinned_digest() {
+    let out = Command::new(env!("CARGO_BIN_EXE_leopard"))
+        .arg("help")
+        .output()
+        .expect("run the leopard binary");
+    assert!(out.status.success());
+    assert_eq!(
+        (out.stdout.len(), fnv1a64(&out.stdout)),
+        (5963, 0xd0cb_5749_a309_9e6c),
+        "`leopard help` changed:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn out_of_scope_flags_exit_2_naming_where_they_apply() {
+    // One probe per scope rule: serve-only flags, suite/serve-only
+    // --schedule, sweep-only --all-tasks. Each is one `error:` line.
+    for (argv, expected) in [
+        (
+            &["suite", "--requests", "9"][..],
+            "error: --requests only applies to `leopard serve`\n",
+        ),
+        (
+            &["task", "x", "--schedule", "ljf"][..],
+            "error: --schedule only applies to `leopard suite` and `leopard serve`\n",
+        ),
+        (
+            &["suite", "--all-tasks"][..],
+            "error: --all-tasks only applies to `leopard sweep`\n",
+        ),
+    ] {
+        assert_eq!(rejected(argv), expected, "{argv:?}");
+    }
+    // Flags a sweep or a serve run does not take: the message names the
+    // flag and says why.
+    for (argv, needles) in [
+        (
+            &["sweep", "--param", "nqk=2", "--trace", "t"][..],
+            &[
+                "--trace",
+                "does not record telemetry",
+                "`leopard suite`, `leopard serve`, and `leopard task`",
+            ][..],
+        ),
+        (
+            &["sweep", "--param", "nqk=2", "--tiles", "2"][..],
+            &["--tiles", "--param tiles"][..],
+        ),
+        (
+            &["serve", "--quick"][..],
+            &["--quick", "stream draws from the full suite"][..],
+        ),
+    ] {
+        let stderr = rejected(argv);
+        assert!(
+            stderr.starts_with("error: ") && stderr.lines().count() == 1,
+            "{argv:?}: {stderr}"
+        );
+        for needle in needles {
+            assert!(
+                stderr.contains(needle),
+                "{argv:?} lacks {needle:?}: {stderr}"
+            );
+        }
+    }
+}
+
 /// Replaces the wall-seconds figure of the sweep footer
 /// (`swept N design points in 1.234s (...)`) with `<wall>`.
 fn mask_wall_seconds(report: &str) -> String {
