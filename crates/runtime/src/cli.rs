@@ -20,24 +20,15 @@
 //!   cross only with each other.
 //! * `leopard list` — list the suite's tasks.
 //!
-//! Shared flags: `--threads N` (0 = all cores), `--max-seq-len L`,
-//! `--heads H`, `--tiles T` (partition each head across T tiles),
-//! `--placement P` (head→tile placement policy: lpt, rr, or static —
-//! moves only the layer makespan, never merged results),
-//! `--quick` (every 4th task), `--full-scale`,
-//! `--schedule fifo|ljf` (suite and serve), `--json PATH` / `--csv PATH`
-//! for structured reports, and `--trace PATH` / `--metrics PATH` to enable
-//! the observe-only telemetry layer (a Chrome trace-event file for
-//! Perfetto and a metrics-registry snapshot; see [`crate::telemetry`]).
-//! `--full-scale` and `--max-seq-len` are mutually exclusive — the
-//! combination is rejected rather than letting whichever flag comes last
-//! win silently.
-//!
-//! Serve-only fault-tolerance flags (`--faults`, `--fail-rate`,
-//! `--fault-seed`, `--retry-max`, `--backoff-base-cycles`, `--degrade`,
-//! `--slo-headroom`) configure the deterministic fault-injection and
-//! retry/degradation layer — see [`crate::faults`] and the serving
-//! module's fault-tolerance docs.
+//! Every flag is one row of [`FLAGS`]: its value placeholder, the
+//! subcommands that take it, and its `leopard help` text. A flag given
+//! to a subcommand outside its row's scope is an error, never ignored.
+//! The few rules that involve two flags (`--full-scale` with
+//! `--max-seq-len`, the fault-plan sources, mixed sweep axes) are checked
+//! after the whole argument vector is read, so argument order never
+//! matters. `--trace` / `--metrics` enable the observe-only telemetry
+//! layer (see [`crate::telemetry`]); the serve fault-tolerance flags
+//! configure the layer in [`crate::faults`].
 
 use crate::cache::CacheStats;
 use crate::engine::{SuiteReport, SuiteRunner};
@@ -56,6 +47,8 @@ use leopard_accel::schedule::{schedule_layer, simulate_head_tiled, Placement};
 use leopard_accel::sim::simulate_head;
 use leopard_workloads::pipeline::{PipelineOptions, SimUnitKind, MIN_SIM_SEQ_LEN};
 use leopard_workloads::suite::{full_suite, quick_subset, TaskDescriptor};
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Options shared by every subcommand.
@@ -117,69 +110,31 @@ pub const MAX_SUITE_HEADS: usize = 64;
 /// Q rows.
 pub const MAX_TILES: usize = 64;
 
+/// Largest `--threads` a run accepts. The worker pool spawns every thread
+/// up front, so an unbounded count stalls the run before any work starts
+/// (20,000 workers took over 30 s to start a quick suite); 1024 is well
+/// above the core count of current servers.
+pub const MAX_THREADS: usize = 1024;
+
 /// Largest retry budget a serve run accepts (`--retry-max` and
 /// `sweep --param retry-max=`). A request costs at most one dispatch per
 /// attempt, so the cap bounds a fully faulted run at 33 dispatches per
 /// request instead of retrying up to 2³² times.
 pub const MAX_RETRY_BUDGET: u32 = 32;
 
-/// The `leopard serve`-specific knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSpec {
-    /// Number of requests in the stream (`--requests`).
-    pub requests: usize,
-    /// Offered load in requests per virtual second (`--rate`).
-    pub rate_rps: f64,
-    /// Arrival-process seed (`--seed`).
-    pub seed: u64,
-    /// Shape of the arrival process (`--arrivals steady|bursty|diurnal`).
-    pub arrivals: ArrivalProcess,
-    /// Per-family request mix (`--mix family=weight,...`).
-    pub mix: RequestMix,
-    /// SLO deadline in virtual cycles (`--slo-cycles`); `None` admits all.
-    pub slo_cycles: Option<u64>,
-    /// Virtual tiles to dispatch onto (`--servers`).
-    pub servers: usize,
-    /// SLO admission headroom multiplier (`--slo-headroom`).
-    pub slo_headroom: f64,
+/// Where a serve run's fault plan comes from, before [`run`] reads or
+/// generates it: a plan file, or a seeded transient-only stream.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FaultSource {
     /// Fault-plan file to load (`--faults`); conflicts with `--fail-rate`
     /// and `--fault-seed`.
-    pub faults_path: Option<String>,
+    pub path: Option<String>,
     /// Transient dispatch-failure probability as a fraction (`--fail-rate`
     /// takes percent on the command line).
     pub fail_rate: Option<f64>,
     /// Seed of the generated fault stream (`--fault-seed`; requires
     /// `--fail-rate`).
-    pub fault_seed: Option<u64>,
-    /// Retry budget per request (`--retry-max`); 0 sheds on first miss.
-    pub retry_max: u32,
-    /// Exponential-backoff base in cycles (`--backoff-base-cycles`).
-    pub backoff_base_cycles: u64,
-    /// Serve predicted SLO misses degraded instead of shedding
-    /// (`--degrade`).
-    pub degrade: bool,
-}
-
-impl Default for ServeSpec {
-    fn default() -> Self {
-        let defaults = ServingOptions::default();
-        Self {
-            requests: defaults.requests,
-            rate_rps: defaults.rate_rps,
-            seed: defaults.seed,
-            arrivals: defaults.arrivals,
-            mix: defaults.mix,
-            slo_cycles: defaults.slo_cycles,
-            servers: defaults.servers,
-            slo_headroom: defaults.slo_headroom,
-            faults_path: None,
-            fail_rate: None,
-            fault_seed: None,
-            retry_max: defaults.retry_max,
-            backoff_base_cycles: defaults.backoff_base_cycles,
-            degrade: defaults.degrade,
-        }
-    }
+    pub seed: Option<u64>,
 }
 
 /// A parsed invocation.
@@ -187,8 +142,10 @@ impl Default for ServeSpec {
 pub enum Command {
     /// Run the whole suite.
     Suite(CommonOptions),
-    /// Replay a serving-mode request stream.
-    Serve(ServeSpec, CommonOptions),
+    /// Replay a serving-mode request stream. The options carry every serve
+    /// flag plus `--schedule` and the pipeline flags; their `faults` stay
+    /// `None` until the fault source is resolved at run time.
+    Serve(Box<ServingOptions>, FaultSource, CommonOptions),
     /// Run one task by name.
     Task(String, CommonOptions),
     /// Sweep a tile parameter over the representative task set.
@@ -305,7 +262,182 @@ impl SweepSpec {
     }
 }
 
-const USAGE: &str = "\
+/// One row of the flag table: everything `parse`, its scope check and
+/// `leopard help` know about a flag.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    /// The flag as typed, e.g. `--threads`.
+    pub name: &'static str,
+    /// Placeholder of its value in `leopard help`; `None` for switches,
+    /// which take no value.
+    pub metavar: Option<&'static str>,
+    /// The subcommands that accept it. Anywhere else it is an error.
+    pub scope: &'static [&'static str],
+    /// Its `leopard help` text, one line per help line. Empty for
+    /// `--param`, whose value grammar has its own PARAM SPECS section.
+    pub help: &'static str,
+    /// Why a nearby subcommand does not take it, appended to the
+    /// out-of-scope error.
+    pub hint: Option<&'static str>,
+}
+
+impl Flag {
+    /// The error for this flag outside its scope: it names every
+    /// subcommand that does take the flag, then the row's hint.
+    fn out_of_scope(&self) -> String {
+        let subs: Vec<String> = self
+            .scope
+            .iter()
+            .map(|s| format!("`leopard {s}`"))
+            .collect();
+        let list = match subs.split_last() {
+            Some((last, [first])) => format!("{first} and {last}"),
+            Some((last, init)) if !init.is_empty() => format!("{}, and {last}", init.join(", ")),
+            _ => subs.concat(),
+        };
+        let hint = self.hint.map_or(String::new(), |h| format!("; {h}"));
+        format!("{} only applies to {list}{hint}", self.name)
+    }
+
+    /// Parses this flag's integer value `v` in `min..=max`. Every integer
+    /// flag goes through here, so all of them share one set of error
+    /// texts; a floor of 1 can only have rejected 0, so its message does
+    /// not echo the value.
+    fn int<T>(&self, v: &str, noun: &str, min: T, max: T) -> Result<T, String>
+    where
+        T: FromStr + PartialOrd + Display + From<u8>,
+    {
+        let n: T = v.parse().map_err(|_| format!("bad {noun} {v:?}"))?;
+        if n < min {
+            return Err(if min == T::from(1) {
+                format!("{} must be at least 1", self.name)
+            } else {
+                format!("{} must be at least {min}, got {v}", self.name)
+            });
+        }
+        if n > max {
+            return Err(format!("{} must be at most {max}, got {v}", self.name));
+        }
+        Ok(n)
+    }
+}
+
+/// Every subcommand that runs something.
+const EVERY_RUN: &[&str] = &["suite", "serve", "task", "sweep"];
+/// The subcommands that write reports and telemetry.
+const REPORTING: &[&str] = &["suite", "serve", "task"];
+const SERVE: &[&str] = &["serve"];
+const SWEEP: &[&str] = &["sweep"];
+
+/// The flag table, in `leopard help` order. `list` and `help` take no
+/// flags.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    Flag { name: "--threads", metavar: Some("N"), scope: EVERY_RUN, hint: None,
+        help: "worker threads (default 0 = one per core, at most 1024)" },
+    Flag { name: "--max-seq-len", metavar: Some("L"), scope: EVERY_RUN, hint: None,
+        help: "cap the simulated sequence length (default 96, at\n\
+               least 8)" },
+    Flag { name: "--heads", metavar: Some("H"), scope: REPORTING,
+        hint: Some("`leopard sweep` simulates head 0 only"),
+        help: "attention heads simulated per task (default 1, at\n\
+               most 64)" },
+    Flag { name: "--tiles", metavar: Some("T"), scope: REPORTING,
+        hint: Some("`leopard sweep` simulates on a single tile unless `--param tiles=...` sets the \
+                   tile count per design point, which a fixed --tiles conflicts with"),
+        help: "partition each head's Q rows across T tiles (default\n\
+               1, at most 64; suite results are bit-identical for\n\
+               every T — in serve mode, service cycles become the\n\
+               layer makespan)" },
+    Flag { name: "--placement", metavar: Some("P"), scope: REPORTING,
+        hint: Some("`leopard sweep` takes the policy per design point: use \
+                   `--param placement=lpt,rr,static`"),
+        help: "head→tile placement policy: lpt (greedy longest-\n\
+               predicted-first, default), rr (round-robin), or\n\
+               static (head index mod tile count). Moves only the\n\
+               makespan — merged results are bit-identical across\n\
+               policies. Suite, serve, and task; sweeps use\n\
+               --param placement=... instead" },
+    Flag { name: "--quick", metavar: None, scope: &["suite"],
+        hint: Some("a serve stream draws from the full suite, and a sweep widens with --all-tasks \
+                   instead"),
+        help: "keep every 4th task only" },
+    Flag { name: "--full-scale", metavar: None, scope: EVERY_RUN, hint: None,
+        help: "simulate the paper's full sequence lengths (slow;\n\
+               conflicts with --max-seq-len)" },
+    Flag { name: "--schedule", metavar: Some("P"), scope: &["suite", "serve"], hint: None,
+        help: "admission order: fifo (arrival), ljf\n\
+               (longest-predicted-job-first), or sjf\n\
+               (shortest-predicted-job-first); suite and serve only" },
+    Flag { name: "--json", metavar: Some("PATH"), scope: REPORTING,
+        hint: Some("`leopard sweep` has no structured report yet"),
+        help: "write a JSON report" },
+    Flag { name: "--csv", metavar: Some("PATH"), scope: REPORTING,
+        hint: Some("`leopard sweep` has no structured report yet"),
+        help: "write a CSV report" },
+    Flag { name: "--trace", metavar: Some("PATH"), scope: REPORTING,
+        hint: Some("`leopard sweep` does not record telemetry"),
+        help: "record spans and write a Chrome trace-event JSON file\n\
+               (open in Perfetto or chrome://tracing); suite, serve,\n\
+               and task only — reports stay byte-identical" },
+    Flag { name: "--metrics", metavar: Some("PATH"), scope: REPORTING,
+        hint: Some("`leopard sweep` does not record telemetry"),
+        help: "write a counters/gauges/histograms snapshot as JSON;\n\
+               suite, serve, and task only" },
+    Flag { name: "--all-tasks", metavar: None, scope: SWEEP, hint: None,
+        help: "(sweep) use all 43 tasks, not the representative set" },
+    Flag { name: "--param", metavar: Some("P=SPEC"), scope: SWEEP, hint: None, help: "" },
+    Flag { name: "--requests", metavar: Some("N"), scope: SERVE, hint: None,
+        help: "requests in the stream (default 256, at most\n\
+               10000000)" },
+    Flag { name: "--rate", metavar: Some("R"), scope: SERVE, hint: None,
+        help: "offered load in requests per virtual second (default\n\
+               100000000 — deliberately above capacity so a backlog\n\
+               forms and the admission order matters)" },
+    Flag { name: "--seed", metavar: Some("S"), scope: SERVE, hint: None,
+        help: "arrival-process seed (default 0x5EEDCAFE)" },
+    Flag { name: "--arrivals", metavar: Some("A"), scope: SERVE, hint: None,
+        help: "arrival process: steady (Poisson), bursty (on/off),\n\
+               or diurnal (sinusoidal rate); default steady" },
+    Flag { name: "--mix", metavar: Some("M"), scope: SERVE, hint: None,
+        help: "per-family request mix, e.g. memn2n=3,bert-b=1\n\
+               (families: memn2n, bert-b, bert-l, albert-xx-l,\n\
+               gpt-2-l, vit-b); default uniform over all tasks" },
+    Flag { name: "--slo-cycles", metavar: Some("N"), scope: SERVE, hint: None,
+        help: "shed requests whose predicted completion exceeds N\n\
+               virtual cycles after arrival; reports shed rate and\n\
+               goodput (default: admit everything)" },
+    Flag { name: "--servers", metavar: Some("T"), scope: SERVE, hint: None,
+        help: "virtual tiles to dispatch onto (default 32, at most\n\
+               4096)" },
+    Flag { name: "--slo-headroom", metavar: Some("H"), scope: SERVE, hint: None,
+        help: "multiplicative headroom applied to predicted cycles\n\
+               before the SLO comparison (default 1.4; must be a\n\
+               positive finite number)" },
+    Flag { name: "--faults", metavar: Some("PATH"), scope: SERVE, hint: None,
+        help: "load a fault-injection plan (JSON with seed,\n\
+               fail_rate, tile_events, slow_tiles); conflicts with\n\
+               --fail-rate/--fault-seed" },
+    Flag { name: "--fail-rate", metavar: Some("P"), scope: SERVE, hint: None,
+        help: "transient dispatch-failure probability in percent\n\
+               (0..100); generates a seeded transient-only plan" },
+    Flag { name: "--fault-seed", metavar: Some("S"), scope: SERVE, hint: None,
+        help: "seed of the generated fault stream (requires\n\
+               --fail-rate; default 0x5EEDFA17)" },
+    Flag { name: "--retry-max", metavar: Some("N"), scope: SERVE, hint: None,
+        help: "retries a request may consume before it is shed\n\
+               (default 0 = shed on first transient fault or\n\
+               predicted SLO miss; at most 32)" },
+    Flag { name: "--backoff-base-cycles", metavar: Some("B"), scope: SERVE, hint: None,
+        help: "exponential-backoff base of the retry queue, in\n\
+               virtual cycles (default 4096; retry n waits B*2^n\n\
+               plus seeded jitter)" },
+    Flag { name: "--degrade", metavar: None, scope: SERVE, hint: None,
+        help: "serve predicted SLO misses at a degraded (tighter-\n\
+               pruning) service level instead of shedding" },
+];
+
+const SYNOPSIS: &str = "\
 leopard — parallel suite-execution engine for the LeOPArd reproduction
 
 USAGE:
@@ -318,75 +450,9 @@ USAGE:
                                      --param to cross axes into a grid
     leopard list                     list the suite's tasks
     leopard help                     show this message
+";
 
-FLAGS:
-    --threads N       worker threads (default 0 = one per core)
-    --max-seq-len L   cap the simulated sequence length (default 96, at
-                      least 8)
-    --heads H         attention heads simulated per task (default 1, at
-                      most 64)
-    --tiles T         partition each head's Q rows across T tiles (default
-                      1, at most 64; suite results are bit-identical for
-                      every T — in serve mode, service cycles become the
-                      layer makespan)
-    --placement P     head→tile placement policy: lpt (greedy longest-
-                      predicted-first, default), rr (round-robin), or
-                      static (head index mod tile count). Moves only the
-                      makespan — merged results are bit-identical across
-                      policies. Suite, serve, and task; sweeps use
-                      --param placement=... instead
-    --quick           keep every 4th task only
-    --full-scale      simulate the paper's full sequence lengths (slow;
-                      conflicts with --max-seq-len)
-    --schedule P      admission order: fifo (arrival), ljf
-                      (longest-predicted-job-first), or sjf
-                      (shortest-predicted-job-first); suite and serve only
-    --json PATH       write a JSON report
-    --csv PATH        write a CSV report
-    --trace PATH      record spans and write a Chrome trace-event JSON file
-                      (open in Perfetto or chrome://tracing); suite, serve,
-                      and task only — reports stay byte-identical
-    --metrics PATH    write a counters/gauges/histograms snapshot as JSON;
-                      suite, serve, and task only
-    --all-tasks       (sweep) use all 43 tasks, not the representative set
-
-SERVE FLAGS:
-    --requests N      requests in the stream (default 256, at most
-                      10000000)
-    --rate R          offered load in requests per virtual second (default
-                      100000000 — deliberately above capacity so a backlog
-                      forms and the admission order matters)
-    --seed S          arrival-process seed (default 0x5EEDCAFE)
-    --arrivals A      arrival process: steady (Poisson), bursty (on/off),
-                      or diurnal (sinusoidal rate); default steady
-    --mix M           per-family request mix, e.g. memn2n=3,bert-b=1
-                      (families: memn2n, bert-b, bert-l, albert-xx-l,
-                      gpt-2-l, vit-b); default uniform over all tasks
-    --slo-cycles N    shed requests whose predicted completion exceeds N
-                      virtual cycles after arrival; reports shed rate and
-                      goodput (default: admit everything)
-    --servers T       virtual tiles to dispatch onto (default 32, at most
-                      4096)
-    --slo-headroom H  multiplicative headroom applied to predicted cycles
-                      before the SLO comparison (default 1.4; must be a
-                      positive finite number)
-    --faults PATH     load a fault-injection plan (JSON with seed,
-                      fail_rate, tile_events, slow_tiles); conflicts with
-                      --fail-rate/--fault-seed
-    --fail-rate P     transient dispatch-failure probability in percent
-                      (0..100); generates a seeded transient-only plan
-    --fault-seed S    seed of the generated fault stream (requires
-                      --fail-rate; default 0x5EEDFA17)
-    --retry-max N     retries a request may consume before it is shed
-                      (default 0 = shed on first transient fault or
-                      predicted SLO miss; at most 32)
-    --backoff-base-cycles B
-                      exponential-backoff base of the retry queue, in
-                      virtual cycles (default 4096; retry n waits B*2^n
-                      plus seeded jitter)
-    --degrade         serve predicted SLO misses at a degraded (tighter-
-                      pruning) service level instead of shedding
-
+const PARAM_SPECS: &str = "
 PARAM SPECS:
     --param nqk=2..10            inclusive range
     --param serial-bits=1,2,4,12 explicit list
@@ -408,8 +474,38 @@ PARAM SPECS:
                                  fail-rate) cross only with each other
 ";
 
-/// Parses `a..b` (inclusive) or `a,b,c` into a value list.
-fn parse_values(spec: &str) -> Result<Vec<u32>, String> {
+/// Renders `leopard help`: the synopsis, the FLAGS and SERVE FLAGS
+/// sections from the [`FLAGS`] rows, and the `--param` grammar.
+fn usage() -> String {
+    let mut out = String::from(SYNOPSIS);
+    for (title, serve_only) in [("FLAGS", false), ("SERVE FLAGS", true)] {
+        let _ = writeln!(out, "\n{title}:");
+        let rows = FLAGS.iter().filter(|f| (f.scope == SERVE) == serve_only);
+        for flag in rows.filter(|f| !f.help.is_empty()) {
+            let label = match flag.metavar {
+                Some(metavar) => format!("{} {metavar}", flag.name),
+                None => flag.name.to_string(),
+            };
+            // Help starts in column 22; a longer label gets its own line.
+            let mut lines = flag.help.lines();
+            if label.len() <= 16 {
+                let _ = writeln!(out, "    {label:<18}{}", lines.next().unwrap_or_default());
+            } else {
+                let _ = writeln!(out, "    {label}");
+            }
+            for line in lines {
+                let _ = writeln!(out, "{:22}{line}", "");
+            }
+        }
+    }
+    out.push_str(PARAM_SPECS);
+    out
+}
+
+/// Parses `a..b` (inclusive) or `a,b,c` into a value list, passing each
+/// value through `check`. Every axis accepts an interval, so a range is
+/// checked at its two ends before it is materialized.
+fn parse_values(spec: &str, check: impl Fn(u32) -> Result<(), String>) -> Result<Vec<u32>, String> {
     if let Some((lo, hi)) = spec.split_once("..") {
         let lo: u32 = lo
             .trim()
@@ -422,13 +518,17 @@ fn parse_values(spec: &str) -> Result<Vec<u32>, String> {
         if lo > hi {
             return Err(format!("empty range {lo}..{hi}"));
         }
+        check(lo)?;
+        check(hi)?;
         Ok((lo..=hi).collect())
     } else {
         spec.split(',')
             .map(|v| {
-                v.trim()
+                let value = v
+                    .trim()
                     .parse()
-                    .map_err(|_| format!("bad value {:?}", v.trim()))
+                    .map_err(|_| format!("bad value {:?}", v.trim()))?;
+                check(value).map(|()| value)
             })
             .collect()
     }
@@ -468,20 +568,13 @@ fn parse_param(arg: &str) -> Result<(SweepParam, Vec<u32>), String> {
                 "placement takes a comma list of policies (lpt,rr,static), not a range".to_string(),
             );
         }
-        let values: Vec<u32> = spec
+        let values = spec
             .split(',')
             .map(|v| Placement::parse(v.trim()).map(|policy| policy.index() as u32))
             .collect::<Result<_, String>>()?;
-        if values.is_empty() {
-            return Err("sweep needs at least one value".to_string());
-        }
         return Ok((param, values));
     }
-    let values = parse_values(spec)?;
-    if values.is_empty() {
-        return Err("sweep needs at least one value".to_string());
-    }
-    for &v in &values {
+    let values = parse_values(spec, |v| {
         let ok = match param {
             SweepParam::NQk => (1..=64).contains(&v),
             SweepParam::SerialBits => (1..=12).contains(&v),
@@ -491,126 +584,97 @@ fn parse_param(arg: &str) -> Result<(SweepParam, Vec<u32>), String> {
             SweepParam::FailRate => v <= 100,
             SweepParam::Placement => unreachable!("handled above"),
         };
-        if !ok && param == SweepParam::RetryMax {
-            return Err(format!(
+        match param {
+            _ if ok => Ok(()),
+            SweepParam::RetryMax => Err(format!(
                 "retry-max must be at most {MAX_RETRY_BUDGET}, got {v}"
-            ));
+            )),
+            _ => Err(format!("value {v} out of range for {}", param.label())),
         }
-        if !ok {
-            return Err(format!("value {v} out of range for {}", param.label()));
-        }
-    }
+    })?;
     Ok((param, values))
 }
 
 /// Parses a full argument vector (without the program name).
+///
+/// Each `--flag` is looked up in [`FLAGS`]: an unknown one is an
+/// unexpected argument, one outside its row's scope is rejected naming
+/// where it applies, and a value is taken only when the row has a
+/// metavar.
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().peekable();
-    let sub = match it.next() {
-        None => return Ok(Command::Help),
-        Some(s) => s.as_str(),
+    let Some((sub, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    let sub = match sub.as_str() {
+        "--help" | "-h" => "help",
+        sub @ ("suite" | "serve" | "task" | "sweep" | "list" | "help") => sub,
+        other => return Err(format!("unknown subcommand {other:?} (try `leopard help`)")),
     };
     let mut common = CommonOptions::default();
-    let mut serve = ServeSpec::default();
-    let mut task_name: Option<String> = None;
-    let mut sweep_params: Vec<(SweepParam, Vec<u32>)> = Vec::new();
-    let mut all_tasks = false;
-    let mut schedule_set = false;
-    let mut max_seq_len_set = false;
-    let mut tiles_set = false;
-    let mut placement_set = false;
-    let mut full_scale = false;
-    let mut serve_flag_seen: Option<&'static str> = None;
-
-    let take_value = |it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-                      flag: &str|
-     -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} expects a value"))
+    let mut serve = ServingOptions::default();
+    let mut faults = FaultSource::default();
+    let mut sweep = SweepSpec {
+        params: Vec::new(),
+        all_tasks: false,
     };
+    let mut task_name: Option<String> = None;
+    let (mut full_scale, mut max_seq_len_set) = (false, false);
 
+    let mut it = rest.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let v = take_value(&mut it, "--threads")?;
-                common.threads = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
+        let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+            if sub == "task" && task_name.is_none() && !arg.starts_with('-') {
+                task_name = Some(arg.clone());
+                continue;
             }
+            return Err(format!("unexpected argument {arg:?} (try `leopard help`)"));
+        };
+        if !flag.scope.contains(&sub) {
+            return Err(flag.out_of_scope());
+        }
+        let v = match flag.metavar {
+            Some(_) => it
+                .next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{} expects a value", flag.name))?,
+            None => "",
+        };
+        match flag.name {
+            "--threads" => common.threads = flag.int(v, "thread count", 0, MAX_THREADS)?,
             "--max-seq-len" => {
-                let v = take_value(&mut it, "--max-seq-len")?;
                 common.pipeline.max_sim_seq_len =
-                    v.parse().map_err(|_| format!("bad length {v:?}"))?;
-                if common.pipeline.max_sim_seq_len < MIN_SIM_SEQ_LEN {
-                    return Err(format!(
-                        "--max-seq-len must be at least {MIN_SIM_SEQ_LEN}, got {v}"
-                    ));
-                }
+                    flag.int(v, "length", MIN_SIM_SEQ_LEN, usize::MAX)?;
                 max_seq_len_set = true;
             }
-            "--heads" => {
-                let v = take_value(&mut it, "--heads")?;
-                common.pipeline.heads = v.parse().map_err(|_| format!("bad head count {v:?}"))?;
-                if common.pipeline.heads == 0 {
-                    return Err("--heads must be at least 1".to_string());
-                }
-                if common.pipeline.heads > MAX_SUITE_HEADS {
-                    return Err(format!(
-                        "--heads must be at most {MAX_SUITE_HEADS}, got {v}"
-                    ));
-                }
-            }
-            "--tiles" => {
-                let v = take_value(&mut it, "--tiles")?;
-                common.pipeline.tiles = v.parse().map_err(|_| format!("bad tile count {v:?}"))?;
-                if common.pipeline.tiles == 0 {
-                    return Err("--tiles must be at least 1".to_string());
-                }
-                if common.pipeline.tiles > MAX_TILES {
-                    return Err(format!("--tiles must be at most {MAX_TILES}, got {v}"));
-                }
-                tiles_set = true;
-            }
-            "--placement" => {
-                common.pipeline.placement = Placement::parse(&take_value(&mut it, "--placement")?)?;
-                placement_set = true;
-            }
+            "--heads" => common.pipeline.heads = flag.int(v, "head count", 1, MAX_SUITE_HEADS)?,
+            "--tiles" => common.pipeline.tiles = flag.int(v, "tile count", 1, MAX_TILES)?,
+            "--placement" => common.pipeline.placement = Placement::parse(v)?,
             "--quick" => common.quick = true,
             "--full-scale" => {
                 common.pipeline.max_sim_seq_len = usize::MAX;
                 full_scale = true;
             }
-            "--schedule" => {
-                common.schedule = SchedulePolicy::parse(&take_value(&mut it, "--schedule")?)?;
-                schedule_set = true;
-            }
-            "--json" => common.json_path = Some(take_value(&mut it, "--json")?),
-            "--csv" => common.csv_path = Some(take_value(&mut it, "--csv")?),
-            "--trace" => common.trace_path = Some(take_value(&mut it, "--trace")?),
-            "--metrics" => common.metrics_path = Some(take_value(&mut it, "--metrics")?),
+            "--schedule" => common.schedule = SchedulePolicy::parse(v)?,
+            "--json" => common.json_path = Some(v.to_string()),
+            "--csv" => common.csv_path = Some(v.to_string()),
+            "--trace" => common.trace_path = Some(v.to_string()),
+            "--metrics" => common.metrics_path = Some(v.to_string()),
+            "--all-tasks" => sweep.all_tasks = true,
             "--param" => {
-                let (param, values) = parse_param(&take_value(&mut it, "--param")?)?;
-                if sweep_params.iter().any(|(p, _)| *p == param) {
+                let (param, values) = parse_param(v)?;
+                if sweep.params.iter().any(|(p, _)| *p == param) {
                     return Err(format!(
                         "duplicate --param {}: each parameter may be swept once (its values \
                          already cross with the other axes)",
                         param.label()
                     ));
                 }
-                sweep_params.push((param, values));
+                sweep.params.push((param, values));
             }
-            "--all-tasks" => all_tasks = true,
             "--requests" => {
-                let v = take_value(&mut it, "--requests")?;
-                serve.requests = v.parse().map_err(|_| format!("bad request count {v:?}"))?;
-                if serve.requests > MAX_SERVE_REQUESTS {
-                    return Err(format!(
-                        "--requests must be at most {MAX_SERVE_REQUESTS}, got {v}"
-                    ));
-                }
-                serve_flag_seen = serve_flag_seen.or(Some("--requests"));
+                serve.requests = flag.int(v, "request count", 0, MAX_SERVE_REQUESTS)?;
             }
             "--rate" => {
-                let v = take_value(&mut it, "--rate")?;
                 serve.rate_rps = v.parse().map_err(|_| format!("bad rate {v:?}"))?;
                 if !(serve.rate_rps.is_finite() && serve.rate_rps > 0.0) {
                     return Err(format!("--rate must be positive, got {v:?}"));
@@ -621,102 +685,37 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 if serve.rate_rps < 1e-3 {
                     return Err(format!("--rate must be at least 0.001 req/s, got {v:?}"));
                 }
-                serve_flag_seen = serve_flag_seen.or(Some("--rate"));
             }
-            "--seed" => {
-                let v = take_value(&mut it, "--seed")?;
-                serve.seed = parse_seed(&v)?;
-                serve_flag_seen = serve_flag_seen.or(Some("--seed"));
-            }
-            "--arrivals" => {
-                serve.arrivals = ArrivalProcess::parse(&take_value(&mut it, "--arrivals")?)?;
-                serve_flag_seen = serve_flag_seen.or(Some("--arrivals"));
-            }
-            "--mix" => {
-                serve.mix = RequestMix::parse(&take_value(&mut it, "--mix")?)?;
-                serve_flag_seen = serve_flag_seen.or(Some("--mix"));
-            }
-            "--slo-cycles" => {
-                let v = take_value(&mut it, "--slo-cycles")?;
-                let slo: u64 = v.parse().map_err(|_| format!("bad SLO {v:?}"))?;
-                if slo == 0 {
-                    return Err("--slo-cycles must be at least 1".to_string());
-                }
-                serve.slo_cycles = Some(slo);
-                serve_flag_seen = serve_flag_seen.or(Some("--slo-cycles"));
-            }
-            "--servers" => {
-                let v = take_value(&mut it, "--servers")?;
-                serve.servers = v.parse().map_err(|_| format!("bad server count {v:?}"))?;
-                if serve.servers == 0 {
-                    return Err("--servers must be at least 1".to_string());
-                }
-                if serve.servers > MAX_SERVE_SERVERS {
-                    return Err(format!(
-                        "--servers must be at most {MAX_SERVE_SERVERS}, got {v}"
-                    ));
-                }
-                serve_flag_seen = serve_flag_seen.or(Some("--servers"));
-            }
+            "--seed" => serve.seed = parse_seed(v)?,
+            "--arrivals" => serve.arrivals = ArrivalProcess::parse(v)?,
+            "--mix" => serve.mix = RequestMix::parse(v)?,
+            "--slo-cycles" => serve.slo_cycles = Some(flag.int(v, "SLO", 1, u64::MAX)?),
+            "--servers" => serve.servers = flag.int(v, "server count", 1, MAX_SERVE_SERVERS)?,
             "--slo-headroom" => {
-                let v = take_value(&mut it, "--slo-headroom")?;
                 serve.slo_headroom = v.parse().map_err(|_| format!("bad headroom {v:?}"))?;
                 if !(serve.slo_headroom.is_finite() && serve.slo_headroom > 0.0) {
                     return Err(format!(
                         "--slo-headroom must be a positive finite number, got {v:?}"
                     ));
                 }
-                serve_flag_seen = serve_flag_seen.or(Some("--slo-headroom"));
             }
-            "--faults" => {
-                serve.faults_path = Some(take_value(&mut it, "--faults")?);
-                serve_flag_seen = serve_flag_seen.or(Some("--faults"));
-            }
+            "--faults" => faults.path = Some(v.to_string()),
             "--fail-rate" => {
-                let v = take_value(&mut it, "--fail-rate")?;
                 let pct: f64 = v.parse().map_err(|_| format!("bad fail rate {v:?}"))?;
                 if !(pct.is_finite() && (0.0..=100.0).contains(&pct)) {
                     return Err(format!("--fail-rate is a percentage in 0..=100, got {v:?}"));
                 }
-                serve.fail_rate = Some(pct / 100.0);
-                serve_flag_seen = serve_flag_seen.or(Some("--fail-rate"));
+                faults.fail_rate = Some(pct / 100.0);
             }
-            "--fault-seed" => {
-                let v = take_value(&mut it, "--fault-seed")?;
-                serve.fault_seed = Some(parse_seed(&v)?);
-                serve_flag_seen = serve_flag_seen.or(Some("--fault-seed"));
-            }
+            "--fault-seed" => faults.seed = Some(parse_seed(v)?),
             "--retry-max" => {
-                let v = take_value(&mut it, "--retry-max")?;
-                serve.retry_max = v.parse().map_err(|_| format!("bad retry budget {v:?}"))?;
-                if serve.retry_max > MAX_RETRY_BUDGET {
-                    return Err(format!(
-                        "--retry-max must be at most {MAX_RETRY_BUDGET}, got {v}"
-                    ));
-                }
-                serve_flag_seen = serve_flag_seen.or(Some("--retry-max"));
+                serve.retry_max = flag.int(v, "retry budget", 0, MAX_RETRY_BUDGET)?;
             }
             "--backoff-base-cycles" => {
-                let v = take_value(&mut it, "--backoff-base-cycles")?;
-                serve.backoff_base_cycles =
-                    v.parse().map_err(|_| format!("bad backoff base {v:?}"))?;
-                if serve.backoff_base_cycles == 0 {
-                    return Err("--backoff-base-cycles must be at least 1".to_string());
-                }
-                serve_flag_seen = serve_flag_seen.or(Some("--backoff-base-cycles"));
+                serve.backoff_base_cycles = flag.int(v, "backoff base", 1, u64::MAX)?;
             }
-            "--degrade" => {
-                serve.degrade = true;
-                serve_flag_seen = serve_flag_seen.or(Some("--degrade"));
-            }
-            other if !other.starts_with('-') && sub == "task" && task_name.is_none() => {
-                task_name = Some(other.to_string());
-            }
-            other => {
-                return Err(format!(
-                    "unexpected argument {other:?} (try `leopard help`)"
-                ))
-            }
+            "--degrade" => serve.degrade = true,
+            other => unreachable!("{other} is a FLAGS row without a parse arm"),
         }
     }
 
@@ -728,25 +727,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .to_string(),
         );
     }
-    if all_tasks && sub != "sweep" {
-        return Err("--all-tasks only applies to `leopard sweep`".to_string());
-    }
-    if schedule_set && !matches!(sub, "suite" | "serve") {
-        return Err("--schedule only applies to `leopard suite` and `leopard serve`".to_string());
-    }
-    if let Some(flag) = serve_flag_seen {
-        if sub != "serve" {
-            return Err(format!("{flag} only applies to `leopard serve`"));
-        }
-    }
-    if serve.faults_path.is_some() && (serve.fail_rate.is_some() || serve.fault_seed.is_some()) {
+    if faults.path.is_some() && (faults.fail_rate.is_some() || faults.seed.is_some()) {
         return Err(
             "--faults conflicts with --fail-rate/--fault-seed: a plan file carries its own \
              seed and rate"
                 .to_string(),
         );
     }
-    if serve.fault_seed.is_some() && serve.fail_rate.is_none() {
+    if faults.seed.is_some() && faults.fail_rate.is_none() {
         return Err(
             "--fault-seed seeds the stream generated by --fail-rate; pass --fail-rate too"
                 .to_string(),
@@ -755,98 +743,39 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     match sub {
         "suite" => Ok(Command::Suite(common)),
         "serve" => {
-            if common.quick {
-                return Err(
-                    "--quick does not apply to `leopard serve` (the stream draws from the \
-                     full suite)"
-                        .to_string(),
-                );
-            }
-            Ok(Command::Serve(serve, common))
+            let options = ServingOptions {
+                policy: common.schedule,
+                pipeline: common.pipeline,
+                ..serve
+            };
+            Ok(Command::Serve(Box::new(options), faults, common))
         }
         "task" => {
             let name = task_name.ok_or("`leopard task` expects a task name")?;
-            if common.quick {
-                return Err("--quick does not apply to `leopard task`".to_string());
-            }
             Ok(Command::Task(name, common))
         }
         "sweep" => {
-            if sweep_params.is_empty() {
+            if sweep.params.is_empty() {
                 return Err("`leopard sweep` expects --param name=values".to_string());
             }
-            let serving_axes = sweep_params.iter().filter(|(p, _)| p.is_serving()).count();
-            if serving_axes > 0 && serving_axes < sweep_params.len() {
+            if sweep.is_serving() && sweep.params.iter().any(|(p, _)| !p.is_serving()) {
                 return Err(
                     "serving axes (retry-max, fail-rate) cross only with each other: tile \
                      axes simulate no request stream"
                         .to_string(),
                 );
             }
-            if serving_axes > 0 && all_tasks {
+            if sweep.is_serving() && sweep.all_tasks {
                 return Err(
                     "the serving sweep draws its stream from the full suite already; \
                      --all-tasks does not apply"
                         .to_string(),
                 );
             }
-            let sweeps_tiles = sweep_params.iter().any(|(p, _)| *p == SweepParam::Tiles);
-            if tiles_set {
-                // Reject rather than silently ignore (same convention as
-                // --heads/--quick below): a nqk/serial-bits/qk-bits sweep
-                // simulates single-tile, and a tiles sweep sets the tile
-                // count per design point itself.
-                return Err(if sweeps_tiles {
-                    "--tiles conflicts with `--param tiles=...`: the sweep sets the tile \
-                     count per design point"
-                        .to_string()
-                } else {
-                    "`leopard sweep` simulates on a single tile; --tiles is not supported \
-                     (use `--param tiles=...` to ablate the tile count)"
-                        .to_string()
-                });
-            }
-            if placement_set {
-                return Err(
-                    "`leopard sweep` takes the placement policy per design point; use \
-                     `--param placement=lpt,rr,static` instead of --placement"
-                        .to_string(),
-                );
-            }
-            // Reject flags the sweep would silently ignore: it simulates
-            // head 0 of each task and prints its own table.
-            if common.quick {
-                return Err("--quick does not apply to `leopard sweep` (use --all-tasks to widen it instead)".to_string());
-            }
-            if common.pipeline.heads != PipelineOptions::default().heads {
-                return Err(
-                    "`leopard sweep` simulates head 0 only; --heads is not supported".to_string(),
-                );
-            }
-            if common.json_path.is_some() || common.csv_path.is_some() {
-                return Err(
-                    "`leopard sweep` has no structured report yet; --json/--csv are not supported"
-                        .to_string(),
-                );
-            }
-            if common.wants_telemetry() {
-                return Err(
-                    "`leopard sweep` does not record telemetry; --trace/--metrics apply to \
-                     `leopard suite`, `leopard serve`, and `leopard task`"
-                        .to_string(),
-                );
-            }
-            Ok(Command::Sweep(
-                SweepSpec {
-                    params: sweep_params,
-                    all_tasks,
-                },
-                common,
-            ))
+            Ok(Command::Sweep(sweep, common))
         }
         "list" => Ok(Command::List),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown subcommand {other:?} (try `leopard help`)")),
+        _ => Ok(Command::Help),
     }
 }
 
@@ -966,44 +895,31 @@ fn run_suite_command(common: &CommonOptions) -> Result<(), String> {
 /// validated fault plan (or `None` with the fault layer off). Plan files
 /// are read and validated here so a bad plan is a clean CLI error, not a
 /// panic inside the serving loop.
-fn load_fault_plan(spec: &ServeSpec) -> Result<Option<FaultPlan>, String> {
-    if let Some(path) = &spec.faults_path {
+fn load_fault_plan(source: &FaultSource, servers: usize) -> Result<Option<FaultPlan>, String> {
+    if let Some(path) = &source.path {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let plan = FaultPlan::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
         return plan
-            .validated(spec.servers)
+            .validated(servers)
             .map(Some)
             .map_err(|e| format!("{path}: {e}"));
     }
-    match spec.fail_rate {
+    match source.fail_rate {
         Some(rate) => {
-            let seed = spec.fault_seed.unwrap_or(DEFAULT_FAULT_SEED);
+            let seed = source.seed.unwrap_or(DEFAULT_FAULT_SEED);
             FaultPlan::transient(seed, rate).map(Some)
         }
         None => Ok(None),
     }
 }
 
-fn run_serve_command(spec: &ServeSpec, common: &CommonOptions) -> Result<(), String> {
+fn run_serve_command(
+    mut options: ServingOptions,
+    faults: &FaultSource,
+    common: &CommonOptions,
+) -> Result<(), String> {
     let suite = full_suite();
-    let faults = load_fault_plan(spec)?;
-    let options = ServingOptions {
-        requests: spec.requests,
-        rate_rps: spec.rate_rps,
-        seed: spec.seed,
-        arrivals: spec.arrivals,
-        mix: spec.mix.clone(),
-        policy: common.schedule,
-        slo_cycles: spec.slo_cycles,
-        servers: spec.servers,
-        pipeline: common.pipeline,
-        slo_headroom: spec.slo_headroom,
-        retry_max: spec.retry_max,
-        backoff_base_cycles: spec.backoff_base_cycles,
-        degrade: spec.degrade,
-        faults,
-        ..ServingOptions::default()
-    };
+    options.faults = load_fault_plan(faults, options.servers)?;
     let runner = build_runner(common);
     let slo = options
         .slo_cycles
@@ -1213,15 +1129,17 @@ pub fn representative_tasks() -> Vec<TaskDescriptor> {
 /// interactive.
 const SWEEP_SERVE_REQUESTS: usize = 96;
 
-/// Runs a sweep over the serving fault-tolerance axes (retry-max,
-/// fail-rate): each design point replays the default request stream with
-/// the axis values overlaid and reports served/shed/retry counts and
-/// goodput. Transient faults come from a plan seeded with
-/// [`DEFAULT_FAULT_SEED`], so rows are reproducible and differ only in
-/// the swept values.
-fn run_serving_sweep(spec: &SweepSpec, common: &CommonOptions) -> Result<(), String> {
-    let suite = full_suite();
-    let runner = SuiteRunner::new(common.threads);
+/// Prints a sweep table: the banner naming the axes and `target`, one
+/// leading column per axis followed by the `columns` header, one row per
+/// grid point with the metric cells `row` renders for it, and the run
+/// footer. Both sweep kinds print through here.
+fn print_sweep_table(
+    spec: &SweepSpec,
+    runner: &SuiteRunner,
+    target: &str,
+    columns: &str,
+    mut row: impl FnMut(&[u32]) -> Result<String, String>,
+) -> Result<(), String> {
     let grid = spec.grid();
     let axes: Vec<String> = spec
         .params
@@ -1232,59 +1150,24 @@ fn run_serving_sweep(spec: &SweepSpec, common: &CommonOptions) -> Result<(), Str
         })
         .collect();
     println!(
-        "sweeping {} ({} design points) over a {} request stream, {} threads",
+        "sweeping {} ({} design points) {target}, {} threads",
         axes.join(" x "),
         grid.len(),
-        SWEEP_SERVE_REQUESTS,
         runner.threads(),
     );
     let mut header = String::new();
     for (param, _) in &spec.params {
-        use std::fmt::Write as _;
         let _ = write!(header, "{:>12} ", param.label());
     }
-    println!(
-        "\n{header}{:>10} {:>10} {:>10} {:>12} {:>14}",
-        "served", "shed", "retries", "faults", "goodput rps"
-    );
+    println!("\n{header}{columns}");
     // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds footer for the sweep table; simulated results never read it")
     let start = std::time::Instant::now();
     for point in &grid {
-        let mut options = ServingOptions {
-            requests: SWEEP_SERVE_REQUESTS,
-            pipeline: common.pipeline,
-            ..ServingOptions::default()
-        };
-        for ((param, _), &value) in spec.params.iter().zip(point.iter()) {
-            match param {
-                SweepParam::RetryMax => options.retry_max = value,
-                SweepParam::FailRate => {
-                    options.faults = Some(FaultPlan::transient(
-                        DEFAULT_FAULT_SEED,
-                        f64::from(value) / 100.0,
-                    )?);
-                }
-                other => unreachable!("{} is not a serving axis", other.label()),
-            }
-        }
         let mut cells = String::new();
         for ((param, _), &value) in spec.params.iter().zip(point.iter()) {
-            use std::fmt::Write as _;
             let _ = write!(cells, "{:>12} ", param.render(value));
         }
-        let report = run_serving(&runner, &suite, &options);
-        let (retries, faults) = report
-            .fault_summary
-            .as_ref()
-            .map_or((0, 0), |f| (f.retries, f.transient_faults));
-        println!(
-            "{cells}{:>10} {:>10} {:>10} {:>12} {:>14.0}",
-            report.records.len(),
-            report.shed.len(),
-            retries,
-            faults,
-            report.goodput_rps(),
-        );
+        println!("{cells}{}", row(point)?);
     }
     print_run_footer(
         &format!(
@@ -1298,6 +1181,54 @@ fn run_serving_sweep(spec: &SweepSpec, common: &CommonOptions) -> Result<(), Str
     Ok(())
 }
 
+/// Runs a sweep over the serving fault-tolerance axes (retry-max,
+/// fail-rate): each design point replays the default request stream with
+/// the axis values overlaid and reports served/shed/retry counts and
+/// goodput. Transient faults come from a plan seeded with
+/// [`DEFAULT_FAULT_SEED`], so rows are reproducible and differ only in
+/// the swept values.
+fn run_serving_sweep(spec: &SweepSpec, common: &CommonOptions) -> Result<(), String> {
+    let suite = full_suite();
+    let runner = SuiteRunner::new(common.threads);
+    let columns = format!(
+        "{:>10} {:>10} {:>10} {:>12} {:>14}",
+        "served", "shed", "retries", "faults", "goodput rps"
+    );
+    let target = format!("over a {SWEEP_SERVE_REQUESTS} request stream");
+    print_sweep_table(spec, &runner, &target, &columns, |point| {
+        let mut options = ServingOptions {
+            requests: SWEEP_SERVE_REQUESTS,
+            pipeline: common.pipeline,
+            ..ServingOptions::default()
+        };
+        for ((param, _), &value) in spec.params.iter().zip(point) {
+            match param {
+                SweepParam::RetryMax => options.retry_max = value,
+                SweepParam::FailRate => {
+                    options.faults = Some(FaultPlan::transient(
+                        DEFAULT_FAULT_SEED,
+                        f64::from(value) / 100.0,
+                    )?);
+                }
+                other => unreachable!("{} is not a serving axis", other.label()),
+            }
+        }
+        let report = run_serving(&runner, &suite, &options);
+        let (retries, faults) = report
+            .fault_summary
+            .as_ref()
+            .map_or((0, 0), |f| (f.retries, f.transient_faults));
+        Ok(format!(
+            "{:>10} {:>10} {:>10} {:>12} {:>14.0}",
+            report.records.len(),
+            report.shed.len(),
+            retries,
+            faults,
+            report.goodput_rps(),
+        ))
+    })
+}
+
 fn run_sweep_command(spec: &SweepSpec, common: &CommonOptions) -> Result<(), String> {
     if spec.is_serving() {
         return run_serving_sweep(spec, common);
@@ -1308,44 +1239,21 @@ fn run_sweep_command(spec: &SweepSpec, common: &CommonOptions) -> Result<(), Str
         representative_tasks()
     };
     let runner = SuiteRunner::new(common.threads);
-    let axes: Vec<String> = spec
-        .params
-        .iter()
-        .map(|(param, values)| {
-            let rendered: Vec<String> = values.iter().map(|&v| param.render(v)).collect();
-            format!("{}={}", param.label(), rendered.join(","))
-        })
-        .collect();
-    let grid = spec.grid();
-    println!(
-        "sweeping {} ({} design points) on {} tasks, {} threads",
-        axes.join(" x "),
-        grid.len(),
-        tasks.len(),
-        runner.threads(),
-    );
-    // One leading column per swept axis; the metric columns depend on
-    // whether any axis schedules tiled execution.
-    let mut header = String::new();
-    for (param, _) in &spec.params {
-        use std::fmt::Write as _;
-        let _ = write!(header, "{:>12} ", param.label());
-    }
-    if spec.is_tiled() {
-        println!(
-            "\n{header}{:>14} {:>12} {:>12} {:>12}",
+    // The metric columns depend on whether any axis schedules tiled
+    // execution.
+    let columns = if spec.is_tiled() {
+        format!(
+            "{:>14} {:>12} {:>12} {:>12}",
             "makespan cyc", "speedup", "balance", "prune rate"
-        );
+        )
     } else {
-        println!(
-            "\n{header}{:>12} {:>12} {:>12} {:>12}",
+        format!(
+            "{:>12} {:>12} {:>12} {:>12}",
             "V-PU demand", "V-PU util", "mean cycles", "prune rate"
-        );
-    }
-
-    // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds footer for the sweep table; simulated results never read it")
-    let start = std::time::Instant::now();
-    for point in &grid {
+        )
+    };
+    let target = format!("on {} tasks", tasks.len());
+    print_sweep_table(spec, &runner, &target, &columns, |point| {
         // Resolve this design point: overlay each axis value on the
         // AE-LeOPArd base configuration. qk-bits re-quantizes the operands
         // (one workload-cache entry per width); every other axis reuses
@@ -1353,7 +1261,7 @@ fn run_sweep_command(spec: &SweepSpec, common: &CommonOptions) -> Result<(), Str
         let mut config = TileConfig::ae_leopard();
         let mut pipeline = common.pipeline;
         let mut placement = pipeline.placement;
-        for ((param, _), &value) in spec.params.iter().zip(point.iter()) {
+        for ((param, _), &value) in spec.params.iter().zip(point) {
             match param {
                 SweepParam::NQk => config = config.with_n_qk(value as usize),
                 SweepParam::SerialBits => config = config.with_serial_bits(value),
@@ -1368,12 +1276,12 @@ fn run_sweep_command(spec: &SweepSpec, common: &CommonOptions) -> Result<(), Str
                 }
             }
         }
-        let mut cells = String::new();
-        for ((param, _), &value) in spec.params.iter().zip(point.iter()) {
-            use std::fmt::Write as _;
-            let _ = write!(cells, "{:>12} ", param.render(value));
-        }
         let cache = Arc::clone(runner.cache());
+        let mean = |rows: Vec<(f64, f64, f64, f64)>| {
+            let n = rows.len() as f64;
+            let sum = |f: fn(&(f64, f64, f64, f64)) -> f64| rows.iter().map(f).sum::<f64>() / n;
+            (sum(|r| r.0), sum(|r| r.1), sum(|r| r.2), sum(|r| r.3))
+        };
         if spec.is_tiled() {
             // Tiled ablation: schedule each task's head-0 layer across
             // `config.tiles` tiles under the point's placement policy and
@@ -1413,16 +1321,12 @@ fn run_sweep_command(spec: &SweepSpec, common: &CommonOptions) -> Result<(), Str
                     )
                 }
             });
-            let n = rows.len() as f64;
-            let mean = |f: fn(&(f64, f64, f64, f64)) -> f64| rows.iter().map(f).sum::<f64>() / n;
-            println!(
-                "{cells}{:>14.0} {:>11.2}x {:>11.1}% {:>11.1}%",
-                mean(|r| r.0),
-                mean(|r| r.1),
-                mean(|r| r.2) * 100.0,
-                mean(|r| r.3) * 100.0,
-            );
-            continue;
+            let (makespan, speedup, balance, prune) = mean(rows);
+            return Ok(format!(
+                "{makespan:>14.0} {speedup:>11.2}x {:>11.1}% {:>11.1}%",
+                balance * 100.0,
+                prune * 100.0,
+            ));
         }
         let rows = parallel_map(runner.pool(), tasks.clone(), move |_, task| {
             let workload = cache.head_workload(task, &pipeline, 0);
@@ -1434,26 +1338,14 @@ fn run_sweep_command(spec: &SweepSpec, common: &CommonOptions) -> Result<(), Str
                 sim.pruning_rate(),
             )
         });
-        let n = rows.len() as f64;
-        let mean = |f: fn(&(f64, f64, f64, f64)) -> f64| rows.iter().map(f).sum::<f64>() / n;
-        println!(
-            "{cells}{:>11.1}% {:>11.1}% {:>12.0} {:>11.1}%",
-            mean(|r| r.0) * 100.0,
-            mean(|r| r.1) * 100.0,
-            mean(|r| r.2),
-            mean(|r| r.3) * 100.0,
-        );
-    }
-    print_run_footer(
-        &format!(
-            "swept {} design points in {:.3}s",
-            grid.len(),
-            start.elapsed().as_secs_f64(),
-        ),
-        runner.cache().stats(),
-        "",
-    );
-    Ok(())
+        let (demand, util, cycles, prune) = mean(rows);
+        Ok(format!(
+            "{:>11.1}% {:>11.1}% {cycles:>12.0} {:>11.1}%",
+            demand * 100.0,
+            util * 100.0,
+            prune * 100.0,
+        ))
+    })
 }
 
 fn run_list_command() {
@@ -1478,7 +1370,7 @@ fn run_list_command() {
 pub fn run(args: &[String]) -> Result<(), String> {
     match parse(args)? {
         Command::Suite(common) => run_suite_command(&common),
-        Command::Serve(spec, common) => run_serve_command(&spec, &common),
+        Command::Serve(options, faults, common) => run_serve_command(*options, &faults, &common),
         Command::Task(name, common) => run_task_command(&name, &common),
         Command::Sweep(spec, common) => run_sweep_command(&spec, &common),
         Command::List => {
@@ -1486,7 +1378,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Command::Help => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
     }
@@ -1598,7 +1490,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse(&args(&["serve", "--tiles", "2"])).unwrap() {
-            Command::Serve(_, common) => assert_eq!(common.pipeline.tiles, 2),
+            Command::Serve(_, _, common) => assert_eq!(common.pipeline.tiles, 2),
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(&args(&["suite", "--tiles", "0"])).is_err());
@@ -1641,7 +1533,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse(&args(&["serve", "--placement", "static"])).unwrap() {
-            Command::Serve(_, common) => {
+            Command::Serve(_, _, common) => {
                 assert_eq!(common.pipeline.placement, Placement::Static)
             }
             other => panic!("unexpected {other:?}"),
@@ -1796,7 +1688,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse(&args(&["serve", "--metrics", "/tmp/m.json"])).unwrap() {
-            Command::Serve(_, common) => {
+            Command::Serve(_, _, common) => {
                 assert_eq!(common.metrics_path.as_deref(), Some("/tmp/m.json"));
                 assert!(common.wants_telemetry());
             }
@@ -1894,11 +1786,11 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Serve(spec, common) => {
-                assert_eq!(spec.requests, 64);
-                assert_eq!(spec.rate_rps, 250_000.0);
-                assert_eq!(spec.seed, 0x5eed);
-                assert_eq!(spec.servers, 4);
+            Command::Serve(options, _, common) => {
+                assert_eq!(options.requests, 64);
+                assert_eq!(options.rate_rps, 250_000.0);
+                assert_eq!(options.seed, 0x5eed);
+                assert_eq!(options.servers, 4);
                 assert_eq!(common.schedule, SchedulePolicy::Ljf);
                 assert_eq!(common.csv_path.as_deref(), Some("/tmp/serve.csv"));
             }
@@ -1906,8 +1798,9 @@ mod tests {
         }
         // Defaults match the library defaults.
         match parse(&args(&["serve"])).unwrap() {
-            Command::Serve(spec, common) => {
-                assert_eq!(spec, ServeSpec::default());
+            Command::Serve(options, faults, common) => {
+                assert_eq!(*options, ServingOptions::default());
+                assert_eq!(faults, FaultSource::default());
                 assert_eq!(common.schedule, SchedulePolicy::Fifo);
             }
             other => panic!("unexpected {other:?}"),
@@ -1924,14 +1817,15 @@ mod tests {
             let over = (cap + 1).to_string();
             let err = parse(&args(&["serve", flag, &over])).unwrap_err();
             assert_eq!(err, format!("{flag} must be at most {cap}, got {over}"));
-            assert!(USAGE.contains(&format!("at most\n                      {cap})")));
+            assert!(usage().contains(&format!("at most\n                      {cap})")));
         }
     }
 
     #[test]
     fn head_tile_and_retry_caps_admit_their_bound_and_reject_past_it() {
-        let usage: String = USAGE.split_whitespace().collect::<Vec<_>>().join(" ");
+        let usage: String = usage().split_whitespace().collect::<Vec<_>>().join(" ");
         for (argv, flag, cap) in [
+            (&["suite", "--threads"][..], "--threads", MAX_THREADS),
             (&["suite", "--heads"][..], "--heads", MAX_SUITE_HEADS),
             (&["serve", "--heads"][..], "--heads", MAX_SUITE_HEADS),
             (&["suite", "--tiles"][..], "--tiles", MAX_TILES),
@@ -2002,10 +1896,10 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Serve(spec, common) => {
-                assert_eq!(spec.arrivals, ArrivalProcess::Bursty);
-                assert_eq!(spec.mix.label(), "memn2n=3,bert-b=1");
-                assert_eq!(spec.slo_cycles, Some(5_000_000));
+            Command::Serve(options, _, common) => {
+                assert_eq!(options.arrivals, ArrivalProcess::Bursty);
+                assert_eq!(options.mix.label(), "memn2n=3,bert-b=1");
+                assert_eq!(options.slo_cycles, Some(5_000_000));
                 assert_eq!(common.schedule, SchedulePolicy::Sjf);
             }
             other => panic!("unexpected {other:?}"),
@@ -2038,29 +1932,32 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Serve(spec, _) => {
-                assert_eq!(spec.fail_rate, Some(0.05), "percent becomes a fraction");
-                assert_eq!(spec.fault_seed, Some(0xfa17));
-                assert_eq!(spec.retry_max, 3);
-                assert_eq!(spec.backoff_base_cycles, 512);
-                assert!(spec.degrade);
-                assert_eq!(spec.slo_headroom, 1.25);
+            Command::Serve(options, faults, _) => {
+                assert_eq!(faults.fail_rate, Some(0.05), "percent becomes a fraction");
+                assert_eq!(faults.seed, Some(0xfa17));
+                assert_eq!(options.retry_max, 3);
+                assert_eq!(options.backoff_base_cycles, 512);
+                assert!(options.degrade);
+                assert_eq!(options.slo_headroom, 1.25);
             }
             other => panic!("unexpected {other:?}"),
         }
         // Defaults: layer off, headroom at the historical constant.
         match parse(&args(&["serve"])).unwrap() {
-            Command::Serve(spec, _) => {
-                assert!(spec.faults_path.is_none() && spec.fail_rate.is_none());
-                assert_eq!(spec.retry_max, 0);
-                assert_eq!(spec.slo_headroom, crate::serving::SLO_PREDICTION_HEADROOM);
+            Command::Serve(options, faults, _) => {
+                assert!(faults.path.is_none() && faults.fail_rate.is_none());
+                assert_eq!(options.retry_max, 0);
+                assert_eq!(
+                    options.slo_headroom,
+                    crate::serving::SLO_PREDICTION_HEADROOM
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
         // A plan file parses, but not alongside the generator flags.
         match parse(&args(&["serve", "--faults", "/tmp/plan.json"])).unwrap() {
-            Command::Serve(spec, _) => {
-                assert_eq!(spec.faults_path.as_deref(), Some("/tmp/plan.json"))
+            Command::Serve(_, faults, _) => {
+                assert_eq!(faults.path.as_deref(), Some("/tmp/plan.json"))
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -351,7 +351,13 @@ fn parse_slow_tile(value: &Json) -> Result<SlowTile, String> {
     for (key, value) in object {
         match key.as_str() {
             "tile" => tile = Some(value.as_u64("tile")? as usize),
-            "multiplier_pct" => multiplier = Some(value.as_u64("multiplier_pct")? as u32),
+            "multiplier_pct" => {
+                let pct = value.as_u64("multiplier_pct")?;
+                multiplier = Some(
+                    u32::try_from(pct)
+                        .map_err(|_| format!("multiplier_pct must fit in 32 bits, got {pct}"))?,
+                );
+            }
             other => return Err(format!("unknown slow-tile key {other:?}")),
         }
     }
@@ -410,15 +416,24 @@ impl Json {
     }
 }
 
+/// Deepest nesting of objects and arrays a fault plan may use. The plan
+/// format itself nests three levels (plan, event list, event); the limit
+/// turns a hostile file of nested brackets into a parse error instead of
+/// a stack overflow in the recursive reader.
+const MAX_JSON_DEPTH: usize = 16;
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around the current position.
+    depth: usize,
 }
 
 fn parse_json(text: &str) -> Result<Json, String> {
     let mut reader = Reader {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = reader.value()?;
     reader.skip_whitespace();
@@ -457,8 +472,22 @@ impl Reader<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             b'"' => Ok(Json::String(self.string()?)),
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(format!(
@@ -652,6 +681,12 @@ mod tests {
             "{\"tile_events\": [{\"cycle\": 1, \"tile\": 0, \"kind\": \"melt\"}]}"
         )
         .is_err());
+        // 2^32 + 100 used to truncate to a 100% multiplier.
+        let err = FaultPlan::from_json(
+            "{\"slow_tiles\": [{\"tile\": 0, \"multiplier_pct\": 4294967396}]}",
+        )
+        .unwrap_err();
+        assert!(err.contains("32 bits"), "{err}");
         // Validation range checks.
         assert!(two_tile_plan().validated(1).is_err(), "tile out of range");
         assert!(FaultPlan::transient(1, 1.5).is_err());

@@ -1,6 +1,7 @@
-//! The `leopard` binary's contracts: bad input exits with code 2 and an
-//! `error: ...` line on stderr, before any work runs; the nqk design-space
-//! sweep prints its pinned golden report.
+//! The `leopard` binary's contracts: bad input, including a flag given to
+//! a subcommand that does not take it, exits with code 2 and an
+//! `error: ...` line on stderr, before any work runs; `leopard help` and
+//! the nqk design-space sweep print their pinned output.
 
 use std::process::Command;
 
@@ -108,11 +109,19 @@ fn help_output_matches_its_pinned_digest() {
         .output()
         .expect("run the leopard binary");
     assert!(out.status.success());
+    // The digest was pinned before `--threads` had a cap; the cap's help
+    // line is the one intended difference, checked exactly here.
+    let help = String::from_utf8_lossy(&out.stdout);
+    let threads = "    --threads N       worker threads (default 0 = one per core, at most 1024)\n";
+    assert_eq!(help.matches(threads).count(), 1, "{help}");
+    let before_cap = help.replace(
+        threads,
+        "    --threads N       worker threads (default 0 = one per core)\n",
+    );
     assert_eq!(
-        (out.stdout.len(), fnv1a64(&out.stdout)),
+        (before_cap.len(), fnv1a64(before_cap.as_bytes())),
         (5963, 0xd0cb_5749_a309_9e6c),
-        "`leopard help` changed:\n{}",
-        String::from_utf8_lossy(&out.stdout)
+        "`leopard help` changed:\n{help}"
     );
 }
 
@@ -168,6 +177,43 @@ fn out_of_scope_flags_exit_2_naming_where_they_apply() {
             );
         }
     }
+}
+
+#[test]
+fn flags_that_used_to_be_ignored_exit_2() {
+    // Each of these used to exit 0 and drop the flag on the floor.
+    for (argv, flag) in [
+        (&["suite", "--param", "nqk=2..4"][..], "--param"),
+        (&["serve", "--param", "nqk=3"][..], "--param"),
+        (&["list", "--json", "x.json"][..], "--json"),
+        (
+            &["sweep", "--param", "nqk=2", "--heads", "1"][..],
+            "--heads",
+        ),
+    ] {
+        let stderr = rejected(argv);
+        assert!(
+            stderr.starts_with(&format!("error: {flag} only applies to ")),
+            "{argv:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn thread_count_past_the_cap_exits_2_naming_the_cap() {
+    // Used to hang past 30 s spawning 20000 workers up front.
+    let stderr = rejected(&[
+        "suite",
+        "--threads",
+        "20000",
+        "--max-seq-len",
+        "8",
+        "--quick",
+    ]);
+    assert!(
+        stderr.contains("error: --threads must be at most 1024, got 20000"),
+        "stderr: {stderr}"
+    );
 }
 
 /// Replaces the wall-seconds figure of the sweep footer
