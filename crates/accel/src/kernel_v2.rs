@@ -3,34 +3,39 @@
 //!
 //! The scalar [`crate::dpu::QkDpu`] walks one (Q row, K column) pair per
 //! step and recomputes the partial sum and margin element by element every
-//! cycle. This module restructures that loop around two ideas:
+//! cycle. This module restructures that loop around three identities:
 //!
-//! 1. **One dense operand per reveal cycle.** The DPU reads K MSB-first,
-//!    `B` bits per cycle, so after cycle `c` it has seen exactly
-//!    `sign · (|k| & !(2^remaining(c) − 1))` of each element. [`PackedKeys`]
-//!    stores that truncated operand `T_c` as one column-major `i16` matrix
-//!    per cycle, masked straight from the quantized codes, so the bit-serial
-//!    partial sum collapses to a plain dense dot product:
-//!    `partial_c(j) = Σ_i q_i · T_c[j, i]`, exact in integers (the identity
-//!    `BitSerialVector::partial_dot` defines).
-//! 2. **Batched reveal sweep.** One call computes all `s` outcomes for a Q
-//!    row: the concordant margin sums for every column come from one dense
-//!    sign-factored dot product (`Σ s_ji·q_i`) plus a sparse correction for
-//!    zero positions read off transposed nonzero masks
-//!    (`Σ nz_ji·|q_i| = Σ|q| − Σ_{zero}|q|`; the mean of the two terms is
-//!    the concordant |Q| sum exactly), and the per-cycle margin test walks a
-//!    tail-masked `u64` alive mask per 64 columns, so pruned columns drop
-//!    out of later cycles at word granularity.
+//! 1. **Truncation in registers.** The DPU reads K MSB-first, `B` bits per
+//!    cycle, so after cycle `c` it has seen `sign k · (|k| & keep_c)` of
+//!    each element, with `keep_c = !(2^remaining(c) − 1)`. The bit-serial
+//!    partial sum is therefore `partial_c = Σ_i (q_i·sign k_i)·(|k_i| &
+//!    keep_c)`, exact in integers (the identity
+//!    `BitSerialVector::partial_dot` defines), and it needs nothing but the
+//!    codes: [`PackedKeys`] is one column-major `i16` code matrix.
+//! 2. **One first pass per column.** The margin after cycle `c` is
+//!    `max_remaining_magnitude(c) · conc` with the concordant sum
+//!    `conc = Σ_i max(q_i·sign k_i, 0)`. One pass over a column yields
+//!    `conc` and the full dot `Σ_i (q_i·sign k_i)·|k_i|` together.
+//! 3. **Unprunable columns settle at once.** `partial_c + mrm_c·conc ≥
+//!    full` on every cycle (the margin invariant), so a column whose full
+//!    dot reaches the threshold is never pruned and settles unpruned at the
+//!    last cycle without any reveal cycle. Every other column is pruned by
+//!    the last cycle at the latest, where the margin is 0.
 //!
-//! The inner dot products run over `i16` operands with chunked `i32`
-//! accumulation (chunk sizes chosen so no intermediate can overflow), which
-//! LLVM lowers to `pmaddwd`-style widening multiply-adds. [`KernelPath`]
-//! picks between two compilations of the same sweep at runtime via
-//! `std::arch` feature detection: an AVX2 wide path on x86-64 machines that
-//! have it, and a portable scalar-word fallback (the same source, baseline
-//! target features) everywhere else. Both are **bit-identical** to each
-//! other and to the scalar [`crate::dpu::QkDpu`] reference — all arithmetic
-//! is exact integer math; the differential tests below and
+//! The sweep takes the columns four at a time: a block's first pass, then
+//! its reveal cycles `1..total` while any of its four columns is still
+//! open, with the four lanes settled without branches. The block's codes
+//! stay in L1 across its cycles. Without early termination one pass of the
+//! last cycle's partials (nothing masked: the full dot) decides every pair.
+//!
+//! The two block primitives (first pass, truncated partials) run over
+//! `i16` operands with `i32` multiply-adds, widened to `i64` before any
+//! accumulator can overflow. [`KernelPath`] picks between two compilations
+//! of the same driver at runtime via `std::arch` feature detection: an
+//! AVX2 wide path on x86-64 machines that have it, and a portable scalar
+//! fallback everywhere else. Both are **bit-identical** to each other and
+//! to the scalar [`crate::dpu::QkDpu`] reference — all arithmetic is exact
+//! integer math; the differential tests below and
 //! `tests/kernel_dispatch.rs` pin the equivalence.
 //!
 //! Q rows whose codes exceed the `i16` operand range (the public API admits
@@ -42,6 +47,10 @@ use crate::config::TileConfig;
 use crate::dpu::{DotProductOutcome, QkDpu};
 use leopard_quant::bitserial::{BitSerialPlan, BitSerialVector};
 use std::sync::OnceLock;
+
+/// `i16` elements per 256-bit register: every packed column (and the Q row
+/// the sweep reads) is zero-padded to a multiple of this.
+const LANES: usize = 16;
 
 /// Which compilation of the batched sweep a [`QkKernelV2`] runs. The two
 /// paths are bit-identical by construction; the only difference is the
@@ -81,10 +90,9 @@ impl KernelPath {
     }
 }
 
-/// A head's K columns packed for the batched kernel, in exactly the layout
-/// the sweep reads: one truncated `i16` operand matrix per reveal cycle, the
-/// sign-factor matrix behind the factored margin, and the transposed
-/// nonzero masks behind its zero correction.
+/// A head's K columns packed for the batched kernel: one column-major `i16`
+/// code matrix, each column zero-padded to a multiple of 16 elements. The
+/// padding adds nothing to any sum the sweep takes.
 ///
 /// Packing is one pass over the quantized codes and is amortized by the
 /// per-workload cache (`HeadWorkload::packed_keys_at`) across every row,
@@ -94,21 +102,12 @@ pub struct PackedKeys {
     plan: BitSerialPlan,
     cols: usize,
     len: usize,
-    /// Column-major truncated operands, indexed by `cycle - 1`: entry
-    /// `j * len + i` of matrix `c - 1` is `sign_ji · (|k_ji| & !(2^r − 1))`
-    /// with `r = plan.remaining_bits(c)`. Entry `total_cycles - 1` is the
-    /// full-precision operand matrix.
-    trunc: Vec<Vec<i16>>,
-    /// Column-major sign factors `s_ji ∈ {-1, 0, +1}` (0 ⇔ zero magnitude).
-    signs: Vec<i16>,
-    /// Element-major nonzero masks: `col_words` words per element `i`, bit
-    /// `j % 64` of word `j / 64` set iff `k_ji ≠ 0`. Bits past `cols` are 0.
-    nonzero: Vec<u64>,
-    /// `u64` words per element row of `nonzero` (`ceil(cols / 64)`).
-    col_words: usize,
-    /// Valid column bits of the last word (all ones when `cols % 64 == 0`
-    /// and the set is non-empty, 0 when it is empty).
-    tail_mask: u64,
+    /// Stored elements per column: `len` rounded up to a multiple of
+    /// [`LANES`].
+    stride: usize,
+    /// Column `j` is `codes[j * stride..(j + 1) * stride]`: its `len` codes,
+    /// then zeros.
+    codes: Vec<i16>,
     /// Per-column vectors for the scalar reference DPU, built the first time
     /// a Q row outside the `i16` operand range needs them.
     reference: OnceLock<Vec<BitSerialVector>>,
@@ -132,12 +131,10 @@ impl PackedKeys {
         let max_mag = (1u32 << plan.magnitude_bits) - 1;
         let cols = columns.len();
         let len = columns.first().map_or(0, Vec::len);
-        let col_words = cols.div_ceil(64);
-        let mut full = Vec::with_capacity(cols * len);
-        let mut nonzero = vec![0u64; len * col_words];
+        let stride = len.next_multiple_of(LANES);
+        let mut codes = vec![0i16; cols * stride];
         for (j, column) in columns.iter().enumerate() {
             assert_eq!(column.len(), len, "K columns must share one length");
-            let (word, bit) = (j / 64, j % 64);
             for (i, &code) in column.iter().enumerate() {
                 let magnitude = code.unsigned_abs();
                 assert!(
@@ -146,36 +143,15 @@ impl PackedKeys {
                     plan.magnitude_bits
                 );
                 // Fits 15 bits by the asserts above.
-                full.push(code as i16);
-                nonzero[i * col_words + word] |= u64::from(magnitude != 0) << bit;
+                codes[j * stride + i] = code as i16;
             }
         }
-        let signs = full.iter().map(|v| v.signum()).collect();
-        let total = plan.total_cycles();
-        let mut trunc: Vec<Vec<i16>> = (1..total)
-            .map(|cycle| {
-                let keep = !((1u16 << plan.remaining_bits(cycle)) - 1);
-                full.iter()
-                    .map(|&v| v.signum() * (v.unsigned_abs() & keep) as i16)
-                    .collect()
-            })
-            .collect();
-        // Every bit is revealed on the last cycle: its operand is the code.
-        trunc.push(full);
-        let tail_mask = match cols % 64 {
-            0 if cols == 0 => 0,
-            0 => u64::MAX,
-            tail => (1u64 << tail) - 1,
-        };
         Self {
             plan,
             cols,
             len,
-            trunc,
-            signs,
-            nonzero,
-            col_words,
-            tail_mask,
+            stride,
+            codes,
             reference: OnceLock::new(),
         }
     }
@@ -200,16 +176,14 @@ impl PackedKeys {
         self.cols == 0
     }
 
-    /// Column `j`'s quantized codes, read back from the full-precision
-    /// operand matrix.
+    /// Column `j`'s quantized codes, read back from the code matrix.
     ///
     /// # Panics
     ///
     /// Panics if `j >= cols`.
     pub fn column_codes(&self, j: usize) -> Vec<i32> {
         assert!(j < self.cols, "column {j} out of range");
-        let full = &self.trunc[self.trunc.len() - 1];
-        full[j * self.len..(j + 1) * self.len]
+        self.column(j)[..self.len]
             .iter()
             .map(|&v| i32::from(v))
             .collect()
@@ -231,21 +205,18 @@ impl PackedKeys {
         })
     }
 
-    /// Element `i`'s nonzero mask words.
-    fn nonzero_row(&self, i: usize) -> &[u64] {
-        &self.nonzero[i * self.col_words..(i + 1) * self.col_words]
+    /// Column `j`, padding included.
+    fn column(&self, j: usize) -> &[i16] {
+        &self.codes[j * self.stride..(j + 1) * self.stride]
     }
 }
 
-/// Reusable per-row buffers for [`QkKernelV2::compute_row_into`]: the `i16`
-/// Q operands, per-column concordant sums and the alive mask. Caller-owned
-/// so a head simulation reuses one across rows instead of reallocating.
+/// Reusable per-row buffer for [`QkKernelV2::compute_row_into`]: the
+/// zero-padded `i16` Q operands. Caller-owned so a head simulation reuses
+/// one across rows instead of reallocating.
 #[derive(Debug, Default, Clone)]
 pub struct RowScratchV2 {
     q16: Vec<i16>,
-    absq16: Vec<i16>,
-    conc: Vec<i64>,
-    alive: Vec<u64>,
 }
 
 impl RowScratchV2 {
@@ -365,25 +336,13 @@ impl QkKernelV2 {
 
         scratch.q16.clear();
         scratch.q16.extend(q_row.iter().map(|&q| q as i16));
-        scratch.absq16.clear();
-        scratch
-            .absq16
-            .extend(q_row.iter().map(|&q| q.unsigned_abs() as i16));
-        scratch.conc.clear();
-        scratch.conc.resize(packed.cols, 0);
-        scratch.alive.clear();
-        scratch.alive.resize(packed.col_words, 0);
+        scratch.q16.resize(packed.stride, 0);
 
-        // Largest number of i16×i16 products an i32 accumulator can hold
-        // without overflow for this row's operand range.
-        let q_max = q_row.iter().map(|q| i64::from(q.unsigned_abs())).max();
+        // Largest number of products of this row's operand range an i32
+        // accumulator can hold without overflow.
+        let q_max = q_row.iter().map(|q| q.unsigned_abs()).max().unwrap_or(0);
         let k_max = (1i64 << self.plan.magnitude_bits) - 1;
-        let pair_max = q_max.unwrap_or(0) * k_max;
-        let chunk = if pair_max == 0 {
-            packed.len.max(1)
-        } else {
-            ((i32::MAX as i64 / pair_max) as usize).max(1)
-        };
+        let chunk = (i32::MAX as i64 / (i64::from(q_max) * k_max).max(1)) as usize;
 
         let sweep = RowSweep {
             plan: self.plan,
@@ -396,38 +355,16 @@ impl QkKernelV2 {
             chunk,
         };
         match self.path {
+            // The wide primitives sum at least 16 products in `i32` before
+            // widening, so a row whose chunk is shorter (15-bit operands on
+            // both sides) takes the bit-identical portable primitives.
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `self.path` is resolved at construction time;
             // `KernelPath::Wide` can only be held after
             // `is_x86_feature_detected!("avx2")` returned true on this
             // machine, so the AVX2-compiled sweep is safe to call here.
-            KernelPath::Wide => unsafe {
-                sweep_avx2(
-                    &sweep,
-                    &scratch.q16,
-                    &scratch.absq16,
-                    &mut scratch.conc,
-                    &mut scratch.alive,
-                    out,
-                );
-            },
-            #[cfg(not(target_arch = "x86_64"))]
-            KernelPath::Wide => sweep_portable(
-                &sweep,
-                &scratch.q16,
-                &scratch.absq16,
-                &mut scratch.conc,
-                &mut scratch.alive,
-                out,
-            ),
-            KernelPath::Portable => sweep_portable(
-                &sweep,
-                &scratch.q16,
-                &scratch.absq16,
-                &mut scratch.conc,
-                &mut scratch.alive,
-                out,
-            ),
+            KernelPath::Wide if chunk >= LANES => unsafe { sweep_avx2(&sweep, &scratch.q16, out) },
+            _ => sweep_portable(&sweep, &scratch.q16, out),
         }
     }
 
@@ -456,377 +393,147 @@ struct RowSweep<'a> {
     mrm: &'a [i64],
     packed: &'a PackedKeys,
     threshold: i64,
+    /// Products one `i32` sum may hold without overflow: the primitives
+    /// widen to `i64` after every run of at most this many elements.
     chunk: usize,
 }
 
-/// Chunked exact i16 dot product: per chunk the products sum in `i32`
-/// (the caller sizes `chunk` so that cannot overflow), chunk totals sum in
-/// `i64`. The inner loop is the shape LLVM lowers to widening multiply-add
-/// (`pmaddwd` and friends) under whatever target features the enclosing
-/// compilation enables.
-#[inline(always)]
-fn dot_i16(q: &[i16], k: &[i16], chunk: usize) -> i64 {
-    debug_assert_eq!(q.len(), k.len());
-    let mut total = 0i64;
-    let mut start = 0usize;
-    while start < q.len() {
-        let end = (start + chunk).min(q.len());
-        let mut acc = 0i32;
-        for (&a, &b) in q[start..end].iter().zip(&k[start..end]) {
-            acc += a as i32 * b as i32;
-        }
-        total += i64::from(acc);
-        start = end;
-    }
-    total
-}
+/// Four columns of a [`PackedKeys`], each `stride` elements long.
+type Block<'a> = [&'a [i16]; 4];
 
-/// Explicit AVX2 i16 dot product for the wide path: `_mm256_madd_epi16`
-/// multiplies 16 `i16` pairs and pair-sums them into 8 `i32` lanes per
-/// instruction. Each lane absorbs two products per iteration, so lanes are
-/// widened into the `i64` total every `chunk / 2` iterations — the same
-/// exactness bound the scalar path enforces per `chunk` products.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn dot_i16_avx2(q: &[i16], k: &[i16], chunk: usize) -> i64 {
-    use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256,
-        _mm256_storeu_si256,
-    };
-    debug_assert_eq!(q.len(), k.len());
-    let n = q.len();
-    let mut total = 0i64;
-    let widen = |acc: __m256i| -> i64 {
-        let mut lanes = [0i32; 8];
-        // SAFETY: `lanes` is 32 bytes, exactly one unaligned __m256i store.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
-        lanes.iter().map(|&l| i64::from(l)).sum()
-    };
-    // SAFETY (both loops): the loop conditions bound every 32-byte
-    // unaligned load to `i + 16 <= n` elements of both slices.
-    let load = |s: &[i16], at: usize| -> __m256i {
-        unsafe { _mm256_loadu_si256(s.as_ptr().add(at).cast()) }
-    };
-    let mut i = 0usize;
-    // 64-element unroll with four independent accumulators, so the madd
-    // chains overlap instead of serializing on one register. Per widening
-    // round each accumulator absorbs `chunk / 8` madds (= `chunk / 4`
-    // products), so the three-add reduction of all four stays within the
-    // caller's `chunk`-products-per-i32 exactness bound.
-    if chunk >= 8 {
-        let round_budget = chunk / 8;
-        while i + 64 <= n {
-            let mut accs = [_mm256_setzero_si256(); 4];
-            let mut used = 0usize;
-            while i + 64 <= n && used < round_budget {
-                for (lane, acc) in accs.iter_mut().enumerate() {
-                    let at = i + lane * 16;
-                    *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(load(q, at), load(k, at)));
-                }
-                used += 1;
-                i += 64;
-            }
-            let lo = _mm256_add_epi32(accs[0], accs[1]);
-            let hi = _mm256_add_epi32(accs[2], accs[3]);
-            total += widen(_mm256_add_epi32(lo, hi));
-        }
-    }
-    let lane_budget = (chunk / 2).max(1);
-    let mut acc = _mm256_setzero_si256();
-    let mut used = 0usize;
-    while i + 16 <= n {
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(load(q, i), load(k, i)));
-        used += 1;
-        if used == lane_budget {
-            total += widen(acc);
-            acc = _mm256_setzero_si256();
-            used = 0;
-        }
-        i += 16;
-    }
-    total += widen(acc);
-    // Scalar tail under the same per-chunk i32 bound.
-    let mut acc32 = 0i32;
-    let mut in_chunk = 0usize;
-    for j in i..n {
-        acc32 += q[j] as i32 * k[j] as i32;
-        in_chunk += 1;
-        if in_chunk == chunk {
-            total += i64::from(acc32);
-            acc32 = 0;
-            in_chunk = 0;
-        }
-    }
-    total + i64::from(acc32)
-}
+/// One exact sum per column of a [`Block`].
+type Sums = [i64; 4];
 
-/// Four-column portable dot: the scalar dot applied per column, in column
-/// order — the grouping of additions is identical to four single calls, so
-/// blocked and unblocked sweeps produce the same exact integers.
-#[inline(always)]
-fn dot4_i16(q: &[i16], ks: [&[i16]; 4], chunk: usize) -> [i64; 4] {
-    [
-        dot_i16(q, ks[0], chunk),
-        dot_i16(q, ks[1], chunk),
-        dot_i16(q, ks[2], chunk),
-        dot_i16(q, ks[3], chunk),
-    ]
-}
-
-/// Four-column AVX2 dot: one Q load feeds four independent madd chains, so
-/// the sweep amortizes Q traffic and loop control across four K columns and
-/// keeps the multiply pipes busy. Each accumulator absorbs `chunk / 2`
-/// madds (= `chunk` products) per widening round — the caller's exactness
-/// bound — and accumulators are never summed across columns.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn dot4_i16_avx2(q: &[i16], ks: [&[i16]; 4], chunk: usize) -> [i64; 4] {
-    use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256,
-        _mm256_storeu_si256,
-    };
-    let n = q.len();
-    for k in ks {
-        debug_assert_eq!(k.len(), n);
-    }
-    let widen = |acc: __m256i| -> i64 {
-        let mut lanes = [0i32; 8];
-        // SAFETY: `lanes` is 32 bytes, exactly one unaligned __m256i store.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
-        lanes.iter().map(|&l| i64::from(l)).sum()
-    };
-    // SAFETY: the loop condition bounds every 32-byte unaligned load to
-    // `i + 16 <= n` elements of each slice (all five have length `n`).
-    let load = |s: &[i16], at: usize| -> __m256i {
-        unsafe { _mm256_loadu_si256(s.as_ptr().add(at).cast()) }
-    };
-    let lane_budget = (chunk / 2).max(1);
-    let mut totals = [0i64; 4];
-    let mut accs = [_mm256_setzero_si256(); 4];
-    let mut used = 0usize;
-    let mut i = 0usize;
-    while i + 16 <= n {
-        let a = load(q, i);
-        for (acc, k) in accs.iter_mut().zip(ks) {
-            *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(a, load(k, i)));
-        }
-        used += 1;
-        if used == lane_budget {
-            for (total, acc) in totals.iter_mut().zip(accs.iter_mut()) {
-                *total += widen(*acc);
-                *acc = _mm256_setzero_si256();
-            }
-            used = 0;
-        }
-        i += 16;
-    }
-    for (total, acc) in totals.iter_mut().zip(accs) {
-        *total += widen(acc);
-    }
-    // Scalar tails under the same per-chunk i32 bound.
-    for (total, k) in totals.iter_mut().zip(ks) {
-        let mut acc32 = 0i32;
-        let mut in_chunk = 0usize;
-        for j in i..n {
-            acc32 += q[j] as i32 * k[j] as i32;
-            in_chunk += 1;
-            if in_chunk == chunk {
-                *total += i64::from(acc32);
-                acc32 = 0;
-                in_chunk = 0;
-            }
-        }
-        *total += i64::from(acc32);
-    }
-    totals
-}
-
-/// The batched reveal sweep shared by both dispatch paths — `inline(always)`
-/// and generic over the dot-product kernels (single-column and four-column
-/// blocked), so each wrapper compiles its own copy under its own target
-/// features with its own inner dots. Blocking never changes results: each
-/// column's dot is an independent exact integer.
-#[allow(clippy::too_many_arguments)]
+/// The sweep shared by both dispatch paths — `inline(always)` and generic
+/// over the two block primitives, so each wrapper compiles its own copy
+/// under its own target features:
+///
+/// * `first(q, block, chunk)` → per column `(conc, full)`, the concordant
+///   sum `Σ max(q·sign k, 0)` and the full dot `Σ q·k`;
+/// * `partials(q, block, keep, chunk)` → per column the partial sum
+///   `Σ (q·sign k)·(|k| & keep)` of one reveal cycle.
 #[inline(always)]
 fn sweep_core(
     job: &RowSweep<'_>,
     q16: &[i16],
-    absq16: &[i16],
-    conc: &mut [i64],
-    alive: &mut [u64],
     out: &mut Vec<DotProductOutcome>,
-    dot: impl Fn(&[i16], &[i16], usize) -> i64,
-    dot4: impl Fn(&[i16], [&[i16]; 4], usize) -> [i64; 4],
+    first: impl Fn(&[i16], Block<'_>, usize) -> (Sums, Sums),
+    partials: impl Fn(&[i16], Block<'_>, i16, usize) -> Sums,
 ) {
     let packed = job.packed;
-    let len = packed.len;
     let total = job.total_cycles;
-    debug_assert!(out.is_empty());
-    out.resize(
-        packed.cols,
-        DotProductOutcome {
-            cycles: 0,
-            bits_processed: 0,
-            terminated_early: false,
-            pruned: false,
-            partial_sum: 0,
-        },
-    );
-
-    fn col(m: &[i16], j: usize, len: usize) -> &[i16] {
-        &m[j * len..(j + 1) * len]
-    }
-    fn col4(m: &[i16], j: usize, len: usize) -> [&[i16]; 4] {
-        [
-            col(m, j, len),
-            col(m, j + 1, len),
-            col(m, j + 2, len),
-            col(m, j + 3, len),
-        ]
-    }
-
-    // Without early termination every pair pays the full reveal window and
-    // only the exact product matters: one dense dot per column decides it.
-    if !job.early_termination {
-        let full: &[i16] = &job.packed.trunc[(total - 1) as usize];
-        let outcome = |exact: i64| DotProductOutcome {
-            cycles: total,
-            bits_processed: job.plan.magnitude_bits,
-            terminated_early: false,
-            pruned: job.pruning && exact < job.threshold,
-            partial_sum: exact,
-        };
-        let mut j = 0usize;
-        while j + 4 <= packed.cols {
-            let exact = dot4(q16, col4(full, j, len), job.chunk);
-            for (t, &e) in exact.iter().enumerate() {
-                out[j + t] = outcome(e);
-            }
-            j += 4;
-        }
-        while j < packed.cols {
-            out[j] = outcome(dot(q16, col(full, j, len), job.chunk));
-            j += 1;
-        }
-        return;
-    }
-
-    // Concordant |Q| sums for every column: with weight_j = Σ nz_ji·|q_i|
-    // and signed_j = Σ s_ji·q_i, conc_j is their mean (exact: the sum is
-    // always even). The weight term never needs a dense dot — it is
-    // Σ|q| minus the |q_i| at this column's zero positions, and zeros are
-    // sparse, so the complemented nonzero masks scatter the correction
-    // directly.
-    // The complement of a tail-clean word is NOT tail-clean: the last
-    // word's phantom bits must be re-masked or they would scatter out of
-    // bounds (the s=23/65 boundary tests pin this).
-    let sum_abs: i64 = absq16.iter().map(|&v| i64::from(v)).sum();
-    let col_words = packed.col_words;
-    conc.fill(0);
-    for (i, &a) in absq16.iter().enumerate() {
-        if a == 0 {
-            continue;
-        }
-        let nz_row = packed.nonzero_row(i);
-        for (w, &nz_word) in nz_row.iter().enumerate().take(col_words) {
-            let full = if w + 1 == col_words {
-                packed.tail_mask
-            } else {
-                u64::MAX
-            };
-            let mut m = !nz_word & full;
-            while m != 0 {
-                let j = w * 64 + m.trailing_zeros() as usize;
-                conc[j] += i64::from(a);
-                m &= m - 1;
-            }
-        }
-    }
-    let signs: &[i16] = &packed.signs;
-    let mut j = 0usize;
-    while j + 4 <= packed.cols {
-        let signed = dot4(q16, col4(signs, j, len), job.chunk);
-        for (t, &sg) in signed.iter().enumerate() {
-            conc[j + t] = (sg + sum_abs - conc[j + t]) / 2;
-        }
-        j += 4;
-    }
-    while j < packed.cols {
-        let signed = dot(q16, col(signs, j, len), job.chunk);
-        conc[j] = (signed + sum_abs - conc[j]) / 2;
-        j += 1;
-    }
-
-    // All-alive mask over the column set, tail-masked so bits beyond `cols`
-    // never count as phantom columns.
-    for (w, word) in alive.iter_mut().enumerate() {
-        *word = if w + 1 == col_words {
-            packed.tail_mask
+    for j in (0..packed.cols).step_by(4) {
+        // The last block repeats the last column into its spare lanes;
+        // their outcomes are never written.
+        let block: Block<'_> = std::array::from_fn(|t| packed.column((j + t).min(packed.cols - 1)));
+        // Without early termination only the full dot matters, and the
+        // last cycle's partial (nothing masked) is that dot.
+        let (conc, full) = if job.early_termination {
+            first(q16, block, job.chunk)
         } else {
-            u64::MAX
+            ([0; 4], partials(q16, block, !0, job.chunk))
         };
+        // Each lane starts settled at the last cycle on its full dot. A
+        // lane whose full dot reaches the threshold can never be pruned;
+        // the rest stay open until the margin test prunes them, on the
+        // last cycle (where the margin is 0) at the latest.
+        let mut cycles = [total; 4];
+        let mut sums = full;
+        let mut open = full.map(|f| job.early_termination && f < job.threshold);
+        for cycle in 1..total {
+            if open == [false; 4] {
+                break;
+            }
+            let mrm = job.mrm[cycle as usize];
+            let partial = partials(q16, block, !(mrm as i16), job.chunk);
+            // Settle with masks: a branch on each lane's margin test would
+            // mispredict at every data-dependent prune.
+            for t in 0..4 {
+                let prune = open[t] & (partial[t] + mrm * conc[t] < job.threshold);
+                open[t] &= !prune;
+                let mask = -i64::from(prune);
+                cycles[t] ^= (cycles[t] ^ cycle) & mask as u32;
+                sums[t] ^= (sums[t] ^ partial[t]) & mask;
+            }
+        }
+        let lanes = (packed.cols - j).min(4);
+        out.extend((0..lanes).map(|t| DotProductOutcome {
+            cycles: cycles[t],
+            bits_processed: job.plan.bits_after(cycles[t]),
+            terminated_early: cycles[t] < total,
+            pruned: job.pruning && sums[t] < job.threshold,
+            partial_sum: sums[t],
+        }));
     }
-    let mut remaining = packed.cols;
-    for cycle in 1..=total {
-        let truncated: &[i16] = &packed.trunc[(cycle - 1) as usize];
-        let last = cycle == total;
-        let mrm = job.mrm[cycle as usize];
-        for (w, alive_word) in alive.iter_mut().enumerate() {
-            // Gather this word's alive columns, then run their partial
-            // dots four at a time (the settle step below is per-column, so
-            // blocking cannot change any outcome).
-            let mut idx = [0usize; 64];
-            let mut count = 0usize;
-            let mut m = *alive_word;
-            while m != 0 {
-                idx[count] = w * 64 + m.trailing_zeros() as usize;
-                count += 1;
-                m &= m - 1;
-            }
-            let mut settle = |j: usize, partial: i64| {
-                if partial + mrm * conc[j] < job.threshold {
-                    out[j] = DotProductOutcome {
-                        cycles: cycle,
-                        bits_processed: job.plan.bits_after(cycle),
-                        terminated_early: !last,
-                        pruned: true,
-                        partial_sum: partial,
-                    };
-                    *alive_word &= !(1u64 << (j % 64));
-                    remaining -= 1;
-                } else if last {
-                    out[j] = DotProductOutcome {
-                        cycles: total,
-                        bits_processed: job.plan.magnitude_bits,
-                        terminated_early: false,
-                        pruned: job.pruning && partial < job.threshold,
-                        partial_sum: partial,
-                    };
-                }
-            };
-            let mut t = 0usize;
-            while t + 4 <= count {
-                let cols4 = [
-                    col(truncated, idx[t], len),
-                    col(truncated, idx[t + 1], len),
-                    col(truncated, idx[t + 2], len),
-                    col(truncated, idx[t + 3], len),
-                ];
-                let partials = dot4(q16, cols4, job.chunk);
-                for (&j, &partial) in idx[t..t + 4].iter().zip(&partials) {
-                    settle(j, partial);
-                }
-                t += 4;
-            }
-            while t < count {
-                let j = idx[t];
-                settle(j, dot(q16, col(truncated, j, len), job.chunk));
-                t += 1;
-            }
+}
+
+/// The portable compilation of the sweep: baseline target features, every
+/// architecture.
+fn sweep_portable(job: &RowSweep<'_>, q16: &[i16], out: &mut Vec<DotProductOutcome>) {
+    sweep_core(job, q16, out, portable::first_pass, portable::partials);
+}
+
+/// The portable block primitives: one scalar sum per column, each run of
+/// `chunk` products in `i32` (the caller sizes `chunk` so no run can
+/// overflow), the runs in `i64`.
+mod portable {
+    use super::{Block, Sums};
+
+    /// `Σ_i x_i·y_i` in exact integers over the `i16` operand pairs
+    /// `(x_i, y_i) = operands(q_i, k_i)`, `chunk` products per `i32` run.
+    /// `i16` operands and branch-free `operands` keep the loop in the shape
+    /// LLVM lowers to widening multiply-adds.
+    #[inline(always)]
+    fn chunked_dot(
+        q: &[i16],
+        k: &[i16],
+        chunk: usize,
+        operands: impl Fn(i16, i16) -> (i16, i16),
+    ) -> i64 {
+        let mut total = 0i64;
+        let mut start = 0;
+        while start < q.len() {
+            let end = q.len().min(start + chunk);
+            let run: i32 = q[start..end]
+                .iter()
+                .zip(&k[start..end])
+                .map(|(&a, &b)| {
+                    let (x, y) = operands(a, b);
+                    i32::from(x) * i32::from(y)
+                })
+                .sum();
+            total += i64::from(run);
+            start = end;
         }
-        if remaining == 0 {
-            break;
+        total
+    }
+
+    /// `a · sign b`: `a` negated where `b < 0`, zeroed where `b == 0`.
+    #[inline(always)]
+    fn signed(a: i16, b: i16) -> i16 {
+        let negative = b >> 15;
+        let applied = (a ^ negative) - negative;
+        if b == 0 {
+            0
+        } else {
+            applied
         }
+    }
+
+    /// Per column the concordant sum `Σ max(q·sign k, 0)` and the full dot
+    /// `Σ q·k`.
+    #[inline(always)]
+    pub(super) fn first_pass(q: &[i16], block: Block<'_>, chunk: usize) -> (Sums, Sums) {
+        (
+            block.map(|k| chunked_dot(q, k, chunk, |a, b| (signed(a, b).max(0), 1))),
+            block.map(|k| chunked_dot(q, k, chunk, |a, b| (a, b))),
+        )
+    }
+
+    /// Per column the partial sum `Σ (q·sign k)·(|k| & keep)`.
+    #[inline(always)]
+    pub(super) fn partials(q: &[i16], block: Block<'_>, keep: i16, chunk: usize) -> Sums {
+        block.map(|k| chunked_dot(q, k, chunk, |a, b| (signed(a, b), b.abs() & keep)))
     }
 }
 
@@ -835,39 +542,141 @@ fn sweep_core(
 /// detection.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sweep_avx2(
-    job: &RowSweep<'_>,
-    q16: &[i16],
-    absq16: &[i16],
-    conc: &mut [i64],
-    alive: &mut [u64],
-    out: &mut Vec<DotProductOutcome>,
-) {
-    // Closures defined here inherit the enabled AVX2 feature, so calling
-    // the `#[target_feature]` dot is safe in this context.
+fn sweep_avx2(job: &RowSweep<'_>, q16: &[i16], out: &mut Vec<DotProductOutcome>) {
+    debug_assert_eq!(q16.len(), job.packed.stride);
+    // Closures defined here inherit the enabled AVX2 feature.
+    // SAFETY (both): every packed column is `stride` elements long, a
+    // multiple of `LANES`; `compute_row_into` pads Q to `stride` and calls
+    // this sweep only when `chunk >= LANES`.
     sweep_core(
         job,
         q16,
-        absq16,
-        conc,
-        alive,
         out,
-        |a, b, chunk| dot_i16_avx2(a, b, chunk),
-        |a, bs, chunk| dot4_i16_avx2(a, bs, chunk),
+        |q, block, chunk| unsafe { avx2::first_pass(q, block, chunk) },
+        |q, block, keep, chunk| unsafe { avx2::partials(q, block, keep, chunk) },
     );
 }
 
-/// The portable compilation of the sweep: baseline target features, every
-/// architecture.
-fn sweep_portable(
-    job: &RowSweep<'_>,
-    q16: &[i16],
-    absq16: &[i16],
-    conc: &mut [i64],
-    alive: &mut [u64],
-    out: &mut Vec<DotProductOutcome>,
-) {
-    sweep_core(job, q16, absq16, conc, alive, out, dot_i16, dot4_i16);
+/// The AVX2 block primitives. `_mm256_madd_epi16` multiplies 16 `i16`
+/// pairs and pair-sums them into 8 `i32` lanes; after every run of at most
+/// `chunk` elements the lanes are summed and widened into `i64` totals, so
+/// no `i32` sum ever holds more than `chunk` products.
+///
+/// Both primitives share one safety contract: every column of `block` has
+/// `q.len()` elements, `q.len()` is a multiple of [`LANES`], and
+/// `chunk >= LANES`.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Block, Sums, LANES};
+    use std::arch::x86_64::*;
+
+    /// Sixteen elements of `s` from `at`.
+    ///
+    /// # Safety
+    ///
+    /// `at + LANES <= s.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load(s: &[i16], at: usize) -> __m256i {
+        debug_assert!(at + LANES <= s.len());
+        // SAFETY: the caller keeps the 32-byte unaligned read inside `s`.
+        unsafe { _mm256_loadu_si256(s.as_ptr().add(at).cast()) }
+    }
+
+    /// The four `i64` lanes of `v`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lanes(v: __m256i) -> Sums {
+        let mut out = [0i64; 4];
+        // SAFETY: `out` is 32 bytes, exactly one unaligned store.
+        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) };
+        out
+    }
+
+    /// One `i64` total per column, in column order, from four columns'
+    /// eight-lane `i32` accumulators. Exact while each column's lanes sum
+    /// to at most `chunk` products.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn reduce(acc: [__m256i; 4]) -> __m256i {
+        // [a01 a23 b01 b23 | a45 a67 b45 b67], then the same for c, d.
+        let ab = _mm256_hadd_epi32(acc[0], acc[1]);
+        let cd = _mm256_hadd_epi32(acc[2], acc[3]);
+        // [a0-3 b0-3 c0-3 d0-3 | a4-7 b4-7 c4-7 d4-7].
+        let abcd = _mm256_hadd_epi32(ab, cd);
+        let sums = _mm_add_epi32(
+            _mm256_castsi256_si128(abcd),
+            _mm256_extracti128_si256::<1>(abcd),
+        );
+        _mm256_cvtepi32_epi64(sums)
+    }
+
+    /// Per column the concordant sum `Σ max(q·sign k, 0)` and the full dot
+    /// `Σ q·k`.
+    ///
+    /// # Safety
+    ///
+    /// The module's shape contract.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn first_pass(q: &[i16], block: Block<'_>, chunk: usize) -> (Sums, Sums) {
+        let zero = _mm256_setzero_si256();
+        let ones = _mm256_set1_epi16(1);
+        debug_assert!(chunk >= LANES);
+        let run = chunk / LANES * LANES;
+        let (mut conc_total, mut full_total) = (zero, zero);
+        let mut at = 0;
+        while at < q.len() {
+            let end = q.len().min(at + run);
+            let (mut conc, mut full) = ([zero; 4], [zero; 4]);
+            while at < end {
+                // SAFETY: `at + LANES <= q.len()`, every column's length.
+                let a = unsafe { load(q, at) };
+                for t in 0..4 {
+                    let k = unsafe { load(block[t], at) };
+                    let concordant = _mm256_max_epi16(_mm256_sign_epi16(a, k), zero);
+                    conc[t] = _mm256_add_epi32(conc[t], _mm256_madd_epi16(concordant, ones));
+                    full[t] = _mm256_add_epi32(full[t], _mm256_madd_epi16(a, k));
+                }
+                at += LANES;
+            }
+            conc_total = _mm256_add_epi64(conc_total, reduce(conc));
+            full_total = _mm256_add_epi64(full_total, reduce(full));
+        }
+        (lanes(conc_total), lanes(full_total))
+    }
+
+    /// Per column the partial sum `Σ (q·sign k)·(|k| & keep)`.
+    ///
+    /// # Safety
+    ///
+    /// The module's shape contract.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn partials(q: &[i16], block: Block<'_>, keep: i16, chunk: usize) -> Sums {
+        let keep = _mm256_set1_epi16(keep);
+        debug_assert!(chunk >= LANES);
+        let run = chunk / LANES * LANES;
+        let mut total = _mm256_setzero_si256();
+        let mut at = 0;
+        while at < q.len() {
+            let end = q.len().min(at + run);
+            let mut acc = [_mm256_setzero_si256(); 4];
+            while at < end {
+                // SAFETY: as in `first_pass`.
+                let a = unsafe { load(q, at) };
+                for t in 0..4 {
+                    let k = unsafe { load(block[t], at) };
+                    let revealed = _mm256_and_si256(_mm256_abs_epi16(k), keep);
+                    let signed = _mm256_sign_epi16(a, k);
+                    acc[t] = _mm256_add_epi32(acc[t], _mm256_madd_epi16(signed, revealed));
+                }
+                at += LANES;
+            }
+            total = _mm256_add_epi64(total, reduce(acc));
+        }
+        lanes(total)
+    }
 }
 
 #[cfg(test)]
@@ -922,6 +731,50 @@ mod tests {
         }
     }
 
+    /// A block of `packed`'s columns `j..j + 4` (the last repeated past the
+    /// end) and `q` zero-padded to the pack's stride, as the sweep reads
+    /// them.
+    fn block_at<'a>(packed: &'a PackedKeys, q: &[i32], j: usize) -> (Vec<i16>, Block<'a>) {
+        let mut q16: Vec<i16> = q.iter().map(|&v| v as i16).collect();
+        q16.resize(packed.stride, 0);
+        let block = std::array::from_fn(|t| packed.column((j + t).min(packed.cols - 1)));
+        (q16, block)
+    }
+
+    /// Both paths' block primitives on one block: `(conc, full)` and the
+    /// partials of every cycle `0..=total`, checked equal across paths.
+    fn primitives(
+        q16: &[i16],
+        block: Block<'_>,
+        plan: BitSerialPlan,
+        chunk: usize,
+    ) -> ((Sums, Sums), Vec<Sums>) {
+        let portable_first = portable::first_pass(q16, block, chunk);
+        let keeps: Vec<i16> = (0..=plan.total_cycles())
+            .map(|c| !(plan.max_remaining_magnitude(c) as i16))
+            .collect();
+        let portable_partials: Vec<Sums> = keeps
+            .iter()
+            .map(|&keep| portable::partials(q16, block, keep, chunk))
+            .collect();
+        #[cfg(target_arch = "x86_64")]
+        if KernelPath::detect() == KernelPath::Wide && chunk >= LANES {
+            // SAFETY: AVX2 was detected on this machine, `block_at` pads Q
+            // to the pack's stride, and `chunk >= LANES`.
+            let wide_first = unsafe { avx2::first_pass(q16, block, chunk) };
+            assert_eq!(
+                wide_first, portable_first,
+                "first pass diverged across paths"
+            );
+            for (&keep, portable) in keeps.iter().zip(&portable_partials) {
+                // SAFETY: as above.
+                let wide = unsafe { avx2::partials(q16, block, keep, chunk) };
+                assert_eq!(&wide, portable, "partials diverged across paths");
+            }
+        }
+        (portable_first, portable_partials)
+    }
+
     #[test]
     fn v2_matches_reference_on_all_presets() {
         for config in presets() {
@@ -939,16 +792,40 @@ mod tests {
 
     #[test]
     fn v2_matches_reference_across_column_and_dim_boundaries() {
-        // s = 23 and s = 65 are the tail-word boundary cases of the nonzero
-        // and alive masks; d crosses the element-word boundary too.
-        for s in [1usize, 23, 63, 64, 65, 130] {
-            for d in [1usize, 7, 64, 65] {
+        // s = 1..=5 covers every partial last block of four columns and the
+        // first full one; 23, 63..65 and 130 are larger sets with each
+        // remainder. d straddles the 16-element padding (16, 17, 20 — the
+        // MemN2N head dimension — and 64, 65).
+        for s in [1usize, 2, 3, 4, 5, 23, 63, 64, 65, 130] {
+            for d in [1usize, 7, 16, 17, 20, 64, 65] {
                 let q = random_codes(d, (s * d) as u64, 2047);
                 let keys: Vec<Vec<i32>> = (0..s)
                     .map(|j| random_codes(d, j as u64 + 7, 2047))
                     .collect();
                 for config in [TileConfig::ae_leopard(), TileConfig::baseline()] {
                     assert_v2_matches_oracles(config, &q, &keys, 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unprunable_column_boundary_matches_reference() {
+        // A column whose full dot reaches the threshold settles unpruned
+        // without a reveal cycle; one below it runs the cycles. Put the
+        // threshold exactly on, one below and one above chosen columns'
+        // full dots, at every lane of a block and in the last partial one.
+        let q = random_codes(20, 91, 2047);
+        let keys: Vec<Vec<i32>> = (0..9).map(|j| random_codes(20, 300 + j, 2047)).collect();
+        for j in [0usize, 1, 3, 4, 6, 8] {
+            let full: i64 = q
+                .iter()
+                .zip(&keys[j])
+                .map(|(&a, &b)| i64::from(a) * i64::from(b))
+                .sum();
+            for threshold in [full - 1, full, full + 1] {
+                for config in presets() {
+                    assert_v2_matches_oracles(config, &q, &keys, threshold);
                 }
             }
         }
@@ -985,32 +862,29 @@ mod tests {
     }
 
     #[test]
-    fn pack_round_trips_codes_and_masks_at_boundary_column_counts() {
-        // Column counts around the 64-column word, with an all-zero column
-        // and full-magnitude codes at the widest operand.
+    fn pack_round_trips_codes_and_zero_pads_every_column() {
+        // Lengths around the 16-element padding and column counts around
+        // the 4-column block, with an all-zero column and full-magnitude
+        // codes at the widest operand.
         let plan = BitSerialPlan::new(15, 2);
-        for cols in [1usize, 23, 63, 64, 65, 130] {
-            let mut keys: Vec<Vec<i32>> = (0..cols)
-                .map(|j| random_codes(7, 200 + j as u64, 32_767))
-                .collect();
-            keys[cols / 2] = vec![0; 7];
-            keys[0][0] = -32_767;
-            let packed = PackedKeys::pack(&keys, plan);
-            assert_eq!((packed.cols(), packed.len()), (cols, 7));
-            assert_eq!(packed.col_words, cols.div_ceil(64));
-            let tail_bits = if cols % 64 == 0 { 64 } else { cols % 64 };
-            assert_eq!(packed.tail_mask.count_ones() as usize, tail_bits);
-            for (j, column) in keys.iter().enumerate() {
-                assert_eq!(&packed.column_codes(j), column, "column {j}");
-                for (i, &code) in column.iter().enumerate() {
-                    let row = packed.nonzero_row(i);
-                    assert_eq!(row[j / 64] >> (j % 64) & 1 == 1, code != 0);
-                    assert_eq!(packed.signs[j * 7 + i], code.signum() as i16);
+        for len in [1usize, 7, 16, 17, 20, 64] {
+            for cols in [1usize, 3, 4, 5, 23, 64, 65] {
+                let mut keys: Vec<Vec<i32>> = (0..cols)
+                    .map(|j| random_codes(len, 200 + j as u64, 32_767))
+                    .collect();
+                keys[cols / 2] = vec![0; len];
+                keys[0][0] = -32_767;
+                let packed = PackedKeys::pack(&keys, plan);
+                assert_eq!((packed.cols(), packed.len()), (cols, len));
+                assert_eq!(packed.stride, len.next_multiple_of(16));
+                assert_eq!(packed.codes.len(), cols * packed.stride);
+                for (j, column) in keys.iter().enumerate() {
+                    assert_eq!(&packed.column_codes(j), column, "column {j}");
+                    assert!(
+                        packed.column(j)[len..].iter().all(|&v| v == 0),
+                        "padding of column {j} at len {len} is not zero"
+                    );
                 }
-            }
-            for i in 0..packed.len() {
-                let last = packed.nonzero_row(i)[packed.col_words - 1];
-                assert_eq!(last & !packed.tail_mask, 0, "tail garbage at s={cols}");
             }
         }
     }
@@ -1019,9 +893,11 @@ mod tests {
     fn pack_of_empty_set_is_well_formed() {
         let packed = PackedKeys::pack(&[], BitSerialPlan::paper_default());
         assert!(packed.is_empty());
-        assert_eq!((packed.col_words, packed.tail_mask), (0, 0));
-        let exact = PackedKeys::pack(&vec![vec![1, -2, 3]; 64], BitSerialPlan::paper_default());
-        assert_eq!((exact.col_words, exact.tail_mask), (1, u64::MAX));
+        assert_eq!((packed.stride, packed.codes.len()), (0, 0));
+        let narrow = PackedKeys::pack(&vec![vec![1, -2, 3]; 64], BitSerialPlan::paper_default());
+        assert_eq!((narrow.stride, narrow.codes.len()), (16, 64 * 16));
+        let exact = PackedKeys::pack(&vec![vec![1; 32]; 2], BitSerialPlan::paper_default());
+        assert_eq!((exact.stride, exact.codes.len()), (32, 64));
     }
 
     #[test]
@@ -1032,23 +908,32 @@ mod tests {
 
     #[test]
     fn i16_extremes_stay_exact() {
-        // ±32767 Q codes against full-magnitude K columns drive the chunked
-        // i32 accumulation to its smallest chunk size.
-        let config = TileConfig::ae_leopard().with_qk_bits(16);
-        let plan = config.bit_serial_plan();
-        let max_mag = (1i32 << plan.magnitude_bits) - 1;
-        let q: Vec<i32> = (0..64)
-            .map(|i| if i % 2 == 0 { 32_767 } else { -32_767 })
-            .collect();
-        let keys: Vec<Vec<i32>> = (0..23)
-            .map(|j| {
-                (0..64)
-                    .map(|i| if (i + j) % 3 == 0 { max_mag } else { -max_mag })
-                    .collect()
-            })
-            .collect();
-        for threshold in [i64::MIN / 4, 0, i64::MAX / 4] {
-            assert_v2_matches_oracles(config, &q, &keys, threshold);
+        // ±32767 Q codes against full-magnitude K columns drive every i32
+        // run to its bound: at 16-bit codes the chunk is two products (the
+        // portable primitives), at 12-bit codes it is 32 (two wide runs per
+        // column of 64). Columns 0 and 1 agree and disagree with Q in every
+        // sign, so their runs sum to the bound itself.
+        for qk_bits in [12, 16] {
+            let config = TileConfig::ae_leopard().with_qk_bits(qk_bits);
+            let max_mag = (1i32 << config.bit_serial_plan().magnitude_bits) - 1;
+            let q: Vec<i32> = (0..64)
+                .map(|i| if i % 2 == 0 { 32_767 } else { -32_767 })
+                .collect();
+            let keys: Vec<Vec<i32>> = (0..23)
+                .map(|j| {
+                    (0..64)
+                        .map(|i| match j {
+                            0 => q[i].signum() * max_mag,
+                            1 => -q[i].signum() * max_mag,
+                            _ if (i + j) % 3 == 0 => max_mag,
+                            _ => -max_mag,
+                        })
+                        .collect()
+                })
+                .collect();
+            for threshold in [i64::MIN / 4, 0, i64::MAX / 4] {
+                assert_v2_matches_oracles(config, &q, &keys, threshold);
+            }
         }
     }
 
@@ -1089,17 +974,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The truncated-operand identity the sweep rests on: after cycle
-        /// `c`, the dense dot product `Σ_i q_i · T_c[j, i]` equals the
-        /// bit-serial partial sum `BitSerialVector::partial_dot(q, c)` of
-        /// column `j`, for every magnitude width and reveal granularity.
+        /// The identities the sweep rests on, over the packed layout
+        /// (padding included) and on both paths' block primitives: the
+        /// in-register truncation `Σ (q·sign k)·(|k| & keep_c)` equals
+        /// `BitSerialVector::partial_dot(q, c)` for every cycle, the first
+        /// pass's full dot equals `full_dot(q)`, and its concordant sum
+        /// times `max_remaining_magnitude(c)` equals `margin(q, c)` — for
+        /// every magnitude width, reveal granularity and chunk size down
+        /// to the smallest the kernel uses.
         #[test]
         fn pack_truncations_replay_bitserial_partial_sums(
-            q in proptest::collection::vec(-32_767i32..=32_767, 1..16),
+            q in proptest::collection::vec(-32_767i32..=32_767, 1..40),
             cols in 1usize..70,
             seed in 0u64..1000,
             magnitude_bits in 1u32..=15,
             bits_per_cycle in 1u32..=4,
+            chunk_pick in 0usize..6,
         ) {
             let len = q.len();
             let max = (1i32 << magnitude_bits) - 1;
@@ -1108,13 +998,20 @@ mod tests {
                 .collect();
             let plan = BitSerialPlan::new(magnitude_bits, bits_per_cycle.min(magnitude_bits));
             let packed = PackedKeys::pack(&keys, plan);
-            prop_assert_eq!(packed.trunc.len() as u32, plan.total_cycles());
-            for (j, column) in keys.iter().enumerate() {
-                let reference = BitSerialVector::new(column, plan);
-                for cycle in 1..=plan.total_cycles() {
-                    let t = &packed.trunc[(cycle - 1) as usize][j * len..(j + 1) * len];
-                    let dense: i64 = t.iter().zip(&q).map(|(&t, &qi)| i64::from(t) * i64::from(qi)).sum();
-                    prop_assert_eq!(dense, reference.partial_dot(&q, cycle));
+            // Keep every i32 run exact: products of this row's range.
+            let q_max = q.iter().map(|v| i64::from(v.unsigned_abs())).max().unwrap_or(0);
+            let chunk = [2usize, 3, 16, 17, 32, 1 << 20][chunk_pick].min((i32::MAX as i64 / (q_max * i64::from(max)).max(1)) as usize);
+            for j in (0..cols).step_by(4) {
+                let (q16, block) = block_at(&packed, &q, j);
+                let ((conc, full), partials) = primitives(&q16, block, plan, chunk);
+                for t in 0..4 {
+                    let reference = BitSerialVector::new(&keys[(j + t).min(cols - 1)], plan);
+                    prop_assert_eq!(full[t], reference.full_dot(&q));
+                    for cycle in 0..=plan.total_cycles() {
+                        prop_assert_eq!(partials[cycle as usize][t], reference.partial_dot(&q, cycle));
+                        let mrm = i64::from(plan.max_remaining_magnitude(cycle));
+                        prop_assert_eq!(mrm * conc[t], reference.margin(&q, cycle));
+                    }
                 }
             }
         }

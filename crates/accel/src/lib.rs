@@ -14,10 +14,10 @@
 //!   calculation and exact early termination (Figure 3 / Figure 5). This is
 //!   the scalar *reference* implementation.
 //! * [`kernel_v2`] — the batched bit-parallel QK kernel (the simulator's
-//!   hot path): dense `i16` dot products over per-cycle truncated K operands
-//!   packed straight from the quantized codes ([`PackedKeys`]), with
-//!   per-cycle alive-lane `u64` masks, runtime-dispatched between a wide
-//!   (`std::arch`-detected) path and a portable scalar-word fallback, both
+//!   hot path): four K columns at a time from one `i16` code matrix
+//!   ([`PackedKeys`]), each block run through its reveal cycles on partials
+//!   truncated in registers, runtime-dispatched between a wide
+//!   (`std::arch`-detected) path and a portable scalar fallback, both
 //!   bit-identical to the reference DPU.
 //! * [`sim`] — the tile simulator: Q rows stream through `N_QK` DPUs, pruned
 //!   scores never reach the back-end, surviving scores queue through the

@@ -45,10 +45,11 @@
 //! tile partition cost one sweep per head between them. A full table costs
 //! `s x s` bytes; once its last row is recorded the plan's [`PackedKeys`]
 //! are released from the cache, and a later key that needs them packs
-//! them again. The packs are the larger of the two at the suite's sizes
-//! (about 10 MB of packs against 5.5 MB of tables for the 43 tasks at
-//! s ≤ 512), so recording lowers peak memory. The scalar-reference oracle
-//! never reads or writes a table.
+//! them again. At the suite's sizes the tables are the larger of the two:
+//! one `i16` code matrix per pack comes to about 1.5 MB of packs against
+//! 5.5 MB of tables for the 43 tasks at s ≤ 512 (`s · d` rounded up to 16
+//! elements, 2 bytes each, against `s²` bytes). The scalar-reference
+//! oracle never reads or writes a table.
 //!
 //! The accounting loop itself operates at **shard** granularity: a
 //! contiguous range of Q rows yields a [`TileShardSim`], and

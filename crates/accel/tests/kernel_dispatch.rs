@@ -16,10 +16,11 @@
 //!   bits) at ±32767 over the largest suite head dimension, with all-zero
 //!   columns, and Q rows outside the `i16` operand range, which take the
 //!   scalar-DPU fallback.
-//! * **Tail-word hygiene** — sequence lengths straddling the 64-column
-//!   word boundary (`s = 23`, `63`, `64`, `65`) are pinned explicitly so
-//!   garbage bits beyond the tail mask can never leak into an alive-lane
-//!   popcount.
+//! * **Block tails and padding** — the sweep takes K columns four at a
+//!   time and pads each column to a multiple of 16 elements, so sequence
+//!   lengths `s = 1..=5` (every partial last block) and `23`, `63`, `64`,
+//!   `65`, and head dimensions straddling the padding (`16`, `17`, `20`,
+//!   `33`), are pinned explicitly.
 //!
 //! The property tests use `ProptestConfig::default()`, so CI's
 //! `PROPTEST_CASES`-bumped differential job widens their coverage without
@@ -136,13 +137,16 @@ fn out_of_i16_q_rows_take_the_scalar_dpu_fallback() {
 
 #[test]
 fn boundary_column_counts_agree_across_paths() {
-    // s=23 and s=65 are the issue-pinned tail-word boundaries: a single
-    // partial word, and one full word plus a one-bit tail. 63/64 round
-    // out the straddle. Every preset runs at every length.
-    for s in [23, 63, 64, 65] {
-        let w = workload(s, 33, 40_000, s as i32);
-        for config in presets() {
-            assert_paths_agree(&w, &config);
+    // s = 1..=5 ends on every partial block of four columns and the first
+    // full one; 23, 63, 64, 65 end on each remainder at larger sizes. d
+    // straddles the 16-element padding (16, 17, 20 — the MemN2N head
+    // dimension — and 33). Every preset runs at every shape.
+    for s in [1, 2, 3, 4, 5, 23, 63, 64, 65] {
+        for d in [16, 17, 20, 33] {
+            let w = workload(s, d, 40_000, s as i32);
+            for config in presets() {
+                assert_paths_agree(&w, &config);
+            }
         }
     }
 }

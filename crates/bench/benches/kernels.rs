@@ -1,15 +1,19 @@
 //! Micro-benchmarks of the hot kernels: dense vs bit-serial dot products,
 //! the early-termination path at different pruning thresholds, and the
 //! row-batched bit-parallel kernel on both dispatch paths against the
-//! scalar reference DPU.
+//! scalar reference DPU, one row and a whole head's rows at a time. The
+//! kernel calls never touch a workload's recorded outcome tables, so
+//! every iteration is a cold sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use leopard_accel::config::TileConfig;
 use leopard_accel::dpu::QkDpu;
 use leopard_accel::kernel_v2::{KernelPath, PackedKeys, QkKernelV2, RowScratchV2};
+use leopard_accel::sim::HeadWorkload;
 use leopard_quant::bitserial::BitSerialVector;
 use leopard_quant::fixed::QuantParams;
 use leopard_tensor::rng;
+use leopard_workloads::pipeline::{synthesize_qk, threshold_for_rate};
 
 fn dot_product_kernels(c: &mut Criterion) {
     let d = 64usize;
@@ -85,7 +89,7 @@ fn row_batched_kernel(c: &mut Criterion) {
             ("wide", KernelPath::Wide),
             ("portable", KernelPath::Portable),
         ] {
-            group.bench_function(&format!("soa_kernel_v2_{path_label}/{label}"), |b| {
+            group.bench_function(&format!("block_kernel_v2_{path_label}/{label}"), |b| {
                 let v2 = QkKernelV2::with_path(ae, path);
                 let mut scratch = RowScratchV2::new();
                 let mut out = Vec::new();
@@ -99,5 +103,43 @@ fn row_batched_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, dot_product_kernels, row_batched_kernel);
+fn head_sweep(c: &mut Criterion) {
+    // Every Q row of one 256-token, 64-dim head against its packed K
+    // columns at the 70% pruning threshold: the kernel's share of
+    // `simulate_head`, without the outcome tables and the fold.
+    let (q, k) = synthesize_qk(256, 64, 0.35, 42);
+    let threshold = threshold_for_rate(&q, &k, 0.7);
+    let workload = HeadWorkload::from_float(&q, &k, threshold, 12);
+    let ae = TileConfig::ae_leopard();
+    let packed = PackedKeys::pack(&workload.k_codes, ae.bit_serial_plan());
+
+    let mut group = c.benchmark_group("qk_head_256x64_sweep");
+    for (path_label, path) in [
+        ("wide", KernelPath::Wide),
+        ("portable", KernelPath::Portable),
+    ] {
+        group.bench_function(path_label, |b| {
+            let v2 = QkKernelV2::with_path(ae, path);
+            let mut scratch = RowScratchV2::new();
+            let mut out = Vec::new();
+            b.iter(|| {
+                let mut cycles = 0u64;
+                for q_row in &workload.q_codes {
+                    v2.compute_row_into(
+                        q_row,
+                        &packed,
+                        workload.threshold_int,
+                        &mut scratch,
+                        &mut out,
+                    );
+                    cycles += out.iter().map(|o| u64::from(o.cycles)).sum::<u64>();
+                }
+                cycles
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, dot_product_kernels, row_batched_kernel, head_sweep);
 criterion_main!(benches);

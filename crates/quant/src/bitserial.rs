@@ -50,22 +50,26 @@ impl BitSerialPlan {
     }
 
     /// Number of cycles needed to stream every magnitude bit.
+    #[inline]
     pub fn total_cycles(&self) -> u32 {
         self.magnitude_bits.div_ceil(self.bits_per_cycle)
     }
 
     /// Number of magnitude bits already consumed after `cycles` cycles.
+    #[inline]
     pub fn bits_after(&self, cycles: u32) -> u32 {
         (cycles * self.bits_per_cycle).min(self.magnitude_bits)
     }
 
     /// Number of magnitude bits still unseen after `cycles` cycles.
+    #[inline]
     pub fn remaining_bits(&self, cycles: u32) -> u32 {
         self.magnitude_bits - self.bits_after(cycles)
     }
 
     /// Maximum value the unseen bits of a single element can still add to its
     /// magnitude after `cycles` cycles: `2^remaining - 1`.
+    #[inline]
     pub fn max_remaining_magnitude(&self, cycles: u32) -> u32 {
         let remaining = self.remaining_bits(cycles);
         if remaining == 0 {
