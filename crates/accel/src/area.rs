@@ -10,7 +10,6 @@
 //! within 0.2%, HP-LeOPArd (8 DPUs) costs ~15% more.
 
 use crate::config::TileConfig;
-use serde::{Deserialize, Serialize};
 
 /// Total layout area of the AE-LeOPArd prototype in mm² (2.3 x 2.8, 65 nm).
 pub const AE_LAYOUT_AREA_MM2: f64 = 2.3 * 2.8;
@@ -25,7 +24,7 @@ pub const AE_AREA_SHARES: [(&str, f64); 5] = [
 ];
 
 /// Per-component area estimate of one configuration, in mm² (65 nm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaBreakdown {
     /// Front-end QK dot-product logic.
     pub qk_logic: f64,
@@ -73,7 +72,7 @@ impl AreaBreakdown {
 }
 
 /// Area model anchored to the AE-LeOPArd layout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Area of one bit-serial (12x2) QK-DPU including its share of control.
     pub serial_dpu_mm2: f64,
@@ -135,12 +134,6 @@ impl AreaModel {
     }
 }
 
-/// Scales an area from 65 nm to another process node using the classical
-/// (Dennard-like) `(node / 65)^2` rule.
-pub fn dennard_area_scale(area_65nm_mm2: f64, target_nm: f64) -> f64 {
-    area_65nm_mm2 * (target_nm / 65.0).powi(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,13 +185,6 @@ mod tests {
             .collect();
         let expected: Vec<&str> = AE_AREA_SHARES.iter().map(|(l, _)| *l).collect();
         assert_eq!(labels, expected);
-    }
-
-    #[test]
-    fn dennard_scaling_shrinks_quadratically() {
-        let scaled = dennard_area_scale(3.47, 40.0);
-        assert!((scaled - 3.47 * (40.0f64 / 65.0).powi(2)).abs() < 1e-9);
-        assert!(scaled < 3.47);
     }
 
     #[test]

@@ -9,11 +9,10 @@
 use crate::config::TileConfig;
 use crate::energy::{energy_from_events, EnergyBreakdown, EnergyModel};
 use crate::sim::{simulate_head, HeadSimResult, HeadWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of comparing one configuration against the baseline on the same
 /// workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineComparison {
     /// Name of the evaluated (non-baseline) configuration.
     pub config_name: &'static str,
@@ -85,26 +84,6 @@ impl BaselineComparison {
             mean_bits: evaluated.mean_bits_processed(),
         }
     }
-}
-
-/// Convenience wrapper returning the simulated results of the three
-/// configurations Figure 11 contrasts: baseline, pruning-only, and full
-/// LeOPArd (pruning + bit-serial early termination).
-pub fn figure11_trio(
-    workload: &HeadWorkload,
-    model: &EnergyModel,
-) -> (EnergyBreakdown, EnergyBreakdown, EnergyBreakdown) {
-    let base_cfg = TileConfig::baseline();
-    let prune_cfg = TileConfig::pruning_only();
-    let full_cfg = TileConfig::ae_leopard();
-    let base = energy_from_events(&simulate_head(workload, &base_cfg).events, &base_cfg, model);
-    let prune = energy_from_events(
-        &simulate_head(workload, &prune_cfg).events,
-        &prune_cfg,
-        model,
-    );
-    let full = energy_from_events(&simulate_head(workload, &full_cfg).events, &full_cfg, model);
-    (base, prune, full)
 }
 
 /// Simulates a workload under every `N_QK` value in `sweep`, returning
@@ -179,14 +158,6 @@ mod tests {
         let shared =
             BaselineComparison::from_results(&baseline_cfg, &baseline, &cfg, &evaluated, &model);
         assert_eq!(direct, shared);
-    }
-
-    #[test]
-    fn figure11_trio_is_monotonically_cheaper() {
-        let w = workload(0.4, 3);
-        let (base, prune, full) = figure11_trio(&w, &EnergyModel::calibrated());
-        assert!(prune.total() < base.total());
-        assert!(full.total() < prune.total());
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! derives the LeOPArd rows from its own simulated throughput and energy
 //! model, then applies the identical scaling rules.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of the Table 2 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorMetrics {
     /// Design name.
     pub name: String,
@@ -97,7 +95,7 @@ pub fn hp_leopard_65nm_published() -> AcceleratorMetrics {
 }
 
 /// Technology-scaling rule selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalingRule {
     /// Classical constant-field (Dennard) scaling: delay and energy scale
     /// linearly with feature size, area quadratically.

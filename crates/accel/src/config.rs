@@ -8,10 +8,9 @@
 //! for better back-end utilization (HP-LeOPArd).
 
 use leopard_quant::bitserial::BitSerialPlan;
-use serde::{Deserialize, Serialize};
 
 /// Microarchitectural parameters of one LeOPArd tile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TileConfig {
     /// Human-readable configuration name.
     pub name: &'static str,

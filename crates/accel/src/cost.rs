@@ -61,12 +61,6 @@ impl HeadCost {
     pub fn energy_total(&self) -> f64 {
         self.energy.total()
     }
-
-    /// Energy-delay product, the joint figure of merit used when comparing
-    /// design points (lower is better).
-    pub fn energy_delay_product(&self) -> f64 {
-        self.energy.total() * self.latency_us
-    }
 }
 
 /// Simulates a head and prices it in one call.
@@ -716,7 +710,6 @@ mod tests {
         let ae = head_cost(&w, &TileConfig::ae_leopard(), &model);
         assert!(ae.cycles < base.cycles);
         assert!(ae.energy_total() < base.energy_total());
-        assert!(ae.energy_delay_product() < base.energy_delay_product());
     }
 
     #[test]

@@ -13,10 +13,9 @@
 
 use crate::config::TileConfig;
 use leopard_quant::bitserial::BitSerialVector;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one dot-product computation in a QK-DPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DotProductOutcome {
     /// Cycles the DPU spent on this dot product (including the cycle on which
     /// termination was detected).

@@ -13,11 +13,10 @@
 
 use crate::config::TileConfig;
 use crate::sim::EventCounts;
-use serde::{Deserialize, Serialize};
 
 /// Energy cost of each microarchitectural event, in arbitrary consistent
 /// units (picojoule-like).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// One cycle of a full-precision 12x12-bit, 64-tap DPU (baseline front end).
     pub full_dpu_cycle: f64,
@@ -100,7 +99,7 @@ impl EnergyModel {
 }
 
 /// Energy broken down into the five components of Figure 11.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// `Q·Kᵀ` compute energy.
     pub qk_compute: f64,

@@ -67,7 +67,6 @@ pub mod energy;
 pub mod kernel_v2;
 pub mod schedule;
 pub mod sim;
-pub mod softmax;
 
 pub use config::TileConfig;
 pub use cost::{head_cost, HeadCost};
@@ -76,4 +75,3 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 pub use kernel_v2::{KernelPath, PackedKeys, QkKernelV2, RowScratchV2};
 pub use schedule::{schedule_layer, schedule_model, LayerSchedule, ModelSchedule, Placement};
 pub use sim::{simulate_head, simulate_head_reference, HeadSimResult, HeadWorkload};
-pub use softmax::{SoftmaxLut, SoftmaxLutConfig};

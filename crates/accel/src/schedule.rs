@@ -31,7 +31,6 @@ use crate::config::TileConfig;
 use crate::cost::CostModel;
 use crate::energy::{energy_from_events, EnergyBreakdown, EnergyModel};
 use crate::sim::{merge_shards, simulate_head_shard, HeadSimResult, HeadWorkload, TileShardSim};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Deterministic contiguous partition of a head's `seq_len` Q rows across
@@ -187,7 +186,7 @@ pub fn simulate_head_tiled(
 /// **makespan** — and nothing else: merged per-head accounting, layer
 /// energy, and pruning rates are bit-identical across policies (the
 /// conformance contract of `tests/layer_conformance.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Placement {
     /// Greedy longest-predicted-first: heads in descending predicted load,
     /// each shard onto the currently least-loaded tile, with a round-robin
@@ -429,59 +428,6 @@ pub fn plan_layer(
     }
 }
 
-/// [`plan_layer`] over a *live subset* of a larger tile array — the
-/// topology-aware planning path fault-tolerant serving uses when tiles
-/// have failed.
-///
-/// `live_tiles` lists the physical tile ids still accepting work, in
-/// ascending order. The plan is computed over `live_tiles.len()` slots
-/// exactly as [`plan_layer`] would (same canonical order, same splits,
-/// same placement decisions, same predicted slot cycles), then each
-/// shard's slot is relabeled to its physical id through `live_tiles`.
-/// Consequently:
-///
-/// * `plan.tiles` and `plan.predicted_tile_cycles` stay **slot-indexed**
-///   (`tiles == live_tiles.len()`; slot `i`'s cycles belong to physical
-///   tile `live_tiles[i]`), so [`LayerPlan::predicted_makespan_cycles`]
-///   is the makespan over the live set;
-/// * `plan.shard_tiles` carries **physical** ids, ready for dispatch;
-/// * with the full tile array live (`live_tiles == [0, 1, .., n-1]`) the
-///   result is identical to `plan_layer(heads, n, ..)` — failure-free
-///   runs cannot diverge.
-///
-/// Relabeling is a bijection on tile names, so the layer-conformance
-/// contract is untouched: merged head accounting is bit-identical to the
-/// full-array plan of the same slot count; only *which* physical tiles
-/// host the shards (and therefore the realized makespan under per-tile
-/// slowdowns) moves.
-///
-/// # Panics
-///
-/// Panics if `heads` or `live_tiles` is empty, or if `live_tiles` is not
-/// strictly ascending (duplicate or unsorted physical ids).
-pub fn plan_layer_live(
-    heads: &[PlannedHead],
-    live_tiles: &[usize],
-    placement: Placement,
-    predict: impl Fn(usize, usize) -> u64,
-) -> LayerPlan {
-    assert!(
-        !live_tiles.is_empty(),
-        "a live plan needs at least one live tile"
-    );
-    assert!(
-        live_tiles.windows(2).all(|w| w[0] < w[1]),
-        "live tile ids must be strictly ascending: {live_tiles:?}"
-    );
-    let mut plan = plan_layer(heads, live_tiles.len(), placement, predict);
-    for shard_tiles in &mut plan.shard_tiles {
-        for tile in shard_tiles {
-            *tile = live_tiles[*tile];
-        }
-    }
-    plan
-}
-
 /// Round-robin shard layout: walking heads in canonical order, shards take
 /// consecutive tiles from a running cursor (mod `tiles`). Because every
 /// split is at most `tiles`, one head's shards always land on distinct
@@ -552,7 +498,7 @@ const PLANNED_PRUNING_RATE: f64 = 0.0;
 
 /// Cycle and energy totals of one attention layer executed on a multi-tile
 /// accelerator under a [`Placement`] policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSchedule {
     /// Number of tiles used.
     pub tiles: usize,
@@ -676,7 +622,7 @@ pub fn schedule_layer(
 }
 
 /// Cycle and energy totals of a whole model (a sequence of attention layers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSchedule {
     /// Per-layer schedules, input side first.
     pub layers: Vec<LayerSchedule>,
@@ -1067,73 +1013,5 @@ mod tests {
         assert_eq!(tiled.tile_cycles.len(), 8);
         assert_eq!(tiled.tile_cycles.iter().filter(|&&c| c == 0).count(), 3);
         assert_eq!(tiled.merged, simulate_head(&w, &cfg));
-    }
-
-    fn planned(lens: &[usize]) -> Vec<PlannedHead> {
-        lens.iter()
-            .enumerate()
-            .map(|(h, &s)| PlannedHead {
-                seq_len: s,
-                tie_break: h as u64,
-            })
-            .collect()
-    }
-
-    fn flat_predict(seq_len: usize, tiles: usize) -> u64 {
-        (seq_len as u64 * 17).div_ceil(tiles as u64) + 5
-    }
-
-    #[test]
-    fn live_plan_over_full_array_is_the_plain_plan() {
-        let heads = planned(&[40, 9, 23, 17, 31]);
-        for placement in Placement::ALL {
-            for tiles in [1usize, 3, 4, 8] {
-                let full: Vec<usize> = (0..tiles).collect();
-                let live = plan_layer_live(&heads, &full, placement, flat_predict);
-                let plain = plan_layer(&heads, tiles, placement, flat_predict);
-                assert_eq!(live, plain, "{placement:?} over {tiles} tiles");
-            }
-        }
-    }
-
-    #[test]
-    fn live_plan_relabels_tiles_without_moving_the_schedule() {
-        // Tiles 1 and 3 of a 5-tile array are down: planning over the live
-        // set {0, 2, 4} must make the same decisions as a plain 3-tile plan
-        // — same canonical order, splits, slot cycles, makespan — with only
-        // the physical shard labels mapped through the live set.
-        let heads = planned(&[40, 9, 23, 17, 31, 12, 28]);
-        let live = [0usize, 2, 4];
-        for placement in Placement::ALL {
-            let live_plan = plan_layer_live(&heads, &live, placement, flat_predict);
-            let slot_plan = plan_layer(&heads, live.len(), placement, flat_predict);
-            assert_eq!(live_plan.canonical, slot_plan.canonical);
-            assert_eq!(
-                live_plan.predicted_tile_cycles,
-                slot_plan.predicted_tile_cycles
-            );
-            assert_eq!(
-                live_plan.predicted_makespan_cycles(),
-                slot_plan.predicted_makespan_cycles()
-            );
-            for (h, slots) in slot_plan.shard_tiles.iter().enumerate() {
-                let relabeled: Vec<usize> = slots.iter().map(|&s| live[s]).collect();
-                assert_eq!(live_plan.shard_tiles[h], relabeled, "head {h}");
-                // Every physical id the live plan names is actually live.
-                assert!(live_plan.shard_tiles[h].iter().all(|t| live.contains(t)));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn live_plan_rejects_duplicate_tiles() {
-        let _ = plan_layer_live(&planned(&[8]), &[1, 1], Placement::Lpt, flat_predict);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one live tile")]
-    fn live_plan_rejects_an_empty_live_set() {
-        let _ = plan_layer_live(&planned(&[8]), &[], Placement::Lpt, flat_predict);
     }
 }

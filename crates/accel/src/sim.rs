@@ -64,7 +64,6 @@ use crate::kernel_v2::{KernelPath, PackedKeys, QkKernelV2, RowScratchV2};
 use leopard_quant::bitserial::{BitSerialPlan, BitSerialVector};
 use leopard_quant::fixed::QuantParams;
 use leopard_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -329,7 +328,7 @@ impl HeadWorkload {
 
 /// Raw event counts accumulated while simulating a head. These feed the
 /// energy model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// DPU execution cycles summed over all DPUs (each cycle is one
     /// `d`-tap x `B`-bit MAC operation against the key buffer).
@@ -349,7 +348,7 @@ pub struct EventCounts {
 }
 
 /// Result of simulating one attention head.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadSimResult {
     /// Total cycles to drain the head (front-end and back-end overlapped).
     pub total_cycles: u64,

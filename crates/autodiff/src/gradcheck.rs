@@ -9,11 +9,6 @@
 use crate::{Tape, Var};
 use leopard_tensor::Matrix;
 
-/// Builds the scalar loss for a given input leaf. The closure receives the
-/// tape and the leaf [`Var`] wrapping the perturbed input and must return a
-/// `1 x 1` loss node.
-pub type LossBuilder = dyn Fn(&Tape, Var) -> Var;
-
 /// Compares the analytic gradient of a scalar loss with a central
 /// finite-difference estimate and returns the maximum absolute error.
 ///
@@ -72,17 +67,6 @@ pub fn finite_difference(
     (eval(base + epsilon) - eval(base - epsilon)) / (2.0 * epsilon)
 }
 
-/// Relative error between two gradients, defined as
-/// `max |a - b| / (max(|a|, |b|) + eps)`. Useful when gradient magnitudes vary
-/// wildly across elements.
-pub fn relative_error(a: &Matrix, b: &Matrix, eps: f32) -> f32 {
-    assert_eq!(a.shape(), b.shape(), "relative_error shape mismatch");
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| (x - y).abs() / (x.abs().max(y.abs()) + eps))
-        .fold(0.0, f32::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,13 +89,5 @@ mod tests {
             tape.sum(y)
         });
         assert!((d - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn relative_error_zero_for_identical() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0]]);
-        assert_eq!(relative_error(&a, &a, 1e-8), 0.0);
-        let b = Matrix::from_rows(&[vec![1.1, -2.0]]);
-        assert!(relative_error(&a, &b, 1e-8) > 0.05);
     }
 }

@@ -12,28 +12,27 @@
 //!   closures per node; custom operations (such as the soft threshold defined
 //!   in `leopard-core`) plug in through [`Tape::custom_unary`] and
 //!   [`Tape::custom_binary`].
-//! * [`optim`] — SGD (with momentum) and Adam optimizers, the latter being
-//!   what the paper uses for fine-tuning.
+//! * [`optim`] — the Adam optimizer the paper uses for fine-tuning.
 //! * [`gradcheck`] — finite-difference gradient checking used extensively by
 //!   the test suites of the crates above this one.
 //!
 //! # Example: learn a scalar by gradient descent
 //!
 //! ```
-//! use leopard_autodiff::{Tape, optim::Sgd};
+//! use leopard_autodiff::{Tape, optim::Adam};
 //! use leopard_tensor::Matrix;
 //!
-//! // Minimize (w - 3)^2 with plain SGD.
+//! // Minimize (w - 3)^2 with Adam.
 //! let mut w = Matrix::filled(1, 1, 0.0);
-//! let mut sgd = Sgd::new(0.1, 0.0);
-//! for _ in 0..100 {
+//! let mut adam = Adam::new(0.1);
+//! for _ in 0..300 {
 //!     let tape = Tape::new();
 //!     let wv = tape.leaf(w.clone());
 //!     let target = tape.constant(Matrix::filled(1, 1, 3.0));
 //!     let diff = tape.sub(wv, target);
 //!     let loss = tape.mse_to_zero(diff);
 //!     tape.backward(loss);
-//!     sgd.step_single(&mut w, &tape.grad(wv));
+//!     adam.step_single(&mut w, &tape.grad(wv));
 //! }
 //! assert!((w[(0, 0)] - 3.0).abs() < 1e-2);
 //! ```

@@ -1,88 +1,13 @@
-//! Gradient-descent optimizers.
+//! The Adam optimizer.
 //!
 //! The paper fine-tunes pre-trained transformers with Adam, using a larger
 //! learning rate for the threshold parameters (1e-2) than for the model
 //! weights (5e-6) because "training for the Th is generally slower" (Section
-//! 5.1). Both optimizers here operate on externally owned parameter matrices,
+//! 5.1). The optimizer here operates on externally owned parameter matrices,
 //! matching the workspace's pattern of building a fresh [`crate::Tape`] per
 //! step and reading gradients out of it.
 
 use leopard_tensor::Matrix;
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    learning_rate: f32,
-    momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `learning_rate <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn new(learning_rate: f32, momentum: f32) -> Self {
-        assert!(learning_rate > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self {
-            learning_rate,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Learning rate currently in use.
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
-    }
-
-    /// Replaces the learning rate (e.g. for simple schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.learning_rate = lr;
-    }
-
-    /// Updates a single parameter in place given its gradient.
-    ///
-    /// Convenience wrapper around [`Sgd::step`] for code that owns one
-    /// parameter matrix (e.g. the doc-test in the crate root).
-    pub fn step_single(&mut self, param: &mut Matrix, grad: &Matrix) {
-        self.step(&mut [param], &[grad]);
-    }
-
-    /// Applies one update to every parameter given matching gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` and `grads` have different lengths, a shape differs
-    /// between a parameter and its gradient, or the parameter count changes
-    /// between calls.
-    pub fn step(&mut self, params: &mut [&mut Matrix], grads: &[&Matrix]) {
-        assert_eq!(params.len(), grads.len(), "one gradient per parameter");
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Matrix::zeros(p.rows(), p.cols()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "parameter count changed between optimizer steps"
-        );
-        for ((param, grad), vel) in params.iter_mut().zip(grads).zip(self.velocity.iter_mut()) {
-            assert_eq!(param.shape(), grad.shape(), "gradient shape mismatch");
-            if self.momentum > 0.0 {
-                *vel = &vel.scale(self.momentum) + &grad.scale(self.learning_rate);
-                **param = &**param - vel;
-            } else {
-                **param = &**param - &grad.scale(self.learning_rate);
-            }
-        }
-    }
-}
 
 /// The Adam optimizer (Kingma & Ba, 2014) with bias correction.
 #[derive(Debug, Clone)]
@@ -130,12 +55,6 @@ impl Adam {
     /// Learning rate currently in use.
     pub fn learning_rate(&self) -> f32 {
         self.learning_rate
-    }
-
-    /// Replaces the learning rate.
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.learning_rate = lr;
     }
 
     /// Number of optimization steps taken so far.
@@ -197,64 +116,6 @@ impl Adam {
     }
 }
 
-/// A named group of parameters updated with its own learning rate.
-///
-/// The paper's fine-tuning recipe uses two groups: model weights at 5e-6 and
-/// pruning thresholds at 1e-2. [`ParamGroups`] keeps one Adam state per group
-/// so the two learning rates do not interfere.
-#[derive(Debug)]
-pub struct ParamGroups {
-    groups: Vec<(String, Adam)>,
-}
-
-impl ParamGroups {
-    /// Creates an empty collection of parameter groups.
-    pub fn new() -> Self {
-        Self { groups: Vec::new() }
-    }
-
-    /// Adds a named group with its own learning rate and returns its index.
-    pub fn add_group(&mut self, name: impl Into<String>, learning_rate: f32) -> usize {
-        self.groups.push((name.into(), Adam::new(learning_rate)));
-        self.groups.len() - 1
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether there are no groups.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Name of group `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn name(&self, index: usize) -> &str {
-        &self.groups[index].0
-    }
-
-    /// Applies an optimizer step to the parameters of group `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or shapes mismatch (see
-    /// [`Adam::step`]).
-    pub fn step(&mut self, index: usize, params: &mut [&mut Matrix], grads: &[&Matrix]) {
-        self.groups[index].1.step(params, grads);
-    }
-}
-
-impl Default for ParamGroups {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,25 +134,6 @@ mod tests {
             step(&mut w, &grad);
         }
         w
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.2, 0.0);
-        let w = optimize(|p, g| sgd.step_single(p, g), 200);
-        assert!(w.approx_eq(&Matrix::from_rows(&[vec![1.0, -2.0, 0.5]]), 1e-3));
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges_faster_than_without() {
-        let mut plain = Sgd::new(0.05, 0.0);
-        let mut momentum = Sgd::new(0.05, 0.9);
-        let target = Matrix::from_rows(&[vec![1.0, -2.0, 0.5]]);
-        let w_plain = optimize(|p, g| plain.step_single(p, g), 40);
-        let w_momentum = optimize(|p, g| momentum.step_single(p, g), 40);
-        let err_plain = (&w_plain - &target).frobenius_norm();
-        let err_momentum = (&w_momentum - &target).frobenius_norm();
-        assert!(err_momentum < err_plain, "{err_momentum} vs {err_plain}");
     }
 
     #[test]
@@ -324,12 +166,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "learning rate must be positive")]
-    fn sgd_rejects_nonpositive_learning_rate() {
-        let _ = Sgd::new(0.0, 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "one gradient per parameter")]
     fn adam_rejects_mismatched_lengths() {
         let mut adam = Adam::new(0.1);
@@ -338,33 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn param_groups_keep_independent_state() {
-        let mut groups = ParamGroups::new();
-        let weights = groups.add_group("weights", 0.001);
-        let thresholds = groups.add_group("thresholds", 0.1);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups.name(weights), "weights");
-        assert_eq!(groups.name(thresholds), "thresholds");
-
-        let mut w = Matrix::zeros(1, 1);
-        let mut th = Matrix::zeros(1, 1);
-        let grad = Matrix::filled(1, 1, 1.0);
-        for _ in 0..10 {
-            groups.step(weights, &mut [&mut w], &[&grad]);
-            groups.step(thresholds, &mut [&mut th], &[&grad]);
-        }
-        // The higher learning rate group must have moved farther.
-        assert!(th[(0, 0)].abs() > w[(0, 0)].abs());
-    }
-
-    #[test]
     fn learning_rate_accessors() {
-        let mut adam = Adam::new(0.01);
-        assert_eq!(adam.learning_rate(), 0.01);
-        adam.set_learning_rate(0.02);
-        assert_eq!(adam.learning_rate(), 0.02);
-        let mut sgd = Sgd::new(0.1, 0.5);
-        sgd.set_learning_rate(0.3);
-        assert_eq!(sgd.learning_rate(), 0.3);
+        assert_eq!(Adam::new(0.01).learning_rate(), 0.01);
     }
 }

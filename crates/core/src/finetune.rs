@@ -24,10 +24,9 @@ use leopard_tensor::{ops, Matrix};
 use leopard_transformer::data::Dataset;
 use leopard_transformer::hooks::IdentityHook;
 use leopard_transformer::TransformerClassifier;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the pruning-aware fine-tuning pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FinetuneConfig {
     /// Number of fine-tuning epochs (the paper runs one to five).
     pub epochs: usize,
@@ -60,7 +59,7 @@ impl Default for FinetuneConfig {
 }
 
 /// Per-epoch measurements recorded during fine-tuning (the Figure 2 series).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochRecord {
     /// Epoch index, starting at 1.
     pub epoch: usize,
@@ -78,7 +77,7 @@ pub struct EpochRecord {
 }
 
 /// Outcome of a fine-tuning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FinetuneReport {
     /// Accuracy of the model before any pruning-aware fine-tuning, evaluated
     /// without pruning (the "baseline accuracy" of Figure 6).

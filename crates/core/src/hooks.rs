@@ -160,11 +160,6 @@ impl HardThresholdHook {
     pub fn stats(&self) -> PruningStats {
         self.stats.borrow().clone()
     }
-
-    /// Clears the accumulated statistics.
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = PruningStats::new();
-    }
 }
 
 impl InferenceScoreHook for HardThresholdHook {
@@ -294,8 +289,6 @@ mod tests {
         assert_eq!(stats.total_scores(), 5);
         assert_eq!(stats.pruned_scores(), 2);
         assert_eq!(stats.layer_pruning_rate(0), Some(1.0 / 3.0));
-        hook.reset_stats();
-        assert_eq!(hook.stats().total_scores(), 0);
     }
 
     #[test]

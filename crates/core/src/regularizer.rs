@@ -14,10 +14,9 @@
 use crate::soft_threshold::SoftThresholdConfig;
 use leopard_autodiff::{Tape, Var};
 use leopard_tensor::{ops, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the surrogate L0 regularizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct L0Config {
     /// Sigmoid sharpness `k` (paper: 100).
     pub sharpness: f32,

@@ -19,10 +19,9 @@
 
 use leopard_autodiff::{Tape, Var};
 use leopard_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the soft threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftThresholdConfig {
     /// Sharpness `s` of the `tanh` blend. The paper uses 10.
     pub sharpness: f32,

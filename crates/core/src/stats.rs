@@ -6,11 +6,10 @@
 //! computation are processed. [`PruningStats`] is the shared counter both the
 //! software evaluation and the accelerator simulator update.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Counters of total and pruned scores, overall and per attention layer.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PruningStats {
     total: u64,
     pruned: u64,
@@ -46,11 +45,6 @@ impl PruningStats {
     /// Number of scores pruned.
     pub fn pruned_scores(&self) -> u64 {
         self.pruned
-    }
-
-    /// Number of scores that survived pruning.
-    pub fn kept_scores(&self) -> u64 {
-        self.total - self.pruned
     }
 
     /// Overall pruning rate in `[0, 1]` (0 when nothing was observed).
@@ -122,7 +116,6 @@ mod tests {
         s.record_layer(1, 100, 60);
         assert_eq!(s.total_scores(), 200);
         assert_eq!(s.pruned_scores(), 140);
-        assert_eq!(s.kept_scores(), 60);
         assert!((s.pruning_rate() - 0.7).abs() < 1e-6);
         assert_eq!(s.layer_pruning_rate(0), Some(0.8));
         assert_eq!(s.layer_pruning_rate(1), Some(0.6));

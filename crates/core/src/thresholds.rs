@@ -8,10 +8,9 @@
 //! are plain numbers).
 
 use leopard_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// The learned per-layer pruning thresholds of a model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerThresholds {
     values: Vec<f32>,
 }
@@ -82,16 +81,6 @@ impl LayerThresholds {
         Matrix::filled(1, 1, self.get(layer))
     }
 
-    /// Writes back a `1 x 1` matrix (typically after an optimizer step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range or `m` is not `1 x 1`.
-    pub fn update_from_matrix(&mut self, layer: usize, m: &Matrix) {
-        assert_eq!(m.shape(), (1, 1), "threshold matrices are 1x1");
-        self.set(layer, m[(0, 0)]);
-    }
-
     /// Iterates over `(layer, threshold)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f32)> + '_ {
         self.values.iter().copied().enumerate()
@@ -127,12 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn matrix_round_trip() {
-        let mut th = LayerThresholds::from_values(vec![0.1, 0.2]);
+    fn as_matrix_holds_the_layer_threshold() {
+        let th = LayerThresholds::from_values(vec![0.1, 0.2]);
         let m = th.as_matrix(1);
+        assert_eq!(m.shape(), (1, 1));
         assert_eq!(m[(0, 0)], 0.2);
-        th.update_from_matrix(0, &Matrix::filled(1, 1, 0.55));
-        assert_eq!(th.get(0), 0.55);
     }
 
     #[test]

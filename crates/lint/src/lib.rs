@@ -131,12 +131,7 @@ impl Default for LintConfig {
             blessed_telemetry_fns: vec!["write_telemetry_outputs"],
             par_markers: vec!["shards", "workers", "head_workloads", "partials"],
             blessed_reductions: vec!["merge_shards", "merge_head_shards"],
-            excluded_prefixes: vec![
-                "crates/serde",
-                "crates/criterion",
-                "crates/rand",
-                "crates/proptest",
-            ],
+            excluded_prefixes: vec!["crates/criterion", "crates/rand", "crates/proptest"],
         }
     }
 }
@@ -255,6 +250,8 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
     out
 }
 
+/// The lint crate has no dependencies, so it keeps its own copy of the
+/// runtime's JSON string escaper.
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -301,6 +298,8 @@ mod tests {
     #[test]
     fn default_config_exempts_stand_in_crates() {
         let config = LintConfig::default();
-        assert!(config.excluded_prefixes.contains(&"crates/serde"));
+        for stand_in in ["crates/rand", "crates/proptest", "crates/criterion"] {
+            assert!(config.excluded_prefixes.contains(&stand_in), "{stand_in}");
+        }
     }
 }

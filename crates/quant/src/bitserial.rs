@@ -9,11 +9,10 @@
 //! raise the dot product by at most `|q| * (2^remaining - 1)`.
 
 use crate::signmag::SignMagnitude;
-use serde::{Deserialize, Serialize};
 
 /// Static description of a bit-serial schedule: how many magnitude bits a key
 /// element has and how many are consumed per cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitSerialPlan {
     /// Total number of magnitude bits (excluding the sign bit).
     pub magnitude_bits: u32,
@@ -82,7 +81,7 @@ impl BitSerialPlan {
 
 /// A key vector decomposed for bit-serial processing: per-element signs plus
 /// magnitudes that can be replayed a few MSBs at a time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSerialVector {
     plan: BitSerialPlan,
     elements: Vec<SignMagnitude>,
@@ -131,15 +130,6 @@ impl BitSerialVector {
         self.elements.is_empty()
     }
 
-    /// Sign/magnitude of element `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn element(&self, i: usize) -> SignMagnitude {
-        self.elements[i]
-    }
-
     /// The portion of element `i`'s magnitude visible after `cycles` cycles:
     /// its top `bits_after(cycles)` bits, shifted back into place (the low
     /// unseen bits read as zero).
@@ -160,14 +150,6 @@ impl BitSerialVector {
         } else {
             mag
         }
-    }
-
-    /// The magnitude bits of element `i` newly revealed by cycle `cycle`
-    /// (1-indexed), i.e. the difference between the partial magnitudes after
-    /// `cycle` and `cycle - 1` cycles.
-    pub fn revealed_magnitude(&self, i: usize, cycle: u32) -> u32 {
-        assert!(cycle >= 1, "cycles are 1-indexed");
-        self.partial_magnitude(i, cycle) - self.partial_magnitude(i, cycle - 1)
     }
 
     /// Exact partial dot product with a full-precision Q vector after
@@ -250,7 +232,6 @@ mod tests {
         assert_eq!(v.partial_magnitude(0, 2), 0b1011_0000);
         assert_eq!(v.partial_magnitude(0, 3), 0b1011_0100);
         assert_eq!(v.partial_magnitude(0, 4), 182);
-        assert_eq!(v.revealed_magnitude(0, 2), 0b0011_0000);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! directions are provided.
 
 use leopard_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a symmetric linear quantizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     /// Total bit width including the sign bit.
     pub bits: u32,
@@ -82,7 +81,7 @@ impl QuantParams {
 }
 
 /// A quantized matrix: integer codes plus the quantizer that produced them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,
@@ -163,19 +162,6 @@ impl QuantizedMatrix {
     }
 }
 
-/// Maps a real-valued score-domain threshold (e.g. a learned `Th`, already
-/// including the `1/sqrt(d)` scaling) into the integer product domain of a
-/// quantized `Q·Kᵀ`, so the accelerator can compare partial sums against it.
-///
-/// `score_scale` is [`QuantizedMatrix::product_scale`] of the Q and K
-/// matrices; `sqrt_d_scaling` is the `1/sqrt(d)` factor applied to real
-/// scores but *not* to the integer dot product.
-pub fn threshold_to_product_domain(threshold: f32, score_scale: f32, sqrt_d_scaling: f32) -> f32 {
-    // real_score = integer_dot * score_scale * sqrt_d_scaling, so the integer
-    // comparison point is threshold / (score_scale * sqrt_d_scaling).
-    threshold / (score_scale * sqrt_d_scaling)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,17 +226,6 @@ mod tests {
                 "row {i}: {float_dot} vs {reconstructed}"
             );
         }
-    }
-
-    #[test]
-    fn threshold_domain_mapping_is_consistent() {
-        let score_scale = 0.001f32;
-        let sqrt_d = 1.0 / 8.0; // d = 64
-        let th_real = 0.4f32;
-        let th_int = threshold_to_product_domain(th_real, score_scale, sqrt_d);
-        // An integer dot product exactly at th_int reproduces th_real.
-        let real = th_int * score_scale * sqrt_d;
-        assert!((real - th_real).abs() < 1e-5);
     }
 
     #[test]

@@ -9,10 +9,8 @@
 //! straightforward, because the magnitude bits can be streamed independently
 //! of the sign.
 
-use serde::{Deserialize, Serialize};
-
 /// A signed integer split into an explicit sign and magnitude.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SignMagnitude {
     /// `true` when the value is negative. Zero is represented as positive.
     pub negative: bool,
@@ -37,34 +35,12 @@ impl SignMagnitude {
             self.magnitude as i32
         }
     }
-
-    /// Sign as `+1` / `-1` (zero counts as positive, matching the hardware's
-    /// XOR-based concordance test, where a zero operand contributes nothing
-    /// to the product anyway).
-    pub fn sign(self) -> i32 {
-        if self.negative {
-            -1
-        } else {
-            1
-        }
-    }
-
-    /// Whether the product of two values is non-negative (signs agree).
-    /// This is the XOR test of Figure 5(b).
-    pub fn concordant(self, other: SignMagnitude) -> bool {
-        self.negative == other.negative
-    }
 }
 
 impl From<i32> for SignMagnitude {
     fn from(code: i32) -> Self {
         Self::from_code(code)
     }
-}
-
-/// Splits a slice of codes into sign-magnitude form.
-pub fn split_slice(codes: &[i32]) -> Vec<SignMagnitude> {
-    codes.iter().map(|&c| SignMagnitude::from_code(c)).collect()
 }
 
 #[cfg(test)]
@@ -84,41 +60,13 @@ mod tests {
     fn zero_is_positive() {
         let sm = SignMagnitude::from_code(0);
         assert!(!sm.negative);
-        assert_eq!(sm.sign(), 1);
         assert_eq!(sm.magnitude, 0);
-    }
-
-    #[test]
-    fn concordance_matches_product_sign() {
-        let cases = [(3, 5), (-3, -5), (3, -5), (-3, 5), (0, -7)];
-        for (a, b) in cases {
-            let sa = SignMagnitude::from_code(a);
-            let sb = SignMagnitude::from_code(b);
-            let product_nonnegative = (a as i64 * b as i64) >= 0;
-            if a != 0 && b != 0 {
-                assert_eq!(sa.concordant(sb), product_nonnegative, "a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_slice_preserves_order() {
-        let sms = split_slice(&[1, -2, 3]);
-        assert_eq!(sms.len(), 3);
-        assert_eq!(sms[1].to_code(), -2);
     }
 
     proptest! {
         #[test]
         fn prop_round_trip(code in -100_000i32..100_000) {
             prop_assert_eq!(SignMagnitude::from_code(code).to_code(), code);
-        }
-
-        #[test]
-        fn prop_concordant_iff_same_sign(a in -1000i32..1000, b in -1000i32..1000) {
-            prop_assume!(a != 0 && b != 0);
-            let concordant = SignMagnitude::from_code(a).concordant(SignMagnitude::from_code(b));
-            prop_assert_eq!(concordant, (a > 0) == (b > 0));
         }
     }
 }

@@ -543,9 +543,9 @@ pub fn run_suite_parallel(
 /// The serving engine is the caller: a fault-free run needs one plan width
 /// (the configured tile count), while a run with tile fail/recover events
 /// also needs the makespan at every reduced live-set width its gang
-/// dispatch can encounter (`leopard_accel::schedule::plan_layer_live`
-/// guarantees a live-set plan makes exactly the decisions of the
-/// same-width plain plan, so width is the only thing that matters here).
+/// dispatch can encounter (a plan over a live subset of tiles is the
+/// plain plan of that width with only the tile labels moved, so width is
+/// the only thing that matters here).
 /// Every job is a pure function of `(task, pipeline, config, width)` —
 /// thread count never changes a returned cycle count.
 pub fn measure_layer_makespans(

@@ -32,7 +32,7 @@
 //! # Plan files
 //!
 //! Plans load from JSON (`leopard serve --faults plan.json`) via a
-//! hand-rolled parser (the workspace serde is an offline no-op stub):
+//! hand-rolled std-only parser (the workspace has no JSON dependency):
 //!
 //! ```json
 //! {
@@ -368,7 +368,7 @@ fn parse_slow_tile(value: &Json) -> Result<SlowTile, String> {
 }
 
 /// Minimal JSON value model — just enough for fault plans (the workspace
-/// serde is an offline no-op stub, so plans parse through this hand-rolled
+/// has no JSON dependency, so plans parse through this hand-rolled
 /// recursive-descent reader).
 #[derive(Debug, Clone, PartialEq)]
 enum Json {

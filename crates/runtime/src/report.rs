@@ -1,8 +1,8 @@
 //! Structured JSON/CSV rendering of suite and serving reports.
 //!
-//! The workspace's serde is an offline no-op stub (see `crates/serde`), so
-//! report serialization is rendered directly: a small JSON writer with
-//! correct string escaping and flat CSV tables. Output field order is
+//! The workspace has no serialization dependency, so reports are rendered
+//! directly: a small std-only JSON writer with correct string escaping
+//! (shared with the telemetry exports) and flat CSV tables. Output field order is
 //! fixed, so reports diff cleanly across runs.
 //!
 //! # Non-finite values
@@ -21,7 +21,8 @@ use leopard_workloads::pipeline::{summarize, TaskResult};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` as the body of a JSON string literal.
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -80,7 +81,8 @@ const REQUEST_ROW_BYTES: usize = 200;
 const SHED_ROW_BYTES: usize = 160;
 const SAMPLE_BYTES: usize = 24;
 
-fn json_f64(v: f64) -> String {
+/// Renders a finite `f64` with `Display`, and a non-finite one as `null`.
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -56,9 +56,9 @@
 //! * **Tile fail/recover** events shrink and grow the live tile set on the
 //!   virtual clock. A failing tile drains (its in-flight gang finishes)
 //!   but takes no new dispatches; gang dispatch replans over the live set
-//!   (capacity-constrained plans go through reduced-width layer plans —
-//!   `plan_layer_live` pins that a live-set plan decides exactly like the
-//!   same-width plain plan, so only placement labels move).
+//!   (capacity-constrained plans go through reduced-width layer plans: a
+//!   plan over the live set is the plain plan of that width, so only
+//!   placement labels move).
 //! * **Transient dispatch failures** and predicted SLO misses are
 //!   *deferred* with seeded exponential backoff
 //!   ([`ServingOptions::retry_max`],
@@ -846,12 +846,6 @@ impl ServingReport {
     pub fn retried_served(&self) -> usize {
         self.records.iter().filter(|r| r.attempts > 0).count()
     }
-
-    /// Requests served at a degraded ladder level. Zero for fault-free
-    /// runs.
-    pub fn degraded_served(&self) -> usize {
-        self.records.iter().filter(|r| r.degraded > 0).count()
-    }
 }
 
 /// Draws one exponential gap with the given mean via inverse CDF; `1 - u`
@@ -1400,17 +1394,19 @@ pub fn run_serving(
             // the retry budget exhausted.
             let mut level = 0u32;
             if let Some(slo) = options.slo_cycles {
-                let deadline = request.arrival_cycle + slo;
+                // Both sides saturate: `--slo-cycles` reaches u64::MAX and
+                // the f64→u64 cast of a huge headroom saturates too.
+                let deadline = request.arrival_cycle.saturating_add(slo);
                 let predicted_now = predicted_at(width, request.task_index);
                 let padded = (predicted_now as f64 * options.slo_headroom) as u64;
-                if clock + padded > deadline {
+                if clock.saturating_add(padded) > deadline {
                     if options.degrade {
                         for candidate in 1..=DEGRADE_LEVELS {
                             let degraded_predicted =
                                 degraded_predicted_at(width, request.task_index, candidate);
                             let degraded_padded =
                                 (degraded_predicted as f64 * options.slo_headroom) as u64;
-                            if clock + degraded_padded <= deadline {
+                            if clock.saturating_add(degraded_padded) <= deadline {
                                 level = candidate;
                                 break;
                             }
@@ -2086,6 +2082,37 @@ mod tests {
             ..quick_options()
         };
         let _ = generate_requests(&suite, &options);
+    }
+
+    #[test]
+    fn slo_extremes_saturate_instead_of_wrapping() {
+        // The deadline and the padded prediction saturate at u64::MAX, so
+        // an unbounded SLO admits exactly what no SLO admits, and a huge
+        // headroom never admits more than the default one.
+        let suite: Vec<_> = full_suite().into_iter().take(4).collect();
+        let runner = SuiteRunner::new(1);
+        let run = |slo_cycles, slo_headroom| {
+            let options = ServingOptions {
+                slo_cycles,
+                slo_headroom,
+                ..quick_options()
+            };
+            run_serving(&runner, &suite, &options)
+        };
+        let unbounded = run(Some(u64::MAX), SLO_PREDICTION_HEADROOM);
+        assert!(unbounded.shed.is_empty());
+        assert_eq!(
+            unbounded.records,
+            run(None, SLO_PREDICTION_HEADROOM).records
+        );
+        let huge = run(Some(2_000), 1e300);
+        let default = run(Some(2_000), SLO_PREDICTION_HEADROOM);
+        assert!(
+            huge.shed.len() >= default.shed.len(),
+            "headroom 1e300 shed {} < default headroom's {}",
+            huge.shed.len(),
+            default.shed.len()
+        );
     }
 
     #[test]

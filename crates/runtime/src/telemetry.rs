@@ -62,6 +62,7 @@
 //! and metrics snapshots byte-identical to pre-fault runs.
 
 use crate::pool::current_worker_index;
+use crate::report::{escape_json, json_f64};
 use leopard_workloads::suite::TaskDescriptor;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -386,9 +387,9 @@ impl MetricsSnapshot {
             .map(|(_, v)| v)
     }
 
-    /// Renders the snapshot as pretty-printed JSON (hand-rendered — the
-    /// workspace serde is an offline stub). Key order is the snapshot's
-    /// name order, so files diff cleanly across runs.
+    /// Renders the snapshot as pretty-printed JSON, hand-rendered with the
+    /// report module's std-only writers. Key order is the snapshot's name
+    /// order, so files diff cleanly across runs.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         render_map(&mut out, &self.counters, |v| v.to_string());
@@ -416,7 +417,7 @@ fn render_map<V>(out: &mut String, entries: &[(String, V)], render: impl Fn(&V) 
     }
     for (i, (k, v)) in entries.iter().enumerate() {
         out.push_str(if i == 0 { "\n    \"" } else { ",\n    \"" });
-        push_escaped(out, k);
+        out.push_str(&escape_json(k));
         let _ = write!(out, "\": {}", render(v));
     }
     out.push_str("\n  }");
@@ -428,31 +429,6 @@ fn join_u64(values: &[u64]) -> String {
         .map(|v| v.to_string())
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Appends `s` to `out` as the body of a JSON string literal.
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// The telemetry layer: per-worker wall-span buffers, the serving replay
@@ -668,14 +644,7 @@ fn virtual_lines(replays: &[Replay]) -> (Vec<VirtualLine>, Vec<String>) {
         }));
     }
     lines.sort_unstable();
-    let escaped = names
-        .iter()
-        .map(|name| {
-            let mut out = String::new();
-            push_escaped(&mut out, name);
-            out
-        })
-        .collect();
+    let escaped = names.iter().map(|name| escape_json(name)).collect();
     (lines, escaped)
 }
 
@@ -685,7 +654,7 @@ const TRACE_EVENT_BYTES: usize = 144;
 
 fn render_wall(out: &mut String, event: &TraceEvent) {
     out.push_str(",\n  {\"name\": \"");
-    push_escaped(out, &event.name);
+    out.push_str(&escape_json(&event.name));
     let _ = write!(
         out,
         "\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \
@@ -906,7 +875,7 @@ mod tests {
         let mut out = String::new();
         for (phase, cat, name, ts, lane, dur, args) in &events {
             out.push_str(",\n  {\"name\": \"");
-            push_escaped(&mut out, name);
+            out.push_str(&escape_json(name));
             let label = ["X", "i", "C"][usize::from(*phase)];
             let _ = write!(out, "\", \"cat\": \"{cat}\", \"ph\": \"{label}\", ");
             if *phase == 1 {

@@ -20,26 +20,6 @@ pub enum TensorError {
         /// Length of the data buffer actually provided.
         len: usize,
     },
-    /// Two operands have incompatible shapes for the requested operation.
-    IncompatibleShapes {
-        /// Shape of the left operand as `(rows, cols)`.
-        left: (usize, usize),
-        /// Shape of the right operand as `(rows, cols)`.
-        right: (usize, usize),
-        /// Human-readable name of the operation that failed.
-        op: &'static str,
-    },
-    /// An index was out of bounds.
-    IndexOutOfBounds {
-        /// The offending index.
-        index: usize,
-        /// The exclusive bound the index must stay below.
-        bound: usize,
-        /// Which axis the index addressed.
-        axis: &'static str,
-    },
-    /// A matrix that must be non-empty was empty.
-    Empty,
 }
 
 impl fmt::Display for TensorError {
@@ -49,15 +29,6 @@ impl fmt::Display for TensorError {
                 f,
                 "data length {len} does not match requested shape {rows}x{cols}"
             ),
-            TensorError::IncompatibleShapes { left, right, op } => write!(
-                f,
-                "incompatible shapes {}x{} and {}x{} for {op}",
-                left.0, left.1, right.0, right.1
-            ),
-            TensorError::IndexOutOfBounds { index, bound, axis } => {
-                write!(f, "{axis} index {index} out of bounds (len {bound})")
-            }
-            TensorError::Empty => write!(f, "operation requires a non-empty matrix"),
         }
     }
 }
@@ -79,27 +50,6 @@ mod tests {
             err.to_string(),
             "data length 5 does not match requested shape 2x3"
         );
-    }
-
-    #[test]
-    fn display_incompatible_shapes() {
-        let err = TensorError::IncompatibleShapes {
-            left: (2, 3),
-            right: (4, 5),
-            op: "matmul",
-        };
-        assert!(err.to_string().contains("matmul"));
-        assert!(err.to_string().contains("2x3"));
-    }
-
-    #[test]
-    fn display_index_out_of_bounds() {
-        let err = TensorError::IndexOutOfBounds {
-            index: 9,
-            bound: 4,
-            axis: "row",
-        };
-        assert_eq!(err.to_string(), "row index 9 out of bounds (len 4)");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Row-major dense `f32` matrix.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
 
@@ -29,7 +28,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
 /// assert_eq!(a.matmul(&b), a);
 /// assert_eq!(a.transpose()[(0, 1)], 3.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -139,15 +138,6 @@ impl Matrix {
         }
     }
 
-    /// Creates an `n x 1` column vector from a slice.
-    pub fn col_vector(values: &[f32]) -> Self {
-        Self {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -181,11 +171,6 @@ impl Matrix {
     /// Mutable view of the underlying row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Iterator over all elements in row-major order.
@@ -240,23 +225,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data[start * self.cols..end * self.cols].to_vec(),
         }
-    }
-
-    /// Stacks matrices vertically (all must have the same number of columns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or the column counts differ.
-    pub fn vstack(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "vstack requires at least one matrix");
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for m in parts {
-            assert_eq!(m.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&m.data);
-        }
-        Matrix { rows, cols, data }
     }
 
     /// Stacks matrices horizontally (all must have the same number of rows).
@@ -320,37 +288,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Fallible matrix multiplication returning an error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] if the inner dimensions do
-    /// not agree.
-    pub fn try_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(TensorError::IncompatibleShapes {
-                left: self.shape(),
-                right: rhs.shape(),
-                op: "matmul",
-            });
-        }
-        Ok(self.matmul(rhs))
-    }
-
-    /// Dot product of two equal-length vectors stored as matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two matrices have different numbers of elements.
-    pub fn dot(&self, rhs: &Matrix) -> f32 {
-        assert_eq!(self.len(), rhs.len(), "dot length mismatch");
-        self.data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(a, b)| a * b)
-            .sum()
     }
 
     /// Element-wise (Hadamard) product.
@@ -432,15 +369,6 @@ impl Matrix {
         }
     }
 
-    /// Sums each row, producing an `rows x 1` column vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out[(r, 0)] = self.row(r).iter().sum();
-        }
-        out
-    }
-
     /// Sums each column, producing a `1 x cols` row vector.
     pub fn sum_cols(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
@@ -450,16 +378,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Maximum element. Returns `f32::NEG_INFINITY` for an empty matrix.
-    pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum element. Returns `f32::INFINITY` for an empty matrix.
-    pub fn min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
     /// Frobenius norm (`sqrt` of the sum of squared elements).
@@ -476,27 +394,6 @@ impl Matrix {
                 .iter()
                 .zip(other.data.iter())
                 .all(|(a, b)| (a - b).abs() <= tol)
-    }
-
-    /// Reshapes without copying data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `rows * cols` differs from
-    /// the current number of elements.
-    pub fn reshape(self, rows: usize, cols: usize) -> Result<Matrix> {
-        if rows * cols != self.data.len() {
-            return Err(TensorError::ShapeMismatch {
-                rows,
-                cols,
-                len: self.data.len(),
-            });
-        }
-        Ok(Matrix {
-            rows,
-            cols,
-            data: self.data,
-        })
     }
 }
 
@@ -642,13 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn try_matmul_mismatch_errors() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.try_matmul(&b).is_err());
-    }
-
-    #[test]
     fn transpose_round_trip() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
@@ -671,13 +561,9 @@ mod tests {
     }
 
     #[test]
-    fn stack_operations() {
+    fn hstack_joins_columns() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let b = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        assert_eq!(
-            Matrix::vstack(&[&a, &b]),
-            Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]])
-        );
         assert_eq!(
             Matrix::hstack(&[&a, &b]),
             Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]])
@@ -708,9 +594,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
-        assert_eq!(a.max(), 4.0);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.sum_rows(), Matrix::col_vector(&[3.0, 7.0]));
         assert_eq!(a.sum_cols(), Matrix::row_vector(&[4.0, 6.0]));
         assert!((a.frobenius_norm() - 30.0f32.sqrt()).abs() < 1e-6);
     }
@@ -723,14 +606,6 @@ mod tests {
             a.add_row_broadcast(&bias),
             Matrix::from_rows(&[vec![11.0, 22.0], vec![13.0, 24.0]])
         );
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0]]);
-        let b = a.clone().reshape(2, 2).unwrap();
-        assert_eq!(b, Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
-        assert!(a.reshape(3, 2).is_err());
     }
 
     #[test]
@@ -767,8 +642,6 @@ mod tests {
     fn vectors() {
         let r = Matrix::row_vector(&[1.0, 2.0, 3.0]);
         assert_eq!(r.shape(), (1, 3));
-        let c = Matrix::col_vector(&[1.0, 2.0, 3.0]);
-        assert_eq!(c.shape(), (3, 1));
-        assert_eq!(r.dot(&c), 14.0);
+        assert_eq!(r.transpose().shape(), (3, 1));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The attention pipeline (Section 2.1 of the paper) needs a stable softmax,
 //! log-sum-exp, and cross-entropy; the learned-pruning algorithm (Section 3)
-//! additionally needs `tanh`/`sigmoid` helpers with the paper's sharpness
-//! constants. Everything here operates on [`Matrix`] and plain slices so both
+//! additionally needs a `sigmoid` helper for the paper's sharp L0
+//! surrogate. Everything here operates on [`Matrix`] and plain slices so both
 //! the float reference path and the fixed-point simulator can share code.
 
 use crate::Matrix;
@@ -130,21 +130,6 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Derivative of the sigmoid expressed in terms of its output.
-pub fn sigmoid_derivative_from_output(y: f32) -> f32 {
-    y * (1.0 - y)
-}
-
-/// Hyperbolic tangent (thin wrapper so all call sites share one definition).
-pub fn tanh(x: f32) -> f32 {
-    x.tanh()
-}
-
-/// Derivative of `tanh` expressed in terms of its output.
-pub fn tanh_derivative_from_output(y: f32) -> f32 {
-    1.0 - y * y
-}
-
 /// GELU activation (tanh approximation), used by the transformer FFN blocks.
 pub fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + ((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)).tanh())
@@ -192,17 +177,6 @@ pub fn mse(a: &Matrix, b: &Matrix) -> f32 {
         .map(|(x, y)| (x - y) * (x - y))
         .sum::<f32>()
         / a.len() as f32
-}
-
-/// Perplexity from a mean cross-entropy loss (natural log), the metric the
-/// paper reports for GPT-2 on WikiText-2.
-pub fn perplexity_from_loss(mean_cross_entropy: f32) -> f32 {
-    mean_cross_entropy.exp()
-}
-
-/// Clamps every element of a matrix into `[lo, hi]`.
-pub fn clamp(m: &Matrix, lo: f32, hi: f32) -> Matrix {
-    m.map(|v| v.clamp(lo, hi))
 }
 
 #[cfg(test)]
@@ -299,17 +273,6 @@ mod tests {
         assert!(sigmoid(-10.0) < 0.0001);
         // symmetric: sigmoid(-x) = 1 - sigmoid(x)
         assert!(close(sigmoid(-1.3), 1.0 - sigmoid(1.3)));
-        let y = sigmoid(0.7);
-        assert!(close(sigmoid_derivative_from_output(y), y * (1.0 - y)));
-    }
-
-    #[test]
-    fn tanh_derivative_matches_finite_difference() {
-        let x = 0.37f32;
-        let eps = 1e-3;
-        let numeric = (tanh(x + eps) - tanh(x - eps)) / (2.0 * eps);
-        let analytic = tanh_derivative_from_output(tanh(x));
-        assert!((numeric - analytic).abs() < 1e-3);
     }
 
     #[test]
@@ -339,20 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn mse_and_perplexity() {
+    fn mse_known_result() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let b = Matrix::from_rows(&[vec![1.0, 4.0]]);
         assert!(close(mse(&a, &b), 2.0));
-        assert!(close(perplexity_from_loss(0.0), 1.0));
-        assert!(perplexity_from_loss(2.0) > 7.0);
-    }
-
-    #[test]
-    fn clamp_bounds_values() {
-        let m = Matrix::from_rows(&[vec![-5.0, 0.5, 5.0]]);
-        assert_eq!(
-            clamp(&m, -1.0, 1.0),
-            Matrix::from_rows(&[vec![-1.0, 0.5, 1.0]])
-        );
     }
 }

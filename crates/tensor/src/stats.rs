@@ -5,8 +5,6 @@
 //! percentiles are the aggregations the paper itself uses (e.g. GMean rows in
 //! Figures 9 and 10).
 
-use crate::Matrix;
-
 /// Arithmetic mean of a slice. Returns 0.0 for an empty slice.
 pub fn mean(values: &[f32]) -> f32 {
     if values.is_empty() {
@@ -14,16 +12,6 @@ pub fn mean(values: &[f32]) -> f32 {
     } else {
         values.iter().sum::<f32>() / values.len() as f32
     }
-}
-
-/// Population standard deviation of a slice. Returns 0.0 for slices with
-/// fewer than two elements.
-pub fn std_dev(values: &[f32]) -> f32 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    (values.iter().map(|v| (v - m) * (v - m)).sum::<f32>() / values.len() as f32).sqrt()
 }
 
 /// Geometric mean of a slice of positive values, the aggregation the paper
@@ -96,167 +84,14 @@ pub fn percentile_mapped_in_place(values: &mut [f32], p: f32, map: impl Fn(f32) 
     lo_value * (1.0 - w) + hi_value * w
 }
 
-/// A fixed-width histogram over a closed interval, used to inspect attention
-/// score distributions when calibrating synthetic workloads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f32,
-    hi: f32,
-    counts: Vec<u64>,
-    total: u64,
-    below: u64,
-    above: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram with `bins` equal-width buckets on `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f32, hi: f32, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-            below: 0,
-            above: 0,
-        }
-    }
-
-    /// Adds a single observation.
-    pub fn add(&mut self, value: f32) {
-        self.total += 1;
-        if value < self.lo {
-            self.below += 1;
-        } else if value >= self.hi {
-            self.above += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f32;
-            let idx = ((value - self.lo) / width) as usize;
-            let idx = idx.min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Adds every element of a matrix.
-    pub fn add_matrix(&mut self, m: &Matrix) {
-        for &v in m.iter() {
-            self.add(v);
-        }
-    }
-
-    /// Number of observations recorded (including out-of-range ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Observations below the histogram range.
-    pub fn below_range(&self) -> u64 {
-        self.below
-    }
-
-    /// Observations at or above the histogram range's upper bound.
-    pub fn above_range(&self) -> u64 {
-        self.above
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Fraction of in-range observations that fall at or below `value`
-    /// (empirical CDF, bin-resolution approximation).
-    pub fn cdf(&self, value: f32) -> f32 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        if value < self.lo {
-            return self.below as f32 / self.total as f32;
-        }
-        let width = (self.hi - self.lo) / self.counts.len() as f32;
-        let last_bin = (((value - self.lo) / width) as usize).min(self.counts.len() - 1);
-        let in_bins: u64 = self.counts[..=last_bin].iter().sum();
-        (self.below + in_bins) as f32 / self.total as f32
-    }
-}
-
-/// A streaming accumulator of mean / min / max, useful for per-cycle
-/// statistics in the simulator where storing every sample would be wasteful.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Accumulator {
-    count: u64,
-    sum: f64,
-    min: f32,
-    max: f32,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: f32::INFINITY,
-            max: f32::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn add(&mut self, value: f32) {
-        self.count += 1;
-        self.sum += f64::from(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the observations (0.0 when empty).
-    pub fn mean(&self) -> f32 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.sum / self.count as f64) as f32
-        }
-    }
-
-    /// Minimum observation (`+inf` when empty).
-    pub fn min(&self) -> f32 {
-        self.min
-    }
-
-    /// Maximum observation (`-inf` when empty).
-    pub fn max(&self) -> f32 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &Accumulator) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_known_results() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-6);
-        assert_eq!(std_dev(&[1.0]), 0.0);
     }
 
     #[test]
@@ -330,47 +165,5 @@ mod tests {
         assert!(percentile(&values, 0.0).is_nan());
         assert!(percentile(&values, 100.0).is_nan());
         assert!(percentile(&[f32::NAN; 4], 37.0).is_nan());
-    }
-
-    #[test]
-    fn histogram_counts_and_cdf() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for v in [0.5, 1.5, 1.7, 9.9, -1.0, 20.0] {
-            h.add(v);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.below_range(), 1);
-        assert_eq!(h.above_range(), 1);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 1);
-        assert!(h.cdf(2.0) >= 0.5);
-        assert!(h.cdf(-5.0) < 0.2);
-    }
-
-    #[test]
-    fn histogram_add_matrix() {
-        let mut h = Histogram::new(-1.0, 1.0, 4);
-        h.add_matrix(&Matrix::from_rows(&[vec![-0.5, 0.5], vec![0.9, -0.9]]));
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.counts().iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn accumulator_tracks_summary() {
-        let mut a = Accumulator::new();
-        for v in [1.0, 2.0, 3.0] {
-            a.add(v);
-        }
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.mean(), 2.0);
-        assert_eq!(a.min(), 1.0);
-        assert_eq!(a.max(), 3.0);
-
-        let mut b = Accumulator::new();
-        b.add(10.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.max(), 10.0);
     }
 }

@@ -34,18 +34,6 @@ pub struct AttentionOutput {
     pub pruned_count: usize,
 }
 
-impl AttentionOutput {
-    /// Fraction of scores pruned by the hook, in `[0, 1]`.
-    pub fn pruning_rate(&self) -> f32 {
-        let total = self.raw_scores.len();
-        if total == 0 {
-            0.0
-        } else {
-            self.pruned_count as f32 / total as f32
-        }
-    }
-}
-
 /// Differentiable single-head attention.
 ///
 /// `q`, `k`, and `v` are tape nodes shaped `s x d`; the returned node is the
@@ -213,7 +201,6 @@ mod tests {
             }
         }
         assert_eq!(out.pruned_count, 0);
-        assert_eq!(out.pruning_rate(), 0.0);
     }
 
     #[test]
@@ -222,7 +209,6 @@ mod tests {
         let hook = ClipHook { threshold: 0.3 };
         let out = attention_inference(&q, &k, &v, &hook, 0, 0);
         assert!(out.pruned_count > 0, "expected some pruning with th=0.3");
-        assert!(out.pruning_rate() > 0.0 && out.pruning_rate() <= 1.0);
         // Pruned entries have ~zero probability — in rows that kept at least
         // one survivor (a fully pruned row softmaxes to uniform, and the
         // back-end never sees it).

@@ -7,10 +7,8 @@
 //! patches plus the class token). Layer and head counts follow the public
 //! model cards.
 
-use serde::{Deserialize, Serialize};
-
 /// The transformer model families evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// End-to-end memory network evaluated on the 20 bAbI tasks.
     MemN2N,
@@ -67,7 +65,7 @@ impl std::fmt::Display for ModelFamily {
 /// * **Trainable-scale** ([`ModelConfig::train_scale`]) — a reduced copy used
 ///   by the fine-tuning experiments so that threshold learning runs in
 ///   seconds on a CPU while exercising exactly the same code path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Which family this configuration belongs to.
     pub family: ModelFamily,
@@ -179,21 +177,6 @@ impl ModelConfig {
         }
     }
 
-    /// Total number of score elements per layer (`s * s` per head times heads).
-    pub fn scores_per_layer(&self) -> usize {
-        self.seq_len * self.seq_len * self.heads
-    }
-
-    /// Multiply–accumulate operations in one `Q * K^T` per head (`s^2 * d`).
-    pub fn qk_macs_per_head(&self) -> u64 {
-        (self.seq_len as u64) * (self.seq_len as u64) * (self.head_dim as u64)
-    }
-
-    /// Multiply–accumulate operations in one `P * V` per head (`s^2 * d`).
-    pub fn pv_macs_per_head(&self) -> u64 {
-        self.qk_macs_per_head()
-    }
-
     /// Validates internal consistency (e.g. `model_dim == heads * head_dim`).
     ///
     /// # Errors
@@ -262,13 +245,6 @@ mod tests {
             assert!(cfg.seq_len <= 24);
             assert_eq!(cfg.validate(), Ok(()));
         }
-    }
-
-    #[test]
-    fn mac_counts_are_quadratic_in_sequence_length() {
-        let cfg = ModelConfig::paper_scale(ModelFamily::BertBase);
-        assert_eq!(cfg.qk_macs_per_head(), 512 * 512 * 64);
-        assert_eq!(cfg.scores_per_layer(), 512 * 512 * 12);
     }
 
     #[test]

@@ -22,10 +22,9 @@ use crate::config::ModelConfig;
 use leopard_tensor::{rng, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a synthetic classification task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpec {
     /// Number of classes.
     pub classes: usize,
@@ -133,11 +132,6 @@ impl TaskGenerator {
         &self.config
     }
 
-    /// The task spec.
-    pub fn spec(&self) -> &TaskSpec {
-        &self.spec
-    }
-
     /// Generates a dataset split of `n` samples. `split_seed` distinguishes
     /// train / eval splits while sharing class directions.
     pub fn generate(&self, n: usize, split_seed: u64) -> Dataset {
@@ -162,68 +156,6 @@ impl TaskGenerator {
             }
         }
         Sample { input, label }
-    }
-}
-
-/// Generates a calibrated synthetic attention-score matrix whose statistics
-/// (mean, spread, and the fraction of "important" scores) can be tuned to
-/// reproduce the per-model pruning rates the paper reports in Figure 7.
-///
-/// This is what the accelerator benchmarks use when they need full-scale
-/// score matrices (e.g. 512 x 512 for BERT) without training a full-scale
-/// model: a small fraction `important_fraction` of each row is drawn from a
-/// high-score distribution and the rest from a low-score background.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScoreDistribution {
-    /// Fraction of scores per row drawn from the "important" component.
-    pub important_fraction: f32,
-    /// Mean of the important component (post scaling by `1/sqrt(d)`).
-    pub important_mean: f32,
-    /// Standard deviation of the important component.
-    pub important_std: f32,
-    /// Mean of the background component.
-    pub background_mean: f32,
-    /// Standard deviation of the background component.
-    pub background_std: f32,
-}
-
-impl ScoreDistribution {
-    /// A distribution calibrated so that roughly `target_pruning_rate` of the
-    /// scores fall below a threshold near zero, mirroring the paper's
-    /// per-model pruning rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_pruning_rate` is not within `(0, 1)`.
-    pub fn for_pruning_rate(target_pruning_rate: f32) -> Self {
-        assert!(
-            target_pruning_rate > 0.0 && target_pruning_rate < 1.0,
-            "pruning rate must be in (0, 1)"
-        );
-        Self {
-            important_fraction: 1.0 - target_pruning_rate,
-            important_mean: 1.2,
-            important_std: 0.45,
-            background_mean: -1.1,
-            background_std: 0.55,
-        }
-    }
-
-    /// Samples an `s x s` score matrix.
-    pub fn sample_scores(&self, rng: &mut StdRng, s: usize) -> Matrix {
-        let mut m = Matrix::zeros(s, s);
-        for r in 0..s {
-            for c in 0..s {
-                let important = rng.gen::<f32>() < self.important_fraction;
-                let (mean, std) = if important {
-                    (self.important_mean, self.important_std)
-                } else {
-                    (self.background_mean, self.background_std)
-                };
-                m[(r, c)] = mean + std * rng::standard_normal(rng);
-            }
-        }
-        m
     }
 }
 
@@ -314,25 +246,5 @@ mod tests {
             ..TaskSpec::default()
         };
         let _ = TaskGenerator::new(tiny_config(), spec);
-    }
-
-    #[test]
-    fn score_distribution_hits_target_rate_approximately() {
-        let target = 0.75;
-        let dist = ScoreDistribution::for_pruning_rate(target);
-        let mut r = rng::seeded(3);
-        let scores = dist.sample_scores(&mut r, 64);
-        // With a threshold at 0, roughly `target` of scores should be below.
-        let below = scores.iter().filter(|&&v| v < 0.0).count() as f32 / scores.len() as f32;
-        assert!(
-            (below - target).abs() < 0.08,
-            "below-zero fraction {below} far from target {target}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "pruning rate must be in (0, 1)")]
-    fn invalid_pruning_rate_panics() {
-        let _ = ScoreDistribution::for_pruning_rate(1.5);
     }
 }

@@ -42,7 +42,6 @@ pub mod attention;
 pub mod config;
 pub mod data;
 pub mod hooks;
-pub mod mask;
 pub mod model;
 
 pub use attention::{attention_inference, AttentionOutput};

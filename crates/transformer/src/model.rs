@@ -38,14 +38,6 @@ impl Linear {
         }
     }
 
-    /// Differentiable forward pass.
-    pub fn forward(&self, tape: &Tape, x: Var) -> Var {
-        let w = tape.leaf(self.weight.clone());
-        let b = tape.leaf(self.bias.clone());
-        let prod = tape.matmul(x, w);
-        tape.add_row_broadcast(prod, b)
-    }
-
     /// Differentiable forward pass that also returns the parameter nodes so
     /// the caller can read their gradients.
     pub fn forward_tracked(&self, tape: &Tape, x: Var) -> (Var, Var, Var) {
@@ -58,11 +50,6 @@ impl Linear {
     /// Inference forward pass.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         x.matmul(&self.weight).add_row_broadcast(&self.bias)
-    }
-
-    /// Number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
     }
 }
 
@@ -107,11 +94,6 @@ impl MultiHeadAttention {
             wo: rng::xavier_uniform(rng, heads * head_dim, model_dim),
             head_dim,
         }
-    }
-
-    /// Head dimension `d`.
-    pub fn head_dim(&self) -> usize {
-        self.head_dim
     }
 
     /// Differentiable forward pass. Returns the block output and the list of
@@ -180,15 +162,6 @@ impl MultiHeadAttention {
         }
         out.push(&mut self.wo);
         out
-    }
-
-    /// Number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.heads
-            .iter()
-            .map(|h| h.wq.len() + h.wk.len() + h.wv.len())
-            .sum::<usize>()
-            + self.wo.len()
     }
 }
 
@@ -290,14 +263,6 @@ impl EncoderLayer {
         out.push(&mut self.ln2_beta);
         out
     }
-
-    /// Number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.attention.param_count()
-            + self.ffn1.param_count()
-            + self.ffn2.param_count()
-            + self.ln1_gamma.len() * 4
-    }
 }
 
 /// A transformer encoder stack with a mean-pooling classification head.
@@ -350,15 +315,6 @@ impl TransformerClassifier {
     /// Number of output classes.
     pub fn classes(&self) -> usize {
         self.classes
-    }
-
-    /// Total number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.layers
-            .iter()
-            .map(EncoderLayer::param_count)
-            .sum::<usize>()
-            + self.classifier.param_count()
     }
 
     /// Differentiable forward pass for a single sample (an `s x model_dim`
@@ -468,9 +424,8 @@ mod tests {
         let x = rng::normal_matrix(&mut r, 2, 4, 0.0, 1.0);
         let tape = Tape::new();
         let xv = tape.constant(x.clone());
-        let y = lin.forward(&tape, xv);
+        let (y, _, _) = lin.forward_tracked(&tape, xv);
         assert!(tape.value(y).approx_eq(&lin.forward_inference(&x), 1e-5));
-        assert_eq!(lin.param_count(), 4 * 3 + 3);
     }
 
     #[test]
@@ -483,7 +438,6 @@ mod tests {
         assert_eq!(out.shape(), (cfg.seq_len, cfg.model_dim));
         assert_eq!(traces.len(), cfg.heads);
         assert_eq!(traces[0].raw_scores.shape(), (cfg.seq_len, cfg.seq_len));
-        assert_eq!(mha.head_dim(), cfg.head_dim);
     }
 
     #[test]
@@ -576,12 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn param_count_is_consistent() {
+    fn params_mut_covers_layers_and_classifier() {
         let cfg = tiny_config();
         let mut model = TransformerClassifier::new(cfg, 3, 9);
         let total: usize = model.params_mut().iter().map(|p| p.len()).sum();
-        // param_count over-counts nothing and under-counts nothing material.
-        assert!(model.param_count() > 0);
         assert_eq!(
             total,
             model

@@ -32,7 +32,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod pipeline;
-pub mod report;
 pub mod suite;
 pub mod training;
 

@@ -22,11 +22,10 @@ use leopard_accel::sim::{
 };
 use leopard_tensor::{rng, stats, Matrix};
 use leopard_transformer::config::ModelFamily;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Options controlling how a task is turned into a simulator workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineOptions {
     /// Cap on the simulated sequence length. Speedup and energy ratios are
     /// ratios of quantities that all scale with `s^2`, so simulating a
@@ -82,7 +81,7 @@ impl PipelineOptions {
 }
 
 /// Measured results for one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskResult {
     /// Task name (copied from the descriptor).
     pub name: String,
@@ -156,7 +155,7 @@ pub fn threshold_for_rate(q: &Matrix, k: &Matrix, target_rate: f32) -> f32 {
 /// the parallel engine in `leopard-runtime` schedules one job per (head,
 /// row block) that produces all four; [`run_task`] runs the same fused
 /// pass inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimUnitKind {
     /// Unpruned full-precision baseline (the denominator of every ratio).
     Baseline,
@@ -292,40 +291,6 @@ pub fn predict_task_cycles(task: &TaskDescriptor, options: &PipelineOptions) -> 
             .iter()
             .map(|&kind| predict_unit_cycles(task, options, kind))
             .sum::<u64>()
-}
-
-/// Predicted cycles to serve one inference request for this task (all heads
-/// on the single serving configuration `config`), used by the serving-mode
-/// admission scheduler and SLO admission controller in `leopard-runtime`.
-/// Predictions come from the [`fitted_cost_model`], so the per-family
-/// early-termination savings sharpen both LJF and SJF ordering.
-pub fn predict_serving_cycles(
-    task: &TaskDescriptor,
-    options: &PipelineOptions,
-    config: &TileConfig,
-) -> u64 {
-    predict_serving_cycles_tiled(task, options, config, 1)
-}
-
-/// Tile-aware form of [`predict_serving_cycles`]: predicted cycles to serve
-/// one request when each head executes partitioned across `tiles` tiles
-/// (the schedule the serving engine replays when
-/// [`PipelineOptions::tiles`] exceeds 1). One tile reproduces
-/// [`predict_serving_cycles`] exactly.
-pub fn predict_serving_cycles_tiled(
-    task: &TaskDescriptor,
-    options: &PipelineOptions,
-    config: &TileConfig,
-    tiles: usize,
-) -> u64 {
-    fitted_cost_model().predict_request_cycles_tiled(
-        task.family.name(),
-        config,
-        sim_seq_len(task, options),
-        options.heads,
-        task.paper_pruning_rate as f64,
-        tiles,
-    )
 }
 
 /// Plans the head→tile placement of one request's attention layer under
@@ -582,7 +547,7 @@ pub fn run_task(task: &TaskDescriptor, options: &PipelineOptions) -> TaskResult 
 
 /// Summary over many task results: geometric means of the speedups and
 /// energy reductions, mirroring the GMean rows of Figures 9 and 10.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteSummary {
     /// Geometric-mean AE-LeOPArd speedup.
     pub ae_speedup_gmean: f64,
@@ -721,14 +686,10 @@ mod tests {
             .find(|t| t.name == "BERT-L SQuAD")
             .expect("suite task");
         assert!(predict_task_cycles(squad, &options) > memn2n);
-        // Serving prediction covers exactly one configuration, so it is
-        // strictly below the four-unit suite prediction.
-        let serving = predict_serving_cycles(&suite[0], &options, &TileConfig::ae_leopard());
-        assert!(serving < memn2n);
-        assert_eq!(
-            serving,
-            predict_unit_cycles(&suite[0], &options, SimUnitKind::AeLeopard)
-        );
+        // A single unit covers exactly one configuration, so it is strictly
+        // below the four-unit task prediction.
+        let unit = predict_unit_cycles(&suite[0], &options, SimUnitKind::AeLeopard);
+        assert!(unit < memn2n);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! 9, and 10 of the paper.
 
 use leopard_transformer::config::{ModelConfig, ModelFamily};
-use serde::{Deserialize, Serialize};
 
 /// Which dataset family a task belongs to (used for grouping rows the way
 /// the paper's figures do).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Facebook bAbI (20 tasks, MemN2N).
     Babi,
@@ -40,7 +39,7 @@ impl DatasetKind {
 }
 
 /// One of the 43 evaluation tasks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskDescriptor {
     /// Stable task index (0..43) in the order the paper's figures list them.
     pub id: usize,

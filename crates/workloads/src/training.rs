@@ -15,10 +15,9 @@ use leopard_core::regularizer::L0Config;
 use leopard_transformer::config::ModelConfig;
 use leopard_transformer::data::{TaskGenerator, TaskSpec};
 use leopard_transformer::TransformerClassifier;
-use serde::{Deserialize, Serialize};
 
 /// Options for the reduced-scale training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingOptions {
     /// Training samples per task.
     pub train_samples: usize,
@@ -45,7 +44,7 @@ impl Default for TrainingOptions {
 }
 
 /// Outcome of the reduced-scale training of one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingOutcome {
     /// Task name.
     pub name: String,
