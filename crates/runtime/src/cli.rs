@@ -35,8 +35,8 @@ use crate::engine::{SuiteReport, SuiteRunner};
 use crate::faults::FaultPlan;
 use crate::pool::parallel_map;
 use crate::report::{
-    serving_report_json, serving_requests_csv, serving_summary, suite_report_json, suite_table,
-    summary_line, task_results_csv,
+    serving_summary, suite_table, summary_line, write_serving_report_json,
+    write_serving_requests_csv, write_suite_report_json, write_task_results_csv,
 };
 use crate::sched::SchedulePolicy;
 use crate::serving::{run_serving, ArrivalProcess, RequestMix, ServingOptions, ServingReport};
@@ -48,6 +48,8 @@ use leopard_accel::sim::simulate_head;
 use leopard_workloads::pipeline::{PipelineOptions, SimUnitKind, MIN_SIM_SEQ_LEN};
 use leopard_workloads::suite::{full_suite, quick_subset, TaskDescriptor};
 use std::fmt::{Display, Write as _};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -790,6 +792,24 @@ fn build_runner(common: &CommonOptions) -> SuiteRunner {
     }
 }
 
+/// Streams one output file through a buffered writer and flushes it
+/// explicitly (a flush left to `Drop` would drop its error), so a failed
+/// create, write or flush is the one error `writing {path}: {e}`.
+fn write_output(
+    path: &str,
+    render: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), String> {
+    let written = File::create(path).and_then(|file| {
+        let mut w = BufWriter::with_capacity(OUTPUT_BUFFER_BYTES, file);
+        render(&mut w)?;
+        w.flush()
+    });
+    written.map_err(|e| format!("writing {path}: {e}"))
+}
+
+/// Buffer between the renderers' row-sized writes and the output file.
+const OUTPUT_BUFFER_BYTES: usize = 1 << 16;
+
 /// Writes the `--trace` / `--metrics` outputs from the runner's telemetry
 /// layer. A no-op when telemetry was never enabled.
 fn write_telemetry_outputs(runner: &SuiteRunner, common: &CommonOptions) -> Result<(), String> {
@@ -797,16 +817,14 @@ fn write_telemetry_outputs(runner: &SuiteRunner, common: &CommonOptions) -> Resu
         return Ok(());
     };
     if let Some(path) = &common.trace_path {
-        std::fs::write(path, telemetry.chrome_trace_json())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        write_output(path, |w| telemetry.write_chrome_trace(w))?;
         println!(
             "wrote Chrome trace ({} events) to {path} — open in Perfetto or chrome://tracing",
             telemetry.event_count()
         );
     }
     if let Some(path) = &common.metrics_path {
-        std::fs::write(path, telemetry.metrics().snapshot().to_json())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        write_output(path, |w| telemetry.metrics().snapshot().write_json(w))?;
         println!("wrote metrics snapshot to {path}");
     }
     Ok(())
@@ -814,13 +832,11 @@ fn write_telemetry_outputs(runner: &SuiteRunner, common: &CommonOptions) -> Resu
 
 fn write_structured_reports(report: &SuiteReport, common: &CommonOptions) -> Result<(), String> {
     if let Some(path) = &common.json_path {
-        std::fs::write(path, suite_report_json(report))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        write_output(path, |w| write_suite_report_json(report, w))?;
         println!("wrote JSON report to {path}");
     }
     if let Some(path) = &common.csv_path {
-        std::fs::write(path, task_results_csv(&report.results))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        write_output(path, |w| write_task_results_csv(&report.results, w))?;
         println!("wrote CSV report to {path}");
     }
     Ok(())
@@ -971,13 +987,11 @@ fn run_serve_command(
 
 fn write_serving_reports(report: &ServingReport, common: &CommonOptions) -> Result<(), String> {
     if let Some(path) = &common.json_path {
-        std::fs::write(path, serving_report_json(report))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        write_output(path, |w| write_serving_report_json(report, w))?;
         println!("wrote JSON report to {path}");
     }
     if let Some(path) = &common.csv_path {
-        std::fs::write(path, serving_requests_csv(report))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        write_output(path, |w| write_serving_requests_csv(report, w))?;
         println!("wrote CSV report to {path}");
     }
     Ok(())

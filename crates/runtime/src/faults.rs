@@ -31,8 +31,9 @@
 //!
 //! # Plan files
 //!
-//! Plans load from JSON (`leopard serve --faults plan.json`) via a
-//! hand-rolled std-only parser (the workspace has no JSON dependency):
+//! Plans load from JSON (`leopard serve --faults plan.json`) via the
+//! std-only reader in `runtime::json` (the workspace has no JSON
+//! dependency):
 //!
 //! ```json
 //! {
@@ -50,6 +51,7 @@
 //! silently disable a fault. `--fault-seed`/`--fail-rate` generate the
 //! transient-only plan without a file.
 
+use crate::json::{parse_json, Json};
 use std::fmt::Write as _;
 
 /// What happens to a tile at a [`TileFaultEvent`].
@@ -365,259 +367,6 @@ fn parse_slow_tile(value: &Json) -> Result<SlowTile, String> {
         tile: tile.ok_or("slow tile missing \"tile\"")?,
         multiplier_pct: multiplier.ok_or("slow tile missing \"multiplier_pct\"")?,
     })
-}
-
-/// Minimal JSON value model — just enough for fault plans (the workspace
-/// has no JSON dependency, so plans parse through this hand-rolled
-/// recursive-descent reader).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_object(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Object(entries) => Ok(entries),
-            other => Err(format!("{what} must be a JSON object, got {other:?}")),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Array(entries) => Ok(entries),
-            other => Err(format!("{what} must be a JSON array, got {other:?}")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::String(s) => Ok(s),
-            other => Err(format!("{what} must be a JSON string, got {other:?}")),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Number(n) => Ok(*n),
-            other => Err(format!("{what} must be a JSON number, got {other:?}")),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        let n = self.as_f64(what)?;
-        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-            return Err(format!("{what} must be a non-negative integer, got {n}"));
-        }
-        Ok(n as u64)
-    }
-}
-
-/// Deepest nesting of objects and arrays a fault plan may use. The plan
-/// format itself nests three levels (plan, event list, event); the limit
-/// turns a hostile file of nested brackets into a parse error instead of
-/// a stack overflow in the recursive reader.
-const MAX_JSON_DEPTH: usize = 16;
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Objects and arrays open around the current position.
-    depth: usize,
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut reader = Reader {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    let value = reader.value()?;
-    reader.skip_whitespace();
-    if reader.pos != reader.bytes.len() {
-        return Err(format!("trailing content at byte {}", reader.pos));
-    }
-    Ok(value)
-}
-
-impl Reader<'_> {
-    fn skip_whitespace(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_whitespace();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn consume(&mut self, expected: u8) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != expected {
-            return Err(format!(
-                "expected {:?} at byte {}, got {:?}",
-                expected as char, self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            open @ (b'{' | b'[') => {
-                if self.depth == MAX_JSON_DEPTH {
-                    return Err(format!(
-                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
-                        self.pos
-                    ));
-                }
-                self.depth += 1;
-                let nested = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                nested
-            }
-            b'"' => Ok(Json::String(self.string()?)),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {} (fault plans use objects, arrays, \
-                 strings, and numbers only)",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.consume(b'{')?;
-        let mut entries = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Object(entries));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.consume(b':')?;
-            let value = self.value()?;
-            entries.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Object(entries));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, got {:?}",
-                        self.pos, other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.consume(b'[')?;
-        let mut entries = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Array(entries));
-        }
-        loop {
-            entries.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Array(entries));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, got {:?}",
-                        self.pos, other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.consume(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let escaped = self
-                        .bytes
-                        .get(self.pos + 1)
-                        .ok_or("unterminated escape sequence")?;
-                    out.push(match escaped {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => {
-                            return Err(format!(
-                                "unsupported escape \\{} in fault plan",
-                                *other as char
-                            ))
-                        }
-                    });
-                    self.pos += 2;
-                }
-                Some(&byte) => {
-                    // Multi-byte UTF-8 passes through unchanged: the input
-                    // is a &str, so byte boundaries are already valid.
-                    let start = self.pos;
-                    let mut end = self.pos + 1;
-                    while byte >= 0x80 && self.bytes.get(end).is_some_and(|b| b & 0xc0 == 0x80) {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| "invalid UTF-8".to_string())?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid UTF-8 in number".to_string())?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| format!("malformed number {text:?} at byte {start}"))
-    }
 }
 
 #[cfg(test)]

@@ -46,7 +46,8 @@
 //!   `SuiteRunner::with_telemetry` (`--trace`/`--metrics` on the CLI);
 //!   results and reports are byte-identical with it on or off.
 //! * [`report`] — structured JSON/CSV rendering of suite and serving
-//!   reports with timing and cache statistics.
+//!   reports with timing and cache statistics, streamed row by row into
+//!   any `io::Write` through the crate's one JSON module.
 //! * [`cli`] — the `leopard` binary: `leopard suite`, `leopard task
 //!   <name>`, `leopard sweep --param nqk=2..10`, `leopard serve --requests
 //!   N --rate R --arrivals bursty --mix memn2n=3,bert-b=1 --schedule sjf
@@ -76,6 +77,7 @@ pub mod cache;
 pub mod cli;
 pub mod engine;
 pub mod faults;
+mod json;
 pub mod pool;
 pub mod report;
 pub mod sched;

@@ -1,171 +1,59 @@
 //! Structured JSON/CSV rendering of suite and serving reports.
 //!
-//! The workspace has no serialization dependency, so reports are rendered
-//! directly: a small std-only JSON writer with correct string escaping
-//! (shared with the telemetry exports) and flat CSV tables. Output field order is
-//! fixed, so reports diff cleanly across runs.
+//! Every report streams into an `io::Write` (`write_*`): the CLI hands
+//! each one a buffered file, so no report is ever held whole in memory.
+//! The `String`-returning functions (the same names without `write_`) are
+//! thin wrappers that render into one buffer reserved up front. The
+//! serving reports, which run to one row per request, build each row in a
+//! reusable `runtime::json` row buffer (literal text, integers written
+//! without `fmt`, and each task's name escaped once per run and looked up
+//! by task id) and hand it to the sink in one write. Output field order is fixed,
+//! so reports diff cleanly across runs.
 //!
 //! # Non-finite values
 //!
 //! JSON has no `NaN`/`Infinity`, and a CSV cell reading `NaN` silently
 //! round-trips to a string in most readers. Both writers therefore share
-//! one contract for non-finite `f64`s: the JSON writer emits `null`
-//! (`json_f64`) and the CSV writer emits an **empty cell** (`csv_f64`) —
-//! never the raw `Display` text. Serving-report CSVs avoid the question
-//! entirely by writing integer cycle counts only, which is also what makes
-//! them bit-comparable across thread counts.
+//! one contract for non-finite `f64`s: JSON renders `null` and CSV an
+//! **empty cell** — never the raw `Display` text. Serving-report CSVs
+//! avoid the question entirely by writing integer cycle counts only, which
+//! is also what makes them bit-comparable across thread counts.
 
 use crate::engine::SuiteReport;
+use crate::json::{csv_f32, csv_f64, escape_json, json_f64, render_string, Row};
 use crate::serving::ServingReport;
 use leopard_workloads::pipeline::{summarize, TaskResult};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::{self, Write};
 
-/// Escapes `s` as the body of a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Bytes the `String` wrappers reserve for a report's head.
+const HEAD_BYTES: usize = 2048;
 
-/// Each task's name, rendered once: serving reports repeat a task's name on
-/// every row of that task, so rows look the rendered text up by task id
-/// instead of re-escaping it. An entry is rebuilt when a row pairs the id
-/// with a different name, so the output never relies on ids and names
-/// agreeing.
-struct EscapedNames<'a> {
-    escape: fn(&str) -> String,
-    by_task: BTreeMap<usize, (&'a str, String)>,
-}
-
-impl<'a> EscapedNames<'a> {
-    fn new(escape: fn(&str) -> String) -> Self {
-        Self {
-            escape,
-            by_task: BTreeMap::new(),
-        }
-    }
-
-    fn get(&mut self, task_id: usize, name: &'a str) -> &str {
-        let escape = self.escape;
-        let entry = self
-            .by_task
-            .entry(task_id)
-            .or_insert_with(|| (name, escape(name)));
-        if entry.0 != name {
-            *entry = (name, escape(name));
-        }
-        &entry.1
-    }
-}
-
-/// Bytes reserved per row of the serving CSV and of the serving JSON's
-/// `requests_detail`, `shed_detail` and `queue_samples` arrays (plus the
-/// JSON's fixed head): a little above the typical row at 10⁸-cycle
-/// timestamps, so one up-front reservation usually holds the whole report.
-const JSON_HEAD_BYTES: usize = 2048;
-const CSV_ROW_BYTES: usize = 72;
-const REQUEST_ROW_BYTES: usize = 200;
-const SHED_ROW_BYTES: usize = 160;
-const SAMPLE_BYTES: usize = 24;
-
-/// Renders a finite `f64` with `Display`, and a non-finite one as `null`.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no Inf/NaN; null is the conventional stand-in.
-        "null".to_string()
-    }
-}
-
-/// CSV counterpart of [`json_f64`]: non-finite values become an empty cell
-/// instead of leaking `NaN`/`inf` text into the table.
-fn csv_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        String::new()
-    }
-}
-
-/// [`csv_f64`] for `f32` columns — formats at f32 precision rather than
-/// widening (which would turn `0.85` into `0.8500000238418579`).
-fn csv_f32(v: f32) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        String::new()
-    }
-}
-
-fn task_json(r: &TaskResult, indent: &str) -> String {
-    let cumulative: Vec<String> = r
-        .cumulative_pruning_by_bits
-        .iter()
-        .map(|&v| json_f64(v))
-        .collect();
-    format!(
-        "{indent}{{\"name\": \"{}\", \"sim_seq_len\": {}, \"measured_pruning_rate\": {}, \
-         \"paper_pruning_rate\": {}, \"mean_bits\": {}, \"ae_speedup\": {}, \"hp_speedup\": {}, \
-         \"ae_energy_reduction\": {}, \"hp_energy_reduction\": {}, \
-         \"cumulative_pruning_by_bits\": [{}]}}",
-        escape_json(&r.name),
-        r.sim_seq_len,
-        json_f64(r.measured_pruning_rate),
-        json_f64(r.paper_pruning_rate as f64),
-        json_f64(r.mean_bits),
-        json_f64(r.ae_speedup),
-        json_f64(r.hp_speedup),
-        json_f64(r.ae_energy_reduction),
-        json_f64(r.hp_energy_reduction),
-        cumulative.join(", "),
-    )
-}
-
-/// Renders a full suite report as pretty-printed JSON: summary, timing,
+/// Streams a full suite report as pretty-printed JSON: summary, timing,
 /// cache statistics, and one entry per task.
-pub fn suite_report_json(report: &SuiteReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"threads\": {},", report.threads);
-    let _ = writeln!(out, "  \"schedule\": \"{}\",", report.schedule.label());
-    let _ = writeln!(out, "  \"jobs\": {},", report.jobs);
-    let _ = writeln!(
-        out,
-        "  \"wall_seconds\": {},",
-        json_f64(report.wall.as_secs_f64())
-    );
-    let _ = writeln!(
-        out,
-        "  \"stage_seconds\": {{\"build\": {}, \"simulate\": {}, \"aggregate\": {}}},",
-        json_f64(report.stages.build.as_secs_f64()),
-        json_f64(report.stages.simulate.as_secs_f64()),
-        json_f64(report.stages.aggregate.as_secs_f64()),
-    );
-    let _ = writeln!(
-        out,
-        "  \"workload_cache\": {{\"hits\": {}, \"misses\": {}}},",
-        report.cache.hits, report.cache.misses
-    );
+pub fn write_suite_report_json(report: &SuiteReport, w: &mut impl Write) -> io::Result<()> {
+    let stage = |d: std::time::Duration| json_f64(d.as_secs_f64());
+    writeln!(
+        w,
+        "{{\n  \"threads\": {},\n  \"schedule\": \"{}\",\n  \"jobs\": {},\n  \
+         \"wall_seconds\": {},\n  \"stage_seconds\": {{\"build\": {}, \"simulate\": {}, \"aggregate\": {}}},\n  \
+         \"workload_cache\": {{\"hits\": {}, \"misses\": {}}},",
+        report.threads,
+        report.schedule.label(),
+        report.jobs,
+        stage(report.wall),
+        stage(report.stages.build),
+        stage(report.stages.simulate),
+        stage(report.stages.aggregate),
+        report.cache.hits,
+        report.cache.misses
+    )?;
     if report.results.is_empty() {
-        out.push_str("  \"summary\": null,\n");
+        writeln!(w, "  \"summary\": null,")?;
     } else {
         let s = summarize(&report.results);
-        let _ = writeln!(
-            out,
+        writeln!(
+            w,
             "  \"summary\": {{\"ae_speedup_gmean\": {}, \"hp_speedup_gmean\": {}, \
              \"ae_energy_gmean\": {}, \"hp_energy_gmean\": {}, \"mean_pruning_rate\": {}}},",
             json_f64(s.ae_speedup_gmean),
@@ -173,20 +61,40 @@ pub fn suite_report_json(report: &SuiteReport) -> String {
             json_f64(s.ae_energy_gmean),
             json_f64(s.hp_energy_gmean),
             json_f64(s.mean_pruning_rate),
-        );
+        )?;
     }
-    out.push_str("  \"tasks\": [\n");
-    let rows: Vec<String> = report
-        .results
-        .iter()
-        .map(|r| task_json(r, "    "))
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    if !rows.is_empty() {
-        out.push('\n');
+    write!(w, "  \"tasks\": [")?;
+    for (i, r) in report.results.iter().enumerate() {
+        let cumulative: Vec<String> = r
+            .cumulative_pruning_by_bits
+            .iter()
+            .map(|&v| json_f64(v).to_string())
+            .collect();
+        write!(
+            w,
+            "{}\n    {{\"name\": \"{}\", \"sim_seq_len\": {}, \"measured_pruning_rate\": {}, \
+             \"paper_pruning_rate\": {}, \"mean_bits\": {}, \"ae_speedup\": {}, \
+             \"hp_speedup\": {}, \"ae_energy_reduction\": {}, \"hp_energy_reduction\": {}, \
+             \"cumulative_pruning_by_bits\": [{}]}}",
+            if i == 0 { "" } else { "," },
+            escape_json(&r.name),
+            r.sim_seq_len,
+            json_f64(r.measured_pruning_rate),
+            json_f64(r.paper_pruning_rate as f64),
+            json_f64(r.mean_bits),
+            json_f64(r.ae_speedup),
+            json_f64(r.hp_speedup),
+            json_f64(r.ae_energy_reduction),
+            json_f64(r.hp_energy_reduction),
+            cumulative.join(", "),
+        )?;
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.write_all(b"\n  ]\n}\n")
+}
+
+/// [`write_suite_report_json`] into a `String`.
+pub fn suite_report_json(report: &SuiteReport) -> String {
+    render_string(HEAD_BYTES, |w| write_suite_report_json(report, w))
 }
 
 /// Renders the standard per-task console table (header + one row per task),
@@ -226,16 +134,16 @@ pub fn summary_line(results: &[TaskResult]) -> String {
     )
 }
 
-/// Renders per-task results as CSV (header + one row per task). Non-finite
-/// values render as empty cells — see the module docs.
-pub fn task_results_csv(results: &[TaskResult]) -> String {
-    let mut out = String::from(
-        "name,sim_seq_len,measured_pruning_rate,paper_pruning_rate,mean_bits,\
-         ae_speedup,hp_speedup,ae_energy_reduction,hp_energy_reduction\n",
-    );
+/// Streams per-task results as CSV (header + one row per task).
+/// Non-finite values render as empty cells — see the module docs.
+pub fn write_task_results_csv(results: &[TaskResult], w: &mut impl Write) -> io::Result<()> {
+    w.write_all(
+        b"name,sim_seq_len,measured_pruning_rate,paper_pruning_rate,mean_bits,\
+          ae_speedup,hp_speedup,ae_energy_reduction,hp_energy_reduction\n",
+    )?;
     for r in results {
-        let _ = writeln!(
-            out,
+        writeln!(
+            w,
             "\"{}\",{},{},{},{},{},{},{},{}",
             r.name.replace('"', "\"\""),
             r.sim_seq_len,
@@ -246,105 +154,99 @@ pub fn task_results_csv(results: &[TaskResult]) -> String {
             csv_f64(r.hp_speedup),
             csv_f64(r.ae_energy_reduction),
             csv_f64(r.hp_energy_reduction),
-        );
+        )?;
     }
-    out
+    Ok(())
 }
 
-/// Renders per-request serving results as CSV (header + one row per
+/// [`write_task_results_csv`] into a `String`.
+pub fn task_results_csv(results: &[TaskResult]) -> String {
+    render_string(HEAD_BYTES, |w| write_task_results_csv(results, w))
+}
+
+/// Streams per-request serving results as CSV (header + one row per
 /// request, in arrival order). Every numeric column is an integer cycle
 /// count on the virtual clock, so the file is bit-identical across thread
 /// counts — the property the CI determinism check compares.
-pub fn serving_requests_csv(report: &ServingReport) -> String {
-    const HEADER: &str = "request,task_id,task,arrival_cycle,start_cycle,finish_cycle,\
-                          wait_cycles,service_cycles,predicted_cycles\n";
-    let mut out = String::with_capacity(HEADER.len() + report.records.len() * CSV_ROW_BYTES);
-    out.push_str(HEADER);
-    let mut names = EscapedNames::new(|name| name.replace('"', "\"\""));
+pub fn write_serving_requests_csv(report: &ServingReport, w: &mut impl Write) -> io::Result<()> {
+    w.write_all(
+        b"request,task_id,task,arrival_cycle,start_cycle,finish_cycle,\
+          wait_cycles,service_cycles,predicted_cycles\n",
+    )?;
+    let names: Vec<String> = report
+        .task_names
+        .iter()
+        .map(|n| n.replace('"', "\"\""))
+        .collect();
+    let mut row = Row::default();
     for r in &report.records {
-        let _ = writeln!(
-            out,
-            "{},{},\"{}\",{},{},{},{},{},{}",
-            r.id,
-            r.task_id,
-            names.get(r.task_id, &r.task_name),
+        row.u64(r.id as u64).str(",").u64(r.task_id as u64);
+        row.str(",\"").str(&names[r.task_id]).str("\"");
+        for cycles in [
             r.arrival_cycle,
             r.start_cycle,
             r.finish_cycle,
             r.wait_cycles(),
             r.service_cycles,
             r.predicted_cycles,
-        );
+        ] {
+            row.str(",").u64(cycles);
+        }
+        row.str("\n").send(w)?;
     }
-    out
+    Ok(())
 }
 
-/// Renders a full serving report as pretty-printed JSON: run parameters,
-/// the latency percentiles, throughput, queue statistics, and one entry per
-/// request.
-pub fn serving_report_json(report: &ServingReport) -> String {
+/// [`write_serving_requests_csv`] into a `String`.
+pub fn serving_requests_csv(report: &ServingReport) -> String {
+    // Rows run a little under 72 bytes at 10⁸-cycle timestamps.
+    let capacity = HEAD_BYTES + report.records.len() * 72;
+    render_string(capacity, |w| write_serving_requests_csv(report, w))
+}
+
+/// Streams a full serving report as pretty-printed JSON: run parameters,
+/// the latency percentiles, throughput, queue statistics, and one entry
+/// per request.
+pub fn write_serving_report_json(report: &ServingReport, w: &mut impl Write) -> io::Result<()> {
     let latency = report.latency();
-    let mut out = String::with_capacity(
-        JSON_HEAD_BYTES
-            + report.shed.len() * SHED_ROW_BYTES
-            + report.queue_samples.len() * SAMPLE_BYTES
-            + report.records.len() * REQUEST_ROW_BYTES,
-    );
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"policy\": \"{}\",", report.policy.label());
-    let _ = writeln!(out, "  \"arrivals\": \"{}\",", report.arrivals.label());
-    let _ = writeln!(out, "  \"mix\": \"{}\",", escape_json(&report.mix_label));
-    let _ = writeln!(
-        out,
-        "  \"slo_cycles\": {},",
-        report
-            .slo_cycles
-            .map_or("null".to_string(), |slo| slo.to_string())
-    );
-    let _ = writeln!(out, "  \"servers\": {},", report.servers);
-    let _ = writeln!(out, "  \"tiles\": {},", report.tiles);
-    let _ = writeln!(out, "  \"placement\": \"{}\",", report.placement.label());
-    let _ = writeln!(out, "  \"threads\": {},", report.threads);
-    let _ = writeln!(out, "  \"frequency_mhz\": {},", report.frequency_mhz);
-    let _ = writeln!(out, "  \"offered\": {},", report.offered());
-    let _ = writeln!(out, "  \"requests\": {},", report.records.len());
-    let _ = writeln!(out, "  \"shed\": {},", report.shed.len());
-    let _ = writeln!(out, "  \"shed_rate\": {},", json_f64(report.shed_rate()));
-    let _ = writeln!(
-        out,
-        "  \"wall_seconds\": {},",
-        json_f64(report.wall.as_secs_f64())
-    );
-    let _ = writeln!(
-        out,
-        "  \"latency_us\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}},",
+    let slo = report.slo_cycles.map_or("null".into(), |c| c.to_string());
+    writeln!(
+        w,
+        "{{\n  \"policy\": \"{}\",\n  \"arrivals\": \"{}\",\n  \"mix\": \"{}\",\n  \
+         \"slo_cycles\": {},\n  \"servers\": {},\n  \"tiles\": {},\n  \"placement\": \"{}\",\n  \
+         \"threads\": {},\n  \"frequency_mhz\": {},\n  \"offered\": {},\n  \"requests\": {},\n  \
+         \"shed\": {},\n  \"shed_rate\": {},\n  \"wall_seconds\": {},\n  \"latency_us\": \
+         {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}},\n  \"throughput_rps\": {},\n  \
+         \"goodput_rps\": {},\n  \"queue_depth\": {{\"max\": {}, \"mean\": {}}},",
+        report.policy.label(),
+        report.arrivals.label(),
+        escape_json(&report.mix_label),
+        slo,
+        report.servers,
+        report.tiles,
+        report.placement.label(),
+        report.threads,
+        report.frequency_mhz,
+        report.offered(),
+        report.records.len(),
+        report.shed.len(),
+        json_f64(report.shed_rate()),
+        json_f64(report.wall.as_secs_f64()),
         json_f64(latency.p50_us),
         json_f64(latency.p95_us),
         json_f64(latency.p99_us),
         json_f64(latency.max_us),
-    );
-    let _ = writeln!(
-        out,
-        "  \"throughput_rps\": {},",
-        json_f64(report.throughput_rps())
-    );
-    let _ = writeln!(
-        out,
-        "  \"goodput_rps\": {},",
-        json_f64(report.goodput_rps())
-    );
-    let _ = writeln!(
-        out,
-        "  \"queue_depth\": {{\"max\": {}, \"mean\": {}}},",
+        json_f64(report.throughput_rps()),
+        json_f64(report.goodput_rps()),
         report.max_queue_depth(),
         json_f64(report.mean_queue_depth()),
-    );
+    )?;
     // The fault-tolerance block renders only for runs that enabled it, so
     // faults-off reports stay byte-identical to the pre-fault fixtures.
     let ft = report.fault_summary.is_some();
     if let Some(f) = &report.fault_summary {
-        let _ = writeln!(
-            out,
+        writeln!(
+            w,
             "  \"fault_tolerance\": {{\"retry_max\": {}, \"backoff_base_cycles\": {}, \
              \"degrade\": {}, \"fail_rate\": {}, \"transient_faults\": {}, \"retries\": {}, \
              \"slo_deferrals\": {}, \"degraded\": {}, \"shed_after_retries\": {}, \
@@ -363,74 +265,68 @@ pub fn serving_report_json(report: &ServingReport) -> String {
             f.tile_recover_events,
             f.min_live_tiles,
             json_f64(report.tile_availability()),
-        );
+        )?;
     }
-    let mut names = EscapedNames::new(escape_json);
+    let names: Vec<String> = report.task_names.iter().map(|n| escape_json(n)).collect();
+    let mut row = Row::default();
     // Shed requests, in decision order (empty without an SLO).
-    out.push_str("  \"shed_detail\": [");
+    w.write_all(b"  \"shed_detail\": [")?;
     for (i, s) in report.shed.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(
-            out,
-            "{sep}{{\"id\": {}, \"task_id\": {}, \"task\": \"{}\", \"arrival_cycle\": {}, \
-             \"shed_cycle\": {}, \"predicted_cycles\": {}",
-            s.id,
-            s.task_id,
-            names.get(s.task_id, &s.task_name),
-            s.arrival_cycle,
-            s.shed_cycle,
-            s.predicted_cycles,
-        );
+        row.str(if i == 0 { "{" } else { ", {" });
+        row.fields([("id", s.id as u64), ("task_id", s.task_id as u64)]);
+        row.str(", \"task\": \"").str(&names[s.task_id]).str("\", ");
+        row.fields([
+            ("arrival_cycle", s.arrival_cycle),
+            ("shed_cycle", s.shed_cycle),
+            ("predicted_cycles", s.predicted_cycles),
+        ]);
         if ft {
-            let _ = write!(out, ", \"attempts\": {}", s.attempts);
+            row.str(", ").fields([("attempts", u64::from(s.attempts))]);
         }
-        out.push('}');
+        row.str("}").send(w)?;
     }
-    out.push_str("],\n");
     // The depth-over-time series: one [dispatch_cycle, depth] pair per
     // dispatch, in virtual-time order.
-    out.push_str("  \"queue_samples\": [");
+    w.write_all(b"],\n  \"queue_samples\": [")?;
     for (i, s) in report.queue_samples.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(out, "{sep}[{}, {}]", s.cycle, s.depth);
+        row.str(if i == 0 { "[" } else { ", [" }).u64(s.cycle);
+        row.str(", ").u64(s.depth as u64).str("]").send(w)?;
     }
-    out.push_str("],\n");
-    let _ = writeln!(
-        out,
-        "  \"workload_cache\": {{\"hits\": {}, \"misses\": {}}},",
+    writeln!(
+        w,
+        "],\n  \"workload_cache\": {{\"hits\": {}, \"misses\": {}}},",
         report.cache.hits, report.cache.misses
-    );
-    out.push_str("  \"requests_detail\": [\n");
+    )?;
+    w.write_all(b"  \"requests_detail\": [")?;
     for (i, r) in report.records.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ",\n" };
-        let _ = write!(
-            out,
-            "{sep}    {{\"id\": {}, \"task_id\": {}, \"task\": \"{}\", \"arrival_cycle\": {}, \
-             \"start_cycle\": {}, \"finish_cycle\": {}, \"service_cycles\": {}, \
-             \"predicted_cycles\": {}",
-            r.id,
-            r.task_id,
-            names.get(r.task_id, &r.task_name),
-            r.arrival_cycle,
-            r.start_cycle,
-            r.finish_cycle,
-            r.service_cycles,
-            r.predicted_cycles,
-        );
+        row.str(if i == 0 { "\n    {" } else { ",\n    {" });
+        row.fields([("id", r.id as u64), ("task_id", r.task_id as u64)]);
+        row.str(", \"task\": \"").str(&names[r.task_id]).str("\", ");
+        row.fields([
+            ("arrival_cycle", r.arrival_cycle),
+            ("start_cycle", r.start_cycle),
+            ("finish_cycle", r.finish_cycle),
+            ("service_cycles", r.service_cycles),
+            ("predicted_cycles", r.predicted_cycles),
+        ]);
         if ft {
-            let _ = write!(
-                out,
-                ", \"attempts\": {}, \"degraded\": {}",
-                r.attempts, r.degraded
-            );
+            let retry = [
+                ("attempts", u64::from(r.attempts)),
+                ("degraded", u64::from(r.degraded)),
+            ];
+            row.str(", ").fields(retry);
         }
-        out.push('}');
+        row.str("}").send(w)?;
     }
-    if !report.records.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    w.write_all(b"\n  ]\n}\n")
+}
+
+/// [`write_serving_report_json`] into a `String`.
+pub fn serving_report_json(report: &ServingReport) -> String {
+    // A little above the typical row of each array at 10⁸-cycle timestamps.
+    let rows = report.shed.len() * 160 + report.queue_samples.len() * 24;
+    let capacity = HEAD_BYTES + rows + report.records.len() * 200;
+    render_string(capacity, |w| write_serving_report_json(report, w))
 }
 
 /// The console fault-tolerance line, rendered only for runs that enabled
@@ -589,14 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_handles_special_characters() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
-    }
-
-    #[test]
     fn csv_has_header_plus_one_row_per_task() {
         let report = small_report();
         let csv = task_results_csv(&report.results);
@@ -747,6 +635,70 @@ mod tests {
         let json = serving_report_json(&report);
         assert!(json.contains("\"requests\": 0"));
         assert!(json.contains("\"requests_detail\": [\n  ]"));
+    }
+
+    #[test]
+    fn hostile_task_names_render_in_request_and_shed_rows() {
+        use crate::serving::{run_serving, ServingOptions};
+        let name = format!("q\"uote\\slash\nline\u{1}{}", "long ".repeat(820));
+        let mut suite: Vec<_> = full_suite().into_iter().take(2).collect();
+        suite[0].name = name.clone();
+        let runner = crate::engine::SuiteRunner::new(2);
+        let pipeline = PipelineOptions {
+            max_sim_seq_len: 24,
+            ..PipelineOptions::default()
+        };
+        let served = ServingOptions {
+            requests: 12,
+            pipeline,
+            ..ServingOptions::default()
+        };
+        let shed = ServingOptions {
+            slo_cycles: Some(1),
+            ..served.clone()
+        };
+        let (served, shed) = (
+            run_serving(&runner, &suite, &served),
+            run_serving(&runner, &suite, &shed),
+        );
+        assert!(served.shed.is_empty() && shed.records.is_empty());
+        // The CSV, row for row as `write!` rendered it before the row
+        // buffer: the quoted name with its quotes doubled.
+        let mut expected = String::from(
+            "request,task_id,task,arrival_cycle,start_cycle,finish_cycle,\
+             wait_cycles,service_cycles,predicted_cycles\n",
+        );
+        for r in &served.records {
+            let quoted = served.task_names[r.task_id].replace('"', "\"\"");
+            let _ = writeln!(
+                expected,
+                "{},{},\"{quoted}\",{},{},{},{},{},{}",
+                r.id,
+                r.task_id,
+                r.arrival_cycle,
+                r.start_cycle,
+                r.finish_cycle,
+                r.wait_cycles(),
+                r.service_cycles,
+                r.predicted_cycles,
+            );
+        }
+        assert_eq!(serving_requests_csv(&served), expected);
+        assert!(expected.contains(&name.replace('"', "\"\"")));
+        // The JSON carries the escaped name on every row of task 0, both
+        // request rows and shed rows.
+        let task = format!("\"task\": \"{}\"", escape_json(&name));
+        for (report, rows) in [
+            (
+                &served,
+                served.records.iter().map(|r| r.task_id).collect::<Vec<_>>(),
+            ),
+            (&shed, shed.shed.iter().map(|s| s.task_id).collect()),
+        ] {
+            let hostile = rows.iter().filter(|&&id| id == suite[0].id).count();
+            assert!(hostile > 0, "no row of the hostile task");
+            assert_eq!(serving_report_json(report).matches(&task).count(), hostile);
+        }
     }
 
     /// Extracts the value following `"key": ` in the rendered JSON.

@@ -451,10 +451,9 @@ pub struct Request {
 pub struct RequestRecord {
     /// Request id (arrival order).
     pub id: usize,
-    /// Suite id of the task served.
+    /// Suite id of the task served ([`ServingReport::task_names`] names
+    /// it).
     pub task_id: usize,
-    /// Name of the task served.
-    pub task_name: String,
     /// Arrival cycle.
     pub arrival_cycle: u64,
     /// Cycle the request started executing on a tile.
@@ -537,10 +536,9 @@ pub struct LatencySummary {
 pub struct ShedRecord {
     /// Request id (arrival order).
     pub id: usize,
-    /// Suite id of the task the request asked for.
+    /// Suite id of the task the request asked for
+    /// ([`ServingReport::task_names`] names it).
     pub task_id: usize,
-    /// Name of the task the request asked for.
-    pub task_name: String,
     /// Arrival cycle.
     pub arrival_cycle: u64,
     /// Virtual cycle the shed decision was made.
@@ -624,6 +622,9 @@ pub struct ServingReport {
     pub arrivals: ArrivalProcess,
     /// Label of the request mix the stream drew from.
     pub mix_label: String,
+    /// The suite's task names, indexed by task id: records carry only the
+    /// id, and the reports look each name up here.
+    pub task_names: Vec<String>,
     /// SLO deadline the admission controller enforced, if any.
     pub slo_cycles: Option<u64>,
     /// Virtual tiles requests were dispatched onto.
@@ -682,18 +683,19 @@ impl ServingReport {
             return LatencySummary::default();
         }
         let mut latencies: Vec<u64> = self.records.iter().map(|r| r.latency_cycles()).collect();
-        latencies.sort_unstable();
         let us = |cycles: u64| cycles as f64 / f64::from(self.frequency_mhz);
-        let rank = |p: f64| {
+        // Selects each rank instead of sorting the whole set: the value at
+        // a rank is the one a sort would put there.
+        let mut rank = |p: f64| {
             let n = latencies.len();
             let idx = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1;
-            latencies[idx]
+            *latencies.select_nth_unstable(idx).1
         };
         LatencySummary {
             p50_us: us(rank(50.0)),
             p95_us: us(rank(95.0)),
             p99_us: us(rank(99.0)),
-            max_us: us(*latencies.last().expect("non-empty")), // lint:allow(panic-in-library, reason = "callers compute percentiles only after checking the latency set is non-empty")
+            max_us: us(rank(100.0)),
         }
     }
 
@@ -1135,6 +1137,17 @@ impl LiveTiles {
     }
 }
 
+/// The suite's task names indexed by task id (`TaskDescriptor::id`, unique
+/// within a suite); an id no task has maps to an empty name.
+fn names_by_id(suite: &[TaskDescriptor]) -> Vec<String> {
+    let len = suite.iter().map(|task| task.id.saturating_add(1)).max();
+    let mut names = vec![String::new(); len.unwrap_or(0)];
+    for task in suite {
+        names[task.id].clone_from(&task.name);
+    }
+    names
+}
+
 /// Runs a serving workload on the runner's pool and cache and returns the
 /// full cycle-accounted report. See the module docs for the two-phase
 /// design; the short version is that `runner.threads()` changes only
@@ -1377,7 +1390,6 @@ pub fn run_serving(
                     shed.push(ShedRecord {
                         id: request.id,
                         task_id: task.id,
-                        task_name: task.name.clone(),
                         arrival_cycle: request.arrival_cycle,
                         shed_cycle: clock,
                         predicted_cycles: job.predicted_cycles,
@@ -1434,7 +1446,6 @@ pub fn run_serving(
                         shed.push(ShedRecord {
                             id: request.id,
                             task_id: task.id,
-                            task_name: task.name.clone(),
                             arrival_cycle: request.arrival_cycle,
                             shed_cycle: clock,
                             predicted_cycles: job.predicted_cycles,
@@ -1504,7 +1515,6 @@ pub fn run_serving(
             records[job.index] = Some(RequestRecord {
                 id: request.id,
                 task_id: task.id,
-                task_name: task.name.clone(),
                 arrival_cycle: request.arrival_cycle,
                 start_cycle: clock,
                 finish_cycle: finish,
@@ -1572,7 +1582,6 @@ pub fn run_serving(
                     shed.push(ShedRecord {
                         id: request.id,
                         task_id: task.id,
-                        task_name: task.name.clone(),
                         arrival_cycle: request.arrival_cycle,
                         shed_cycle: clock,
                         predicted_cycles: job.predicted_cycles,
@@ -1669,6 +1678,7 @@ pub fn run_serving(
         policy: options.policy,
         arrivals: options.arrivals,
         mix_label: options.mix.label(),
+        task_names: names_by_id(suite),
         slo_cycles: options.slo_cycles,
         servers: options.servers,
         threads: runner.threads(),

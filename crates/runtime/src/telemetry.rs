@@ -61,11 +61,11 @@
 //! With the fault layer off none of these names appear, keeping traces
 //! and metrics snapshots byte-identical to pre-fault runs.
 
+use crate::json::{escape_json, json_f64, render_string, Row};
 use crate::pool::current_worker_index;
-use crate::report::{escape_json, json_f64};
 use leopard_workloads::suite::TaskDescriptor;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::{self, Write};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -387,16 +387,15 @@ impl MetricsSnapshot {
             .map(|(_, v)| v)
     }
 
-    /// Renders the snapshot as pretty-printed JSON, hand-rendered with the
-    /// report module's std-only writers. Key order is the snapshot's name
-    /// order, so files diff cleanly across runs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        render_map(&mut out, &self.counters, |v| v.to_string());
-        out.push_str(",\n  \"gauges\": {");
-        render_map(&mut out, &self.gauges, |&v| json_f64(v));
-        out.push_str(",\n  \"histograms\": {");
-        render_map(&mut out, &self.histograms, |h| {
+    /// Streams the snapshot as pretty-printed JSON. Key order is the
+    /// snapshot's name order, so files diff cleanly across runs.
+    pub fn write_json(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(b"{\n  \"counters\": {")?;
+        write_map(w, &self.counters, |v| v.to_string())?;
+        w.write_all(b",\n  \"gauges\": {")?;
+        write_map(w, &self.gauges, |&v| json_f64(v).to_string())?;
+        w.write_all(b",\n  \"histograms\": {")?;
+        write_map(w, &self.histograms, |h| {
             format!(
                 "{{\"bounds\": [{}], \"counts\": [{}], \"total\": {}, \"sum\": {}}}",
                 join_u64(&h.bounds),
@@ -404,23 +403,29 @@ impl MetricsSnapshot {
                 h.total,
                 h.sum
             )
-        });
-        out.push_str("\n}\n");
-        out
+        })?;
+        w.write_all(b"\n}\n")
+    }
+
+    /// [`write_json`](Self::write_json) into a `String`.
+    pub fn to_json(&self) -> String {
+        render_string(4096, |w| self.write_json(w))
     }
 }
 
-fn render_map<V>(out: &mut String, entries: &[(String, V)], render: impl Fn(&V) -> String) {
-    if entries.is_empty() {
-        out.push('}');
-        return;
+fn write_map<V>(
+    w: &mut impl Write,
+    map: &[(String, V)],
+    f: impl Fn(&V) -> String,
+) -> io::Result<()> {
+    if map.is_empty() {
+        return w.write_all(b"}");
     }
-    for (i, (k, v)) in entries.iter().enumerate() {
-        out.push_str(if i == 0 { "\n    \"" } else { ",\n    \"" });
-        out.push_str(&escape_json(k));
-        let _ = write!(out, "\": {}", render(v));
+    for (i, (k, v)) in map.iter().enumerate() {
+        let sep = if i == 0 { "\n    \"" } else { ",\n    \"" };
+        write!(w, "{sep}{}\": {}", escape_json(k), f(v))?;
     }
-    out.push_str("\n  }");
+    w.write_all(b"\n  }")
 }
 
 fn join_u64(values: &[u64]) -> String {
@@ -523,7 +528,7 @@ impl Telemetry {
         wall + tape.clone().count() + tape.filter(settles).count()
     }
 
-    /// Renders every recorded event as Chrome trace-event JSON, one event
+    /// Streams every recorded event as Chrome trace-event JSON, one event
     /// per line, loadable in Perfetto or `chrome://tracing`.
     ///
     /// The event order is a deterministic key that **excludes** every
@@ -534,7 +539,7 @@ impl Telemetry {
     /// render under pid 2 with raw cycle counts in `ts`/`dur`: spans, then
     /// instants, each by `(category, name, ts, lane, dur, args)`, then the
     /// `in_flight` and `queue_depth` counters by `(ts, value)`.
-    pub fn chrome_trace_json(&self) -> String {
+    pub fn write_chrome_trace(&self, w: &mut impl Write) -> io::Result<()> {
         // Hold every buffer for the export and sort references: events are
         // rendered in place, never copied.
         let buffers: Vec<_> = self
@@ -555,41 +560,38 @@ impl Telemetry {
             })
             .collect();
 
-        let events = wall.len() + lines.len() + 2 * samples.len();
-        let mut out = String::with_capacity(256 + events * TRACE_EVENT_BYTES);
-        out.push_str("{\n\"traceEvents\": [\n");
-        out.push_str(
-            "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"args\": {\"name\": \
-             \"pool workers (wall clock)\"}},\n",
-        );
-        out.push_str(
-            "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, \"args\": {\"name\": \
-             \"virtual tiles (cycle clock)\"}}",
-        );
+        w.write_all(
+            b"{\n\"traceEvents\": [\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \
+              \"args\": {\"name\": \"pool workers (wall clock)\"}},\n  {\"name\": \"process_name\", \
+              \"ph\": \"M\", \"pid\": 2, \"args\": {\"name\": \"virtual tiles (cycle clock)\"}}",
+        )?;
+        let mut row = Row::default();
         for event in wall {
-            render_wall(&mut out, event);
+            render_wall(&mut row, event).send(w)?;
         }
         for line in &lines {
-            render_virtual(&mut out, line, &names);
+            render_virtual(&mut row, line, &names).send(w)?;
         }
         for (name, value) in [("in_flight", 1), ("queue_depth", 2)] {
             // Settle cycles strictly increase within a tape, so one tape's
             // samples are already in order and this sort is a linear scan.
             samples.sort_unstable_by_key(|sample| (sample[0], sample[value]));
             for sample in &samples {
-                out.push_str(",\n  {\"name\": \"");
-                out.push_str(name);
-                out.push_str(
-                    "\", \"cat\": \"serve\", \"ph\": \"C\", \"pid\": 2, \"tid\": 0, \"ts\": ",
-                );
-                push_u64(&mut out, sample[0]);
-                out.push_str(", \"args\": {\"value\": ");
-                push_u64(&mut out, sample[value]);
-                out.push_str("}}");
+                row.str(",\n  {\"name\": \"").str(name);
+                row.str("\", \"cat\": \"serve\", \"ph\": \"C\", \"pid\": 2, \"tid\": 0, \"ts\": ");
+                row.u64(sample[0]).str(", \"args\": {\"value\": ");
+                row.u64(sample[value]).str("}}").send(w)?;
             }
         }
-        out.push_str("\n]\n}\n");
-        out
+        w.write_all(b"\n]\n}\n")
+    }
+
+    /// [`write_chrome_trace`](Self::write_chrome_trace) into a `String`.
+    pub fn chrome_trace_json(&self) -> String {
+        let events = self.event_count();
+        render_string(256 + events * TRACE_EVENT_BYTES, |w| {
+            self.write_chrome_trace(w)
+        })
     }
 }
 
@@ -652,77 +654,46 @@ fn virtual_lines(replays: &[Replay]) -> (Vec<VirtualLine>, Vec<String>) {
 /// mean of a serving trace, so the export usually fits one reservation.
 const TRACE_EVENT_BYTES: usize = 144;
 
-fn render_wall(out: &mut String, event: &TraceEvent) {
-    out.push_str(",\n  {\"name\": \"");
-    out.push_str(&escape_json(&event.name));
-    let _ = write!(
-        out,
+fn render_wall<'r>(row: &'r mut Row, event: &TraceEvent) -> &'r mut Row {
+    row.str(",\n  {\"name\": \"").str(&escape_json(&event.name));
+    row.str(&format!(
         "\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \
          \"args\": {{",
         event.cat,
         event.worker,
         event.start_ns as f64 / 1e3,
         event.dur_ns as f64 / 1e3,
-    );
-    for (i, (k, v)) in event.args.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(out, "{sep}\"{k}\": {v}");
-    }
-    out.push_str("}}");
+    ));
+    row.fields(event.args.iter().copied()).str("}}")
 }
 
-fn render_virtual(out: &mut String, line: &VirtualLine, names: &[String]) {
+fn render_virtual<'r>(row: &'r mut Row, line: &VirtualLine, names: &[String]) -> &'r mut Row {
     let VirtualLine(track, name, ts, lane, dur, args) = *line;
-    out.push_str(",\n  {\"name\": \"");
-    out.push_str(match track {
+    row.str(",\n  {\"name\": \"").str(match track {
         Track::TileFault => ["inject", "recover"][name as usize],
         Track::Transient => "transient",
         _ => &names[name as usize],
     });
     let (cat, keys) = track.labels();
-    out.push_str("\", \"cat\": \"");
-    out.push_str(cat);
+    row.str("\", \"cat\": \"").str(cat);
     let span = matches!(track, Track::Dispatch | Track::Retry);
-    out.push_str(if span {
+    row.str(if span {
         "\", \"ph\": \"X\", \"pid\": 2, \"tid\": "
     } else {
         "\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 2, \"tid\": "
     });
-    push_u64(out, lane);
-    out.push_str(", \"ts\": ");
-    push_u64(out, ts);
+    row.u64(lane).str(", \"ts\": ").u64(ts);
     if span {
-        out.push_str(", \"dur\": ");
-        push_u64(out, dur);
+        row.str(", \"dur\": ").u64(dur);
     }
-    out.push_str(", \"args\": {");
-    for (i, (key, &value)) in keys.iter().zip(&args).enumerate() {
-        out.push_str(if i == 0 { "\"" } else { ", \"" });
-        out.push_str(key);
-        out.push_str("\": ");
-        push_u64(out, value);
-    }
-    out.push_str("}}");
-}
-
-/// Appends `value` in decimal.
-fn push_u64(out: &mut String, mut value: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+    let pairs = keys.iter().copied().zip(args);
+    row.str(", \"args\": {").fields(pairs).str("}}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     #[test]
     fn counters_gauges_and_histograms_round_trip() {

@@ -285,7 +285,7 @@ fn request_mix_shifts_traffic_and_latency() {
     assert!(memn2n
         .records
         .iter()
-        .all(|r| r.task_name.starts_with("MemN2N")));
+        .all(|r| memn2n.task_names[r.task_id].starts_with("MemN2N")));
     assert!(
         latency_percentile(&memn2n, 50.0) < latency_percentile(&uniform, 50.0),
         "an all-short mix must lower the median"

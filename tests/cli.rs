@@ -257,3 +257,26 @@ fn nqk_sweep_over_all_tasks_matches_its_golden_report() {
     let report = mask_wall_seconds(&String::from_utf8_lossy(&out.stdout));
     assert_eq!(report, include_str!("fixtures/sweep_nqk.txt"));
 }
+
+#[test]
+fn an_output_path_that_cannot_be_written_exits_2_naming_it() {
+    // A directory cannot be opened as a file. The run completes, then the
+    // write fails once, naming the path, and nothing panics.
+    let dir = env!("CARGO_MANIFEST_DIR");
+    let suite = ["suite", "--quick"];
+    let serve = ["serve", "--requests", "8", "--max-seq-len", "8"];
+    for run in [&suite[..], &serve[..]] {
+        for flag in ["--json", "--trace"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_leopard"))
+                .args(run)
+                .args([flag, dir])
+                .output()
+                .expect("run the leopard binary");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{run:?} {flag}: {stderr}");
+            let message = format!("error: writing {dir}: ");
+            assert!(stderr.contains(&message), "{run:?} {flag}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{run:?} {flag}: {stderr}");
+        }
+    }
+}
