@@ -13,6 +13,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use leopard_runtime::cli::MAX_THREADS;
 use leopard_runtime::SuiteRunner;
 use leopard_workloads::pipeline::{PipelineOptions, TaskResult};
 use leopard_workloads::suite::{full_suite, quick_subset, TaskDescriptor};
@@ -48,24 +49,34 @@ pub fn harness_options() -> PipelineOptions {
 
 /// Worker-thread count for the harness binaries: `--threads N` on the
 /// command line, else the `LEOPARD_THREADS` environment variable, else 0
-/// (one worker per core).
+/// (one worker per core). A value [`parse_threads`] rejects exits 2.
 pub fn harness_threads() -> usize {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            match args.next().map(|v| (v.parse::<usize>(), v)) {
-                Some((Ok(n), _)) => return n,
-                Some((Err(_), v)) => {
-                    eprintln!("warning: ignoring unparsable --threads value {v:?}")
-                }
-                None => eprintln!("warning: --threads expects a value"),
-            }
-        }
+    let mut args = std::env::args().skip(1);
+    let choice = if args.any(|a| a == "--threads") {
+        Some(("--threads", args.next().unwrap_or_default()))
+    } else {
+        std::env::var("LEOPARD_THREADS")
+            .ok()
+            .map(|v| ("LEOPARD_THREADS", v))
+    };
+    let Some((name, value)) = choice else {
+        return 0;
+    };
+    parse_threads(name, &value).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses a thread count given by `name`, the flag or environment variable
+/// the error names: 0 (one worker per core) up to [`MAX_THREADS`], since
+/// the pool spawns every worker up front.
+pub fn parse_threads(name: &str, value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(n) if n <= MAX_THREADS => Ok(n),
+        Ok(_) => Err(format!("{name} must be at most {MAX_THREADS}, got {value}")),
+        Err(_) => Err(format!("{name}: bad thread count {value:?}")),
     }
-    std::env::var("LEOPARD_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 /// Builds a suite runner configured from the harness flags/environment.
@@ -125,5 +136,20 @@ mod tests {
     fn harness_options_cap_sequence_length_by_default() {
         let opts = harness_options();
         assert!(opts.max_sim_seq_len <= 96);
+    }
+
+    #[test]
+    fn thread_counts_past_the_cap_or_unparsable_are_rejected() {
+        assert_eq!(parse_threads("--threads", "1024"), Ok(1024));
+        assert_eq!(
+            parse_threads("--threads", "1025"),
+            Err("--threads must be at most 1024, got 1025".into())
+        );
+        for bad in ["abc", ""] {
+            assert_eq!(
+                parse_threads("LEOPARD_THREADS", bad),
+                Err(format!("LEOPARD_THREADS: bad thread count {bad:?}"))
+            );
+        }
     }
 }

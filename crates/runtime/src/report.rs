@@ -97,8 +97,8 @@ pub fn suite_report_json(report: &SuiteReport) -> String {
     render_string(HEAD_BYTES, |w| write_suite_report_json(report, w))
 }
 
-/// Renders the standard per-task console table (header + one row per task),
-/// shared by `leopard suite` and the suite_sweep example.
+/// Renders `leopard suite`'s per-task console table (header + one row per
+/// task).
 pub fn suite_table(results: &[TaskResult]) -> String {
     let mut out = format!(
         "{:<24} {:>8} {:>8} {:>9} {:>9} {:>10}\n",
@@ -119,9 +119,9 @@ pub fn suite_table(results: &[TaskResult]) -> String {
     out
 }
 
-/// Renders the one-line suite summary with the paper's reference GMeans,
-/// shared by `leopard suite` and the suite_sweep example. An empty result
-/// set renders a "no tasks simulated" line instead of panicking.
+/// Renders `leopard suite`'s one-line summary with the paper's reference
+/// GMeans. An empty result set renders a "no tasks simulated" line instead
+/// of panicking.
 pub fn summary_line(results: &[TaskResult]) -> String {
     if results.is_empty() {
         return "no tasks simulated".to_string();

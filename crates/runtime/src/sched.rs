@@ -152,11 +152,6 @@ impl ReadyQueue {
         }
     }
 
-    /// The queue's policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
-    }
-
     /// Admits a job.
     pub fn push(&mut self, job: PredictedJob) {
         match self.policy {

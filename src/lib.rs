@@ -32,9 +32,10 @@
 //! assert!(result.ae_speedup > 1.0);
 //! ```
 //!
-//! The runnable examples in `examples/` and the per-figure harness binaries
-//! in `crates/bench/` show the full pipeline: fine-tune thresholds, quantize,
-//! simulate, and regenerate every table and figure of the paper.
+//! The runnable examples in `examples/`, the `leopard` CLI and the
+//! per-figure harness binaries in `crates/bench/` show the full pipeline:
+//! fine-tune thresholds, quantize, simulate, and regenerate every table and
+//! figure of the paper.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
