@@ -9,6 +9,7 @@ use leopard_workloads::suite::full_suite;
 use leopard_workloads::training::{train_task, TrainingOptions};
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Ablation 1 — surrogate-L0 balancing factor λ");
     let suite = full_suite();
     let task = suite

@@ -37,6 +37,7 @@ fn run(sharpness: f32, clip: f32) -> (f32, f32, f32) {
 }
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Ablation 2 — soft-threshold sharpness s and clip c");
     println!(
         "{:<8} {:<8} {:>12} {:>16} {:>12}",

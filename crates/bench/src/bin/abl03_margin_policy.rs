@@ -13,6 +13,7 @@ use leopard_tensor::rng;
 use leopard_workloads::pipeline::{synthesize_qk, threshold_for_rate};
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Ablation 3 — conservative margin vs naive (margin-free) early exit");
     let cfg = TileConfig::ae_leopard();
     let plan = cfg.bit_serial_plan();

@@ -7,6 +7,7 @@ use leopard_workloads::suite::full_suite;
 use leopard_workloads::training::{train_task, TrainingOptions};
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     let suite = full_suite();
     let task = suite
         .iter()

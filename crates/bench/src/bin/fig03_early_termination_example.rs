@@ -6,6 +6,7 @@ use leopard_accel::dpu::figure3_walkthrough;
 use leopard_bench::header;
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Figure 3 — early-compute termination walkthrough (Th = 5)");
     println!(
         "{:<7} {:>13} {:>22} {:>22}",

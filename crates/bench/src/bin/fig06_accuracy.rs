@@ -11,6 +11,7 @@ use leopard_workloads::suite::full_suite;
 use leopard_workloads::training::{train_task, TrainingOptions};
 
 fn main() {
+    leopard_bench::accept_flags(&["--all"]);
     let all = std::env::args().any(|a| a == "--all");
     let suite = full_suite();
     let selected: Vec<_> = if all {

@@ -3,6 +3,7 @@
 use leopard_bench::{harness_options, header, percent, run_suite};
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Figure 7 — runtime pruning rate per task");
     let rows = run_suite(&harness_options());
     println!(

@@ -7,6 +7,7 @@ use leopard_workloads::pipeline::run_task;
 use leopard_workloads::suite::{full_suite, PAPER_MEAN_BITS};
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Figure 8 — cumulative pruning rate vs processed bits");
     let options = harness_options();
     let suite = full_suite();

@@ -10,6 +10,7 @@ use leopard_transformer::config::ModelFamily;
 use leopard_workloads::suite::PAPER_GMEANS;
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Figure 9 — speedup over the baseline design");
     let rows = run_suite(&harness_options());
     println!(

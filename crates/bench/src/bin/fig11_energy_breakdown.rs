@@ -8,6 +8,7 @@ use leopard_workloads::pipeline::run_task;
 use leopard_workloads::suite::full_suite;
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Figure 11 — normalized energy breakdown per transformer head");
     let options = harness_options();
     let suite = full_suite();

@@ -6,6 +6,7 @@ use leopard_accel::config::TileConfig;
 use leopard_bench::header;
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Figure 12 — AE-LeOPArd area breakdown (65 nm)");
     let model = AreaModel::calibrated();
     let ae = model.breakdown(&TileConfig::ae_leopard());

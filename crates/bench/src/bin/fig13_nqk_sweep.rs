@@ -14,6 +14,7 @@ use leopard_workloads::suite::TaskDescriptor;
 use std::sync::Arc;
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Figure 13 — V-PU demand vs QK-PU parallelism (N_QK)");
     let options = harness_options();
     let sweep = [3usize, 4, 5, 6, 8, 12];

@@ -21,6 +21,7 @@ use std::sync::Arc;
 const GRANULARITIES: [u32; 4] = [1, 2, 4, 12];
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Figure 14 — bit-serial granularity sweep (MemN2N tasks)");
     let options = harness_options();
     let suite = full_suite();

@@ -4,6 +4,7 @@ use leopard_accel::config::TileConfig;
 use leopard_bench::header;
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Table 1 — LeOPArd tile microarchitectural configuration");
     for config in [
         TileConfig::ae_leopard(),

@@ -5,6 +5,7 @@ use leopard_accel::compare::{hp_leopard_65nm_published, table2_rows};
 use leopard_bench::header;
 
 fn main() {
+    leopard_bench::accept_flags(&[]);
     header("Table 2 — comparison with A3 and SpAtten");
     let rows = table2_rows(&hp_leopard_65nm_published());
     println!(

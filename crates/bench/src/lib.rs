@@ -9,6 +9,8 @@
 //! Suite execution goes through the parallel engine in `leopard-runtime`;
 //! pass `--threads N` to any binary (or set `LEOPARD_THREADS`) to control
 //! the worker count. Results are bit-identical for every thread count.
+//! Every binary checks its arguments before any work ([`accept_flags`]):
+//! an argument that is not one of its flags exits 2 naming it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,6 +33,42 @@ pub fn ratio(value: f64) -> String {
 /// Formats a percentage column ("91.7%").
 pub fn percent(value: f64) -> String {
     format!("{:.1}%", value * 100.0)
+}
+
+/// Checks a binary's arguments (program name excluded) against the flags
+/// every harness binary accepts (`--full-scale`, `--quick`, `--threads N`)
+/// and the binary's own `extra` flags. The first argument
+/// that is none of them, or a `--threads` not followed by a count
+/// [`parse_threads`] accepts, is the error.
+pub fn check_flags(args: &[String], extra: &[&str]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--threads" => {
+                let value = args.next().ok_or("--threads needs a thread count")?;
+                parse_threads("--threads", value)?;
+            }
+            "--full-scale" | "--quick" => {}
+            flag if extra.contains(&flag) => {}
+            other => {
+                let extra: String = extra.iter().map(|flag| format!(", {flag}")).collect();
+                return Err(format!(
+                    "unknown flag {other:?} (accepted: --full-scale, --quick, --threads N{extra})"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Runs [`check_flags`] on this process's arguments and exits 2 with the
+/// error if it fails. Every binary calls it first.
+pub fn accept_flags(extra: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_flags(&args, extra) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 }
 
 /// Default pipeline options used by the harness binaries: sequence lengths
@@ -151,5 +189,31 @@ mod tests {
                 Err(format!("LEOPARD_THREADS: bad thread count {bad:?}"))
             );
         }
+    }
+
+    #[test]
+    fn unknown_flags_and_a_bare_threads_are_rejected() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let accepted = args(&["--quick", "--threads", "2", "--full-scale"]);
+        assert_eq!(check_flags(&accepted, &[]), Ok(()));
+        assert_eq!(check_flags(&args(&["--all"]), &["--all"]), Ok(()));
+        // A typo is named, even after an accepted flag.
+        assert_eq!(
+            check_flags(&args(&["--quick", "--full_scale"]), &[]),
+            Err(
+                "unknown flag \"--full_scale\" (accepted: --full-scale, --quick, --threads N)"
+                    .into()
+            )
+        );
+        // One binary's own flag is unknown to the others.
+        assert!(check_flags(&args(&["--all"]), &[]).is_err());
+        assert_eq!(
+            check_flags(&args(&["--threads"]), &[]),
+            Err("--threads needs a thread count".into())
+        );
+        assert_eq!(
+            check_flags(&args(&["--threads", "--quick"]), &[]),
+            Err("--threads: bad thread count \"--quick\"".into())
+        );
     }
 }

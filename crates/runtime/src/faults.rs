@@ -159,12 +159,6 @@ impl FaultPlan {
         self.fail_rate == 0.0 && self.tile_events.is_empty() && self.slow_tiles.is_empty()
     }
 
-    /// Whether the plan changes tile liveness (and therefore forces
-    /// topology-aware replanning).
-    pub fn has_tile_events(&self) -> bool {
-        !self.tile_events.is_empty()
-    }
-
     /// Validates the plan against a concrete tile count and returns the
     /// plan with `tile_events` sorted by `(cycle, tile, kind)` — the order
     /// the replay applies them in.

@@ -23,7 +23,7 @@
 //! so suite results stay bit-identical across policies; only the latency
 //! profile moves.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Admission-ordering policy.
@@ -83,47 +83,6 @@ pub struct PredictedJob {
     pub predicted_cycles: u64,
 }
 
-/// Max-heap entry: longer jobs first, ties broken toward the earlier
-/// arrival so the order is total and deterministic.
-#[derive(Debug, PartialEq, Eq)]
-struct LjfEntry(PredictedJob);
-
-impl Ord for LjfEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .predicted_cycles
-            .cmp(&other.0.predicted_cycles)
-            .then_with(|| other.0.index.cmp(&self.0.index))
-    }
-}
-
-impl PartialOrd for LjfEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Max-heap entry with reversed cost order: shorter jobs first, ties broken
-/// toward the earlier arrival so the order is total and deterministic.
-#[derive(Debug, PartialEq, Eq)]
-struct SjfEntry(PredictedJob);
-
-impl Ord for SjfEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .predicted_cycles
-            .cmp(&self.0.predicted_cycles)
-            .then_with(|| other.0.index.cmp(&self.0.index))
-    }
-}
-
-impl PartialOrd for SjfEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A policy-ordered ready queue: jobs go in as they arrive, and come out in
 /// the order the policy dictates. Pop order is fully deterministic — ties on
 /// predicted cost resolve toward the earlier arrival.
@@ -131,8 +90,11 @@ impl PartialOrd for SjfEntry {
 pub struct ReadyQueue {
     policy: SchedulePolicy,
     fifo: VecDeque<PredictedJob>,
-    ljf: BinaryHeap<LjfEntry>,
-    sjf: BinaryHeap<SjfEntry>,
+    /// LJF and SJF: a max-heap of `(cost key, Reverse(index))`, so equal
+    /// keys pop the earlier arrival first. The key is the predicted cycles
+    /// under LJF and their bitwise complement under SJF (see
+    /// [`cost_key`](Self::cost_key)).
+    heap: BinaryHeap<(u64, Reverse<usize>)>,
     /// Jobs ever admitted (monotone; survives pops).
     pushes: u64,
     /// Deepest the queue has ever been.
@@ -145,10 +107,20 @@ impl ReadyQueue {
         Self {
             policy,
             fifo: VecDeque::new(),
-            ljf: BinaryHeap::new(),
-            sjf: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             pushes: 0,
             peak: 0,
+        }
+    }
+
+    /// The heap key of a predicted cost, and the cost of a heap key: the
+    /// complement turns the max-heap into shortest-first under SJF and is
+    /// its own inverse.
+    fn cost_key(&self, cycles: u64) -> u64 {
+        if self.policy == SchedulePolicy::Sjf {
+            !cycles
+        } else {
+            cycles
         }
     }
 
@@ -156,8 +128,9 @@ impl ReadyQueue {
     pub fn push(&mut self, job: PredictedJob) {
         match self.policy {
             SchedulePolicy::Fifo => self.fifo.push_back(job),
-            SchedulePolicy::Ljf => self.ljf.push(LjfEntry(job)),
-            SchedulePolicy::Sjf => self.sjf.push(SjfEntry(job)),
+            _ => self
+                .heap
+                .push((self.cost_key(job.predicted_cycles), Reverse(job.index))),
         }
         self.pushes += 1;
         self.peak = self.peak.max(self.len());
@@ -167,18 +140,16 @@ impl ReadyQueue {
     pub fn pop(&mut self) -> Option<PredictedJob> {
         match self.policy {
             SchedulePolicy::Fifo => self.fifo.pop_front(),
-            SchedulePolicy::Ljf => self.ljf.pop().map(|e| e.0),
-            SchedulePolicy::Sjf => self.sjf.pop().map(|e| e.0),
+            _ => self.heap.pop().map(|(key, Reverse(index))| PredictedJob {
+                index,
+                predicted_cycles: self.cost_key(key),
+            }),
         }
     }
 
     /// Number of queued jobs.
     pub fn len(&self) -> usize {
-        match self.policy {
-            SchedulePolicy::Fifo => self.fifo.len(),
-            SchedulePolicy::Ljf => self.ljf.len(),
-            SchedulePolicy::Sjf => self.sjf.len(),
-        }
+        self.fifo.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
@@ -198,31 +169,6 @@ impl ReadyQueue {
     }
 }
 
-/// Min-heap entry of the [`DeferralQueue`]: earliest ready cycle first,
-/// ties broken toward the earlier arrival index so the promotion order is
-/// total and deterministic.
-#[derive(Debug, PartialEq, Eq)]
-struct DeferredEntry {
-    ready_cycle: u64,
-    job: PredictedJob,
-}
-
-impl Ord for DeferredEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse both keys for min-heap order.
-        other
-            .ready_cycle
-            .cmp(&self.ready_cycle)
-            .then_with(|| other.job.index.cmp(&self.job.index))
-    }
-}
-
-impl PartialOrd for DeferredEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// The retry side-queue of fault-tolerant serving: requests that hit a
 /// transient fault or a predicted SLO miss are *deferred* — parked here
 /// until a backoff-determined ready cycle — instead of shed outright.
@@ -235,7 +181,8 @@ impl PartialOrd for DeferredEntry {
 /// seeded fault stream and the request trace.
 #[derive(Debug, Default)]
 pub struct DeferralQueue {
-    heap: BinaryHeap<DeferredEntry>,
+    /// A min-heap of `(ready cycle, index, predicted cycles)`.
+    heap: BinaryHeap<Reverse<(u64, usize, u64)>>,
     /// Deferrals ever accepted (monotone; survives promotions).
     deferrals: u64,
     /// Deepest the queue has ever been.
@@ -250,7 +197,8 @@ impl DeferralQueue {
 
     /// Parks `job` until the virtual clock reaches `ready_cycle`.
     pub fn defer(&mut self, job: PredictedJob, ready_cycle: u64) {
-        self.heap.push(DeferredEntry { ready_cycle, job });
+        let entry = (ready_cycle, job.index, job.predicted_cycles);
+        self.heap.push(Reverse(entry));
         self.deferrals += 1;
         self.peak = self.peak.max(self.heap.len());
     }
@@ -258,17 +206,20 @@ impl DeferralQueue {
     /// Removes and returns the next job whose ready cycle is at or before
     /// `clock`, if any.
     pub fn pop_ready(&mut self, clock: u64) -> Option<PredictedJob> {
-        if self.heap.peek()?.ready_cycle <= clock {
-            self.heap.pop().map(|e| e.job)
-        } else {
-            None
+        if self.next_ready_cycle()? > clock {
+            return None;
         }
+        let Reverse((_, index, predicted_cycles)) = self.heap.pop()?;
+        Some(PredictedJob {
+            index,
+            predicted_cycles,
+        })
     }
 
     /// The earliest ready cycle of any parked job — the clock target the
     /// replay must not skip past while the ready queue is empty.
     pub fn next_ready_cycle(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.ready_cycle)
+        self.heap.peek().map(|Reverse(entry)| entry.0)
     }
 
     /// Number of parked jobs.
@@ -289,13 +240,6 @@ impl DeferralQueue {
     /// Deepest the queue has ever been across its lifetime.
     pub fn peak_len(&self) -> usize {
         self.peak
-    }
-
-    /// Drains every parked job in deterministic `(ready_cycle, index)`
-    /// order, regardless of the clock — the permanent-outage path, where
-    /// parked work can never run and must be shed reproducibly.
-    pub fn drain_all(&mut self) -> Vec<PredictedJob> {
-        std::iter::from_fn(|| self.heap.pop().map(|e| e.job)).collect()
     }
 }
 
@@ -412,9 +356,12 @@ mod tests {
         assert_eq!(q.next_ready_cycle(), Some(500));
         // A late clock promotes whatever is due.
         assert_eq!(q.pop_ready(10_000).map(|j| j.index), Some(3));
-        // drain_all empties deterministically regardless of the clock.
+        // The last clock value empties the queue in the same order (the
+        // permanent-outage path sheds parked work this way).
         q.defer(job(7), 50);
-        let drained: Vec<usize> = q.drain_all().iter().map(|j| j.index).collect();
+        let drained: Vec<usize> = std::iter::from_fn(|| q.pop_ready(u64::MAX))
+            .map(|j| j.index)
+            .collect();
         assert_eq!(drained, vec![7, 0]);
         assert!(q.is_empty());
         assert_eq!(q.deferrals(), 5, "lifetime stats survive the drain");

@@ -495,20 +495,6 @@ pub struct QueueSample {
     pub depth: usize,
 }
 
-/// One point of the replay's virtual-clock time-series, taken at every
-/// settled clock instant where the `(queue depth, in-flight)` pair changed.
-/// Fully deterministic: a pure function of the serving options, never of
-/// thread count or wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplaySample {
-    /// Virtual cycle the sample was taken at.
-    pub cycle: u64,
-    /// Requests waiting in the admission queue.
-    pub queue_depth: usize,
-    /// Tiles busy executing a request at this instant.
-    pub in_flight: usize,
-}
-
 /// Bucket upper bounds (inclusive, in cycles) of the telemetry latency
 /// histogram `serve.latency_cycles` — fixed so histograms from different
 /// runs and policies are directly comparable.
@@ -648,9 +634,6 @@ pub struct ServingReport {
     pub shed: Vec<ShedRecord>,
     /// Queue depth over virtual time, one sample per dispatch.
     pub queue_samples: Vec<QueueSample>,
-    /// Virtual-clock time-series of queue depth and in-flight requests,
-    /// one sample per settled clock instant where either changed.
-    pub series: Vec<ReplaySample>,
     /// Cycles each tile was reserved by dispatched requests, indexed by
     /// tile. A request's gang reserves `min(tiles, servers)` tiles for its
     /// whole layer makespan, so with multi-tile requests the total exceeds
@@ -1074,25 +1057,23 @@ impl LiveTiles {
         from + self.order[from..].partition_point(|&other| (self.free_at[other], other) < key)
     }
 
-    /// Takes `tile` out of the live set (a no-op if it is already down).
-    fn fail(&mut self, tile: usize) -> bool {
-        if self.down[tile] {
+    /// Fails or recovers one tile, idempotently: a fail on a down tile and
+    /// a recover on a live one are no-ops. Returns whether the live set
+    /// changed.
+    fn apply(&mut self, event: &TileFaultEvent) -> bool {
+        let (tile, fail) = (event.tile, event.kind == TileFaultKind::Fail);
+        if self.down[tile] == fail {
             return false;
         }
-        self.down[tile] = true;
-        self.order.remove(self.slot_in(0, tile));
-        self.fail_events += 1;
-        true
-    }
-
-    /// Returns `tile` to the live set (a no-op if it is already live).
-    fn recover(&mut self, tile: usize) -> bool {
-        if !self.down[tile] {
-            return false;
+        self.down[tile] = fail;
+        let at = self.slot_in(0, tile);
+        if fail {
+            self.order.remove(at);
+            self.fail_events += 1;
+        } else {
+            self.order.insert(at, tile);
+            self.recover_events += 1;
         }
-        self.down[tile] = false;
-        self.order.insert(self.slot_in(0, tile), tile);
-        self.recover_events += 1;
         true
     }
 
@@ -1106,23 +1087,15 @@ impl LiveTiles {
         next_event: &mut usize,
         tape: &mut ReplayTape,
     ) {
-        while *next_event < events.len() && events[*next_event].cycle <= clock {
-            let event = events[*next_event];
+        while let Some(event) = events.get(*next_event).filter(|e| e.cycle <= clock) {
             *next_event += 1;
             self.charge(event.cycle);
-            let applied = match event.kind {
-                TileFaultKind::Fail => self.fail(event.tile),
-                TileFaultKind::Recover => self.recover(event.tile),
-            };
+            let applied = self.apply(event);
             self.min_live = self.min_live.min(self.live());
             if applied {
                 let recovered = event.kind == TileFaultKind::Recover;
-                tape.push(ReplayEvent::Tile(
-                    recovered,
-                    event.tile,
-                    event.cycle,
-                    self.live(),
-                ));
+                let live = self.live();
+                tape.push(ReplayEvent::Tile(recovered, event.tile, event.cycle, live));
             }
         }
     }
@@ -1146,6 +1119,141 @@ fn names_by_id(suite: &[TaskDescriptor]) -> Vec<String> {
         names[task.id].clone_from(&task.name);
     }
     names
+}
+
+/// What a request for one task costs on a plan of one width: the
+/// simulated layer makespan (ground truth), the cost model's predicted
+/// makespan (all the scheduler and the SLO controller ever see), and the
+/// predicted makespan at each step of the degradation ladder (zeros
+/// unless [`ServingOptions::degrade`] is on).
+struct Price {
+    service: u64,
+    predicted: u64,
+    degraded: [u64; DEGRADE_LEVELS as usize],
+}
+
+/// The replay's one writer. Each decision — dispatch, retry, shed — is one
+/// method that writes the decision's report row, its counters and its
+/// [`ReplayEvent`] together.
+struct Ledger<'a> {
+    requests: &'a [Request],
+    suite: &'a [TaskDescriptor],
+    plan: &'a FaultPlan,
+    options: &'a ServingOptions,
+    /// Retries each request has consumed so far, by request id.
+    attempts: Vec<u32>,
+    /// Admitted requests by id; a shed request leaves a hole.
+    records: Vec<Option<RequestRecord>>,
+    shed: Vec<ShedRecord>,
+    queue_samples: Vec<QueueSample>,
+    tile_busy_cycles: Vec<u64>,
+    transient_faults: u64,
+    slo_deferrals: u64,
+    degraded: u64,
+    tape: ReplayTape,
+}
+
+impl Ledger<'_> {
+    /// Drops `job` undispatched at `clock`.
+    fn shed(&mut self, cause: ShedCause, job: PredictedJob, clock: u64) {
+        let request = self.requests[job.index];
+        self.shed.push(ShedRecord {
+            id: request.id,
+            task_id: self.suite[request.task_index].id,
+            arrival_cycle: request.arrival_cycle,
+            shed_cycle: clock,
+            predicted_cycles: job.predicted_cycles,
+            attempts: self.attempts[job.index],
+        });
+        let (id, task, predicted) = (request.id, request.task_index, job.predicted_cycles);
+        self.tape
+            .push(ReplayEvent::Shed(cause, id, task, clock, predicted));
+    }
+
+    /// A dispatch attempt of `job` at `clock` failed: `cause` is
+    /// [`ShedCause::TransientFault`] (the fault is counted and traced here)
+    /// or [`ShedCause::PredictedSloMiss`]. While its retry budget lasts the
+    /// job is deferred with seeded backoff; then it is shed, a predicted
+    /// miss after a retry as [`ShedCause::RetriesExhausted`].
+    fn retry_or_shed(
+        &mut self,
+        job: PredictedJob,
+        clock: u64,
+        cause: ShedCause,
+        deferred: &mut DeferralQueue,
+    ) {
+        let attempt = self.attempts[job.index];
+        let transient = cause == ShedCause::TransientFault;
+        if transient {
+            self.transient_faults += 1;
+            self.tape
+                .push(ReplayEvent::Transient(job.index, clock, attempt));
+        }
+        if attempt >= self.options.retry_max {
+            let exhausted = !transient && attempt > 0;
+            let cause = if exhausted {
+                ShedCause::RetriesExhausted
+            } else {
+                cause
+            };
+            self.shed(cause, job, clock);
+            return;
+        }
+        self.attempts[job.index] = attempt + 1;
+        self.slo_deferrals += u64::from(!transient);
+        let base = self.options.backoff_base_cycles;
+        let delay = self.plan.backoff_cycles(base, job.index, attempt);
+        let task = self.requests[job.index].task_index;
+        let retry = ReplayEvent::Retry(job.index, task, clock, delay, attempt + 1);
+        self.tape.push(retry);
+        deferred.defer(job, clock.saturating_add(delay));
+    }
+
+    /// Starts `job` at `clock` on `gang` for `service` cycles at ladder
+    /// `level`, leaving `depth` requests waiting.
+    fn dispatch(
+        &mut self,
+        job: PredictedJob,
+        clock: u64,
+        service: u64,
+        gang: &[usize],
+        level: u32,
+        depth: usize,
+    ) {
+        let request = self.requests[job.index];
+        for &tile in gang {
+            self.tile_busy_cycles[tile] += service;
+        }
+        // The trace shows the gang on its lead tile's lane (first by
+        // `(free_at, index)`) — at one tile per request this is exactly
+        // the dispatched tile of the legacy model.
+        let (id, task, lead) = (request.id, request.task_index, gang[0]);
+        let wait = clock - request.arrival_cycle;
+        let predicted = job.predicted_cycles;
+        self.tape.push(ReplayEvent::Dispatch(
+            id, task, lead, clock, service, wait, predicted,
+        ));
+        if level > 0 {
+            self.degraded += 1;
+            self.tape
+                .push(ReplayEvent::Degrade(id, task, lead, clock, level));
+        }
+        self.queue_samples.push(QueueSample {
+            cycle: clock,
+            depth,
+        });
+        self.records[job.index] = Some(RequestRecord {
+            id,
+            task_id: self.suite[task].id,
+            arrival_cycle: request.arrival_cycle,
+            start_cycle: clock,
+            finish_cycle: clock + service,
+            predicted_cycles: predicted,
+            service_cycles: service,
+            attempts: self.attempts[job.index],
+            degraded: level,
+        });
+    }
 }
 
 /// Runs a serving workload on the runner's pool and cache and returns the
@@ -1203,122 +1311,86 @@ pub fn run_serving(
     used.dedup();
     let tiles = options.pipeline.tiles.max(1);
     let gang_size = tiles.min(options.servers);
+    // Walk the event timeline once on a probe tile array to enumerate
+    // every live count the run can see; widths below the gang size
+    // constrain capacity and need their own ground truth.
     let mut widths: Vec<usize> = vec![tiles];
-    if fault_plan.has_tile_events() {
-        // Walk the event timeline once to enumerate every live count the
-        // run can see; widths below the gang size constrain capacity and
-        // need their own ground truth.
-        let mut down = vec![false; options.servers];
-        let mut live = options.servers;
-        for event in &fault_plan.tile_events {
-            match event.kind {
-                TileFaultKind::Fail => {
-                    if !down[event.tile] {
-                        down[event.tile] = true;
-                        live -= 1;
-                    }
-                }
-                TileFaultKind::Recover => {
-                    if down[event.tile] {
-                        down[event.tile] = false;
-                        live += 1;
-                    }
-                }
-            }
-            if live > 0 && live < gang_size {
-                widths.push(live);
-            }
+    let mut probe = LiveTiles::new(options.servers);
+    for event in &fault_plan.tile_events {
+        probe.apply(event);
+        if (1..gang_size).contains(&probe.live()) {
+            widths.push(probe.live());
         }
-        widths.sort_unstable();
-        widths.dedup();
     }
+    widths.sort_unstable();
+    widths.dedup();
     let tasks: Vec<TaskDescriptor> = used.iter().map(|&i| suite[i].clone()).collect();
-    let jobs: Vec<(usize, TaskDescriptor)> = widths
-        .iter()
-        .flat_map(|&width| tasks.iter().map(move |task| (width, task.clone())))
-        .collect();
-    let service = measure_layer_makespans(runner, jobs, &options.pipeline, &options.config);
-    let telemetry = runner.telemetry().cloned();
-    let mut tape = ReplayTape::new(telemetry.is_some(), suite, options.servers);
-    let task_pos = |task_index: usize| -> usize {
-        used.binary_search(&task_index).expect("task was executed") // lint:allow(panic-in-library, reason = "`used` is built from exactly the task indices the requests reference, so the binary search cannot miss")
-    };
-    let width_pos = |width: usize| -> usize {
+    let pairs = || {
         widths
-            .binary_search(&width)
-            .expect("plan width was measured") // lint:allow(panic-in-library, reason = "`widths` enumerates every live count the event timeline can produce, so the replay cannot ask for an unmeasured width")
+            .iter()
+            .flat_map(|&width| tasks.iter().map(move |task| (width, task)))
     };
-    let service_at = |width: usize, task_index: usize| {
-        service[width_pos(width) * used.len() + task_pos(task_index)]
+    let (pipeline, config) = (&options.pipeline, &options.config);
+    let jobs = pairs().map(|(width, task)| (width, task.clone())).collect();
+    let service = measure_layer_makespans(runner, jobs, pipeline, config);
+    // Predictions come from the same layer plan as the service cycles (its
+    // predicted makespan — the quantity placement optimized), so the
+    // scheduler's view shrinks with the tile count just as service does.
+    // The degradation ladder is plan-only (no simulation): the predicted
+    // makespan at each tightened pruning rate.
+    let prices: Vec<Price> = pairs()
+        .zip(service)
+        .map(|((width, task), service)| Price {
+            service,
+            predicted: plan_task_layer(task, pipeline, config, width).predicted_makespan_cycles(),
+            degraded: std::array::from_fn(|step| {
+                if !options.degrade {
+                    return 0;
+                }
+                let rate = degraded_pruning_rate(task.paper_pruning_rate as f64, step as u32 + 1);
+                plan_task_layer_at_rate(task, pipeline, config, width, rate)
+                    .predicted_makespan_cycles()
+            }),
+        })
+        .collect();
+    let price = |width: usize, task_index: usize| -> &Price {
+        let width_pos = widths
+            .binary_search(&width)
+            .expect("plan width was measured"); // lint:allow(panic-in-library, reason = "`widths` enumerates every live count the event timeline can produce, so the replay cannot ask for an unmeasured width")
+        let task_pos = used.binary_search(&task_index).expect("task was executed"); // lint:allow(panic-in-library, reason = "`used` is built from exactly the task indices the requests reference, so the binary search cannot miss")
+        &prices[width_pos * used.len() + task_pos]
     };
 
-    // --- Phase 2: replay the arrival process in virtual time. Predictions,
-    // like service cycles, are per distinct (width, task) and come from the
-    // same layer plan (its predicted makespan — the quantity placement
-    // optimized), so the scheduler's view shrinks with the tile count just
-    // as service does; requests share them.
-    let predicted_table: Vec<u64> = widths
-        .iter()
-        .flat_map(|&width| {
-            used.iter().map(move |&i| {
-                plan_task_layer(&suite[i], &options.pipeline, &options.config, width)
-                    .predicted_makespan_cycles()
-            })
-        })
-        .collect();
-    let predicted_at = |width: usize, task_index: usize| {
-        predicted_table[width_pos(width) * used.len() + task_pos(task_index)]
+    // --- Phase 2: replay the arrival process in virtual time.
+    let telemetry = runner.telemetry().cloned();
+    let mut ledger = Ledger {
+        requests: &requests,
+        suite,
+        plan: &fault_plan,
+        options,
+        attempts: vec![0; requests.len()],
+        records: vec![None; requests.len()],
+        shed: Vec::new(),
+        queue_samples: Vec::with_capacity(requests.len()),
+        tile_busy_cycles: vec![0; options.servers],
+        transient_faults: 0,
+        slo_deferrals: 0,
+        degraded: 0,
+        tape: ReplayTape::new(telemetry.is_some(), suite, options.servers),
     };
-    // Degradation ladder prices, plan-only (no simulation): the predicted
-    // makespan at each tightened pruning rate, per (width, task, level).
-    let degrade_levels = if options.degrade { DEGRADE_LEVELS } else { 0 };
-    let degraded_table: Vec<u64> = widths
-        .iter()
-        .flat_map(|&width| {
-            used.iter().flat_map(move |&i| {
-                (1..=degrade_levels).map(move |level| {
-                    let rate = degraded_pruning_rate(suite[i].paper_pruning_rate as f64, level);
-                    plan_task_layer_at_rate(
-                        &suite[i],
-                        &options.pipeline,
-                        &options.config,
-                        width,
-                        rate,
-                    )
-                    .predicted_makespan_cycles()
-                })
-            })
-        })
-        .collect();
-    let degraded_predicted_at = |width: usize, task_index: usize, level: u32| {
-        degraded_table[(width_pos(width) * used.len() + task_pos(task_index))
-            * degrade_levels as usize
-            + (level - 1) as usize]
-    };
-    let predicted: Vec<u64> = requests
-        .iter()
-        .map(|r| predicted_at(tiles, r.task_index))
-        .collect();
     let mut ready = ReadyQueue::new(options.policy);
     let mut deferred = DeferralQueue::new();
-    let mut attempts: Vec<u32> = vec![0; requests.len()];
     let mut live_tiles = LiveTiles::new(options.servers);
     let mut next_event = 0usize;
-    let mut transient_faults = 0u64;
-    let mut slo_deferrals = 0u64;
-    let mut degraded_count = 0u64;
     let mut next_arrival = 0usize;
-    let mut records: Vec<Option<RequestRecord>> = vec![None; requests.len()];
-    let mut shed: Vec<ShedRecord> = Vec::new();
-    let mut queue_samples = Vec::with_capacity(requests.len());
     // Observability state, all on the virtual clock (deterministic). The
     // depth integral advances lazily: before every queue mutation, the
     // depth that held since `depth_last_cycle` is charged for the elapsed
-    // cycles.
-    let mut tile_busy_cycles = vec![0u64; options.servers];
+    // cycles. A settled instant is traced only when its `(queue depth,
+    // in-flight)` pair differs from `last_settle`.
     let mut depth_cycle_integral: u128 = 0;
     let mut depth_last_cycle = 0u64;
-    let mut series: Vec<ReplaySample> = Vec::new();
+    let mut last_settle: Option<(usize, usize)> = None;
 
     // Event loop on a monotone virtual clock. At each clock value: dispatch
     // ready requests onto every free tile **gang** — a request's layer
@@ -1337,14 +1409,16 @@ pub fn run_serving(
     // (`clock + headroom-padded prediction`) already misses its deadline
     // (`arrival + slo`) is shed instead of dispatched — the controller sees
     // only cost-model predictions (padded by SLO_PREDICTION_HEADROOM
-    // against residual model error), never ground truth.
+    // against residual model error), never ground truth. Every decision
+    // is written once, by the ledger.
+    let events = &fault_plan.tile_events;
     let mut clock = 0u64;
     loop {
         // Fault events and due retries settle before any dispatch at this
         // instant: liveness changes at cycle C are visible to dispatches
         // at C, and a request whose backoff expires at C re-enters the
         // policy queue at C.
-        live_tiles.apply_until(clock, &fault_plan.tile_events, &mut next_event, &mut tape);
+        live_tiles.apply_until(clock, events, &mut next_event, &mut ledger.tape);
         while let Some(job) = deferred.pop_ready(clock) {
             ready.push(job);
         }
@@ -1356,11 +1430,14 @@ pub fn run_serving(
             depth_cycle_integral += u128::from(clock - depth_last_cycle) * ready.len() as u128;
             depth_last_cycle = clock;
             let job = ready.pop().expect("queue checked non-empty"); // lint:allow(panic-in-library, reason = "the dispatch loop only reaches this pop after checking the ready queue is non-empty")
-            let request = requests[job.index];
-            let task = &suite[request.task_index];
-            let attempt = attempts[job.index];
-            let (id, task_index, predicted) =
-                (request.id, request.task_index, job.predicted_cycles);
+
+            // Transient dispatch fault? Decided by the counter-addressed
+            // seeded stream — a pure function of (request, attempt), so
+            // retry reordering never perturbs the pattern.
+            if fault_plan.transient_fails(job.index, ledger.attempts[job.index]) {
+                ledger.retry_or_shed(job, clock, ShedCause::TransientFault, &mut deferred);
+                continue;
+            }
             // The plan width the gang spans: full-capacity plans use the
             // configured tile count; below it, the whole live set.
             let width = if live_tiles.live() >= gang_size {
@@ -1368,38 +1445,8 @@ pub fn run_serving(
             } else {
                 live_tiles.live()
             };
-            // Transient dispatch fault? Decided by the counter-addressed
-            // seeded stream — a pure function of (request, attempt), so
-            // retry reordering never perturbs the pattern.
-            if fault_plan.transient_fails(job.index, attempt) {
-                transient_faults += 1;
-                tape.push(ReplayEvent::Transient(id, clock, attempt));
-                if attempt < options.retry_max {
-                    attempts[job.index] = attempt + 1;
-                    let delay =
-                        fault_plan.backoff_cycles(options.backoff_base_cycles, job.index, attempt);
-                    tape.push(ReplayEvent::Retry(
-                        id,
-                        task_index,
-                        clock,
-                        delay,
-                        attempt + 1,
-                    ));
-                    deferred.defer(job, clock.saturating_add(delay));
-                } else {
-                    shed.push(ShedRecord {
-                        id: request.id,
-                        task_id: task.id,
-                        arrival_cycle: request.arrival_cycle,
-                        shed_cycle: clock,
-                        predicted_cycles: job.predicted_cycles,
-                        attempts: attempt,
-                    });
-                    let cause = ShedCause::TransientFault;
-                    tape.push(ReplayEvent::Shed(cause, id, task_index, clock, predicted));
-                }
-                continue;
-            }
+            let request = requests[job.index];
+            let price = price(width, request.task_index);
             // SLO admission: shed-only runs keep the original semantics;
             // with fault tolerance, a predicted miss first tries the
             // degradation ladder, then a deferral, and sheds only with
@@ -1409,69 +1456,34 @@ pub fn run_serving(
                 // Both sides saturate: `--slo-cycles` reaches u64::MAX and
                 // the f64→u64 cast of a huge headroom saturates too.
                 let deadline = request.arrival_cycle.saturating_add(slo);
-                let predicted_now = predicted_at(width, request.task_index);
-                let padded = (predicted_now as f64 * options.slo_headroom) as u64;
-                if clock.saturating_add(padded) > deadline {
-                    if options.degrade {
-                        for candidate in 1..=DEGRADE_LEVELS {
-                            let degraded_predicted =
-                                degraded_predicted_at(width, request.task_index, candidate);
-                            let degraded_padded =
-                                (degraded_predicted as f64 * options.slo_headroom) as u64;
-                            if clock.saturating_add(degraded_padded) <= deadline {
-                                level = candidate;
-                                break;
-                            }
-                        }
-                    }
-                    if level == 0 {
-                        if attempt < options.retry_max {
-                            attempts[job.index] = attempt + 1;
-                            slo_deferrals += 1;
-                            let delay = fault_plan.backoff_cycles(
-                                options.backoff_base_cycles,
-                                job.index,
-                                attempt,
-                            );
-                            tape.push(ReplayEvent::Retry(
-                                id,
-                                task_index,
-                                clock,
-                                delay,
-                                attempt + 1,
-                            ));
-                            deferred.defer(job, clock.saturating_add(delay));
-                            continue;
-                        }
-                        shed.push(ShedRecord {
-                            id: request.id,
-                            task_id: task.id,
-                            arrival_cycle: request.arrival_cycle,
-                            shed_cycle: clock,
-                            predicted_cycles: job.predicted_cycles,
-                            attempts: attempt,
-                        });
-                        let cause = if attempt > 0 {
-                            ShedCause::RetriesExhausted
-                        } else {
-                            ShedCause::PredictedSloMiss
-                        };
-                        tape.push(ReplayEvent::Shed(cause, id, task_index, clock, predicted));
+                let fits = |predicted: u64| {
+                    let padded = (predicted as f64 * options.slo_headroom) as u64;
+                    clock.saturating_add(padded) <= deadline
+                };
+                if !fits(price.predicted) {
+                    let ladder: &[u64] = if options.degrade {
+                        &price.degraded
+                    } else {
+                        &[]
+                    };
+                    let Some(step) = ladder.iter().position(|&cheap| fits(cheap)) else {
+                        let cause = ShedCause::PredictedSloMiss;
+                        ledger.retry_or_shed(job, clock, cause, &mut deferred);
                         continue;
-                    }
+                    };
+                    level = step as u32 + 1;
                 }
             }
-            let base_service = service_at(width, request.task_index);
-            let mut service_cycles = if level == 0 {
-                base_service
-            } else {
+            let mut service = match level {
+                0 => price.service,
                 // Degraded ground truth: the base makespan scaled by the
                 // cost model's own degraded/full prediction ratio —
                 // integer arithmetic, so deterministic across platforms.
-                degraded_count += 1;
-                let full = predicted_at(width, request.task_index).max(1);
-                let cheap = degraded_predicted_at(width, request.task_index, level);
-                ((u128::from(base_service) * u128::from(cheap) / u128::from(full)).max(1)) as u64
+                _ => {
+                    let cheap = u128::from(price.degraded[level as usize - 1]);
+                    let full = u128::from(price.predicted.max(1));
+                    (u128::from(price.service) * cheap / full).max(1) as u64
+                }
             };
             // A gang advances at its slowest member's pace: the worst slow
             // multiplier across the gang stretches the service (ceiling
@@ -1483,136 +1495,68 @@ pub fn run_serving(
                 .max()
                 .unwrap_or(100);
             if slow_pct > 100 {
-                service_cycles =
-                    (u128::from(service_cycles) * u128::from(slow_pct)).div_ceil(100) as u64;
+                service = (u128::from(service) * u128::from(slow_pct)).div_ceil(100) as u64;
             }
-            let finish = clock + service_cycles;
-            for &tile in gang {
-                tile_busy_cycles[tile] += service_cycles;
-            }
-            let lead = gang[0];
-            live_tiles.dispatch(take, finish);
-            // The trace shows the gang on its lead tile's lane (first by
-            // `(free_at, index)`) — at one tile per request this is exactly
-            // the dispatched tile of the legacy model.
-            let wait = clock - request.arrival_cycle;
-            tape.push(ReplayEvent::Dispatch(
-                id,
-                task_index,
-                lead,
-                clock,
-                service_cycles,
-                wait,
-                predicted,
-            ));
-            if level > 0 {
-                tape.push(ReplayEvent::Degrade(id, task_index, lead, clock, level));
-            }
-            queue_samples.push(QueueSample {
-                cycle: clock,
-                depth: ready.len(),
-            });
-            records[job.index] = Some(RequestRecord {
-                id: request.id,
-                task_id: task.id,
-                arrival_cycle: request.arrival_cycle,
-                start_cycle: clock,
-                finish_cycle: finish,
-                predicted_cycles: job.predicted_cycles,
-                service_cycles,
-                attempts: attempt,
-                degraded: level,
-            });
+            ledger.dispatch(job, clock, service, gang, level, ready.len());
+            live_tiles.dispatch(take, clock + service);
         }
-        // Time-series sample at the settled instant (each clock value
-        // settles exactly once: the clock strictly advances per outer
-        // iteration).
-        let queue_depth = ready.len();
+        // The settled instant (each clock value settles exactly once: the
+        // clock strictly advances per outer iteration).
         let in_flight = live_tiles
             .free_at
             .iter()
             .filter(|&&free| free > clock)
             .count();
-        if series.last().map(|s| (s.queue_depth, s.in_flight)) != Some((queue_depth, in_flight)) {
-            series.push(ReplaySample {
-                cycle: clock,
-                queue_depth,
-                in_flight,
-            });
-            tape.push(ReplayEvent::Settle(clock, queue_depth, in_flight));
+        let settle = (ready.len(), in_flight);
+        if last_settle != Some(settle) {
+            last_settle = Some(settle);
+            ledger
+                .tape
+                .push(ReplayEvent::Settle(clock, settle.0, settle.1));
         }
         // Advance to the next event: the earliest of the next arrival, the
         // next whole-gang-free instant (only meaningful with queued work
         // and live tiles), the next due retry, and the next tile fault
         // event (only while work remains to be affected by it).
-        let earlier = |next: Option<u64>, candidate: u64| -> Option<u64> {
-            Some(next.map_or(candidate, |n| n.min(candidate)))
-        };
-        let mut next_clock: Option<u64> = None;
-        if next_arrival < requests.len() {
-            next_clock = earlier(next_clock, requests[next_arrival].arrival_cycle);
-        }
-        if !ready.is_empty() && live_tiles.live() > 0 {
-            let take = gang_size.min(live_tiles.live());
-            next_clock = earlier(next_clock, live_tiles.gang(take).1);
-        }
-        if let Some(ready_cycle) = deferred.next_ready_cycle() {
-            next_clock = earlier(next_clock, ready_cycle);
-        }
-        let work_remains =
-            next_arrival < requests.len() || !ready.is_empty() || !deferred.is_empty();
-        if work_remains && next_event < fault_plan.tile_events.len() {
-            next_clock = earlier(next_clock, fault_plan.tile_events[next_event].cycle);
-        }
-        let Some(target) = next_clock else {
-            if work_remains {
-                // Permanent outage: every live tile is down with no
-                // recovery ahead, arrivals are exhausted, and no retry can
-                // ever dispatch. Shed the stranded requests
-                // deterministically — ready queue in policy order, then
-                // deferrals in (ready cycle, arrival) order.
-                let mut stranded: Vec<PredictedJob> = Vec::new();
-                while let Some(job) = ready.pop() {
-                    stranded.push(job);
-                }
-                stranded.extend(deferred.drain_all());
-                for job in stranded {
-                    let request = requests[job.index];
-                    let task = &suite[request.task_index];
-                    shed.push(ShedRecord {
-                        id: request.id,
-                        task_id: task.id,
-                        arrival_cycle: request.arrival_cycle,
-                        shed_cycle: clock,
-                        predicted_cycles: job.predicted_cycles,
-                        attempts: attempts[job.index],
-                    });
-                    tape.push(ReplayEvent::Shed(
-                        ShedCause::NoLiveTiles,
-                        request.id,
-                        request.task_index,
-                        clock,
-                        job.predicted_cycles,
-                    ));
-                }
+        let arrival = requests.get(next_arrival).map(|r| r.arrival_cycle);
+        let gang_free = (!ready.is_empty() && live_tiles.live() > 0)
+            .then(|| live_tiles.gang(gang_size.min(live_tiles.live())).1);
+        let work_remains = arrival.is_some() || !ready.is_empty() || !deferred.is_empty();
+        let tile_event = events.get(next_event).filter(|_| work_remains);
+        let tile_event = tile_event.map(|event| event.cycle);
+        let next_clock = [arrival, gang_free, deferred.next_ready_cycle(), tile_event];
+        let Some(target) = next_clock.into_iter().flatten().min() else {
+            // Permanent outage (or the end of the run, where both queues
+            // are empty): every live tile is down with no recovery ahead,
+            // arrivals are exhausted, and no retry can ever dispatch. Shed
+            // the stranded requests deterministically — ready queue in
+            // policy order, then deferrals in (ready cycle, arrival) order.
+            while let Some(job) = ready.pop() {
+                ledger.shed(ShedCause::NoLiveTiles, job, clock);
+            }
+            while let Some(job) = deferred.pop_ready(u64::MAX) {
+                ledger.shed(ShedCause::NoLiveTiles, job, clock);
             }
             break;
         };
         clock = clock.max(target);
         depth_cycle_integral += u128::from(clock - depth_last_cycle) * ready.len() as u128;
         depth_last_cycle = clock;
-        while next_arrival < requests.len() && requests[next_arrival].arrival_cycle <= clock {
-            let request = requests[next_arrival];
+        // Requests are priced at arrival, at the configured width.
+        while let Some(request) = requests
+            .get(next_arrival)
+            .filter(|r| r.arrival_cycle <= clock)
+        {
             ready.push(PredictedJob {
                 index: request.id,
-                predicted_cycles: predicted[request.id],
+                predicted_cycles: price(tiles, request.task_index).predicted,
             });
             next_arrival += 1;
         }
     }
 
     // Shed requests leave a hole; admitted records keep arrival order.
-    let records: Vec<RequestRecord> = records.into_iter().flatten().collect();
+    let records: Vec<RequestRecord> = ledger.records.into_iter().flatten().collect();
     let observed_cycles = records
         .iter()
         .map(|r| r.finish_cycle)
@@ -1621,26 +1565,21 @@ pub fn run_serving(
         .max(clock);
     // Settle the availability integral to the end of the observed span,
     // applying any tile events that fire while the last requests drain.
-    live_tiles.apply_until(
-        observed_cycles,
-        &fault_plan.tile_events,
-        &mut next_event,
-        &mut tape,
-    );
+    live_tiles.apply_until(observed_cycles, events, &mut next_event, &mut ledger.tape);
     live_tiles.charge(observed_cycles);
 
     if let Some(t) = &telemetry {
-        t.record_replay(tape);
+        t.record_replay(ledger.tape);
         let metrics = t.metrics();
         metrics.incr(
             "serve.requests.offered",
-            (records.len() + shed.len()) as u64,
+            (records.len() + ledger.shed.len()) as u64,
         );
         metrics.incr("serve.requests.admitted", records.len() as u64);
-        metrics.incr("serve.requests.shed", shed.len() as u64);
+        metrics.incr("serve.requests.shed", ledger.shed.len() as u64);
         metrics.set_gauge("serve.queue.peak", ready.peak_len() as f64);
         metrics.set_gauge("serve.queue.pushes", ready.pushes() as f64);
-        for (tile, &busy) in tile_busy_cycles.iter().enumerate() {
+        for (tile, &busy) in ledger.tile_busy_cycles.iter().enumerate() {
             metrics.set_gauge(&format!("serve.tile{tile:02}.busy_cycles"), busy as f64);
         }
         metrics.observe_all(
@@ -1663,11 +1602,11 @@ pub fn run_serving(
         backoff_base_cycles: options.backoff_base_cycles,
         degrade: options.degrade,
         fail_rate: fault_plan.fail_rate,
-        transient_faults,
+        transient_faults: ledger.transient_faults,
         retries: deferred.deferrals(),
-        slo_deferrals,
-        degraded: degraded_count,
-        shed_after_retries: shed.iter().filter(|s| s.attempts > 0).count() as u64,
+        slo_deferrals: ledger.slo_deferrals,
+        degraded: ledger.degraded,
+        shed_after_retries: ledger.shed.iter().filter(|s| s.attempts > 0).count() as u64,
         tile_fail_events: live_tiles.fail_events,
         tile_recover_events: live_tiles.recover_events,
         min_live_tiles: live_tiles.min_live,
@@ -1686,10 +1625,9 @@ pub fn run_serving(
         placement: options.pipeline.placement,
         frequency_mhz: options.config.frequency_mhz,
         records,
-        shed,
-        queue_samples,
-        series,
-        tile_busy_cycles,
+        shed: ledger.shed,
+        queue_samples: ledger.queue_samples,
+        tile_busy_cycles: ledger.tile_busy_cycles,
         depth_cycle_integral,
         observed_cycles,
         wall: start.elapsed(),
@@ -1742,11 +1680,9 @@ mod tests {
                         let ready_at = tiles.gang(take).1;
                         tiles.dispatch(take, ready_at + service);
                     }
-                    2 => {
-                        tiles.fail(pick % servers);
-                    }
-                    3 => {
-                        tiles.recover(pick % servers);
+                    2 | 3 => {
+                        let kind = if kind == 2 { TileFaultKind::Fail } else { TileFaultKind::Recover };
+                        tiles.apply(&TileFaultEvent { cycle: 0, tile: pick % servers, kind });
                     }
                     _ => {}
                 }
@@ -2042,7 +1978,6 @@ mod tests {
             active.push(finish);
             assert!(active.len() <= 2, "more concurrent requests than gangs");
         }
-        assert!(report.series.iter().all(|s| s.in_flight <= 4));
     }
 
     #[test]
@@ -2245,13 +2180,6 @@ mod tests {
         }
         assert!((0.0..1.0).contains(&report.tile_fragmentation()));
         assert!(report.mean_tile_utilization() > 0.0);
-        // The time-series advances strictly in virtual time and never sees
-        // more in-flight requests than tiles.
-        for pair in report.series.windows(2) {
-            assert!(pair[0].cycle < pair[1].cycle);
-        }
-        assert!(report.series.iter().all(|s| s.in_flight <= report.servers));
-        assert!(!report.series.is_empty());
         // The default regime is backlogged, so the queue holds real depth
         // over real time.
         assert!(report.observed_cycles >= report.makespan_cycles());
@@ -2265,7 +2193,6 @@ mod tests {
         let suite: Vec<_> = full_suite().into_iter().take(6).collect();
         let one = run_serving(&SuiteRunner::new(1), &suite, &quick_options());
         let four = run_serving(&SuiteRunner::new(4), &suite, &quick_options());
-        assert_eq!(one.series, four.series);
         assert_eq!(one.tile_busy_cycles, four.tile_busy_cycles);
         assert_eq!(one.depth_cycle_integral, four.depth_cycle_integral);
         assert_eq!(one.observed_cycles, four.observed_cycles);
@@ -2279,7 +2206,6 @@ mod tests {
         let runner = SuiteRunner::new(2).with_telemetry();
         let traced = run_serving(&runner, &suite, &quick_options());
         assert_eq!(plain.records, traced.records);
-        assert_eq!(plain.series, traced.series);
         assert_eq!(plain.tile_busy_cycles, traced.tile_busy_cycles);
         let metrics = traced.metrics.expect("telemetry enabled");
         assert_eq!(

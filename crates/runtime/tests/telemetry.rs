@@ -16,6 +16,10 @@
 //!    spans being equal): the export sorts on a key that excludes every
 //!    wall-clock quantity, so interleaving differences cannot leak into
 //!    the file.
+//! 4. **Time-series** — the `in_flight` counter, one sample per settled
+//!    instant where the `(queue depth, in-flight)` pair changed, advances
+//!    strictly in virtual time and never counts more busy tiles than
+//!    there are.
 //!
 //! Regenerate the fixture after an intentional format change:
 //!
@@ -28,6 +32,7 @@ use leopard_runtime::report::{
     serving_report_json, serving_requests_csv, suite_report_json, task_results_csv,
 };
 use leopard_runtime::serving::{run_serving, ServingOptions, ServingReport};
+use leopard_workloads::pipeline::PipelineOptions;
 use leopard_workloads::suite::{full_suite, TaskDescriptor};
 
 mod common;
@@ -134,4 +139,46 @@ fn serve_metrics_snapshot_is_consistent_with_the_report() {
     let json = metrics.to_json();
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert!(json.contains("\"serve.latency_cycles\""));
+}
+
+/// The `(ts, value)` pairs of a trace's `in_flight` counter, in file order.
+fn in_flight_samples(trace: &str) -> Vec<(u64, u64)> {
+    let number = |line: &str, key: &str| -> u64 {
+        let start = line.find(key).expect("counter line has the key") + key.len();
+        let digits = line[start..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.and_then(|d| d.parse().ok()).expect("a number")
+    };
+    trace
+        .lines()
+        .filter(|line| line.contains("\"name\": \"in_flight\""))
+        .map(|line| (number(line, "\"ts\": "), number(line, "\"value\": ")))
+        .collect()
+}
+
+#[test]
+fn in_flight_counter_advances_in_virtual_time_within_the_tile_count() {
+    // Single-tile requests on 32 servers, and gangs of 2 on 4 servers,
+    // where every busy gang holds both of its tiles.
+    for (tasks, servers, tiles) in [(6, 32, 1), (4, 4, 2)] {
+        let suite: Vec<TaskDescriptor> = full_suite().into_iter().take(tasks).collect();
+        let options = ServingOptions {
+            requests: 40,
+            servers,
+            pipeline: PipelineOptions {
+                tiles,
+                ..pinned_pipeline()
+            },
+            ..ServingOptions::default()
+        };
+        let (_, trace, _) = traced_serve(2, &suite, &options);
+        let samples = in_flight_samples(&trace);
+        assert!(!samples.is_empty(), "a serve settles at least once");
+        for pair in samples.windows(2) {
+            assert!(pair[0].0 < pair[1].0, "settled instants repeat: {pair:?}");
+        }
+        for &(cycle, busy) in &samples {
+            assert!(busy <= servers as u64, "{busy} busy tiles at {cycle}");
+            assert_eq!(busy % tiles as u64, 0, "a gang split at {cycle}");
+        }
+    }
 }
