@@ -8,10 +8,12 @@
 //! so this crate provides a small but complete reverse-mode autodiff engine
 //! over [`leopard_tensor::Matrix`]:
 //!
-//! * [`Tape`] / [`Var`] — a dynamically built computation graph with pullback
-//!   closures per node; custom operations (such as the soft threshold defined
-//!   in `leopard-core`) plug in through [`Tape::custom_unary`] and
-//!   [`Tape::custom_binary`].
+//! * [`Tape`] / [`Var`] — a dynamically built computation graph. Each node
+//!   records a closed `Op` (the ids of the nodes it read plus what its
+//!   gradient needs), and [`Tape::backward`] is one `match` over it. The
+//!   soft threshold and the L0 term defined in `leopard-core` record their
+//!   derivatives through the two generic ops, [`Tape::pointwise`] and
+//!   [`Tape::reduce`], so this crate holds no formula from the paper.
 //! * [`optim`] — the Adam optimizer the paper uses for fine-tuning.
 //! * [`gradcheck`] — finite-difference gradient checking used extensively by
 //!   the test suites of the crates above this one.

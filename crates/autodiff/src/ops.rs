@@ -1,199 +1,88 @@
 //! Differentiable operations on [`Tape`].
 //!
-//! Each method performs the forward computation eagerly and records pullback
-//! closures that turn the upstream gradient into gradients for the operands.
-//! The set of operations is exactly what the transformer substrate and the
-//! learned-pruning fine-tuning loop need; anything more exotic can be added
-//! through [`Tape::custom_unary`] / [`Tape::custom_binary`].
+//! Each method performs the forward computation eagerly and records one
+//! [`Op`] naming the nodes it read plus whatever its gradient needs beyond
+//! their values; [`Tape::backward`] turns that record into gradients. The
+//! set of operations is exactly what the transformer substrate and the
+//! learned-pruning fine-tuning loop need. Element-wise maps and scalar
+//! reductions defined elsewhere record themselves through
+//! [`Tape::pointwise`] and [`Tape::reduce`].
 
-use crate::tape::{Pullback, Tape, Var};
+use crate::tape::{Op, Tape, Var};
 use leopard_tensor::{ops, Matrix};
 
 impl Tape {
     /// Element-wise addition. Shapes must match.
     pub fn add(&self, a: Var, b: Var) -> Var {
         let value = self.with_value(a, |av| self.with_value(b, |bv| av + bv));
-        self.push_op(
-            value,
-            vec![
-                (a.id, Box::new(|up: &Matrix| up.clone())),
-                (b.id, Box::new(|up: &Matrix| up.clone())),
-            ],
-        )
+        self.push(value, Op::Add(a.id, b.id))
     }
 
     /// Element-wise subtraction `a - b`. Shapes must match.
     pub fn sub(&self, a: Var, b: Var) -> Var {
         let value = self.with_value(a, |av| self.with_value(b, |bv| av - bv));
-        self.push_op(
-            value,
-            vec![
-                (a.id, Box::new(|up: &Matrix| up.clone())),
-                (b.id, Box::new(|up: &Matrix| -up)),
-            ],
-        )
+        self.push(value, Op::Sub(a.id, b.id))
     }
 
     /// Element-wise (Hadamard) product. Shapes must match.
     pub fn hadamard(&self, a: Var, b: Var) -> Var {
-        let a_val = self.value(a);
-        let b_val = self.value(b);
-        let value = a_val.hadamard(&b_val);
-        self.push_op(
-            value,
-            vec![
-                (a.id, Box::new(move |up: &Matrix| up.hadamard(&b_val))),
-                (b.id, Box::new(move |up: &Matrix| up.hadamard(&a_val))),
-            ],
-        )
+        let value = self.with_value(a, |av| self.with_value(b, |bv| av.hadamard(bv)));
+        self.push(value, Op::Hadamard(a.id, b.id))
     }
 
     /// Multiplies every element by the constant `factor`.
     pub fn scale(&self, a: Var, factor: f32) -> Var {
         let value = self.with_value(a, |av| av.scale(factor));
-        self.push_op(
-            value,
-            vec![(a.id, Box::new(move |up: &Matrix| up.scale(factor)))],
-        )
-    }
-
-    /// Adds the constant `offset` to every element.
-    pub fn shift(&self, a: Var, offset: f32) -> Var {
-        let value = self.with_value(a, |av| av.shift(offset));
-        self.push_op(value, vec![(a.id, Box::new(|up: &Matrix| up.clone()))])
+        self.push(value, Op::Scale(a.id, factor))
     }
 
     /// Matrix product `a * b`.
     pub fn matmul(&self, a: Var, b: Var) -> Var {
-        let a_val = self.value(a);
-        let b_val = self.value(b);
-        let value = a_val.matmul(&b_val);
-        let a_for_b = a_val.clone();
-        let b_for_a = b_val.clone();
-        self.push_op(
-            value,
-            vec![
-                (
-                    a.id,
-                    Box::new(move |up: &Matrix| up.matmul(&b_for_a.transpose())),
-                ),
-                (
-                    b.id,
-                    Box::new(move |up: &Matrix| a_for_b.transpose().matmul(up)),
-                ),
-            ],
-        )
+        let value = self.with_value(a, |av| self.with_value(b, |bv| av.matmul(bv)));
+        self.push(value, Op::MatMul(a.id, b.id))
     }
 
     /// Transpose.
     pub fn transpose(&self, a: Var) -> Var {
         let value = self.with_value(a, |av| av.transpose());
-        self.push_op(value, vec![(a.id, Box::new(|up: &Matrix| up.transpose()))])
+        self.push(value, Op::Transpose(a.id))
     }
 
     /// Broadcast-adds a `1 x cols` bias row vector to every row of `a`.
     pub fn add_row_broadcast(&self, a: Var, bias: Var) -> Var {
         let value = self.with_value(a, |av| self.with_value(bias, |bv| av.add_row_broadcast(bv)));
-        self.push_op(
-            value,
-            vec![
-                (a.id, Box::new(|up: &Matrix| up.clone())),
-                (bias.id, Box::new(|up: &Matrix| up.sum_cols())),
-            ],
-        )
+        self.push(value, Op::AddRowBroadcast(a.id, bias.id))
     }
 
     /// Element-wise `tanh`.
     pub fn tanh(&self, a: Var) -> Var {
         let value = self.with_value(a, |av| av.map(f32::tanh));
-        let out = value.clone();
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| up.hadamard(&out.map(|y| 1.0 - y * y))),
-            )],
-        )
+        let dx = value.map(|y| 1.0 - y * y);
+        self.pointwise(a, value, dx, None)
     }
 
-    /// Element-wise logistic sigmoid.
-    pub fn sigmoid(&self, a: Var) -> Var {
-        let value = self.with_value(a, |av| av.map(ops::sigmoid));
-        let out = value.clone();
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| up.hadamard(&out.map(|y| y * (1.0 - y)))),
-            )],
-        )
-    }
-
-    /// Element-wise ReLU.
-    pub fn relu(&self, a: Var) -> Var {
-        let a_val = self.value(a);
-        let value = a_val.map(ops::relu);
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| {
-                    up.hadamard(&a_val.map(|x| if x > 0.0 { 1.0 } else { 0.0 }))
-                }),
-            )],
-        )
-    }
-
-    /// Element-wise GELU (tanh approximation). The pullback uses the exact
+    /// Element-wise GELU (tanh approximation). The gradient uses the exact
     /// derivative of the approximation.
     pub fn gelu(&self, a: Var) -> Var {
-        let a_val = self.value(a);
-        let value = a_val.map(ops::gelu);
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| up.hadamard(&a_val.map(gelu_derivative))),
-            )],
-        )
+        let (value, dx) = self.with_value(a, |av| (av.map(ops::gelu), av.map(gelu_derivative)));
+        self.pointwise(a, value, dx, None)
     }
 
     /// Row-wise softmax (Equation 3 of the paper).
     pub fn softmax_rows(&self, a: Var) -> Var {
         let value = self.with_value(a, ops::softmax_rows);
-        let probs = value.clone();
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| {
-                    // d softmax: for each row, grad = p ⊙ (up - (up·p))
-                    let mut grad = Matrix::zeros(probs.rows(), probs.cols());
-                    for r in 0..probs.rows() {
-                        let p = probs.row(r);
-                        let u = up.row(r);
-                        let dot: f32 = p.iter().zip(u.iter()).map(|(x, y)| x * y).sum();
-                        for c in 0..probs.cols() {
-                            grad[(r, c)] = p[c] * (u[c] - dot);
-                        }
-                    }
-                    grad
-                }),
-            )],
-        )
+        self.push(value, Op::SoftmaxRows(a.id))
     }
 
     /// Row-wise layer normalization with learnable `gamma` and `beta`
     /// (each `1 x cols`).
     pub fn layer_norm(&self, a: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         let x = self.value(a);
-        let g = self.value(gamma);
-        let b = self.value(beta);
-        let value = ops::layer_norm_rows(&x, &g, &b, eps);
-
-        // Pre-compute per-row normalization terms shared by the pullbacks.
-        let rows = x.rows();
-        let cols = x.cols();
+        let value = self.with_value(gamma, |g| {
+            self.with_value(beta, |b| ops::layer_norm_rows(&x, g, b, eps))
+        });
+        // Per-row normalization terms the gradient reuses.
+        let (rows, cols) = x.shape();
         let mut x_hat = Matrix::zeros(rows, cols);
         let mut inv_std = vec![0.0f32; rows];
         for r in 0..rows {
@@ -205,71 +94,23 @@ impl Tape {
                 x_hat[(r, c)] = (row[c] - mean) * inv_std[r];
             }
         }
-
-        let x_hat_a = x_hat.clone();
-        let g_a = g.clone();
-        let inv_std_a = inv_std.clone();
-        let x_hat_g = x_hat.clone();
-        self.push_op(
+        let (x, gamma, beta) = (a.id, gamma.id, beta.id);
+        self.push(
             value,
-            vec![
-                (
-                    a.id,
-                    Box::new(move |up: &Matrix| {
-                        // Standard layer-norm backward over each row.
-                        let mut grad = Matrix::zeros(rows, cols);
-                        for r in 0..rows {
-                            let n = cols as f32;
-                            let mut sum_dy = 0.0;
-                            let mut sum_dy_xhat = 0.0;
-                            for c in 0..cols {
-                                let dy = up[(r, c)] * g_a[(0, c)];
-                                sum_dy += dy;
-                                sum_dy_xhat += dy * x_hat_a[(r, c)];
-                            }
-                            for c in 0..cols {
-                                let dy = up[(r, c)] * g_a[(0, c)];
-                                grad[(r, c)] = inv_std_a[r]
-                                    * (dy - sum_dy / n - x_hat_a[(r, c)] * sum_dy_xhat / n);
-                            }
-                        }
-                        grad
-                    }),
-                ),
-                (
-                    gamma.id,
-                    Box::new(move |up: &Matrix| up.hadamard(&x_hat_g).sum_cols()),
-                ),
-                (beta.id, Box::new(|up: &Matrix| up.sum_cols())),
-            ],
+            Op::LayerNorm {
+                x,
+                gamma,
+                beta,
+                x_hat,
+                inv_std,
+            },
         )
     }
 
     /// Sum of all elements, producing a `1 x 1` scalar.
     pub fn sum(&self, a: Var) -> Var {
-        let (rows, cols) = self.shape(a);
         let value = Matrix::filled(1, 1, self.with_value(a, |av| av.sum()));
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| Matrix::filled(rows, cols, up[(0, 0)])),
-            )],
-        )
-    }
-
-    /// Mean of all elements, producing a `1 x 1` scalar.
-    pub fn mean(&self, a: Var) -> Var {
-        let (rows, cols) = self.shape(a);
-        let n = (rows * cols) as f32;
-        let value = Matrix::filled(1, 1, self.with_value(a, |av| av.mean()));
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| Matrix::filled(rows, cols, up[(0, 0)] / n)),
-            )],
-        )
+        self.push(value, Op::Sum(a.id))
     }
 
     /// Mean squared deviation from zero (`mean(a^2)`), producing a scalar.
@@ -277,14 +118,8 @@ impl Tape {
     pub fn mse_to_zero(&self, a: Var) -> Var {
         let a_val = self.value(a);
         let n = a_val.len() as f32;
-        let value = Matrix::filled(1, 1, a_val.iter().map(|v| v * v).sum::<f32>() / n);
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| a_val.scale(2.0 / n * up[(0, 0)])),
-            )],
-        )
+        let value = a_val.iter().map(|v| v * v).sum::<f32>() / n;
+        self.reduce(a, value, a_val, 2.0 / n)
     }
 
     /// Mean cross-entropy between row-wise logits and integer labels,
@@ -294,30 +129,20 @@ impl Tape {
     ///
     /// Panics if `labels.len()` differs from the number of logit rows.
     pub fn cross_entropy(&self, logits: Var, labels: &[usize]) -> Var {
-        let logit_val = self.value(logits);
-        assert_eq!(
-            labels.len(),
-            logit_val.rows(),
-            "one label per logit row required"
-        );
-        let value = Matrix::filled(1, 1, ops::cross_entropy(&logit_val, labels));
-        let probs = ops::softmax_rows(&logit_val);
-        let labels = labels.to_vec();
-        self.push_op(
-            value,
-            vec![(
-                logits.id,
-                Box::new(move |up: &Matrix| {
-                    // d/d logits of mean CE = (softmax - onehot) / batch
-                    let mut grad = probs.clone();
-                    let batch = labels.len() as f32;
-                    for (r, &label) in labels.iter().enumerate() {
-                        grad[(r, label)] -= 1.0;
-                    }
-                    grad.scale(up[(0, 0)] / batch)
-                }),
-            )],
-        )
+        let (value, mut dx) = self.with_value(logits, |lv| {
+            assert_eq!(labels.len(), lv.rows(), "one label per logit row required");
+            (ops::cross_entropy(lv, labels), ops::softmax_rows(lv))
+        });
+        for (r, &label) in labels.iter().enumerate() {
+            dx[(r, label)] -= 1.0;
+        }
+        let batch = labels.len() as f32;
+        let op = Op::CrossEntropy {
+            logits: logits.id,
+            dx,
+            batch,
+        };
+        self.push(Matrix::filled(1, 1, value), op)
     }
 
     /// Mean squared error between `a` and a constant `target` of the same
@@ -327,40 +152,12 @@ impl Tape {
     ///
     /// Panics if the shapes differ.
     pub fn mse_loss(&self, a: Var, target: &Matrix) -> Var {
-        let a_val = self.value(a);
-        assert_eq!(a_val.shape(), target.shape(), "mse_loss shape mismatch");
-        let n = a_val.len() as f32;
-        let value = Matrix::filled(1, 1, ops::mse(&a_val, target));
-        let diff = &a_val - target;
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| diff.scale(2.0 / n * up[(0, 0)])),
-            )],
-        )
-    }
-
-    /// Extracts rows `[start, end)` of `a` as a new node. Gradients are routed
-    /// back into the corresponding rows.
-    pub fn rows_slice(&self, a: Var, start: usize, end: usize) -> Var {
-        let a_val = self.value(a);
-        let (rows, cols) = a_val.shape();
-        assert!(start <= end && end <= rows, "invalid rows_slice range");
-        let value = a_val.rows_slice(start, end);
-        self.push_op(
-            value,
-            vec![(
-                a.id,
-                Box::new(move |up: &Matrix| {
-                    let mut grad = Matrix::zeros(rows, cols);
-                    for r in start..end {
-                        grad.row_mut(r).copy_from_slice(up.row(r - start));
-                    }
-                    grad
-                }),
-            )],
-        )
+        let (value, diff) = self.with_value(a, |av| {
+            assert_eq!(av.shape(), target.shape(), "mse_loss shape mismatch");
+            (ops::mse(av, target), av - target)
+        });
+        let n = diff.len() as f32;
+        self.reduce(a, value, diff, 2.0 / n)
     }
 
     /// Horizontally concatenates nodes (all must have the same row count).
@@ -374,26 +171,7 @@ impl Tape {
         let values: Vec<Matrix> = parts.iter().map(|&p| self.value(p)).collect();
         let refs: Vec<&Matrix> = values.iter().collect();
         let value = Matrix::hstack(&refs);
-        let rows = value.rows();
-        let mut parents: Vec<(usize, Pullback)> = Vec::new();
-        let mut offset = 0usize;
-        for (part, val) in parts.iter().zip(values.iter()) {
-            let cols = val.cols();
-            let start = offset;
-            parents.push((
-                part.id,
-                Box::new(move |up: &Matrix| {
-                    let mut grad = Matrix::zeros(rows, cols);
-                    for r in 0..rows {
-                        grad.row_mut(r)
-                            .copy_from_slice(&up.row(r)[start..start + cols]);
-                    }
-                    grad
-                }),
-            ));
-            offset += cols;
-        }
-        self.push_op(value, parents)
+        self.push(value, Op::HStack(parts.iter().map(|p| p.id).collect()))
     }
 }
 
@@ -458,12 +236,10 @@ mod tests {
     #[test]
     fn activations_match_finite_difference() {
         let x = sample(2, 5, 3);
-        for (name, f) in [("tanh", 0usize), ("sigmoid", 1), ("relu", 2), ("gelu", 3)] {
+        for (name, f) in [("tanh", 0usize), ("gelu", 1)] {
             let err = check_unary(&x, 1e-2, move |tape, v| {
                 let y = match f {
                     0 => tape.tanh(v),
-                    1 => tape.sigmoid(v),
-                    2 => tape.relu(v),
                     _ => tape.gelu(v),
                 };
                 tape.sum(y)
@@ -562,19 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_slice_routes_gradients() {
-        let tape = Tape::new();
-        let x = tape.leaf(Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]));
-        let mid = tape.rows_slice(x, 1, 2);
-        let loss = tape.sum(mid);
-        tape.backward(loss);
-        assert_eq!(
-            tape.grad(x),
-            Matrix::from_rows(&[vec![0.0], vec![1.0], vec![0.0]])
-        );
-    }
-
-    #[test]
     fn hstack_splits_gradients() {
         let tape = Tape::new();
         let a = tape.leaf(Matrix::from_rows(&[vec![1.0], vec![2.0]]));
@@ -594,14 +357,13 @@ mod tests {
     }
 
     #[test]
-    fn scale_shift_mean_compose() {
+    fn scale_sum_compose() {
         let tape = Tape::new();
         let x = tape.leaf(Matrix::filled(2, 2, 3.0));
-        let y = tape.shift(tape.scale(x, 2.0), 1.0);
-        let m = tape.mean(y);
-        assert_eq!(tape.value(m)[(0, 0)], 7.0);
-        tape.backward(m);
-        assert_eq!(tape.grad(x), Matrix::filled(2, 2, 0.5));
+        let s = tape.sum(tape.scale(x, 2.0));
+        assert_eq!(tape.value(s)[(0, 0)], 24.0);
+        tape.backward(s);
+        assert_eq!(tape.grad(x), Matrix::filled(2, 2, 2.0));
     }
 
     #[test]

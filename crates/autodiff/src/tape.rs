@@ -14,17 +14,59 @@ pub struct Var {
     pub(crate) id: usize,
 }
 
-/// A pullback: given the gradient flowing into a node, produce the gradient
-/// contribution for one of its parents.
-pub(crate) type Pullback = Box<dyn Fn(&Matrix) -> Matrix>;
+/// How a node was computed: the ids of the nodes it read, plus whatever its
+/// gradient needs beyond their values. [`Tape::backward`] is one `match`
+/// over this; each arm turns the upstream gradient `up` into one
+/// contribution per operand, in operand order.
+pub(crate) enum Op {
+    /// A trainable leaf: nothing to propagate into.
+    Leaf,
+    /// A constant: nothing to propagate into, and its gradient is dropped.
+    Constant,
+    Add(usize, usize),
+    Sub(usize, usize),
+    Hadamard(usize, usize),
+    Scale(usize, f32),
+    MatMul(usize, usize),
+    Transpose(usize),
+    AddRowBroadcast(usize, usize),
+    /// Row-wise softmax; its gradient reads the node's own output.
+    SoftmaxRows(usize),
+    LayerNorm {
+        x: usize,
+        gamma: usize,
+        beta: usize,
+        x_hat: Matrix,
+        inv_std: Vec<f32>,
+    },
+    Sum(usize),
+    /// Mean cross-entropy; `dx` is softmax minus one-hot, divided by the
+    /// batch size in the gradient `dx · (up / batch)`.
+    CrossEntropy {
+        logits: usize,
+        dx: Matrix,
+        batch: f32,
+    },
+    HStack(Vec<usize>),
+    /// An element-wise map `y = f(x, t)` of `x` and an optional broadcast
+    /// `1 x 1` operand `t`: the gradient is `up ⊙ dx` for `x` and
+    /// `Σ up ⊙ dt` for `t`.
+    Pointwise {
+        x: usize,
+        dx: Matrix,
+        t: Option<(usize, Matrix)>,
+    },
+    /// A `1 x 1` reduction of `x`: the gradient is `dx · (up · k)`.
+    Reduce {
+        x: usize,
+        dx: Matrix,
+        k: f32,
+    },
+}
 
 struct Node {
     value: Matrix,
-    /// `(parent id, pullback)` pairs. Leaves and constants have none.
-    parents: Vec<(usize, Pullback)>,
-    /// Whether [`Tape::backward`] should accumulate a gradient for this node.
-    /// Constants skip gradient allocation entirely.
-    requires_grad: bool,
+    op: Op,
 }
 
 /// A reverse-mode automatic differentiation tape.
@@ -57,33 +99,15 @@ impl Tape {
         }
     }
 
-    /// Number of nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.nodes.borrow().len()
-    }
-
-    /// Whether the tape has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.borrow().is_empty()
-    }
-
     /// Registers a trainable leaf (a parameter). Gradients will be available
     /// via [`Tape::grad`] after [`Tape::backward`].
     pub fn leaf(&self, value: Matrix) -> Var {
-        self.push(Node {
-            value,
-            parents: Vec::new(),
-            requires_grad: true,
-        })
+        self.push(value, Op::Leaf)
     }
 
     /// Registers a constant (an input or label). No gradient is accumulated.
     pub fn constant(&self, value: Matrix) -> Var {
-        self.push(Node {
-            value,
-            parents: Vec::new(),
-            requires_grad: false,
-        })
+        self.push(value, Op::Constant)
     }
 
     /// Returns a clone of the value stored at `var`.
@@ -116,41 +140,42 @@ impl Tape {
         }
     }
 
-    /// Records a custom differentiable unary operation.
+    /// Records an element-wise operation whose output `value` is already
+    /// computed: `dx` holds `∂y/∂x` per element, and `t` optionally names a
+    /// `1 x 1` operand broadcast over `x` with `∂y/∂t` per element. This is
+    /// how `leopard-core` records the soft threshold.
     ///
-    /// `value` is the already computed output; `pullback` maps the upstream
-    /// gradient (shaped like `value`) to the gradient with respect to the
-    /// input (shaped like the input). This is the extension point the
-    /// `leopard-core` crate uses to implement the soft-threshold pruning
-    /// operation and the surrogate L0 regularizer.
-    pub fn custom_unary(
-        &self,
-        input: Var,
-        value: Matrix,
-        pullback: impl Fn(&Matrix) -> Matrix + 'static,
-    ) -> Var {
-        self.push(Node {
-            value,
-            parents: vec![(input.id, Box::new(pullback))],
-            requires_grad: true,
-        })
+    /// # Panics
+    ///
+    /// Panics if `dx` or `dt` is not shaped like `x`, or if `t` is not
+    /// `1 x 1`.
+    pub fn pointwise(&self, x: Var, value: Matrix, dx: Matrix, t: Option<(Var, Matrix)>) -> Var {
+        assert_eq!(
+            dx.shape(),
+            self.shape(x),
+            "pointwise dx must be shaped like x"
+        );
+        let t = t.map(|(t, dt)| {
+            assert!(
+                self.shape(t) == (1, 1) && dt.shape() == dx.shape(),
+                "pointwise t must be 1x1 with dt shaped like x"
+            );
+            (t.id, dt)
+        });
+        self.push(value, Op::Pointwise { x: x.id, dx, t })
     }
 
-    /// Records a custom differentiable binary operation with one pullback per
-    /// input. See [`Tape::custom_unary`].
-    pub fn custom_binary(
-        &self,
-        a: Var,
-        b: Var,
-        value: Matrix,
-        pullback_a: impl Fn(&Matrix) -> Matrix + 'static,
-        pullback_b: impl Fn(&Matrix) -> Matrix + 'static,
-    ) -> Var {
-        self.push(Node {
-            value,
-            parents: vec![(a.id, Box::new(pullback_a)), (b.id, Box::new(pullback_b))],
-            requires_grad: true,
-        })
+    /// Records a reduction of `x` to the `1 x 1` scalar `value` whose
+    /// gradient is `dx · (up · k)`: the upstream gradient times the scalar
+    /// factor `k`, times the per-element derivative `dx`. This is how
+    /// `leopard-core` records the surrogate L0 term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dx` is not shaped like `x`.
+    pub fn reduce(&self, x: Var, value: f32, dx: Matrix, k: f32) -> Var {
+        assert_eq!(dx.shape(), self.shape(x), "reduce dx must be shaped like x");
+        self.push(Matrix::filled(1, 1, value), Op::Reduce { x: x.id, dx, k })
     }
 
     /// Runs reverse-mode accumulation from `output`, which must be a `1 x 1`
@@ -168,33 +193,131 @@ impl Tape {
         );
         let mut grads: Vec<Option<Matrix>> = vec![None; nodes.len()];
         grads[output.id] = Some(Matrix::ones(1, 1));
+        let value = |id: usize| &nodes[id].value;
 
         for id in (0..=output.id).rev() {
-            let Some(upstream) = grads[id].clone() else {
+            // Every operand was recorded before the node that read it.
+            let (below, rest) = grads.split_at_mut(id);
+            let Some(up) = &rest[0] else {
                 continue;
             };
-            for (parent_id, pullback) in &nodes[id].parents {
-                let contribution = pullback(&upstream);
-                match &mut grads[*parent_id] {
-                    Some(existing) => *existing += &contribution,
-                    slot @ None => *slot = Some(contribution),
+            let mut acc = |parent: usize, contribution: Matrix| match &mut below[parent] {
+                Some(existing) => *existing += &contribution,
+                slot @ None => *slot = Some(contribution),
+            };
+            match &nodes[id].op {
+                Op::Leaf | Op::Constant => {}
+                Op::Add(a, b) => {
+                    acc(*a, up.clone());
+                    acc(*b, up.clone());
                 }
+                Op::Sub(a, b) => {
+                    acc(*a, up.clone());
+                    acc(*b, -up);
+                }
+                Op::Hadamard(a, b) => {
+                    acc(*a, up.hadamard(value(*b)));
+                    acc(*b, up.hadamard(value(*a)));
+                }
+                Op::Scale(a, factor) => acc(*a, up.scale(*factor)),
+                Op::MatMul(a, b) => {
+                    acc(*a, up.matmul(&value(*b).transpose()));
+                    acc(*b, value(*a).transpose().matmul(up));
+                }
+                Op::Transpose(a) => acc(*a, up.transpose()),
+                Op::AddRowBroadcast(a, bias) => {
+                    acc(*a, up.clone());
+                    acc(*bias, up.sum_cols());
+                }
+                Op::SoftmaxRows(a) => {
+                    // For each row, grad = p ⊙ (up - (up·p)).
+                    let probs = value(id);
+                    let mut grad = Matrix::zeros(probs.rows(), probs.cols());
+                    for r in 0..probs.rows() {
+                        let p = probs.row(r);
+                        let u = up.row(r);
+                        let dot: f32 = p.iter().zip(u.iter()).map(|(x, y)| x * y).sum();
+                        for c in 0..probs.cols() {
+                            grad[(r, c)] = p[c] * (u[c] - dot);
+                        }
+                    }
+                    acc(*a, grad);
+                }
+                Op::LayerNorm {
+                    x,
+                    gamma,
+                    beta,
+                    x_hat,
+                    inv_std,
+                } => {
+                    // Standard layer-norm backward over each row.
+                    let g = value(*gamma);
+                    let (rows, cols) = x_hat.shape();
+                    let n = cols as f32;
+                    let mut grad = Matrix::zeros(rows, cols);
+                    for r in 0..rows {
+                        let mut sum_dy = 0.0;
+                        let mut sum_dy_xhat = 0.0;
+                        for c in 0..cols {
+                            let dy = up[(r, c)] * g[(0, c)];
+                            sum_dy += dy;
+                            sum_dy_xhat += dy * x_hat[(r, c)];
+                        }
+                        for c in 0..cols {
+                            let dy = up[(r, c)] * g[(0, c)];
+                            grad[(r, c)] =
+                                inv_std[r] * (dy - sum_dy / n - x_hat[(r, c)] * sum_dy_xhat / n);
+                        }
+                    }
+                    acc(*x, grad);
+                    acc(*gamma, up.hadamard(x_hat).sum_cols());
+                    acc(*beta, up.sum_cols());
+                }
+                Op::Sum(a) => {
+                    let (rows, cols) = value(*a).shape();
+                    acc(*a, Matrix::filled(rows, cols, up[(0, 0)]));
+                }
+                Op::CrossEntropy { logits, dx, batch } => {
+                    acc(*logits, dx.scale(up[(0, 0)] / batch))
+                }
+                Op::HStack(parts) => {
+                    let rows = up.rows();
+                    let mut offset = 0usize;
+                    for &part in parts {
+                        let cols = value(part).cols();
+                        let mut grad = Matrix::zeros(rows, cols);
+                        for r in 0..rows {
+                            grad.row_mut(r)
+                                .copy_from_slice(&up.row(r)[offset..offset + cols]);
+                        }
+                        acc(part, grad);
+                        offset += cols;
+                    }
+                }
+                Op::Pointwise { x, dx, t } => {
+                    acc(*x, up.hadamard(dx));
+                    if let Some((t, dt)) = t {
+                        let total: f32 = up.iter().zip(dt.iter()).map(|(&u, &d)| u * d).sum();
+                        acc(*t, Matrix::filled(1, 1, total));
+                    }
+                }
+                Op::Reduce { x, dx, k } => acc(*x, dx.scale(up[(0, 0)] * k)),
             }
         }
 
         // Drop gradients of constants to keep memory proportional to the
         // number of parameters rather than the number of activations.
         for (id, node) in nodes.iter().enumerate() {
-            if !node.requires_grad {
+            if matches!(node.op, Op::Constant) {
                 grads[id] = None;
             }
         }
         *self.grads.borrow_mut() = grads;
     }
 
-    fn push(&self, node: Node) -> Var {
+    pub(crate) fn push(&self, value: Matrix, op: Op) -> Var {
         let mut nodes = self.nodes.borrow_mut();
-        nodes.push(node);
+        nodes.push(Node { value, op });
         Var {
             id: nodes.len() - 1,
         }
@@ -202,14 +325,6 @@ impl Tape {
 
     pub(crate) fn with_value<R>(&self, var: Var, f: impl FnOnce(&Matrix) -> R) -> R {
         f(&self.nodes.borrow()[var.id].value)
-    }
-
-    pub(crate) fn push_op(&self, value: Matrix, parents: Vec<(usize, Pullback)>) -> Var {
-        self.push(Node {
-            value,
-            parents,
-            requires_grad: true,
-        })
     }
 }
 
@@ -233,7 +348,7 @@ mod tests {
         let b = tape.constant(Matrix::identity(2));
         assert_eq!(tape.value(a), Matrix::filled(2, 2, 3.0));
         assert_eq!(tape.value(b), Matrix::identity(2));
-        assert_eq!(tape.len(), 2);
+        assert!(format!("{tape:?}").contains("nodes: 2"));
         assert_eq!(tape.shape(a), (2, 2));
     }
 
@@ -290,14 +405,17 @@ mod tests {
     }
 
     #[test]
-    fn custom_unary_op_backpropagates() {
+    fn pointwise_op_backpropagates() {
         // y = x^3, dy/dx = 3x^2
         let tape = Tape::new();
         let x = tape.leaf(Matrix::filled(1, 1, 2.0));
         let x_val = tape.value(x);
-        let y = tape.custom_unary(x, x_val.map(|v| v * v * v), move |up| {
-            up.hadamard(&x_val.map(|v| 3.0 * v * v))
-        });
+        let y = tape.pointwise(
+            x,
+            x_val.map(|v| v * v * v),
+            x_val.map(|v| 3.0 * v * v),
+            None,
+        );
         tape.backward(y);
         assert!((tape.grad(x)[(0, 0)] - 12.0).abs() < 1e-5);
     }

@@ -22,7 +22,7 @@ use leopard_autodiff::optim::Adam;
 use leopard_autodiff::Tape;
 use leopard_tensor::{ops, Matrix};
 use leopard_transformer::data::Dataset;
-use leopard_transformer::hooks::IdentityHook;
+use leopard_transformer::hooks::{IdentityHook, InferenceScoreHook};
 use leopard_transformer::TransformerClassifier;
 
 /// Hyper-parameters of the pruning-aware fine-tuning pass.
@@ -34,15 +34,13 @@ pub struct FinetuneConfig {
     /// synthetic models train from a weaker starting point so the default is
     /// larger).
     pub weight_lr: f32,
-    /// Learning rate for the thresholds (paper: 1e-2).
+    /// Learning rate for the thresholds (paper: 1e-2). As in the paper's
+    /// formulation, the thresholds are unconstrained and may turn negative.
     pub threshold_lr: f32,
     /// Soft-threshold parameters (paper: s = 10, c = 1000).
     pub soft_threshold: SoftThresholdConfig,
     /// Surrogate L0 parameters including the balancing factor λ.
     pub l0: L0Config,
-    /// Whether thresholds may become negative. The paper's formulation does
-    /// not restrict them; keeping them unconstrained is the default.
-    pub clamp_thresholds_at_zero: bool,
 }
 
 impl Default for FinetuneConfig {
@@ -53,7 +51,6 @@ impl Default for FinetuneConfig {
             threshold_lr: 1e-2,
             soft_threshold: SoftThresholdConfig::default(),
             l0: L0Config::default(),
-            clamp_thresholds_at_zero: false,
         }
     }
 }
@@ -119,11 +116,6 @@ impl Finetuner {
         Self { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FinetuneConfig {
-        &self.config
-    }
-
     /// Runs pruning-aware fine-tuning of `model` on `train`, evaluating on
     /// `eval` after every epoch, and returns the report plus the updated
     /// model (modified in place).
@@ -144,7 +136,7 @@ impl Finetuner {
         let mut thresholds = LayerThresholds::zeros(layers);
 
         // Baseline accuracy: the un-fine-tuned model without pruning.
-        let baseline_accuracy = evaluate_accuracy(model, eval, None);
+        let baseline_accuracy = evaluate_accuracy(model, eval, &IdentityHook);
 
         let mut weight_opt = Adam::new(self.config.weight_lr);
         let mut threshold_opt = Adam::new(self.config.threshold_lr);
@@ -191,18 +183,15 @@ impl Finetuner {
                         threshold_opt.step(&mut refs, &grad_refs);
                     }
                     for ((layer, _), updated) in th_vars.iter().zip(th_params.iter()) {
-                        let mut value = updated[(0, 0)];
-                        if self.config.clamp_thresholds_at_zero {
-                            value = value.max(0.0);
-                        }
-                        thresholds.set(*layer, value);
+                        thresholds.set(*layer, updated[(0, 0)]);
                     }
                 }
             }
 
             let mean_loss = epoch_loss / train.len() as f32;
             let first = *first_epoch_loss.get_or_insert(mean_loss);
-            let eval_accuracy = evaluate_accuracy(model, eval, Some(&thresholds));
+            let eval_accuracy =
+                evaluate_accuracy(model, eval, &HardThresholdHook::new(thresholds.clone()));
             epochs.push(EpochRecord {
                 epoch,
                 train_loss: mean_loss,
@@ -219,7 +208,7 @@ impl Finetuner {
 
         // Final evaluation with hard-threshold pruning and statistics.
         let hook = HardThresholdHook::new(thresholds.clone());
-        let pruned_accuracy = evaluate_accuracy_with_hook(model, eval, &hook);
+        let pruned_accuracy = evaluate_accuracy(model, eval, &hook);
         let pruning_stats = hook.stats();
 
         FinetuneReport {
@@ -232,38 +221,14 @@ impl Finetuner {
     }
 }
 
-/// Evaluates classification accuracy. When `thresholds` is provided the
-/// evaluation applies hard-threshold pruning, otherwise the dense model runs.
+/// Evaluates classification accuracy with every attention score matrix
+/// passed through `hook`: [`IdentityHook`] runs the dense model, and a
+/// [`HardThresholdHook`] prunes and accumulates statistics the caller can
+/// read afterwards.
 pub fn evaluate_accuracy(
     model: &TransformerClassifier,
     data: &Dataset,
-    thresholds: Option<&LayerThresholds>,
-) -> f32 {
-    match thresholds {
-        Some(th) => {
-            let hook = HardThresholdHook::new(th.clone());
-            evaluate_accuracy_with_hook(model, data, &hook)
-        }
-        None => {
-            let mut logits_all = Vec::with_capacity(data.len());
-            let mut labels = Vec::with_capacity(data.len());
-            for (x, label) in data.iter() {
-                let (logits, _) = model.forward_inference(x, &IdentityHook);
-                logits_all.push(logits.row(0).to_vec());
-                labels.push(label);
-            }
-            let logits = Matrix::from_rows(&logits_all);
-            ops::accuracy(&logits, &labels)
-        }
-    }
-}
-
-/// Evaluates classification accuracy with an explicit hard-threshold hook so
-/// the caller can also read the accumulated pruning statistics.
-pub fn evaluate_accuracy_with_hook(
-    model: &TransformerClassifier,
-    data: &Dataset,
-    hook: &HardThresholdHook,
+    hook: &impl InferenceScoreHook,
 ) -> f32 {
     let mut logits_all = Vec::with_capacity(data.len());
     let mut labels = Vec::with_capacity(data.len());
@@ -369,15 +334,6 @@ mod tests {
             report.epochs.last().unwrap().normalized_loss
                 <= report.epochs[0].normalized_loss + 0.05
         );
-    }
-
-    #[test]
-    fn clamping_keeps_thresholds_nonnegative() {
-        let (mut model, train, eval) = make_task();
-        let mut cfg = quick_finetune_config(2);
-        cfg.clamp_thresholds_at_zero = true;
-        let report = Finetuner::new(cfg).run(&mut model, &train, &eval);
-        assert!(report.thresholds.as_slice().iter().all(|&t| t >= 0.0));
     }
 
     #[test]

@@ -268,7 +268,7 @@ mod tests {
         assert!((value - 0.5 * L0Config::default().lambda).abs() < 0.05);
         let stats = hook.stats();
         assert_eq!(stats.total_scores(), 4);
-        assert_eq!(stats.pruned_scores(), 2);
+        assert_eq!(stats.pruning_rate(), 2.0 / 4.0);
     }
 
     #[test]
@@ -287,7 +287,7 @@ mod tests {
 
         let stats = hook.stats();
         assert_eq!(stats.total_scores(), 5);
-        assert_eq!(stats.pruned_scores(), 2);
+        assert_eq!(stats.pruning_rate(), 2.0 / 5.0);
         assert_eq!(stats.layer_pruning_rate(0), Some(1.0 / 3.0));
     }
 

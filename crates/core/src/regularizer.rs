@@ -96,21 +96,21 @@ impl L0Config {
 
 /// Records the surrogate L0 term on the tape: the (optionally normalized)
 /// approximate survivor count of `soft_scores`, **already multiplied by
-/// `lambda`**, as a `1 x 1` node ready to be added to the task loss.
+/// `lambda`**, as a `1 x 1` node ready to be added to the task loss. The
+/// per-score [`L0Config::indicator_derivative`] and the scale `lambda`
+/// (over the score count when normalized) are recorded with
+/// [`Tape::reduce`].
 pub fn l0_regularizer_op(tape: &Tape, soft_scores: Var, config: L0Config) -> Var {
     let values = tape.value(soft_scores);
     let count = config.surrogate_count(&values);
-    let output = Matrix::filled(1, 1, config.lambda * count);
     let n = values.len() as f32;
-    let cfg = config;
-    tape.custom_unary(soft_scores, output, move |upstream: &Matrix| {
-        let scale = if cfg.normalize && n > 0.0 {
-            cfg.lambda / n
-        } else {
-            cfg.lambda
-        };
-        values.map(|v| upstream[(0, 0)] * scale * cfg.indicator_derivative(v))
-    })
+    let scale = if config.normalize && n > 0.0 {
+        config.lambda / n
+    } else {
+        config.lambda
+    };
+    let derivative = values.map(|v| config.indicator_derivative(v));
+    tape.reduce(soft_scores, config.lambda * count, derivative, scale)
 }
 
 #[cfg(test)]

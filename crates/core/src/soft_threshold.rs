@@ -94,10 +94,12 @@ impl SoftThresholdConfig {
 /// Records the soft-threshold operation on a tape.
 ///
 /// `scores` is an `s x s` node, `threshold` is a `1 x 1` node (the per-layer
-/// learnable threshold). Returns the soft-thresholded score node. The
-/// pullbacks implement the exact partial derivatives of Equation 6 with
-/// respect to both inputs, so a single `Tape::backward` call co-optimizes
-/// weights and thresholds, which is the heart of the paper's method.
+/// learnable threshold). Returns the soft-thresholded score node. The exact
+/// partial derivatives of Equation 6, [`SoftThresholdConfig::d_dx`] and
+/// [`SoftThresholdConfig::d_dth`], are evaluated per score here and recorded
+/// with [`Tape::pointwise`] (the threshold as its broadcast operand), so a
+/// single `Tape::backward` call co-optimizes weights and thresholds, which
+/// is the heart of the paper's method.
 ///
 /// # Panics
 ///
@@ -116,28 +118,9 @@ pub fn soft_threshold_op(
     let score_values = tape.value(scores);
     let th = tape.value(threshold)[(0, 0)];
     let output = config.apply_matrix(&score_values, th);
-
-    let scores_for_dx = score_values.clone();
-    let scores_for_dth = score_values;
-    let cfg = config;
-    tape.custom_binary(
-        scores,
-        threshold,
-        output,
-        move |upstream: &Matrix| {
-            // dL/dscores = upstream ⊙ d_dx
-            upstream.hadamard(&scores_for_dx.map(|x| cfg.d_dx(x, th)))
-        },
-        move |upstream: &Matrix| {
-            // dL/dTh = Σ upstream ⊙ d_dth  (threshold is broadcast to all scores)
-            let total: f32 = upstream
-                .iter()
-                .zip(scores_for_dth.iter())
-                .map(|(&u, &x)| u * cfg.d_dth(x, th))
-                .sum();
-            Matrix::filled(1, 1, total)
-        },
-    )
+    let d_dx = score_values.map(|x| config.d_dx(x, th));
+    let d_dth = score_values.map(|x| config.d_dth(x, th));
+    tape.pointwise(scores, output, d_dx, Some((threshold, d_dth)))
 }
 
 /// The ideal (non-differentiable) pruning operation the soft threshold

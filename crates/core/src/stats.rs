@@ -42,11 +42,6 @@ impl PruningStats {
         self.total
     }
 
-    /// Number of scores pruned.
-    pub fn pruned_scores(&self) -> u64 {
-        self.pruned
-    }
-
     /// Overall pruning rate in `[0, 1]` (0 when nothing was observed).
     pub fn pruning_rate(&self) -> f32 {
         if self.total == 0 {
@@ -115,7 +110,6 @@ mod tests {
         s.record_layer(0, 100, 80);
         s.record_layer(1, 100, 60);
         assert_eq!(s.total_scores(), 200);
-        assert_eq!(s.pruned_scores(), 140);
         assert!((s.pruning_rate() - 0.7).abs() < 1e-6);
         assert_eq!(s.layer_pruning_rate(0), Some(0.8));
         assert_eq!(s.layer_pruning_rate(1), Some(0.6));

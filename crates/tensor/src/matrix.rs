@@ -213,20 +213,6 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Returns a new matrix containing rows `range.start..range.end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn rows_slice(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.rows, "invalid row range");
-        Matrix {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        }
-    }
-
     /// Stacks matrices horizontally (all must have the same number of rows).
     ///
     /// # Panics
@@ -329,11 +315,6 @@ impl Matrix {
     /// Multiplies every element by `factor`.
     pub fn scale(&self, factor: f32) -> Matrix {
         self.map(|v| v * factor)
-    }
-
-    /// Adds `value` to every element.
-    pub fn shift(&self, value: f32) -> Matrix {
-        self.map(|v| v + value)
     }
 
     /// Adds a `1 x cols` row vector to every row (broadcasting).
@@ -554,13 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_slice_extracts_block() {
-        let a = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0], vec![4.0]]);
-        let mid = a.rows_slice(1, 3);
-        assert_eq!(mid, Matrix::from_rows(&[vec![2.0], vec![3.0]]));
-    }
-
-    #[test]
     fn hstack_joins_columns() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let b = Matrix::from_rows(&[vec![3.0, 4.0]]);
@@ -635,7 +609,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, -2.0]]);
         assert_eq!(a.map(f32::abs), Matrix::from_rows(&[vec![1.0, 2.0]]));
         assert_eq!(a.scale(3.0), Matrix::from_rows(&[vec![3.0, -6.0]]));
-        assert_eq!(a.shift(1.0), Matrix::from_rows(&[vec![2.0, -1.0]]));
     }
 
     #[test]

@@ -135,11 +135,6 @@ pub fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + ((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)).tanh())
 }
 
-/// ReLU activation.
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
 /// Layer normalization applied independently to each row:
 /// `(x - mean) / sqrt(var + eps) * gamma + beta`.
 ///
@@ -276,9 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn gelu_and_relu_basic_shape() {
-        assert_eq!(relu(-1.0), 0.0);
-        assert_eq!(relu(2.0), 2.0);
+    fn gelu_basic_shape() {
         assert!(close(gelu(0.0), 0.0));
         assert!(gelu(3.0) > 2.9);
         assert!(gelu(-3.0).abs() < 0.02);
