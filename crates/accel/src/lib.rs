@@ -23,8 +23,9 @@
 //!   scores never reach the back-end, surviving scores queue through the
 //!   Score/IDX FIFOs to the V-PU; the simulator reports cycle counts, event
 //!   counts, V-PU utilization, and bit-profile statistics. Runs on the
-//!   batched kernel; `sim::simulate_head_reference` retains the DPU path
-//!   for differential tests and benchmarks.
+//!   batched kernel through one entry point, `sim::simulate_rows`;
+//!   `sim::simulate_head_reference` retains the DPU path for differential
+//!   tests and the release kernel-timing test.
 //! * [`baseline`] — the same tile without pruning or bit-serial early
 //!   termination (one full-precision dot product per cycle), the comparison
 //!   point for Figures 9–11.
@@ -73,5 +74,5 @@ pub use cost::{head_cost, HeadCost};
 pub use dpu::{DotProductOutcome, QkDpu};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use kernel_v2::{KernelPath, PackedKeys, QkKernelV2, RowScratchV2};
-pub use schedule::{schedule_layer, schedule_model, LayerSchedule, ModelSchedule, Placement};
+pub use schedule::{schedule_layer, LayerSchedule, Placement};
 pub use sim::{simulate_head, simulate_head_reference, HeadSimResult, HeadWorkload};

@@ -17,8 +17,7 @@
 //! before a placement is decided), under one of three [`Placement`]
 //! policies: greedy LPT, round-robin, or the paper's static whole-head
 //! partition. [`schedule_layer`] executes a plan and reports the layer's
-//! makespan, total energy, and per-tile utilization; a model-level helper
-//! then sums layers.
+//! makespan, total energy, and per-tile utilization.
 //!
 //! The conformance contract (pinned by `tests/layer_conformance.rs`):
 //! placement decides **only the makespan**. Per-head merged accounting,
@@ -30,7 +29,8 @@
 use crate::config::TileConfig;
 use crate::cost::CostModel;
 use crate::energy::{energy_from_events, EnergyBreakdown, EnergyModel};
-use crate::sim::{merge_shards, simulate_head_shard, HeadSimResult, HeadWorkload, TileShardSim};
+use crate::kernel_v2::KernelPath;
+use crate::sim::{merge_shards, simulate_rows, HeadSimResult, HeadWorkload, TileShardSim};
 use std::ops::Range;
 
 /// Deterministic contiguous partition of a head's `seq_len` Q rows across
@@ -175,7 +175,7 @@ pub fn simulate_head_tiled(
     let shards: Vec<TileShardSim> = partition
         .ranges()
         .into_iter()
-        .map(|rows| simulate_head_shard(workload, config, rows))
+        .map(|rows| simulate_rows(workload, &[*config], rows, KernelPath::detect()).swap_remove(0))
         .collect();
     merge_head_shards(tiles, &shards)
 }
@@ -621,61 +621,6 @@ pub fn schedule_layer(
     }
 }
 
-/// Cycle and energy totals of a whole model (a sequence of attention layers).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelSchedule {
-    /// Per-layer schedules, input side first.
-    pub layers: Vec<LayerSchedule>,
-}
-
-impl ModelSchedule {
-    /// Total cycles across layers (layers run back to back).
-    pub fn total_cycles(&self) -> u64 {
-        self.layers.iter().map(|l| l.makespan_cycles).sum()
-    }
-
-    /// Total energy across layers.
-    pub fn total_energy(&self) -> f64 {
-        self.layers.iter().map(|l| l.energy.total()).sum()
-    }
-
-    /// End-to-end latency in microseconds at the configured clock frequency.
-    pub fn latency_us(&self, config: &TileConfig) -> f64 {
-        self.total_cycles() as f64 / (config.frequency_mhz as f64)
-    }
-
-    /// Mean pruning rate across every layer.
-    pub fn mean_pruning_rate(&self) -> f64 {
-        if self.layers.is_empty() {
-            return 0.0;
-        }
-        self.layers.iter().map(|l| l.pruning_rate).sum::<f64>() / self.layers.len() as f64
-    }
-}
-
-/// Schedules every layer of a model under one placement policy.
-///
-/// # Panics
-///
-/// Panics if `layer_workloads` is empty.
-pub fn schedule_model(
-    layer_workloads: &[Vec<HeadWorkload>],
-    config: &TileConfig,
-    model: &EnergyModel,
-    placement: Placement,
-) -> ModelSchedule {
-    assert!(
-        !layer_workloads.is_empty(),
-        "a model has at least one layer"
-    );
-    ModelSchedule {
-        layers: layer_workloads
-            .iter()
-            .map(|heads| schedule_layer(heads, config, model, placement))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,46 +824,18 @@ mod tests {
     }
 
     #[test]
-    fn model_schedule_accumulates_layers() {
+    fn pruned_layers_finish_faster_than_unpruned_ones() {
         let model = EnergyModel::calibrated();
-        let layers = vec![workloads(2, 0.2, 3), workloads(2, 0.2, 4)];
-        let schedule = schedule_model(&layers, &TileConfig::ae_leopard(), &model, Placement::Lpt);
-        assert_eq!(schedule.layers.len(), 2);
-        assert_eq!(
-            schedule.total_cycles(),
-            schedule
-                .layers
-                .iter()
-                .map(|l| l.makespan_cycles)
-                .sum::<u64>()
-        );
-        assert!(schedule.total_energy() > 0.0);
-        assert!(schedule.latency_us(&TileConfig::ae_leopard()) > 0.0);
-        assert!(schedule.mean_pruning_rate() > 0.0);
-    }
-
-    #[test]
-    fn pruned_models_finish_faster_than_unpruned_ones() {
-        let model = EnergyModel::calibrated();
-        let pruned_layers = vec![workloads(2, 0.8, 5)];
+        let config = TileConfig::ae_leopard();
+        let pruned = workloads(2, 0.8, 5);
         let mut unpruned = workloads(2, 0.8, 5);
         for w in &mut unpruned {
             w.threshold_int = i64::MIN / 4;
         }
-        let pruned = schedule_model(
-            &pruned_layers,
-            &TileConfig::ae_leopard(),
-            &model,
-            Placement::Lpt,
-        );
-        let dense = schedule_model(
-            &[unpruned],
-            &TileConfig::ae_leopard(),
-            &model,
-            Placement::Lpt,
-        );
-        assert!(pruned.total_cycles() < dense.total_cycles());
-        assert!(pruned.total_energy() < dense.total_energy());
+        let pruned = schedule_layer(&pruned, &config, &model, Placement::Lpt);
+        let dense = schedule_layer(&unpruned, &config, &model, Placement::Lpt);
+        assert!(pruned.makespan_cycles < dense.makespan_cycles);
+        assert!(pruned.energy.total() < dense.energy.total());
     }
 
     #[test]

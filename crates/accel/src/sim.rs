@@ -13,27 +13,30 @@
 //! model), per-row utilization, and the bit-profile histogram behind Figure 8.
 //!
 //! Two interchangeable inner loops produce the per-pair dot-product
-//! outcomes: [`simulate_head`] runs the batched bit-parallel kernel
-//! ([`crate::kernel_v2`], runtime-dispatched between a wide and a portable
-//! path) over the [`PackedKeys`] it packs straight from the workload's K
-//! codes, and [`simulate_head_reference`] the scalar per-element DPU
-//! ([`crate::dpu`]) over per-column [`BitSerialVector`]s. Their results are
-//! bit-identical by contract; both share one accounting loop, so the
-//! equivalence reduces to the per-pair outcomes the differential tests pin
-//! down.
+//! outcomes. [`simulate_rows`] is the one kernel entry point: it runs the
+//! batched bit-parallel kernel ([`crate::kernel_v2`], on the requested
+//! [`KernelPath`], wide or portable) over the [`PackedKeys`] it packs
+//! straight from the workload's K codes, and [`simulate_head`] is that
+//! entry point over every row of one configuration on the detected path.
+//! [`simulate_head_reference`] runs the scalar per-element DPU
+//! ([`crate::dpu`]) over per-column [`BitSerialVector`]s and shares no
+//! code with the kernel path, which is what makes it an oracle. Their
+//! results are bit-identical by contract; both share one accounting loop,
+//! so the equivalence reduces to the per-pair outcomes the differential
+//! tests pin down.
 //!
-//! The v2 path is **fused** across configurations:
-//! [`simulate_head_shard_fused`] runs one early-terminating sweep per
-//! distinct bit-serial plan and folds each row's outcomes into every
-//! requested configuration at once. The conservative margin makes early
-//! termination exact, so a configuration that runs each dot product to
-//! completion (no early termination, or fully parallel) prunes exactly the
-//! scores the sweep pruned and only its cycle and bit accounting differs
-//! (alone, it runs its own full-width kernel, which is cheaper than an
-//! early-terminating sweep); an unpruned configuration (the baseline)
-//! reads no sweep at all. The suite's four units of a head therefore cost
-//! one sweep plus four folds, and the single-configuration entry points
-//! are the fused pass with one configuration.
+//! The v2 path is **fused** across configurations: [`simulate_rows`] runs
+//! one early-terminating sweep per distinct bit-serial plan and folds each
+//! row's outcomes into every requested configuration at once. The
+//! conservative margin makes early termination exact, so a configuration
+//! that runs each dot product to completion (no early termination, or
+//! fully parallel) prunes exactly the scores the sweep pruned and only its
+//! cycle and bit accounting differs (alone, it runs its own full-width
+//! kernel, which is cheaper than an early-terminating sweep); an unpruned
+//! configuration (the baseline) reads no sweep at all. The suite's four
+//! units of a head therefore cost one sweep plus four folds, and a
+//! single-configuration simulation is the fused pass with one
+//! configuration.
 //!
 //! The v2 path also **records** its sweeps. Each sweep writes one byte per
 //! score pair (the cycles spent, and whether the score was pruned) into an
@@ -425,91 +428,47 @@ impl HeadSimResult {
 
 /// Simulates one attention head on a tile, on the batched bit-parallel
 /// kernel ([`QkKernelV2`]) with the best dispatch path this machine
-/// supports. Results are **bit-identical** to [`simulate_head_reference`]
-/// — the kernel ≡ reference contract enforced by the differential tests.
+/// supports: [`simulate_rows`] over every row with one configuration.
+/// Results are **bit-identical** to [`simulate_head_reference`] — the
+/// kernel ≡ reference contract enforced by the differential tests.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid or the workload is degenerate
 /// (zero-length sequence).
 pub fn simulate_head(workload: &HeadWorkload, config: &TileConfig) -> HeadSimResult {
-    simulate_head_with_path(workload, config, KernelPath::detect())
-}
-
-/// [`simulate_head`] on an explicitly requested dispatch path (resolved
-/// against the machine — see [`KernelPath::resolve`]). The dispatch-layer
-/// differential tests use this to pin the wide and portable paths
-/// byte-identical on the same inputs.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or the workload is degenerate
-/// (zero-length sequence).
-pub fn simulate_head_with_path(
-    workload: &HeadWorkload,
-    config: &TileConfig,
-    path: KernelPath,
-) -> HeadSimResult {
     assert!(
         workload.seq_len() > 0,
         "workload must contain at least one query"
     );
-    merge_shards(&[simulate_head_shard_with_path(
+    let rows = 0..workload.seq_len();
+    merge_shards(&simulate_rows(
         workload,
-        config,
-        0..workload.seq_len(),
-        path,
-    )])
-}
-
-/// Simulates one contiguous shard of a head's Q rows on the batched
-/// kernel — the unit of tile-level parallelism. Every row still
-/// sees all K columns (only the Q dimension is partitioned across tiles),
-/// so per-row accounting is identical to the whole-head paths; the shard
-/// additionally records the boundary timing terms
-/// ([`merge_shards`] needs) that make the merge of contiguous shards
-/// bit-identical to simulating the head in one piece.
-///
-/// An empty `rows` range yields the identity shard (all-zero accounting).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or `rows` does not lie within
-/// the workload's sequence.
-pub fn simulate_head_shard(
-    workload: &HeadWorkload,
-    config: &TileConfig,
-    rows: Range<usize>,
-) -> TileShardSim {
-    simulate_head_shard_with_path(workload, config, rows, KernelPath::detect())
-}
-
-/// [`simulate_head_shard`] on an explicitly requested dispatch path — the
-/// shard-granular counterpart of [`simulate_head_with_path`].
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or `rows` does not lie within
-/// the workload's sequence.
-pub fn simulate_head_shard_with_path(
-    workload: &HeadWorkload,
-    config: &TileConfig,
-    rows: Range<usize>,
-    path: KernelPath,
-) -> TileShardSim {
-    let mut shards = simulate_head_shard_fused_with_path(workload, &[*config], rows, path);
-    shards.swap_remove(0)
+        &[*config],
+        rows,
+        KernelPath::detect(),
+    ))
 }
 
 /// Simulates one contiguous shard of a head's Q rows on several tile
-/// configurations at once, returning one [`TileShardSim`] per
-/// configuration (in `configs` order), each bit-identical to
-/// [`simulate_head_shard`] on that configuration alone.
+/// configurations at once, on the batched kernel with the dispatch
+/// `path` (resolved against the machine — see [`KernelPath::resolve`]):
+/// the one kernel entry point. Returns one [`TileShardSim`] per
+/// configuration, in `configs` order.
+///
+/// The shard is the unit of tile-level parallelism. Every row still sees
+/// all K columns (only the Q dimension is partitioned across tiles), so
+/// per-row accounting is identical to the whole-head path; each shard
+/// additionally records the boundary timing terms [`merge_shards`] needs
+/// to make the merge of contiguous shards bit-identical to simulating the
+/// head in one piece. An empty `rows` range yields the identity shard
+/// (all-zero accounting).
 ///
 /// The configurations share the per-pair dot-product outcomes: the exact
 /// margin makes early termination prune exactly the scores a full-width
 /// dot product prunes, so one early-terminating v2 sweep per distinct
-/// bit-serial plan serves every configuration. Configurations that run
+/// bit-serial plan serves every configuration, and each configuration's
+/// shard is bit-identical to simulating it alone. Configurations that run
 /// each dot product to completion (no early termination, or fully
 /// parallel) read only a sweep's pruning decision, and run their own
 /// kernel only when no sweep has their magnitude width; configurations
@@ -523,21 +482,7 @@ pub fn simulate_head_shard_with_path(
 ///
 /// Panics if a configuration is invalid or `rows` does not lie within
 /// the workload's sequence.
-pub fn simulate_head_shard_fused(
-    workload: &HeadWorkload,
-    configs: &[TileConfig],
-    rows: Range<usize>,
-) -> Vec<TileShardSim> {
-    simulate_head_shard_fused_with_path(workload, configs, rows, KernelPath::detect())
-}
-
-/// [`simulate_head_shard_fused`] on an explicitly requested dispatch path.
-///
-/// # Panics
-///
-/// Panics if a configuration is invalid or `rows` does not lie within
-/// the workload's sequence.
-pub fn simulate_head_shard_fused_with_path(
+pub fn simulate_rows(
     workload: &HeadWorkload,
     configs: &[TileConfig],
     rows: Range<usize>,
@@ -586,10 +531,11 @@ pub fn simulate_head_shard_fused_with_path(
     folds.finish()
 }
 
-/// [`simulate_head_shard`] on the scalar per-pair reference DPU — the
-/// shard-granular counterpart of [`simulate_head_reference`], used by the
-/// tile-conformance tests to pin the partitioned path to the reference on
-/// both axes (inner loop *and* partitioning) at once.
+/// One configuration's [`simulate_rows`] shard on the scalar per-pair
+/// reference DPU — the shard-granular counterpart of
+/// [`simulate_head_reference`], used by the tile-conformance tests to pin
+/// the partitioned path to the reference on both axes (inner loop *and*
+/// partitioning) at once.
 ///
 /// # Panics
 ///
@@ -1157,6 +1103,10 @@ mod tests {
         HeadWorkload::from_float(&q, &k, threshold, 12)
     }
 
+    fn kernel_shard(w: &HeadWorkload, config: &TileConfig, rows: Range<usize>) -> TileShardSim {
+        simulate_rows(w, &[*config], rows, KernelPath::detect()).swap_remove(0)
+    }
+
     #[test]
     fn baseline_cycles_match_analytical_expectation() {
         // Baseline: one DPU, one cycle per dot product, no pruning, so the
@@ -1235,7 +1185,7 @@ mod tests {
     #[test]
     fn outcome_mix_partitions_every_score() {
         let w = workload(24, 32, 0.25, 9);
-        let shard = simulate_head_shard(&w, &TileConfig::ae_leopard(), 0..24);
+        let shard = kernel_shard(&w, &TileConfig::ae_leopard(), 0..24);
         let mix = shard.outcome_mix();
         assert_eq!(mix.total(), (24 * 24) as u64);
         assert_eq!(
@@ -1249,7 +1199,7 @@ mod tests {
         );
         // The pruning-only configuration cannot terminate early: every
         // pruned score pays the full magnitude width.
-        let po = simulate_head_shard(&w, &TileConfig::pruning_only(), 0..24).outcome_mix();
+        let po = kernel_shard(&w, &TileConfig::pruning_only(), 0..24).outcome_mix();
         assert_eq!(po.early_terminated, 0);
         assert_eq!(po.full_precision_pruned + po.surviving, mix.total());
     }
@@ -1333,8 +1283,8 @@ mod tests {
             let whole = simulate_head(&w, &config);
             for split in [0usize, 1, 8, 16, 17] {
                 let shards = [
-                    simulate_head_shard(&w, &config, 0..split),
-                    simulate_head_shard(&w, &config, split..17),
+                    kernel_shard(&w, &config, 0..split),
+                    kernel_shard(&w, &config, split..17),
                 ];
                 assert_eq!(
                     merge_shards(&shards),
@@ -1356,13 +1306,13 @@ mod tests {
     fn empty_shard_is_the_identity() {
         let w = workload(9, 32, 0.2, 42);
         let cfg = TileConfig::ae_leopard();
-        let empty = simulate_head_shard(&w, &cfg, 4..4);
+        let empty = kernel_shard(&w, &cfg, 4..4);
         assert!(empty.is_empty());
         assert_eq!(empty.standalone_cycles(), 0);
         assert_eq!(empty.frontend_busy_cycles, 0);
         assert_eq!(empty.events, EventCounts::default());
         // A whole-head shard's standalone cycles equal the head total.
-        let whole = simulate_head_shard(&w, &cfg, 0..9);
+        let whole = kernel_shard(&w, &cfg, 0..9);
         assert_eq!(
             whole.standalone_cycles(),
             simulate_head(&w, &cfg).total_cycles
@@ -1374,10 +1324,7 @@ mod tests {
     fn non_contiguous_shards_are_rejected() {
         let w = workload(8, 32, 0.2, 43);
         let cfg = TileConfig::ae_leopard();
-        let shards = [
-            simulate_head_shard(&w, &cfg, 0..3),
-            simulate_head_shard(&w, &cfg, 5..8),
-        ];
+        let shards = [kernel_shard(&w, &cfg, 0..3), kernel_shard(&w, &cfg, 5..8)];
         let _ = merge_shards(&shards);
     }
 
@@ -1386,7 +1333,7 @@ mod tests {
     fn merging_only_empty_shards_panics() {
         let w = workload(8, 32, 0.2, 44);
         let cfg = TileConfig::ae_leopard();
-        let _ = merge_shards(&[simulate_head_shard(&w, &cfg, 0..0)]);
+        let _ = merge_shards(&[kernel_shard(&w, &cfg, 0..0)]);
     }
 
     #[test]
@@ -1475,7 +1422,7 @@ mod tests {
             CacheCensus::default(),
             "the baseline needs no kernel operands and records nothing"
         );
-        let fused = simulate_head_shard_fused(&w, &configs, 0..20);
+        let fused = simulate_rows(&w, &configs, 0..20, KernelPath::detect());
         let census = w.cache_census();
         assert_eq!((census.packs, census.tables, census.full_tables), (0, 1, 1));
         for (config, shard) in configs.iter().zip(&fused) {
@@ -1499,14 +1446,12 @@ mod tests {
         let w = workload(23, 33, 0.3, 53);
         for config in [TileConfig::ae_leopard(), TileConfig::pruning_only()] {
             let reference = simulate_head_reference(&w, &config);
-            assert_eq!(
-                simulate_head_with_path(&w, &config, KernelPath::Wide),
-                reference
-            );
-            assert_eq!(
-                simulate_head_with_path(&w, &config, KernelPath::Portable),
-                reference
-            );
+            for path in [KernelPath::Wide, KernelPath::Portable] {
+                assert_eq!(
+                    merge_shards(&simulate_rows(&w, &[config], 0..23, path)),
+                    reference
+                );
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Fused-sweep spine: differential tests pinning the fused multi-config
 //! shard simulation to the scalar per-config reference.
 //!
-//! The contract under test (see `leopard_accel::sim::simulate_head_shard_fused`):
+//! The contract under test (see `leopard_accel::sim::simulate_rows`):
 //! for any set of tile configurations and any contiguous row range, the
 //! shard the fused pass folds for each configuration is **bit-identical**
 //! to `simulate_head_shard_reference` on that configuration alone — every
@@ -17,8 +17,8 @@
 use leopard_accel::config::TileConfig;
 use leopard_accel::kernel_v2::KernelPath;
 use leopard_accel::sim::{
-    merge_shards, simulate_head_reference, simulate_head_shard_fused_with_path,
-    simulate_head_shard_reference, HeadWorkload, TileShardSim,
+    merge_shards, simulate_head_reference, simulate_head_shard_reference, simulate_rows,
+    HeadWorkload, TileShardSim,
 };
 use proptest::prelude::*;
 
@@ -103,7 +103,7 @@ proptest! {
         let path = if wide == 1 { KernelPath::Wide } else { KernelPath::Portable };
         let mut joined: Vec<Option<TileShardSim>> = vec![None; configs.len()];
         for rows in row_splits(s, &cuts) {
-            let fused = simulate_head_shard_fused_with_path(&w, &configs, rows.clone(), path);
+            let fused = simulate_rows(&w, &configs, rows.clone(), path);
             prop_assert_eq!(fused.len(), configs.len());
             for ((config, shard), whole) in configs.iter().zip(&fused).zip(&mut joined) {
                 prop_assert_eq!(
@@ -139,8 +139,8 @@ fn fused_presets_match_the_reference_and_join_across_splits() {
         TileConfig::hp_leopard(),
         TileConfig::pruning_only(),
     ];
-    let low = simulate_head_shard_fused_with_path(&w, &presets, 0..13, KernelPath::detect());
-    let high = simulate_head_shard_fused_with_path(&w, &presets, 13..37, KernelPath::detect());
+    let low = simulate_rows(&w, &presets, 0..13, KernelPath::detect());
+    let high = simulate_rows(&w, &presets, 13..37, KernelPath::detect());
     for (i, config) in presets.iter().enumerate() {
         let reference = simulate_head_reference(&w, config);
         assert_eq!(

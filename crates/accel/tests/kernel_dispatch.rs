@@ -28,7 +28,7 @@
 
 use leopard_accel::config::TileConfig;
 use leopard_accel::kernel_v2::KernelPath;
-use leopard_accel::sim::{simulate_head_reference, simulate_head_with_path, HeadWorkload};
+use leopard_accel::sim::{merge_shards, simulate_head_reference, simulate_rows, HeadWorkload};
 use proptest::prelude::*;
 
 /// The four studied tile configurations, in `SimUnitKind` order.
@@ -64,8 +64,9 @@ fn workload(s: usize, d: usize, threshold: i64, seed: i32) -> HeadWorkload {
 /// `HeadSimResult`s.
 fn assert_paths_agree(w: &HeadWorkload, config: &TileConfig) {
     let reference = simulate_head_reference(w, config);
-    let wide = simulate_head_with_path(w, config, KernelPath::Wide);
-    let portable = simulate_head_with_path(w, config, KernelPath::Portable);
+    let on = |path| merge_shards(&simulate_rows(w, &[*config], 0..w.seq_len(), path));
+    let wide = on(KernelPath::Wide);
+    let portable = on(KernelPath::Portable);
     assert_eq!(wide, portable, "wide and portable paths diverged");
     assert_eq!(
         portable, reference,

@@ -15,11 +15,15 @@
 use leopard_accel::config::TileConfig;
 use leopard_accel::kernel_v2::KernelPath;
 use leopard_accel::sim::{
-    merge_shards, simulate_head_reference, simulate_head_shard_fused,
-    simulate_head_shard_fused_with_path, simulate_head_with_path, CacheCensus, HeadWorkload,
+    merge_shards, simulate_head_reference, simulate_rows, CacheCensus, HeadSimResult, HeadWorkload,
     TileShardSim,
 };
 use std::ops::Range;
+
+/// One configuration over every row of `w` on the kernel `path`.
+fn simulate_head_on(w: &HeadWorkload, config: &TileConfig, path: KernelPath) -> HeadSimResult {
+    merge_shards(&simulate_rows(w, &[*config], 0..w.seq_len(), path))
+}
 
 /// A deterministic `s x d` workload over the signed 12-bit code range with
 /// a mid-range threshold, so every preset prunes some scores and keeps
@@ -71,10 +75,10 @@ fn warm_workload_matches_cold_workload_and_reference() {
                     let config = preset.with_n_qk(n_qk);
                     let cold = warm.clone();
                     assert_eq!(census(&cold).1, 0, "a clone carries no outcome tables");
-                    let replayed = simulate_head_with_path(&warm, &config, path);
+                    let replayed = simulate_head_on(&warm, &config, path);
                     assert_eq!(
                         replayed,
-                        simulate_head_with_path(&cold, &config, path),
+                        simulate_head_on(&cold, &config, path),
                         "{} n_qk {n_qk} on {path:?} at s={s}: warm diverged from cold",
                         config.name
                     );
@@ -109,11 +113,11 @@ fn pruning_only_alone_after_ae_does_not_read_the_early_terminating_table() {
     let po = TileConfig::pruning_only();
     let path = KernelPath::detect();
     assert_eq!(
-        simulate_head_with_path(&w, &ae, path),
+        simulate_head_on(&w, &ae, path),
         simulate_head_reference(&w, &ae)
     );
     assert_eq!(census(&w), (0, 1, 1));
-    let alone = simulate_head_with_path(&w, &po, path);
+    let alone = simulate_head_on(&w, &po, path);
     assert_eq!(alone, simulate_head_reference(&w, &po));
     assert_eq!(census(&w), (0, 2, 2));
     // Every pruned score pays the full width: nothing terminated early.
@@ -124,9 +128,9 @@ fn pruning_only_alone_after_ae_does_not_read_the_early_terminating_table() {
 fn changing_the_threshold_after_a_simulation_sweeps_again() {
     let mut w = workload(33, 20, 5);
     let config = TileConfig::ae_leopard();
-    let before = simulate_head_with_path(&w, &config, KernelPath::detect());
+    let before = simulate_head_on(&w, &config, KernelPath::detect());
     w.threshold_int += 2_000_000;
-    let after = simulate_head_with_path(&w, &config, KernelPath::detect());
+    let after = simulate_head_on(&w, &config, KernelPath::detect());
     assert_eq!(after, simulate_head_reference(&w, &config));
     assert!(after.pruned_scores > before.pruned_scores);
     assert_eq!(census(&w).1, 2, "one table per threshold");
@@ -139,7 +143,7 @@ fn a_second_serial_granularity_records_its_own_table() {
     let one = TileConfig::ae_leopard().with_serial_bits(1);
     for config in [two, one, two, one] {
         assert_eq!(
-            simulate_head_with_path(&w, &config, KernelPath::detect()),
+            simulate_head_on(&w, &config, KernelPath::detect()),
             simulate_head_reference(&w, &config),
             "B = {}",
             config.serial_bits
@@ -165,7 +169,7 @@ fn row_blocks_filled_from_two_threads_in_reverse_order_match_serial() {
     let s = 65;
     let configs = presets();
     let blocks: Vec<Range<usize>> = vec![0..9, 9..30, 30..31, 31..50, 50..65];
-    let serial = simulate_head_shard_fused(&workload(s, 33, 11), &configs, 0..s);
+    let serial = simulate_rows(&workload(s, 33, 11), &configs, 0..s, KernelPath::detect());
 
     let w = workload(s, 33, 11);
     let (low, high) = blocks.split_at(2);
@@ -177,7 +181,12 @@ fn row_blocks_filled_from_two_threads_in_reverse_order_match_serial() {
             let configs = &configs;
             scope.spawn(move || {
                 for (rows, slot) in ranges.iter().zip(out.iter_mut()).rev() {
-                    *slot = Some(simulate_head_shard_fused(w, configs, rows.clone()));
+                    *slot = Some(simulate_rows(
+                        w,
+                        configs,
+                        rows.clone(),
+                        KernelPath::detect(),
+                    ));
                 }
             });
         }
@@ -188,7 +197,7 @@ fn row_blocks_filled_from_two_threads_in_reverse_order_match_serial() {
     // The whole head replayed from the table agrees too.
     for (config, shard) in configs.iter().zip(&serial) {
         assert_eq!(
-            merge_shards(&simulate_head_shard_fused(&w, &[*config], 0..s)),
+            merge_shards(&simulate_rows(&w, &[*config], 0..s, KernelPath::detect())),
             merge_shards(std::slice::from_ref(shard)),
             "{}",
             config.name
@@ -204,23 +213,23 @@ fn a_full_table_releases_the_pack_and_a_new_key_rebuilds_it() {
     let ae = [TileConfig::ae_leopard()];
     let po = [TileConfig::pruning_only()];
 
-    let _ = simulate_head_shard_fused_with_path(&w, &ae, 0..10, path);
+    let _ = simulate_rows(&w, &ae, 0..10, path);
     assert_eq!(census(&w), (1, 1, 0), "a partial table keeps the pack");
-    let _ = simulate_head_shard_fused_with_path(&w, &ae, 10..s, path);
+    let _ = simulate_rows(&w, &ae, 10..s, path);
     assert_eq!(census(&w), (0, 1, 1), "the last row releases the pack");
-    let _ = simulate_head_shard_fused_with_path(&w, &ae, 0..s, path);
+    let _ = simulate_rows(&w, &ae, 0..s, path);
     assert_eq!(census(&w), (0, 1, 1), "a replay never packs");
 
     // Pruning-only alone sweeps the same plan under another key.
-    let _ = simulate_head_shard_fused_with_path(&w, &po, 0..10, path);
+    let _ = simulate_rows(&w, &po, 0..10, path);
     assert_eq!(census(&w), (1, 2, 1), "a new key packs the plan again");
-    let _ = simulate_head_shard_fused_with_path(&w, &po, 10..s, path);
+    let _ = simulate_rows(&w, &po, 10..s, path);
     assert_eq!(census(&w), (0, 2, 2));
 
     // Forgetting the tables makes the next simulation sweep afresh.
     w.forget_outcomes();
     assert_eq!(census(&w), (0, 0, 0));
-    let again = simulate_head_shard_fused_with_path(&w, &ae, 0..10, path);
+    let again = simulate_rows(&w, &ae, 0..10, path);
     assert_eq!(census(&w), (1, 1, 0));
     assert_eq!(
         merge_shards(&again),

@@ -15,10 +15,11 @@
 //! `PROPTEST_CASES`-bumped job widens their coverage without code changes.
 
 use leopard_accel::config::TileConfig;
+use leopard_accel::kernel_v2::KernelPath;
 use leopard_accel::schedule::{merge_head_shards, simulate_head_tiled, TilePartition};
 use leopard_accel::sim::{
-    simulate_head, simulate_head_reference, simulate_head_shard, simulate_head_shard_reference,
-    HeadWorkload,
+    simulate_head, simulate_head_reference, simulate_head_shard_reference, simulate_rows,
+    HeadWorkload, TileShardSim,
 };
 use proptest::prelude::*;
 
@@ -30,6 +31,15 @@ fn presets() -> [TileConfig; 4] {
         TileConfig::hp_leopard(),
         TileConfig::pruning_only(),
     ]
+}
+
+/// One configuration's kernel shard over `rows`.
+fn kernel_shard(
+    w: &HeadWorkload,
+    config: &TileConfig,
+    rows: std::ops::Range<usize>,
+) -> TileShardSim {
+    simulate_rows(w, &[*config], rows, KernelPath::detect()).swap_remove(0)
 }
 
 /// Builds a workload from raw 12-bit code pairs (one `(q, k)` element pair
@@ -103,7 +113,7 @@ proptest! {
         let config = presets()[preset as usize];
         for rows in [0..split, split..s, 0..s] {
             prop_assert_eq!(
-                simulate_head_shard(&workload, &config, rows.clone()),
+                kernel_shard(&workload, &config, rows.clone()),
                 simulate_head_shard_reference(&workload, &config, rows)
             );
         }
@@ -148,7 +158,7 @@ fn merge_matrix_max_cycles_and_summed_counters() {
         let shards: Vec<_> = partition
             .ranges()
             .into_iter()
-            .map(|rows| simulate_head_shard(&workload, &config, rows))
+            .map(|rows| kernel_shard(&workload, &config, rows))
             .collect();
         let tiled = merge_head_shards(tiles, &shards);
 

@@ -389,6 +389,39 @@ mod tests {
     }
 
     #[test]
+    fn scaled_cross_entropy_and_reduce_gradients_are_pinned_to_the_bit() {
+        // Both arms see an upstream other than 1 (each loss is multiplied by
+        // a 1 x 1 constant) and cross-entropy averages over a batch of 3, so
+        // the association of `dx · (up / batch)` and `dx · (up · k)` shows in
+        // the last bit of the gradients.
+        let tape = Tape::new();
+        let logits = tape.leaf(Matrix::from_rows(&[
+            vec![0.3, -1.2, 0.7, 2.1],
+            vec![-0.4, 0.9, 1.3, -2.2],
+            vec![0.05, 0.6, -0.8, 1.7],
+        ]));
+        let ce = tape.cross_entropy(logits, &[0, 2, 3]);
+        let x = tape.leaf(Matrix::zeros(2, 3));
+        let dx = Matrix::from_rows(&[vec![0.11, -0.53, 0.97], vec![1.9, -0.27, 0.61]]);
+        let reduced = tape.reduce(x, 0.0, dx, 0.3);
+        let ce = tape.hadamard(ce, tape.constant(Matrix::filled(1, 1, 0.37)));
+        let reduced = tape.hadamard(reduced, tape.constant(Matrix::filled(1, 1, 0.71)));
+        tape.backward(tape.add(ce, reduced));
+        let bits = |var| -> Vec<u32> { tape.grad(var).iter().map(|g| g.to_bits()).collect() };
+        assert_eq!(
+            bits(logits),
+            [
+                3185558665, 994952615, 1017903273, 1034836017, 1011090801, 1026805925, 3178032060,
+                989961151, 1014070562, 1020348374, 1003384462, 3175010565,
+            ]
+        );
+        assert_eq!(
+            bits(x),
+            [1019211845, 3186045662, 1045664147, 1053766870, 3177942940, 1040518239]
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "scalar loss")]
     fn backward_requires_scalar() {
         let tape = Tape::new();

@@ -131,7 +131,7 @@ impl Default for LintConfig {
             blessed_telemetry_fns: vec!["write_telemetry_outputs"],
             par_markers: vec!["shards", "workers", "head_workloads", "partials"],
             blessed_reductions: vec!["merge_shards", "merge_head_shards"],
-            excluded_prefixes: vec!["crates/criterion", "crates/rand", "crates/proptest"],
+            excluded_prefixes: vec!["crates/rand", "crates/proptest"],
         }
     }
 }
@@ -298,8 +298,10 @@ mod tests {
     #[test]
     fn default_config_exempts_stand_in_crates() {
         let config = LintConfig::default();
-        for stand_in in ["crates/rand", "crates/proptest", "crates/criterion"] {
-            assert!(config.excluded_prefixes.contains(&stand_in), "{stand_in}");
-        }
+        assert_eq!(
+            config.excluded_prefixes,
+            ["crates/rand", "crates/proptest"],
+            "exactly the two stand-in crates are exempt"
+        );
     }
 }

@@ -95,26 +95,6 @@ impl QuantizedMatrix {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The quantizer parameters.
-    pub fn params(&self) -> QuantParams {
-        self.params
-    }
-
-    /// The integer code at `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of bounds.
-    pub fn code(&self, r: usize, c: usize) -> i32 {
-        assert!(r < self.rows && c < self.cols, "index out of bounds");
-        self.codes[r * self.cols + c]
-    }
-
     /// Row `r` as a slice of codes.
     ///
     /// # Panics
@@ -123,20 +103,6 @@ impl QuantizedMatrix {
     pub fn row(&self, r: usize) -> &[i32] {
         assert!(r < self.rows, "row out of bounds");
         &self.codes[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Reconstructs the real-valued matrix.
-    pub fn dequantize(&self) -> Matrix {
-        Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.codes
-                .iter()
-                .map(|&c| self.params.dequantize(c))
-                .collect(),
-        )
-        // lint:allow(panic-in-library, reason = "rows x cols matches the code vector length this struct was built with")
-        .expect("shape consistent by construction")
     }
 
     /// Integer dot product between row `r` of `self` and row `other_row` of
@@ -203,9 +169,13 @@ mod tests {
         let params = QuantParams::from_max_abs(12, 1.0);
         let q = params.quantize_matrix(&m);
         assert_eq!(q.rows(), 2);
-        assert_eq!(q.cols(), 2);
-        assert_eq!(q.code(1, 0), params.max_code());
-        assert!(q.dequantize().approx_eq(&m, params.max_error() + 1e-6));
+        assert_eq!(q.row(1)[0], params.max_code());
+        for r in 0..2 {
+            assert_eq!(q.row(r).len(), 2);
+            for (&code, &x) in q.row(r).iter().zip(m.row(r)) {
+                assert!((params.dequantize(code) - x).abs() <= params.max_error() + 1e-6);
+            }
+        }
     }
 
     #[test]

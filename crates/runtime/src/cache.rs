@@ -84,8 +84,7 @@ type Entry = Arc<OnceLock<Arc<HeadWorkload>>>;
 /// Sharded concurrent workload cache.
 ///
 /// Shards are `BTreeMap`s, not `HashMap`s: per-shard iteration order is the
-/// key order, so walking the cache (see [`WorkloadCache::keys`]) is
-/// deterministic. Shard *selection* still hashes the key — that only picks
+/// key order, so any walk of the cache is deterministic. Shard *selection* still hashes the key — that only picks
 /// which lock to take and never orders anything observable.
 #[derive(Debug)]
 pub struct WorkloadCache {
@@ -166,26 +165,6 @@ impl WorkloadCache {
             // lint:allow(relaxed-atomic-in-result-path, reason = "monotonic advisory counters; suite reports read them after the pool quiesces, which the result channel's disconnect has already synchronized")
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Every cached key, in ascending key order regardless of shard layout,
-    /// thread count, or insertion order — pinned by test so cache walks can
-    /// never leak nondeterminism into a report.
-    pub fn keys(&self) -> Vec<WorkloadKey> {
-        let mut keys: Vec<WorkloadKey> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    // lint:allow(panic-in-library, reason = "a poisoned shard means a builder panicked; propagating the panic is the only sound recovery")
-                    .expect("cache shard poisoned")
-                    .keys()
-                    .copied()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
     }
 
     /// Number of cached workloads.
@@ -288,27 +267,6 @@ mod tests {
         }
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 7);
-    }
-
-    #[test]
-    fn key_walk_is_sorted_regardless_of_insertion_order() {
-        // The BTreeMap shards pin cache-walk determinism: whatever order
-        // threads inserted in, `keys()` yields ascending key order.
-        let suite = full_suite();
-        let forward = WorkloadCache::new();
-        for head in 0..3 {
-            let _ = forward.head_workload(&suite[0], &options(), head);
-            let _ = forward.head_workload(&suite[1], &options(), head);
-        }
-        let backward = WorkloadCache::new();
-        for head in (0..3).rev() {
-            let _ = backward.head_workload(&suite[1], &options(), head);
-            let _ = backward.head_workload(&suite[0], &options(), head);
-        }
-        let keys = forward.keys();
-        assert_eq!(keys, backward.keys());
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(keys.len(), 6);
     }
 
     #[test]

@@ -374,11 +374,6 @@ impl MetricsSnapshot {
             .map(|&(_, v)| v)
     }
 
-    /// Looks up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
-    }
-
     /// Looks up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms
@@ -706,7 +701,7 @@ mod tests {
         registry.observe_all("latency", &[10, 100], [5000]);
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("jobs"), Some(5));
-        assert_eq!(snapshot.gauge("steals"), Some(9.0));
+        assert_eq!(snapshot.gauges, [("steals".to_string(), 9.0)]);
         let histogram = snapshot.histogram("latency").unwrap();
         assert_eq!(histogram.counts, vec![1, 1, 1]);
         assert_eq!(histogram.total, 3);

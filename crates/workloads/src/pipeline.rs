@@ -4,7 +4,7 @@
 //! places the pruning threshold at the quantile of the scaled score
 //! distribution matching the paper-reported pruning rate for that task (this
 //! is the substitution for the learned thresholds of a full-scale fine-tuned
-//! checkpoint — see DESIGN.md), quantizes the operands, and runs the cycle
+//! checkpoint — see [`threshold_for_rate`]), quantizes the operands, and runs the cycle
 //! level simulator under the baseline, AE-LeOPArd, and HP-LeOPArd
 //! configurations. The result carries the measured speedups, energy
 //! reductions, pruning rate, bit profile, and energy breakdowns that feed
@@ -15,10 +15,10 @@ use leopard_accel::baseline::BaselineComparison;
 use leopard_accel::config::TileConfig;
 use leopard_accel::cost::{CostModel, FitObservation};
 use leopard_accel::energy::{energy_from_events, EnergyBreakdown, EnergyModel};
+use leopard_accel::kernel_v2::KernelPath;
 use leopard_accel::schedule::{plan_layer, LayerPlan, Placement, PlannedHead};
 use leopard_accel::sim::{
-    merge_shards, simulate_head, simulate_head_shard_fused, HeadSimResult, HeadWorkload,
-    TileShardSim,
+    merge_shards, simulate_head, simulate_rows, HeadSimResult, HeadWorkload, TileShardSim,
 };
 use leopard_tensor::{rng, stats, Matrix};
 use leopard_transformer::config::ModelFamily;
@@ -386,7 +386,7 @@ pub fn simulate_units_shard(
     rows: std::ops::Range<usize>,
 ) -> Vec<TileShardSim> {
     let configs = SimUnitKind::ALL.map(|kind| kind.tile_config());
-    simulate_head_shard_fused(workload, &configs, rows)
+    simulate_rows(workload, &configs, rows, KernelPath::detect())
 }
 
 /// The four per-configuration simulation results for one head.

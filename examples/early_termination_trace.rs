@@ -1,6 +1,8 @@
-//! Trace the bit-serial early-termination mechanism on the paper's worked
-//! example (Figure 3) and on a real quantized attention head, printing the
-//! per-cycle partial sums, margins, and termination decisions.
+//! Trace the bit-serial early-termination mechanism on a real quantized
+//! attention head: per dot product, the cycles spent, the K bits processed,
+//! the final partial sum and the termination decision. The paper's worked
+//! example (Figure 3) is printed by the `fig03_early_termination_example`
+//! binary.
 //!
 //! Run with:
 //!
@@ -9,29 +11,12 @@
 //! ```
 
 use leopard::accel::config::TileConfig;
-use leopard::accel::dpu::{figure3_walkthrough, QkDpu};
+use leopard::accel::dpu::QkDpu;
 use leopard::quant::bitserial::BitSerialVector;
 use leopard::quant::fixed::QuantParams;
 use leopard::tensor::rng;
 
 fn main() {
-    // --- Part 1: the paper's Figure 3 example.
-    println!("== Figure 3 walkthrough (Q = [9, -5, 7, -2], Th = 5) ==");
-    println!(
-        "{:<7} {:>12} {:>10} {:>11}",
-        "cycle", "partial sum", "margin", "terminate?"
-    );
-    for (cycle, (p, m, stop)) in figure3_walkthrough().iter().enumerate() {
-        println!(
-            "{:<7} {:>12.2} {:>10.2} {:>11}",
-            cycle + 1,
-            p,
-            m,
-            if *stop { "yes" } else { "no" }
-        );
-    }
-
-    // --- Part 2: a quantized attention head.
     let config = TileConfig::ae_leopard();
     let dpu = QkDpu::new(config);
     let plan = config.bit_serial_plan();
@@ -47,7 +32,7 @@ fn main() {
     let score_scale = qq.product_scale(&kq) / (d as f32).sqrt();
     let threshold_int = (0.5 / score_scale).round() as i64;
 
-    println!("\n== Quantized 64-element dot products (threshold 0.5) ==");
+    println!("== Quantized 64-element dot products (threshold 0.5) ==");
     println!(
         "{:<10} {:>8} {:>8} {:>12} {:>8}",
         "pair", "cycles", "bits", "partial sum", "pruned?"

@@ -1,5 +1,5 @@
 //! The three virtual-cycle ablations, pinned exactly, and the kernel's
-//! wall-clock speedup over the scalar reference.
+//! wall-clock speedup over the scalar reference on both dispatch paths.
 //!
 //! Tile scaling, layer placement and fault recovery run on the virtual
 //! tile clock with seeded inputs, so every number they produce is the same
@@ -13,8 +13,12 @@
 
 use leopard::accel::config::TileConfig;
 use leopard::accel::energy::EnergyModel;
+use leopard::accel::kernel_v2::KernelPath;
 use leopard::accel::schedule::{schedule_layer, simulate_head_tiled, Placement};
-use leopard::accel::sim::{simulate_head, simulate_head_reference, CacheCensus, HeadWorkload};
+use leopard::accel::sim::{
+    merge_shards, simulate_head, simulate_head_reference, simulate_rows, CacheCensus,
+    HeadSimResult, HeadWorkload,
+};
 use leopard::runtime::faults::FaultPlan;
 use leopard::runtime::serving::{run_serving, ServingOptions, ServingReport};
 use leopard::runtime::SuiteRunner;
@@ -147,27 +151,20 @@ fn fault_recovery_policies_are_pinned() {
     );
 }
 
-/// Wall-clock speedup of the kernel sweep over the scalar reference on the
-/// s = 256 head: the median of nine alternating (reference, kernel) pairs.
-/// Each kernel call starts with warm packed keys and no recorded outcomes,
-/// so it times a cold sweep, never a replay of recorded outcomes.
-#[test]
-#[ignore = "wall-clock; run in a release build"]
-fn kernel_sweep_outpaces_the_reference() {
-    // 85% of 15.127x, the single-sample kernel speedup the repository
-    // recorded as its wall-clock baseline; that floor carries over, now
-    // held by a median. A 2-vCPU x86-64 VM measures medians of 27-29x.
-    const FLOOR: f64 = 0.85 * 15.127;
-    let config = TileConfig::ae_leopard();
-    let workload = head(256, 42);
-    assert_eq!(
-        simulate_head(&workload, &config),
-        simulate_head_reference(&workload, &config)
-    );
+/// Median wall-clock ratio of the scalar reference to a cold `kernel` sweep
+/// on `workload`, over nine alternating (reference, kernel) pairs, with the
+/// nine ratios in ascending order. Each kernel call starts with warm packed
+/// keys and no recorded outcomes, so it times a cold sweep, never a replay
+/// of recorded outcomes.
+fn median_speedup(
+    workload: &HeadWorkload,
+    config: &TileConfig,
+    kernel: impl Fn() -> HeadSimResult,
+) -> (f64, Vec<f64>) {
     let mut ratios: Vec<f64> = (0..9)
         .map(|_| {
             let start = Instant::now();
-            std::hint::black_box(simulate_head_reference(&workload, &config));
+            std::hint::black_box(simulate_head_reference(workload, config));
             let reference = start.elapsed();
             workload.forget_outcomes();
             // Held so the timed call cannot release the cache's copy.
@@ -179,15 +176,49 @@ fn kernel_sweep_outpaces_the_reference() {
             };
             assert_eq!(workload.cache_census(), cold);
             let start = Instant::now();
-            std::hint::black_box(simulate_head(&workload, &config));
-            let kernel = start.elapsed();
-            reference.as_secs_f64() / kernel.as_secs_f64().max(1e-9)
+            std::hint::black_box(kernel());
+            let sweep = start.elapsed();
+            reference.as_secs_f64() / sweep.as_secs_f64().max(1e-9)
         })
         .collect();
     ratios.sort_by(f64::total_cmp);
-    let median = ratios[ratios.len() / 2];
+    (ratios[ratios.len() / 2], ratios)
+}
+
+/// Wall-clock speedup of the kernel sweep over the scalar reference on the
+/// s = 256 head, on the detected (wide) path and on the forced portable
+/// path: each the median of nine alternating pairs (see
+/// [`median_speedup`]).
+#[test]
+#[ignore = "wall-clock; run in a release build"]
+fn kernel_sweep_outpaces_the_reference() {
+    // 85% of 15.127x, the single-sample kernel speedup the repository
+    // recorded as its wall-clock baseline; that floor carries over, now
+    // held by a median. A 2-vCPU x86-64 VM measures medians of 27-29x.
+    const FLOOR: f64 = 0.85 * 15.127;
+    // 85% of 5.76x, the median of five portable-path medians (5.58-6.69x)
+    // on a 2-vCPU x86-64 Xeon VM before this test held it.
+    const PORTABLE_FLOOR: f64 = 0.85 * 5.76;
+    let config = TileConfig::ae_leopard();
+    let workload = head(256, 42);
+    let reference = simulate_head_reference(&workload, &config);
+    let portable = || {
+        let rows = 0..workload.seq_len();
+        merge_shards(&simulate_rows(
+            &workload,
+            &[config],
+            rows,
+            KernelPath::Portable,
+        ))
+    };
+    assert_eq!(simulate_head(&workload, &config), reference);
+    assert_eq!(portable(), reference);
+    let (wide, wide_ratios) =
+        median_speedup(&workload, &config, || simulate_head(&workload, &config));
+    let (portable, portable_ratios) = median_speedup(&workload, &config, portable);
     assert!(
-        median >= FLOOR,
-        "median kernel speedup {median:.2}x fell below {FLOOR:.2}x ({ratios:.2?})"
+        wide >= FLOOR && portable >= PORTABLE_FLOOR,
+        "median kernel speedups: wide {wide:.2}x (floor {FLOOR:.2}x, {wide_ratios:.2?}), \
+         portable {portable:.2}x (floor {PORTABLE_FLOOR:.2}x, {portable_ratios:.2?})"
     );
 }
