@@ -82,7 +82,7 @@ use crate::cache::CacheStats;
 use crate::engine::{measure_layer_makespans, SuiteRunner};
 use crate::faults::{FaultPlan, TileFaultEvent, TileFaultKind};
 use crate::sched::{DeferralQueue, PredictedJob, ReadyQueue, SchedulePolicy};
-use crate::telemetry::{MetricsSnapshot, ReplayEvent, ReplayTape, ShedCause};
+use crate::telemetry::{MetricsSnapshot, ReplayEvent, ReplayTape, Series, ShedCause};
 use leopard_accel::config::TileConfig;
 use leopard_accel::cost::degraded_pruning_rate;
 use leopard_accel::schedule::Placement;
@@ -1386,11 +1386,9 @@ pub fn run_serving(
     // Observability state, all on the virtual clock (deterministic). The
     // depth integral advances lazily: before every queue mutation, the
     // depth that held since `depth_last_cycle` is charged for the elapsed
-    // cycles. A settled instant is traced only when its `(queue depth,
-    // in-flight)` pair differs from `last_settle`.
+    // cycles.
     let mut depth_cycle_integral: u128 = 0;
     let mut depth_last_cycle = 0u64;
-    let mut last_settle: Option<(usize, usize)> = None;
 
     // Event loop on a monotone virtual clock. At each clock value: dispatch
     // ready requests onto every free tile **gang** — a request's layer
@@ -1501,19 +1499,15 @@ pub fn run_serving(
             live_tiles.dispatch(take, clock + service);
         }
         // The settled instant (each clock value settles exactly once: the
-        // clock strictly advances per outer iteration).
+        // clock strictly advances per outer iteration). The tape keeps a
+        // counter sample only where its own series changed.
         let in_flight = live_tiles
             .free_at
             .iter()
             .filter(|&&free| free > clock)
             .count();
-        let settle = (ready.len(), in_flight);
-        if last_settle != Some(settle) {
-            last_settle = Some(settle);
-            ledger
-                .tape
-                .push(ReplayEvent::Settle(clock, settle.0, settle.1));
-        }
+        ledger.tape.sample(clock, Series::InFlight, in_flight);
+        ledger.tape.sample(clock, Series::QueueDepth, ready.len());
         // Advance to the next event: the earliest of the next arrival, the
         // next whole-gang-free instant (only meaningful with queued work
         // and live tiles), the next due retry, and the next tile fault

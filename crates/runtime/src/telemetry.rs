@@ -11,9 +11,10 @@
 //!   `Option`.
 //! * **Two clocks, two determinism classes** — the serving replay's
 //!   decisions live on the **virtual cycle clock**: the replay appends one
-//!   heap-free `ReplayEvent` per dispatch, shed, retry, fault, degrade and
-//!   settled instant to a tape it owns and never reads, and hands the tape
-//!   over once at the end of the run (`Telemetry::record_replay`). Those
+//!   heap-free `ReplayEvent` per dispatch, shed, retry, fault and degrade,
+//!   plus one counter sample per series whose value changed at a settled
+//!   instant, to a tape it owns and never reads, and hands the tape over
+//!   once at the end of the run (`Telemetry::record_replay`). Those
 //!   events are bit-identical across thread counts, and observe-only holds
 //!   by construction: no replay decision can depend on a tape entry. Spans
 //!   on the **wall clock** (pool jobs) carry real nanoseconds and worker
@@ -32,7 +33,10 @@
 //! track per worker), process 2 the virtual-clock serving events (one
 //! track per tile, timestamps in cycles), rendered straight from the tapes:
 //! each event's sort key is a fixed-width integer tuple that is also
-//! everything its line shows.
+//! everything its line shows, and every task name is ranked once per tape.
+//! The `in_flight` and `queue_depth` counters hold one sample each time
+//! their own series changes, which is all a counter track needs: a viewer
+//! holds each value until the next sample.
 //!
 //! # Serve fault-tolerance taxonomy
 //!
@@ -101,6 +105,16 @@ pub(crate) enum ShedCause {
     NoLiveTiles,
 }
 
+/// A counter series the replay samples at settled clock instants; a tape
+/// keeps one sample vector per series, at index `series as usize`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Series {
+    /// Tiles busy with a dispatched request.
+    InFlight,
+    /// Requests waiting in the ready queue.
+    QueueDepth,
+}
+
 /// One decision of the serving replay, on the virtual cycle clock. `task`
 /// fields index the suite the replay ran; the export names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +122,6 @@ pub(crate) enum ReplayEvent {
     /// `(id, task, lead tile, start, service, wait, predicted)`: a request
     /// started on a gang, drawn as a span on the lead tile's lane.
     Dispatch(usize, usize, usize, u64, u64, u64, u64),
-    /// `(cycle, queue depth, in-flight tiles)` at a settled clock instant.
-    Settle(u64, usize, usize),
     /// `(cause, id, task, cycle, predicted)`: a request dropped undispatched.
     Shed(ShedCause, usize, usize, u64, u64),
     /// `(id, task, cycle, delay, attempt)`: a request deferred for `delay`
@@ -128,7 +140,7 @@ impl ReplayEvent {
     /// The counter this decision bumps, if any.
     fn metric(&self) -> Option<&'static str> {
         Some(match self {
-            ReplayEvent::Dispatch(..) | ReplayEvent::Settle(..) => return None,
+            ReplayEvent::Dispatch(..) => return None,
             ReplayEvent::Shed(ShedCause::PredictedSloMiss, ..) => "serve.shed.predicted_slo_miss",
             ReplayEvent::Shed(ShedCause::RetriesExhausted, ..) => "serve.shed.retries_exhausted",
             ReplayEvent::Shed(ShedCause::TransientFault, ..) => "serve.shed.transient_fault",
@@ -157,7 +169,20 @@ impl ReplayTape {
             names: suite.iter().map(|task| task.name.clone()).collect(),
             ids: suite.iter().map(|task| task.id as u64).collect(),
             shed_lane: servers as u64,
+            samples: [Vec::new(), Vec::new()],
         }))
+    }
+
+    /// Samples `series` at a settled instant: appends `(cycle, value)` to
+    /// the series when `value` differs from its last sample on this tape
+    /// (the first sample is always kept).
+    pub(crate) fn sample(&mut self, cycle: u64, series: Series, value: usize) {
+        if let Some(replay) = &mut self.0 {
+            let samples = &mut replay.samples[series as usize];
+            if samples.last().map(|&(_, last)| last) != Some(value) {
+                samples.push((cycle, value));
+            }
+        }
     }
 
     /// Appends one decision.
@@ -169,14 +194,16 @@ impl ReplayTape {
 }
 
 /// A tape's events with the suite's task names and ids their `task`
-/// fields index, and the lane past the last tile, where sheds, retries
-/// and transient faults render.
+/// fields index, the lane past the last tile, where sheds, retries and
+/// transient faults render, and each [`Series`]' `(cycle, value)` samples
+/// in cycle order.
 #[derive(Debug)]
 struct Replay {
     events: Vec<ReplayEvent>,
     names: Vec<String>,
     ids: Vec<u64>,
     shed_lane: u64,
+    samples: [Vec<(u64, usize)>; 2],
 }
 
 /// The pid-2 tracks in export order: by Chrome phase (spans, then
@@ -509,18 +536,19 @@ impl Telemetry {
         self.replays.lock().expect("replay tapes poisoned") // lint:allow(panic-in-library, reason = "a poisoned tape list means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
     }
 
-    /// Number of trace events recorded so far: wall spans plus the events
-    /// the replay tapes render (a settled instant is two counter samples).
+    /// Number of trace events recorded so far: wall spans plus replay tape
+    /// entries, each of which renders as one event.
     pub fn event_count(&self) -> usize {
         let wall: usize = self
             .buffers
             .iter()
             .map(|b| b.lock().expect("telemetry buffer poisoned").len()) // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
             .sum();
-        let settles = |e: &&ReplayEvent| matches!(e, ReplayEvent::Settle(..));
         let replays = self.lock_replays();
-        let tape = replays.iter().flat_map(|r| &r.events);
-        wall + tape.clone().count() + tape.filter(settles).count()
+        let tape = replays
+            .iter()
+            .map(|r| r.events.len() + r.samples.iter().map(Vec::len).sum::<usize>());
+        wall + tape.sum::<usize>()
     }
 
     /// Streams every recorded event as Chrome trace-event JSON, one event
@@ -533,7 +561,8 @@ impl Telemetry {
     /// name, args)` with `ts`/`dur` in microseconds. The replay tapes
     /// render under pid 2 with raw cycle counts in `ts`/`dur`: spans, then
     /// instants, each by `(category, name, ts, lane, dur, args)`, then the
-    /// `in_flight` and `queue_depth` counters by `(ts, value)`.
+    /// `in_flight` and `queue_depth` counter samples by `(ts, value)`. A
+    /// counter has a sample only where its own series changed on its tape.
     pub fn write_chrome_trace(&self, w: &mut impl Write) -> io::Result<()> {
         // Hold every buffer for the export and sort references: events are
         // rendered in place, never copied.
@@ -546,14 +575,6 @@ impl Telemetry {
         wall.sort_by(|a, b| (a.cat, &a.name, &a.args).cmp(&(b.cat, &b.name, &b.args)));
         let replays = self.lock_replays();
         let (lines, names) = virtual_lines(&replays);
-        let mut samples: Vec<[u64; 3]> = replays
-            .iter()
-            .flat_map(|r| &r.events)
-            .filter_map(|e| match *e {
-                ReplayEvent::Settle(cycle, depth, busy) => Some([cycle, busy as u64, depth as u64]),
-                _ => None,
-            })
-            .collect();
 
         w.write_all(
             b"{\n\"traceEvents\": [\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \
@@ -567,15 +588,20 @@ impl Telemetry {
         for line in &lines {
             render_virtual(&mut row, line, &names).send(w)?;
         }
-        for (name, value) in [("in_flight", 1), ("queue_depth", 2)] {
-            // Settle cycles strictly increase within a tape, so one tape's
-            // samples are already in order and this sort is a linear scan.
-            samples.sort_unstable_by_key(|sample| (sample[0], sample[value]));
-            for sample in &samples {
+        for (series, name) in [
+            (Series::InFlight, "in_flight"),
+            (Series::QueueDepth, "queue_depth"),
+        ] {
+            let tapes = replays.iter().flat_map(|r| &r.samples[series as usize]);
+            let mut samples: Vec<(u64, usize)> = tapes.copied().collect();
+            // One tape's samples are already in cycle order, so this sort is
+            // a linear scan.
+            samples.sort_unstable();
+            for (cycle, value) in samples {
                 row.str(",\n  {\"name\": \"").str(name);
                 row.str("\", \"cat\": \"serve\", \"ph\": \"C\", \"pid\": 2, \"tid\": 0, \"ts\": ");
-                row.u64(sample[0]).str(", \"args\": {\"value\": ");
-                row.u64(sample[value]).str("}}").send(w)?;
+                row.u64(cycle).str(", \"args\": {\"value\": ");
+                row.u64(value as u64).str("}}").send(w)?;
             }
         }
         w.write_all(b"\n]\n}\n")
@@ -599,45 +625,44 @@ fn virtual_lines(replays: &[Replay]) -> (Vec<VirtualLine>, Vec<String>) {
         .collect();
     names.sort_unstable();
     names.dedup();
-    let mut lines = Vec::new();
+    let mut lines = Vec::with_capacity(replays.iter().map(|r| r.events.len()).sum());
     for replay in replays {
         let (ids, lane) = (&replay.ids, replay.shed_lane);
-        let rank = |task: usize| names.partition_point(|&n| n < replay.names[task].as_str()) as u32;
-        lines.extend(replay.events.iter().filter_map(|event| {
-            Some(match *event {
-                ReplayEvent::Dispatch(id, task, lead, start, service, wait, predicted) => {
-                    let args = [id as u64, ids[task], wait, predicted];
-                    VirtualLine(
-                        Track::Dispatch,
-                        rank(task),
-                        start,
-                        lead as u64,
-                        service,
-                        args,
-                    )
-                }
-                ReplayEvent::Settle(..) => return None,
-                ReplayEvent::Shed(_, id, task, cycle, predicted) => {
-                    let args = [id as u64, predicted, 0, 0];
-                    VirtualLine(Track::Shed, rank(task), cycle, lane, 0, args)
-                }
-                ReplayEvent::Retry(id, task, cycle, delay, attempt) => {
-                    let args = [id as u64, attempt.into(), 0, 0];
-                    VirtualLine(Track::Retry, rank(task), cycle, lane, delay, args)
-                }
-                ReplayEvent::Transient(id, cycle, attempt) => {
-                    let args = [id as u64, attempt.into(), 0, 0];
-                    VirtualLine(Track::Transient, 0, cycle, lane, 0, args)
-                }
-                ReplayEvent::Degrade(id, task, lead, cycle, level) => {
-                    let args = [id as u64, level.into(), 0, 0];
-                    VirtualLine(Track::Degrade, rank(task), cycle, lead as u64, 0, args)
-                }
-                ReplayEvent::Tile(recovered, tile, cycle, live) => {
-                    let (tile, args) = (tile as u64, [tile as u64, live as u64, 0, 0]);
-                    VirtualLine(Track::TileFault, recovered.into(), cycle, tile, 0, args)
-                }
-            })
+        let ranks: Vec<u32> = (replay.names.iter())
+            .map(|name| names.partition_point(|&n| n < name.as_str()) as u32)
+            .collect();
+        lines.extend(replay.events.iter().map(|event| match *event {
+            ReplayEvent::Dispatch(id, task, lead, start, service, wait, predicted) => {
+                let args = [id as u64, ids[task], wait, predicted];
+                VirtualLine(
+                    Track::Dispatch,
+                    ranks[task],
+                    start,
+                    lead as u64,
+                    service,
+                    args,
+                )
+            }
+            ReplayEvent::Shed(_, id, task, cycle, predicted) => {
+                let args = [id as u64, predicted, 0, 0];
+                VirtualLine(Track::Shed, ranks[task], cycle, lane, 0, args)
+            }
+            ReplayEvent::Retry(id, task, cycle, delay, attempt) => {
+                let args = [id as u64, attempt.into(), 0, 0];
+                VirtualLine(Track::Retry, ranks[task], cycle, lane, delay, args)
+            }
+            ReplayEvent::Transient(id, cycle, attempt) => {
+                let args = [id as u64, attempt.into(), 0, 0];
+                VirtualLine(Track::Transient, 0, cycle, lane, 0, args)
+            }
+            ReplayEvent::Degrade(id, task, lead, cycle, level) => {
+                let args = [id as u64, level.into(), 0, 0];
+                VirtualLine(Track::Degrade, ranks[task], cycle, lead as u64, 0, args)
+            }
+            ReplayEvent::Tile(recovered, tile, cycle, live) => {
+                let (tile, args) = (tile as u64, [tile as u64, live as u64, 0, 0]);
+                VirtualLine(Track::TileFault, recovered.into(), cycle, tile, 0, args)
+            }
         }));
     }
     lines.sort_unstable();
@@ -645,9 +670,10 @@ fn virtual_lines(replays: &[Replay]) -> (Vec<VirtualLine>, Vec<String>) {
     (lines, escaped)
 }
 
-/// Bytes reserved per rendered trace event: a little above the ~125-byte
-/// mean of a serving trace, so the export usually fits one reservation.
-const TRACE_EVENT_BYTES: usize = 144;
+/// Bytes reserved per rendered trace event: a little above the ~137-byte
+/// mean of a deep-queue serving trace (~179-byte dispatch spans, ~115-byte
+/// counter samples), so the export usually fits one reservation.
+const TRACE_EVENT_BYTES: usize = 152;
 
 fn render_wall<'r>(row: &'r mut Row, event: &TraceEvent) -> &'r mut Row {
     row.str(",\n  {\"name\": \"").str(&escape_json(&event.name));
@@ -743,16 +769,21 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
-    /// A telemetry layer holding one tape per `(events, shed lane)`, each
-    /// with its name table and the task ids 7, 3, 9, 1.
-    fn with_tapes(tapes: &[(Vec<ReplayEvent>, u64)], names: &[Vec<&str>]) -> Telemetry {
+    /// A test tape: its events, its `(cycle, value)` samples per
+    /// [`Series`], and its shed lane.
+    type Tape = (Vec<ReplayEvent>, [Vec<(u64, usize)>; 2], u64);
+
+    /// A telemetry layer holding the tapes, each with its name table and
+    /// the task ids 7, 3, 9, 1.
+    fn with_tapes(tapes: &[Tape], names: &[Vec<&str>]) -> Telemetry {
         let telemetry = Telemetry::new(1);
-        for ((events, shed_lane), names) in tapes.iter().zip(names) {
+        for ((events, samples, shed_lane), names) in tapes.iter().zip(names) {
             telemetry.record_replay(ReplayTape(Some(Replay {
                 events: events.clone(),
                 names: names.iter().map(|n| n.to_string()).collect(),
                 ids: vec![7, 3, 9, 1],
                 shed_lane: *shed_lane,
+                samples: samples.clone(),
             })));
         }
         telemetry
@@ -761,13 +792,13 @@ mod tests {
     #[test]
     fn trace_export_sorts_virtual_events_deterministically() {
         // Recorded out of order on purpose.
-        let tape = vec![
+        let events = vec![
             ReplayEvent::Dispatch(1, 1, 1, 200, 10, 0, 9),
-            ReplayEvent::Settle(120, 3, 1),
             ReplayEvent::Shed(ShedCause::PredictedSloMiss, 2, 2, 150, 9),
             ReplayEvent::Dispatch(0, 0, 0, 100, 10, 0, 9),
         ];
-        let telemetry = with_tapes(&[(tape, 4)], &[vec!["a", "b", "c"]]);
+        let tape = (events, [vec![(120, 1)], vec![(120, 3)]], 4);
+        let telemetry = with_tapes(&[tape], &[vec!["a", "b", "c"]]);
         let json = telemetry.chrome_trace_json();
         // Spans sort before instants before counters; within spans, by
         // virtual timestamp.
@@ -781,15 +812,61 @@ mod tests {
         assert_eq!(counters, [("serve.shed.predicted_slo_miss".into(), 1)]);
     }
 
-    /// The oracle for the tape export: every tape entry expanded into the
-    /// per-event form the replay recorded before the tape — `(phase rank,
-    /// category, name, ts, lane, dur, args)`, whose tuple order is the
-    /// string key the export sorted by — sorted stably, and rendered with
-    /// `write!`. Returns the pid-2 lines and their count.
-    fn oracle_pid2(tapes: &[(Vec<ReplayEvent>, u64)], names: &[Vec<&str>]) -> (String, usize) {
+    #[test]
+    fn a_counter_sample_renders_only_where_its_own_series_changes() {
+        let mut tape = ReplayTape::new(true, &[], 4);
+        // (cycle, queue depth, in-flight tiles) at five settled instants.
+        for (cycle, depth, busy) in [(10, 3, 4), (20, 5, 4), (30, 5, 2), (40, 3, 2), (50, 3, 4)] {
+            tape.sample(cycle, Series::InFlight, busy);
+            tape.sample(cycle, Series::QueueDepth, depth);
+        }
+        let telemetry = Telemetry::new(1);
+        telemetry.record_replay(tape);
+        let kept = [
+            ("in_flight", 10, 4),
+            ("in_flight", 30, 2),
+            ("in_flight", 50, 4),
+            ("queue_depth", 10, 3),
+            ("queue_depth", 20, 5),
+            ("queue_depth", 40, 3),
+        ];
+        let lines: String = kept
+            .iter()
+            .map(|(name, ts, value)| {
+                format!(
+                    ",\n  {{\"name\": \"{name}\", \"cat\": \"serve\", \"ph\": \"C\", \"pid\": 2, \
+                     \"tid\": 0, \"ts\": {ts}, \"args\": {{\"value\": {value}}}}}"
+                )
+            })
+            .collect();
+        let json = telemetry.chrome_trace_json();
+        assert!(
+            json.ends_with(&format!("(cycle clock)\"}}}}{lines}\n]\n}}\n")),
+            "{json}"
+        );
+        assert_eq!(telemetry.event_count(), kept.len());
+        // An untraced tape records nothing.
+        let mut off = ReplayTape::new(false, &[], 4);
+        off.sample(10, Series::InFlight, 1);
+        assert!(off.0.is_none());
+    }
+
+    /// The oracle for the tape export: every tape entry (each counter
+    /// sample one line) expanded into the per-event form the replay
+    /// recorded before the tape — `(phase rank, category, name, ts, lane,
+    /// dur, args)`, whose tuple order is the string key the export sorted
+    /// by — sorted stably, and rendered with `write!`. Returns the pid-2
+    /// lines and their count.
+    fn oracle_pid2(tapes: &[Tape], names: &[Vec<&str>]) -> (String, usize) {
         let mut events = Vec::new();
-        for ((tape, shed), names) in tapes.iter().zip(names) {
+        for ((tape, samples, shed), names) in tapes.iter().zip(names) {
             let (ids, shed, name) = ([7, 3, 9, 1], *shed, |task: usize| names[task].to_string());
+            for (series, samples) in ["in_flight", "queue_depth"].into_iter().zip(samples) {
+                for &(cycle, value) in samples {
+                    let args = vec![("value", value as u64)];
+                    events.push((2, "serve", series.into(), cycle, 0, 0, args));
+                }
+            }
             for event in tape {
                 let (id, attempt) = ("id", "attempt");
                 let expanded = match *event {
@@ -805,12 +882,6 @@ mod tests {
                             service,
                             args,
                         )
-                    }
-                    ReplayEvent::Settle(cycle, depth, in_flight) => {
-                        let depth = vec![("value", depth as u64)];
-                        events.push((2, "serve", "queue_depth".into(), cycle, 0, 0, depth));
-                        let args = vec![("value", in_flight as u64)];
-                        (2, "serve", "in_flight".into(), cycle, 0, 0, args)
                     }
                     ReplayEvent::Shed(_, i, task, cycle, predicted) => {
                         let args = vec![(id, i as u64), ("predicted", predicted)];
@@ -861,29 +932,31 @@ mod tests {
         (out, events.len())
     }
 
-    /// A tape entry of kind `kind % 7` whose fields are 2-bit slices of
-    /// `bits` (so names, cycles, lanes and args tie often), with `big`
-    /// standing in for one field when `bits` says so.
-    fn entry(kind: u32, bits: u64, big: u64) -> ReplayEvent {
+    /// Appends a tape entry of kind `kind % 7` (1: a counter sample, else
+    /// an event) whose fields are 2-bit slices of `bits` (so names,
+    /// cycles, lanes and args tie often), with `big` standing in for one
+    /// field when `bits` says so.
+    fn push_entry(tape: &mut Tape, kind: u32, bits: u64, big: u64) {
         let f = |i: u32| (bits >> (2 * i)) & 3;
         let wide = if f(9) == 0 { big } else { f(8) };
         let (id, task, lane, cycle) = (f(0) as usize, f(1) as usize, f(2) as usize, f(3));
         let small = f(4) as u32;
-        match kind % 7 {
+        let event = match kind % 7 {
             0 => ReplayEvent::Dispatch(id, task, lane, cycle, f(4), f(5), wide),
-            1 => ReplayEvent::Settle(wide, small as usize, lane),
+            1 => return tape.1[lane & 1].push((wide, small as usize)),
             2 => ReplayEvent::Shed(ShedCause::NoLiveTiles, id, task, cycle, wide),
             3 => ReplayEvent::Retry(id, task, cycle, wide, small),
             4 => ReplayEvent::Transient(id, cycle, small),
             5 => ReplayEvent::Degrade(id, task, lane, cycle, small),
             _ => ReplayEvent::Tile(small & 1 == 1, lane, cycle, f(5) as usize),
-        }
+        };
+        tape.0.push(event);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Over random tapes of every event kind, split across two replays
+        /// Over random tapes of every entry kind, split across two replays
         /// with their own name tables and shed lanes, the tape export
         /// renders exactly the oracle's pid-2 lines, and `event_count`
         /// counts them.
@@ -892,9 +965,13 @@ mod tests {
             entries in proptest::collection::vec((0u32..7, 0u64..1 << 20, 0u64..u64::MAX), 0..96),
             split in 0usize..96,
         ) {
-            let events: Vec<ReplayEvent> = entries.iter().map(|&(k, b, w)| entry(k, b, w)).collect();
-            let (first, second) = events.split_at(split.min(events.len()));
-            let tapes = [(first.to_vec(), 4), (second.to_vec(), 2)];
+            let (first, second) = entries.split_at(split.min(entries.len()));
+            let mut tapes: [Tape; 2] = [(vec![], Default::default(), 4), (vec![], Default::default(), 2)];
+            for (tape, entries) in tapes.iter_mut().zip([first, second]) {
+                for &(kind, bits, big) in entries {
+                    push_entry(tape, kind, bits, big);
+                }
+            }
             let names = [vec!["b", "a\"q", "b", "c\n"], vec!["c\n", "b", "zz", "a\"q"]];
             let telemetry = with_tapes(&tapes, &names);
             let (oracle, count) = oracle_pid2(&tapes, &names);

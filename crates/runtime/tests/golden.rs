@@ -271,7 +271,7 @@ fn deep_queue_faulted_serve_trace_and_metrics_match_pinned_digests() {
     assert!(metrics.contains("serve.shed.retries_exhausted"));
     assert_eq!(
         digest(&trace),
-        (14_443_222, 0x0da3_1b73_f7dd_a397),
+        (10_467_453, 0x33d3_6515_f8e7_c333),
         "deep-queue trace drifted"
     );
     assert_eq!(
@@ -315,7 +315,7 @@ fn degraded_outage_serve_trace_and_metrics_match_pinned_digests() {
     assert!(metrics.contains("serve.shed.no_live_tiles"));
     assert_eq!(
         digest(&trace),
-        (47_322, 0x5d16_e1e0_42b4_689a),
+        (34_664, 0x90ae_471d_5f80_6ccd),
         "degraded-outage trace drifted"
     );
     assert_eq!(

@@ -16,9 +16,10 @@
 //!    spans being equal): the export sorts on a key that excludes every
 //!    wall-clock quantity, so interleaving differences cannot leak into
 //!    the file.
-//! 4. **Time-series** — the `in_flight` counter, one sample per settled
-//!    instant where the `(queue depth, in-flight)` pair changed, advances
-//!    strictly in virtual time and never counts more busy tiles than
+//! 4. **Time-series** — the `in_flight` and `queue_depth` counters hold
+//!    one sample per settled instant where their own series changed: each
+//!    advances strictly in virtual time, no sample repeats its series'
+//!    previous value, and `in_flight` never counts more busy tiles than
 //!    there are.
 //!
 //! Regenerate the fixture after an intentional format change:
@@ -141,8 +142,9 @@ fn serve_metrics_snapshot_is_consistent_with_the_report() {
     assert!(json.contains("\"serve.latency_cycles\""));
 }
 
-/// The `(ts, value)` pairs of a trace's `in_flight` counter, in file order.
-fn in_flight_samples(trace: &str) -> Vec<(u64, u64)> {
+/// The `(ts, value)` pairs of the trace counter `name`, in file order.
+fn counter_samples(trace: &str, name: &str) -> Vec<(u64, u64)> {
+    let name = format!("\"name\": \"{name}\"");
     let number = |line: &str, key: &str| -> u64 {
         let start = line.find(key).expect("counter line has the key") + key.len();
         let digits = line[start..].split(|c: char| !c.is_ascii_digit()).next();
@@ -150,7 +152,7 @@ fn in_flight_samples(trace: &str) -> Vec<(u64, u64)> {
     };
     trace
         .lines()
-        .filter(|line| line.contains("\"name\": \"in_flight\""))
+        .filter(|line| line.contains(&name))
         .map(|line| (number(line, "\"ts\": "), number(line, "\"value\": ")))
         .collect()
 }
@@ -171,12 +173,15 @@ fn in_flight_counter_advances_in_virtual_time_within_the_tile_count() {
             ..ServingOptions::default()
         };
         let (_, trace, _) = traced_serve(2, &suite, &options);
-        let samples = in_flight_samples(&trace);
-        assert!(!samples.is_empty(), "a serve settles at least once");
-        for pair in samples.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "settled instants repeat: {pair:?}");
+        for counter in ["in_flight", "queue_depth"] {
+            let samples = counter_samples(&trace, counter);
+            assert!(!samples.is_empty(), "a serve settles at least once");
+            for pair in samples.windows(2) {
+                assert!(pair[0].0 < pair[1].0, "{counter} instants repeat: {pair:?}");
+                assert_ne!(pair[0].1, pair[1].1, "{counter} repeats a value: {pair:?}");
+            }
         }
-        for &(cycle, busy) in &samples {
+        for &(cycle, busy) in &counter_samples(&trace, "in_flight") {
             assert!(busy <= servers as u64, "{busy} busy tiles at {cycle}");
             assert_eq!(busy % tiles as u64, 0, "a gang split at {cycle}");
         }
