@@ -17,13 +17,16 @@
 //! * **Accounting** — per-tile busy cycles conserve shard cycles exactly:
 //!   the tile vector sums to the sum of every head's shard cycles, and
 //!   the makespan is its maximum.
+//! * **One head is the tiled head** — a single-head layer under LPT
+//!   charges tile `t` exactly what `simulate_head_tiled` gives shard `t`,
+//!   at every tile count up to 64.
 //!
 //! The property tests use `ProptestConfig::default()`, so CI's
 //! `PROPTEST_CASES`-bumped job widens their coverage without code changes.
 
 use leopard_accel::config::TileConfig;
 use leopard_accel::energy::{EnergyBreakdown, EnergyModel};
-use leopard_accel::schedule::{schedule_layer, LayerSchedule, Placement};
+use leopard_accel::schedule::{schedule_layer, simulate_head_tiled, LayerSchedule, Placement};
 use leopard_accel::sim::{simulate_head, HeadWorkload};
 use proptest::prelude::*;
 
@@ -216,6 +219,27 @@ proptest! {
             prop_assert_eq!(stat.makespan_cycles, stat.heads[0].merged.total_cycles);
             prop_assert!(lpt.makespan_cycles <= stat.makespan_cycles);
         }
+    }
+
+    /// A lone head under LPT is split across every tile, in tile order, so
+    /// the layer scheduler computes exactly what the head-level tiled
+    /// simulation does — at every tile count up to 64, including more
+    /// tiles than rows.
+    #[test]
+    fn prop_lpt_single_head_schedule_is_the_tiled_head_simulation(
+        len in 1usize..40,
+        threshold in -200_000i64..200_000,
+        seed in -1_000_000i32..1_000_000,
+        tiles in 1usize..=64,
+    ) {
+        let workloads = layer_from_lens(&[len], threshold, seed);
+        let mut config = TileConfig::ae_leopard();
+        config.tiles = tiles;
+        let schedule =
+            schedule_layer(&workloads, &config, &EnergyModel::calibrated(), Placement::Lpt);
+        let tiled = simulate_head_tiled(&workloads[0], &config, tiles);
+        prop_assert_eq!(&schedule.tile_cycles, &tiled.tile_cycles);
+        prop_assert_eq!(&schedule.heads[0].merged, &tiled.merged);
     }
 }
 

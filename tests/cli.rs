@@ -1,7 +1,8 @@
 //! The `leopard` binary's contracts: bad input, including a flag given to
 //! a subcommand that does not take it, exits with code 2 and an
 //! `error: ...` line on stderr, before any work runs; `leopard help` and
-//! the nqk design-space sweep print their pinned output.
+//! the nqk and tiles x placement design-space sweeps print their pinned
+//! output.
 
 use std::process::Command;
 
@@ -231,22 +232,12 @@ fn mask_wall_seconds(report: &str) -> String {
         .collect()
 }
 
-#[test]
-fn nqk_sweep_over_all_tasks_matches_its_golden_report() {
-    // The Figure 13 axis over the whole suite at s <= 512: every design
-    // point after the first replays the per-pair outcomes the first one
-    // recorded, and must still print exactly the table of per-point sweeps.
+/// Runs `leopard sweep` with `args`, asserts it succeeds, and returns its
+/// stdout with the wall seconds masked.
+fn sweep_report(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_leopard"))
-        .args([
-            "sweep",
-            "--param",
-            "nqk=2..10",
-            "--all-tasks",
-            "--max-seq-len",
-            "512",
-            "--threads",
-            "2",
-        ])
+        .arg("sweep")
+        .args(args)
         .output()
         .expect("run the leopard binary");
     assert!(
@@ -254,8 +245,42 @@ fn nqk_sweep_over_all_tasks_matches_its_golden_report() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let report = mask_wall_seconds(&String::from_utf8_lossy(&out.stdout));
+    mask_wall_seconds(&String::from_utf8_lossy(&out.stdout))
+}
+
+#[test]
+fn nqk_sweep_over_all_tasks_matches_its_golden_report() {
+    // The Figure 13 axis over the whole suite at s <= 512: every design
+    // point after the first replays the per-pair outcomes the first one
+    // recorded, and must still print exactly the table of per-point sweeps.
+    let report = sweep_report(&[
+        "--param",
+        "nqk=2..10",
+        "--all-tasks",
+        "--max-seq-len",
+        "512",
+        "--threads",
+        "2",
+    ]);
     assert_eq!(report, include_str!("fixtures/sweep_nqk.txt"));
+}
+
+#[test]
+fn tiles_by_placement_sweep_matches_its_golden_report() {
+    // The crossed tile-count x placement grid, including 64 tiles on heads
+    // shorter than that: makespan, speedup over one tile, balance and
+    // pruning per design point, to the printed digit.
+    let report = sweep_report(&[
+        "--param",
+        "tiles=1,2,4,64",
+        "--param",
+        "placement=lpt,rr,static",
+        "--max-seq-len",
+        "96",
+        "--threads",
+        "2",
+    ]);
+    assert_eq!(report, include_str!("fixtures/sweep_tiles_placement.txt"));
 }
 
 #[test]
