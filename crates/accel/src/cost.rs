@@ -6,6 +6,11 @@
 //! a single value type that carries everything a scheduler or report needs,
 //! computed from a [`HeadSimResult`] without re-running the simulator.
 //!
+//! Before anything runs, [`CostModel::predict_head_cycles`] is the one
+//! cycle predictor: one head of a task family, at an expected pruning rate,
+//! split across some number of tiles. The layer planner, the suite's
+//! submission order and the serving prices all call it.
+//!
 //! The module also pins down the thread-safety contract the engine relies
 //! on: workload and result types must be `Send + Sync` so workloads can be
 //! shared read-only across worker threads and results can be collected from
@@ -246,10 +251,13 @@ impl CostModel {
     }
 
     /// Predicts the cycles one attention head of sequence length `seq_len`
-    /// of a `family` task needs on `config`, **without running the
-    /// simulator** — pure arithmetic over the tile parameters, an expected
-    /// pruning rate, and the family's fitted constants; cheap enough to
-    /// call per request on a serving admission path.
+    /// of a `family` task needs on `config` with its Q rows partitioned
+    /// across `tiles` tiles (the busiest tile's makespan), **without
+    /// running the simulator** — pure arithmetic over the tile parameters,
+    /// an expected pruning rate, and the family's fitted constants; cheap
+    /// enough to call per request on a serving admission path, and the
+    /// objective the layer planner ([`crate::schedule::plan_layer`])
+    /// places heads by.
     ///
     /// The model mirrors the simulator's timing structure: per Q row the
     /// front-end distributes `seq_len` dot products over the `N_QK` DPUs (a
@@ -258,34 +266,17 @@ impl CostModel {
     /// its serial steps), the back-end consumes one surviving score per
     /// cycle, and rows pipeline so each costs the maximum of the two
     /// stages; the family's calibration scale then absorbs what the closed
-    /// form leaves out.
+    /// form leaves out. The busiest tile processes `ceil(seq_len / tiles)`
+    /// rows, while the pipeline fill/drain term (`min(front-end,
+    /// back-end)` row cost) is the **merge overhead**: every tile pays it
+    /// once, so it does not divide.
     ///
     /// `pruning_rate` is the expected fraction of scores below the
     /// threshold (clamped to `[0, 1]`); it is ignored by configurations
-    /// that do not prune.
+    /// that do not prune. Predictions are monotonically non-increasing in
+    /// `tiles` (the tile count is clamped to the row count, so over-tiling
+    /// plateaus instead of paying for idle tiles).
     pub fn predict_head_cycles(
-        &self,
-        family: &str,
-        config: &TileConfig,
-        seq_len: usize,
-        pruning_rate: f64,
-    ) -> u64 {
-        self.predict_head_cycles_tiled(family, config, seq_len, pruning_rate, 1)
-    }
-
-    /// Tile-aware form of [`predict_head_cycles`](Self::predict_head_cycles):
-    /// predicted cycles for one head whose Q rows are partitioned across
-    /// `tiles` tiles (the busiest tile's makespan). The per-row work
-    /// divides across tiles — the busiest tile processes
-    /// `ceil(seq_len / tiles)` rows — while the pipeline fill/drain term
-    /// (`min(front-end, back-end)` row cost) is the **merge overhead**:
-    /// every tile pays it once, so it does not divide.
-    ///
-    /// Predictions are monotonically non-increasing in `tiles` (the tile
-    /// count is clamped to the row count, so over-tiling plateaus instead
-    /// of paying for idle tiles), and `tiles = 1` reproduces
-    /// [`predict_head_cycles`](Self::predict_head_cycles) exactly.
-    pub fn predict_head_cycles_tiled(
         &self,
         family: &str,
         config: &TileConfig,
@@ -295,39 +286,6 @@ impl CostModel {
     ) -> u64 {
         let fit = self.fit(family);
         predict_head_cycles_with(config, seq_len, pruning_rate, fit.saving, fit.scale, tiles)
-    }
-
-    /// Predicts the cycles a whole inference request of a `family` task
-    /// (all `heads` attention heads of one layer, executed sequentially on
-    /// one tile) needs on `config`. This is the quantity the cost-model
-    /// scheduler and SLO admission controller in `leopard-runtime` act on.
-    pub fn predict_request_cycles(
-        &self,
-        family: &str,
-        config: &TileConfig,
-        seq_len: usize,
-        heads: usize,
-        pruning_rate: f64,
-    ) -> u64 {
-        self.predict_request_cycles_tiled(family, config, seq_len, heads, pruning_rate, 1)
-    }
-
-    /// Tile-aware form of
-    /// [`predict_request_cycles`](Self::predict_request_cycles): the heads
-    /// still execute sequentially, but each head's rows are partitioned
-    /// across `tiles` tiles (see
-    /// [`predict_head_cycles_tiled`](Self::predict_head_cycles_tiled)).
-    pub fn predict_request_cycles_tiled(
-        &self,
-        family: &str,
-        config: &TileConfig,
-        seq_len: usize,
-        heads: usize,
-        pruning_rate: f64,
-        tiles: usize,
-    ) -> u64 {
-        heads.max(1) as u64
-            * self.predict_head_cycles_tiled(family, config, seq_len, pruning_rate, tiles)
     }
 }
 
@@ -372,8 +330,8 @@ fn saving_from_pruned_bits(histogram: &[u64]) -> Option<f64> {
     Some((1.0 - mean_bits / width).clamp(0.0, 1.0))
 }
 
-/// [`CostModel::predict_head_cycles_tiled`] with explicit constants — the
-/// shared arithmetic core of every prediction path.
+/// [`CostModel::predict_head_cycles`] with explicit constants — the
+/// arithmetic core the predictor and the calibration fit share.
 fn predict_head_cycles_with(
     config: &TileConfig,
     seq_len: usize,
@@ -407,84 +365,15 @@ fn predict_head_cycles_with(
     ((cycles * scale).round() as u64).max(1)
 }
 
-/// Predicts the cycles one attention head of sequence length `seq_len`
-/// needs on `config` under the flat analytical saving — the family-agnostic
-/// convenience form of [`CostModel::predict_head_cycles`].
-pub fn predict_head_cycles(config: &TileConfig, seq_len: usize, pruning_rate: f64) -> u64 {
-    CostModel::analytical().predict_head_cycles("", config, seq_len, pruning_rate)
-}
-
-/// Predicts the cycles a whole inference request (all `heads` attention
-/// heads of one layer, executed sequentially on one tile) needs on
-/// `config`, under the flat analytical saving — the family-agnostic
-/// convenience form of [`CostModel::predict_request_cycles`].
-///
-/// # Examples
-///
-/// ```
-/// use leopard_accel::config::TileConfig;
-/// use leopard_accel::cost::predict_request_cycles;
-///
-/// let config = TileConfig::ae_leopard();
-/// // Twelve heads cost exactly twelve times one head: heads execute
-/// // sequentially on one tile.
-/// let one = predict_request_cycles(&config, 96, 1, 0.8);
-/// assert_eq!(predict_request_cycles(&config, 96, 12, 0.8), 12 * one);
-/// // Heavier pruning means fewer cycles on a pruning-enabled tile.
-/// assert!(predict_request_cycles(&config, 96, 1, 0.9) < one);
-/// ```
-pub fn predict_request_cycles(
-    config: &TileConfig,
-    seq_len: usize,
-    heads: usize,
-    pruning_rate: f64,
-) -> u64 {
-    CostModel::analytical().predict_request_cycles("", config, seq_len, heads, pruning_rate)
-}
-
-/// Tile-aware, family-agnostic convenience form of
-/// [`CostModel::predict_request_cycles_tiled`]: predicted cycles for a
-/// request whose heads each execute partitioned across `tiles` tiles.
-///
-/// # Examples
-///
-/// ```
-/// use leopard_accel::config::TileConfig;
-/// use leopard_accel::cost::{predict_request_cycles, predict_request_cycles_tiled};
-///
-/// let config = TileConfig::ae_leopard();
-/// // One tile reproduces the single-tile predictor exactly; more tiles
-/// // never predict more cycles.
-/// assert_eq!(
-///     predict_request_cycles_tiled(&config, 96, 12, 0.8, 1),
-///     predict_request_cycles(&config, 96, 12, 0.8)
-/// );
-/// assert!(
-///     predict_request_cycles_tiled(&config, 96, 12, 0.8, 4)
-///         < predict_request_cycles(&config, 96, 12, 0.8)
-/// );
-/// ```
-pub fn predict_request_cycles_tiled(
-    config: &TileConfig,
-    seq_len: usize,
-    heads: usize,
-    pruning_rate: f64,
-    tiles: usize,
-) -> u64 {
-    CostModel::analytical().predict_request_cycles_tiled(
-        "",
-        config,
-        seq_len,
-        heads,
-        pruning_rate,
-        tiles,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use leopard_tensor::rng;
+
+    /// The unfitted single-tile prediction.
+    fn predict_head_cycles(config: &TileConfig, seq_len: usize, pruning_rate: f64) -> u64 {
+        CostModel::analytical().predict_head_cycles("", config, seq_len, pruning_rate, 1)
+    }
 
     fn workload(seed: u64) -> HeadWorkload {
         let mut r = rng::seeded(seed);
@@ -567,14 +456,17 @@ mod tests {
     }
 
     #[test]
-    fn request_prediction_scales_with_heads() {
+    fn degenerate_prediction_inputs_clamp_instead_of_panicking() {
         let cfg = TileConfig::hp_leopard();
-        let one = predict_request_cycles(&cfg, 48, 1, 0.6);
-        let twelve = predict_request_cycles(&cfg, 48, 12, 0.6);
-        assert_eq!(twelve, one * 12);
-        // Degenerate inputs clamp instead of panicking.
-        assert_eq!(predict_request_cycles(&cfg, 48, 0, 0.6), one);
+        let model = CostModel::analytical();
         assert!(predict_head_cycles(&cfg, 0, 2.0) >= 1);
+        // Zero tiles reads as one; tiles past the row count plateau.
+        let one = model.predict_head_cycles("", &cfg, 48, 0.6, 1);
+        assert_eq!(model.predict_head_cycles("", &cfg, 48, 0.6, 0), one);
+        assert_eq!(
+            model.predict_head_cycles("", &cfg, 48, 0.6, 64),
+            model.predict_head_cycles("", &cfg, 48, 0.6, 48)
+        );
     }
 
     fn observe<'a>(
@@ -613,7 +505,7 @@ mod tests {
         assert!((model.saving("MemN2N") - expected).abs() < 1e-12);
         // The calibration scale centers the prediction on the measured
         // cycles at the calibration point.
-        let predicted = model.predict_head_cycles("MemN2N", &cfg, 24, heavy.pruning_rate());
+        let predicted = model.predict_head_cycles("MemN2N", &cfg, 24, heavy.pruning_rate(), 1);
         let ratio = predicted as f64 / heavy.total_cycles as f64;
         assert!(
             (0.99..=1.01).contains(&ratio),
@@ -678,14 +570,14 @@ mod tests {
         };
         let ae = TileConfig::ae_leopard();
         assert!(
-            saving_only.predict_head_cycles("fast", &ae, 64, 0.8)
-                < CostModel::analytical().predict_head_cycles("fast", &ae, 64, 0.8)
+            saving_only.predict_head_cycles("fast", &ae, 64, 0.8, 1)
+                < CostModel::analytical().predict_head_cycles("fast", &ae, 64, 0.8, 1)
         );
         // The unpruned baseline ignores the saving entirely.
         let base = TileConfig::baseline();
         assert_eq!(
-            saving_only.predict_head_cycles("fast", &base, 64, 0.8),
-            CostModel::analytical().predict_head_cycles("fast", &base, 64, 0.8)
+            saving_only.predict_head_cycles("fast", &base, 64, 0.8, 1),
+            CostModel::analytical().predict_head_cycles("fast", &base, 64, 0.8, 1)
         );
     }
 
@@ -728,8 +620,8 @@ mod tests {
         // The tightened rate flows through the cost model as fewer cycles.
         let cfg = TileConfig::ae_leopard();
         let model = CostModel::analytical();
-        let full = model.predict_head_cycles("x", &cfg, 96, 0.4);
-        let degraded = model.predict_head_cycles("x", &cfg, 96, degraded_pruning_rate(0.4, 1));
+        let full = model.predict_head_cycles("x", &cfg, 96, 0.4, 1);
+        let degraded = model.predict_head_cycles("x", &cfg, 96, degraded_pruning_rate(0.4, 1), 1);
         assert!(
             degraded < full,
             "degraded prediction {degraded} must undercut full-service {full}"

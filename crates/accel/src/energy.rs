@@ -158,6 +158,21 @@ impl EnergyBreakdown {
     }
 }
 
+impl std::ops::Add for EnergyBreakdown {
+    type Output = Self;
+
+    /// Component-wise sum.
+    fn add(self, other: Self) -> Self {
+        Self {
+            qk_compute: self.qk_compute + other.qk_compute,
+            key_memory: self.key_memory + other.key_memory,
+            softmax: self.softmax + other.softmax,
+            v_compute: self.v_compute + other.v_compute,
+            value_memory: self.value_memory + other.value_memory,
+        }
+    }
+}
+
 /// Computes the energy breakdown of a simulated head from its event counts.
 pub fn energy_from_events(
     events: &EventCounts,

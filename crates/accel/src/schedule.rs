@@ -5,25 +5,28 @@
 //! independent of each other on their corresponding heads". This module
 //! models that level — and, since the tile-scheduler PR, the level *below*
 //! it: [`TilePartition`] deterministically splits one head's Q rows across
-//! the tiles, [`simulate_head_tiled`] runs the shards and
-//! [`merge_head_shards`] reassembles them into a [`TiledHeadSim`] whose
+//! the tiles, and [`simulate_head_tiled`] runs the shards and reassembles
+//! them ([`merge_shards`]) into a [`TiledHeadSim`] whose
 //! merged accounting is bit-identical to single-tile execution (counters
 //! sum, timing reconstructs exactly; the per-tile makespan is the parallel
 //! latency).
 //!
 //! Above that sits the layer scheduler: [`plan_layer`] assigns heads→tiles
-//! with the per-head tile split chosen by **predicted** load (the
-//! [`CostModel`] tiled predictor is the objective — no simulation runs
-//! before a placement is decided), under one of three [`Placement`]
+//! with the per-head tile split chosen by **predicted** load
+//! ([`CostModel::predict_head_cycles`] is the objective — no simulation
+//! runs before a placement is decided), under one of three [`Placement`]
 //! policies: greedy LPT, round-robin, or the paper's static whole-head
-//! partition. [`schedule_layer`] executes a plan and reports the layer's
-//! makespan, total energy, and per-tile utilization.
+//! partition. [`LayerPlan::execute`] is the one serial plan executor: it
+//! runs every head's shards and charges their cycles to the planned tiles.
+//! [`schedule_layer`] plans and executes one layer and reports its
+//! makespan, total energy, and per-tile utilization; the runtime's
+//! serving phase 1 executes its plans through the same method.
 //!
 //! The conformance contract (pinned by `tests/layer_conformance.rs`):
 //! placement decides **only the makespan**. Per-head merged accounting,
 //! layer energy, and pruning rates are bit-identical across every policy
 //! and tile count, because each head's shards always reassemble through
-//! [`merge_head_shards`] and the float aggregation follows the plan's
+//! [`merge_shards`] and the float aggregation follows the plan's
 //! canonical (content-ordered) head order rather than enumeration order.
 
 use crate::config::TileConfig;
@@ -31,6 +34,7 @@ use crate::cost::CostModel;
 use crate::energy::{energy_from_events, EnergyBreakdown, EnergyModel};
 use crate::kernel_v2::KernelPath;
 use crate::sim::{merge_shards, simulate_rows, HeadSimResult, HeadWorkload, TileShardSim};
+use std::borrow::Borrow;
 use std::ops::Range;
 
 /// Deterministic contiguous partition of a head's `seq_len` Q rows across
@@ -53,16 +57,6 @@ impl TilePartition {
     pub fn new(seq_len: usize, tiles: usize) -> Self {
         assert!(tiles > 0, "a partition needs at least one tile");
         Self { seq_len, tiles }
-    }
-
-    /// Number of tiles in the partition.
-    pub fn tiles(&self) -> usize {
-        self.tiles
-    }
-
-    /// Number of rows being partitioned.
-    pub fn seq_len(&self) -> usize {
-        self.seq_len
     }
 
     /// The contiguous row range assigned to `tile` (possibly empty).
@@ -100,8 +94,6 @@ impl TilePartition {
 /// in parallel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiledHeadSim {
-    /// Number of tiles the head was partitioned across.
-    pub tiles: usize,
     /// Per-tile standalone pipeline cycles (0 for tiles without rows) —
     /// "cycles = max over tiles" is taken over this vector.
     pub tile_cycles: Vec<u64>,
@@ -115,48 +107,13 @@ impl TiledHeadSim {
     pub fn makespan_cycles(&self) -> u64 {
         self.tile_cycles.iter().copied().max().unwrap_or(0).max(1)
     }
-
-    /// Cycle-level speedup of the tile-parallel execution over single-tile
-    /// execution of the same head (1.0 at one tile).
-    pub fn tile_speedup(&self) -> f64 {
-        self.merged.total_cycles as f64 / self.makespan_cycles() as f64
-    }
-
-    /// Load-balance efficiency: mean tile cycles over the makespan (1.0
-    /// means perfectly balanced; includes row-less tiles, so over-tiling
-    /// shows up as imbalance).
-    pub fn balance(&self) -> f64 {
-        if self.tile_cycles.is_empty() {
-            return 1.0;
-        }
-        let mean = self.tile_cycles.iter().sum::<u64>() as f64 / self.tile_cycles.len() as f64;
-        mean / self.makespan_cycles() as f64
-    }
-}
-
-/// Assembles a [`TiledHeadSim`] from independently-simulated shards, one
-/// per tile in tile order. This is the merge the runtime engine calls after
-/// its shard jobs complete; [`simulate_head_tiled`] is the serial
-/// reference for it.
-///
-/// # Panics
-///
-/// Panics if `shards` is not one-per-tile, covers no rows, or is not
-/// contiguous in tile order (see [`crate::sim::merge_shards`]).
-pub fn merge_head_shards(tiles: usize, shards: &[TileShardSim]) -> TiledHeadSim {
-    assert_eq!(shards.len(), tiles, "one shard per tile");
-    TiledHeadSim {
-        tiles,
-        tile_cycles: shards.iter().map(TileShardSim::standalone_cycles).collect(),
-        merged: merge_shards(shards),
-    }
 }
 
 /// Simulates one head with its Q rows partitioned across `tiles` tiles
-/// (each tile still sees every K column), serially shard-by-shard. The
-/// runtime engine executes the same shards as parallel sub-DAG jobs and
-/// merges them with [`merge_head_shards`]; results are identical by
-/// construction.
+/// (each tile still sees every K column), serially shard-by-shard, and
+/// reassembles the shards in tile order with [`merge_shards`]. The runtime
+/// engine executes the same shards as parallel sub-DAG jobs and merges
+/// them the same way; results are identical by construction.
 ///
 /// # Panics
 ///
@@ -177,7 +134,10 @@ pub fn simulate_head_tiled(
         .into_iter()
         .map(|rows| simulate_rows(workload, &[*config], rows, KernelPath::detect()).swap_remove(0))
         .collect();
-    merge_head_shards(tiles, &shards)
+    TiledHeadSim {
+        tile_cycles: shards.iter().map(TileShardSim::standalone_cycles).collect(),
+        merged: merge_shards(&shards),
+    }
 }
 
 /// Head→tile placement policy of the layer scheduler.
@@ -260,8 +220,9 @@ pub struct PlannedHead {
 }
 
 /// A layer placement: which tiles each head's shards run on. Produced by
-/// [`plan_layer`] from predictions only; executed by [`schedule_layer`]
-/// (serially) and by the runtime engine (as pool sub-DAG jobs).
+/// [`plan_layer`] from predictions only; executed serially by
+/// [`LayerPlan::execute`] and by the runtime engine's suite run (as pool
+/// sub-DAG jobs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerPlan {
     /// Number of physical tiles planned over.
@@ -302,6 +263,40 @@ impl LayerPlan {
             .unwrap_or(0)
             .max(1)
     }
+
+    /// Executes the plan serially: head `h` of `workloads` runs through
+    /// [`simulate_head_tiled`] at [`split(h)`](Self::split), and shard `i`'s
+    /// cycles are charged to tile `shard_tiles[h][i]`. Returns the per-tile
+    /// busy cycles and every head's tiled simulation, in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workloads` does not hold one workload per planned head,
+    /// or if one of them has no rows.
+    pub fn execute<W: Borrow<HeadWorkload>>(
+        &self,
+        workloads: &[W],
+        config: &TileConfig,
+    ) -> (Vec<u64>, Vec<TiledHeadSim>) {
+        assert_eq!(
+            workloads.len(),
+            self.shard_tiles.len(),
+            "one workload per head"
+        );
+        let mut tile_cycles = vec![0u64; self.tiles];
+        let heads = workloads
+            .iter()
+            .zip(&self.shard_tiles)
+            .map(|(workload, tiles_of)| {
+                let tiled = simulate_head_tiled(workload.borrow(), config, tiles_of.len());
+                for (&tile, &cycles) in tiles_of.iter().zip(&tiled.tile_cycles) {
+                    tile_cycles[tile] += cycles;
+                }
+                tiled
+            })
+            .collect();
+        (tile_cycles, heads)
+    }
 }
 
 /// Deterministic FNV-1a fingerprint of a head workload's content — the
@@ -331,7 +326,7 @@ pub fn workload_fingerprint(workload: &HeadWorkload) -> u64 {
 ///
 /// `predict(seq_len, tiles)` must be a pure function returning the
 /// predicted per-tile cycles of a head of `seq_len` rows split across
-/// `tiles` tiles — [`CostModel::predict_head_cycles_tiled`] partially
+/// `tiles` tiles — [`CostModel::predict_head_cycles`] partially
 /// applied is the intended argument. The plan is then a pure function of
 /// the head multiset, the tile count, and the policy: deterministic, and
 /// invariant under head enumeration order (given content-derived
@@ -403,15 +398,12 @@ pub fn plan_layer(
             // than round-robin" from a conjecture into a guarantee (pinned
             // by proptest in tests/cost_props.rs).
             let rr = round_robin_assignment(&canonical, &splits, tiles);
-            let greedy_makespan = predicted_cycles_of(heads, &greedy, tiles, &predict)
-                .into_iter()
-                .max()
-                .unwrap_or(0);
-            let rr_makespan = predicted_cycles_of(heads, &rr, tiles, &predict)
-                .into_iter()
-                .max()
-                .unwrap_or(0);
-            if greedy_makespan <= rr_makespan {
+            let makespan = |layout: &[Vec<usize>]| {
+                predicted_cycles_of(heads, layout, tiles, &predict)
+                    .into_iter()
+                    .max()
+            };
+            if makespan(&greedy) <= makespan(&rr) {
                 greedy
             } else {
                 rr
@@ -540,10 +532,10 @@ impl LayerSchedule {
 ///
 /// The plan is decided **before** any simulation, from the analytical cost
 /// model at a flat pruning assumption — the same information a serving
-/// admission path has. Execution then shards each head per its planned
-/// split, charges shard cycles to the planned tiles, and reassembles every
-/// head through [`merge_head_shards`], so per-head accounting, energy, and
-/// pruning are bit-identical across policies; only
+/// admission path has. [`LayerPlan::execute`] then shards each head per
+/// its planned split, charges shard cycles to the planned tiles, and
+/// reassembles every head through [`merge_shards`], so per-head
+/// accounting, energy, and pruning are bit-identical across policies; only
 /// [`LayerSchedule::makespan_cycles`] (and the per-tile busy vector behind
 /// it) depends on `placement`.
 ///
@@ -574,21 +566,9 @@ pub fn schedule_layer(
         .collect();
     let cost = CostModel::analytical();
     let plan = plan_layer(&planned, tiles, placement, |seq_len, split| {
-        cost.predict_head_cycles_tiled("", config, seq_len, PLANNED_PRUNING_RATE, split)
+        cost.predict_head_cycles("", config, seq_len, PLANNED_PRUNING_RATE, split)
     });
-
-    let mut tile_cycles = vec![0u64; tiles];
-    let heads: Vec<TiledHeadSim> = head_workloads
-        .iter()
-        .enumerate()
-        .map(|(h, workload)| {
-            let tiled = simulate_head_tiled(workload, config, plan.split(h));
-            for (shard, &tile) in plan.shard_tiles[h].iter().enumerate() {
-                tile_cycles[tile] += tiled.tile_cycles[shard];
-            }
-            tiled
-        })
-        .collect();
+    let (tile_cycles, heads) = plan.execute(head_workloads, config);
 
     // Energy and pruning fold in the plan's canonical head order — a pure
     // function of head content shared by every policy — so these sums are
@@ -597,14 +577,7 @@ pub fn schedule_layer(
     let mut pruning = 0.0f64;
     for &h in &plan.canonical {
         let result = &heads[h].merged;
-        let head_energy = energy_from_events(&result.events, config, model);
-        energy = EnergyBreakdown {
-            qk_compute: energy.qk_compute + head_energy.qk_compute,
-            key_memory: energy.key_memory + head_energy.key_memory,
-            softmax: energy.softmax + head_energy.softmax,
-            v_compute: energy.v_compute + head_energy.v_compute,
-            value_memory: energy.value_memory + head_energy.value_memory,
-        };
+        energy = energy + energy_from_events(&result.events, config, model);
         pruning += result.pruning_rate();
     }
 
@@ -753,8 +726,7 @@ mod tests {
                 .collect();
             let cost = CostModel::analytical();
             let config = TileConfig::ae_leopard();
-            let predict =
-                |s: usize, t: usize| cost.predict_head_cycles_tiled("", &config, s, 0.0, t);
+            let predict = |s: usize, t: usize| cost.predict_head_cycles("", &config, s, 0.0, t);
             let lpt = plan_layer(&planned, tiles, Placement::Lpt, predict);
             let rr = plan_layer(&planned, tiles, Placement::RoundRobin, predict);
             assert!(
@@ -894,12 +866,10 @@ mod tests {
                 assert_eq!(tiled.merged, single, "tiles={tiles} on {}", config.name);
                 assert_eq!(tiled.tile_cycles.len(), tiles);
                 assert!(tiled.makespan_cycles() <= single.total_cycles);
-                assert!(tiled.tile_speedup() >= 1.0);
-                assert!(tiled.balance() > 0.0 && tiled.balance() <= 1.0);
+                assert!(tiled.makespan_cycles() >= tiled.merged.total_cycles / tiles as u64);
             }
             let one = simulate_head_tiled(&w, &config, 1);
             assert_eq!(one.makespan_cycles(), single.total_cycles);
-            assert!((one.tile_speedup() - 1.0).abs() < 1e-12);
         }
     }
 
@@ -919,7 +889,12 @@ mod tests {
         }
         // Near-linear scaling at 64 rows over 4 tiles.
         let four = simulate_head_tiled(&w, &cfg, 4);
-        assert!(four.tile_speedup() > 2.5, "speedup {}", four.tile_speedup());
+        assert!(
+            four.makespan_cycles() * 5 < four.merged.total_cycles * 2,
+            "makespan {} of {} single-tile cycles",
+            four.makespan_cycles(),
+            four.merged.total_cycles
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! non-increasing in the tile count.
 
 use leopard_accel::config::TileConfig;
-use leopard_accel::cost::{predict_request_cycles_tiled, CostModel, FitObservation};
+use leopard_accel::cost::{CostModel, FitObservation};
 use leopard_accel::sim::{simulate_head, HeadSimResult, HeadWorkload};
 use leopard_tensor::rng;
 use proptest::prelude::*;
@@ -111,13 +111,11 @@ proptest! {
         );
     }
 
-    /// Tile-aware predictions are monotonically non-increasing in the tile
-    /// count, for every preset, fitted or not — and one tile reproduces
-    /// the single-tile predictor exactly.
+    /// Predictions are monotonically non-increasing in the tile count, for
+    /// every preset, fitted or not.
     #[test]
     fn prop_tiled_predictions_never_increase_with_tiles(
         seq_len in 1usize..300,
-        heads in 1usize..16,
         pruning_rate in 0.0f64..1.0,
         preset in 0u32..4,
         fit_family in 0usize..3,
@@ -129,13 +127,13 @@ proptest! {
             config: &pool[0].1,
             seq_len: pool[0].2,
         }]);
+        let analytical = CostModel::analytical();
         let config = presets()[preset as usize];
-        for family in ["MemN2N", "unfitted"] {
+        for (model, family) in [(&fitted, "MemN2N"), (&fitted, "unfitted"), (&analytical, "")] {
             let mut previous = u64::MAX;
             for tiles in 1usize..=9 {
-                let predicted = fitted.predict_request_cycles_tiled(
-                    family, &config, seq_len, heads, pruning_rate, tiles,
-                );
+                let predicted =
+                    model.predict_head_cycles(family, &config, seq_len, pruning_rate, tiles);
                 prop_assert!(
                     predicted <= previous,
                     "prediction rose from {} to {} at tiles={} ({}, s={})",
@@ -144,19 +142,7 @@ proptest! {
                 prop_assert!(predicted >= 1);
                 previous = predicted;
             }
-            // One tile is exactly the single-tile predictor.
-            prop_assert_eq!(
-                fitted.predict_request_cycles_tiled(
-                    family, &config, seq_len, heads, pruning_rate, 1
-                ),
-                fitted.predict_request_cycles(family, &config, seq_len, heads, pruning_rate)
-            );
         }
-        // The family-agnostic convenience form is monotone too.
-        prop_assert!(
-            predict_request_cycles_tiled(&config, seq_len, heads, pruning_rate, 8)
-                <= predict_request_cycles_tiled(&config, seq_len, heads, pruning_rate, 2)
-        );
     }
 }
 

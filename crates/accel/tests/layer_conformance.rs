@@ -5,7 +5,7 @@
 //! The contract under test (see `leopard_accel::schedule`):
 //!
 //! * **Bit-identity** — `schedule_layer(heads, cfg, model, policy)`
-//!   reassembles every head through `merge_head_shards`, so
+//!   reassembles every head through `merge_shards`, so
 //!   `schedule.heads[h].merged` equals single-tile execution of head `h`
 //!   exactly (every field), for any policy × tiles 1..=8 × heads 1..=16 ×
 //!   random sequence lengths — including degenerate single-head layers and

@@ -15,8 +15,9 @@
 //! `PROPTEST_CASES`-bumped job widens their coverage without code changes.
 
 use leopard_accel::config::TileConfig;
+use leopard_accel::energy::EnergyModel;
 use leopard_accel::kernel_v2::KernelPath;
-use leopard_accel::schedule::{merge_head_shards, simulate_head_tiled, TilePartition};
+use leopard_accel::schedule::{schedule_layer, simulate_head_tiled, Placement, TilePartition};
 use leopard_accel::sim::{
     simulate_head, simulate_head_reference, simulate_head_shard_reference, simulate_rows,
     HeadWorkload, TileShardSim,
@@ -160,7 +161,7 @@ fn merge_matrix_max_cycles_and_summed_counters() {
             .into_iter()
             .map(|rows| kernel_shard(&workload, &config, rows))
             .collect();
-        let tiled = merge_head_shards(tiles, &shards);
+        let tiled = simulate_head_tiled(&workload, &config, tiles);
 
         // cycles = max over the per-tile standalone cycles.
         assert_eq!(
@@ -215,9 +216,11 @@ fn merge_matrix_empty_shard_edge() {
     let q = leopard_tensor::rng::normal_matrix(&mut r, 3, 16, 0.0, 1.0);
     let k = leopard_tensor::rng::normal_matrix(&mut r, 3, 16, 0.0, 1.0);
     let workload = HeadWorkload::from_float(&q, &k, 0.1, 12);
-    let config = TileConfig::ae_leopard();
+    let config = TileConfig {
+        tiles: 8,
+        ..TileConfig::ae_leopard()
+    };
     let tiled = simulate_head_tiled(&workload, &config, 8);
-    assert_eq!(tiled.tiles, 8);
     assert_eq!(tiled.tile_cycles.len(), 8);
     assert_eq!(
         tiled.tile_cycles.iter().filter(|&&c| c == 0).count(),
@@ -225,5 +228,12 @@ fn merge_matrix_empty_shard_edge() {
         "five of eight tiles have no rows"
     );
     assert_eq!(tiled.merged, simulate_head_reference(&workload, &config));
-    assert!(tiled.balance() < 0.5, "over-tiling must read as imbalance");
+    // The balance the tiled sweep prints counts the idle tiles too.
+    let model = EnergyModel::calibrated();
+    let schedule = schedule_layer(&[workload], &config, &model, Placement::Lpt);
+    assert_eq!(schedule.tile_cycles, tiled.tile_cycles);
+    assert!(
+        schedule.balance() < 0.5,
+        "over-tiling must read as imbalance"
+    );
 }

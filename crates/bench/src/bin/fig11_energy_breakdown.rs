@@ -23,9 +23,9 @@ fn main() {
         let mut full = leopard_accel::energy::EnergyBreakdown::default();
         for task in &tasks {
             let r = run_task(task, &options);
-            base = add(&base, &r.baseline_breakdown);
-            prune = add(&prune, &r.pruning_only_breakdown);
-            full = add(&full, &r.leopard_breakdown);
+            base = base + r.baseline_breakdown;
+            prune = prune + r.pruning_only_breakdown;
+            full = full + r.leopard_breakdown;
         }
         let norm = base.total();
         for (label, b) in [
@@ -52,18 +52,5 @@ fn main() {
             base.total() / prune.total(),
             prune.total() / full.total()
         );
-    }
-}
-
-fn add(
-    a: &leopard_accel::energy::EnergyBreakdown,
-    b: &leopard_accel::energy::EnergyBreakdown,
-) -> leopard_accel::energy::EnergyBreakdown {
-    leopard_accel::energy::EnergyBreakdown {
-        qk_compute: a.qk_compute + b.qk_compute,
-        key_memory: a.key_memory + b.key_memory,
-        softmax: a.softmax + b.softmax,
-        v_compute: a.v_compute + b.v_compute,
-        value_memory: a.value_memory + b.value_memory,
     }
 }

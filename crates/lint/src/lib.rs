@@ -130,7 +130,7 @@ impl Default for LintConfig {
             telemetry_exempt: vec!["src/telemetry.rs"],
             blessed_telemetry_fns: vec!["write_telemetry_outputs"],
             par_markers: vec!["shards", "workers", "head_workloads", "partials"],
-            blessed_reductions: vec!["merge_shards", "merge_head_shards"],
+            blessed_reductions: vec!["merge_shards"],
             excluded_prefixes: vec!["crates/rand", "crates/proptest"],
         }
     }

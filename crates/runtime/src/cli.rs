@@ -43,7 +43,7 @@ use crate::serving::{run_serving, ArrivalProcess, RequestMix, ServingOptions, Se
 use leopard_accel::config::TileConfig;
 use leopard_accel::cost::head_cost;
 use leopard_accel::energy::EnergyModel;
-use leopard_accel::schedule::{schedule_layer, simulate_head_tiled, Placement};
+use leopard_accel::schedule::{schedule_layer, Placement};
 use leopard_accel::sim::simulate_head;
 use leopard_workloads::pipeline::{PipelineOptions, SimUnitKind, MIN_SIM_SEQ_LEN};
 use leopard_workloads::suite::{full_suite, quick_subset, TaskDescriptor};
@@ -1302,38 +1302,23 @@ fn run_sweep_command(spec: &SweepSpec, common: &CommonOptions) -> Result<(), Str
             // report the makespan, the cycle-level speedup over
             // single-tile execution, and the load balance. Merged
             // accounting is bit-identical across design points by the
-            // conformance contract, so pruning never moves. A tiles-only
-            // sweep keeps the historical per-head split (the lpt default
-            // splits a lone head across every tile, exactly what
-            // `simulate_head_tiled` did); the placement axis shows up as
-            // a makespan/balance difference (static cannot split a head).
-            let tiles = config.tiles.max(1);
+            // conformance contract, so pruning never moves. The lpt default
+            // splits the lone head across every tile; the placement axis
+            // shows up as a makespan/balance difference (static cannot
+            // split a head).
             let rows = parallel_map(runner.pool(), tasks.clone(), move |_, task| {
                 let workload = cache.head_workload(task, &pipeline, 0);
-                if placement == Placement::Lpt {
-                    let tiled = simulate_head_tiled(&workload, &config, tiles);
-                    (
-                        tiled.makespan_cycles() as f64,
-                        tiled.tile_speedup(),
-                        tiled.balance(),
-                        tiled.merged.pruning_rate(),
-                    )
-                } else {
-                    let schedule = schedule_layer(
-                        std::slice::from_ref(&workload),
-                        &config,
-                        &EnergyModel::calibrated(),
-                        placement,
-                    );
-                    let serial = schedule.heads[0].merged.total_cycles as f64;
-                    let makespan = schedule.makespan_cycles.max(1) as f64;
-                    (
-                        makespan,
-                        serial / makespan,
-                        schedule.balance(),
-                        schedule.pruning_rate,
-                    )
-                }
+                let model = EnergyModel::calibrated();
+                let schedule =
+                    schedule_layer(std::slice::from_ref(&workload), &config, &model, placement);
+                let serial = schedule.heads[0].merged.total_cycles as f64;
+                let makespan = schedule.makespan_cycles.max(1) as f64;
+                (
+                    makespan,
+                    serial / makespan,
+                    schedule.balance(),
+                    schedule.pruning_rate,
+                )
             });
             let (makespan, speedup, balance, prune) = mean(rows);
             return Ok(format!(

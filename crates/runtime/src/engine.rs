@@ -22,7 +22,7 @@
 //! pairs is cut further into row blocks so that the longest full-scale
 //! head does not run alone at the end of a run. The job that completes a
 //! task's last block joins each shard's blocks
-//! ([`TileShardSim::join`]), merges the shards ([`merge_head_shards`]) and
+//! ([`TileShardSim::join`]), merges the shards ([`merge_shards`]) and
 //! runs the aggregation. Aggregation consumes the units in head order and
 //! runs exactly the same arithmetic as the serial
 //! [`run_task`](leopard_workloads::pipeline::run_task), so results are
@@ -41,8 +41,8 @@ use crate::pool::{default_threads, ThreadPool};
 use crate::sched::{submission_order, SchedulePolicy};
 use crate::telemetry::{MetricsSnapshot, Telemetry};
 use leopard_accel::config::TileConfig;
-use leopard_accel::schedule::{merge_head_shards, simulate_head_tiled, LayerPlan, TilePartition};
-use leopard_accel::sim::TileShardSim;
+use leopard_accel::schedule::{LayerPlan, TilePartition};
+use leopard_accel::sim::{merge_shards, TileShardSim};
 use leopard_workloads::pipeline::{
     aggregate_task, plan_task_layer, predict_task_cycles, sim_seq_len, simulate_units_shard,
     HeadUnitResults, PipelineOptions, SimUnitKind, TaskResult,
@@ -187,7 +187,7 @@ impl TaskState {
                                 );
                             }
                         }
-                        Some(merge_head_shards(split, &shards).merged)
+                        Some(merge_shards(&shards))
                     })
                     .collect();
                 HeadUnitResults::from_indexed(units)
@@ -332,7 +332,8 @@ impl SuiteRunner {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, TaskResult)>();
         for task_index in submission_order(&costs, policy) {
             let task = &tasks[task_index];
-            let plan = plan_task_layer(task, options, &plan_config, tiles);
+            let rate = task.paper_pruning_rate as f64;
+            let plan = plan_task_layer(task, options, &plan_config, tiles, rate);
             let seq_len = sim_seq_len(task, options);
             let blocks: Vec<Vec<(usize, Range<usize>)>> = (0..heads)
                 .map(|head| {
@@ -520,25 +521,16 @@ impl SuiteRunner {
     }
 }
 
-/// One-call convenience: run `tasks` on a fresh runner.
-pub fn run_suite_parallel(
-    tasks: &[TaskDescriptor],
-    options: &PipelineOptions,
-    threads: usize,
-) -> SuiteReport {
-    SuiteRunner::new(threads).run(tasks, options)
-}
-
 /// Ground-truth layer makespans for a batch of `(plan_width, task)` jobs,
 /// executed in parallel on the runner's pool and workload cache.
 ///
 /// Each job plans the task's attention layer across `plan_width` tiles
-/// ([`plan_task_layer`] — the same decomposition the suite engine runs),
-/// simulates every head's shards through
-/// [`simulate_head_tiled`],
-/// charges shard cycles to the planned tiles, and returns the busiest
-/// tile's total — the layer makespan, the quantity the serving replay
-/// books as a request's service time. Results come back in job order.
+/// ([`plan_task_layer`] at the task's paper pruning rate — the same
+/// decomposition the suite engine runs), executes the plan
+/// ([`LayerPlan::execute`]: every head's shards simulated and charged to
+/// the planned tiles), and returns the busiest tile's total — the layer
+/// makespan, the quantity the serving replay books as a request's service
+/// time. Results come back in job order.
 ///
 /// The serving engine is the caller: a fault-free run needs one plan width
 /// (the configured tile count), while a run with tile fail/recover events
@@ -562,15 +554,12 @@ pub fn measure_layer_makespans(
         // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds telemetry span around ground-truth execution; virtual-time replay never reads it")
         let execute_start = Instant::now();
         let width = (*width).max(1);
-        let plan = plan_task_layer(task, &pipeline, &config, width);
-        let mut tile_busy = vec![0u64; width];
-        for head in 0..pipeline.heads.max(1) {
-            let workload = cache.head_workload(task, &pipeline, head);
-            let tiled = simulate_head_tiled(&workload, &config, plan.split(head));
-            for (shard, &tile) in plan.shard_tiles[head].iter().enumerate() {
-                tile_busy[tile] += tiled.tile_cycles[shard];
-            }
-        }
+        let rate = task.paper_pruning_rate as f64;
+        let plan = plan_task_layer(task, &pipeline, &config, width, rate);
+        let workloads: Vec<_> = (0..pipeline.heads.max(1))
+            .map(|head| cache.head_workload(task, &pipeline, head))
+            .collect();
+        let (tile_busy, _) = plan.execute(&workloads, &config);
         let cycles = tile_busy.iter().copied().max().unwrap_or(0).max(1);
         if let Some(t) = &telemetry {
             t.record_wall_span(
@@ -603,7 +592,7 @@ mod tests {
         let tasks: Vec<_> = full_suite().into_iter().take(4).collect();
         let options = quick();
         let serial: Vec<TaskResult> = tasks.iter().map(|t| run_task(t, &options)).collect();
-        let report = run_suite_parallel(&tasks, &options, 4);
+        let report = SuiteRunner::new(4).run(&tasks, &options);
         assert_eq!(report.results, serial);
         assert_eq!(report.threads, 4);
         // 4 tasks x (1 build + 1 fused sweep+fold + 1 aggregate).
@@ -624,7 +613,7 @@ mod tests {
             ..quick()
         };
         let serial: Vec<TaskResult> = tasks.iter().map(|t| run_task(t, &options)).collect();
-        let report = run_suite_parallel(&tasks, &options, 3);
+        let report = SuiteRunner::new(3).run(&tasks, &options);
         assert_eq!(report.results, serial);
     }
 
@@ -643,7 +632,7 @@ mod tests {
 
     #[test]
     fn empty_suite_is_fine() {
-        let report = run_suite_parallel(&[], &quick(), 2);
+        let report = SuiteRunner::new(2).run(&[], &quick());
         assert!(report.results.is_empty());
         assert_eq!(report.jobs, 0);
         assert_eq!(report.schedule, SchedulePolicy::Fifo);
@@ -674,7 +663,7 @@ mod tests {
         for tiles in [2usize, 3, 8] {
             let options = PipelineOptions { tiles, ..quick() };
             for threads in [1usize, 4] {
-                let report = run_suite_parallel(&tasks, &options, threads);
+                let report = SuiteRunner::new(threads).run(&tasks, &options);
                 assert_eq!(
                     report.results, serial,
                     "tiles={tiles}, threads={threads} diverged from serial"
@@ -701,7 +690,7 @@ mod tests {
                 placement,
                 ..quick()
             };
-            let report = run_suite_parallel(&tasks, &options, 4);
+            let report = SuiteRunner::new(4).run(&tasks, &options);
             assert_eq!(report.results, serial, "{placement:?} diverged from serial");
             let split = if placement == Placement::Static { 1 } else { 4 };
             // 2 tasks x (1 build + split sweep+fold jobs + 1 aggregate).
@@ -783,7 +772,7 @@ mod tests {
             ..PipelineOptions::default()
         };
         let serial: Vec<TaskResult> = gpt2.iter().map(|t| run_task(t, &options)).collect();
-        let report = run_suite_parallel(&gpt2, &options, 2);
+        let report = SuiteRunner::new(2).run(&gpt2, &options);
         assert_eq!(report.results, serial);
         // 1 build + 2 row blocks + 1 aggregate.
         assert_eq!(report.jobs, 4);
@@ -792,7 +781,7 @@ mod tests {
     #[test]
     fn stage_totals_are_populated() {
         let tasks: Vec<_> = full_suite().into_iter().take(2).collect();
-        let report = run_suite_parallel(&tasks, &quick(), 2);
+        let report = SuiteRunner::new(2).run(&tasks, &quick());
         assert!(report.stages.simulate > Duration::ZERO);
         assert!(report.stages.build > Duration::ZERO);
         assert!(report.wall > Duration::ZERO);

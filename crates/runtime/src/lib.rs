@@ -59,13 +59,13 @@
 //! # Example
 //!
 //! ```
-//! use leopard_runtime::engine::run_suite_parallel;
+//! use leopard_runtime::engine::SuiteRunner;
 //! use leopard_workloads::pipeline::{run_task, PipelineOptions};
 //! use leopard_workloads::suite::full_suite;
 //!
 //! let tasks: Vec<_> = full_suite().into_iter().take(2).collect();
 //! let options = PipelineOptions { max_sim_seq_len: 24, ..Default::default() };
-//! let report = run_suite_parallel(&tasks, &options, 4);
+//! let report = SuiteRunner::new(4).run(&tasks, &options);
 //! // Parallel execution is bit-identical to the serial pipeline.
 //! assert_eq!(report.results[0], run_task(&tasks[0], &options));
 //! ```
@@ -85,7 +85,7 @@ pub mod serving;
 pub mod telemetry;
 
 pub use cache::{CacheStats, WorkloadCache};
-pub use engine::{run_suite_parallel, SuiteReport, SuiteRunner};
+pub use engine::{SuiteReport, SuiteRunner};
 pub use faults::FaultPlan;
 pub use pool::{parallel_map, ThreadPool};
 pub use sched::SchedulePolicy;

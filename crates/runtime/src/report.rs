@@ -450,7 +450,7 @@ pub fn serving_summary(report: &ServingReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_suite_parallel;
+    use crate::engine::SuiteRunner;
     use leopard_workloads::pipeline::PipelineOptions;
     use leopard_workloads::suite::full_suite;
 
@@ -460,7 +460,7 @@ mod tests {
             max_sim_seq_len: 24,
             ..PipelineOptions::default()
         };
-        run_suite_parallel(&tasks, &options, 2)
+        SuiteRunner::new(2).run(&tasks, &options)
     }
 
     #[test]
@@ -512,7 +512,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_valid() {
-        let report = run_suite_parallel(&[], &PipelineOptions::default(), 1);
+        let report = SuiteRunner::new(1).run(&[], &PipelineOptions::default());
         let json = suite_report_json(&report);
         assert!(json.contains("\"summary\": null"));
         assert!(json.contains("\"schedule\": \"fifo\""));

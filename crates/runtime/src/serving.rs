@@ -22,11 +22,11 @@
 //!    ([`plan_task_layer`] under [`PipelineOptions::placement`] across
 //!    [`PipelineOptions::tiles`] tiles — heads whole while they
 //!    outnumber tiles, load-predicted Q-row splits when tiles would idle).
-//!    Shard simulation goes through
-//!    [`simulate_head_tiled`](leopard_accel::schedule::simulate_head_tiled), so merged
-//!    per-request accounting stays bit-identical to single-tile execution
-//!    for every tile count and placement policy; only the makespan — the
-//!    scheduled quantity — changes. Simulation is a pure function of the
+//!    The plan executes through
+//!    [`LayerPlan::execute`](leopard_accel::schedule::LayerPlan::execute),
+//!    so merged per-request accounting stays bit-identical to single-tile
+//!    execution for every tile count and placement policy; only the
+//!    makespan — the scheduled quantity — changes. Simulation is a pure function of the
 //!    task, so this phase parallelizes freely.
 //! 2. **Replay** — a single-threaded discrete-event loop replays the
 //!    arrival process against `servers` virtual tiles on a virtual cycle
@@ -88,7 +88,7 @@ use leopard_accel::cost::degraded_pruning_rate;
 use leopard_accel::schedule::Placement;
 use leopard_tensor::rng;
 use leopard_transformer::config::ModelFamily;
-use leopard_workloads::pipeline::{plan_task_layer, plan_task_layer_at_rate, PipelineOptions};
+use leopard_workloads::pipeline::{plan_task_layer, PipelineOptions};
 use leopard_workloads::suite::TaskDescriptor;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -1340,17 +1340,22 @@ pub fn run_serving(
     // makespan at each tightened pruning rate.
     let prices: Vec<Price> = pairs()
         .zip(service)
-        .map(|((width, task), service)| Price {
-            service,
-            predicted: plan_task_layer(task, pipeline, config, width).predicted_makespan_cycles(),
-            degraded: std::array::from_fn(|step| {
-                if !options.degrade {
-                    return 0;
-                }
-                let rate = degraded_pruning_rate(task.paper_pruning_rate as f64, step as u32 + 1);
-                plan_task_layer_at_rate(task, pipeline, config, width, rate)
-                    .predicted_makespan_cycles()
-            }),
+        .map(|((width, task), service)| {
+            let predict = |rate: f64| {
+                plan_task_layer(task, pipeline, config, width, rate).predicted_makespan_cycles()
+            };
+            let rate = task.paper_pruning_rate as f64;
+            Price {
+                service,
+                predicted: predict(rate),
+                degraded: std::array::from_fn(|step| {
+                    if options.degrade {
+                        predict(degraded_pruning_rate(rate, step as u32 + 1))
+                    } else {
+                        0
+                    }
+                }),
+            }
         })
         .collect();
     let price = |width: usize, task_index: usize| -> &Price {

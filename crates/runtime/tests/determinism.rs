@@ -2,7 +2,7 @@
 //! guarantee: results are bit-identical to the serial pipeline, for every
 //! thread count, across repeated runs.
 
-use leopard_runtime::engine::{run_suite_parallel, SuiteRunner};
+use leopard_runtime::engine::SuiteRunner;
 use leopard_runtime::report::{suite_report_json, task_results_csv};
 use leopard_workloads::pipeline::{run_task, PipelineOptions, TaskResult};
 use leopard_workloads::suite::{full_suite, TaskDescriptor};
@@ -34,7 +34,7 @@ fn parallel_results_equal_serial_pipeline() {
     let serial: Vec<TaskResult> = tasks.iter().map(|t| run_task(t, &options)).collect();
 
     for threads in [1usize, 2, 4, 8] {
-        let report = run_suite_parallel(&tasks, &options, threads);
+        let report = SuiteRunner::new(threads).run(&tasks, &options);
         assert_eq!(
             report.results, serial,
             "{threads}-thread engine results diverged from the serial pipeline"
@@ -50,12 +50,12 @@ fn tile_partitioned_results_equal_serial_for_every_thread_count() {
     // single-tile single-thread run.
     let tasks = reduced_suite();
     let options = reduced_options();
-    let reference = run_suite_parallel(&tasks, &options, 1);
+    let reference = SuiteRunner::new(1).run(&tasks, &options);
     let reference_csv = task_results_csv(&reference.results);
     for tiles in [2usize, 3, 4] {
         let tiled_options = PipelineOptions { tiles, ..options };
         for threads in [1usize, 4] {
-            let report = run_suite_parallel(&tasks, &tiled_options, threads);
+            let report = SuiteRunner::new(threads).run(&tasks, &tiled_options);
             assert_eq!(
                 task_results_csv(&report.results),
                 reference_csv,
@@ -69,8 +69,8 @@ fn tile_partitioned_results_equal_serial_for_every_thread_count() {
 fn repeated_parallel_runs_are_deterministic() {
     let tasks = reduced_suite();
     let options = reduced_options();
-    let first = run_suite_parallel(&tasks, &options, 4);
-    let second = run_suite_parallel(&tasks, &options, 4);
+    let first = SuiteRunner::new(4).run(&tasks, &options);
+    let second = SuiteRunner::new(4).run(&tasks, &options);
     assert_eq!(first.results, second.results);
 
     // The rendered reports are byte-identical too, except for timing — CSV
@@ -87,7 +87,7 @@ fn results_arrive_in_suite_order_regardless_of_completion_order() {
     // the bAbI tasks, so completion order differs from submission order;
     // the report must still be in input order.
     let tasks = reduced_suite();
-    let report = run_suite_parallel(&tasks, &reduced_options(), 4);
+    let report = SuiteRunner::new(4).run(&tasks, &reduced_options());
     let names: Vec<&str> = report.results.iter().map(|r| r.name.as_str()).collect();
     let expected: Vec<&str> = tasks.iter().map(|t| t.name.as_str()).collect();
     assert_eq!(names, expected);
@@ -97,7 +97,7 @@ fn results_arrive_in_suite_order_regardless_of_completion_order() {
 fn engine_accounts_for_every_job() {
     let tasks = reduced_suite();
     let options = reduced_options();
-    let report = run_suite_parallel(&tasks, &options, 4);
+    let report = SuiteRunner::new(4).run(&tasks, &options);
     // Per task: heads builds + one fused sweep+fold job per head (all four
     // units) + 1 aggregate.
     let heads = options.heads;
@@ -110,8 +110,8 @@ fn engine_accounts_for_every_job() {
 fn json_report_is_stable_modulo_timing() {
     let tasks: Vec<TaskDescriptor> = reduced_suite().into_iter().take(3).collect();
     let options = reduced_options();
-    let a = suite_report_json(&run_suite_parallel(&tasks, &options, 2));
-    let b = suite_report_json(&run_suite_parallel(&tasks, &options, 2));
+    let a = suite_report_json(&SuiteRunner::new(2).run(&tasks, &options));
+    let b = suite_report_json(&SuiteRunner::new(2).run(&tasks, &options));
     let strip = |s: &str| -> Vec<String> {
         s.lines()
             .filter(|l| !l.contains("seconds"))
@@ -144,7 +144,7 @@ fn placement_by_tiles_by_threads_suite_csv_is_byte_identical() {
     use leopard_accel::schedule::Placement;
     let tasks = reduced_suite();
     let options = reduced_options();
-    let reference_csv = task_results_csv(&run_suite_parallel(&tasks, &options, 1).results);
+    let reference_csv = task_results_csv(&SuiteRunner::new(1).run(&tasks, &options).results);
     for placement in Placement::ALL {
         for tiles in [1usize, 4] {
             let combo = PipelineOptions {
@@ -153,7 +153,7 @@ fn placement_by_tiles_by_threads_suite_csv_is_byte_identical() {
                 ..options
             };
             for threads in [1usize, 4] {
-                let report = run_suite_parallel(&tasks, &combo, threads);
+                let report = SuiteRunner::new(threads).run(&tasks, &combo);
                 assert_eq!(
                     task_results_csv(&report.results),
                     reference_csv,

@@ -369,8 +369,6 @@ impl TransformerClassifier {
             hidden = out;
             all_traces.push(traces);
         }
-        let pooled = hidden.sum_cols().scale(0.0); // placeholder replaced below
-        let _ = pooled;
         // Mean over rows.
         let mut mean = Matrix::zeros(1, self.config.model_dim);
         for r in 0..hidden.rows() {

@@ -279,6 +279,7 @@ pub fn predict_unit_cycles(
         &kind.tile_config(),
         sim_seq_len(task, options),
         task.paper_pruning_rate as f64,
+        1,
     )
 }
 
@@ -295,31 +296,23 @@ pub fn predict_task_cycles(task: &TaskDescriptor, options: &PipelineOptions) -> 
 
 /// Plans the head→tile placement of one request's attention layer under
 /// [`PipelineOptions::placement`]: every head of the task, predicted by the
-/// [`fitted_cost_model`] at the paper-reported pruning rate, placed across
-/// `tiles` tiles. This is the schedule the serving engine replays on the
-/// virtual clock and the suite engine runs as pool sub-DAG jobs; no
-/// simulation happens here, so it is safe on per-request scheduling paths.
+/// [`fitted_cost_model`] at pruning rate `rate`, placed across `tiles`
+/// tiles. This is the schedule the serving engine replays on the virtual
+/// clock and the suite engine runs as pool sub-DAG jobs; no simulation
+/// happens here, so it is safe on per-request scheduling paths.
+///
+/// Callers pass the task's paper-reported rate
+/// (`task.paper_pruning_rate`); the serving engine's graceful-degradation
+/// controller passes a tightened one
+/// (`leopard_accel::cost::degraded_pruning_rate`) to price degraded
+/// service levels. Everything else about the plan — canonical order, split
+/// widening, placement policy — is the same at every rate, so degraded
+/// plans keep the layer-conformance contract.
 ///
 /// Tie-breaks use [`head_seed`] (strictly increasing in the head index), so
 /// for a task's homogeneous heads the canonical plan order is the head
 /// order.
 pub fn plan_task_layer(
-    task: &TaskDescriptor,
-    options: &PipelineOptions,
-    config: &TileConfig,
-    tiles: usize,
-) -> LayerPlan {
-    plan_task_layer_at_rate(task, options, config, tiles, task.paper_pruning_rate as f64)
-}
-
-/// [`plan_task_layer`] at an explicit pruning rate instead of the task's
-/// paper-reported one. The serving engine's graceful-degradation
-/// controller plans with a tightened rate
-/// (`leopard_accel::cost::degraded_pruning_rate`) to price degraded
-/// service levels; everything else about the plan — canonical order,
-/// split widening, placement policy — is identical, so degraded plans
-/// keep the layer-conformance contract.
-pub fn plan_task_layer_at_rate(
     task: &TaskDescriptor,
     options: &PipelineOptions,
     config: &TileConfig,
@@ -336,7 +329,7 @@ pub fn plan_task_layer_at_rate(
         .collect();
     let family = task.family.name();
     plan_layer(&planned, tiles.max(1), options.placement, |s, split| {
-        fitted_cost_model().predict_head_cycles_tiled(family, config, s, rate, split)
+        fitted_cost_model().predict_head_cycles(family, config, s, rate, split)
     })
 }
 
@@ -379,7 +372,7 @@ pub fn simulate_unit(workload: &HeadWorkload, kind: SimUnitKind) -> HeadSimResul
 /// [`TileShardSim`] per kind, indexed by [`SimUnitKind::index`]. The engine
 /// schedules these as sub-DAG jobs, joins a tile shard's blocks with
 /// [`TileShardSim::join`] and merges the shards with
-/// [`leopard_accel::schedule::merge_head_shards`]; the merged results
+/// [`leopard_accel::sim::merge_shards`]; the merged results
 /// reproduce [`simulate_unit`] bit-identically for every kind.
 pub fn simulate_units_shard(
     workload: &HeadWorkload,
@@ -494,12 +487,10 @@ pub fn aggregate_task(
         pruning_rates.push(ae.pruning_rate);
         mean_bits.push(ae.mean_bits);
 
-        base_bd = add_breakdowns(&base_bd, &ae.baseline_energy);
-        full_bd = add_breakdowns(&full_bd, &ae.config_energy);
-        prune_bd = add_breakdowns(
-            &prune_bd,
-            &energy_from_events(&unit.pruning_only.events, &prune_only_cfg, &model),
-        );
+        base_bd = base_bd + ae.baseline_energy;
+        full_bd = full_bd + ae.config_energy;
+        prune_bd =
+            prune_bd + energy_from_events(&unit.pruning_only.events, &prune_only_cfg, &model);
 
         for (bits, slot) in cumulative.iter_mut().enumerate() {
             *slot += unit.ae.cumulative_pruning_by_bits(bits);
@@ -587,16 +578,6 @@ fn mean_f64(values: &[f64]) -> f64 {
         0.0
     } else {
         values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-fn add_breakdowns(a: &EnergyBreakdown, b: &EnergyBreakdown) -> EnergyBreakdown {
-    EnergyBreakdown {
-        qk_compute: a.qk_compute + b.qk_compute,
-        key_memory: a.key_memory + b.key_memory,
-        softmax: a.softmax + b.softmax,
-        v_compute: a.v_compute + b.v_compute,
-        value_memory: a.value_memory + b.value_memory,
     }
 }
 
