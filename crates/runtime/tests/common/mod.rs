@@ -1,9 +1,9 @@
 //! Snapshot helpers shared by the golden-output test targets.
 
-use leopard_runtime::engine::SuiteRunner;
+use leopard_runtime::engine::{SuiteReport, SuiteRunner};
 use leopard_runtime::serving::{run_serving, ServingOptions, ServingReport};
 use leopard_workloads::pipeline::PipelineOptions;
-use leopard_workloads::suite::TaskDescriptor;
+use leopard_workloads::suite::{full_suite, TaskDescriptor};
 use std::path::PathBuf;
 
 /// Compares `actual` against the committed fixture in `tests/fixtures/`,
@@ -83,6 +83,26 @@ pub fn pinned_pipeline() -> PipelineOptions {
         max_sim_seq_len: 24,
         ..PipelineOptions::default()
     }
+}
+
+/// A deterministic four-task slice spanning the suite's families.
+pub fn pinned_tasks() -> Vec<TaskDescriptor> {
+    full_suite().into_iter().step_by(11).collect()
+}
+
+/// Runs the pinned slice as a suite at `threads` threads with telemetry on,
+/// two heads on two tiles, and returns the report and the wall-masked
+/// Chrome trace.
+pub fn traced_pinned_suite(threads: usize) -> (SuiteReport, String) {
+    let options = PipelineOptions {
+        tiles: 2,
+        heads: 2,
+        ..pinned_pipeline()
+    };
+    let runner = SuiteRunner::new(threads).with_telemetry();
+    let report = runner.run(&pinned_tasks(), &options);
+    let telemetry = runner.telemetry().expect("telemetry enabled");
+    (report, mask_wall_clock(&telemetry.chrome_trace_json()))
 }
 
 /// Runs `options` on `suite` at `threads` threads with telemetry on and

@@ -31,12 +31,9 @@ use leopard_workloads::pipeline::PipelineOptions;
 use leopard_workloads::suite::{full_suite, TaskDescriptor};
 
 mod common;
-use common::{assert_golden, mask_timing, pinned_pipeline, traced_serve};
-
-/// A deterministic four-task slice spanning the suite's families.
-fn pinned_tasks() -> Vec<TaskDescriptor> {
-    full_suite().into_iter().step_by(11).collect()
-}
+use common::{
+    assert_golden, mask_timing, pinned_pipeline, pinned_tasks, traced_pinned_suite, traced_serve,
+};
 
 #[test]
 fn suite_reports_match_golden_fixtures() {
@@ -278,6 +275,20 @@ fn deep_queue_faulted_serve_trace_and_metrics_match_pinned_digests() {
         digest(&metrics),
         (1_092, 0xaedc_18d5_0976_b6e2),
         "deep-queue metrics drifted"
+    );
+}
+
+#[test]
+fn suite_trace_matches_pinned_digest() {
+    // Every suite span (build, sweep+fold, aggregate) with its task, head
+    // and tile tags: a change to the engine's job decomposition moves
+    // these bytes.
+    let (report, trace) = traced_pinned_suite(2);
+    assert_eq!(report.results.len(), 4, "pinned slice changed size");
+    assert_eq!(
+        digest(&trace),
+        (3_030, 0x6765_c37c_4f5b_2b06),
+        "suite trace drifted"
     );
 }
 

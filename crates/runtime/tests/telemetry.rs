@@ -1,6 +1,6 @@
 //! Trace-export and observe-only contract tests for the telemetry layer.
 //!
-//! Three properties are pinned here:
+//! Four properties are pinned here:
 //!
 //! 1. **Observe-only** — enabling telemetry changes no report bytes: the
 //!    CSV and (timing-masked) JSON renderings of a suite and a serve run
@@ -11,11 +11,11 @@
 //!    lines) masked, so every virtual-clock field — dispatch cycles,
 //!    service durations, queue-depth counters, shed instants — is part of
 //!    the fixture.
-//! 3. **Thread-count independence** — the masked trace is *byte-identical*
-//!    between 1 and 4 worker threads (strictly stronger than the set of
-//!    spans being equal): the export sorts on a key that excludes every
-//!    wall-clock quantity, so interleaving differences cannot leak into
-//!    the file.
+//! 3. **Thread-count independence** — the masked trace of a serve run and
+//!    of a suite run is *byte-identical* between 1 and 4 worker threads
+//!    (strictly stronger than the set of spans being equal): the export
+//!    sorts on a key that excludes every wall-clock quantity, so
+//!    interleaving differences cannot leak into the file.
 //! 4. **Time-series** — the `in_flight` and `queue_depth` counters hold
 //!    one sample per settled instant where their own series changed: each
 //!    advances strictly in virtual time, no sample repeats its series'
@@ -37,7 +37,9 @@ use leopard_workloads::pipeline::PipelineOptions;
 use leopard_workloads::suite::{full_suite, TaskDescriptor};
 
 mod common;
-use common::{assert_golden, mask_timing, pinned_pipeline, traced_serve};
+use common::{
+    assert_golden, mask_timing, pinned_pipeline, pinned_tasks, traced_pinned_suite, traced_serve,
+};
 
 fn pinned_serve_options() -> ServingOptions {
     ServingOptions {
@@ -58,7 +60,7 @@ fn traced_pinned_serve(threads: usize) -> (ServingReport, String) {
 
 #[test]
 fn suite_reports_are_byte_identical_with_telemetry_enabled() {
-    let tasks: Vec<TaskDescriptor> = full_suite().into_iter().step_by(11).collect();
+    let tasks = pinned_tasks();
     let plain = SuiteRunner::new(2).run(&tasks, &pinned_pipeline());
     let traced = SuiteRunner::new(2)
         .with_telemetry()
@@ -121,6 +123,18 @@ fn masked_trace_is_byte_identical_across_thread_counts() {
     assert_eq!(lines_1, lines_4, "span sets differ across thread counts");
     // ... and the deterministic export order makes the whole file equal.
     assert_eq!(masked_1, masked_4, "masked traces differ byte-wise");
+}
+
+#[test]
+fn suite_trace_and_metrics_are_identical_across_thread_counts() {
+    let (report_1, masked_1) = traced_pinned_suite(1);
+    let (report_4, masked_4) = traced_pinned_suite(4);
+    assert_eq!(report_1.results, report_4.results);
+    assert_eq!(masked_1, masked_4, "masked suite traces differ byte-wise");
+    let metrics_1 = report_1.metrics.expect("metrics snapshot");
+    let metrics_4 = report_4.metrics.expect("metrics snapshot");
+    assert_eq!(metrics_1.counters, metrics_4.counters);
+    assert_eq!(metrics_1.histograms, metrics_4.histograms);
 }
 
 #[test]
