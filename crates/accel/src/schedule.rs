@@ -112,7 +112,7 @@ impl TiledHeadSim {
 /// Simulates one head with its Q rows partitioned across `tiles` tiles
 /// (each tile still sees every K column), serially shard-by-shard, and
 /// reassembles the shards in tile order with [`merge_shards`]. The runtime
-/// engine executes the same shards as parallel sub-DAG jobs and merges
+/// engine executes the same shards as parallel sweep+fold jobs and merges
 /// them the same way; results are identical by construction.
 ///
 /// # Panics
@@ -221,8 +221,8 @@ pub struct PlannedHead {
 
 /// A layer placement: which tiles each head's shards run on. Produced by
 /// [`plan_layer`] from predictions only; executed serially by
-/// [`LayerPlan::execute`] and by the runtime engine's suite run (as pool
-/// sub-DAG jobs).
+/// [`LayerPlan::execute`] and by the runtime engine's suite run (as
+/// parallel sweep+fold jobs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerPlan {
     /// Number of physical tiles planned over.

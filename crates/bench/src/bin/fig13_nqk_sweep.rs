@@ -2,7 +2,7 @@
 //! of QK-DPUs per tile, swept over representative tasks of every family.
 //!
 //! Per-task work (workload construction + the six-point `N_QK` sweep) fans
-//! out over the `leopard-runtime` work-stealing pool; workload construction
+//! out over the `leopard-runtime` thread pool; workload construction
 //! is shared with other design points through the runner's cache. Pass
 //! `--threads N` to control the worker count.
 

@@ -1704,7 +1704,7 @@ mod tests {
             Command::Suite(common) => assert!(!common.wants_telemetry()),
             other => panic!("unexpected {other:?}"),
         }
-        // The sweep path never builds a SuiteRunner DAG, so the flags are
+        // The sweep path never runs the suite engine, so the flags are
         // rejected instead of silently ignored.
         let err = parse(&args(&["sweep", "--param", "nqk=2..4", "--trace", "t"])).unwrap_err();
         assert!(err.contains("does not record telemetry"), "{err}");

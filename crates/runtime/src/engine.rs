@@ -1,39 +1,42 @@
 //! The parallel, deterministic suite-execution engine.
 //!
-//! A suite run decomposes into a DAG of jobs per task:
+//! A suite run is three [`parallel_map`] passes over the pool, each a
+//! barrier for the next:
 //!
 //! ```text
-//! task ──▶ build(head 0) ──▶ sweep+fold(head 0, block 0) ──┐
-//!      │                 ──▶ sweep+fold(head 0, block 1) ──┼──▶ aggregate(task) ──▶ result
-//!      └──▶ build(head 1) ──▶ sweep+fold(head 1, block 0) ──┘
+//! build(task, head) ──▶ sweep+fold(task, head, block) ──▶ join+merge+aggregate(task)
 //! ```
 //!
-//! Build jobs construct (or fetch from the [`WorkloadCache`]) the quantized
-//! head workload and then spawn the head's sweep+fold jobs onto the
-//! worker's local queue. One sweep+fold job covers a contiguous block of Q
-//! rows for **all four** simulation units ([`SimUnitKind::ALL`]): one
-//! kernel sweep per row, folded into every unit's accounting
-//! ([`simulate_units_shard`]), since the units differ only in how they
-//! read the same per-pair outcomes. The blocks follow the task's **layer
-//! plan** ([`plan_task_layer`]): the placement policy assigns every head a
-//! tile split (whole heads while `heads >= tiles`, load-predicted splits
-//! when tiles would idle), each tile shard (a contiguous Q-row range from
-//! [`TilePartition`]) is one block, and a shard of more than 2^19 score
-//! pairs is cut further into row blocks so that the longest full-scale
-//! head does not run alone at the end of a run. The job that completes a
-//! task's last block joins each shard's blocks
-//! ([`TileShardSim::join`]), merges the shards ([`merge_shards`]) and
-//! runs the aggregation. Aggregation consumes the units in head order and
-//! runs exactly the same arithmetic as the serial
+//! Before the passes, every task is planned in submission order. The
+//! blocks follow the task's **layer plan** ([`plan_task_layer`]): the
+//! placement policy assigns every head a tile split (whole heads while
+//! `heads >= tiles`, load-predicted splits when tiles would idle), each
+//! tile shard (a contiguous Q-row range from [`TilePartition`]) is one
+//! block, and a shard of more than 2^19 score pairs is cut further into
+//! row blocks so that the longest full-scale head does not run alone at
+//! the end of a pass.
+//!
+//! 1. One build job per `(task, head)` constructs (or fetches from the
+//!    [`WorkloadCache`]) the quantized head workload.
+//! 2. One sweep+fold job per planned row block covers a contiguous block
+//!    of Q rows for **all four** simulation units ([`SimUnitKind::ALL`]):
+//!    one kernel sweep per row, folded into every unit's accounting
+//!    ([`simulate_units_shard`]), since the units differ only in how they
+//!    read the same per-pair outcomes.
+//! 3. One job per task joins each shard's blocks ([`TileShardSim::join`]),
+//!    merges the shards ([`merge_shards`]) and runs the aggregation.
+//!
+//! Aggregation consumes the units in head order and runs exactly the same
+//! arithmetic as the serial
 //! [`run_task`](leopard_workloads::pipeline::run_task), so results are
 //! **bit-identical** for any thread count, any tile count, *and any
-//! placement policy* — scheduling only changes *when* a block runs, never
+//! placement policy* — scheduling only changes *when* a job runs, never
 //! what it computes, because every block is a pure function of `(task,
 //! options, head, rows)` with a fixed per-head seed, and the join and
 //! merge reconstruct the single-tile accounting exactly.
 //!
-//! Per-stage wall-clock totals (build / simulate / aggregate) are
-//! accumulated with atomics and reported alongside the results.
+//! Per-stage wall-clock totals (build / simulate / aggregate) are summed
+//! over the jobs and reported alongside the results.
 
 use crate::cache::{CacheStats, WorkloadCache};
 use crate::pool::parallel_map;
@@ -49,9 +52,7 @@ use leopard_workloads::pipeline::{
 };
 use leopard_workloads::suite::TaskDescriptor;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Wall-clock totals per pipeline stage, summed across workers (so with N
@@ -64,30 +65,6 @@ pub struct StageTotals {
     pub simulate: Duration,
     /// Time spent aggregating unit results into task results.
     pub aggregate: Duration,
-}
-
-#[derive(Debug, Default)]
-struct StageClocks {
-    build_ns: AtomicU64,
-    simulate_ns: AtomicU64,
-    aggregate_ns: AtomicU64,
-}
-
-impl StageClocks {
-    fn charge(counter: &AtomicU64, start: Instant) {
-        counter.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn totals(&self) -> StageTotals {
-        StageTotals {
-            // lint:allow(relaxed-atomic-in-result-path, reason = "wall-clock stage totals are advisory; totals() runs after the result channel disconnects, which synchronizes every worker's final fetch_add")
-            build: Duration::from_nanos(self.build_ns.load(Ordering::Relaxed)),
-            // lint:allow(relaxed-atomic-in-result-path, reason = "wall-clock stage totals are advisory; totals() runs after the result channel disconnects, which synchronizes every worker's final fetch_add")
-            simulate: Duration::from_nanos(self.simulate_ns.load(Ordering::Relaxed)),
-            // lint:allow(relaxed-atomic-in-result-path, reason = "wall-clock stage totals are advisory; totals() runs after the result channel disconnects, which synchronizes every worker's final fetch_add")
-            aggregate: Duration::from_nanos(self.aggregate_ns.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 /// Everything a suite run produces: per-task results (in input order) plus
@@ -118,56 +95,73 @@ pub struct SuiteReport {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Per-task bookkeeping shared by that task's jobs.
-struct TaskState {
+/// One task's planned jobs: its head→tile placement and the row blocks
+/// its sweep+fold jobs cover. A pure function of `(task, options)`, so
+/// every thread count runs the same jobs.
+struct TaskJobs {
+    /// The task's position in the caller's input.
+    index: usize,
     task: TaskDescriptor,
-    heads: usize,
-    /// The task's head→tile placement: per head, the tile split (shard
-    /// count) and the tiles the shards land on. Pure function of `(task,
-    /// options)`, so every thread count spawns the same shard jobs.
+    /// Per head, the tile split (shard count) and the tiles the shards
+    /// land on.
     plan: LayerPlan,
-    /// Per head, the row blocks its sweep+fold jobs cover, in row order,
-    /// each tagged with the tile shard it belongs to.
-    blocks: Vec<Vec<(usize, Range<usize>)>>,
-    /// Per head, the index of its first block's slot.
-    offsets: Vec<usize>,
-    /// One slot per row block: the block's four unit shards, indexed by
-    /// [`SimUnitKind::index`].
-    slots: Vec<Mutex<Option<Vec<TileShardSim>>>>,
-    remaining: AtomicUsize,
+    /// Every row block as `(head, shard, rows)`, head by head in row order.
+    blocks: Vec<(usize, usize, Range<usize>)>,
 }
 
-impl TaskState {
-    /// Reassembles every unit from its row blocks — a tile shard's blocks
-    /// join in row order, the shards merge in shard order, so the results
-    /// are independent of execution order — and groups them per head.
-    /// Charges each tile shard's standalone cycles to its planned tile.
-    fn assemble_heads(&self, telemetry: Option<&Telemetry>) -> Vec<HeadUnitResults> {
-        let blocks: Vec<Vec<TileShardSim>> = self
-            .slots
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    // lint:allow(panic-in-library, reason = "a poisoned slot means a simulation worker panicked; propagating is the only sound recovery")
-                    .expect("slot poisoned")
-                    .take()
-                    // lint:allow(panic-in-library, reason = "the remaining-counter protocol guarantees every block slot is filled before assembly; a missing block is a scheduler bug, not an input error")
-                    .expect("every row block simulated before assembly")
+impl TaskJobs {
+    fn plan(
+        index: usize,
+        task: &TaskDescriptor,
+        options: &PipelineOptions,
+        config: &TileConfig,
+    ) -> Self {
+        let rate = task.paper_pruning_rate as f64;
+        let plan = plan_task_layer(task, options, config, options.tiles.max(1), rate);
+        let seq_len = sim_seq_len(task, options);
+        let blocks = (0..options.heads.max(1))
+            .flat_map(|head| {
+                let split = plan.split(head);
+                let partition = TilePartition::new(seq_len, split);
+                (0..split).flat_map(move |shard| {
+                    row_blocks(partition.range(shard), seq_len)
+                        .into_iter()
+                        .map(move |rows| (head, shard, rows))
+                })
             })
             .collect();
-        (0..self.heads)
+        Self {
+            index,
+            task: task.clone(),
+            plan,
+            blocks,
+        }
+    }
+
+    /// Reassembles every unit from the row blocks' unit shards (`sims`,
+    /// one entry per block, indexed by [`SimUnitKind::index`]) — a tile
+    /// shard's blocks join in row order, the shards merge in shard order,
+    /// so the results are independent of execution order — and groups
+    /// them per head. Charges each tile shard's standalone cycles to its
+    /// planned tile.
+    fn assemble_heads(
+        &self,
+        sims: &[Vec<TileShardSim>],
+        telemetry: Option<&Telemetry>,
+    ) -> Vec<HeadUnitResults> {
+        (0..self.plan.shard_tiles.len())
             .map(|head| {
-                let split = self.plan.split(head);
-                let head_blocks = &blocks[self.offsets[head]..][..self.blocks[head].len()];
                 let units: Vec<Option<_>> = SimUnitKind::ALL
                     .iter()
                     .map(|kind| {
-                        let shards: Vec<TileShardSim> = (0..split)
+                        let shards: Vec<TileShardSim> = (0..self.plan.split(head))
                             .map(|shard| {
-                                self.blocks[head]
+                                self.blocks
                                     .iter()
-                                    .zip(head_blocks)
-                                    .filter(|((of, _), _)| *of == shard)
+                                    .zip(sims)
+                                    .filter(|((of_head, of_shard, _), _)| {
+                                        (*of_head, *of_shard) == (head, shard)
+                                    })
                                     .map(|(_, units)| &units[kind.index()])
                                     .fold(None, |joined: Option<TileShardSim>, block| {
                                         Some(match joined {
@@ -295,19 +289,20 @@ impl SuiteRunner {
         &self.pool
     }
 
-    /// Executes the suite DAG over `tasks` in arrival (input) order and
+    /// Executes the suite over `tasks` in arrival (input) order and
     /// returns results in input order, bit-identical to running
     /// [`run_task`](leopard_workloads::pipeline::run_task) serially per task.
     pub fn run(&self, tasks: &[TaskDescriptor], options: &PipelineOptions) -> SuiteReport {
         self.run_scheduled(tasks, options, SchedulePolicy::Fifo)
     }
 
-    /// Executes the suite DAG with task submission ordered by `policy`:
+    /// Executes the suite with task submission ordered by `policy`:
     /// longest-predicted-job-first starts the expensive tasks before the
-    /// cheap ones, which keeps them off the critical path and cuts the tail
-    /// of the run (the time the last task finishes). Scheduling only
-    /// changes *when* jobs start — results are bit-identical across
-    /// policies and thread counts, and always in input order.
+    /// cheap ones in every pass, which keeps them off the critical path
+    /// and cuts the tail of the run (the time the last task finishes).
+    /// Scheduling only changes *when* jobs start — results are
+    /// bit-identical across policies and thread counts, and always in
+    /// input order.
     pub fn run_scheduled(
         &self,
         tasks: &[TaskDescriptor],
@@ -316,208 +311,155 @@ impl SuiteRunner {
     ) -> SuiteReport {
         // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds run footer only; simulated cycle results never read it")
         let start = Instant::now();
-        let clocks = Arc::new(StageClocks::default());
-        let jobs = Arc::new(AtomicUsize::new(0));
         let heads = options.heads.max(1);
-        let tiles = options.tiles.max(1);
         // The placement is planned against the serving configuration's cost
         // constants; only *relative* predicted loads matter for the shard
         // decomposition, and merged results are split-independent anyway.
         let plan_config = SimUnitKind::AeLeopard.tile_config();
-
         let costs: Vec<u64> = tasks
             .iter()
             .map(|task| predict_task_cycles(task, options))
             .collect();
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, TaskResult)>();
-        for task_index in submission_order(&costs, policy) {
-            let task = &tasks[task_index];
-            let rate = task.paper_pruning_rate as f64;
-            let plan = plan_task_layer(task, options, &plan_config, tiles, rate);
-            let seq_len = sim_seq_len(task, options);
-            let blocks: Vec<Vec<(usize, Range<usize>)>> = (0..heads)
-                .map(|head| {
-                    let partition = TilePartition::new(seq_len, plan.split(head));
-                    (0..plan.split(head))
-                        .flat_map(|shard| {
-                            row_blocks(partition.range(shard), seq_len)
-                                .into_iter()
-                                .map(move |rows| (shard, rows))
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut offsets = Vec::with_capacity(heads);
-            let mut slot_count = 0usize;
-            for head_blocks in &blocks {
-                offsets.push(slot_count);
-                slot_count += head_blocks.len();
-            }
-            let state = Arc::new(TaskState {
-                task: task.clone(),
-                heads,
-                plan,
-                blocks,
-                offsets,
-                slots: (0..slot_count).map(|_| Mutex::new(None)).collect(),
-                remaining: AtomicUsize::new(slot_count),
-            });
-            for head in 0..heads {
-                self.spawn_build_job(
-                    task_index,
-                    Arc::clone(&state),
-                    *options,
-                    head,
-                    tx.clone(),
-                    Arc::clone(&clocks),
-                    Arc::clone(&jobs),
-                );
-            }
-        }
-        drop(tx);
+        let planned: Vec<Arc<TaskJobs>> = submission_order(&costs, policy)
+            .into_iter()
+            .map(|index| Arc::new(TaskJobs::plan(index, &tasks[index], options, &plan_config)))
+            .collect();
+        let options = *options;
 
-        let mut results: Vec<Option<TaskResult>> = (0..tasks.len()).map(|_| None).collect();
-        for (task_index, result) in rx {
-            results[task_index] = Some(result);
+        // Pass 1: one build per (task, head).
+        let builds: Vec<(Arc<TaskJobs>, usize)> = planned
+            .iter()
+            .flat_map(|jobs| (0..heads).map(move |head| (Arc::clone(jobs), head)))
+            .collect();
+        let build_jobs = builds.len();
+        let (cache, telemetry) = (Arc::clone(&self.cache), self.telemetry.clone());
+        let built = parallel_map(&self.pool, builds, move |_, (jobs, head)| {
+            let task = &jobs.task;
+            // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
+            let build_start = Instant::now();
+            let workload = cache.head_workload(task, &options, *head);
+            let elapsed = build_start.elapsed();
+            if let Some(t) = &telemetry {
+                t.record_wall_span(
+                    "build",
+                    task.name.clone(),
+                    build_start,
+                    vec![("task", task.id as u64), ("head", *head as u64)],
+                );
+                t.metrics().incr("suite.jobs.build", 1);
+            }
+            assert_eq!(
+                workload.seq_len(),
+                sim_seq_len(task, &options),
+                "the cached workload has the planned sequence length"
+            );
+            (workload, elapsed)
+        });
+
+        // Pass 2: one sweep+fold per planned row block, producing all four
+        // unit shards of its rows.
+        let mut sweeps = Vec::new();
+        for (t, jobs) in planned.iter().enumerate() {
+            for block in 0..jobs.blocks.len() {
+                let workload = Arc::clone(&built[t * heads + jobs.blocks[block].0].0);
+                sweeps.push((Arc::clone(jobs), block, workload));
+            }
         }
+        let telemetry = self.telemetry.clone();
+        let swept = parallel_map(&self.pool, sweeps, move |_, (jobs, block, workload)| {
+            let (head, shard, rows) = &jobs.blocks[*block];
+            // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
+            let sim_start = Instant::now();
+            let units = simulate_units_shard(workload, rows.clone());
+            let elapsed = sim_start.elapsed();
+            if let Some(t) = &telemetry {
+                // Tagged with the planned physical tile, not the shard
+                // index: the span follows the placement.
+                t.record_wall_span(
+                    "sim",
+                    jobs.task.name.clone(),
+                    sim_start,
+                    vec![
+                        ("task", jobs.task.id as u64),
+                        ("head", *head as u64),
+                        ("tile", jobs.plan.shard_tiles[*head][*shard] as u64),
+                    ],
+                );
+                let metrics = t.metrics();
+                metrics.incr("suite.jobs.sim", 1);
+                for unit in &units {
+                    let mix = unit.outcome_mix();
+                    metrics.incr("kernel.outcomes.early_terminated", mix.early_terminated);
+                    metrics.incr(
+                        "kernel.outcomes.full_precision_pruned",
+                        mix.full_precision_pruned,
+                    );
+                    metrics.incr("kernel.outcomes.surviving", mix.surviving);
+                    metrics.merge_indexed("kernel.bits_processed", &unit.bits_histogram);
+                }
+            }
+            (units, elapsed)
+        });
+
+        // Pass 3: one join + merge + aggregate per task.
+        let sweep_jobs = swept.len();
+        let simulate = swept.iter().map(|(_, elapsed)| *elapsed).sum();
+        let mut swept = swept.into_iter().map(|(units, _)| units);
+        let merges: Vec<(Arc<TaskJobs>, Vec<Vec<TileShardSim>>)> = planned
+            .iter()
+            .map(|jobs| {
+                let sims = swept.by_ref().take(jobs.blocks.len()).collect();
+                (Arc::clone(jobs), sims)
+            })
+            .collect();
+        let telemetry = self.telemetry.clone();
+        let aggregated = parallel_map(&self.pool, merges, move |_, (jobs, sims)| {
+            // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
+            let agg_start = Instant::now();
+            let heads = jobs.assemble_heads(sims, telemetry.as_deref());
+            let result = aggregate_task(&jobs.task, &options, &heads);
+            let elapsed = agg_start.elapsed();
+            if let Some(t) = &telemetry {
+                t.record_wall_span(
+                    "aggregate",
+                    jobs.task.name.clone(),
+                    agg_start,
+                    vec![("task", jobs.task.id as u64)],
+                );
+                t.metrics().incr("suite.jobs.aggregate", 1);
+            }
+            (result, elapsed)
+        });
 
         if let Some(t) = &self.telemetry {
             let metrics = t.metrics();
             metrics.incr("suite.runs", 1);
-            metrics.set_gauge("pool.steals", self.pool.steal_count() as f64);
             let stats = self.cache.stats();
             metrics.set_gauge("cache.hits", stats.hits as f64);
             metrics.set_gauge("cache.misses", stats.misses as f64);
         }
 
+        let stages = StageTotals {
+            build: built.iter().map(|(_, elapsed)| *elapsed).sum(),
+            simulate,
+            aggregate: aggregated.iter().map(|(_, elapsed)| *elapsed).sum(),
+        };
+        let mut results: Vec<(usize, TaskResult)> = planned
+            .iter()
+            .zip(aggregated)
+            .map(|(jobs, (result, _))| (jobs.index, result))
+            .collect();
+        results.sort_unstable_by_key(|&(index, _)| index);
         SuiteReport {
-            results: results
-                .into_iter()
-                // lint:allow(panic-in-library, reason = "the job DAG sends exactly one result per task index before the channel disconnects; a hole is an engine bug, not an input error")
-                .map(|r| r.expect("every task aggregates exactly once"))
-                .collect(),
+            results: results.into_iter().map(|(_, result)| result).collect(),
             threads: self.threads(),
             wall: start.elapsed(),
-            stages: clocks.totals(),
-            // lint:allow(relaxed-atomic-in-result-path, reason = "read after every task's result arrived on the channel, so each worker's fetch_add happens-before this load; the count is exact")
-            jobs: jobs.load(Ordering::Relaxed),
+            stages,
+            jobs: build_jobs + sweep_jobs + planned.len(),
             cache: self.cache.stats(),
             schedule: policy,
             metrics: self.telemetry.as_ref().map(|t| t.metrics().snapshot()),
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_build_job(
-        &self,
-        task_index: usize,
-        state: Arc<TaskState>,
-        options: PipelineOptions,
-        head: usize,
-        tx: Sender<(usize, TaskResult)>,
-        clocks: Arc<StageClocks>,
-        jobs: Arc<AtomicUsize>,
-    ) {
-        let spawner = self.pool.spawner();
-        let cache = Arc::clone(&self.cache);
-        let telemetry = self.telemetry.clone();
-        self.pool.spawn(move || {
-            jobs.fetch_add(1, Ordering::Relaxed);
-            // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
-            let build_start = Instant::now();
-            let workload = cache.head_workload(&state.task, &options, head);
-            StageClocks::charge(&clocks.build_ns, build_start);
-            if let Some(t) = &telemetry {
-                t.record_wall_span(
-                    "build",
-                    state.task.name.clone(),
-                    build_start,
-                    vec![("task", state.task.id as u64), ("head", head as u64)],
-                );
-                t.metrics().incr("suite.jobs.build", 1);
-            }
-
-            // Sub-DAG fan-out: one sweep+fold job per planned row block,
-            // producing all four unit shards of its rows. The blocks are a
-            // pure function of `(task, options)`, so every thread count
-            // spawns the same jobs; assembly order is fixed by block index.
-            assert_eq!(
-                workload.seq_len(),
-                sim_seq_len(&state.task, &options),
-                "the cached workload has the planned sequence length"
-            );
-            for (block, (shard, rows)) in state.blocks[head].iter().enumerate() {
-                let state = Arc::clone(&state);
-                let workload = Arc::clone(&workload);
-                let tx = tx.clone();
-                let clocks = Arc::clone(&clocks);
-                let jobs = Arc::clone(&jobs);
-                let rows = rows.clone();
-                let tile = state.plan.shard_tiles[head][*shard];
-                let telemetry = telemetry.clone();
-                spawner.spawn(move || {
-                    jobs.fetch_add(1, Ordering::Relaxed);
-                    // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
-                    let sim_start = Instant::now();
-                    let units = simulate_units_shard(&workload, rows);
-                    StageClocks::charge(&clocks.simulate_ns, sim_start);
-                    if let Some(t) = &telemetry {
-                        // Tagged with the planned physical tile, not the
-                        // shard index: the span follows the placement.
-                        t.record_wall_span(
-                            "sim",
-                            state.task.name.clone(),
-                            sim_start,
-                            vec![
-                                ("task", state.task.id as u64),
-                                ("head", head as u64),
-                                ("tile", tile as u64),
-                            ],
-                        );
-                        let metrics = t.metrics();
-                        metrics.incr("suite.jobs.sim", 1);
-                        for unit in &units {
-                            let mix = unit.outcome_mix();
-                            metrics.incr("kernel.outcomes.early_terminated", mix.early_terminated);
-                            metrics.incr(
-                                "kernel.outcomes.full_precision_pruned",
-                                mix.full_precision_pruned,
-                            );
-                            metrics.incr("kernel.outcomes.surviving", mix.surviving);
-                            metrics.merge_indexed("kernel.bits_processed", &unit.bits_histogram);
-                        }
-                    }
-
-                    *state.slots[state.offsets[head] + block]
-                        .lock()
-                        // lint:allow(panic-in-library, reason = "a poisoned slot means a simulation worker panicked; propagating is the only sound recovery")
-                        .expect("slot poisoned") = Some(units);
-                    if state.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        // Last block of the task: merge and aggregate right
-                        // here (the slots are complete and this worker is
-                        // warm).
-                        jobs.fetch_add(1, Ordering::Relaxed);
-                        // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
-                        let agg_start = Instant::now();
-                        let heads = state.assemble_heads(telemetry.as_deref());
-                        let result = aggregate_task(&state.task, &options, &heads);
-                        StageClocks::charge(&clocks.aggregate_ns, agg_start);
-                        if let Some(t) = &telemetry {
-                            t.record_wall_span(
-                                "aggregate",
-                                state.task.name.clone(),
-                                agg_start,
-                                vec![("task", state.task.id as u64)],
-                            );
-                            t.metrics().incr("suite.jobs.aggregate", 1);
-                        }
-                        // The receiver only disappears if the caller
-                        // panicked; dropping the result is then fine.
-                        let _ = tx.send((task_index, result));
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -678,7 +620,7 @@ mod tests {
     #[test]
     fn placement_policies_change_job_decomposition_but_not_results() {
         // The layer scheduler's engine-level contract: the placement policy
-        // reshapes the shard sub-DAG (static keeps heads whole; lpt/rr
+        // reshapes the shard jobs (static keeps heads whole; lpt/rr
         // split an under-subscribed layer across the idle tiles) but every
         // policy reproduces the serial pipeline bit-identically.
         use leopard_accel::schedule::Placement;

@@ -4,20 +4,21 @@
 //! The 43-task evaluation suite decomposes naturally into independent
 //! simulation jobs — one per `(task, head, row block)`, each producing all
 //! four tile configurations from one kernel sweep — and this crate
-//! executes that DAG on a work-stealing thread pool built from std threads
-//! and channels:
+//! executes them on a thread pool built from std threads, a mutex and a
+//! condvar:
 //!
-//! * [`pool`] — the work-stealing [`ThreadPool`]: per
-//!   worker local deques (LIFO for locality), a shared injector, FIFO
-//!   stealing, plus the order-preserving [`parallel_map`]
-//!   helper for custom sweeps.
+//! * [`pool`] — the [`ThreadPool`]: one FIFO job queue that workers drain
+//!   in submission order, fed only by the order-preserving
+//!   [`parallel_map`], which the suite engine, serving, sweeps and the
+//!   figure harnesses all use.
 //! * [`cache`] — the concurrent [`WorkloadCache`]
 //!   memoizing workload construction (Q/K synthesis, threshold placement,
 //!   quantization) on `(task, seed, seq_len)` plus the quantization knobs,
 //!   so per-head construction happens once per run and parameter sweeps
 //!   reuse it across design points.
-//! * [`engine`] — the [`SuiteRunner`]: builds the job
-//!   DAG (build → fused sweep+fold per row block → aggregate per task), tracks
+//! * [`engine`] — the [`SuiteRunner`]: runs the suite as three
+//!   [`parallel_map`] passes (build per head → fused sweep+fold per row
+//!   block → join, merge and aggregate per task), tracks
 //!   per-stage wall-clock totals, and returns results that are
 //!   **bit-identical** to the serial pipeline for any thread count (every
 //!   job is a pure function of its fixed per-head seed, and aggregation

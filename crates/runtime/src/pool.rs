@@ -1,178 +1,78 @@
-//! Work-stealing thread pool built on std threads, mutexes, and condvars.
+//! A fixed-size thread pool built on std threads, one mutex and a condvar.
 //!
-//! Each worker owns a local deque. Jobs spawned from *inside* a worker (the
-//! common case for DAG successors: a build job spawning its simulation
-//! units) push onto that worker's local queue and are popped LIFO, which
-//! keeps a task's workload hot in cache. Jobs spawned from outside land in a
-//! shared injector queue and are consumed **in submission order** — the
-//! property the cost-model scheduler in [`crate::sched`] relies on:
-//! submitting suite tasks longest-predicted-first means workers actually
-//! start them in that order. An idle worker pops its own queue first, then
-//! the injector, then steals FIFO from its siblings — classic work
-//! stealing, with no dependency beyond `std`.
-//!
-//! The pool itself is completion-agnostic: callers track completion through
-//! channels (see [`parallel_map`] and the suite engine), which keeps the
-//! scheduler small and obviously correct.
+//! Work reaches the pool only through [`parallel_map`], which queues one
+//! job per item on a single FIFO queue. Workers take jobs from its front,
+//! so items **start in input order** — the property the cost-model
+//! scheduler in [`crate::sched`] relies on: submitting suite tasks
+//! longest-predicted-first means workers actually start them in that
+//! order. Idle workers block on the condvar until a job arrives or the
+//! pool shuts down.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Shared {
-    /// One local deque per worker.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Overflow/external queue.
-    injector: Mutex<VecDeque<Job>>,
-    /// Number of jobs currently sitting in any queue.
-    queued: AtomicUsize,
-    /// Set when the pool is shutting down.
-    shutdown: AtomicBool,
-    /// Jobs taken from a sibling's deque rather than the owner's own queue
-    /// or the injector — the load-imbalance signal telemetry reports.
-    steals: AtomicU64,
-    /// Sleep/wake coordination for idle workers.
-    sleep: Mutex<()>,
-    wake: Condvar,
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Set when the pool is shutting down; workers drain the queue first.
+    shutdown: bool,
 }
 
-std::thread_local! {
-    /// `(shared as *const _ as usize, worker index)` of the pool the current
-    /// thread belongs to, if it is a pool worker. Used to route spawns from
-    /// inside a worker onto that worker's local queue.
-    static CURRENT_WORKER: std::cell::Cell<Option<(usize, usize)>> =
-        const { std::cell::Cell::new(None) };
+#[derive(Default)]
+struct Shared {
+    queue: Mutex<Queue>,
+    ready: Condvar,
 }
 
 impl Shared {
-    fn identity(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
+    fn lock(&self) -> std::sync::MutexGuard<'_, Queue> {
+        self.queue.lock().expect("job queue poisoned") // lint:allow(panic-in-library, reason = "jobs run outside the queue lock, so poisoning means the pool's own push/pop panicked; the pool cannot continue and propagating is correct")
     }
 
-    fn push(self: &Arc<Self>, job: Job) {
-        let local = CURRENT_WORKER.with(|c| match c.get() {
-            Some((pool, index)) if pool == self.identity() => Some(index),
-            _ => None,
-        });
-        match local {
-            Some(index) => self.locals[index]
-                .lock()
-                .expect("queue lock poisoned") // lint:allow(panic-in-library, reason = "a poisoned queue lock means a job panicked mid-push/pop; the pool cannot continue and propagating is correct")
-                .push_back(job),
-            None => self
-                .injector
-                .lock()
-                .expect("injector lock poisoned") // lint:allow(panic-in-library, reason = "a poisoned injector means a job panicked mid-push/pop; the pool cannot continue and propagating is correct")
-                .push_back(job),
-        }
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        // Notify under the sleep lock so a worker that just checked `queued`
-        // and is about to wait cannot miss this wake-up.
-        let _guard = self.sleep.lock().expect("sleep lock poisoned"); // lint:allow(panic-in-library, reason = "the sleep lock guards only the condvar handshake; poisoning means a worker panicked and the pool must come down")
-        self.wake.notify_one();
-    }
-
-    fn pop(&self, index: usize) -> Option<Job> {
-        // Own queue first (LIFO for locality)...
-        if let Some(job) = self.locals[index]
-            .lock()
-            .expect("queue lock poisoned") // lint:allow(panic-in-library, reason = "a poisoned queue lock means a job panicked mid-push/pop; the pool cannot continue and propagating is correct")
-            .pop_back()
-        {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        // ...then the injector (FIFO)...
-        if let Some(job) = self
-            .injector
-            .lock()
-            .expect("injector lock poisoned") // lint:allow(panic-in-library, reason = "a poisoned injector means a job panicked mid-push/pop; the pool cannot continue and propagating is correct")
-            .pop_front()
-        {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        // ...then steal from siblings (FIFO: take their oldest work).
-        let n = self.locals.len();
-        for offset in 1..n {
-            let victim = (index + offset) % n;
-            if let Some(job) = self.locals[victim]
-                .lock()
-                .expect("queue lock poisoned") // lint:allow(panic-in-library, reason = "a poisoned queue lock means a job panicked mid-push/pop; the pool cannot continue and propagating is correct")
-                .pop_front()
-            {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.steals.fetch_add(1, Ordering::Relaxed);
+    /// Blocks until a job is queued, or returns `None` once the pool is
+    /// shutting down and the queue is empty.
+    fn pop(&self) -> Option<Job> {
+        let mut queue = self.lock();
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
                 return Some(job);
             }
+            if queue.shutdown {
+                return None;
+            }
+            queue = self.ready.wait(queue).expect("job queue poisoned"); // lint:allow(panic-in-library, reason = "jobs run outside the queue lock, so poisoning means the pool's own push/pop panicked; the pool cannot continue and propagating is correct")
         }
-        None
     }
+}
+
+std::thread_local! {
+    /// The current thread's worker index, if it is a pool worker.
+    static CURRENT_WORKER: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
-    CURRENT_WORKER.with(|c| c.set(Some((shared.identity(), index))));
-    loop {
-        if let Some(job) = shared.pop(index) {
-            // Contain panics to the job: the closure (and the result-channel
-            // senders it holds) is dropped, so collectors observe a missing
-            // result and fail with a clear message instead of hanging on a
-            // dead worker, and the worker stays available.
-            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                eprintln!("leopard-worker-{index}: job panicked: {message}");
-            }
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let guard = shared.sleep.lock().expect("sleep lock poisoned"); // lint:allow(panic-in-library, reason = "the sleep lock guards only the condvar handshake; poisoning means a worker panicked and the pool must come down")
-        if shared.queued.load(Ordering::SeqCst) == 0 && !shared.shutdown.load(Ordering::SeqCst) {
-            // The timeout is a belt-and-suspenders fallback; the push path
-            // notifies under the same lock, so wake-ups are not lost.
-            drop(self::wait(&shared.wake, guard));
+    CURRENT_WORKER.with(|c| c.set(Some(index)));
+    while let Some(job) = shared.pop() {
+        // Contain panics to the job: the closure (and the result-channel
+        // sender it holds) is dropped, so the collector observes a missing
+        // result and fails with a clear message instead of hanging on a
+        // dead worker, and the worker stays available.
+        if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            eprintln!("leopard-worker-{index}: job panicked: {message}");
         }
     }
 }
 
-fn wait<'a>(cv: &Condvar, guard: std::sync::MutexGuard<'a, ()>) -> std::sync::MutexGuard<'a, ()> {
-    cv.wait_timeout(guard, Duration::from_millis(50))
-        .expect("sleep lock poisoned") // lint:allow(panic-in-library, reason = "the sleep lock guards only the condvar handshake; poisoning means a worker panicked and the pool must come down")
-        .0
-}
-
-/// Handle for spawning jobs onto a [`ThreadPool`], cloneable into jobs so
-/// running jobs can spawn successors (the DAG edges of the suite engine).
-#[derive(Clone)]
-pub struct Spawner {
-    shared: Arc<Shared>,
-}
-
-impl Spawner {
-    /// Enqueues a job. From inside a pool worker this pushes onto the
-    /// worker's local queue; from any other thread, onto the injector.
-    pub fn spawn<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.shared.push(Box::new(job));
-    }
-}
-
-impl std::fmt::Debug for Spawner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Spawner").finish_non_exhaustive()
-    }
-}
-
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size thread pool with one FIFO job queue.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -191,15 +91,7 @@ impl ThreadPool {
     /// Spawns a pool with `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            queued: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-        });
+        let shared = Arc::new(Shared::default());
         let workers = (0..threads)
             .map(|index| {
                 let shared = Arc::clone(&shared);
@@ -220,41 +112,21 @@ impl ThreadPool {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Returns a cloneable spawning handle.
-    pub fn spawner(&self) -> Spawner {
-        Spawner {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Enqueues a job.
-    pub fn spawn<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.shared.push(Box::new(job));
-    }
-
-    /// Number of jobs workers have stolen from a sibling's deque since the
-    /// pool started. Scheduling-dependent, so the value varies run to run;
-    /// it is exported as a telemetry gauge, never into pinned reports.
-    pub fn steal_count(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
 }
 
 /// The calling thread's worker index within its pool, or `None` when called
 /// from any thread that is not a pool worker. Telemetry uses this to route
 /// span records to the per-worker buffer (and as the trace track id).
 pub fn current_worker_index() -> Option<usize> {
-    CURRENT_WORKER.with(|c| c.get().map(|(_, index)| index))
+    CURRENT_WORKER.with(std::cell::Cell::get)
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.shared.sleep.lock().expect("sleep lock poisoned"); // lint:allow(panic-in-library, reason = "the sleep lock guards only the condvar handshake; poisoning means a worker panicked and the pool must come down")
-            self.shared.wake.notify_all();
-        }
+        // Never panic in drop: a poisoned queue still takes the flag.
+        let queue = self.shared.queue.lock();
+        queue.unwrap_or_else(PoisonError::into_inner).shutdown = true;
+        self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -270,9 +142,10 @@ pub fn default_threads() -> usize {
 
 /// Maps `f` over `items` on the pool, preserving input order in the output.
 ///
-/// `f` receives `(index, &item)`. Blocks until every item is processed.
-/// Item results arrive in completion order internally but are re-sorted, so
-/// the output is deterministic regardless of scheduling.
+/// `f` receives `(index, &item)`. Items start in input order and the call
+/// blocks until every item is processed. Results arrive in completion
+/// order internally but are re-sorted, so the output is deterministic
+/// regardless of scheduling.
 pub fn parallel_map<T, R, F>(pool: &ThreadPool, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + Sync + 'static,
@@ -283,16 +156,17 @@ where
     let items = Arc::new(items);
     let f = Arc::new(f);
     let (tx, rx) = mpsc::channel();
-    for index in 0..n {
+    pool.shared.lock().jobs.extend((0..n).map(|index| {
         let items = Arc::clone(&items);
         let f = Arc::clone(&f);
         let tx = tx.clone();
-        pool.spawn(move || {
+        Box::new(move || {
             let result = f(index, &items[index]);
             // The receiver only hangs up early on panic; nothing to do here.
             let _ = tx.send((index, result));
-        });
-    }
+        }) as Job
+    }));
+    pool.shared.ready.notify_all();
     drop(tx);
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     for (index, result) in rx {
@@ -307,50 +181,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn executes_all_jobs() {
-        let pool = ThreadPool::new(4);
-        let counter = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..1000 {
-            let counter = Arc::clone(&counter);
-            let tx = tx.clone();
-            pool.spawn(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-                tx.send(()).unwrap();
-            });
-        }
-        drop(tx);
-        assert_eq!(rx.iter().count(), 1000);
-        assert_eq!(counter.load(Ordering::SeqCst), 1000);
-    }
-
-    #[test]
-    fn jobs_can_spawn_jobs() {
-        // A two-level DAG: each parent spawns 4 children from inside the
-        // pool (exercising the local-queue path).
-        let pool = ThreadPool::new(3);
-        let spawner = pool.spawner();
-        let (tx, rx) = mpsc::channel();
-        for parent in 0..16u64 {
-            let spawner = spawner.clone();
-            let tx = tx.clone();
-            pool.spawn(move || {
-                for child in 0..4u64 {
-                    let tx = tx.clone();
-                    spawner.spawn(move || {
-                        tx.send(parent * 4 + child).unwrap();
-                    });
-                }
-            });
-        }
-        drop(tx);
-        let mut seen: Vec<u64> = rx.iter().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..64).collect::<Vec<_>>());
-    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -363,59 +193,48 @@ mod tests {
     }
 
     #[test]
-    fn external_spawns_run_in_submission_order_on_one_worker() {
-        // The injector is FIFO, and a single worker consumes it directly —
+    fn items_start_in_input_order_on_one_worker() {
+        // The queue is FIFO and a single worker drains it front to back —
         // the ordering contract the cost-model scheduler's submission order
-        // rests on (with more workers, starts still follow submission order
-        // even though completions may interleave).
+        // rests on (with more workers, starts still follow input order even
+        // though completions may interleave).
         let pool = ThreadPool::new(1);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..64u64 {
-            let tx = tx.clone();
-            pool.spawn(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        assert_eq!(rx.iter().collect::<Vec<_>>(), (0..64).collect::<Vec<_>>());
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&started);
+        let out = parallel_map(&pool, (0..64u64).collect(), move |_, &x| {
+            log.lock().unwrap().push(x);
+            x + 1
+        });
+        assert_eq!(out, (1..65).collect::<Vec<_>>());
+        assert_eq!(*started.lock().unwrap(), (0..64).collect::<Vec<_>>());
     }
 
     #[test]
-    fn single_thread_pool_works() {
+    fn panicking_item_does_not_kill_the_worker_or_hang_the_pool() {
         let pool = ThreadPool::new(1);
-        let out = parallel_map(&pool, vec![1, 2, 3], |_, &x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn panicking_job_does_not_kill_the_worker_or_hang_the_pool() {
-        let pool = ThreadPool::new(1);
-        let (tx, rx) = mpsc::channel();
-        pool.spawn(|| panic!("job goes boom"));
-        // The sole worker must survive the panic and run the next job.
-        pool.spawn(move || tx.send(42u8).unwrap());
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5))
-                .expect("worker survived"),
-            42
-        );
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map(&pool, vec![0u8, 1], |_, &x| {
+                assert_ne!(x, 1, "item goes boom");
+                x
+            })
+        }));
+        assert!(failed.is_err(), "a missing result fails the call");
+        // The sole worker must survive the panic and run the next call.
+        assert_eq!(parallel_map(&pool, vec![41u8], |_, &x| x + 1), vec![42]);
     }
 
     #[test]
     fn current_worker_index_is_visible_inside_jobs_only() {
         assert_eq!(current_worker_index(), None);
         let pool = ThreadPool::new(2);
-        let (tx, rx) = mpsc::channel();
-        pool.spawn(move || tx.send(current_worker_index()).unwrap());
-        let seen = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("job completed");
-        assert!(matches!(seen, Some(index) if index < 2), "{seen:?}");
-        assert_eq!(pool.steal_count(), pool.steal_count()); // monotone read works
+        let seen = parallel_map(&pool, vec![()], |_, _| current_worker_index());
+        assert!(matches!(seen[..], [Some(index)] if index < 2), "{seen:?}");
     }
 
     #[test]
     fn drop_joins_cleanly_with_idle_workers() {
         let pool = ThreadPool::new(8);
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(std::time::Duration::from_millis(5));
         drop(pool); // must not hang
     }
 }

@@ -15,7 +15,7 @@
 //! Execution happens in two phases:
 //!
 //! 1. **Execute** — every distinct task in the request mix is simulated on
-//!    the work-stealing pool (all heads on the serving tile configuration,
+//!    the thread pool (all heads on the serving tile configuration,
 //!    workloads via the shared [`WorkloadCache`](crate::cache)). This
 //!    yields each request's ground-truth *service* cycles: the **layer
 //!    makespan** of the task's head→tile placement
