@@ -1,27 +1,27 @@
 //! Figure 8: cumulative pruning rate versus the number of K magnitude bits
 //! processed by the bit-serial front-end, averaged per model family.
 
-use leopard_bench::{harness_options, header};
+use leopard_bench::{harness_options, header, run_suite};
 use leopard_transformer::config::ModelFamily;
-use leopard_workloads::pipeline::run_task;
-use leopard_workloads::suite::{full_suite, PAPER_MEAN_BITS};
+use leopard_workloads::suite::PAPER_MEAN_BITS;
 
 fn main() {
     leopard_bench::accept_flags(&[]);
     header("Figure 8 — cumulative pruning rate vs processed bits");
-    let options = harness_options();
-    let suite = full_suite();
+    let results = run_suite(&harness_options());
     println!(
         "{:<14} {}",
         "family",
         (1..=11).map(|b| format!("{b:>6}")).collect::<String>()
     );
     for family in ModelFamily::ALL {
-        let tasks: Vec<_> = suite.iter().filter(|t| t.family == family).collect();
+        let tasks: Vec<_> = results.iter().filter(|(t, _)| t.family == family).collect();
+        if tasks.is_empty() {
+            continue; // --quick leaves some families out
+        }
         let mut curve = vec![0.0f64; 12];
         let mut mean_bits = 0.0;
-        for task in &tasks {
-            let result = run_task(task, &options);
+        for (_, result) in &tasks {
             for (b, v) in result.cumulative_pruning_by_bits.iter().enumerate() {
                 curve[b] += v;
             }

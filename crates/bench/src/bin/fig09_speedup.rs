@@ -5,7 +5,8 @@
 //! `--threads N` to control the worker count (results are identical for
 //! every thread count).
 
-use leopard_bench::{gmean, harness_options, header, ratio, run_suite};
+use leopard_bench::{harness_options, header, ratio, run_suite};
+use leopard_tensor::stats::geometric_mean;
 use leopard_transformer::config::ModelFamily;
 use leopard_workloads::suite::PAPER_GMEANS;
 
@@ -41,16 +42,16 @@ fn main() {
         println!(
             "GMean {:<14} AE {} / HP {}",
             family.name(),
-            ratio(gmean(&ae)),
-            ratio(gmean(&hp))
+            ratio(geometric_mean(&ae)),
+            ratio(geometric_mean(&hp))
         );
     }
     let ae_all: Vec<f64> = rows.iter().map(|(_, r)| r.ae_speedup).collect();
     let hp_all: Vec<f64> = rows.iter().map(|(_, r)| r.hp_speedup).collect();
     println!(
         "\noverall GMean: AE {} / HP {}   (paper: AE {}x / HP {}x)",
-        ratio(gmean(&ae_all)),
-        ratio(gmean(&hp_all)),
+        ratio(geometric_mean(&ae_all)),
+        ratio(geometric_mean(&hp_all)),
         PAPER_GMEANS.0,
         PAPER_GMEANS.1
     );

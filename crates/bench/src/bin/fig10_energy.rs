@@ -5,7 +5,8 @@
 //! `--threads N` to control the worker count (results are identical for
 //! every thread count).
 
-use leopard_bench::{gmean, harness_options, header, ratio, run_suite};
+use leopard_bench::{harness_options, header, ratio, run_suite};
+use leopard_tensor::stats::geometric_mean;
 use leopard_transformer::config::ModelFamily;
 use leopard_workloads::suite::PAPER_GMEANS;
 
@@ -38,14 +39,18 @@ fn main() {
         if values.is_empty() {
             continue;
         }
-        println!("GMean {:<14} AE {}", family.name(), ratio(gmean(&values)));
+        println!(
+            "GMean {:<14} AE {}",
+            family.name(),
+            ratio(geometric_mean(&values))
+        );
     }
     let ae_all: Vec<f64> = rows.iter().map(|(_, r)| r.ae_energy_reduction).collect();
     let hp_all: Vec<f64> = rows.iter().map(|(_, r)| r.hp_energy_reduction).collect();
     println!(
         "\noverall GMean: AE {} / HP {}   (paper: AE {}x / HP {}x)",
-        ratio(gmean(&ae_all)),
-        ratio(gmean(&hp_all)),
+        ratio(geometric_mean(&ae_all)),
+        ratio(geometric_mean(&hp_all)),
         PAPER_GMEANS.2,
         PAPER_GMEANS.3
     );

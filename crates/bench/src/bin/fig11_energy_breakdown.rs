@@ -2,27 +2,26 @@
 //! ablation, and full LeOPArd (pruning + bit-serial early termination),
 //! averaged per model family.
 
-use leopard_bench::{harness_options, header};
+use leopard_bench::{harness_options, header, run_suite};
 use leopard_transformer::config::ModelFamily;
-use leopard_workloads::pipeline::run_task;
-use leopard_workloads::suite::full_suite;
 
 fn main() {
     leopard_bench::accept_flags(&[]);
     header("Figure 11 — normalized energy breakdown per transformer head");
-    let options = harness_options();
-    let suite = full_suite();
+    let results = run_suite(&harness_options());
     println!(
         "{:<12} {:<20} {:>8} {:>8} {:>9} {:>8} {:>8} {:>8}",
         "family", "design", "QxK", "K mem", "softmax", "xV", "V mem", "total"
     );
     for family in ModelFamily::ALL {
-        let tasks: Vec<_> = suite.iter().filter(|t| t.family == family).collect();
+        let tasks: Vec<_> = results.iter().filter(|(t, _)| t.family == family).collect();
+        if tasks.is_empty() {
+            continue; // --quick leaves some families out
+        }
         let mut base = leopard_accel::energy::EnergyBreakdown::default();
         let mut prune = leopard_accel::energy::EnergyBreakdown::default();
         let mut full = leopard_accel::energy::EnergyBreakdown::default();
-        for task in &tasks {
-            let r = run_task(task, &options);
+        for (_, r) in tasks {
             base = base + r.baseline_breakdown;
             prune = prune + r.pruning_only_breakdown;
             full = full + r.leopard_breakdown;

@@ -14,7 +14,6 @@ use leopard_accel::sim::simulate_head;
 use leopard_bench::{harness_options, harness_runner, header};
 use leopard_runtime::parallel_map;
 use leopard_transformer::config::ModelFamily;
-use leopard_workloads::pipeline::sim_seq_len;
 use leopard_workloads::suite::{full_suite, TaskDescriptor};
 use std::sync::Arc;
 
@@ -52,10 +51,7 @@ fn main() {
 
     // Accumulate in task order (parallel_map preserves input order).
     let mut per_b = vec![(0.0f64, 0.0f64); GRANULARITIES.len()];
-    let mut scores_total = 0.0f64;
-    for (task, energies) in memn2n.iter().zip(per_task.iter()) {
-        let s = sim_seq_len(task, &options);
-        scores_total += (s * s) as f64;
+    for energies in &per_task {
         for (acc, (compute, memory)) in per_b.iter_mut().zip(energies.iter()) {
             acc.0 += compute;
             acc.1 += memory;
@@ -77,7 +73,6 @@ fn main() {
             (compute + memory) / reference
         );
     }
-    let _ = scores_total;
     println!(
         "\npaper reference: 2-bit-serial execution minimizes the energy per score; 1-bit pays latching overhead\nand 4-/12-bit lose early-termination resolution."
     );

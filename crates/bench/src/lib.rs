@@ -3,8 +3,8 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the paper:
 //! it runs the relevant part of the pipeline, prints the same rows or series
 //! the paper reports, and — where the paper's number is known — prints the
-//! reference value next to the measured one so EXPERIMENTS.md can be filled
-//! in directly from the harness output.
+//! reference value next to the measured one (see the README, "Reproducing
+//! the paper's figures").
 //!
 //! Suite execution goes through the parallel engine in `leopard-runtime`;
 //! pass `--threads N` to any binary (or set `LEOPARD_THREADS`) to control
@@ -145,15 +145,6 @@ pub fn run_suite(options: &PipelineOptions) -> Vec<(TaskDescriptor, TaskResult)>
     tasks.into_iter().zip(report.results).collect()
 }
 
-/// Geometric mean helper for f64 slices (0.0 for an empty slice).
-pub fn gmean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
-    (s / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,12 +153,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(ratio(1.926), "1.93x");
         assert_eq!(percent(0.917), "91.7%");
-    }
-
-    #[test]
-    fn gmean_matches_hand_computation() {
-        assert!((gmean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
-        assert_eq!(gmean(&[]), 0.0);
     }
 
     #[test]

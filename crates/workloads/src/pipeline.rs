@@ -298,7 +298,7 @@ pub fn predict_task_cycles(task: &TaskDescriptor, options: &PipelineOptions) -> 
 /// [`PipelineOptions::placement`]: every head of the task, predicted by the
 /// [`fitted_cost_model`] at pruning rate `rate`, placed across `tiles`
 /// tiles. This is the schedule the serving engine replays on the virtual
-/// clock and the suite engine runs as pool sub-DAG jobs; no simulation
+/// clock and the suite engine runs as parallel sweep+fold jobs; no simulation
 /// happens here, so it is safe on per-request scheduling paths.
 ///
 /// Callers pass the task's paper-reported rate
@@ -370,7 +370,7 @@ pub fn simulate_unit(workload: &HeadWorkload, kind: SimUnitKind) -> HeadSimResul
 /// pass: the contiguous `rows` slice of one head workload, one kernel sweep
 /// per row folded into every [`SimUnitKind`]'s accounting. Returns one
 /// [`TileShardSim`] per kind, indexed by [`SimUnitKind::index`]. The engine
-/// schedules these as sub-DAG jobs, joins a tile shard's blocks with
+/// runs these as parallel jobs, joins a tile shard's blocks with
 /// [`TileShardSim::join`] and merges the shards with
 /// [`leopard_accel::sim::merge_shards`]; the merged results
 /// reproduce [`simulate_unit`] bit-identically for every kind.
@@ -559,9 +559,8 @@ pub struct SuiteSummary {
 /// Panics if `results` is empty.
 pub fn summarize(results: &[TaskResult]) -> SuiteSummary {
     assert!(!results.is_empty(), "cannot summarize an empty result set");
-    let gmean = |extract: fn(&TaskResult) -> f64| -> f64 {
-        let logs: f64 = results.iter().map(|r| extract(r).max(1e-9).ln()).sum();
-        (logs / results.len() as f64).exp()
+    let gmean = |extract: fn(&TaskResult) -> f64| {
+        stats::geometric_mean(&results.iter().map(extract).collect::<Vec<_>>())
     };
     SuiteSummary {
         ae_speedup_gmean: gmean(|r| r.ae_speedup),

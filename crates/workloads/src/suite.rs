@@ -415,12 +415,18 @@ mod tests {
     fn speedups_and_energies_are_consistent_with_gmeans() {
         use leopard_tensor::stats::geometric_mean;
         let tasks = full_suite();
-        let ae: Vec<f32> = tasks.iter().map(|t| t.paper_ae_speedup).collect();
-        let hp: Vec<f32> = tasks.iter().map(|t| t.paper_hp_speedup).collect();
+        let ae: Vec<f64> = tasks.iter().map(|t| t.paper_ae_speedup.into()).collect();
+        let hp: Vec<f64> = tasks.iter().map(|t| t.paper_hp_speedup.into()).collect();
         let gm_ae = geometric_mean(&ae);
         let gm_hp = geometric_mean(&hp);
-        assert!((gm_ae - PAPER_GMEANS.0).abs() < 0.15, "AE gmean {gm_ae}");
-        assert!((gm_hp - PAPER_GMEANS.1).abs() < 0.25, "HP gmean {gm_hp}");
+        assert!(
+            (gm_ae - f64::from(PAPER_GMEANS.0)).abs() < 0.15,
+            "AE gmean {gm_ae}"
+        );
+        assert!(
+            (gm_hp - f64::from(PAPER_GMEANS.1)).abs() < 0.25,
+            "HP gmean {gm_hp}"
+        );
     }
 
     #[test]
