@@ -105,22 +105,6 @@ impl QuantizedMatrix {
         &self.codes[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Integer dot product between row `r` of `self` and row `other_row` of
-    /// `other` (both interpreted as vectors of codes). The result lives in
-    /// the product domain `self.scale * other.scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts differ or an index is out of range.
-    pub fn dot_rows(&self, r: usize, other: &QuantizedMatrix, other_row: usize) -> i64 {
-        assert_eq!(self.cols, other.cols, "dot product length mismatch");
-        self.row(r)
-            .iter()
-            .zip(other.row(other_row).iter())
-            .map(|(&a, &b)| a as i64 * b as i64)
-            .sum()
-    }
-
     /// Scale of the product domain when multiplying codes from `self` with
     /// codes from `other` (e.g. a `Q·Kᵀ` score).
     pub fn product_scale(&self, other: &QuantizedMatrix) -> f32 {
@@ -189,7 +173,12 @@ mod tests {
         let qb = pb.quantize_matrix(&b);
         for i in 0..4 {
             let float_dot: f32 = a.row(i).iter().zip(b.row(i)).map(|(x, y)| x * y).sum();
-            let int_dot = qa.dot_rows(i, &qb, i);
+            let int_dot: i64 = qa
+                .row(i)
+                .iter()
+                .zip(qb.row(i))
+                .map(|(&x, &y)| i64::from(x) * i64::from(y))
+                .sum();
             let reconstructed = int_dot as f32 * qa.product_scale(&qb);
             assert!(
                 (float_dot - reconstructed).abs() < 0.05 * float_dot.abs().max(1.0),

@@ -825,12 +825,6 @@ impl ServingReport {
         let span = u128::from(self.observed_cycles) * self.servers as u128;
         summary.live_cycle_integral as f64 / span as f64
     }
-
-    /// Requests that were retried at least once and still served (their
-    /// records carry `attempts > 0`). Zero for fault-free runs.
-    pub fn retried_served(&self) -> usize {
-        self.records.iter().filter(|r| r.attempts > 0).count()
-    }
 }
 
 /// Draws one exponential gap with the given mean via inverse CDF; `1 - u`

@@ -235,7 +235,10 @@ fn retried_then_served_requests_are_counted_once() {
     let expected_rate = report.shed.len() as f64 / offered as f64;
     assert_eq!(report.shed_rate(), expected_rate);
     assert!(report.slo_met() <= report.records.len());
-    assert!(report.retried_served() >= 1);
+    assert!(
+        report.records.iter().any(|r| r.attempts > 0),
+        "no retried request was served"
+    );
 }
 
 #[test]

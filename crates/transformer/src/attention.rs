@@ -88,71 +88,6 @@ pub fn attention_inference(
     }
 }
 
-/// Computes attention for pre-projected Q/K/V while *skipping* the `P * V`
-/// work of pruned entries, mimicking what the accelerator back-end does.
-/// The result is numerically identical to [`attention_inference`] because a
-/// pruned score contributes a probability of ~0.
-pub fn attention_inference_sparse(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    hook: &impl InferenceScoreHook,
-    layer: usize,
-    head: usize,
-) -> AttentionOutput {
-    assert_eq!(q.shape(), k.shape(), "q and k must share shape");
-    assert_eq!(q.shape(), v.shape(), "q and v must share shape");
-    let d = q.cols();
-    let s = q.rows();
-    let raw_scores = q.matmul(&k.transpose()).scale(1.0 / (d as f32).sqrt());
-    let mut hooked_scores = raw_scores.clone();
-    hook.on_scores(&mut hooked_scores, layer, head);
-
-    let mut output = Matrix::zeros(s, d);
-    let mut probabilities = Matrix::zeros(s, s);
-    let mut pruned_count = 0usize;
-    for row in 0..s {
-        // Gather surviving indices, exactly like the Score/IDX FIFOs.
-        let survivors: Vec<usize> = (0..s)
-            .filter(|&c| hooked_scores[(row, c)] > PRUNED_SCORE)
-            .collect();
-        pruned_count += s - survivors.len();
-        if survivors.is_empty() {
-            // All pruned: the dense path falls back to a uniform distribution;
-            // the hardware would simply emit zeros. We follow the dense path
-            // so both functions agree (this situation does not occur with
-            // sensible thresholds because a token always attends to itself).
-            let uniform = 1.0 / s as f32;
-            for c in 0..s {
-                probabilities[(row, c)] = uniform;
-            }
-            for c in 0..d {
-                output[(row, c)] = (0..s).map(|j| uniform * v[(j, c)]).sum();
-            }
-            continue;
-        }
-        let surviving_scores: Vec<f32> =
-            survivors.iter().map(|&c| hooked_scores[(row, c)]).collect();
-        let probs = ops::softmax(&surviving_scores);
-        for (p, &c) in probs.iter().zip(survivors.iter()) {
-            probabilities[(row, c)] = *p;
-        }
-        for (p, &j) in probs.iter().zip(survivors.iter()) {
-            for c in 0..d {
-                output[(row, c)] += p * v[(j, c)];
-            }
-        }
-    }
-
-    AttentionOutput {
-        output,
-        raw_scores,
-        hooked_scores,
-        probabilities,
-        pruned_count,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,17 +160,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sparse_and_dense_inference_agree() {
-        let (q, k, v) = random_qkv(10, 12, 3);
-        let hook = ClipHook { threshold: 0.2 };
-        let dense = attention_inference(&q, &k, &v, &hook, 0, 0);
-        let sparse = attention_inference_sparse(&q, &k, &v, &hook, 0, 0);
-        assert_eq!(dense.pruned_count, sparse.pruned_count);
-        assert!(dense.output.approx_eq(&sparse.output, 1e-4));
-        assert!(dense.probabilities.approx_eq(&sparse.probabilities, 1e-4));
     }
 
     #[test]
