@@ -360,8 +360,8 @@ impl SuiteRunner {
         // unit shards of its rows.
         let mut sweeps = Vec::new();
         for (t, jobs) in planned.iter().enumerate() {
-            for block in 0..jobs.blocks.len() {
-                let workload = Arc::clone(&built[t * heads + jobs.blocks[block].0].0);
+            for (block, &(head, _, _)) in jobs.blocks.iter().enumerate() {
+                let workload = Arc::clone(&built[t * heads + head].0);
                 sweeps.push((Arc::clone(jobs), block, workload));
             }
         }

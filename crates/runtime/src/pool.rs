@@ -174,7 +174,7 @@ where
     }
     slots
         .into_iter()
-        .map(|slot| slot.expect("worker completed every item")) // lint:allow(panic-in-library, reason = "parallel_map joins every worker before reading slots, so an empty slot is a pool bug, not an input error")
+        .map(|slot| slot.expect("an item panicked on a pool worker (message on stderr)")) // lint:allow(panic-in-library, reason = "every item sends its result unless it panicked; the worker contained and printed that panic, and re-raising it here is the only sound recovery")
         .collect()
 }
 
