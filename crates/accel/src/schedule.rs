@@ -3,24 +3,22 @@
 //! A LeOPArd accelerator instantiates several tiles and "attention heads are
 //! partitioned across the tiles, and the operations in the tiles are
 //! independent of each other on their corresponding heads". This module
-//! models that level — and, since the tile-scheduler PR, the level *below*
-//! it: [`TilePartition`] deterministically splits one head's Q rows across
-//! the tiles, and [`simulate_head_tiled`] runs the shards and reassembles
-//! them ([`merge_shards`]) into a [`TiledHeadSim`] whose
-//! merged accounting is bit-identical to single-tile execution (counters
-//! sum, timing reconstructs exactly; the per-tile makespan is the parallel
-//! latency).
+//! models that level and the level *below* it: [`TilePartition`]
+//! deterministically splits one head's Q rows across the tiles.
 //!
 //! Above that sits the layer scheduler: [`plan_layer`] assigns heads→tiles
 //! with the per-head tile split chosen by **predicted** load
 //! ([`CostModel::predict_head_cycles`] is the objective — no simulation
 //! runs before a placement is decided), under one of three [`Placement`]
 //! policies: greedy LPT, round-robin, or the paper's static whole-head
-//! partition. [`LayerPlan::execute`] is the one serial plan executor: it
-//! runs every head's shards and charges their cycles to the planned tiles.
-//! [`schedule_layer`] plans and executes one layer and reports its
-//! makespan, total energy, and per-tile utilization; the runtime's
-//! serving phase 1 executes its plans through the same method.
+//! partition.
+//!
+//! A [`LayerPlan`] owns the one tile decomposition: [`LayerPlan::blocks`]
+//! cuts every head into shards and row blocks, and [`LayerPlan::assemble`]
+//! reassembles them into [`TiledHeadSim`]s whose merged accounting is
+//! bit-identical to single-tile execution. [`LayerPlan::execute`] runs the
+//! blocks serially (for [`schedule_layer`], serving phase 1 and the tiled
+//! sweep); the runtime's suite engine runs them as parallel jobs.
 //!
 //! The conformance contract (pinned by `tests/layer_conformance.rs`):
 //! placement decides **only the makespan**. Per-head merged accounting,
@@ -59,43 +57,29 @@ impl TilePartition {
         Self { seq_len, tiles }
     }
 
-    /// The contiguous row range assigned to `tile` (possibly empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is out of range.
-    pub fn range(&self, tile: usize) -> Range<usize> {
-        assert!(tile < self.tiles, "tile {tile} of {}", self.tiles);
-        let base = self.seq_len / self.tiles;
-        let extra = self.seq_len % self.tiles;
-        let start = tile * base + tile.min(extra);
-        let len = base + usize::from(tile < extra);
-        start..start + len
-    }
-
-    /// All row ranges, in tile order (their concatenation is `0..seq_len`).
+    /// All row ranges, in tile order (their concatenation is `0..seq_len`;
+    /// a range is empty when its tile gets no rows).
     pub fn ranges(&self) -> Vec<Range<usize>> {
-        (0..self.tiles).map(|tile| self.range(tile)).collect()
+        let (base, extra) = (self.seq_len / self.tiles, self.seq_len % self.tiles);
+        (0..self.tiles)
+            .map(|tile| {
+                let start = tile * base + tile.min(extra);
+                start..start + base + usize::from(tile < extra)
+            })
+            .collect()
     }
 }
 
-/// Result of simulating one attention head partitioned across the tiles of
-/// an accelerator: the per-tile pipeline cycles (each shard running alone
-/// on its tile), and the merged single-tile-exact [`HeadSimResult`].
-///
-/// The determinism/merge contract: `merged` is **bit-identical** to
-/// [`simulate_head`](crate::sim::simulate_head) /
-/// [`crate::sim::simulate_head_reference`] on the same
-/// workload, for every tile count — counters and histograms are sums over
-/// tiles, and the timing fields are reconstructed exactly from the shard
-/// boundary terms (see [`crate::sim::merge_shards`]). What the tile count
-/// *does* change is [`makespan_cycles`](Self::makespan_cycles): the
-/// busiest tile's cycles, i.e. the latency of the head when the tiles run
-/// in parallel.
+/// One head of [`LayerPlan::assemble`]: the per-shard pipeline cycles
+/// (each shard running alone on its tile) and the merged accounting,
+/// **bit-identical** to [`simulate_head`](crate::sim::simulate_head) for
+/// every tile split. The split changes only
+/// [`makespan_cycles`](Self::makespan_cycles), the head's latency when its
+/// tiles run in parallel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiledHeadSim {
-    /// Per-tile standalone pipeline cycles (0 for tiles without rows) —
-    /// "cycles = max over tiles" is taken over this vector.
+    /// Per-shard standalone pipeline cycles, in shard order (0 for shards
+    /// without rows) — "cycles = max over tiles" is taken over this vector.
     pub tile_cycles: Vec<u64>,
     /// The merged accounting: bit-identical to single-tile execution.
     pub merged: HeadSimResult,
@@ -109,36 +93,27 @@ impl TiledHeadSim {
     }
 }
 
-/// Simulates one head with its Q rows partitioned across `tiles` tiles
-/// (each tile still sees every K column), serially shard-by-shard, and
-/// reassembles the shards in tile order with [`merge_shards`]. The runtime
-/// engine executes the same shards as parallel sweep+fold jobs and merges
-/// them the same way; results are identical by construction.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid, the workload is degenerate
-/// (zero-length sequence), or `tiles` is zero.
-pub fn simulate_head_tiled(
-    workload: &HeadWorkload,
-    config: &TileConfig,
-    tiles: usize,
-) -> TiledHeadSim {
-    assert!(
-        workload.seq_len() > 0,
-        "workload must contain at least one query"
-    );
-    let partition = TilePartition::new(workload.seq_len(), tiles);
-    let shards: Vec<TileShardSim> = partition
+/// Score pairs above which a tile shard's sweep job is cut into contiguous
+/// row blocks of about this many pairs each. It only bites on the longest
+/// full-scale heads, whose single job would otherwise keep one worker busy
+/// while the others idle at the end of a run.
+pub const BLOCK_PAIRS: usize = 1 << 19;
+
+/// `rows` of one tile shard cut into contiguous blocks of about
+/// [`BLOCK_PAIRS`] score pairs (a row meets `seq_len` K columns). An empty
+/// shard is one empty block.
+fn row_blocks(rows: Range<usize>, seq_len: usize) -> Vec<Range<usize>> {
+    let pairs = rows.len() * seq_len;
+    let count = pairs.div_ceil(BLOCK_PAIRS).max(1);
+    TilePartition::new(rows.len(), count)
         .ranges()
         .into_iter()
-        .map(|rows| simulate_rows(workload, &[*config], rows, KernelPath::detect()).swap_remove(0))
-        .collect();
-    TiledHeadSim {
-        tile_cycles: shards.iter().map(TileShardSim::standalone_cycles).collect(),
-        merged: merge_shards(&shards),
-    }
+        .map(|block| rows.start + block.start..rows.start + block.end)
+        .collect()
 }
+
+/// One sweep job of a [`LayerPlan`]: `(head, shard, rows)`.
+pub type PlanBlock = (usize, usize, Range<usize>);
 
 /// Head→tile placement policy of the layer scheduler.
 ///
@@ -220,9 +195,7 @@ pub struct PlannedHead {
 }
 
 /// A layer placement: which tiles each head's shards run on. Produced by
-/// [`plan_layer`] from predictions only; executed serially by
-/// [`LayerPlan::execute`] and by the runtime engine's suite run (as
-/// parallel sweep+fold jobs).
+/// [`plan_layer`] from predictions only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerPlan {
     /// Number of physical tiles planned over.
@@ -264,38 +237,99 @@ impl LayerPlan {
             .max(1)
     }
 
-    /// Executes the plan serially: head `h` of `workloads` runs through
-    /// [`simulate_head_tiled`] at [`split(h)`](Self::split), and shard `i`'s
-    /// cycles are charged to tile `shard_tiles[h][i]`. Returns the per-tile
-    /// busy cycles and every head's tiled simulation, in input order.
+    /// Every sweep job of the plan, head by head, shard by shard, in row
+    /// order, for heads of `seq_lens[h]` rows: shard `i` of head `h` is
+    /// range `i` of its [`TilePartition`] at [`split(h)`](Self::split), cut
+    /// into row blocks of about [`BLOCK_PAIRS`] score pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq_lens` has more entries than the plan has heads.
+    pub fn blocks(&self, seq_lens: &[usize]) -> Vec<PlanBlock> {
+        let mut blocks = Vec::new();
+        for (head, &seq_len) in seq_lens.iter().enumerate() {
+            let partition = TilePartition::new(seq_len, self.split(head));
+            for (shard, rows) in partition.ranges().into_iter().enumerate() {
+                for rows in row_blocks(rows, seq_len) {
+                    blocks.push((head, shard, rows));
+                }
+            }
+        }
+        blocks
+    }
+
+    /// Reassembles simulated [`blocks`](Self::blocks), where `sims[b]`
+    /// holds block `b`'s shard per configuration as [`simulate_rows`]
+    /// returns them. Per configuration, returns the per-tile busy cycles
+    /// and every head's [`TiledHeadSim`]: a shard's blocks joined in row
+    /// order, the shards merged in shard order ([`merge_shards`]), and
+    /// shard `i` of head `h` charged to tile `shard_tiles[h][i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` is not what [`blocks`](Self::blocks) returned for
+    /// every head, if `sims` does not match it, or if a head has no rows.
+    pub fn assemble(
+        &self,
+        blocks: &[PlanBlock],
+        sims: &[Vec<TileShardSim>],
+    ) -> Vec<(Vec<u64>, Vec<TiledHeadSim>)> {
+        assert_eq!(blocks.len(), sims.len(), "one simulation per block");
+        let configs = sims.first().map_or(0, Vec::len);
+        (0..configs)
+            .map(|config| {
+                let mut shards = vec![Vec::<TileShardSim>::new(); self.shard_tiles.len()];
+                for ((head, shard, _), sim) in blocks.iter().zip(sims) {
+                    match shards[*head].get_mut(*shard) {
+                        Some(joined) => *joined = joined.join(&sim[config]),
+                        None => shards[*head].push(sim[config].clone()),
+                    }
+                }
+                let mut tile_cycles = vec![0u64; self.tiles];
+                let heads = shards
+                    .iter()
+                    .zip(&self.shard_tiles)
+                    .map(|(shards, tiles_of)| {
+                        assert_eq!(shards.len(), tiles_of.len(), "one shard per planned tile");
+                        let cycles: Vec<u64> =
+                            shards.iter().map(TileShardSim::standalone_cycles).collect();
+                        for (&tile, &busy) in tiles_of.iter().zip(&cycles) {
+                            tile_cycles[tile] += busy;
+                        }
+                        TiledHeadSim {
+                            tile_cycles: cycles,
+                            merged: merge_shards(shards),
+                        }
+                    })
+                    .collect();
+                (tile_cycles, heads)
+            })
+            .collect()
+    }
+
+    /// Executes the plan serially on every configuration of `configs`:
+    /// [`assemble`](Self::assemble) over the [`blocks`](Self::blocks), each
+    /// simulated by [`simulate_rows`].
     ///
     /// # Panics
     ///
     /// Panics if `workloads` does not hold one workload per planned head,
-    /// or if one of them has no rows.
+    /// if one of them has no rows, or if a configuration is invalid.
     pub fn execute<W: Borrow<HeadWorkload>>(
         &self,
         workloads: &[W],
-        config: &TileConfig,
-    ) -> (Vec<u64>, Vec<TiledHeadSim>) {
-        assert_eq!(
-            workloads.len(),
-            self.shard_tiles.len(),
-            "one workload per head"
-        );
-        let mut tile_cycles = vec![0u64; self.tiles];
-        let heads = workloads
+        configs: &[TileConfig],
+    ) -> Vec<(Vec<u64>, Vec<TiledHeadSim>)> {
+        let seq_lens: Vec<usize> = workloads.iter().map(|w| w.borrow().seq_len()).collect();
+        let blocks = self.blocks(&seq_lens);
+        let sims: Vec<Vec<TileShardSim>> = blocks
             .iter()
-            .zip(&self.shard_tiles)
-            .map(|(workload, tiles_of)| {
-                let tiled = simulate_head_tiled(workload.borrow(), config, tiles_of.len());
-                for (&tile, &cycles) in tiles_of.iter().zip(&tiled.tile_cycles) {
-                    tile_cycles[tile] += cycles;
-                }
-                tiled
+            .map(|(head, _, rows)| {
+                let workload = workloads[*head].borrow();
+                simulate_rows(workload, configs, rows.clone(), KernelPath::detect())
             })
             .collect();
-        (tile_cycles, heads)
+        self.assemble(&blocks, &sims)
     }
 }
 
@@ -568,7 +602,9 @@ pub fn schedule_layer(
     let plan = plan_layer(&planned, tiles, placement, |seq_len, split| {
         cost.predict_head_cycles("", config, seq_len, PLANNED_PRUNING_RATE, split)
     });
-    let (tile_cycles, heads) = plan.execute(head_workloads, config);
+    let (tile_cycles, heads) = plan
+        .execute(head_workloads, std::slice::from_ref(config))
+        .swap_remove(0);
 
     // Energy and pruning fold in the plan's canonical head order — a pure
     // function of head content shared by every policy — so these sums are
@@ -656,38 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn placement_changes_only_the_makespan() {
-        // The conformance contract at unit-test scale: across the three
-        // policies, per-head merged results, energy, and pruning are
-        // bit-identical; only makespan/tile_cycles may move.
-        let heads = ragged_workloads(&[40, 9, 23, 17, 31], 6);
-        let model = EnergyModel::calibrated();
-        let mut config = TileConfig::ae_leopard();
-        config.tiles = 3;
-        let schedules: Vec<LayerSchedule> = Placement::ALL
-            .iter()
-            .map(|&p| schedule_layer(&heads, &config, &model, p))
-            .collect();
-        let baseline: Vec<HeadSimResult> =
-            heads.iter().map(|w| simulate_head(w, &config)).collect();
-        for schedule in &schedules {
-            for (h, tiled) in schedule.heads.iter().enumerate() {
-                assert_eq!(tiled.merged, baseline[h], "head {h} diverged from baseline");
-            }
-            assert_eq!(
-                schedule.energy.total().to_bits(),
-                schedules[0].energy.total().to_bits(),
-                "energy must be bit-identical across policies"
-            );
-            assert_eq!(
-                schedule.pruning_rate.to_bits(),
-                schedules[0].pruning_rate.to_bits(),
-                "pruning must be bit-identical across policies"
-            );
-        }
-    }
-
-    #[test]
     fn over_tiled_layers_split_the_heaviest_heads() {
         // 2 heads on 6 tiles: the planner must hand the 4 spare tiles to
         // the heads by predicted load, heaviest first.
@@ -705,36 +709,6 @@ mod tests {
         // Merged accounting survives the splits.
         for (h, tiled) in schedule.heads.iter().enumerate() {
             assert_eq!(tiled.merged, simulate_head(&heads[h], &config));
-        }
-    }
-
-    #[test]
-    fn lpt_never_predicts_a_longer_makespan_than_round_robin() {
-        for (lens, tiles) in [
-            (vec![40usize, 9, 23, 17, 31], 2usize),
-            (vec![64, 8, 8, 8], 3),
-            (vec![16; 7], 4),
-            (vec![33], 5),
-        ] {
-            let planned: Vec<PlannedHead> = lens
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| PlannedHead {
-                    seq_len: s,
-                    tie_break: i as u64,
-                })
-                .collect();
-            let cost = CostModel::analytical();
-            let config = TileConfig::ae_leopard();
-            let predict = |s: usize, t: usize| cost.predict_head_cycles("", &config, s, 0.0, t);
-            let lpt = plan_layer(&planned, tiles, Placement::Lpt, predict);
-            let rr = plan_layer(&planned, tiles, Placement::RoundRobin, predict);
-            assert!(
-                lpt.predicted_makespan_cycles() <= rr.predicted_makespan_cycles(),
-                "LPT predicted {} > RR predicted {} for lens {lens:?} on {tiles} tiles",
-                lpt.predicted_makespan_cycles(),
-                rr.predicted_makespan_cycles()
-            );
         }
     }
 
@@ -821,13 +795,6 @@ mod tests {
         );
     }
 
-    fn one_workload(s: usize, seed: u64) -> HeadWorkload {
-        let mut r = rng::seeded(seed);
-        let q = rng::normal_matrix(&mut r, s, 32, 0.0, 1.0);
-        let k = rng::normal_matrix(&mut r, s, 32, 0.0, 1.0);
-        HeadWorkload::from_float(&q, &k, 0.2, 12)
-    }
-
     #[test]
     fn partition_is_balanced_contiguous_and_total() {
         for (s, t) in [(10, 3), (7, 7), (5, 8), (96, 4), (1, 2)] {
@@ -853,57 +820,19 @@ mod tests {
     }
 
     #[test]
-    fn tiled_simulation_merges_to_the_single_tile_result() {
-        // The tile-scheduler contract at the schedule level: for every tile
-        // count (including over-tiling with empty shards), the merged
-        // result is bit-identical to simulate_head, the makespan never
-        // exceeds the single-tile cycles, and at one tile they coincide.
-        let w = one_workload(13, 7); // 13 is prime: never divisible
-        for config in [TileConfig::ae_leopard(), TileConfig::baseline()] {
-            let single = simulate_head(&w, &config);
-            for tiles in [1usize, 2, 3, 4, 8, 16] {
-                let tiled = simulate_head_tiled(&w, &config, tiles);
-                assert_eq!(tiled.merged, single, "tiles={tiles} on {}", config.name);
-                assert_eq!(tiled.tile_cycles.len(), tiles);
-                assert!(tiled.makespan_cycles() <= single.total_cycles);
-                assert!(tiled.makespan_cycles() >= tiled.merged.total_cycles / tiles as u64);
-            }
-            let one = simulate_head_tiled(&w, &config, 1);
-            assert_eq!(one.makespan_cycles(), single.total_cycles);
+    fn long_shards_are_cut_into_contiguous_row_blocks() {
+        // Short shards stay one block; an empty shard is one empty block.
+        assert_eq!(row_blocks(0..96, 96), vec![0..96]);
+        assert_eq!(row_blocks(5..5, 96), vec![5..5]);
+        // A shard of more than BLOCK_PAIRS pairs splits into near-equal
+        // contiguous blocks that tile its rows exactly.
+        let blocks = row_blocks(100..1380, 1280);
+        assert_eq!(blocks.len(), (1280 * 1280usize).div_ceil(BLOCK_PAIRS));
+        assert_eq!(blocks.first().map(|b| b.start), Some(100));
+        assert_eq!(blocks.last().map(|b| b.end), Some(1380));
+        for pair in blocks.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start);
         }
-    }
-
-    #[test]
-    fn more_tiles_shrink_the_makespan_of_a_large_head() {
-        let w = one_workload(64, 9);
-        let cfg = TileConfig::ae_leopard();
-        let makespans: Vec<u64> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&t| simulate_head_tiled(&w, &cfg, t).makespan_cycles())
-            .collect();
-        for pair in makespans.windows(2) {
-            assert!(
-                pair[1] < pair[0],
-                "doubling tiles must cut the makespan: {makespans:?}"
-            );
-        }
-        // Near-linear scaling at 64 rows over 4 tiles.
-        let four = simulate_head_tiled(&w, &cfg, 4);
-        assert!(
-            four.makespan_cycles() * 5 < four.merged.total_cycles * 2,
-            "makespan {} of {} single-tile cycles",
-            four.makespan_cycles(),
-            four.merged.total_cycles
-        );
-    }
-
-    #[test]
-    fn over_tiling_leaves_empty_tiles_with_zero_cycles() {
-        let w = one_workload(5, 11);
-        let cfg = TileConfig::ae_leopard();
-        let tiled = simulate_head_tiled(&w, &cfg, 8);
-        assert_eq!(tiled.tile_cycles.len(), 8);
-        assert_eq!(tiled.tile_cycles.iter().filter(|&&c| c == 0).count(), 3);
-        assert_eq!(tiled.merged, simulate_head(&w, &cfg));
+        assert!(blocks.iter().all(|b| b.len() * 1280 <= BLOCK_PAIRS + 1280));
     }
 }

@@ -9,14 +9,8 @@ use leopard_accel::sim::{simulate_head, HeadSimResult, HeadWorkload};
 use leopard_tensor::rng;
 use proptest::prelude::*;
 
-fn presets() -> [TileConfig; 4] {
-    [
-        TileConfig::baseline(),
-        TileConfig::ae_leopard(),
-        TileConfig::hp_leopard(),
-        TileConfig::pruning_only(),
-    ]
-}
+mod common;
+use common::presets;
 
 /// A small pool of measured results to draw observations from, built once
 /// per process (the properties only permute and rescale them, so sharing

@@ -31,33 +31,8 @@ use leopard_accel::kernel_v2::KernelPath;
 use leopard_accel::sim::{merge_shards, simulate_head_reference, simulate_rows, HeadWorkload};
 use proptest::prelude::*;
 
-/// The four studied tile configurations, in `SimUnitKind` order.
-fn presets() -> [TileConfig; 4] {
-    [
-        TileConfig::baseline(),
-        TileConfig::ae_leopard(),
-        TileConfig::hp_leopard(),
-        TileConfig::pruning_only(),
-    ]
-}
-
-/// Builds a deterministic workload of `s` K-columns × `d` dimensions from
-/// a seed, covering the full signed 12-bit code range including zeros.
-fn workload(s: usize, d: usize, threshold: i64, seed: i32) -> HeadWorkload {
-    let code = |r: usize, c: usize, salt: i32| -> i32 {
-        (r as i32 * 131 + c as i32 * 37 + salt)
-            .wrapping_mul(2_654_435_761u32 as i32)
-            .wrapping_add(seed)
-            % 2047
-    };
-    let q_codes: Vec<Vec<i32>> = (0..s)
-        .map(|r| (0..d).map(|c| code(r, c, 17)).collect())
-        .collect();
-    let k_codes: Vec<Vec<i32>> = (0..s)
-        .map(|r| (0..d).map(|c| code(r, c, 29)).collect())
-        .collect();
-    HeadWorkload::from_codes(q_codes, k_codes, threshold, d, 12)
-}
+mod common;
+use common::{presets, workload};
 
 /// Asserts the full dispatch contract on one workload/config pair: wide,
 /// portable and the scalar reference all produce byte-identical

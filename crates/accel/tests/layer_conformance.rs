@@ -17,41 +17,26 @@
 //! * **Accounting** — per-tile busy cycles conserve shard cycles exactly:
 //!   the tile vector sums to the sum of every head's shard cycles, and
 //!   the makespan is its maximum.
-//! * **One head is the tiled head** — a single-head layer under LPT
-//!   charges tile `t` exactly what `simulate_head_tiled` gives shard `t`,
-//!   at every tile count up to 64.
+//! * **One decomposition** — `LayerPlan::blocks` covers every head's rows
+//!   exactly once, shard by shard in ascending row order, in blocks of at
+//!   most `BLOCK_PAIRS + seq_len` score pairs, and a multi-configuration
+//!   `LayerPlan::execute` reassembles each head to single-tile execution
+//!   under every configuration — for tiles 1..=64 and every placement.
 //!
 //! The property tests use `ProptestConfig::default()`, so CI's
 //! `PROPTEST_CASES`-bumped job widens their coverage without code changes.
 
 use leopard_accel::config::TileConfig;
 use leopard_accel::energy::{EnergyBreakdown, EnergyModel};
-use leopard_accel::schedule::{schedule_layer, simulate_head_tiled, LayerSchedule, Placement};
+use leopard_accel::schedule::{
+    plan_layer, schedule_layer, LayerPlan, LayerSchedule, Placement, PlannedHead, TilePartition,
+    BLOCK_PAIRS,
+};
 use leopard_accel::sim::{simulate_head, HeadWorkload};
 use proptest::prelude::*;
 
-/// Builds one head's workload from raw 12-bit code pairs (one `(q, k)`
-/// element pair per row position, replicated across a small head
-/// dimension), the same construction the tile-conformance spine uses.
-fn workload_from_pairs(pairs: &[(i32, i32)], threshold: i64, head_dim: usize) -> HeadWorkload {
-    let q_codes: Vec<Vec<i32>> = pairs
-        .iter()
-        .map(|&(q, _)| {
-            (0..head_dim)
-                .map(|c| q.wrapping_add(c as i32 * 7) % 2047)
-                .collect()
-        })
-        .collect();
-    let k_codes: Vec<Vec<i32>> = pairs
-        .iter()
-        .map(|&(_, k)| {
-            (0..head_dim)
-                .map(|c| k.wrapping_sub(c as i32 * 5) % 2047)
-                .collect()
-        })
-        .collect();
-    HeadWorkload::from_codes(q_codes, k_codes, threshold, head_dim, 12)
-}
+mod common;
+use common::{presets, workload_from_pairs};
 
 /// Ragged layer: one workload per head, each with its own sequence length,
 /// derived from a cheap deterministic generator so proptest shrinking
@@ -221,26 +206,81 @@ proptest! {
         }
     }
 
-    /// A lone head under LPT is split across every tile, in tile order, so
-    /// the layer scheduler computes exactly what the head-level tiled
-    /// simulation does — at every tile count up to 64, including more
-    /// tiles than rows.
+    /// `blocks` is the plan's tile decomposition: each head's blocks are
+    /// contiguous in the job list, walk its shards in order, cover each
+    /// shard's `TilePartition` range exactly once in ascending rows, and
+    /// stay within `BLOCK_PAIRS + seq_len` score pairs. Lengths reach past
+    /// 724 rows so that single-shard heads are cut into row blocks.
     #[test]
-    fn prop_lpt_single_head_schedule_is_the_tiled_head_simulation(
-        len in 1usize..40,
+    fn prop_blocks_cover_each_head_once_in_row_order(
+        lens in proptest::collection::vec(1usize..2_000, 1..9),
+        tiles in 1usize..=64,
+        placement in 0usize..3,
+    ) {
+        let plan = plan_of(&lens, tiles, Placement::ALL[placement]);
+        let blocks = plan.blocks(&lens);
+        // Head by head, shard by shard, and no shard beyond the split.
+        prop_assert!(blocks.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
+        prop_assert!(blocks.iter().all(|(head, shard, _)| *shard < plan.split(*head)));
+        for (h, &seq_len) in lens.iter().enumerate() {
+            let ranges = TilePartition::new(seq_len, plan.split(h)).ranges();
+            for (shard, range) in ranges.into_iter().enumerate() {
+                let rows: Vec<_> = blocks
+                    .iter()
+                    .filter(|b| (b.0, b.1) == (h, shard))
+                    .map(|b| b.2.clone())
+                    .collect();
+                // The shard's blocks tile its partition range exactly, in
+                // ascending rows.
+                prop_assert_eq!(rows.first().map(|r| r.start), Some(range.start));
+                prop_assert_eq!(rows.last().map(|r| r.end), Some(range.end));
+                prop_assert!(rows.windows(2).all(|pair| pair[0].end == pair[1].start));
+                prop_assert!(rows.iter().all(|r| r.len() * seq_len <= BLOCK_PAIRS + seq_len));
+            }
+        }
+    }
+
+    /// A multi-configuration `execute` reassembles every head to
+    /// single-tile execution under each of the four presets, and charges
+    /// every configuration's shard cycles to the planned tiles.
+    #[test]
+    fn prop_multi_config_execute_is_simulate_head_per_config(
+        lens in proptest::collection::vec(1usize..24, 1..6),
         threshold in -200_000i64..200_000,
         seed in -1_000_000i32..1_000_000,
         tiles in 1usize..=64,
+        placement in 0usize..3,
     ) {
-        let workloads = layer_from_lens(&[len], threshold, seed);
-        let mut config = TileConfig::ae_leopard();
-        config.tiles = tiles;
-        let schedule =
-            schedule_layer(&workloads, &config, &EnergyModel::calibrated(), Placement::Lpt);
-        let tiled = simulate_head_tiled(&workloads[0], &config, tiles);
-        prop_assert_eq!(&schedule.tile_cycles, &tiled.tile_cycles);
-        prop_assert_eq!(&schedule.heads[0].merged, &tiled.merged);
+        let workloads = layer_from_lens(&lens, threshold, seed);
+        let plan = plan_of(&lens, tiles, Placement::ALL[placement]);
+        let configs = presets();
+        let runs = plan.execute(&workloads, &configs);
+        prop_assert_eq!(runs.len(), configs.len());
+        for ((tile_cycles, heads), config) in runs.iter().zip(&configs) {
+            prop_assert_eq!(tile_cycles.len(), tiles);
+            let mut charged = vec![0u64; tiles];
+            for (h, workload) in workloads.iter().enumerate() {
+                prop_assert_eq!(&heads[h].merged, &simulate_head(workload, config));
+                prop_assert_eq!(heads[h].tile_cycles.len(), plan.split(h));
+                for (&tile, &cycles) in plan.shard_tiles[h].iter().zip(&heads[h].tile_cycles) {
+                    charged[tile] += cycles;
+                }
+            }
+            prop_assert_eq!(tile_cycles, &charged);
+        }
     }
+}
+
+/// Plans a layer of heads of `lens` rows, predicting per-tile cycles as
+/// rows per tile.
+fn plan_of(lens: &[usize], tiles: usize, placement: Placement) -> LayerPlan {
+    let heads: Vec<PlannedHead> = (0..)
+        .zip(lens)
+        .map(|(tie_break, &seq_len)| PlannedHead { seq_len, tie_break })
+        .collect();
+    plan_layer(&heads, tiles, placement, |s, split| {
+        s.div_ceil(split) as u64
+    })
 }
 
 /// The explicit degenerate matrix the issue pins down, outside proptest so

@@ -20,37 +20,12 @@ use leopard_accel::sim::{
 };
 use std::ops::Range;
 
+mod common;
+use common::{presets, workload};
+
 /// One configuration over every row of `w` on the kernel `path`.
 fn simulate_head_on(w: &HeadWorkload, config: &TileConfig, path: KernelPath) -> HeadSimResult {
     merge_shards(&simulate_rows(w, &[*config], 0..w.seq_len(), path))
-}
-
-/// A deterministic `s x d` workload over the signed 12-bit code range with
-/// a mid-range threshold, so every preset prunes some scores and keeps
-/// others.
-fn workload(s: usize, d: usize, seed: i32) -> HeadWorkload {
-    let code = |r: usize, c: usize, salt: i32| -> i32 {
-        (r as i32 * 131 + c as i32 * 37 + salt)
-            .wrapping_mul(2_654_435_761u32 as i32)
-            .wrapping_add(seed)
-            % 2047
-    };
-    let q_codes: Vec<Vec<i32>> = (0..s)
-        .map(|r| (0..d).map(|c| code(r, c, 17)).collect())
-        .collect();
-    let k_codes: Vec<Vec<i32>> = (0..s)
-        .map(|r| (0..d).map(|c| code(r, c, 29)).collect())
-        .collect();
-    HeadWorkload::from_codes(q_codes, k_codes, 30_000, d, 12)
-}
-
-fn presets() -> [TileConfig; 4] {
-    [
-        TileConfig::baseline(),
-        TileConfig::ae_leopard(),
-        TileConfig::hp_leopard(),
-        TileConfig::pruning_only(),
-    ]
 }
 
 fn census(w: &HeadWorkload) -> (usize, usize, usize) {
@@ -68,7 +43,7 @@ fn warm_workload_matches_cold_workload_and_reference() {
     // a one-bit tail. Every n_qk point after the first replays the table
     // the first recorded; the cold side sweeps afresh every time.
     for s in [23, 64, 65] {
-        let warm = workload(s, 33, s as i32);
+        let warm = workload(s, 33, 30_000, s as i32);
         for path in [KernelPath::Wide, KernelPath::Portable] {
             for n_qk in 2..=10 {
                 for preset in presets() {
@@ -108,7 +83,7 @@ fn warm_workload_matches_cold_workload_and_reference() {
 fn pruning_only_alone_after_ae_does_not_read_the_early_terminating_table() {
     // Both sweep the (11, 2) plan; only the early-termination flag tells
     // their outcomes apart, so the flag is part of the key.
-    let w = workload(40, 24, 3);
+    let w = workload(40, 24, 30_000, 3);
     let ae = TileConfig::ae_leopard();
     let po = TileConfig::pruning_only();
     let path = KernelPath::detect();
@@ -126,7 +101,7 @@ fn pruning_only_alone_after_ae_does_not_read_the_early_terminating_table() {
 
 #[test]
 fn changing_the_threshold_after_a_simulation_sweeps_again() {
-    let mut w = workload(33, 20, 5);
+    let mut w = workload(33, 20, 30_000, 5);
     let config = TileConfig::ae_leopard();
     let before = simulate_head_on(&w, &config, KernelPath::detect());
     w.threshold_int += 2_000_000;
@@ -138,7 +113,7 @@ fn changing_the_threshold_after_a_simulation_sweeps_again() {
 
 #[test]
 fn a_second_serial_granularity_records_its_own_table() {
-    let w = workload(30, 16, 9);
+    let w = workload(30, 16, 30_000, 9);
     let two = TileConfig::ae_leopard();
     let one = TileConfig::ae_leopard().with_serial_bits(1);
     for config in [two, one, two, one] {
@@ -169,9 +144,14 @@ fn row_blocks_filled_from_two_threads_in_reverse_order_match_serial() {
     let s = 65;
     let configs = presets();
     let blocks: Vec<Range<usize>> = vec![0..9, 9..30, 30..31, 31..50, 50..65];
-    let serial = simulate_rows(&workload(s, 33, 11), &configs, 0..s, KernelPath::detect());
+    let serial = simulate_rows(
+        &workload(s, 33, 30_000, 11),
+        &configs,
+        0..s,
+        KernelPath::detect(),
+    );
 
-    let w = workload(s, 33, 11);
+    let w = workload(s, 33, 30_000, 11);
     let (low, high) = blocks.split_at(2);
     let mut results: Vec<Option<Vec<TileShardSim>>> = vec![None; blocks.len()];
     let (low_results, high_results) = results.split_at_mut(2);
@@ -208,7 +188,7 @@ fn row_blocks_filled_from_two_threads_in_reverse_order_match_serial() {
 #[test]
 fn a_full_table_releases_the_pack_and_a_new_key_rebuilds_it() {
     let s = 30;
-    let w = workload(s, 16, 13);
+    let w = workload(s, 16, 30_000, 13);
     let path = KernelPath::detect();
     let ae = [TileConfig::ae_leopard()];
     let po = [TileConfig::pruning_only()];

@@ -3,7 +3,8 @@
 //!
 //! The contract under test (see `leopard_accel::schedule`):
 //!
-//! * **Bit-identity** — `simulate_head_tiled(w, cfg, tiles).merged` equals
+//! * **Bit-identity** — a one-head `LayerPlan` split across `tiles` tiles
+//!   reassembles (`LayerPlan::execute`) to a merged result that equals
 //!   `simulate_head_reference(w, cfg)` exactly (every field: cycles,
 //!   stalls, utilization, histograms, events) for *any* tile count,
 //!   including tile counts that do not divide the sequence length and tile
@@ -17,22 +18,15 @@
 use leopard_accel::config::TileConfig;
 use leopard_accel::energy::EnergyModel;
 use leopard_accel::kernel_v2::KernelPath;
-use leopard_accel::schedule::{schedule_layer, simulate_head_tiled, Placement, TilePartition};
+use leopard_accel::schedule::{schedule_layer, Placement, TilePartition, TiledHeadSim};
 use leopard_accel::sim::{
     simulate_head, simulate_head_reference, simulate_head_shard_reference, simulate_rows,
     HeadWorkload, TileShardSim,
 };
 use proptest::prelude::*;
 
-/// The four studied tile configurations, in `SimUnitKind` order.
-fn presets() -> [TileConfig; 4] {
-    [
-        TileConfig::baseline(),
-        TileConfig::ae_leopard(),
-        TileConfig::hp_leopard(),
-        TileConfig::pruning_only(),
-    ]
-}
+mod common;
+use common::{presets, workload_from_pairs};
 
 /// One configuration's kernel shard over `rows`.
 fn kernel_shard(
@@ -43,27 +37,13 @@ fn kernel_shard(
     simulate_rows(w, &[*config], rows, KernelPath::detect()).swap_remove(0)
 }
 
-/// Builds a workload from raw 12-bit code pairs (one `(q, k)` element pair
-/// per row position, replicated across a small head dimension so every
-/// sequence length exercises row partitioning).
-fn workload_from_pairs(pairs: &[(i32, i32)], threshold: i64, head_dim: usize) -> HeadWorkload {
-    let q_codes: Vec<Vec<i32>> = pairs
-        .iter()
-        .map(|&(q, _)| {
-            (0..head_dim)
-                .map(|c| q.wrapping_add(c as i32 * 7) % 2047)
-                .collect()
-        })
-        .collect();
-    let k_codes: Vec<Vec<i32>> = pairs
-        .iter()
-        .map(|&(_, k)| {
-            (0..head_dim)
-                .map(|c| k.wrapping_sub(c as i32 * 5) % 2047)
-                .collect()
-        })
-        .collect();
-    HeadWorkload::from_codes(q_codes, k_codes, threshold, head_dim, 12)
+/// One head split across `tiles` tiles in tile order: the one-head layer
+/// plan, executed by `LayerPlan::execute`.
+fn tiled(w: &HeadWorkload, config: &TileConfig, tiles: usize) -> TiledHeadSim {
+    let config = TileConfig { tiles, ..*config };
+    let heads = std::slice::from_ref(w);
+    let schedule = schedule_layer(heads, &config, &EnergyModel::calibrated(), Placement::Lpt);
+    schedule.heads.into_iter().next().expect("one head")
 }
 
 proptest! {
@@ -83,7 +63,7 @@ proptest! {
         let base = presets()[preset as usize];
         for config in [base, base.with_serial_bits(bits_per_cycle)] {
             let reference = simulate_head_reference(&workload, &config);
-            let tiled = simulate_head_tiled(&workload, &config, tiles);
+            let tiled = tiled(&workload, &config, tiles);
             prop_assert_eq!(
                 &tiled.merged, &reference,
                 "tiles={} diverged on {} (s={})", tiles, config.name, pairs.len()
@@ -91,10 +71,11 @@ proptest! {
             // The kernel whole-head path agrees as well (kernel contract).
             prop_assert_eq!(&simulate_head(&workload, &config), &reference);
             // Makespan semantics: the max over per-tile cycles, never more
-            // than the single-tile total.
+            // than the single-tile total nor less than its per-tile share.
             let max_tile = tiled.tile_cycles.iter().copied().max().unwrap_or(0).max(1);
             prop_assert_eq!(tiled.makespan_cycles(), max_tile);
             prop_assert!(tiled.makespan_cycles() <= reference.total_cycles);
+            prop_assert!(tiled.makespan_cycles() >= reference.total_cycles / tiles as u64);
         }
     }
 
@@ -136,7 +117,7 @@ fn preset_by_tiles_by_granularity_matrix_is_bit_identical() {
             let reference = simulate_head_reference(&workload, &config);
             for tiles in [1usize, 2, 3, 4, 8] {
                 assert_eq!(
-                    simulate_head_tiled(&workload, &config, tiles).merged,
+                    tiled(&workload, &config, tiles).merged,
                     reference,
                     "{} / B={bits_per_cycle} / tiles={tiles}",
                     config.name
@@ -161,7 +142,7 @@ fn merge_matrix_max_cycles_and_summed_counters() {
             .into_iter()
             .map(|rows| kernel_shard(&workload, &config, rows))
             .collect();
-        let tiled = simulate_head_tiled(&workload, &config, tiles);
+        let tiled = tiled(&workload, &config, tiles);
 
         // cycles = max over the per-tile standalone cycles.
         assert_eq!(
@@ -220,7 +201,7 @@ fn merge_matrix_empty_shard_edge() {
         tiles: 8,
         ..TileConfig::ae_leopard()
     };
-    let tiled = simulate_head_tiled(&workload, &config, 8);
+    let tiled = tiled(&workload, &config, 8);
     assert_eq!(tiled.tile_cycles.len(), 8);
     assert_eq!(
         tiled.tile_cycles.iter().filter(|&&c| c == 0).count(),

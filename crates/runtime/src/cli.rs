@@ -124,6 +124,13 @@ pub const MAX_THREADS: usize = 1024;
 /// request instead of retrying up to 2³² times.
 pub const MAX_RETRY_BUDGET: u32 = 32;
 
+/// Largest `--backoff-base-cycles` a serve run accepts: 2³⁰. Retry `n`
+/// waits at most `B·2ⁿ + B` cycles, so a request's whole chain of
+/// [`MAX_RETRY_BUDGET`] retries defers it by less than 2⁶² + 2³⁵ cycles, a
+/// quarter of the `u64` virtual clock. Above the cap a retried request's
+/// ready cycle saturates and its finish cycle (ready + service) overflows.
+pub const MAX_BACKOFF_BASE_CYCLES: u64 = 1 << 30;
+
 /// Where a serve run's fault plan comes from, before [`run`] reads or
 /// generates it: a plan file, or a seeded transient-only stream.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -432,8 +439,8 @@ pub const FLAGS: &[Flag] = &[
                predicted SLO miss; at most 32)" },
     Flag { name: "--backoff-base-cycles", metavar: Some("B"), scope: SERVE, hint: None,
         help: "exponential-backoff base of the retry queue, in\n\
-               virtual cycles (default 4096; retry n waits B*2^n\n\
-               plus seeded jitter)" },
+               virtual cycles (default 4096, at most 2^30; retry n\n\
+               waits B*2^n plus seeded jitter)" },
     Flag { name: "--degrade", metavar: None, scope: SERVE, hint: None,
         help: "serve predicted SLO misses at a degraded (tighter-\n\
                pruning) service level instead of shedding" },
@@ -714,7 +721,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 serve.retry_max = flag.int(v, "retry budget", 0, MAX_RETRY_BUDGET)?;
             }
             "--backoff-base-cycles" => {
-                serve.backoff_base_cycles = flag.int(v, "backoff base", 1, u64::MAX)?;
+                serve.backoff_base_cycles =
+                    flag.int(v, "backoff base", 1, MAX_BACKOFF_BASE_CYCLES)?;
             }
             "--degrade" => serve.degrade = true,
             other => unreachable!("{other} is a FLAGS row without a parse arm"),
@@ -1972,6 +1980,14 @@ mod tests {
         assert!(parse(&args(&["serve", "--slo-headroom", "-2"])).is_err());
         assert!(parse(&args(&["serve", "--slo-headroom", "inf"])).is_err());
         assert!(parse(&args(&["serve", "--backoff-base-cycles", "0"])).is_err());
+        let cap = MAX_BACKOFF_BASE_CYCLES;
+        assert!(parse(&args(&["serve", "--backoff-base-cycles", &cap.to_string()])).is_ok());
+        let above = parse(&args(&[
+            "serve",
+            "--backoff-base-cycles",
+            &(cap + 1).to_string(),
+        ]));
+        assert!(above.unwrap_err().contains("at most 1073741824"));
         assert!(parse(&args(&["serve", "--retry-max", "lots"])).is_err());
         // Combination errors.
         let err = parse(&args(&["serve", "--faults", "p.json", "--fail-rate", "5"])).unwrap_err();

@@ -8,13 +8,13 @@
 //! ```
 //!
 //! Before the passes, every task is planned in submission order. The
-//! blocks follow the task's **layer plan** ([`plan_task_layer`]): the
-//! placement policy assigns every head a tile split (whole heads while
-//! `heads >= tiles`, load-predicted splits when tiles would idle), each
-//! tile shard (a contiguous Q-row range from [`TilePartition`]) is one
-//! block, and a shard of more than 2^19 score pairs is cut further into
-//! row blocks so that the longest full-scale head does not run alone at
-//! the end of a pass.
+//! blocks are the task's **layer plan** ([`plan_task_layer`]) cut by
+//! [`LayerPlan::blocks`]: the placement policy assigns every head a tile
+//! split (whole heads while `heads >= tiles`, load-predicted splits when
+//! tiles would idle), each tile shard is a contiguous Q-row range, and a
+//! shard of more than 2^19 score pairs is cut further into row blocks so
+//! that the longest full-scale head does not run alone at the end of a
+//! pass.
 //!
 //! 1. One build job per `(task, head)` constructs (or fetches from the
 //!    [`WorkloadCache`]) the quantized head workload.
@@ -23,8 +23,9 @@
 //!    one kernel sweep per row, folded into every unit's accounting
 //!    ([`simulate_units_shard`]), since the units differ only in how they
 //!    read the same per-pair outcomes.
-//! 3. One job per task joins each shard's blocks ([`TileShardSim::join`]),
-//!    merges the shards ([`merge_shards`]) and runs the aggregation.
+//! 3. One job per task reassembles the blocks ([`LayerPlan::assemble`]:
+//!    blocks joined in row order, shards merged in shard order) and runs
+//!    the aggregation.
 //!
 //! Aggregation consumes the units in head order and runs exactly the same
 //! arithmetic as the serial
@@ -44,14 +45,13 @@ use crate::pool::{default_threads, ThreadPool};
 use crate::sched::{submission_order, SchedulePolicy};
 use crate::telemetry::{MetricsSnapshot, Telemetry};
 use leopard_accel::config::TileConfig;
-use leopard_accel::schedule::{LayerPlan, TilePartition};
-use leopard_accel::sim::{merge_shards, TileShardSim};
+use leopard_accel::schedule::{LayerPlan, PlanBlock};
+use leopard_accel::sim::TileShardSim;
 use leopard_workloads::pipeline::{
     aggregate_task, plan_task_layer, predict_task_cycles, sim_seq_len, simulate_units_shard,
     HeadUnitResults, PipelineOptions, SimUnitKind, TaskResult,
 };
 use leopard_workloads::suite::TaskDescriptor;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,8 +96,8 @@ pub struct SuiteReport {
 }
 
 /// One task's planned jobs: its head→tile placement and the row blocks
-/// its sweep+fold jobs cover. A pure function of `(task, options)`, so
-/// every thread count runs the same jobs.
+/// its sweep+fold jobs cover ([`LayerPlan::blocks`]). A pure function of
+/// `(task, options)`, so every thread count runs the same jobs.
 struct TaskJobs {
     /// The task's position in the caller's input.
     index: usize,
@@ -105,111 +105,7 @@ struct TaskJobs {
     /// Per head, the tile split (shard count) and the tiles the shards
     /// land on.
     plan: LayerPlan,
-    /// Every row block as `(head, shard, rows)`, head by head in row order.
-    blocks: Vec<(usize, usize, Range<usize>)>,
-}
-
-impl TaskJobs {
-    fn plan(
-        index: usize,
-        task: &TaskDescriptor,
-        options: &PipelineOptions,
-        config: &TileConfig,
-    ) -> Self {
-        let rate = task.paper_pruning_rate as f64;
-        let plan = plan_task_layer(task, options, config, options.tiles.max(1), rate);
-        let seq_len = sim_seq_len(task, options);
-        let blocks = (0..options.heads.max(1))
-            .flat_map(|head| {
-                let split = plan.split(head);
-                let partition = TilePartition::new(seq_len, split);
-                (0..split).flat_map(move |shard| {
-                    row_blocks(partition.range(shard), seq_len)
-                        .into_iter()
-                        .map(move |rows| (head, shard, rows))
-                })
-            })
-            .collect();
-        Self {
-            index,
-            task: task.clone(),
-            plan,
-            blocks,
-        }
-    }
-
-    /// Reassembles every unit from the row blocks' unit shards (`sims`,
-    /// one entry per block, indexed by [`SimUnitKind::index`]) — a tile
-    /// shard's blocks join in row order, the shards merge in shard order,
-    /// so the results are independent of execution order — and groups
-    /// them per head. Charges each tile shard's standalone cycles to its
-    /// planned tile.
-    fn assemble_heads(
-        &self,
-        sims: &[Vec<TileShardSim>],
-        telemetry: Option<&Telemetry>,
-    ) -> Vec<HeadUnitResults> {
-        (0..self.plan.shard_tiles.len())
-            .map(|head| {
-                let units: Vec<Option<_>> = SimUnitKind::ALL
-                    .iter()
-                    .map(|kind| {
-                        let shards: Vec<TileShardSim> = (0..self.plan.split(head))
-                            .map(|shard| {
-                                self.blocks
-                                    .iter()
-                                    .zip(sims)
-                                    .filter(|((of_head, of_shard, _), _)| {
-                                        (*of_head, *of_shard) == (head, shard)
-                                    })
-                                    .map(|(_, units)| &units[kind.index()])
-                                    .fold(None, |joined: Option<TileShardSim>, block| {
-                                        Some(match joined {
-                                            Some(joined) => joined.join(block),
-                                            None => block.clone(),
-                                        })
-                                    })
-                                    // lint:allow(panic-in-library, reason = "row_blocks gives every tile shard at least one block")
-                                    .expect("every tile shard has a block")
-                            })
-                            .collect();
-                        if let Some(t) = telemetry {
-                            for (shard, &tile) in shards.iter().zip(&self.plan.shard_tiles[head]) {
-                                t.metrics().incr(
-                                    &format!("suite.tile{tile:02}.busy_cycles"),
-                                    shard.standalone_cycles(),
-                                );
-                            }
-                        }
-                        Some(merge_shards(&shards))
-                    })
-                    .collect();
-                HeadUnitResults::from_indexed(units)
-            })
-            .collect()
-    }
-}
-
-/// Score pairs above which a tile shard's sweep+fold job is cut into
-/// contiguous row blocks of about this many pairs each. The cut is a pure
-/// function of the shard's shape, so every thread count runs the same
-/// jobs; it only bites on the longest full-scale heads, whose single job
-/// would otherwise keep one worker busy while the others idle at the end
-/// of a run.
-const BLOCK_PAIRS: usize = 1 << 19;
-
-/// The row blocks of one tile shard: `rows` cut into contiguous blocks of
-/// at most about [`BLOCK_PAIRS`] score pairs (each row meets `seq_len` K
-/// columns). A shard never yields zero blocks, so an empty shard is one
-/// empty block.
-fn row_blocks(rows: Range<usize>, seq_len: usize) -> Vec<Range<usize>> {
-    let pairs = rows.len() * seq_len;
-    let count = pairs.div_ceil(BLOCK_PAIRS).max(1);
-    TilePartition::new(rows.len(), count)
-        .ranges()
-        .into_iter()
-        .map(|block| rows.start + block.start..rows.start + block.end)
-        .collect()
+    blocks: Vec<PlanBlock>,
 }
 
 /// The suite runner: a thread pool plus a workload cache that persists
@@ -322,7 +218,19 @@ impl SuiteRunner {
             .collect();
         let planned: Vec<Arc<TaskJobs>> = submission_order(&costs, policy)
             .into_iter()
-            .map(|index| Arc::new(TaskJobs::plan(index, &tasks[index], options, &plan_config)))
+            .map(|index| {
+                let task = tasks[index].clone();
+                let rate = task.paper_pruning_rate as f64;
+                let plan =
+                    plan_task_layer(&task, options, &plan_config, options.tiles.max(1), rate);
+                let blocks = plan.blocks(&vec![sim_seq_len(&task, options); heads]);
+                Arc::new(TaskJobs {
+                    index,
+                    task,
+                    plan,
+                    blocks,
+                })
+            })
             .collect();
         let options = *options;
 
@@ -416,7 +324,16 @@ impl SuiteRunner {
         let aggregated = parallel_map(&self.pool, merges, move |_, (jobs, sims)| {
             // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
             let agg_start = Instant::now();
-            let heads = jobs.assemble_heads(sims, telemetry.as_deref());
+            // One (tile cycles, heads) pair per unit, in SimUnitKind order.
+            let units = jobs.plan.assemble(&jobs.blocks, sims);
+            let heads: Vec<HeadUnitResults> = (0..jobs.plan.shard_tiles.len())
+                .map(|head| {
+                    let merged = units
+                        .iter()
+                        .map(|(_, heads)| Some(heads[head].merged.clone()));
+                    HeadUnitResults::from_indexed(merged.collect())
+                })
+                .collect();
             let result = aggregate_task(&jobs.task, &options, &heads);
             let elapsed = agg_start.elapsed();
             if let Some(t) = &telemetry {
@@ -427,6 +344,14 @@ impl SuiteRunner {
                     vec![("task", jobs.task.id as u64)],
                 );
                 t.metrics().incr("suite.jobs.aggregate", 1);
+                for (_, heads) in &units {
+                    for (tiled, tiles_of) in heads.iter().zip(&jobs.plan.shard_tiles) {
+                        for (&tile, &cycles) in tiles_of.iter().zip(&tiled.tile_cycles) {
+                            let name = format!("suite.tile{tile:02}.busy_cycles");
+                            t.metrics().incr(&name, cycles);
+                        }
+                    }
+                }
             }
             (result, elapsed)
         });
@@ -501,7 +426,9 @@ pub fn measure_layer_makespans(
         let workloads: Vec<_> = (0..pipeline.heads.max(1))
             .map(|head| cache.head_workload(task, &pipeline, head))
             .collect();
-        let (tile_busy, _) = plan.execute(&workloads, &config);
+        let (tile_busy, _) = plan
+            .execute(&workloads, std::slice::from_ref(&config))
+            .swap_remove(0);
         let cycles = tile_busy.iter().copied().max().unwrap_or(0).max(1);
         if let Some(t) = &telemetry {
             t.record_wall_span(
@@ -685,20 +612,38 @@ mod tests {
     }
 
     #[test]
-    fn long_shards_are_cut_into_contiguous_row_blocks() {
-        // Short shards stay one block; an empty shard is one empty block.
-        assert_eq!(row_blocks(0..96, 96), vec![0..96]);
-        assert_eq!(row_blocks(5..5, 96), vec![5..5]);
-        // A shard of more than BLOCK_PAIRS pairs splits into near-equal
-        // contiguous blocks that tile its rows exactly.
-        let blocks = row_blocks(100..1380, 1280);
-        assert_eq!(blocks.len(), (1280 * 1280usize).div_ceil(BLOCK_PAIRS));
-        assert_eq!(blocks.first().map(|b| b.start), Some(100));
-        assert_eq!(blocks.last().map(|b| b.end), Some(1380));
-        for pair in blocks.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start);
+    fn tile_busy_metrics_equal_the_serial_plan_executor() {
+        // The engine and `LayerPlan::execute` share one decomposition: the
+        // busy cycles a traced run charges each tile are the serial
+        // executor's tile cycles on the same plan, summed over the four
+        // units and the tasks.
+        let tasks: Vec<_> = full_suite().into_iter().take(2).collect();
+        let options = PipelineOptions {
+            tiles: 3,
+            heads: 2,
+            ..quick()
+        };
+        let runner = SuiteRunner::new(2).with_telemetry();
+        let metrics = runner.run(&tasks, &options).metrics.expect("traced");
+        let configs = SimUnitKind::ALL.map(|kind| kind.tile_config());
+        let mut expected = [0u64; 3];
+        for task in &tasks {
+            let rate = task.paper_pruning_rate as f64;
+            let plan_config = SimUnitKind::AeLeopard.tile_config();
+            let plan = plan_task_layer(task, &options, &plan_config, 3, rate);
+            let workloads: Vec<_> = (0..2)
+                .map(|head| runner.cache().head_workload(task, &options, head))
+                .collect();
+            for (tile_cycles, _) in plan.execute(&workloads, &configs) {
+                for (sum, cycles) in expected.iter_mut().zip(tile_cycles) {
+                    *sum += cycles;
+                }
+            }
         }
-        assert!(blocks.iter().all(|b| b.len() * 1280 <= BLOCK_PAIRS + 1280));
+        for (tile, &cycles) in expected.iter().enumerate() {
+            let name = format!("suite.tile{tile:02}.busy_cycles");
+            assert_eq!(metrics.counter(&name), Some(cycles), "{name}");
+        }
     }
 
     #[test]

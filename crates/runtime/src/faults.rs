@@ -165,11 +165,11 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Rejects out-of-range tiles, multipliers below 100%, a fail rate
-    /// outside `[0, 1]`, and a plan whose fail events would permanently
-    /// take *every* tile down with traffic still arriving is allowed —
-    /// the replay sheds the stranded requests — but an event naming tile
-    /// `servers` or beyond is a plan bug and is reported as one.
+    /// Rejects a fail rate outside `[0, 1]`, a tile event or slow tile
+    /// naming tile `servers` or beyond, a slow-tile multiplier below 100%,
+    /// and a tile listed twice in `slow_tiles`. A plan whose fail events
+    /// permanently take *every* tile down is allowed: the replay sheds the
+    /// stranded requests.
     pub fn validated(mut self, servers: usize) -> Result<Self, String> {
         if !(self.fail_rate.is_finite() && (0.0..=1.0).contains(&self.fail_rate)) {
             return Err(format!(

@@ -23,10 +23,12 @@
 //!    [`PipelineOptions::tiles`] tiles — heads whole while they
 //!    outnumber tiles, load-predicted Q-row splits when tiles would idle).
 //!    The plan executes through
-//!    [`LayerPlan::execute`](leopard_accel::schedule::LayerPlan::execute),
-//!    so merged per-request accounting stays bit-identical to single-tile
-//!    execution for every tile count and placement policy; only the
-//!    makespan — the scheduled quantity — changes. Simulation is a pure function of the
+//!    [`LayerPlan::execute`](leopard_accel::schedule::LayerPlan::execute):
+//!    its `blocks` simulated serially and reassembled by `assemble`, the
+//!    one tile decomposition the suite engine also runs. So merged
+//!    per-request accounting stays bit-identical to single-tile execution
+//!    for every tile count and placement policy; only the makespan — the
+//!    scheduled quantity — changes. Simulation is a pure function of the
 //!    task, so this phase parallelizes freely.
 //! 2. **Replay** — a single-threaded discrete-event loop replays the
 //!    arrival process against `servers` virtual tiles on a virtual cycle
@@ -79,6 +81,7 @@
 //! `tests/fault_tolerance.rs`).
 
 use crate::cache::CacheStats;
+use crate::cli::{MAX_BACKOFF_BASE_CYCLES, MAX_RETRY_BUDGET};
 use crate::engine::{measure_layer_makespans, SuiteRunner};
 use crate::faults::{FaultPlan, TileFaultEvent, TileFaultKind};
 use crate::sched::{DeferralQueue, PredictedJob, ReadyQueue, SchedulePolicy};
@@ -215,7 +218,7 @@ impl RequestMix {
     /// # Errors
     ///
     /// Rejects negative or non-finite weights, duplicate families, and
-    /// mixes whose weights sum to zero.
+    /// mixes whose weights sum to zero or overflow to infinity.
     pub fn from_weights(weights: Vec<(ModelFamily, f64)>) -> Result<Self, String> {
         let mut seen: Vec<ModelFamily> = Vec::new();
         for &(family, weight) in &weights {
@@ -227,7 +230,13 @@ impl RequestMix {
             }
             seen.push(family);
         }
-        if !weights.is_empty() && weights.iter().map(|(_, w)| w).sum::<f64>() <= 0.0 {
+        let total: f64 = weights.iter().map(|(_, w)| w).sum();
+        if !total.is_finite() {
+            return Err(format!(
+                "request mix weights sum to {total}, not a finite total"
+            ));
+        }
+        if !weights.is_empty() && total <= 0.0 {
             return Err("request mix needs at least one positive weight".to_string());
         }
         Ok(Self { weights })
@@ -383,10 +392,11 @@ pub struct ServingOptions {
     /// Retries a request may consume before it is shed: a transient fault
     /// or predicted SLO miss defers the request (seeded exponential
     /// backoff) while attempts remain. `0` restores shed-on-first-miss.
+    /// At most [`MAX_RETRY_BUDGET`].
     pub retry_max: u32,
     /// Backoff base of the deferral queue, in virtual cycles (retry `n`
-    /// waits `base · 2ⁿ` plus seeded jitter in `[0, base)`). Must be at
-    /// least 1.
+    /// waits `base · 2ⁿ` plus seeded jitter in `[0, base)`). Must be in
+    /// `1..=`[`MAX_BACKOFF_BASE_CYCLES`].
     pub backoff_base_cycles: u64,
     /// Graceful degradation: when the padded prediction misses the
     /// deadline, serve the request at the cheapest fitting level of the
@@ -1258,10 +1268,11 @@ impl Ledger<'_> {
 /// # Panics
 ///
 /// Panics if `options.servers` is zero, `options.slo_headroom` is not a
-/// positive finite number, the retry backoff base is zero while retries
-/// are enabled, the fault plan fails validation against `options.servers`
-/// (out-of-range tiles, sub-100% slow multipliers, a fail rate outside
-/// `[0, 1]`), or [`generate_requests`] panics: `suite` is empty, the rate
+/// positive finite number, the retry budget is above [`MAX_RETRY_BUDGET`],
+/// the retry backoff base is outside `1..=`[`MAX_BACKOFF_BASE_CYCLES`]
+/// while retries are enabled, the fault plan fails validation against
+/// `options.servers` (out-of-range tiles, sub-100% slow multipliers, a
+/// fail rate outside `[0, 1]`), or [`generate_requests`] panics: `suite` is empty, the rate
 /// is not positive and finite or is too small for the clock, or the mix
 /// matches no task in `suite`.
 pub fn run_serving(
@@ -1276,8 +1287,15 @@ pub fn run_serving(
         options.slo_headroom
     );
     assert!(
-        options.retry_max == 0 || options.backoff_base_cycles >= 1,
-        "retry backoff base must be at least 1 cycle"
+        options.retry_max <= MAX_RETRY_BUDGET,
+        "retry budget {} is above {MAX_RETRY_BUDGET}",
+        options.retry_max
+    );
+    assert!(
+        options.retry_max == 0
+            || (1..=MAX_BACKOFF_BASE_CYCLES).contains(&options.backoff_base_cycles),
+        "retry backoff base must be 1..={MAX_BACKOFF_BASE_CYCLES} cycles, got {}",
+        options.backoff_base_cycles
     );
     let fault_plan = match &options.faults {
         Some(plan) => plan
@@ -1808,6 +1826,8 @@ mod tests {
         assert!(RequestMix::parse("memn2n=-1").is_err());
         assert!(RequestMix::parse("memn2n=0").is_err(), "all-zero mix");
         assert!(RequestMix::parse("memn2n=1,memn2n=2").is_err(), "duplicate");
+        let overflow = RequestMix::parse("memn2n=1e308,bert-b=1e308").unwrap_err();
+        assert!(overflow.contains("not a finite total"), "{overflow}");
 
         // A weighted stream draws only from the weighted families, in
         // roughly the requested proportion of *family* traffic.

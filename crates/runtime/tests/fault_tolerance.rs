@@ -17,6 +17,7 @@
 //! * **Conservation** — offered = served + shed for every configuration;
 //!   a request that retries and then lands is counted once.
 
+use leopard_runtime::cli::{MAX_BACKOFF_BASE_CYCLES, MAX_RETRY_BUDGET};
 use leopard_runtime::engine::SuiteRunner;
 use leopard_runtime::faults::{FaultPlan, SlowTile, TileFaultEvent, TileFaultKind};
 use leopard_runtime::report::{serving_report_json, serving_requests_csv};
@@ -278,4 +279,42 @@ fn permanent_outage_shed_everything_still_in_flight() {
     // The whole thing replays identically at another thread count.
     let again = faulted_report(&options, 4);
     assert_eq!(serving_requests_csv(&again), serving_requests_csv(&report));
+}
+
+/// Half of all dispatches fail and every request may spend the full retry
+/// budget, waiting up to `base * 2^31` cycles before its last retry.
+fn retried_at_backoff(base: u64) -> ServingOptions {
+    ServingOptions {
+        requests: 64,
+        retry_max: MAX_RETRY_BUDGET,
+        backoff_base_cycles: base,
+        faults: Some(FaultPlan::transient(0x5EED, 0.5).expect("valid rate")),
+        pipeline: small_pipeline(),
+        ..ServingOptions::default()
+    }
+}
+
+#[test]
+fn backoff_at_its_cap_keeps_every_finish_after_its_start() {
+    let report = faulted_report(&retried_at_backoff(MAX_BACKOFF_BASE_CYCLES), 2);
+    assert!(
+        report
+            .fault_summary
+            .as_ref()
+            .expect("fault layer active")
+            .retries
+            > 0
+    );
+    for r in &report.records {
+        assert!(r.start_cycle <= r.finish_cycle, "request {}: {r:?}", r.id);
+    }
+    for (tile, utilization) in report.tile_utilization().into_iter().enumerate() {
+        assert!(utilization <= 1.0, "tile {tile} at {utilization}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "retry backoff base")]
+fn backoff_above_its_cap_is_rejected() {
+    let _ = faulted_report(&retried_at_backoff(MAX_BACKOFF_BASE_CYCLES + 1), 1);
 }

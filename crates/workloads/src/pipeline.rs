@@ -370,10 +370,9 @@ pub fn simulate_unit(workload: &HeadWorkload, kind: SimUnitKind) -> HeadSimResul
 /// pass: the contiguous `rows` slice of one head workload, one kernel sweep
 /// per row folded into every [`SimUnitKind`]'s accounting. Returns one
 /// [`TileShardSim`] per kind, indexed by [`SimUnitKind::index`]. The engine
-/// runs these as parallel jobs, joins a tile shard's blocks with
-/// [`TileShardSim::join`] and merges the shards with
-/// [`leopard_accel::sim::merge_shards`]; the merged results
-/// reproduce [`simulate_unit`] bit-identically for every kind.
+/// runs these as parallel jobs over a plan's blocks and reassembles them
+/// with [`leopard_accel::schedule::LayerPlan::assemble`]; the merged
+/// results reproduce [`simulate_unit`] bit-identically for every kind.
 pub fn simulate_units_shard(
     workload: &HeadWorkload,
     rows: std::ops::Range<usize>,

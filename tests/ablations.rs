@@ -14,7 +14,7 @@
 use leopard::accel::config::TileConfig;
 use leopard::accel::energy::EnergyModel;
 use leopard::accel::kernel_v2::KernelPath;
-use leopard::accel::schedule::{schedule_layer, simulate_head_tiled, Placement};
+use leopard::accel::schedule::{schedule_layer, Placement};
 use leopard::accel::sim::{
     merge_shards, simulate_head, simulate_head_reference, simulate_rows, CacheCensus,
     HeadSimResult, HeadWorkload,
@@ -39,11 +39,14 @@ fn tile_scaling_makespans_are_pinned() {
     let workload = head(256, 42);
     let reference = simulate_head_reference(&workload, &config);
     assert_eq!(reference.total_cycles, 43_248);
+    // One head split across `tiles` tiles: the one-head layer plan.
     let makespans: Vec<u64> = (1..=8)
         .map(|tiles| {
-            let tiled = simulate_head_tiled(&workload, &config, tiles);
-            assert_eq!(tiled.merged, reference, "{tiles} tiles diverged");
-            tiled.makespan_cycles()
+            let config = TileConfig { tiles, ..config };
+            let heads = std::slice::from_ref(&workload);
+            let layer = schedule_layer(heads, &config, &EnergyModel::calibrated(), Placement::Lpt);
+            assert_eq!(layer.heads[0].merged, reference, "{tiles} tiles diverged");
+            layer.makespan_cycles
         })
         .collect();
     assert_eq!(

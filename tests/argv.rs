@@ -5,8 +5,8 @@
 //! panics, and whatever it accepts stays inside the documented caps).
 
 use leopard::runtime::cli::{
-    parse, Command, SweepParam, FLAGS, MAX_RETRY_BUDGET, MAX_SERVE_REQUESTS, MAX_SERVE_SERVERS,
-    MAX_SUITE_HEADS, MAX_THREADS, MAX_TILES,
+    parse, Command, SweepParam, FLAGS, MAX_BACKOFF_BASE_CYCLES, MAX_RETRY_BUDGET,
+    MAX_SERVE_REQUESTS, MAX_SERVE_SERVERS, MAX_SUITE_HEADS, MAX_THREADS, MAX_TILES,
 };
 use leopard::workloads::pipeline::MIN_SIM_SEQ_LEN;
 use std::panic::catch_unwind;
@@ -73,6 +73,7 @@ fn hostile_values() -> Vec<String> {
         MAX_SERVE_REQUESTS,
         MAX_SERVE_SERVERS,
         MAX_RETRY_BUDGET as usize,
+        MAX_BACKOFF_BASE_CYCLES as usize,
     ];
     let mut values: Vec<String> = caps
         .iter()
@@ -127,7 +128,10 @@ fn assert_within_caps(cmd: &Command, argv: &[String]) {
                 "{argv:?}"
             );
             assert!(options.slo_headroom.is_finite() && options.slo_headroom > 0.0);
-            assert!(options.backoff_base_cycles >= 1, "{argv:?}");
+            assert!(
+                (1..=MAX_BACKOFF_BASE_CYCLES).contains(&options.backoff_base_cycles),
+                "{argv:?}"
+            );
             assert_ne!(options.slo_cycles, Some(0), "{argv:?}");
             assert!(faults.fail_rate.is_none_or(|r| (0.0..=1.0).contains(&r)));
         }

@@ -110,15 +110,25 @@ fn help_output_matches_its_pinned_digest() {
         .output()
         .expect("run the leopard binary");
     assert!(out.status.success());
-    // The digest was pinned before `--threads` had a cap; the cap's help
-    // line is the one intended difference, checked exactly here.
+    // The digest was pinned before `--threads` and `--backoff-base-cycles`
+    // had caps; the caps' help lines are the intended differences, checked
+    // exactly here.
     let help = String::from_utf8_lossy(&out.stdout);
     let threads = "    --threads N       worker threads (default 0 = one per core, at most 1024)\n";
+    let backoff = "virtual cycles (default 4096, at most 2^30; retry n\n                      \
+                   waits B*2^n plus seeded jitter)\n";
     assert_eq!(help.matches(threads).count(), 1, "{help}");
-    let before_cap = help.replace(
-        threads,
-        "    --threads N       worker threads (default 0 = one per core)\n",
-    );
+    assert_eq!(help.matches(backoff).count(), 1, "{help}");
+    let before_cap = help
+        .replace(
+            threads,
+            "    --threads N       worker threads (default 0 = one per core)\n",
+        )
+        .replace(
+            backoff,
+            "virtual cycles (default 4096; retry n waits B*2^n\n                      \
+             plus seeded jitter)\n",
+        );
     assert_eq!(
         (before_cap.len(), fnv1a64(before_cap.as_bytes())),
         (5963, 0xd0cb_5749_a309_9e6c),
