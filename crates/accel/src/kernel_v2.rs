@@ -22,14 +22,19 @@
 //!    last cycle without any reveal cycle. Every other column is pruned by
 //!    the last cycle at the latest, where the margin is 0.
 //!
-//! The sweep takes the columns four at a time: a block's first pass, then
-//! its reveal cycles `1..total` while any of its four columns is still
-//! open, with the four lanes settled without branches. The block's codes
-//! stay in L1 across its cycles. Without early termination one pass of the
-//! last cycle's partials (nothing masked: the full dot) decides every pair.
+//! The sweep takes the columns four at a time. A block's first pass also
+//! saves what its reveal cycles share, per column `q·sign k` and `|k|`,
+//! in the caller's [`RowScratchV2`]; each reveal cycle `1..total` then only
+//! masks the saved magnitudes with `keep_c` and multiply-adds, while any
+//! of the four columns is still open. The four lanes' sums, cycle counts
+//! and open flags stay in one vector of four `i64` lanes: the margin test,
+//! the blends that settle a pruned lane and the exit test run there,
+//! without branches, and a block's outcomes are read out once, after its
+//! last cycle. Without early termination one pass of full dots decides
+//! every pair.
 //!
-//! The two block primitives (first pass, truncated partials) run over
-//! `i16` operands with `i32` multiply-adds, widened to `i64` before any
+//! The block primitives (first pass, full dots, reveal) run over `i16`
+//! operands with `i32` multiply-adds, widened to `i64` before any
 //! accumulator can overflow. [`KernelPath`] picks between two compilations
 //! of the same driver at runtime via `std::arch` feature detection: an
 //! AVX2 wide path on x86-64 machines that have it, and a portable scalar
@@ -211,12 +216,24 @@ impl PackedKeys {
     }
 }
 
-/// Reusable per-row buffer for [`QkKernelV2::compute_row_into`]: the
-/// zero-padded `i16` Q operands. Caller-owned so a head simulation reuses
-/// one across rows instead of reallocating.
+/// Reusable per-row buffers for [`QkKernelV2::compute_row_into`]: the
+/// zero-padded `i16` Q operands, and the reveal operands of the block of
+/// four columns being swept. Caller-owned so a head simulation reuses one
+/// across rows instead of reallocating.
+///
+/// A block's reveal operands are what its reveal cycles share: per column
+/// `q·sign k` and `|k|`, `stride` elements each, laid out for the path's
+/// own reveal loop (column by column on the portable path, interleaved 16
+/// elements at a time on the wide one). The block's first pass writes them
+/// once; each reveal cycle only masks the magnitudes and multiply-adds.
+/// Both buffers are sized by the row (`8·stride` elements for the
+/// operands: 16 bytes per element of the head dimension, rounded up to 16
+/// elements), so no head dimension outgrows them and none has a fixed
+/// size.
 #[derive(Debug, Default, Clone)]
 pub struct RowScratchV2 {
     q16: Vec<i16>,
+    operands: Vec<i16>,
 }
 
 impl RowScratchV2 {
@@ -334,9 +351,11 @@ impl QkKernelV2 {
             return;
         }
 
-        scratch.q16.clear();
-        scratch.q16.extend(q_row.iter().map(|&q| q as i16));
-        scratch.q16.resize(packed.stride, 0);
+        let RowScratchV2 { q16, operands } = scratch;
+        q16.clear();
+        q16.extend(q_row.iter().map(|&q| q as i16));
+        q16.resize(packed.stride, 0);
+        operands.resize(8 * packed.stride, 0);
 
         // Largest number of products of this row's operand range an i32
         // accumulator can hold without overflow.
@@ -363,8 +382,8 @@ impl QkKernelV2 {
             // `KernelPath::Wide` can only be held after
             // `is_x86_feature_detected!("avx2")` returned true on this
             // machine, so the AVX2-compiled sweep is safe to call here.
-            KernelPath::Wide if chunk >= LANES => unsafe { sweep_avx2(&sweep, &scratch.q16, out) },
-            _ => sweep_portable(&sweep, &scratch.q16, out),
+            KernelPath::Wide if chunk >= LANES => unsafe { sweep_avx2(&sweep, q16, operands, out) },
+            _ => sweep_core(portable::Portable, &sweep, q16, operands, out),
         }
     }
 
@@ -401,102 +420,202 @@ struct RowSweep<'a> {
 /// Four columns of a [`PackedKeys`], each `stride` elements long.
 type Block<'a> = [&'a [i16]; 4];
 
-/// One exact sum per column of a [`Block`].
-type Sums = [i64; 4];
-
-/// The sweep shared by both dispatch paths — `inline(always)` and generic
-/// over the two block primitives, so each wrapper compiles its own copy
-/// under its own target features:
+/// One compilation's block primitives and four-lane operations. The one
+/// driver, [`sweep_core`], is generic over it, so each path compiles its
+/// own copy of the driver: [`portable::Portable`] everywhere, and the AVX2
+/// token on x86-64 machines that have it.
 ///
-/// * `first(q, block, chunk)` → per column `(conc, full)`, the concordant
-///   sum `Σ max(q·sign k, 0)` and the full dot `Σ q·k`;
-/// * `partials(q, block, keep, chunk)` → per column the partial sum
-///   `Σ (q·sign k)·(|k| & keep)` of one reveal cycle.
+/// A [`Lanes`](Self::Lanes) value holds one `i64` per column of a block. A
+/// mask is a `Lanes` value whose lanes are each 0 or −1 (all bits set).
+///
+/// # Safety
+///
+/// The three primitives share one shape contract, which `sweep_core`
+/// checks once per row: `q.len()` is a multiple of [`LANES`], every column
+/// of `block` has `q.len()` elements, `operands` has `8·q.len()`, and
+/// `chunk >= MIN_CHUNK`.
+trait BlockOps: Copy {
+    /// Four `i64` lanes.
+    type Lanes: Copy;
+
+    /// The fewest products the primitives sum in `i32` before widening: a
+    /// row whose `chunk` is shorter must not run on this path.
+    const MIN_CHUNK: usize;
+
+    /// Per column the concordant sum `Σ max(q·sign k, 0)` and the full dot
+    /// `Σ q·k`, `chunk` products per `i32` run. Writes the block's reveal
+    /// operands (see [`RowScratchV2`]) into `operands`.
+    ///
+    /// # Safety
+    ///
+    /// The shape contract.
+    unsafe fn first_pass(
+        self,
+        q: &[i16],
+        block: Block<'_>,
+        chunk: usize,
+        operands: &mut [i16],
+    ) -> (Self::Lanes, Self::Lanes);
+
+    /// Per column the full dot `Σ q·k` alone: the first pass without early
+    /// termination, which has no reveal cycles.
+    ///
+    /// # Safety
+    ///
+    /// The shape contract.
+    unsafe fn full_dots(self, q: &[i16], block: Block<'_>, chunk: usize) -> Self::Lanes;
+
+    /// Per column the partial sum `Σ (q·sign k)·(|k| & keep)` of one reveal
+    /// cycle, over the reveal operands the block's first pass wrote.
+    ///
+    /// # Safety
+    ///
+    /// The shape contract (`operands` holds `8·len` elements for the `len`
+    /// of the `q` the first pass read).
+    unsafe fn reveal(self, operands: &[i16], keep: i16, chunk: usize) -> Self::Lanes;
+
+    /// `x` in every lane.
+    fn splat(self, x: i64) -> Self::Lanes;
+
+    /// The lanes of `v`, in column order.
+    fn lanes(self, v: Self::Lanes) -> [i64; 4];
+
+    /// The margin `conc·mrm` per lane, for `conc ≥ 0` and `0 ≤ mrm < 2^32`,
+    /// exact wherever the product fits an `i64`.
+    fn margin(self, conc: Self::Lanes, mrm: i64) -> Self::Lanes;
+
+    /// `a + b` per lane.
+    fn add(self, a: Self::Lanes, b: Self::Lanes) -> Self::Lanes;
+
+    /// The mask of lanes where `a < b`.
+    fn less(self, a: Self::Lanes, b: Self::Lanes) -> Self::Lanes;
+
+    /// `a & b` per lane.
+    fn and(self, a: Self::Lanes, b: Self::Lanes) -> Self::Lanes;
+
+    /// `a ^ b` per lane.
+    fn xor(self, a: Self::Lanes, b: Self::Lanes) -> Self::Lanes;
+
+    /// `b` in the lanes `mask` sets, `a` in the others.
+    fn select(self, mask: Self::Lanes, a: Self::Lanes, b: Self::Lanes) -> Self::Lanes;
+
+    /// Whether `mask` sets any lane.
+    fn any(self, mask: Self::Lanes) -> bool;
+}
+
+/// The sweep shared by both dispatch paths, `inline(always)` so each
+/// caller compiles it under its own target features. Per block of four
+/// columns: one first pass (which also writes the block's reveal operands
+/// into `operands`), then the reveal cycles while any lane is open. The
+/// sums, cycle counts and open lanes stay in [`BlockOps::Lanes`] values
+/// throughout; a block's outcomes are read out once, after its last cycle.
+///
+/// # Panics
+///
+/// Panics unless `q16` is one packed column long, `operands` eight, and
+/// `job.chunk >= P::MIN_CHUNK`.
 #[inline(always)]
-fn sweep_core(
+fn sweep_core<P: BlockOps>(
+    p: P,
     job: &RowSweep<'_>,
     q16: &[i16],
+    operands: &mut [i16],
     out: &mut Vec<DotProductOutcome>,
-    first: impl Fn(&[i16], Block<'_>, usize) -> (Sums, Sums),
-    partials: impl Fn(&[i16], Block<'_>, i16, usize) -> Sums,
 ) {
     let packed = job.packed;
+    // `PackedKeys` keeps `stride` a multiple of `LANES` and every column
+    // `stride` long, so this is the primitives' whole shape contract.
+    assert!(
+        q16.len() == packed.stride
+            && operands.len() == 8 * packed.stride
+            && job.chunk >= P::MIN_CHUNK,
+        "row operands do not match the packed keys"
+    );
     let total = job.total_cycles;
+    let threshold = p.splat(job.threshold);
     for j in (0..packed.cols).step_by(4) {
         // The last block repeats the last column into its spare lanes;
         // their outcomes are never written.
         let block: Block<'_> = std::array::from_fn(|t| packed.column((j + t).min(packed.cols - 1)));
-        // Without early termination only the full dot matters, and the
-        // last cycle's partial (nothing masked) is that dot.
-        let (conc, full) = if job.early_termination {
-            first(q16, block, job.chunk)
-        } else {
-            ([0; 4], partials(q16, block, !0, job.chunk))
-        };
         // Each lane starts settled at the last cycle on its full dot. A
         // lane whose full dot reaches the threshold can never be pruned;
         // the rest stay open until the margin test prunes them, on the
-        // last cycle (where the margin is 0) at the latest.
-        let mut cycles = [total; 4];
-        let mut sums = full;
-        let mut open = full.map(|f| job.early_termination && f < job.threshold);
-        for cycle in 1..total {
-            if open == [false; 4] {
-                break;
+        // last cycle (where the margin is 0) at the latest. Without early
+        // termination only the full dot matters.
+        let mut cycles = p.splat(i64::from(total));
+        let mut sums;
+        if job.early_termination {
+            let conc;
+            // SAFETY: the shape contract, asserted above.
+            (conc, sums) = unsafe { p.first_pass(q16, block, job.chunk, operands) };
+            let mut open = p.less(sums, threshold);
+            for cycle in 1..total {
+                if !p.any(open) {
+                    break;
+                }
+                let mrm = job.mrm[cycle as usize];
+                // SAFETY: as for the first pass.
+                let partial = unsafe { p.reveal(operands, !(mrm as i16), job.chunk) };
+                // Settle with masks: a branch on each lane's margin test
+                // would mispredict at every data-dependent prune.
+                let margin = p.margin(conc, mrm);
+                let prune = p.and(open, p.less(p.add(partial, margin), threshold));
+                open = p.xor(open, prune);
+                cycles = p.select(prune, cycles, p.splat(i64::from(cycle)));
+                sums = p.select(prune, sums, partial);
             }
-            let mrm = job.mrm[cycle as usize];
-            let partial = partials(q16, block, !(mrm as i16), job.chunk);
-            // Settle with masks: a branch on each lane's margin test would
-            // mispredict at every data-dependent prune.
-            for t in 0..4 {
-                let prune = open[t] & (partial[t] + mrm * conc[t] < job.threshold);
-                open[t] &= !prune;
-                let mask = -i64::from(prune);
-                cycles[t] ^= (cycles[t] ^ cycle) & mask as u32;
-                sums[t] ^= (sums[t] ^ partial[t]) & mask;
-            }
+        } else {
+            // SAFETY: as for the first pass.
+            sums = unsafe { p.full_dots(q16, block, job.chunk) };
         }
+        let (cycles, sums) = (p.lanes(cycles), p.lanes(sums));
         let lanes = (packed.cols - j).min(4);
-        out.extend((0..lanes).map(|t| DotProductOutcome {
-            cycles: cycles[t],
-            bits_processed: job.plan.bits_after(cycles[t]),
-            terminated_early: cycles[t] < total,
-            pruned: job.pruning && sums[t] < job.threshold,
-            partial_sum: sums[t],
+        out.extend((0..lanes).map(|t| {
+            // At most `total`, a u32.
+            let cycles = cycles[t] as u32;
+            DotProductOutcome {
+                cycles,
+                bits_processed: job.plan.bits_after(cycles),
+                terminated_early: cycles < total,
+                pruned: job.pruning && sums[t] < job.threshold,
+                partial_sum: sums[t],
+            }
         }));
     }
 }
 
 /// The portable compilation of the sweep: baseline target features, every
-/// architecture.
-fn sweep_portable(job: &RowSweep<'_>, q16: &[i16], out: &mut Vec<DotProductOutcome>) {
-    sweep_core(job, q16, out, portable::first_pass, portable::partials);
-}
-
-/// The portable block primitives: one scalar sum per column, each run of
-/// `chunk` products in `i32` (the caller sizes `chunk` so no run can
-/// overflow), the runs in `i64`.
+/// architecture. One scalar sum per column, each run of `chunk` products
+/// in `i32` (the caller sizes `chunk` so no run can overflow), the runs in
+/// `i64`; the lanes are `[i64; 4]`. A block's reveal operands lie column
+/// by column: column `t`'s `q·sign k` at `2t·len`, its `|k|` at
+/// `(2t + 1)·len`.
 mod portable {
-    use super::{Block, Sums};
+    use super::{Block, BlockOps};
+
+    /// The portable [`BlockOps`]. Its primitives index with bounds checks,
+    /// so they are sound on any shape.
+    #[derive(Clone, Copy)]
+    pub(super) struct Portable;
 
     /// `Σ_i x_i·y_i` in exact integers over the `i16` operand pairs
-    /// `(x_i, y_i) = operands(q_i, k_i)`, `chunk` products per `i32` run.
+    /// `(x_i, y_i) = operands(a_i, b_i)`, `chunk` products per `i32` run.
     /// `i16` operands and branch-free `operands` keep the loop in the shape
     /// LLVM lowers to widening multiply-adds.
     #[inline(always)]
     fn chunked_dot(
-        q: &[i16],
-        k: &[i16],
+        a: &[i16],
+        b: &[i16],
         chunk: usize,
         operands: impl Fn(i16, i16) -> (i16, i16),
     ) -> i64 {
         let mut total = 0i64;
         let mut start = 0;
-        while start < q.len() {
-            let end = q.len().min(start + chunk);
-            let run: i32 = q[start..end]
+        while start < a.len() {
+            let end = a.len().min(start + chunk);
+            let run: i32 = a[start..end]
                 .iter()
-                .zip(&k[start..end])
+                .zip(&b[start..end])
                 .map(|(&a, &b)| {
                     let (x, y) = operands(a, b);
                     i32::from(x) * i32::from(y)
@@ -520,20 +639,101 @@ mod portable {
         }
     }
 
-    /// Per column the concordant sum `Σ max(q·sign k, 0)` and the full dot
-    /// `Σ q·k`.
+    /// Column `t`'s reveal operands, `q·sign k` then `|k|`.
     #[inline(always)]
-    pub(super) fn first_pass(q: &[i16], block: Block<'_>, chunk: usize) -> (Sums, Sums) {
-        (
-            block.map(|k| chunked_dot(q, k, chunk, |a, b| (signed(a, b).max(0), 1))),
-            block.map(|k| chunked_dot(q, k, chunk, |a, b| (a, b))),
-        )
+    fn column(operands: &[i16], t: usize) -> (&[i16], &[i16]) {
+        let len = operands.len() / 8;
+        operands[2 * t * len..(2 * t + 2) * len].split_at(len)
     }
 
-    /// Per column the partial sum `Σ (q·sign k)·(|k| & keep)`.
-    #[inline(always)]
-    pub(super) fn partials(q: &[i16], block: Block<'_>, keep: i16, chunk: usize) -> Sums {
-        block.map(|k| chunked_dot(q, k, chunk, |a, b| (signed(a, b), b.abs() & keep)))
+    impl BlockOps for Portable {
+        type Lanes = [i64; 4];
+
+        const MIN_CHUNK: usize = 1;
+
+        #[inline(always)]
+        unsafe fn first_pass(
+            self,
+            q: &[i16],
+            block: Block<'_>,
+            chunk: usize,
+            operands: &mut [i16],
+        ) -> ([i64; 4], [i64; 4]) {
+            let len = q.len();
+            for (t, k) in block.iter().enumerate() {
+                let (signs, magnitudes) =
+                    operands[2 * t * len..(2 * t + 2) * len].split_at_mut(len);
+                for (((s, m), &a), &b) in signs.iter_mut().zip(magnitudes).zip(q).zip(*k) {
+                    *s = signed(a, b);
+                    *m = b.abs();
+                }
+            }
+            let operands = &*operands;
+            let conc = std::array::from_fn(|t| {
+                let (signs, _) = column(operands, t);
+                chunked_dot(signs, signs, chunk, |s, _| (s.max(0), 1))
+            });
+            // SAFETY: the portable primitives hold on any shape.
+            (conc, unsafe { self.full_dots(q, block, chunk) })
+        }
+
+        #[inline(always)]
+        unsafe fn full_dots(self, q: &[i16], block: Block<'_>, chunk: usize) -> [i64; 4] {
+            block.map(|k| chunked_dot(q, k, chunk, |a, b| (a, b)))
+        }
+
+        #[inline(always)]
+        unsafe fn reveal(self, operands: &[i16], keep: i16, chunk: usize) -> [i64; 4] {
+            std::array::from_fn(|t| {
+                let (signs, magnitudes) = column(operands, t);
+                chunked_dot(signs, magnitudes, chunk, |s, m| (s, m & keep))
+            })
+        }
+
+        #[inline(always)]
+        fn splat(self, x: i64) -> [i64; 4] {
+            [x; 4]
+        }
+
+        #[inline(always)]
+        fn lanes(self, v: [i64; 4]) -> [i64; 4] {
+            v
+        }
+
+        #[inline(always)]
+        fn margin(self, conc: [i64; 4], mrm: i64) -> [i64; 4] {
+            conc.map(|c| c * mrm)
+        }
+
+        #[inline(always)]
+        fn add(self, a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+            std::array::from_fn(|t| a[t] + b[t])
+        }
+
+        #[inline(always)]
+        fn less(self, a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+            std::array::from_fn(|t| -i64::from(a[t] < b[t]))
+        }
+
+        #[inline(always)]
+        fn and(self, a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+            std::array::from_fn(|t| a[t] & b[t])
+        }
+
+        #[inline(always)]
+        fn xor(self, a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+            std::array::from_fn(|t| a[t] ^ b[t])
+        }
+
+        #[inline(always)]
+        fn select(self, mask: [i64; 4], a: [i64; 4], b: [i64; 4]) -> [i64; 4] {
+            std::array::from_fn(|t| a[t] ^ ((a[t] ^ b[t]) & mask[t]))
+        }
+
+        #[inline(always)]
+        fn any(self, mask: [i64; 4]) -> bool {
+            mask != [0; 4]
+        }
     }
 }
 
@@ -542,140 +742,266 @@ mod portable {
 /// detection.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sweep_avx2(job: &RowSweep<'_>, q16: &[i16], out: &mut Vec<DotProductOutcome>) {
-    debug_assert_eq!(q16.len(), job.packed.stride);
-    // Closures defined here inherit the enabled AVX2 feature.
-    // SAFETY (both): every packed column is `stride` elements long, a
-    // multiple of `LANES`; `compute_row_into` pads Q to `stride` and calls
-    // this sweep only when `chunk >= LANES`.
-    sweep_core(
-        job,
-        q16,
-        out,
-        |q, block, chunk| unsafe { avx2::first_pass(q, block, chunk) },
-        |q, block, keep, chunk| unsafe { avx2::partials(q, block, keep, chunk) },
-    );
+fn sweep_avx2(
+    job: &RowSweep<'_>,
+    q16: &[i16],
+    operands: &mut [i16],
+    out: &mut Vec<DotProductOutcome>,
+) {
+    // SAFETY: this function is compiled with AVX2 and only runs where it
+    // is available, which is what the token stands for.
+    let avx2 = unsafe { avx2::Avx2::new() };
+    sweep_core(avx2, job, q16, operands, out);
 }
 
-/// The AVX2 block primitives. `_mm256_madd_epi16` multiplies 16 `i16`
-/// pairs and pair-sums them into 8 `i32` lanes; after every run of at most
-/// `chunk` elements the lanes are summed and widened into `i64` totals, so
-/// no `i32` sum ever holds more than `chunk` products.
+/// The AVX2 block primitives and lanes. `_mm256_madd_epi16` multiplies 16
+/// `i16` pairs and pair-sums them into 8 `i32` lanes; after every run of
+/// at most `chunk` elements the lanes are summed and widened into `i64`
+/// totals, so no `i32` sum ever holds more than `chunk` products. The
+/// lanes are one `__m256i` of four `i64`s, settled with
+/// `_mm256_cmpgt_epi64`, `_mm256_blendv_epi8` and `_mm256_testz_si256`.
 ///
-/// Both primitives share one safety contract: every column of `block` has
-/// `q.len()` elements, `q.len()` is a multiple of [`LANES`], and
-/// `chunk >= LANES`.
+/// A block's reveal operands are interleaved 16 elements at a time, so the
+/// first pass writes and each reveal cycle reads them front to back: for
+/// the elements `at..at + 16` of column `t`, `q·sign k` lies at `8·at +
+/// 32·t` and `|k|` at `8·at + 32·t + 16`.
+///
+/// Every operation takes an [`Avx2`] token, which only exists where AVX2
+/// does; the primitives' loads and stores stay inside their slices by the
+/// shape contract of [`BlockOps`] (here `MIN_CHUNK` is [`LANES`]).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{Block, Sums, LANES};
+    use super::{Block, BlockOps, LANES};
     use std::arch::x86_64::*;
+
+    /// Proof that the running machine supports AVX2. Its operations are
+    /// `inline(always)`, so the AVX2 intrinsics inline into the
+    /// `target_feature` function that drives them.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx2(());
+
+    impl Avx2 {
+        /// # Safety
+        ///
+        /// The running machine supports AVX2.
+        #[inline(always)]
+        pub(super) unsafe fn new() -> Self {
+            Self(())
+        }
+    }
 
     /// Sixteen elements of `s` from `at`.
     ///
     /// # Safety
     ///
-    /// `at + LANES <= s.len()`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
+    /// AVX2 is available, and `at + LANES <= s.len()`.
+    #[inline(always)]
     unsafe fn load(s: &[i16], at: usize) -> __m256i {
         debug_assert!(at + LANES <= s.len());
         // SAFETY: the caller keeps the 32-byte unaligned read inside `s`.
         unsafe { _mm256_loadu_si256(s.as_ptr().add(at).cast()) }
     }
 
-    /// The four `i64` lanes of `v`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn lanes(v: __m256i) -> Sums {
-        let mut out = [0i64; 4];
-        // SAFETY: `out` is 32 bytes, exactly one unaligned store.
-        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) };
-        out
+    /// Stores `v` as sixteen elements of `s` from `at`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 is available, and `at + LANES <= s.len()`.
+    #[inline(always)]
+    unsafe fn store(s: &mut [i16], at: usize, v: __m256i) {
+        debug_assert!(at + LANES <= s.len());
+        // SAFETY: the caller keeps the 32-byte unaligned write inside `s`.
+        unsafe { _mm256_storeu_si256(s.as_mut_ptr().add(at).cast(), v) }
     }
 
     /// One `i64` total per column, in column order, from four columns'
     /// eight-lane `i32` accumulators. Exact while each column's lanes sum
     /// to at most `chunk` products.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn reduce(acc: [__m256i; 4]) -> __m256i {
-        // [a01 a23 b01 b23 | a45 a67 b45 b67], then the same for c, d.
-        let ab = _mm256_hadd_epi32(acc[0], acc[1]);
-        let cd = _mm256_hadd_epi32(acc[2], acc[3]);
-        // [a0-3 b0-3 c0-3 d0-3 | a4-7 b4-7 c4-7 d4-7].
-        let abcd = _mm256_hadd_epi32(ab, cd);
-        let sums = _mm_add_epi32(
-            _mm256_castsi256_si128(abcd),
-            _mm256_extracti128_si256::<1>(abcd),
-        );
-        _mm256_cvtepi32_epi64(sums)
-    }
-
-    /// Per column the concordant sum `Σ max(q·sign k, 0)` and the full dot
-    /// `Σ q·k`.
     ///
     /// # Safety
     ///
-    /// The module's shape contract.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn first_pass(q: &[i16], block: Block<'_>, chunk: usize) -> (Sums, Sums) {
-        let zero = _mm256_setzero_si256();
-        let ones = _mm256_set1_epi16(1);
-        debug_assert!(chunk >= LANES);
-        let run = chunk / LANES * LANES;
-        let (mut conc_total, mut full_total) = (zero, zero);
-        let mut at = 0;
-        while at < q.len() {
-            let end = q.len().min(at + run);
-            let (mut conc, mut full) = ([zero; 4], [zero; 4]);
-            while at < end {
-                // SAFETY: `at + LANES <= q.len()`, every column's length.
-                let a = unsafe { load(q, at) };
-                for t in 0..4 {
-                    let k = unsafe { load(block[t], at) };
-                    let concordant = _mm256_max_epi16(_mm256_sign_epi16(a, k), zero);
-                    conc[t] = _mm256_add_epi32(conc[t], _mm256_madd_epi16(concordant, ones));
-                    full[t] = _mm256_add_epi32(full[t], _mm256_madd_epi16(a, k));
-                }
-                at += LANES;
-            }
-            conc_total = _mm256_add_epi64(conc_total, reduce(conc));
-            full_total = _mm256_add_epi64(full_total, reduce(full));
+    /// AVX2 is available.
+    #[inline(always)]
+    unsafe fn reduce(acc: [__m256i; 4]) -> __m256i {
+        // SAFETY: AVX2 is available, by the caller's contract.
+        unsafe {
+            // [a01 a23 b01 b23 | a45 a67 b45 b67], then the same for c, d.
+            let ab = _mm256_hadd_epi32(acc[0], acc[1]);
+            let cd = _mm256_hadd_epi32(acc[2], acc[3]);
+            // [a0-3 b0-3 c0-3 d0-3 | a4-7 b4-7 c4-7 d4-7].
+            let abcd = _mm256_hadd_epi32(ab, cd);
+            let sums = _mm_add_epi32(
+                _mm256_castsi256_si128(abcd),
+                _mm256_extracti128_si256::<1>(abcd),
+            );
+            _mm256_cvtepi32_epi64(sums)
         }
-        (lanes(conc_total), lanes(full_total))
     }
 
-    /// Per column the partial sum `Σ (q·sign k)·(|k| & keep)`.
+    /// Calls `step(at, acc)` for every 16-element offset `at` in `0..len`,
+    /// with `N` sets of four `i32` accumulators that are reduced and
+    /// widened into the returned `i64` totals after every run of at most
+    /// `chunk` elements.
     ///
     /// # Safety
     ///
-    /// The module's shape contract.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn partials(q: &[i16], block: Block<'_>, keep: i16, chunk: usize) -> Sums {
-        let keep = _mm256_set1_epi16(keep);
-        debug_assert!(chunk >= LANES);
+    /// AVX2 is available, `len` is a multiple of [`LANES`] and `chunk >=
+    /// LANES`.
+    #[inline(always)]
+    unsafe fn runs<const N: usize>(
+        len: usize,
+        chunk: usize,
+        mut step: impl FnMut(usize, &mut [[__m256i; 4]; N]),
+    ) -> [__m256i; N] {
+        // SAFETY (every block): AVX2 is available, by the caller's
+        // contract.
+        let zero = unsafe { _mm256_setzero_si256() };
         let run = chunk / LANES * LANES;
-        let mut total = _mm256_setzero_si256();
+        let mut totals = [zero; N];
         let mut at = 0;
-        while at < q.len() {
-            let end = q.len().min(at + run);
-            let mut acc = [_mm256_setzero_si256(); 4];
+        while at < len {
+            let end = len.min(at + run);
+            let mut acc = [[zero; 4]; N];
             while at < end {
-                // SAFETY: as in `first_pass`.
-                let a = unsafe { load(q, at) };
-                for t in 0..4 {
-                    let k = unsafe { load(block[t], at) };
-                    let revealed = _mm256_and_si256(_mm256_abs_epi16(k), keep);
-                    let signed = _mm256_sign_epi16(a, k);
-                    acc[t] = _mm256_add_epi32(acc[t], _mm256_madd_epi16(signed, revealed));
-                }
+                step(at, &mut acc);
                 at += LANES;
             }
-            total = _mm256_add_epi64(total, reduce(acc));
+            for (total, acc) in totals.iter_mut().zip(acc) {
+                *total = unsafe { _mm256_add_epi64(*total, reduce(acc)) };
+            }
         }
-        lanes(total)
+        totals
+    }
+
+    impl BlockOps for Avx2 {
+        type Lanes = __m256i;
+
+        const MIN_CHUNK: usize = LANES;
+
+        #[inline(always)]
+        unsafe fn first_pass(
+            self,
+            q: &[i16],
+            block: Block<'_>,
+            chunk: usize,
+            operands: &mut [i16],
+        ) -> (__m256i, __m256i) {
+            // SAFETY (every block): the token proves AVX2; by the shape
+            // contract `at + LANES <= q.len()`, every column's length, and
+            // `8·at + 32·t + 32 <= 8·q.len()`, the operands' length.
+            let (zero, ones) = unsafe { (_mm256_setzero_si256(), _mm256_set1_epi16(1)) };
+            let [conc, full] = unsafe {
+                runs(q.len(), chunk, |at, [conc, full]| {
+                    let a = load(q, at);
+                    for t in 0..4 {
+                        let k = load(block[t], at);
+                        let signed = _mm256_sign_epi16(a, k);
+                        store(operands, 8 * at + 32 * t, signed);
+                        store(operands, 8 * at + 32 * t + 16, _mm256_abs_epi16(k));
+                        let concordant = _mm256_max_epi16(signed, zero);
+                        conc[t] = _mm256_add_epi32(conc[t], _mm256_madd_epi16(concordant, ones));
+                        full[t] = _mm256_add_epi32(full[t], _mm256_madd_epi16(a, k));
+                    }
+                })
+            };
+            (conc, full)
+        }
+
+        #[inline(always)]
+        unsafe fn full_dots(self, q: &[i16], block: Block<'_>, chunk: usize) -> __m256i {
+            // SAFETY: as in `first_pass`.
+            let [full] = unsafe {
+                runs(q.len(), chunk, |at, [full]| {
+                    let a = load(q, at);
+                    for t in 0..4 {
+                        let k = load(block[t], at);
+                        full[t] = _mm256_add_epi32(full[t], _mm256_madd_epi16(a, k));
+                    }
+                })
+            };
+            full
+        }
+
+        #[inline(always)]
+        unsafe fn reveal(self, operands: &[i16], keep: i16, chunk: usize) -> __m256i {
+            // SAFETY: as in `first_pass`, with `q.len()` = `operands.len() /
+            // 8`.
+            let [partial] = unsafe {
+                let keep = _mm256_set1_epi16(keep);
+                runs(operands.len() / 8, chunk, |at, [acc]| {
+                    for (t, acc) in acc.iter_mut().enumerate() {
+                        let signed = load(operands, 8 * at + 32 * t);
+                        let revealed = _mm256_and_si256(load(operands, 8 * at + 32 * t + 16), keep);
+                        *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(signed, revealed));
+                    }
+                })
+            };
+            partial
+        }
+
+        #[inline(always)]
+        fn splat(self, x: i64) -> __m256i {
+            // SAFETY: the token proves AVX2 (and so AVX).
+            unsafe { _mm256_set1_epi64x(x) }
+        }
+
+        #[inline(always)]
+        fn lanes(self, v: __m256i) -> [i64; 4] {
+            let mut out = [0i64; 4];
+            // SAFETY: the token proves AVX2; `out` is 32 bytes, exactly one
+            // unaligned store.
+            unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) };
+            out
+        }
+
+        #[inline(always)]
+        fn margin(self, conc: __m256i, mrm: i64) -> __m256i {
+            // SAFETY: the token proves AVX2.
+            unsafe {
+                // conc·mrm = lo(conc)·mrm + (hi(conc)·mrm << 32) mod 2^64,
+                // both halves unsigned 32 × 32 → 64-bit products.
+                let mrm = _mm256_set1_epi64x(mrm);
+                let low = _mm256_mul_epu32(conc, mrm);
+                let high = _mm256_mul_epu32(_mm256_srli_epi64::<32>(conc), mrm);
+                _mm256_add_epi64(low, _mm256_slli_epi64::<32>(high))
+            }
+        }
+
+        #[inline(always)]
+        fn add(self, a: __m256i, b: __m256i) -> __m256i {
+            // SAFETY: the token proves AVX2.
+            unsafe { _mm256_add_epi64(a, b) }
+        }
+
+        #[inline(always)]
+        fn less(self, a: __m256i, b: __m256i) -> __m256i {
+            // SAFETY: the token proves AVX2.
+            unsafe { _mm256_cmpgt_epi64(b, a) }
+        }
+
+        #[inline(always)]
+        fn and(self, a: __m256i, b: __m256i) -> __m256i {
+            // SAFETY: the token proves AVX2.
+            unsafe { _mm256_and_si256(a, b) }
+        }
+
+        #[inline(always)]
+        fn xor(self, a: __m256i, b: __m256i) -> __m256i {
+            // SAFETY: the token proves AVX2.
+            unsafe { _mm256_xor_si256(a, b) }
+        }
+
+        #[inline(always)]
+        fn select(self, mask: __m256i, a: __m256i, b: __m256i) -> __m256i {
+            // SAFETY: the token proves AVX2.
+            unsafe { _mm256_blendv_epi8(a, b, mask) }
+        }
+
+        #[inline(always)]
+        fn any(self, mask: __m256i) -> bool {
+            // SAFETY: the token proves AVX2 (and so AVX).
+            unsafe { _mm256_testz_si256(mask, mask) == 0 }
+        }
     }
 }
 
@@ -741,6 +1067,33 @@ mod tests {
         (q16, block)
     }
 
+    /// Four exact sums, one per column of a block.
+    type Sums = [i64; 4];
+
+    /// One path's block primitives on one block: `(conc, full)` from the
+    /// first pass (checked against `full_dots`) and the reveal partials for
+    /// each of `keeps`, over the operands that first pass wrote.
+    fn run_primitives<P: BlockOps>(
+        p: P,
+        q16: &[i16],
+        block: Block<'_>,
+        keeps: &[i16],
+        chunk: usize,
+    ) -> ((Sums, Sums), Vec<Sums>) {
+        assert!(q16.len().is_multiple_of(LANES) && block.iter().all(|k| k.len() == q16.len()));
+        assert!(chunk >= P::MIN_CHUNK);
+        let mut operands = vec![0; 8 * q16.len()];
+        // SAFETY (all three): the shape contract, asserted above.
+        let (conc, full) = unsafe { p.first_pass(q16, block, chunk, &mut operands) };
+        let full = p.lanes(full);
+        assert_eq!(p.lanes(unsafe { p.full_dots(q16, block, chunk) }), full);
+        let partials = keeps
+            .iter()
+            .map(|&keep| p.lanes(unsafe { p.reveal(&operands, keep, chunk) }))
+            .collect();
+        ((p.lanes(conc), full), partials)
+    }
+
     /// Both paths' block primitives on one block: `(conc, full)` and the
     /// partials of every cycle `0..=total`, checked equal across paths.
     fn primitives(
@@ -749,30 +1102,18 @@ mod tests {
         plan: BitSerialPlan,
         chunk: usize,
     ) -> ((Sums, Sums), Vec<Sums>) {
-        let portable_first = portable::first_pass(q16, block, chunk);
         let keeps: Vec<i16> = (0..=plan.total_cycles())
             .map(|c| !(plan.max_remaining_magnitude(c) as i16))
             .collect();
-        let portable_partials: Vec<Sums> = keeps
-            .iter()
-            .map(|&keep| portable::partials(q16, block, keep, chunk))
-            .collect();
+        let portable = run_primitives(portable::Portable, q16, block, &keeps, chunk);
         #[cfg(target_arch = "x86_64")]
         if KernelPath::detect() == KernelPath::Wide && chunk >= LANES {
-            // SAFETY: AVX2 was detected on this machine, `block_at` pads Q
-            // to the pack's stride, and `chunk >= LANES`.
-            let wide_first = unsafe { avx2::first_pass(q16, block, chunk) };
-            assert_eq!(
-                wide_first, portable_first,
-                "first pass diverged across paths"
-            );
-            for (&keep, portable) in keeps.iter().zip(&portable_partials) {
-                // SAFETY: as above.
-                let wide = unsafe { avx2::partials(q16, block, keep, chunk) };
-                assert_eq!(&wide, portable, "partials diverged across paths");
-            }
+            // SAFETY: AVX2 was detected on this machine.
+            let avx2 = unsafe { avx2::Avx2::new() };
+            let wide = run_primitives(avx2, q16, block, &keeps, chunk);
+            assert_eq!(wide, portable, "block primitives diverged across paths");
         }
-        (portable_first, portable_partials)
+        portable
     }
 
     #[test]

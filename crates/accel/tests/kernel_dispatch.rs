@@ -22,13 +22,23 @@
 //!   `65`, and head dimensions straddling the padding (`16`, `17`, `20`,
 //!   `33`), are pinned explicitly.
 //!
+//! * **Reveal-cycle settle** — the sweep saves each block's `q·sign k`
+//!   and `|k|` once and settles its four lanes in vector registers, so the
+//!   margin test's `<` is pinned with thresholds exactly on a lane's
+//!   `partial + margin` value at a reveal cycle, 16-bit codes are swept
+//!   one bit per cycle (15 reveal cycles), one caller-owned scratch is
+//!   reused across head dimensions that shrink and grow, and a wide-path
+//!   head dimension drives the concordant sum past `u32::MAX`, so the
+//!   margin's 64-bit product needs both 32-bit halves of it.
+//!
 //! The property tests use `ProptestConfig::default()`, so CI's
 //! `PROPTEST_CASES`-bumped differential job widens their coverage without
 //! code changes.
 
 use leopard_accel::config::TileConfig;
-use leopard_accel::kernel_v2::KernelPath;
+use leopard_accel::kernel_v2::{KernelPath, PackedKeys, QkKernelV2, RowScratchV2};
 use leopard_accel::sim::{merge_shards, simulate_head_reference, simulate_rows, HeadWorkload};
+use leopard_quant::bitserial::BitSerialVector;
 use proptest::prelude::*;
 
 mod common;
@@ -134,6 +144,161 @@ fn granularity_sweep_agrees_across_paths() {
     let w = workload(50, 16, 30_000, 7);
     for bits in 1..=4 {
         let config = TileConfig::ae_leopard().with_serial_bits(bits);
+        assert_paths_agree(&w, &config);
+    }
+}
+
+/// A pseudo-random code in `-max..=max` for element `i` of vector `j`.
+fn hashed_code(i: usize, j: usize, salt: u32, max: i32) -> i32 {
+    let h = (i as u32)
+        .wrapping_mul(2_654_435_761)
+        .wrapping_add((j as u32 ^ salt).wrapping_mul(40_503))
+        .rotate_left(13)
+        .wrapping_mul(2_246_822_519);
+    (h % (2 * max as u32 + 1)) as i32 - max
+}
+
+/// `s` vectors of `d` hashed codes in `-max..=max`.
+fn hashed_codes(s: usize, d: usize, salt: u32, max: i32) -> Vec<Vec<i32>> {
+    (0..s)
+        .map(|j| (0..d).map(|i| hashed_code(i, j, salt, max)).collect())
+        .collect()
+}
+
+/// The margin test's left side for Q row `q` against column `k` after
+/// reveal cycle `cycle`, from the scalar reference: `partial + margin`.
+/// A pair still open at `cycle` is pruned there iff this is below the
+/// threshold.
+fn margin_test_value(config: &TileConfig, q: &[i32], k: &[i32], cycle: u32) -> i64 {
+    let k = BitSerialVector::new(k, config.bit_serial_plan());
+    k.partial_dot(q, cycle) + k.margin(q, cycle)
+}
+
+#[test]
+fn thresholds_on_a_lanes_margin_test_value_agree_across_paths() {
+    // A threshold exactly on a lane's `partial + margin` at a reveal cycle
+    // leaves it open there (`<` is strict), one above prunes it there, and
+    // one below leaves it open. Lanes 0..=3 of the first block and the one
+    // lane of the last partial block, at every reveal cycle; the two
+    // thresholds' reference outcomes must differ, or the lane was not open
+    // at that cycle.
+    let (s, d) = (5, 20);
+    let q = hashed_codes(s, d, 3, 2047);
+    let k = hashed_codes(s, d, 11, 2047);
+    let config = TileConfig::ae_leopard();
+    let plan = config.bit_serial_plan();
+    let mut pinned = 0;
+    for column in 0..s {
+        for cycle in 1..plan.total_cycles() {
+            let row = &q[column % s];
+            let value = margin_test_value(&config, row, &k[column], cycle);
+            let previous = margin_test_value(&config, row, &k[column], cycle - 1);
+            let full = BitSerialVector::new(&k[column], plan).full_dot(row);
+            if !(full < value && value < previous) {
+                continue;
+            }
+            let on = |threshold| HeadWorkload::from_codes(q.clone(), k.clone(), threshold, d, 12);
+            assert_ne!(
+                simulate_head_reference(&on(value), &config),
+                simulate_head_reference(&on(value + 1), &config),
+                "column {column} at cycle {cycle} is not on its margin-test boundary"
+            );
+            for threshold in [value - 1, value, value + 1] {
+                for config in [config, TileConfig::hp_leopard()] {
+                    assert_paths_agree(&on(threshold), &config);
+                }
+            }
+            pinned += 1;
+        }
+    }
+    assert!(pinned >= 5, "only {pinned} boundaries pinned");
+}
+
+#[test]
+fn sixteen_bit_codes_one_bit_per_cycle_agree_across_paths() {
+    // 15 magnitude bits revealed one per cycle: 15 reveal cycles. Q codes
+    // within ±4096 keep the wide path's i32 runs at 16 products or more,
+    // so it sweeps; at ±32767 the row takes the portable primitives.
+    let config = TileConfig::ae_leopard()
+        .with_qk_bits(16)
+        .with_serial_bits(1);
+    assert_eq!(config.bit_serial_plan().total_cycles(), 15);
+    let (s, d) = (9, SUITE_MAX_HEAD_DIM);
+    let k = hashed_codes(s, d, 5, 32_767);
+    for q_max in [4096, 32_767] {
+        let q = hashed_codes(s, d, 7, q_max);
+        let mut fulls: Vec<i64> = q
+            .iter()
+            .flat_map(|row| {
+                k.iter()
+                    .map(|col| BitSerialVector::new(col, config.bit_serial_plan()).full_dot(row))
+            })
+            .collect();
+        fulls.sort_unstable();
+        for quantile in [1, 4, 7] {
+            let threshold = fulls[fulls.len() * quantile / 8];
+            let w = HeadWorkload::from_codes(q.clone(), k.clone(), threshold, d, 16);
+            assert_paths_agree(&w, &config);
+        }
+    }
+}
+
+#[test]
+fn one_scratch_serves_head_dimensions_that_shrink_and_grow() {
+    // A row's scratch is sized by the row: reusing one across packs of
+    // every dimension around the 16-element register width (and larger
+    // ones after smaller) gives what a fresh scratch gives.
+    let config = TileConfig::ae_leopard();
+    let mut scratch = RowScratchV2::new();
+    for d in [64, 17, 1, 130, 15, 16, 129, 31, 32, 33, 48, 65, 2] {
+        let q = hashed_codes(1, d, 13, 2047).remove(0);
+        let k = hashed_codes(7, d, 17, 2047);
+        let packed = PackedKeys::pack(&k, config.bit_serial_plan());
+        let threshold = BitSerialVector::new(&k[3], config.bit_serial_plan()).full_dot(&q) + 1;
+        for path in [KernelPath::Wide, KernelPath::Portable] {
+            let kernel = QkKernelV2::with_path(config, path);
+            let mut reused = Vec::new();
+            kernel.compute_row_into(&q, &packed, threshold, &mut scratch, &mut reused);
+            assert_eq!(
+                reused,
+                kernel.compute_row_outcomes(&q, &packed, threshold),
+                "d = {d} on {path:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn concordant_sums_past_u32_max_agree_across_paths() {
+    // 12-bit K codes (±2047) against Q codes of ±32767 keep the wide path
+    // (32 products per i32 run); 150,000 elements, about 97% of them
+    // concordant, push each column's concordant sum past u32::MAX, so the
+    // margin `mrm·conc` needs the high half of `conc`. Thresholds sit on
+    // margin-test values at cycles 1 and 3, so lanes settle mid-sweep.
+    let (s, d) = (4, 150_000);
+    let sign = |i: usize, j: usize| {
+        if hashed_code(i, j, 23, 15) == 0 {
+            -1
+        } else {
+            1
+        }
+    };
+    let q: Vec<Vec<i32>> = (0..s)
+        .map(|j| (0..d).map(|i| 32_767 * sign(i, j + 10)).collect())
+        .collect();
+    let k: Vec<Vec<i32>> = (0..s)
+        .map(|j| (0..d).map(|i| 2047 * sign(i, j)).collect())
+        .collect();
+    let conc: i64 = q[0]
+        .iter()
+        .zip(&k[0])
+        .map(|(&a, &b)| i64::from(a * b.signum()).max(0))
+        .sum();
+    assert!(conc > i64::from(u32::MAX), "concordant sum {conc}");
+    let config = TileConfig::ae_leopard();
+    for cycle in [1, 3] {
+        let threshold = margin_test_value(&config, &q[0], &k[1], cycle);
+        let w = HeadWorkload::from_codes(q.clone(), k.clone(), threshold, d, 12);
         assert_paths_agree(&w, &config);
     }
 }

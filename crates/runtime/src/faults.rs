@@ -96,6 +96,91 @@ pub struct SlowTile {
     pub multiplier_pct: u32,
 }
 
+/// Latest virtual cycle a tile event may fire at: 2⁶², a quarter of the
+/// `u64` virtual clock. A tile event holds a request back at most until
+/// it fires (2⁶²), and its retries defer it by less than another 2⁶² +
+/// 2³⁵ (`cli::MAX_BACKOFF_BASE_CYCLES`). That leaves just under half the
+/// clock, 2⁶³ − 2³⁵ cycles, for arrivals, queueing behind other requests
+/// and service before a finish cycle (start + service) could overflow.
+/// Above the cap a recover event near `u64::MAX` wrapped every finish
+/// cycle below its start.
+pub const MAX_TILE_EVENT_CYCLE: u64 = 1 << 62;
+
+/// Why [`FaultPlan::validated`] rejected a plan against a run's tiles.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FaultPlanError {
+    /// The fail rate is not a probability in `[0, 1]`.
+    FailRate(f64),
+    /// A tile event names a tile the run does not have.
+    EventTile {
+        /// The event's cycle.
+        cycle: u64,
+        /// The tile it names.
+        tile: usize,
+        /// The run's tile count.
+        servers: usize,
+    },
+    /// A tile event fires after [`MAX_TILE_EVENT_CYCLE`].
+    EventCycle {
+        /// The event's cycle.
+        cycle: u64,
+        /// The tile it names.
+        tile: usize,
+    },
+    /// A slow tile names a tile the run does not have.
+    SlowTile {
+        /// The tile it names.
+        tile: usize,
+        /// The run's tile count.
+        servers: usize,
+    },
+    /// A slow-tile multiplier is below 100%.
+    SlowMultiplier {
+        /// The slow tile.
+        tile: usize,
+        /// Its multiplier in percent.
+        multiplier_pct: u32,
+    },
+    /// A tile is listed twice in `slow_tiles`.
+    DuplicateSlowTile(usize),
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::FailRate(rate) => {
+                write!(f, "fail rate must be a probability in [0, 1], got {rate}")
+            }
+            Self::EventTile {
+                cycle,
+                tile,
+                servers,
+            } => write!(
+                f,
+                "tile event at cycle {cycle} names tile {tile} but the run has {servers} tiles"
+            ),
+            Self::EventCycle { cycle, tile } => write!(
+                f,
+                "tile event for tile {tile} at cycle {cycle} is past the last allowed cycle \
+                 {MAX_TILE_EVENT_CYCLE} (2^62)"
+            ),
+            Self::SlowTile { tile, servers } => {
+                write!(f, "slow tile {tile} out of range for {servers} tiles")
+            }
+            Self::SlowMultiplier {
+                tile,
+                multiplier_pct,
+            } => write!(
+                f,
+                "slow-tile multiplier must be >= 100 percent, got {multiplier_pct} for tile {tile}"
+            ),
+            Self::DuplicateSlowTile(tile) => write!(f, "tile {tile} listed twice in slow_tiles"),
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
 /// A deterministic, virtual-clock fault scenario for one serving run. See
 /// the [module docs](self) for the schema and determinism contract.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -166,43 +251,46 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Rejects a fail rate outside `[0, 1]`, a tile event or slow tile
-    /// naming tile `servers` or beyond, a slow-tile multiplier below 100%,
-    /// and a tile listed twice in `slow_tiles`. A plan whose fail events
+    /// naming tile `servers` or beyond, a tile event after
+    /// [`MAX_TILE_EVENT_CYCLE`], a slow-tile multiplier below 100%, and a
+    /// tile listed twice in `slow_tiles`. A plan whose fail events
     /// permanently take *every* tile down is allowed: the replay sheds the
     /// stranded requests.
-    pub fn validated(mut self, servers: usize) -> Result<Self, String> {
+    pub fn validated(mut self, servers: usize) -> Result<Self, FaultPlanError> {
         if !(self.fail_rate.is_finite() && (0.0..=1.0).contains(&self.fail_rate)) {
-            return Err(format!(
-                "fail rate must be a probability in [0, 1], got {}",
-                self.fail_rate
-            ));
+            return Err(FaultPlanError::FailRate(self.fail_rate));
         }
-        for event in &self.tile_events {
-            if event.tile >= servers {
-                return Err(format!(
-                    "tile event at cycle {} names tile {} but the run has {} tiles",
-                    event.cycle, event.tile, servers
-                ));
+        for &TileFaultEvent { cycle, tile, .. } in &self.tile_events {
+            if tile >= servers {
+                return Err(FaultPlanError::EventTile {
+                    cycle,
+                    tile,
+                    servers,
+                });
+            }
+            if cycle > MAX_TILE_EVENT_CYCLE {
+                return Err(FaultPlanError::EventCycle { cycle, tile });
             }
         }
-        for slow in &self.slow_tiles {
-            if slow.tile >= servers {
-                return Err(format!(
-                    "slow tile {} out of range for {} tiles",
-                    slow.tile, servers
-                ));
+        for &SlowTile {
+            tile,
+            multiplier_pct,
+        } in &self.slow_tiles
+        {
+            if tile >= servers {
+                return Err(FaultPlanError::SlowTile { tile, servers });
             }
-            if slow.multiplier_pct < 100 {
-                return Err(format!(
-                    "slow-tile multiplier must be >= 100 percent, got {} for tile {}",
-                    slow.multiplier_pct, slow.tile
-                ));
+            if multiplier_pct < 100 {
+                return Err(FaultPlanError::SlowMultiplier {
+                    tile,
+                    multiplier_pct,
+                });
             }
         }
         let mut seen = Vec::new();
         for slow in &self.slow_tiles {
             if seen.contains(&slow.tile) {
-                return Err(format!("tile {} listed twice in slow_tiles", slow.tile));
+                return Err(FaultPlanError::DuplicateSlowTile(slow.tile));
             }
             seen.push(slow.tile);
         }
@@ -400,6 +488,12 @@ mod tests {
         let plan = two_tile_plan();
         let parsed = FaultPlan::from_json(&plan.to_json()).unwrap();
         assert_eq!(parsed, plan);
+        // Seeds past 2^53 round-trip exactly.
+        let seeded = FaultPlan {
+            seed: u64::MAX - 2,
+            ..plan.clone()
+        };
+        assert_eq!(FaultPlan::from_json(&seeded.to_json()).unwrap(), seeded);
         let validated = parsed.validated(4).unwrap();
         let cycles: Vec<u64> = validated.tile_events.iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![10_000, 40_000, 90_000], "sorted by cycle");
@@ -456,6 +550,28 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(twice.validated(4).is_err(), "duplicate slow tile");
+    }
+
+    #[test]
+    fn tile_event_cycles_past_the_cap_are_rejected() {
+        let plan = |recover: u64| {
+            FaultPlan::from_json(&format!(
+                "{{\"tile_events\": [{{\"cycle\": 0, \"tile\": 0, \"kind\": \"fail\"}}, \
+                 {{\"cycle\": {recover}, \"tile\": 0, \"kind\": \"recover\"}}]}}"
+            ))
+            .expect("the plan parses")
+        };
+        assert!(plan(MAX_TILE_EVENT_CYCLE).validated(1).is_ok());
+        // 2^62 + 1 used to read back as 2^62 and pass.
+        for cycle in [MAX_TILE_EVENT_CYCLE + 1, 18_446_744_073_709_551_000] {
+            let err = plan(cycle).validated(1).unwrap_err();
+            assert_eq!(err, FaultPlanError::EventCycle { cycle, tile: 0 });
+            assert!(
+                err.to_string()
+                    .contains("past the last allowed cycle 4611686018427387904"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

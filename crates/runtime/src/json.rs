@@ -134,7 +134,9 @@ pub(crate) fn render_string(
 /// recursive-descent reader).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Json {
-    Number(f64),
+    /// A number's source text, checked to parse as an `f64`, so integers
+    /// above 2^53 read back exactly.
+    Number(String),
     String(String),
     Array(Vec<Json>),
     Object(Vec<(String, Json)>),
@@ -164,14 +166,24 @@ impl Json {
 
     pub(crate) fn as_f64(&self, what: &str) -> Result<f64, String> {
         match self {
-            Json::Number(n) => Ok(*n),
+            Json::Number(text) => text
+                .parse()
+                .map_err(|_| format!("{what} must be a JSON number, got {text}")),
             other => Err(format!("{what} must be a JSON number, got {other:?}")),
         }
     }
 
+    /// The number as a `u64`: digits read exactly, or any other form
+    /// (`1e3`, `40000.0`) whose value is an integer an `f64` holds exactly
+    /// (at most 2^53), so no integer is rounded on the way in.
     pub(crate) fn as_u64(&self, what: &str) -> Result<u64, String> {
+        if let Json::Number(text) = self {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(n);
+            }
+        }
         let n = self.as_f64(what)?;
-        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
+        if !(0.0..=(1u64 << 53) as f64).contains(&n) || n.fract() != 0.0 {
             return Err(format!("{what} must be a non-negative integer, got {n}"));
         }
         Ok(n as u64)
@@ -376,9 +388,10 @@ impl Reader<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid UTF-8 in number".to_string())?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| format!("malformed number {text:?} at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(_) => Ok(Json::Number(text.to_string())),
+            Err(_) => Err(format!("malformed number {text:?} at byte {start}")),
+        }
     }
 }
 
@@ -415,6 +428,20 @@ mod tests {
         assert_eq!(json_f64(1.5).to_string(), "1.5");
         assert_eq!(csv_f64(-0.25).to_string(), "-0.25");
         assert_eq!(csv_f32(0.85).to_string(), "0.85");
+    }
+
+    #[test]
+    fn integers_read_back_exactly_past_two_to_the_53() {
+        let read = |text: &str| parse_json(text).and_then(|v| v.as_u64("n"));
+        // 2^53 + 1, 2^62 + 1 and u64::MAX used to round through an f64.
+        for n in [(1u64 << 53) + 1, (1 << 62) + 1, u64::MAX] {
+            assert_eq!(read(&n.to_string()), Ok(n));
+        }
+        assert_eq!(read("1e3"), Ok(1000));
+        assert_eq!(read("40000.0"), Ok(40_000));
+        for bad in ["18446744073709551616", "1e19", "-1", "2.5"] {
+            assert!(read(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -19,7 +19,9 @@
 
 use leopard_runtime::cli::{MAX_BACKOFF_BASE_CYCLES, MAX_RETRY_BUDGET};
 use leopard_runtime::engine::SuiteRunner;
-use leopard_runtime::faults::{FaultPlan, SlowTile, TileFaultEvent, TileFaultKind};
+use leopard_runtime::faults::{
+    FaultPlan, SlowTile, TileFaultEvent, TileFaultKind, MAX_TILE_EVENT_CYCLE,
+};
 use leopard_runtime::report::{serving_report_json, serving_requests_csv};
 use leopard_runtime::serving::{run_serving, ServingOptions, ServingReport};
 use leopard_workloads::pipeline::PipelineOptions;
@@ -317,4 +319,50 @@ fn backoff_at_its_cap_keeps_every_finish_after_its_start() {
 #[should_panic(expected = "retry backoff base")]
 fn backoff_above_its_cap_is_rejected() {
     let _ = faulted_report(&retried_at_backoff(MAX_BACKOFF_BASE_CYCLES + 1), 1);
+}
+
+/// Four requests on one tile that fails at cycle 0 and recovers at
+/// `recover`: every request waits for the recovery.
+fn stalled_until(recover: u64) -> ServingOptions {
+    let event = |cycle, kind| TileFaultEvent {
+        cycle,
+        tile: 0,
+        kind,
+    };
+    ServingOptions {
+        requests: 4,
+        servers: 1,
+        faults: Some(FaultPlan {
+            tile_events: vec![
+                event(0, TileFaultKind::Fail),
+                event(recover, TileFaultKind::Recover),
+            ],
+            ..FaultPlan::default()
+        }),
+        pipeline: small_pipeline(),
+        ..ServingOptions::default()
+    }
+}
+
+#[test]
+fn tile_event_at_its_cap_keeps_every_finish_after_its_start() {
+    let report = faulted_report(&stalled_until(MAX_TILE_EVENT_CYCLE), 1);
+    assert_eq!(report.records.len(), 4);
+    for r in &report.records {
+        assert!(
+            r.start_cycle >= MAX_TILE_EVENT_CYCLE,
+            "request {}: {r:?}",
+            r.id
+        );
+        assert!(r.start_cycle < r.finish_cycle, "request {}: {r:?}", r.id);
+    }
+    for (tile, utilization) in report.tile_utilization().into_iter().enumerate() {
+        assert!(utilization <= 1.0, "tile {tile} at {utilization}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "fault plan failed validation")]
+fn tile_event_above_its_cap_is_rejected() {
+    let _ = faulted_report(&stalled_until(MAX_TILE_EVENT_CYCLE + 1), 1);
 }

@@ -112,7 +112,7 @@ fn fault_row(report: &ServingReport) -> (usize, usize, u64, u64, usize, u64) {
 fn fault_recovery_policies_are_pinned() {
     const SERVERS: usize = 4;
     let plan = FaultPlan::from_json(include_str!("../examples/fault_plan.json"))
-        .and_then(|plan| plan.validated(SERVERS))
+        .and_then(|plan| plan.validated(SERVERS).map_err(|e| e.to_string()))
         .expect("examples/fault_plan.json is valid");
     // The first eight suite tasks at s <= 24, the slice the golden serve
     // fixtures pin.

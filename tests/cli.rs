@@ -74,6 +74,38 @@ fn tile_count_past_the_cap_exits_2_naming_the_cap() {
 }
 
 #[test]
+fn tile_event_cycle_past_the_cap_exits_2_naming_the_cap() {
+    // Used to start every request at cycle 2^64 - 1 and finish it below
+    // its start, printing tile00 at 237.1% utilization.
+    let plan = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("late_tile_event.json");
+    std::fs::write(
+        &plan,
+        r#"{"tile_events": [{"cycle": 0, "tile": 0, "kind": "fail"},
+            {"cycle": 18446744073709551000, "tile": 0, "kind": "recover"}]}"#,
+    )
+    .expect("write the fault plan");
+    let plan = plan.to_str().expect("a UTF-8 temp path");
+    let stderr = rejected(&[
+        "serve",
+        "--servers",
+        "1",
+        "--tiles",
+        "1",
+        "--requests",
+        "4",
+        "--faults",
+        plan,
+    ]);
+    assert!(
+        stderr.contains(
+            "tile event for tile 0 at cycle 18446744073709551000 is past the last allowed \
+             cycle 4611686018427387904 (2^62)"
+        ),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn retry_budget_past_the_cap_exits_2_naming_the_cap() {
     // Used to retry every faulted request up to 2^32 times.
     let stderr = rejected(&[
