@@ -183,7 +183,11 @@ impl CostModel {
                         histogram: Vec::new(),
                         observations: Vec::new(),
                     });
-                    pools.last_mut().expect("just pushed") // lint:allow(panic-in-library, reason = "the entry was pushed on the line above; last_mut cannot be None")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the entry was pushed on the line above; last_mut cannot be None"
+                    )]
+                    pools.last_mut().expect("just pushed")
                 }
             };
             let profile = &observation.result.pruned_bits_histogram;

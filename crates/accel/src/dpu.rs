@@ -45,9 +45,12 @@ impl QkDpu {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: TileConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "constructor contract documented under # Panics; configs are validated at parse time and invalid ones here are programmer errors"
+        )]
         config
             .validate()
-            // lint:allow(panic-in-library, reason = "constructor contract documented under # Panics; configs are validated at parse time and invalid ones here are programmer errors")
             .unwrap_or_else(|e| panic!("invalid tile config: {e}"));
         Self { config }
     }

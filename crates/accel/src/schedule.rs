@@ -586,9 +586,12 @@ pub fn schedule_layer(
         !head_workloads.is_empty(),
         "a layer has at least one attention head"
     );
+    #[expect(
+        clippy::panic,
+        reason = "tile configs are validated at CLI parse and in builders; an invalid config reaching the scheduler is a programmer error, documented under # Panics"
+    )]
     config
         .validate()
-        // lint:allow(panic-in-library, reason = "tile configs are validated at CLI parse and in builders; an invalid config reaching the scheduler is a programmer error, documented under # Panics")
         .unwrap_or_else(|e| panic!("invalid tile config: {e}"));
     let tiles = config.tiles.max(1);
     let planned: Vec<PlannedHead> = head_workloads

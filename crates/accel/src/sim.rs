@@ -120,7 +120,10 @@ impl Clone for OperandCache {
     /// they depend on the Q codes and the threshold, which a struct-update
     /// clone may replace.
     fn clone(&self) -> Self {
-        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
+        )]
         let packed = self.packed.lock().unwrap().clone();
         Self {
             packed: Mutex::new(packed),
@@ -268,7 +271,10 @@ impl HeadWorkload {
     /// does not fit its width.
     pub fn packed_keys_at(&self, plan: BitSerialPlan) -> Arc<PackedKeys> {
         let key = (plan.magnitude_bits, plan.bits_per_cycle);
-        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded section only packs and inserts, so propagating the poison panic is the correct failure mode")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded section only packs and inserts, so propagating the poison panic is the correct failure mode"
+        )]
         let mut packed = self.operand_cache.packed.lock().unwrap();
         if let Some(hit) = packed.get(&key) {
             return Arc::clone(hit);
@@ -282,15 +288,24 @@ impl HeadWorkload {
     /// the next v2 simulation sweeps again. Benchmarks that time the kernel
     /// sweep itself call this between runs.
     pub fn forget_outcomes(&self) {
-        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
+        )]
         self.operand_cache.outcomes.lock().unwrap().clear();
     }
 
     /// How many packs and outcome tables the workload's cache holds.
     pub fn cache_census(&self) -> CacheCensus {
-        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
+        )]
         let packs = self.operand_cache.packed.lock().unwrap().len();
-        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
+        )]
         let outcomes = self.operand_cache.outcomes.lock().unwrap();
         CacheCensus {
             packs,
@@ -312,7 +327,10 @@ impl HeadWorkload {
             threshold_int: self.threshold_int,
             path: kernel.path(),
         };
-        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
+        )]
         let mut outcomes = self.operand_cache.outcomes.lock().unwrap();
         Arc::clone(
             outcomes
@@ -323,7 +341,10 @@ impl HeadWorkload {
 
     /// Drops the cache's pack for `plan` (a full outcome table replaced it).
     fn release_pack(&self, plan: BitSerialPlan) {
-        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
+        )]
         let mut packed = self.operand_cache.packed.lock().unwrap();
         packed.remove(&(plan.magnitude_bits, plan.bits_per_cycle));
     }
@@ -489,9 +510,12 @@ pub fn simulate_rows(
     path: KernelPath,
 ) -> Vec<TileShardSim> {
     for config in configs {
+        #[expect(
+            clippy::panic,
+            reason = "documented under # Panics; configs are validated at parse time and invalid ones here are programmer errors"
+        )]
         config
             .validate()
-            // lint:allow(panic-in-library, reason = "documented under # Panics; configs are validated at parse time and invalid ones here are programmer errors")
             .unwrap_or_else(|e| panic!("invalid tile config: {e}"));
     }
     let (sweeps, maps) = plan_sweeps(configs);
@@ -873,7 +897,10 @@ fn plan_sweeps(configs: &[TileConfig]) -> (Vec<TileConfig>, Vec<OutcomeMap>) {
             };
             if early_terminating(config) {
                 let i = sweeps.iter().position(|s| s.bit_serial_plan() == plan);
-                // lint:allow(panic-in-library, reason = "the loop above pushed a sweep for every early-terminating plan")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the loop above pushed a sweep for every early-terminating plan"
+                )]
                 OutcomeMap::AsIs(i.expect("own sweep planned"))
             } else if !config.pruning_enabled {
                 complete(None)
@@ -949,7 +976,11 @@ impl ShardFold {
                     self.code_counts[usize::from(code)] += 1;
                     row_pruned += u64::from(code >> 7);
                 }
-                let frontend = *self.dpu_cycles.iter().max().expect("at least one DPU"); // lint:allow(panic-in-library, reason = "TileConfig validation guarantees at least one DPU lane")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "TileConfig validation guarantees at least one DPU lane"
+                )]
+                let frontend = *self.dpu_cycles.iter().max().expect("at least one DPU");
                 (frontend, self.dpu_cycles.iter().sum(), row_pruned)
             }
             OutcomeMap::Complete { cycles, pruned_by } => {

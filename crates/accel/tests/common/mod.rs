@@ -1,6 +1,6 @@
 //! Fixtures shared by the accel integration-test targets. Not every target
 //! uses every fixture.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "not every target uses every fixture")]
 
 use leopard_accel::config::TileConfig;
 use leopard_accel::sim::HeadWorkload;

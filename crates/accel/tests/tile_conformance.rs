@@ -14,6 +14,7 @@
 //!
 //! The property tests use `ProptestConfig::default()`, so CI's
 //! `PROPTEST_CASES`-bumped job widens their coverage without code changes.
+#![allow(clippy::expect_used, reason = "test code may panic")]
 
 use leopard_accel::config::TileConfig;
 use leopard_accel::energy::EnergyModel;

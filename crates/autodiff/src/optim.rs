@@ -101,6 +101,10 @@ impl Adam {
             *v = &v.scale(self.beta2) + &grad.hadamard(grad).scale(1.0 - self.beta2);
             let m_hat = m.scale(1.0 / bias1);
             let v_hat = v.scale(1.0 / bias2);
+            #[expect(
+                clippy::expect_used,
+                reason = "m_hat and v_hat are built from the same parameter shape two lines up"
+            )]
             let update = Matrix::from_vec(
                 param.rows(),
                 param.cols(),
@@ -110,7 +114,7 @@ impl Adam {
                     .map(|(mh, vh)| self.learning_rate * mh / (vh.sqrt() + self.epsilon))
                     .collect(),
             )
-            .expect("shapes agree by construction"); // lint:allow(panic-in-library, reason = "m_hat and v_hat are built from the same parameter shape two lines up")
+            .expect("shapes agree by construction");
             **param = &**param - &update;
         }
     }

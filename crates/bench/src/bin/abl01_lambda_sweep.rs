@@ -12,10 +12,14 @@ fn main() {
     leopard_bench::accept_flags(&[]);
     header("Ablation 1 — surrogate-L0 balancing factor λ");
     let suite = full_suite();
+    #[expect(
+        clippy::expect_used,
+        reason = "the fixed 43-task suite always contains BERT-B G-QNLI; this harness takes no user input"
+    )]
     let task = suite
         .iter()
         .find(|t| t.name == "BERT-B G-QNLI")
-        .expect("task exists"); // lint:allow(panic-in-library, reason = "the fixed 43-task suite always contains BERT-B G-QNLI; this harness takes no user input")
+        .expect("task exists");
     println!(
         "{:<10} {:>12} {:>16} {:>14} {:>14}",
         "lambda", "sparsity", "mean threshold", "dense acc", "pruned acc"
@@ -29,7 +33,11 @@ fn main() {
             ..TrainingOptions::default()
         };
         let outcome = train_task(task, &options);
-        let last = outcome.report.epochs.last().expect("at least one epoch"); // lint:allow(panic-in-library, reason = "the sweep trains with epochs = 3, so the report always has entries")
+        #[expect(
+            clippy::expect_used,
+            reason = "the sweep trains with epochs = 3, so the report always has entries"
+        )]
+        let last = outcome.report.epochs.last().expect("at least one epoch");
         println!(
             "{:<10.2} {:>11.1}% {:>16.4} {:>13.1}% {:>13.1}%",
             lambda,

@@ -32,7 +32,11 @@ fn run(sharpness: f32, clip: f32) -> (f32, f32, f32) {
         ..FinetuneConfig::default()
     })
     .run(&mut model, &train, &eval);
-    let last = report.epochs.last().expect("at least one epoch"); // lint:allow(panic-in-library, reason = "the sweep trains with a fixed positive epoch count, so the report always has entries")
+    #[expect(
+        clippy::expect_used,
+        reason = "the sweep trains with a fixed positive epoch count, so the report always has entries"
+    )]
+    let last = report.epochs.last().expect("at least one epoch");
     (last.sparsity, last.mean_threshold, report.pruned_accuracy)
 }
 

@@ -9,10 +9,14 @@ use leopard_workloads::training::{train_task, TrainingOptions};
 fn main() {
     leopard_bench::accept_flags(&[]);
     let suite = full_suite();
+    #[expect(
+        clippy::expect_used,
+        reason = "the fixed 43-task suite always contains BERT-B G-QNLI; this harness takes no user input"
+    )]
     let task = suite
         .iter()
         .find(|t| t.name == "BERT-B G-QNLI")
-        .expect("QNLI task exists"); // lint:allow(panic-in-library, reason = "the fixed 43-task suite always contains BERT-B G-QNLI; this harness takes no user input")
+        .expect("QNLI task exists");
     let options = TrainingOptions {
         train_samples: 48,
         eval_samples: 48,

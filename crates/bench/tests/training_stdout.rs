@@ -6,6 +6,7 @@
 //! ```text
 //! cargo test --release -q -p leopard-bench --test training_stdout -- --ignored
 //! ```
+#![allow(clippy::panic, reason = "test code may panic")]
 
 use std::path::Path;
 use std::process::Command;

@@ -22,8 +22,11 @@ struct Options {
 
 const USAGE: &str = "usage: leopard-lint [ROOT] [--deny] [--json] [--list-rules]
 
-Statically checks the workspace's determinism, observe-only, and
-panic-safety contracts. ROOT defaults to the current directory.
+Statically checks the workspace contracts clippy cannot express: float
+accumulation order, relaxed loads in result paths and observe-only
+telemetry. Clippy checks the panic, wall-clock and hash-order contracts
+(see the workspace [lints] table and clippy.toml). ROOT defaults to the
+current directory.
 
   --deny         treat warnings as errors (how CI runs it)
   --json         emit diagnostics as a JSON array on stdout
@@ -72,6 +75,7 @@ pub fn run(args: &[String]) -> i32 {
                 rule.name, rule.severity, rule.description
             );
         }
+        println!("panic, wall-clock and hash-order contracts: clippy ([lints] table, clippy.toml)");
         return 0;
     }
     let root = opts.root.unwrap_or_else(|| PathBuf::from("."));

@@ -7,7 +7,7 @@
 //! (`r#"..."#` with any number of hashes), byte strings, char literals
 //! (including `'"'` and escapes), line comments, and nested block comments
 //! must never leak tokens — otherwise a doc example mentioning
-//! `Instant::now()` would trip the wall-clock rule.
+//! `telemetry.flush()` would trip the observe-only rule.
 
 /// Kind of one lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,8 +22,8 @@ pub enum TokKind {
     Char,
     /// Numeric literal (the text keeps suffixes: `0.0f64`, `1_000`).
     Num,
-    /// Punctuation; common two-character operators (`::`, `+=`, `->`,
-    /// `==`, ...) are fused into one token.
+    /// Punctuation, one char per token except `+=` (the float-accumulation
+    /// rule's trigger), which is fused into one.
     Punct,
 }
 
@@ -58,12 +58,6 @@ pub struct Lexed<'a> {
     /// Line and block comments.
     pub comments: Vec<Comment<'a>>,
 }
-
-/// Two-character operators fused into single `Punct` tokens so rules can
-/// match `::` and `+=` directly.
-const TWO_CHAR_OPS: [&str; 13] = [
-    "::", "->", "=>", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "&&", "||",
-];
 
 fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
@@ -249,16 +243,14 @@ pub fn lex(src: &str) -> Lexed<'_> {
                 i = end;
             }
             _ => {
-                let two = src.get(i..i + 2);
-                let text = match two {
-                    Some(op) if TWO_CHAR_OPS.contains(&op) => op,
-                    _ => {
-                        // Single char; non-ASCII punctuation is consumed one
-                        // full char at a time so we never split UTF-8.
-                        let len = src[i..].chars().next().map_or(1, char::len_utf8);
-                        &src[i..i + len]
-                    }
+                // Non-ASCII punctuation is consumed one full char at a time
+                // so we never split UTF-8.
+                let len = if src[i..].starts_with("+=") {
+                    2
+                } else {
+                    src[i..].chars().next().map_or(1, char::len_utf8)
                 };
+                let text = &src[i..i + len];
                 out.tokens.push(Tok {
                     kind: TokKind::Punct,
                     text,
@@ -414,18 +406,16 @@ mod tests {
     }
 
     #[test]
-    fn two_char_operators_fuse() {
-        let src = "a += b; c::d(); e -> f; g == h;";
-        let puncts: Vec<&str> = lex(src)
+    fn only_plus_assign_fuses() {
+        let puncts: Vec<&str> = lex("a += b; c::d();")
             .tokens
             .iter()
-            .filter(|t| t.kind == TokKind::Punct)
             .map(|t| t.text)
             .collect();
-        assert!(puncts.contains(&"+="));
-        assert!(puncts.contains(&"::"));
-        assert!(puncts.contains(&"->"));
-        assert!(puncts.contains(&"=="));
+        assert_eq!(
+            puncts,
+            ["a", "+=", "b", ";", "c", ":", ":", "d", "(", ")", ";"]
+        );
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! `leopard-lint` — the workspace contract checker.
+//! `leopard-lint` — the checker for the contracts clippy cannot express.
 //!
-//! Six PRs of determinism contracts (bit-identity across threads, tiles,
-//! and policies; virtual-clock purity; observe-only telemetry;
-//! deterministic report ordering) were previously enforced only
-//! dynamically, by golden files and property tests. This crate enforces
-//! them *statically*: a hand-rolled, std-only lexer ([`lex`]) and
-//! lightweight structural pass ([`model`]) feed a rule engine ([`rules`])
-//! that reports contract violations as `file:line` diagnostics.
-//!
-//! The pipeline is three stages:
+//! Clippy, configured by the workspace `[lints]` table and `clippy.toml`,
+//! checks the panic (`unwrap_used`, `expect_used`, `panic`), wall-clock
+//! (`disallowed_methods`/`disallowed_types` on `Instant::now` and
+//! `SystemTime`) and hash-order (`HashMap`, `HashSet`) contracts; their
+//! exceptions are `#[expect(clippy::…, reason = "…")]` attributes. This
+//! crate checks the rest: float accumulation order, relaxed loads in
+//! result paths and observe-only telemetry. A std-only lexer ([`lex`])
+//! and a structural pass ([`model`]) feed the rule engine ([`rules`]):
 //!
 //! 1. [`lex::lex`] — string/char/comment-aware tokenization, so words like
-//!    `HashMap` inside strings or doc examples never trip a rule;
+//!    `telemetry` inside strings or doc examples never trip a rule;
 //! 2. [`model::FileModel::build`] — `#[cfg(test)]`-region tracking,
 //!    enclosing-function resolution, `for`-loop spans, float-accumulator
 //!    declarations, and parsed `// lint:allow(rule, reason = "...")`
@@ -93,9 +92,6 @@ impl fmt::Display for Diagnostic {
 /// exercise individual rules.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// Path suffixes where wall-clock reads are legal (the telemetry
-    /// layer owns wall time).
-    pub wall_clock_exempt: Vec<&'static str>,
     /// Path suffixes of result-path files, where `Ordering::Relaxed`
     /// loads may feed report values and therefore need justification.
     pub result_path_files: Vec<&'static str>,
@@ -120,7 +116,6 @@ pub struct LintConfig {
 impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
-            wall_clock_exempt: vec!["src/telemetry.rs"],
             result_path_files: vec![
                 "src/cache.rs",
                 "src/engine.rs",
@@ -284,7 +279,7 @@ mod tests {
         let diags = vec![Diagnostic {
             path: "a.rs".to_string(),
             line: 3,
-            rule: "panic-in-library",
+            rule: "float-accumulation-order",
             severity: Severity::Warn,
             message: "say \"why\"".to_string(),
         }];

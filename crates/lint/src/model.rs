@@ -113,6 +113,26 @@ impl<'a> FileModel<'a> {
             .map(|f| f.name.as_str())
     }
 
+    /// Whether the token at `idx` sits inside the parentheses of a
+    /// `.name(...)` method call, at any nesting depth.
+    pub(crate) fn inside_call(&self, idx: usize, name: &str) -> bool {
+        let mut depth = 0usize;
+        for open in (0..idx.min(self.tokens.len())).rev() {
+            match self.tokens[open].text {
+                ")" => depth += 1,
+                "(" if depth > 0 => depth -= 1,
+                "(" if open >= 2
+                    && self.text_at(open - 1) == name
+                    && self.text_at(open - 2) == "." =>
+                {
+                    return true;
+                }
+                _ => {}
+            }
+        }
+        false
+    }
+
     /// The single structural walk: brace tracking plus region extraction.
     fn walk(&mut self) {
         enum Open {

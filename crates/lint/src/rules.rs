@@ -1,16 +1,9 @@
-//! The rule catalog: each workspace contract encoded as a named lint.
+//! The rule catalog: the workspace contracts clippy cannot express,
+//! each encoded as a named lint.
 //!
 //! Every rule maps to a clause of the determinism contract documented in
 //! `ARCHITECTURE.md`:
 //!
-//! * [`NONDETERMINISTIC_ITERATION`] — reports, exports, and serving
-//!   decisions must not depend on `HashMap`/`HashSet` iteration order.
-//! * [`WALL_CLOCK_IN_VIRTUAL_PATH`] — the virtual cycle clock is the only
-//!   clock results may read; wall clocks live in the telemetry layer and
-//!   in explicitly-allowed timing footers.
-//! * [`PANIC_IN_LIBRARY`] — library code reachable from user input
-//!   returns `Result` instead of panicking; invariant-backed panics carry
-//!   a reasoned allow.
 //! * [`FLOAT_ACCUMULATION_ORDER`] — float accumulation over par-distributed
 //!   collections is order-sensitive and belongs in blessed reduction
 //!   helpers with a pinned order.
@@ -23,6 +16,9 @@
 //! Two engine-level rules police the suppression mechanism itself:
 //! [`MALFORMED_SUPPRESSION`] (every allow must carry a reason) and
 //! [`UNUSED_SUPPRESSION`] (allows that suppress nothing must be deleted).
+//!
+//! The panic, wall-clock and hash-order contracts are clippy lints,
+//! configured in the workspace `[lints]` table and `clippy.toml`.
 
 use crate::lex::TokKind;
 use crate::model::{FileModel, ForLoop, Region};
@@ -38,33 +34,6 @@ pub struct Rule {
     /// One-line description for `--list-rules` and the docs.
     pub description: &'static str,
 }
-
-/// `HashMap`/`HashSet` in non-test code: iteration order can reach a
-/// report.
-pub const NONDETERMINISTIC_ITERATION: Rule = Rule {
-    name: "nondeterministic-iteration",
-    severity: Severity::Error,
-    description: "HashMap/HashSet in library code: iteration or key collection order is \
-                  nondeterministic and must not reach report, export, or serving paths — use \
-                  BTreeMap/BTreeSet, or allow with a reason proving the order never escapes",
-};
-
-/// `Instant::now`/`SystemTime` outside the telemetry layer.
-pub const WALL_CLOCK_IN_VIRTUAL_PATH: Rule = Rule {
-    name: "wall-clock-in-virtual-path",
-    severity: Severity::Error,
-    description: "Instant::now/SystemTime outside telemetry: virtual-clock results must never \
-                  read a wall clock — wall time is only for the telemetry layer and \
-                  reason-allowed wall-seconds timing footers",
-};
-
-/// `unwrap`/`expect`/`panic!` in non-test library code.
-pub const PANIC_IN_LIBRARY: Rule = Rule {
-    name: "panic-in-library",
-    severity: Severity::Warn,
-    description: "unwrap/expect/panic! in non-test library code: user-input-reachable paths \
-                  must return Result; invariant-backed panics need a reasoned allow",
-};
 
 /// Float `+=` in loops over par-distributed data.
 pub const FLOAT_ACCUMULATION_ORDER: Rule = Rule {
@@ -110,10 +79,7 @@ pub const UNUSED_SUPPRESSION: Rule = Rule {
 };
 
 /// Every rule the engine ships, in catalog order.
-pub const ALL_RULES: [Rule; 8] = [
-    NONDETERMINISTIC_ITERATION,
-    WALL_CLOCK_IN_VIRTUAL_PATH,
-    PANIC_IN_LIBRARY,
+pub const ALL_RULES: [Rule; 5] = [
     FLOAT_ACCUMULATION_ORDER,
     RELAXED_ATOMIC_IN_RESULT_PATH,
     OBSERVE_ONLY_TELEMETRY,
@@ -140,105 +106,12 @@ fn diag(rule: Rule, path: &str, line: u32, message: String) -> Diagnostic {
 /// `path` is the workspace-relative path with forward slashes.
 pub fn check_file(path: &str, model: &FileModel<'_>, config: &LintConfig) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    nondeterministic_iteration(path, model, &mut diags);
-    wall_clock_in_virtual_path(path, model, config, &mut diags);
-    panic_in_library(path, model, &mut diags);
     float_accumulation_order(path, model, config, &mut diags);
     relaxed_atomic_in_result_path(path, model, config, &mut diags);
     observe_only_telemetry(path, model, config, &mut diags);
     apply_suppressions(path, model, &mut diags);
     diags.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     diags
-}
-
-fn nondeterministic_iteration(path: &str, model: &FileModel<'_>, diags: &mut Vec<Diagnostic>) {
-    for (i, t) in model.tokens.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && (t.text == "HashMap" || t.text == "HashSet")
-            && !model.in_test(i)
-        {
-            diags.push(diag(
-                NONDETERMINISTIC_ITERATION,
-                path,
-                t.line,
-                format!(
-                    "`{}` has nondeterministic iteration order; use BTreeMap/BTreeSet on any \
-                     path that can reach a report, export, or serving decision",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
-fn wall_clock_in_virtual_path(
-    path: &str,
-    model: &FileModel<'_>,
-    config: &LintConfig,
-    diags: &mut Vec<Diagnostic>,
-) {
-    if config.wall_clock_exempt.iter().any(|s| path.ends_with(s)) {
-        return;
-    }
-    for (i, t) in model.tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || model.in_test(i) {
-            continue;
-        }
-        let flagged = match t.text {
-            "Instant" => {
-                model.tokens.get(i + 1).map(|n| n.text) == Some("::")
-                    && model.tokens.get(i + 2).map(|n| n.text) == Some("now")
-            }
-            "SystemTime" => true,
-            _ => false,
-        };
-        if flagged {
-            diags.push(diag(
-                WALL_CLOCK_IN_VIRTUAL_PATH,
-                path,
-                t.line,
-                format!(
-                    "`{}` reads the wall clock; virtual-clock results must be wall-clock free — \
-                     move this into the telemetry layer or allow it as pure wall-seconds \
-                     reporting",
-                    if t.text == "Instant" {
-                        "Instant::now"
-                    } else {
-                        "SystemTime"
-                    }
-                ),
-            ));
-        }
-    }
-}
-
-fn panic_in_library(path: &str, model: &FileModel<'_>, diags: &mut Vec<Diagnostic>) {
-    for (i, t) in model.tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || model.in_test(i) {
-            continue;
-        }
-        let next = model.tokens.get(i + 1).map(|n| n.text);
-        let prev = i
-            .checked_sub(1)
-            .and_then(|p| model.tokens.get(p))
-            .map(|p| p.text);
-        let what = match t.text {
-            "unwrap" | "expect" if prev == Some(".") && next == Some("(") => {
-                format!(".{}()", t.text)
-            }
-            "panic" if next == Some("!") => "panic!".to_string(),
-            _ => continue,
-        };
-        diags.push(diag(
-            PANIC_IN_LIBRARY,
-            path,
-            t.line,
-            format!(
-                "`{what}` in non-test library code; return a Result on user-input-reachable \
-                 paths, or allow with the invariant that makes this unreachable"
-            ),
-        ));
-    }
 }
 
 fn float_accumulation_order(
@@ -304,14 +177,10 @@ fn relaxed_atomic_in_result_path(
         if t.kind != TokKind::Ident || t.text != "Relaxed" || model.in_test(i) {
             continue;
         }
-        // Only loads: a `load` identifier within the few preceding tokens
-        // (`.load(Ordering::Relaxed)`). Relaxed stores/fetch_adds do not
-        // feed report values by themselves.
-        let window_start = i.saturating_sub(6);
-        let is_load = model.tokens[window_start..i]
-            .iter()
-            .any(|p| p.kind == TokKind::Ident && p.text == "load");
-        if is_load {
+        // Only loads: `Relaxed` inside the parentheses of a `.load(` call,
+        // however the ordering is qualified. Relaxed stores/fetch_adds do
+        // not feed report values by themselves.
+        if model.inside_call(i, "load") {
             diags.push(diag(
                 RELAXED_ATOMIC_IN_RESULT_PATH,
                 path,

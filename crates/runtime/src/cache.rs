@@ -124,7 +124,10 @@ impl WorkloadCache {
         build: impl FnOnce() -> HeadWorkload,
     ) -> Arc<HeadWorkload> {
         let entry: Entry = {
-            // lint:allow(panic-in-library, reason = "a poisoned shard means a builder panicked; propagating the panic is the only sound recovery")
+            #[expect(
+                clippy::expect_used,
+                reason = "a poisoned shard means a builder panicked; propagating the panic is the only sound recovery"
+            )]
             let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
             Arc::clone(shard.entry(key).or_default())
         };
@@ -169,9 +172,12 @@ impl WorkloadCache {
 
     /// Number of cached workloads.
     pub fn len(&self) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned shard means a builder panicked; propagating the panic is the only sound recovery"
+        )]
         self.shards
             .iter()
-            // lint:allow(panic-in-library, reason = "a poisoned shard means a builder panicked; propagating the panic is the only sound recovery")
             .map(|s| s.lock().expect("cache shard poisoned").len())
             .sum()
     }

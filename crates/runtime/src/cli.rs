@@ -1182,7 +1182,10 @@ fn print_sweep_table(
         let _ = write!(header, "{:>12} ", param.label());
     }
     println!("\n{header}{columns}");
-    // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds footer for the sweep table; simulated results never read it")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-seconds footer for the sweep table; simulated results never read it"
+    )]
     let start = std::time::Instant::now();
     for point in &grid {
         let mut cells = String::new();

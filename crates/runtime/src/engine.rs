@@ -205,7 +205,10 @@ impl SuiteRunner {
         options: &PipelineOptions,
         policy: SchedulePolicy,
     ) -> SuiteReport {
-        // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds run footer only; simulated cycle results never read it")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-seconds run footer only; simulated cycle results never read it"
+        )]
         let start = Instant::now();
         let heads = options.heads.max(1);
         // The placement is planned against the serving configuration's cost
@@ -243,7 +246,10 @@ impl SuiteRunner {
         let (cache, telemetry) = (Arc::clone(&self.cache), self.telemetry.clone());
         let built = parallel_map(&self.pool, builds, move |_, (jobs, head)| {
             let task = &jobs.task;
-            // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it"
+            )]
             let build_start = Instant::now();
             let workload = cache.head_workload(task, &options, *head);
             let elapsed = build_start.elapsed();
@@ -276,7 +282,10 @@ impl SuiteRunner {
         let telemetry = self.telemetry.clone();
         let swept = parallel_map(&self.pool, sweeps, move |_, (jobs, block, workload)| {
             let (head, shard, rows) = &jobs.blocks[*block];
-            // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it"
+            )]
             let sim_start = Instant::now();
             let units = simulate_units_shard(workload, rows.clone());
             let elapsed = sim_start.elapsed();
@@ -322,7 +331,10 @@ impl SuiteRunner {
             .collect();
         let telemetry = self.telemetry.clone();
         let aggregated = parallel_map(&self.pool, merges, move |_, (jobs, sims)| {
-            // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it"
+            )]
             let agg_start = Instant::now();
             // One (tile cycles, heads) pair per unit, in SimUnitKind order.
             let units = jobs.plan.assemble(&jobs.blocks, sims);
@@ -418,7 +430,10 @@ pub fn measure_layer_makespans(
     let config = *config;
     let telemetry = runner.telemetry().cloned();
     parallel_map(runner.pool(), jobs, move |_, (width, task)| {
-        // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds telemetry span around ground-truth execution; virtual-time replay never reads it")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-seconds telemetry span around ground-truth execution; virtual-time replay never reads it"
+        )]
         let execute_start = Instant::now();
         let width = (*width).max(1);
         let rate = task.paper_pruning_rate as f64;

@@ -30,13 +30,21 @@ struct Shared {
 
 impl Shared {
     fn lock(&self) -> std::sync::MutexGuard<'_, Queue> {
-        self.queue.lock().expect("job queue poisoned") // lint:allow(panic-in-library, reason = "jobs run outside the queue lock, so poisoning means the pool's own push/pop panicked; the pool cannot continue and propagating is correct")
+        #[expect(
+            clippy::expect_used,
+            reason = "jobs run outside the queue lock, so poisoning means the pool's own push/pop panicked; the pool cannot continue and propagating is correct"
+        )]
+        self.queue.lock().expect("job queue poisoned")
     }
 
     /// Blocks until a job is queued, or returns `None` once the pool is
     /// shutting down and the queue is empty.
     fn pop(&self) -> Option<Job> {
         let mut queue = self.lock();
+        #[expect(
+            clippy::expect_used,
+            reason = "jobs run outside the queue lock, so poisoning means the pool's own push/pop panicked; the pool cannot continue and propagating is correct"
+        )]
         loop {
             if let Some(job) = queue.jobs.pop_front() {
                 return Some(job);
@@ -44,7 +52,7 @@ impl Shared {
             if queue.shutdown {
                 return None;
             }
-            queue = self.ready.wait(queue).expect("job queue poisoned"); // lint:allow(panic-in-library, reason = "jobs run outside the queue lock, so poisoning means the pool's own push/pop panicked; the pool cannot continue and propagating is correct")
+            queue = self.ready.wait(queue).expect("job queue poisoned");
         }
     }
 }
@@ -95,10 +103,11 @@ impl ThreadPool {
         let workers = (0..threads)
             .map(|index| {
                 let shared = Arc::clone(&shared);
+                #[expect(clippy::expect_used, reason = "thread spawn fails only on resource exhaustion at pool construction; there is no caller that could meaningfully recover")]
                 std::thread::Builder::new()
                     .name(format!("leopard-worker-{index}"))
                     .spawn(move || worker_loop(shared, index))
-                    .expect("failed to spawn pool worker") // lint:allow(panic-in-library, reason = "thread spawn fails only on resource exhaustion at pool construction; there is no caller that could meaningfully recover")
+                    .expect("failed to spawn pool worker")
             })
             .collect();
         Self {
@@ -172,9 +181,13 @@ where
     for (index, result) in rx {
         slots[index] = Some(result);
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "every item sends its result unless it panicked; the worker contained and printed that panic, and re-raising it here is the only sound recovery"
+    )]
     slots
         .into_iter()
-        .map(|slot| slot.expect("an item panicked on a pool worker (message on stderr)")) // lint:allow(panic-in-library, reason = "every item sends its result unless it panicked; the worker contained and printed that panic, and re-raising it here is the only sound recovery")
+        .map(|slot| slot.expect("an item panicked on a pool worker (message on stderr)"))
         .collect()
 }
 

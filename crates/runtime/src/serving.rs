@@ -943,10 +943,14 @@ pub fn generate_requests(suite: &[TaskDescriptor], options: &ServingOptions) -> 
     let total_weight: f64 = weights.iter().sum();
     // Float-rounding fallback: a draw that walks off the CDF must land on a
     // task with positive weight, never on a zero-weight tail entry.
+    #[expect(
+        clippy::expect_used,
+        reason = "task_weights normalizes to a distribution with at least one positive entry by construction"
+    )]
     let last_positive = weights
         .iter()
         .rposition(|&w| w > 0.0)
-        .expect("task_weights guarantees a positive weight"); // lint:allow(panic-in-library, reason = "task_weights normalizes to a distribution with at least one positive entry by construction")
+        .expect("task_weights guarantees a positive weight");
     let mut r = rng::seeded(options.seed);
     let mean_gap_cycles = f64::from(options.config.frequency_mhz) * 1e6 / options.rate_rps;
     let mut gaps = GapGenerator::new(options, mean_gap_cycles);
@@ -1298,14 +1302,21 @@ pub fn run_serving(
         options.backoff_base_cycles
     );
     let fault_plan = match &options.faults {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract: the CLI validates plans at parse time, so a library caller reaching this handed over an invalid plan"
+        )]
         Some(plan) => plan
             .clone()
             .validated(options.servers)
-            .expect("fault plan failed validation"), // lint:allow(panic-in-library, reason = "documented panic contract: the CLI validates plans at parse time, so a library caller reaching this handed over an invalid plan")
+            .expect("fault plan failed validation"),
         None => FaultPlan::default(),
     };
     let ft_active = options.fault_tolerance_active();
-    // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds run footer only; the serving clock and every latency figure are virtual cycles")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-seconds run footer only; the serving clock and every latency figure are virtual cycles"
+    )]
     let start = Instant::now();
     let requests = generate_requests(suite, options);
 
@@ -1371,10 +1382,18 @@ pub fn run_serving(
         })
         .collect();
     let price = |width: usize, task_index: usize| -> &Price {
+        #[expect(
+            clippy::expect_used,
+            reason = "`widths` enumerates every live count the event timeline can produce, so the replay cannot ask for an unmeasured width"
+        )]
         let width_pos = widths
             .binary_search(&width)
-            .expect("plan width was measured"); // lint:allow(panic-in-library, reason = "`widths` enumerates every live count the event timeline can produce, so the replay cannot ask for an unmeasured width")
-        let task_pos = used.binary_search(&task_index).expect("task was executed"); // lint:allow(panic-in-library, reason = "`used` is built from exactly the task indices the requests reference, so the binary search cannot miss")
+            .expect("plan width was measured");
+        #[expect(
+            clippy::expect_used,
+            reason = "`used` is built from exactly the task indices the requests reference, so the binary search cannot miss"
+        )]
+        let task_pos = used.binary_search(&task_index).expect("task was executed");
         &prices[width_pos * used.len() + task_pos]
     };
 
@@ -1444,7 +1463,11 @@ pub fn run_serving(
             }
             depth_cycle_integral += u128::from(clock - depth_last_cycle) * ready.len() as u128;
             depth_last_cycle = clock;
-            let job = ready.pop().expect("queue checked non-empty"); // lint:allow(panic-in-library, reason = "the dispatch loop only reaches this pop after checking the ready queue is non-empty")
+            #[expect(
+                clippy::expect_used,
+                reason = "the dispatch loop only reaches this pop after checking the ready queue is non-empty"
+            )]
+            let job = ready.pop().expect("queue checked non-empty");
 
             // Transient dispatch fault? Decided by the counter-addressed
             // seeded stream — a pure function of (request, attempt), so

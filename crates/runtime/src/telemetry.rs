@@ -316,13 +316,21 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Adds `by` to the named counter (created at zero).
     pub fn incr(&self, name: &str, by: u64) {
-        let mut counters = self.counters.lock().expect("metrics lock poisoned"); // lint:allow(panic-in-library, reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+        )]
+        let mut counters = self.counters.lock().expect("metrics lock poisoned");
         *counters.entry(name.to_string()).or_insert(0) += by;
     }
 
     /// Sets the named gauge to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut gauges = self.gauges.lock().expect("metrics lock poisoned"); // lint:allow(panic-in-library, reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+        )]
+        let mut gauges = self.gauges.lock().expect("metrics lock poisoned");
         gauges.insert(name.to_string(), value);
     }
 
@@ -330,7 +338,11 @@ impl MetricsRegistry {
     /// lock; `bounds` are the inclusive bucket upper bounds, used on first
     /// touch.
     pub fn observe_all(&self, name: &str, bounds: &[u64], values: impl IntoIterator<Item = u64>) {
-        let mut histograms = self.histograms.lock().expect("metrics lock poisoned"); // lint:allow(panic-in-library, reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+        )]
+        let mut histograms = self.histograms.lock().expect("metrics lock poisoned");
         let histogram = histograms
             .entry(name.to_string())
             .or_insert_with(|| Histogram::with_bounds(bounds));
@@ -343,7 +355,11 @@ impl MetricsRegistry {
     /// value `i`) into the named histogram. Do not mix with
     /// [`observe_all`](Self::observe_all) on the same name.
     pub fn merge_indexed(&self, name: &str, counts: &[u64]) {
-        let mut histograms = self.histograms.lock().expect("metrics lock poisoned"); // lint:allow(panic-in-library, reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+        )]
+        let mut histograms = self.histograms.lock().expect("metrics lock poisoned");
         histograms
             .entry(name.to_string())
             .or_default()
@@ -353,24 +369,36 @@ impl MetricsRegistry {
     /// A point-in-time copy of every metric, in name order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
+            #[expect(
+                clippy::expect_used,
+                reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+            )]
             counters: self
                 .counters
                 .lock()
-                .expect("metrics lock poisoned") // lint:allow(panic-in-library, reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+                .expect("metrics lock poisoned")
                 .iter()
                 .map(|(k, &v)| (k.clone(), v))
                 .collect(),
+            #[expect(
+                clippy::expect_used,
+                reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+            )]
             gauges: self
                 .gauges
                 .lock()
-                .expect("metrics lock poisoned") // lint:allow(panic-in-library, reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+                .expect("metrics lock poisoned")
                 .iter()
                 .map(|(k, &v)| (k.clone(), v))
                 .collect(),
+            #[expect(
+                clippy::expect_used,
+                reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+            )]
             histograms: self
                 .histograms
                 .lock()
-                .expect("metrics lock poisoned") // lint:allow(panic-in-library, reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+                .expect("metrics lock poisoned")
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
@@ -480,6 +508,7 @@ impl Telemetry {
     /// Creates a telemetry layer for a pool of `workers` threads.
     pub fn new(workers: usize) -> Self {
         Self {
+            #[expect(clippy::disallowed_methods, reason = "the trace's wall epoch")]
             epoch: Instant::now(),
             buffers: (0..workers + 1).map(|_| Mutex::new(Vec::new())).collect(),
             replays: Mutex::new(Vec::new()),
@@ -511,9 +540,13 @@ impl Telemetry {
             worker,
             args,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+        )]
         self.buffers[worker]
             .lock()
-            .expect("telemetry buffer poisoned") // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+            .expect("telemetry buffer poisoned")
             .push(event);
     }
 
@@ -533,16 +566,24 @@ impl Telemetry {
     }
 
     fn lock_replays(&self) -> std::sync::MutexGuard<'_, Vec<Replay>> {
-        self.replays.lock().expect("replay tapes poisoned") // lint:allow(panic-in-library, reason = "a poisoned tape list means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned tape list means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+        )]
+        self.replays.lock().expect("replay tapes poisoned")
     }
 
     /// Number of trace events recorded so far: wall spans plus replay tape
     /// entries, each of which renders as one event.
     pub fn event_count(&self) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+        )]
         let wall: usize = self
             .buffers
             .iter()
-            .map(|b| b.lock().expect("telemetry buffer poisoned").len()) // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+            .map(|b| b.lock().expect("telemetry buffer poisoned").len())
             .sum();
         let replays = self.lock_replays();
         let tape = replays
@@ -566,10 +607,14 @@ impl Telemetry {
     pub fn write_chrome_trace(&self, w: &mut impl Write) -> io::Result<()> {
         // Hold every buffer for the export and sort references: events are
         // rendered in place, never copied.
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+        )]
         let buffers: Vec<_> = self
             .buffers
             .iter()
-            .map(|b| b.lock().expect("telemetry buffer poisoned")) // lint:allow(panic-in-library, reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data")
+            .map(|b| b.lock().expect("telemetry buffer poisoned"))
             .collect();
         let mut wall: Vec<&TraceEvent> = buffers.iter().flat_map(|b| b.iter()).collect();
         wall.sort_by(|a, b| (a.cat, &a.name, &a.args).cmp(&(b.cat, &b.name, &b.args)));
@@ -983,6 +1028,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a wall span's start")]
     fn wall_spans_record_the_calling_slot_and_mask_targets() {
         let telemetry = Telemetry::new(3);
         let start = Instant::now();

@@ -1,4 +1,5 @@
 //! Snapshot helpers shared by the golden-output test targets.
+#![allow(clippy::expect_used, clippy::panic, reason = "test code may panic")]
 
 use leopard_runtime::engine::{SuiteReport, SuiteRunner};
 use leopard_runtime::serving::{run_serving, ServingOptions, ServingReport};

@@ -16,6 +16,7 @@
 //!   CSV matches the faults-off run.
 //! * **Conservation** — offered = served + shed for every configuration;
 //!   a request that retries and then lands is counted once.
+#![allow(clippy::expect_used, reason = "test code may panic")]
 
 use leopard_runtime::cli::{MAX_BACKOFF_BASE_CYCLES, MAX_RETRY_BUDGET};
 use leopard_runtime::engine::SuiteRunner;

@@ -3,6 +3,7 @@
 //! most seven bytes per `write` call, so every row the renderers hand over
 //! is split across calls, as a short write to a file or pipe would split
 //! it.
+#![allow(clippy::expect_used, reason = "test code may panic")]
 
 use leopard_runtime::engine::SuiteRunner;
 use leopard_runtime::faults::{FaultPlan, SlowTile, TileFaultEvent, TileFaultKind};

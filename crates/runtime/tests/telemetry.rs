@@ -27,6 +27,7 @@
 //! ```text
 //! LEOPARD_BLESS=1 cargo test -p leopard-runtime --test telemetry
 //! ```
+#![allow(clippy::expect_used, reason = "test code may panic")]
 
 use leopard_runtime::engine::{SuiteReport, SuiteRunner};
 use leopard_runtime::report::{

@@ -24,7 +24,10 @@ pub fn uniform_matrix(rng: &mut StdRng, rows: usize, cols: usize, lo: f32, hi: f
     assert!(lo <= hi, "uniform bounds must satisfy lo <= hi");
     let dist = Uniform::new_inclusive(lo, hi);
     let data = (0..rows * cols).map(|_| dist.sample(rng)).collect();
-    // lint:allow(panic-in-library, reason = "the data vector is built with exactly rows * cols elements on the previous line")
+    #[expect(
+        clippy::expect_used,
+        reason = "the data vector is built with exactly rows * cols elements on the previous line"
+    )]
     Matrix::from_vec(rows, cols, data).expect("shape is consistent by construction")
 }
 
@@ -34,7 +37,10 @@ pub fn normal_matrix(rng: &mut StdRng, rows: usize, cols: usize, mean: f32, std:
     let data = (0..rows * cols)
         .map(|_| mean + std * standard_normal(rng))
         .collect();
-    // lint:allow(panic-in-library, reason = "the data vector is built with exactly rows * cols elements on the previous line")
+    #[expect(
+        clippy::expect_used,
+        reason = "the data vector is built with exactly rows * cols elements on the previous line"
+    )]
     Matrix::from_vec(rows, cols, data).expect("shape is consistent by construction")
 }
 

@@ -289,9 +289,12 @@ impl TransformerClassifier {
     ///
     /// Panics if `config` fails [`ModelConfig::validate`] or `classes == 0`.
     pub fn new(config: ModelConfig, classes: usize, seed: u64) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "constructor contract documented under # Panics; configs are validated by builders and invalid ones here are programmer errors"
+        )]
         config
             .validate()
-            // lint:allow(panic-in-library, reason = "constructor contract documented under # Panics; configs are validated by builders and invalid ones here are programmer errors")
             .unwrap_or_else(|e| panic!("invalid model config: {e}"));
         assert!(classes > 0, "need at least one output class");
         let mut r = rng::seeded(seed);

@@ -239,10 +239,14 @@ pub fn fitted_cost_model() -> &'static CostModel {
         let profiles: Vec<(&'static str, usize, HeadSimResult)> = ModelFamily::ALL
             .iter()
             .map(|&family| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the 43-task suite covers every ModelFamily, pinned by the suite composition tests"
+                )]
                 let task = suite
                     .iter()
                     .find(|t| t.family == family)
-                    .expect("every family has at least one suite task"); // lint:allow(panic-in-library, reason = "the 43-task suite covers every ModelFamily, pinned by the suite composition tests")
+                    .expect("every family has at least one suite task");
                 let workload = build_head_workload(task, &options, 0);
                 (
                     family.name(),
@@ -419,9 +423,12 @@ impl HeadUnitResults {
             "one result per unit kind"
         );
         let mut take = |kind: SimUnitKind| {
+            #[expect(
+                clippy::panic,
+                reason = "the assert above guarantees one result per unit kind and each is taken exactly once"
+            )]
             units[kind.index()]
                 .take()
-                // lint:allow(panic-in-library, reason = "the assert above guarantees one result per unit kind and each is taken exactly once")
                 .unwrap_or_else(|| panic!("missing result for {kind:?}"))
         };
         Self {

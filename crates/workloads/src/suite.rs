@@ -169,7 +169,7 @@ pub fn full_suite() -> Vec<TaskDescriptor> {
     let glue_names = [
         "G-COLA", "G-MRPC", "G-RTE", "G-SST", "G-QNLI", "G-QQP", "G-WNLI", "G-MNLI", "G-STS",
     ];
-    #[allow(clippy::approx_constant)] // 3.14 is the paper's reported energy value
+    #[expect(clippy::approx_constant, reason = "3.14 is the paper's energy value")]
     let bert_b: [(f32, f32, f32, f32, f32, f32, f32); 9] = [
         (82.95, 83.80, 83.68, 1.59, 2.12, 3.17, 3.28),
         (69.88, 84.60, 85.00, 1.37, 1.37, 2.40, 2.31),
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn seeds_are_unique_and_deterministic() {
         let tasks = full_suite();
-        let seeds: std::collections::HashSet<u64> = tasks.iter().map(|t| t.seed()).collect();
+        let seeds: std::collections::BTreeSet<u64> = tasks.iter().map(|t| t.seed()).collect();
         assert_eq!(seeds.len(), 43);
         assert_eq!(full_suite()[7].seed(), tasks[7].seed());
     }

@@ -19,7 +19,7 @@
 //! | [`accel`] | `leopard-accel` | cycle-level tile simulator, energy/area models, Table 2 |
 //! | [`workloads`] | `leopard-workloads` | the 43-task suite and end-to-end pipeline |
 //! | [`runtime`] | `leopard-runtime` | parallel suite-execution engine, serving-mode engine, cost-model scheduler, `leopard` CLI |
-//! | [`lint`] | `leopard-lint` | `leopard-lint` static contract checker: determinism, observe-only, and panic-safety rules |
+//! | [`lint`] | `leopard-lint` | static checker for the contracts clippy cannot express: float accumulation order, relaxed loads, observe-only telemetry |
 //!
 //! # Quickstart
 //!

@@ -10,6 +10,7 @@
 //! ```text
 //! cargo test --release --test ablations -- --ignored
 //! ```
+#![allow(clippy::expect_used, reason = "test code may panic")]
 
 use leopard::accel::config::TileConfig;
 use leopard::accel::energy::EnergyModel;
@@ -159,6 +160,7 @@ fn fault_recovery_policies_are_pinned() {
 /// nine ratios in ascending order. Each kernel call starts with warm packed
 /// keys and no recorded outcomes, so it times a cold sweep, never a replay
 /// of recorded outcomes.
+#[expect(clippy::disallowed_methods, reason = "times host wall clock")]
 fn median_speedup(
     workload: &HeadWorkload,
     config: &TileConfig,

@@ -151,6 +151,7 @@ fn assert_within_caps(cmd: &Command, argv: &[String]) {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "bounds host wall time")]
 fn argv_adversarial_values_never_panic_and_stay_within_caps() {
     let values = hostile_values();
     let start = Instant::now();

@@ -3,6 +3,7 @@
 //! `error: ...` line on stderr, before any work runs; `leopard help` and
 //! the nqk and tiles x placement design-space sweeps print their pinned
 //! output.
+#![allow(clippy::expect_used, reason = "test code may panic")]
 
 use std::process::Command;
 

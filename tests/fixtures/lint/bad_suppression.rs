@@ -1,11 +1,12 @@
-pub fn wrong(xs: &[u32]) -> u32 {
-    // lint:allow(panic-in-library)
-    *xs.first().unwrap()
+pub fn sums(shards: &[f64]) -> f64 {
+    let mut total = 0.0;
+    for s in shards {
+        // lint:allow(float-accumulation-order)
+        total += s;
+        total += s; // lint:allow(not-a-rule, reason = "names a rule that does not exist")
+    }
+    total
 }
 
-pub fn unknown(xs: &[u32]) -> u32 {
-    *xs.first().unwrap() // lint:allow(not-a-rule, reason = "names a rule that does not exist")
-}
-
-// lint:allow(wall-clock-in-virtual-path, reason = "nothing on the next line reads a clock")
+// lint:allow(float-accumulation-order, reason = "nothing on the next line accumulates")
 pub fn stale() {}

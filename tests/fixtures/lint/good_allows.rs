@@ -1,22 +1,22 @@
 //! Known-good file: every violation carries a reasoned allow, and the
 //! lexer stressors below must not leak tokens into the rule engine.
 
-pub fn allowed(xs: &[u32]) -> u32 {
-    *xs.first().unwrap() // lint:allow(panic-in-library, reason = "callers guarantee a non-empty slice")
+pub fn allowed(telemetry: &Telemetry) -> String {
+    telemetry.flush() // lint:allow(observe-only-telemetry, reason = "runs after the measured region")
 }
 
 pub fn stressors() -> usize {
-    let s = r#"Instant::now() and HashMap and panic!() inside a raw "string""#;
+    let s = r#"telemetry.flush() and counter.load(Relaxed) inside a raw "string""#;
     let c = '"';
     let b = b'\'';
-    /* nested /* block comment mentioning SystemTime */ still opaque */
+    /* nested /* block comment mentioning telemetry.flush() */ still opaque */
     s.len() + (c as usize) + (b as usize)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn test_code_may_unwrap() {
-        Some(1).unwrap();
+    fn test_code_may_read_telemetry() {
+        telemetry.flush();
     }
 }

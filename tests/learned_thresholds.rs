@@ -5,6 +5,7 @@
 //! change that reorders one float operation anywhere on the tape, in the
 //! optimizer or in the evaluation shows up here. Debug builds give the same
 //! bits as release builds.
+#![allow(clippy::panic, reason = "test code may panic")]
 
 use leopard::pruning::finetune::{FinetuneConfig, FinetuneReport, Finetuner};
 use leopard::pruning::regularizer::L0Config;
