@@ -70,7 +70,7 @@ use leopard_tensor::Matrix;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// A quantized attention-head workload ready for simulation.
 ///
@@ -120,16 +120,21 @@ impl Clone for OperandCache {
     /// they depend on the Q codes and the threshold, which a struct-update
     /// clone may replace.
     fn clone(&self) -> Self {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
-        )]
-        let packed = self.packed.lock().unwrap().clone();
+        let packed = lock(&self.packed).clone();
         Self {
             packed: Mutex::new(packed),
             outcomes: Mutex::default(),
         }
     }
+}
+
+/// Locks one of an [`OperandCache`]'s two maps.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the guarded sections only look up, pack, insert, remove and count, so poisoning needs an earlier panic in one of them (a plan too wide to pack); propagating it is the correct failure mode"
+    )]
+    mutex.lock().expect("operand cache lock poisoned")
 }
 
 /// What a workload's [`OperandCache`] currently holds — see
@@ -271,11 +276,7 @@ impl HeadWorkload {
     /// does not fit its width.
     pub fn packed_keys_at(&self, plan: BitSerialPlan) -> Arc<PackedKeys> {
         let key = (plan.magnitude_bits, plan.bits_per_cycle);
-        #[expect(
-            clippy::unwrap_used,
-            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded section only packs and inserts, so propagating the poison panic is the correct failure mode"
-        )]
-        let mut packed = self.operand_cache.packed.lock().unwrap();
+        let mut packed = lock(&self.operand_cache.packed);
         if let Some(hit) = packed.get(&key) {
             return Arc::clone(hit);
         }
@@ -288,25 +289,13 @@ impl HeadWorkload {
     /// the next v2 simulation sweeps again. Benchmarks that time the kernel
     /// sweep itself call this between runs.
     pub fn forget_outcomes(&self) {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
-        )]
-        self.operand_cache.outcomes.lock().unwrap().clear();
+        lock(&self.operand_cache.outcomes).clear();
     }
 
     /// How many packs and outcome tables the workload's cache holds.
     pub fn cache_census(&self) -> CacheCensus {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
-        )]
-        let packs = self.operand_cache.packed.lock().unwrap().len();
-        #[expect(
-            clippy::unwrap_used,
-            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
-        )]
-        let outcomes = self.operand_cache.outcomes.lock().unwrap();
+        let packs = lock(&self.operand_cache.packed).len();
+        let outcomes = lock(&self.operand_cache.outcomes);
         CacheCensus {
             packs,
             tables: outcomes.len(),
@@ -327,11 +316,7 @@ impl HeadWorkload {
             threshold_int: self.threshold_int,
             path: kernel.path(),
         };
-        #[expect(
-            clippy::unwrap_used,
-            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
-        )]
-        let mut outcomes = self.operand_cache.outcomes.lock().unwrap();
+        let mut outcomes = lock(&self.operand_cache.outcomes);
         Arc::clone(
             outcomes
                 .entry(key)
@@ -341,11 +326,7 @@ impl HeadWorkload {
 
     /// Drops the cache's pack for `plan` (a full outcome table replaced it).
     fn release_pack(&self, plan: BitSerialPlan) {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode"
-        )]
-        let mut packed = self.operand_cache.packed.lock().unwrap();
+        let mut packed = lock(&self.operand_cache.packed);
         packed.remove(&(plan.magnitude_bits, plan.bits_per_cycle));
     }
 }

@@ -173,25 +173,22 @@ pub fn write_serving_requests_csv(report: &ServingReport, w: &mut impl Write) ->
         b"request,task_id,task,arrival_cycle,start_cycle,finish_cycle,\
           wait_cycles,service_cycles,predicted_cycles\n",
     )?;
+    // Each task's quoted name cell with the commas around it, one literal
+    // per task.
     let names: Vec<String> = report
         .task_names
         .iter()
-        .map(|n| n.replace('"', "\"\""))
+        .map(|n| format!(",\"{}\",", n.replace('"', "\"\"")))
         .collect();
     let mut row = Row::default();
     for r in &report.records {
         row.u64(r.id as u64).str(",").u64(r.task_id as u64);
-        row.str(",\"").str(&names[r.task_id]).str("\"");
-        for cycles in [
-            r.arrival_cycle,
-            r.start_cycle,
-            r.finish_cycle,
-            r.wait_cycles(),
-            r.service_cycles,
-            r.predicted_cycles,
-        ] {
-            row.str(",").u64(cycles);
-        }
+        row.str(&names[r.task_id]).u64(r.arrival_cycle);
+        row.str(",").u64(r.start_cycle);
+        row.str(",").u64(r.finish_cycle);
+        row.str(",").u64(r.wait_cycles());
+        row.str(",").u64(r.service_cycles);
+        row.str(",").u64(r.predicted_cycles);
         row.str("\n").send(w)?;
     }
     Ok(())
@@ -243,7 +240,6 @@ pub fn write_serving_report_json(report: &ServingReport, w: &mut impl Write) -> 
     )?;
     // The fault-tolerance block renders only for runs that enabled it, so
     // faults-off reports stay byte-identical to the pre-fault fixtures.
-    let ft = report.fault_summary.is_some();
     if let Some(f) = &report.fault_summary {
         writeln!(
             w,
@@ -267,29 +263,43 @@ pub fn write_serving_report_json(report: &ServingReport, w: &mut impl Write) -> 
             json_f64(report.tile_availability()),
         )?;
     }
-    let names: Vec<String> = report.task_names.iter().map(|n| escape_json(n)).collect();
+    write_serving_rows(report, w)
+}
+
+/// The per-row tail of [`write_serving_report_json`]: the shed, queue-sample
+/// and request arrays, then the closing brace. Rows of a run with fault
+/// tolerance on also carry `attempts` (and, on requests, `degraded`).
+fn write_serving_rows(report: &ServingReport, w: &mut impl Write) -> io::Result<()> {
+    let ft = report.fault_summary.is_some();
+    // Each task's whole `task` field, separator included, one literal per
+    // task.
+    let tasks: Vec<String> = (report.task_names.iter())
+        .map(|n| format!(", \"task\": \"{}\"", escape_json(n)))
+        .collect();
     let mut row = Row::default();
     // Shed requests, in decision order (empty without an SLO).
     w.write_all(b"  \"shed_detail\": [")?;
-    for (i, s) in report.shed.iter().enumerate() {
-        row.str(if i == 0 { "{" } else { ", {" });
-        row.fields([("id", s.id as u64), ("task_id", s.task_id as u64)]);
-        row.str(", \"task\": \"").str(&names[s.task_id]).str("\", ");
-        row.fields([
-            ("arrival_cycle", s.arrival_cycle),
-            ("shed_cycle", s.shed_cycle),
-            ("predicted_cycles", s.predicted_cycles),
-        ]);
+    let mut open = "{\"id\": ";
+    for s in &report.shed {
+        row.str(open).u64(s.id as u64);
+        open = ", {\"id\": ";
+        row.str(", \"task_id\": ").u64(s.task_id as u64);
+        row.str(&tasks[s.task_id]);
+        row.str(", \"arrival_cycle\": ").u64(s.arrival_cycle);
+        row.str(", \"shed_cycle\": ").u64(s.shed_cycle);
+        row.str(", \"predicted_cycles\": ").u64(s.predicted_cycles);
         if ft {
-            row.str(", ").fields([("attempts", u64::from(s.attempts))]);
+            row.str(", \"attempts\": ").u64(s.attempts.into());
         }
         row.str("}").send(w)?;
     }
     // The depth-over-time series: one [dispatch_cycle, depth] pair per
     // dispatch, in virtual-time order.
     w.write_all(b"],\n  \"queue_samples\": [")?;
-    for (i, s) in report.queue_samples.iter().enumerate() {
-        row.str(if i == 0 { "[" } else { ", [" }).u64(s.cycle);
+    let mut open = "[";
+    for s in &report.queue_samples {
+        row.str(open).u64(s.cycle);
+        open = ", [";
         row.str(", ").u64(s.depth as u64).str("]").send(w)?;
     }
     writeln!(
@@ -298,23 +308,20 @@ pub fn write_serving_report_json(report: &ServingReport, w: &mut impl Write) -> 
         report.cache.hits, report.cache.misses
     )?;
     w.write_all(b"  \"requests_detail\": [")?;
-    for (i, r) in report.records.iter().enumerate() {
-        row.str(if i == 0 { "\n    {" } else { ",\n    {" });
-        row.fields([("id", r.id as u64), ("task_id", r.task_id as u64)]);
-        row.str(", \"task\": \"").str(&names[r.task_id]).str("\", ");
-        row.fields([
-            ("arrival_cycle", r.arrival_cycle),
-            ("start_cycle", r.start_cycle),
-            ("finish_cycle", r.finish_cycle),
-            ("service_cycles", r.service_cycles),
-            ("predicted_cycles", r.predicted_cycles),
-        ]);
+    let mut open = "\n    {\"id\": ";
+    for r in &report.records {
+        row.str(open).u64(r.id as u64);
+        open = ",\n    {\"id\": ";
+        row.str(", \"task_id\": ").u64(r.task_id as u64);
+        row.str(&tasks[r.task_id]);
+        row.str(", \"arrival_cycle\": ").u64(r.arrival_cycle);
+        row.str(", \"start_cycle\": ").u64(r.start_cycle);
+        row.str(", \"finish_cycle\": ").u64(r.finish_cycle);
+        row.str(", \"service_cycles\": ").u64(r.service_cycles);
+        row.str(", \"predicted_cycles\": ").u64(r.predicted_cycles);
         if ft {
-            let retry = [
-                ("attempts", u64::from(r.attempts)),
-                ("degraded", u64::from(r.degraded)),
-            ];
-            row.str(", ").fields(retry);
+            row.str(", \"attempts\": ").u64(r.attempts.into());
+            row.str(", \"degraded\": ").u64(r.degraded.into());
         }
         row.str("}").send(w)?;
     }
@@ -323,10 +330,21 @@ pub fn write_serving_report_json(report: &ServingReport, w: &mut impl Write) -> 
 
 /// [`write_serving_report_json`] into a `String`.
 pub fn serving_report_json(report: &ServingReport) -> String {
-    // A little above the typical row of each array at 10⁸-cycle timestamps.
-    let rows = report.shed.len() * 160 + report.queue_samples.len() * 24;
-    let capacity = HEAD_BYTES + rows + report.records.len() * 200;
-    render_string(capacity, |w| write_serving_report_json(report, w))
+    render_string(serving_json_bytes(report), |w| {
+        write_serving_report_json(report, w)
+    })
+}
+
+/// The bytes [`serving_report_json`] reserves: a little above the typical
+/// row of each array at 10⁸-cycle timestamps. With fault tolerance on,
+/// `, "attempts": N` and `, "degraded": N` add 15 bytes each at one digit.
+fn serving_json_bytes(report: &ServingReport) -> usize {
+    let (shed, request) = match report.fault_summary {
+        Some(_) => (176, 232),
+        None => (160, 200),
+    };
+    let rows = report.shed.len() * shed + report.queue_samples.len() * 24;
+    HEAD_BYTES + rows + report.records.len() * request
 }
 
 /// The console fault-tolerance line, rendered only for runs that enabled
@@ -451,6 +469,7 @@ pub fn serving_summary(report: &ServingReport) -> String {
 mod tests {
     use super::*;
     use crate::engine::SuiteRunner;
+    use crate::serving::{QueueSample, RequestRecord, ShedRecord};
     use leopard_workloads::pipeline::PipelineOptions;
     use leopard_workloads::suite::full_suite;
 
@@ -846,6 +865,229 @@ mod tests {
         assert_eq!(
             json_value(&json, "offered").parse::<usize>().unwrap(),
             report.offered()
+        );
+    }
+
+    /// Field values at every decimal width edge: 0, 9, 10, 99, 100, each
+    /// 10^k - 1, 10^k and 10^k + 1, and `u64::MAX`.
+    fn width_edges() -> Vec<u64> {
+        let mut values = vec![0, 9, 10, 99, 100, u64::MAX];
+        for k in 1..=19 {
+            let power = 10u64.pow(k);
+            values.extend([power - 1, power, power + 1]);
+        }
+        values
+    }
+
+    /// Task names with quotes, backslashes and control characters, each
+    /// with its JSON-escaped and CSV-quoted form written out by hand.
+    const HOSTILE: [(&str, &str, &str); 4] = [
+        ("plain", "plain", "plain"),
+        ("q\"uo\"te", "q\\\"uo\\\"te", "q\"\"uo\"\"te"),
+        ("back\\slash", "back\\\\slash", "back\\slash"),
+        (
+            "ctl\n\r\t\u{1}\u{1f}é",
+            "ctl\\n\\r\\t\\u0001\\u001fé",
+            "ctl\n\r\t\u{1}\u{1f}é",
+        ),
+    ];
+
+    /// A small serving run with fault tolerance on, whose report the row
+    /// tests refill with their own rows.
+    fn faulted_shell() -> ServingReport {
+        use crate::serving::{run_serving, ServingOptions};
+        static SHELL: std::sync::OnceLock<ServingReport> = std::sync::OnceLock::new();
+        let shell = SHELL.get_or_init(|| {
+            let suite: Vec<_> = full_suite().into_iter().take(4).collect();
+            let options = ServingOptions {
+                requests: 12,
+                retry_max: 1,
+                pipeline: PipelineOptions {
+                    max_sim_seq_len: 24,
+                    ..PipelineOptions::default()
+                },
+                ..ServingOptions::default()
+            };
+            run_serving(&SuiteRunner::new(2), &suite, &options)
+        });
+        assert!(shell.fault_summary.is_some(), "fault tolerance is off");
+        shell.clone()
+    }
+
+    /// The oracle for the row writers: the request CSV and the JSON row
+    /// tail as plain `write!` renders them, names from [`HOSTILE`].
+    fn oracle_rows(report: &ServingReport) -> (String, String) {
+        let ft = report.fault_summary.is_some();
+        let mut csv = String::from(
+            "request,task_id,task,arrival_cycle,start_cycle,finish_cycle,\
+             wait_cycles,service_cycles,predicted_cycles\n",
+        );
+        let mut json = String::from("  \"shed_detail\": [");
+        for (i, s) in report.shed.iter().enumerate() {
+            let _ = write!(
+                json,
+                "{}{{\"id\": {}, \"task_id\": {}, \"task\": \"{}\", \"arrival_cycle\": {}, \
+                 \"shed_cycle\": {}, \"predicted_cycles\": {}",
+                if i == 0 { "" } else { ", " },
+                s.id,
+                s.task_id,
+                HOSTILE[s.task_id].1,
+                s.arrival_cycle,
+                s.shed_cycle,
+                s.predicted_cycles,
+            );
+            if ft {
+                let _ = write!(json, ", \"attempts\": {}", s.attempts);
+            }
+            json.push('}');
+        }
+        json.push_str("],\n  \"queue_samples\": [");
+        for (i, q) in report.queue_samples.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            let _ = write!(json, "{sep}[{}, {}]", q.cycle, q.depth);
+        }
+        let _ = write!(
+            json,
+            "],\n  \"workload_cache\": {{\"hits\": {}, \"misses\": {}}},\n  \"requests_detail\": [",
+            report.cache.hits, report.cache.misses
+        );
+        for (i, r) in report.records.iter().enumerate() {
+            let _ = write!(
+                json,
+                "{}{{\"id\": {}, \"task_id\": {}, \"task\": \"{}\", \"arrival_cycle\": {}, \
+                 \"start_cycle\": {}, \"finish_cycle\": {}, \"service_cycles\": {}, \
+                 \"predicted_cycles\": {}",
+                if i == 0 { "\n    " } else { ",\n    " },
+                r.id,
+                r.task_id,
+                HOSTILE[r.task_id].1,
+                r.arrival_cycle,
+                r.start_cycle,
+                r.finish_cycle,
+                r.service_cycles,
+                r.predicted_cycles,
+            );
+            if ft {
+                let _ = write!(
+                    json,
+                    ", \"attempts\": {}, \"degraded\": {}",
+                    r.attempts, r.degraded
+                );
+            }
+            json.push('}');
+            let _ = writeln!(
+                csv,
+                "{},{},\"{}\",{},{},{},{},{},{}",
+                r.id,
+                r.task_id,
+                HOSTILE[r.task_id].2,
+                r.arrival_cycle,
+                r.start_cycle,
+                r.finish_cycle,
+                r.start_cycle - r.arrival_cycle,
+                r.service_cycles,
+                r.predicted_cycles,
+            );
+        }
+        json.push_str("\n  ]\n}\n");
+        (csv, json)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Request, shed and queue-sample rows whose every field is drawn
+        /// from the decimal width edges (6-bit slices of one word per row
+        /// pick them; `u32` fields saturate, so `u32::MAX` is common),
+        /// with hostile task names and fault tolerance off and on, render
+        /// byte for byte as the `write!` oracle does.
+        #[test]
+        fn prop_row_writers_match_the_format_oracle(
+            requests in proptest::collection::vec(0u64..u64::MAX, 0..8),
+            sheds in proptest::collection::vec(0u64..u64::MAX, 0..8),
+            samples in proptest::collection::vec(0u64..u64::MAX, 0..8),
+            faulted in 0u32..2,
+        ) {
+            let edges = width_edges();
+            let pick = |bits: u64, i: u32| edges[((bits >> (6 * i)) & 63) as usize % edges.len()];
+            let narrow = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+            let task = |bits: u64| (bits >> 60) as usize % HOSTILE.len();
+            let mut report = faulted_shell();
+            if faulted == 0 {
+                report.fault_summary = None;
+            }
+            report.task_names = HOSTILE.iter().map(|h| h.0.to_string()).collect();
+            report.records = (requests.iter())
+                .map(|&bits| {
+                    let mut cycles = [pick(bits, 2), pick(bits, 3), pick(bits, 4)];
+                    cycles.sort_unstable();
+                    RequestRecord {
+                        id: pick(bits, 0) as usize,
+                        task_id: task(bits),
+                        arrival_cycle: cycles[0],
+                        start_cycle: cycles[1],
+                        finish_cycle: cycles[2],
+                        service_cycles: pick(bits, 5),
+                        predicted_cycles: pick(bits, 6),
+                        attempts: narrow(pick(bits, 7)),
+                        degraded: narrow(pick(bits, 8)),
+                    }
+                })
+                .collect();
+            report.shed = (sheds.iter())
+                .map(|&bits| ShedRecord {
+                    id: pick(bits, 0) as usize,
+                    task_id: task(bits),
+                    arrival_cycle: pick(bits, 1),
+                    shed_cycle: pick(bits, 2),
+                    predicted_cycles: pick(bits, 3),
+                    attempts: narrow(pick(bits, 4)),
+                })
+                .collect();
+            report.queue_samples = (samples.iter())
+                .map(|&bits| QueueSample { cycle: pick(bits, 0), depth: pick(bits, 1) as usize })
+                .collect();
+            let (csv, json) = oracle_rows(&report);
+            let mut rows = Vec::new();
+            write_serving_rows(&report, &mut rows).unwrap();
+            proptest::prop_assert_eq!(String::from_utf8(rows).unwrap(), json);
+            proptest::prop_assert_eq!(serving_requests_csv(&report), csv);
+        }
+    }
+
+    #[test]
+    fn a_faulted_report_renders_into_its_reservation() {
+        // Rows shaped like the 2×10⁵-request backlog's with fault
+        // tolerance on: six-digit ids, eight-digit cycles, and `attempts`
+        // and `degraded` on every row. Before the faulted rows had their
+        // own reservation, this report outgrew it and the buffer regrew.
+        let mut report = faulted_shell();
+        report.records = (0..20_000)
+            .map(|i| RequestRecord {
+                id: 150_000 + i,
+                task_id: i % report.task_names.len(),
+                arrival_cycle: 1_201_674,
+                start_cycle: 17_619_647,
+                finish_cycle: 17_620_742,
+                service_cycles: 1_095,
+                predicted_cycles: 1_210,
+                attempts: 0,
+                degraded: 0,
+            })
+            .collect();
+        report.queue_samples = vec![
+            QueueSample {
+                cycle: 17_619_647,
+                depth: 182_345,
+            };
+            report.records.len()
+        ];
+        let json = serving_report_json(&report);
+        assert!(json.len() > report.records.len() * 200, "rows too short");
+        assert_eq!(
+            json.capacity(),
+            serving_json_bytes(&report),
+            "the buffer regrew"
         );
     }
 }

@@ -456,6 +456,19 @@ pub struct Request {
     pub arrival_cycle: u64,
 }
 
+/// The replay's placeholder for a request it has not served (yet).
+const BLANK_RECORD: RequestRecord = RequestRecord {
+    id: 0,
+    task_id: 0,
+    arrival_cycle: 0,
+    start_cycle: 0,
+    finish_cycle: 0,
+    predicted_cycles: 0,
+    service_cycles: 0,
+    attempts: 0,
+    degraded: 0,
+};
+
 /// Full per-request accounting after the run, on the virtual cycle clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
@@ -1047,22 +1060,26 @@ impl LiveTiles {
         (gang, self.free_at[gang[take - 1]])
     }
 
-    /// Occupies the gang `order[..take]` until `finish`, moving each of its
-    /// tiles to its new place in the gang order.
+    /// Occupies the gang `order[..take]` until `finish` and moves it, as
+    /// one block, to its place in the gang order: its tiles share the key's
+    /// free time, so one search places them all.
     fn dispatch(&mut self, take: usize, finish: u64) {
-        for left in (0..take).rev() {
-            // `left` gang tiles still wait at the front; the rest is sorted.
-            let tile = self.order.remove(0);
+        for &tile in &self.order[..take] {
             self.free_at[tile] = finish;
-            let at = self.slot_in(left, tile);
-            self.order.insert(at, tile);
         }
+        // Every tile that frees up before `finish` moves ahead of the gang.
+        let ahead = self.order[take..].partition_point(|&t| self.free_at[t] < finish);
+        self.order[..take + ahead].rotate_left(take);
+        // The gang and the tiles that also free up at `finish` order by tile.
+        let ties = self.order[take + ahead..].partition_point(|&t| self.free_at[t] == finish);
+        self.order[ahead..take + ahead + ties].sort_unstable();
     }
 
-    /// Where `tile` belongs by `(free_at, tile)` in the sorted `order[from..]`.
-    fn slot_in(&self, from: usize, tile: usize) -> usize {
+    /// Where `tile` belongs by `(free_at, tile)` in the sorted `order`.
+    fn slot(&self, tile: usize) -> usize {
         let key = (self.free_at[tile], tile);
-        from + self.order[from..].partition_point(|&other| (self.free_at[other], other) < key)
+        self.order
+            .partition_point(|&other| (self.free_at[other], other) < key)
     }
 
     /// Fails or recovers one tile, idempotently: a fail on a down tile and
@@ -1074,7 +1091,7 @@ impl LiveTiles {
             return false;
         }
         self.down[tile] = fail;
-        let at = self.slot_in(0, tile);
+        let at = self.slot(tile);
         if fail {
             self.order.remove(at);
             self.fail_events += 1;
@@ -1150,8 +1167,9 @@ struct Ledger<'a> {
     options: &'a ServingOptions,
     /// Retries each request has consumed so far, by request id.
     attempts: Vec<u32>,
-    /// Admitted requests by id; a shed request leaves a hole.
-    records: Vec<Option<RequestRecord>>,
+    /// Admitted requests by id; a shed request's slot keeps a blank
+    /// record, dropped at the end of the run.
+    records: Vec<RequestRecord>,
     shed: Vec<ShedRecord>,
     queue_samples: Vec<QueueSample>,
     tile_busy_cycles: Vec<u64>,
@@ -1250,7 +1268,7 @@ impl Ledger<'_> {
             cycle: clock,
             depth,
         });
-        self.records[job.index] = Some(RequestRecord {
+        self.records[job.index] = RequestRecord {
             id,
             task_id: self.suite[task].id,
             arrival_cycle: request.arrival_cycle,
@@ -1260,7 +1278,7 @@ impl Ledger<'_> {
             service_cycles: service,
             attempts: self.attempts[job.index],
             degraded: level,
-        });
+        };
     }
 }
 
@@ -1329,9 +1347,16 @@ pub fn run_serving(
     // the reduced widths the live set can shrink to while
     // capacity-constrained, pre-simulated here so the replay stays a pure
     // lookup.
-    let mut used: Vec<usize> = requests.iter().map(|r| r.task_index).collect();
-    used.sort_unstable();
-    used.dedup();
+    let mut drawn = vec![false; suite.len()];
+    for request in &requests {
+        drawn[request.task_index] = true;
+    }
+    let used: Vec<usize> = (0..suite.len()).filter(|&i| drawn[i]).collect();
+    // Each drawn task's position in `used`, read by every price lookup.
+    let mut rank = vec![0; suite.len()];
+    for (pos, &task) in used.iter().enumerate() {
+        rank[task] = pos;
+    }
     let tiles = options.pipeline.tiles.max(1);
     let gang_size = tiles.min(options.servers);
     // Walk the event timeline once on a probe tile array to enumerate
@@ -1389,12 +1414,7 @@ pub fn run_serving(
         let width_pos = widths
             .binary_search(&width)
             .expect("plan width was measured");
-        #[expect(
-            clippy::expect_used,
-            reason = "`used` is built from exactly the task indices the requests reference, so the binary search cannot miss"
-        )]
-        let task_pos = used.binary_search(&task_index).expect("task was executed");
-        &prices[width_pos * used.len() + task_pos]
+        &prices[width_pos * used.len() + rank[task_index]]
     };
 
     // --- Phase 2: replay the arrival process in virtual time.
@@ -1405,7 +1425,7 @@ pub fn run_serving(
         plan: &fault_plan,
         options,
         attempts: vec![0; requests.len()],
-        records: vec![None; requests.len()],
+        records: vec![BLANK_RECORD; requests.len()],
         shed: Vec::new(),
         queue_samples: Vec::with_capacity(requests.len()),
         tile_busy_cycles: vec![0; options.servers],
@@ -1540,14 +1560,13 @@ pub fn run_serving(
         }
         // The settled instant (each clock value settles exactly once: the
         // clock strictly advances per outer iteration). The tape keeps a
-        // counter sample only where its own series changed.
-        let in_flight = live_tiles
-            .free_at
-            .iter()
-            .filter(|&&free| free > clock)
-            .count();
-        ledger.tape.sample(clock, Series::InFlight, in_flight);
-        ledger.tape.sample(clock, Series::QueueDepth, ready.len());
+        // counter sample only where its own series changed; an untraced
+        // replay never counts the busy tiles.
+        let free_at = &live_tiles.free_at;
+        let in_flight = || free_at.iter().filter(|&&free| free > clock).count();
+        let tape = &mut ledger.tape;
+        tape.sample(clock, Series::InFlight, in_flight);
+        tape.sample(clock, Series::QueueDepth, || ready.len());
         // Advance to the next event: the earliest of the next arrival, the
         // next whole-gang-free instant (only meaningful with queued work
         // and live tiles), the next due retry, and the next tile fault
@@ -1589,8 +1608,15 @@ pub fn run_serving(
         }
     }
 
-    // Shed requests leave a hole; admitted records keep arrival order.
-    let records: Vec<RequestRecord> = ledger.records.into_iter().flatten().collect();
+    // Drop the shed requests' blank slots in place; admitted records keep
+    // arrival order.
+    let mut shed = vec![false; requests.len()];
+    for s in &ledger.shed {
+        shed[s.id] = true;
+    }
+    let mut records = ledger.records;
+    let mut slots = shed.into_iter();
+    records.retain(|_| slots.next() == Some(false));
     let observed_cycles = records
         .iter()
         .map(|r| r.finish_cycle)

@@ -70,7 +70,7 @@ use crate::pool::current_worker_index;
 use leopard_workloads::suite::TaskDescriptor;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One recorded wall-clock span. Non-deterministic: the export renders it
@@ -173,11 +173,13 @@ impl ReplayTape {
         }))
     }
 
-    /// Samples `series` at a settled instant: appends `(cycle, value)` to
-    /// the series when `value` differs from its last sample on this tape
-    /// (the first sample is always kept).
-    pub(crate) fn sample(&mut self, cycle: u64, series: Series, value: usize) {
+    /// Samples `series` at a settled instant: appends `(cycle, value())`
+    /// to the series when the value differs from its last sample on this
+    /// tape (the first sample is always kept). `value` runs only on a
+    /// recording tape, so an untraced replay never computes it.
+    pub(crate) fn sample(&mut self, cycle: u64, series: Series, value: impl FnOnce() -> usize) {
         if let Some(replay) = &mut self.0 {
+            let value = value();
             let samples = &mut replay.samples[series as usize];
             if samples.last().map(|&(_, last)| last) != Some(value) {
                 samples.push((cycle, value));
@@ -221,15 +223,40 @@ enum Track {
 }
 
 impl Track {
-    /// `(category, arg keys)`; the arg keys are fixed per track.
+    /// The event's text from its category to `"tid": `, and one literal
+    /// per arg that carries its separator and key (the first also opens
+    /// `args`). Both are fixed per track.
     fn labels(self) -> (&'static str, &'static [&'static str]) {
         match self {
-            Track::Dispatch => ("dispatch", &["id", "task", "wait", "predicted"]),
-            Track::Retry => ("retry", &["id", "attempt"]),
-            Track::Degrade => ("degrade", &["id", "level"]),
-            Track::TileFault => ("fault", &["tile", "live"]),
-            Track::Transient => ("fault", &["id", "attempt"]),
-            Track::Shed => ("shed", &["id", "predicted"]),
+            Track::Dispatch => (
+                "\", \"cat\": \"dispatch\", \"ph\": \"X\", \"pid\": 2, \"tid\": ",
+                &[
+                    ", \"args\": {\"id\": ",
+                    ", \"task\": ",
+                    ", \"wait\": ",
+                    ", \"predicted\": ",
+                ],
+            ),
+            Track::Retry => (
+                "\", \"cat\": \"retry\", \"ph\": \"X\", \"pid\": 2, \"tid\": ",
+                &[", \"args\": {\"id\": ", ", \"attempt\": "],
+            ),
+            Track::Degrade => (
+                "\", \"cat\": \"degrade\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 2, \"tid\": ",
+                &[", \"args\": {\"id\": ", ", \"level\": "],
+            ),
+            Track::TileFault => (
+                "\", \"cat\": \"fault\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 2, \"tid\": ",
+                &[", \"args\": {\"tile\": ", ", \"live\": "],
+            ),
+            Track::Transient => (
+                "\", \"cat\": \"fault\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 2, \"tid\": ",
+                &[", \"args\": {\"id\": ", ", \"attempt\": "],
+            ),
+            Track::Shed => (
+                "\", \"cat\": \"shed\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 2, \"tid\": ",
+                &[", \"args\": {\"id\": ", ", \"predicted\": "],
+            ),
         }
     }
 }
@@ -316,21 +343,13 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Adds `by` to the named counter (created at zero).
     pub fn incr(&self, name: &str, by: u64) {
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-        )]
-        let mut counters = self.counters.lock().expect("metrics lock poisoned");
+        let mut counters = lock(&self.counters);
         *counters.entry(name.to_string()).or_insert(0) += by;
     }
 
     /// Sets the named gauge to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-        )]
-        let mut gauges = self.gauges.lock().expect("metrics lock poisoned");
+        let mut gauges = lock(&self.gauges);
         gauges.insert(name.to_string(), value);
     }
 
@@ -338,11 +357,7 @@ impl MetricsRegistry {
     /// lock; `bounds` are the inclusive bucket upper bounds, used on first
     /// touch.
     pub fn observe_all(&self, name: &str, bounds: &[u64], values: impl IntoIterator<Item = u64>) {
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-        )]
-        let mut histograms = self.histograms.lock().expect("metrics lock poisoned");
+        let mut histograms = lock(&self.histograms);
         let histogram = histograms
             .entry(name.to_string())
             .or_insert_with(|| Histogram::with_bounds(bounds));
@@ -355,11 +370,7 @@ impl MetricsRegistry {
     /// value `i`) into the named histogram. Do not mix with
     /// [`observe_all`](Self::observe_all) on the same name.
     pub fn merge_indexed(&self, name: &str, counts: &[u64]) {
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-        )]
-        let mut histograms = self.histograms.lock().expect("metrics lock poisoned");
+        let mut histograms = lock(&self.histograms);
         histograms
             .entry(name.to_string())
             .or_default()
@@ -369,36 +380,15 @@ impl MetricsRegistry {
     /// A point-in-time copy of every metric, in name order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            #[expect(
-                clippy::expect_used,
-                reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-            )]
-            counters: self
-                .counters
-                .lock()
-                .expect("metrics lock poisoned")
+            counters: lock(&self.counters)
                 .iter()
                 .map(|(k, &v)| (k.clone(), v))
                 .collect(),
-            #[expect(
-                clippy::expect_used,
-                reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-            )]
-            gauges: self
-                .gauges
-                .lock()
-                .expect("metrics lock poisoned")
+            gauges: lock(&self.gauges)
                 .iter()
                 .map(|(k, &v)| (k.clone(), v))
                 .collect(),
-            #[expect(
-                clippy::expect_used,
-                reason = "a poisoned metrics lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-            )]
-            histograms: self
-                .histograms
-                .lock()
-                .expect("metrics lock poisoned")
+            histograms: lock(&self.histograms)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
@@ -478,6 +468,16 @@ fn write_map<V>(
     w.write_all(b"\n  }")
 }
 
+/// Locks one of the layer's mutexes: a metrics map, a span buffer or the
+/// tape list.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "every guarded section only pushes, inserts or reads, so a poisoned telemetry lock means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
+    )]
+    mutex.lock().expect("telemetry lock poisoned")
+}
+
 fn join_u64(values: &[u64]) -> String {
     values
         .iter()
@@ -540,14 +540,7 @@ impl Telemetry {
             worker,
             args,
         };
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-        )]
-        self.buffers[worker]
-            .lock()
-            .expect("telemetry buffer poisoned")
-            .push(event);
+        lock(&self.buffers[worker]).push(event);
     }
 
     /// Takes a finished serving replay's tape: folds its counters into the
@@ -562,30 +555,14 @@ impl Telemetry {
         for (name, count) in counts {
             self.metrics.incr(name, count);
         }
-        self.lock_replays().push(replay);
-    }
-
-    fn lock_replays(&self) -> std::sync::MutexGuard<'_, Vec<Replay>> {
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned tape list means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-        )]
-        self.replays.lock().expect("replay tapes poisoned")
+        lock(&self.replays).push(replay);
     }
 
     /// Number of trace events recorded so far: wall spans plus replay tape
     /// entries, each of which renders as one event.
     pub fn event_count(&self) -> usize {
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-        )]
-        let wall: usize = self
-            .buffers
-            .iter()
-            .map(|b| b.lock().expect("telemetry buffer poisoned").len())
-            .sum();
-        let replays = self.lock_replays();
+        let wall: usize = self.buffers.iter().map(|b| lock(b).len()).sum();
+        let replays = lock(&self.replays);
         let tape = replays
             .iter()
             .map(|r| r.events.len() + r.samples.iter().map(Vec::len).sum::<usize>());
@@ -607,19 +584,11 @@ impl Telemetry {
     pub fn write_chrome_trace(&self, w: &mut impl Write) -> io::Result<()> {
         // Hold every buffer for the export and sort references: events are
         // rendered in place, never copied.
-        #[expect(
-            clippy::expect_used,
-            reason = "a poisoned span buffer means an instrumented thread panicked; observe-only telemetry must not mask that by fabricating data"
-        )]
-        let buffers: Vec<_> = self
-            .buffers
-            .iter()
-            .map(|b| b.lock().expect("telemetry buffer poisoned"))
-            .collect();
+        let buffers: Vec<_> = self.buffers.iter().map(lock).collect();
         let mut wall: Vec<&TraceEvent> = buffers.iter().flat_map(|b| b.iter()).collect();
         wall.sort_by(|a, b| (a.cat, &a.name, &a.args).cmp(&(b.cat, &b.name, &b.args)));
-        let replays = self.lock_replays();
-        let (lines, names) = virtual_lines(&replays);
+        let replays = lock(&self.replays);
+        let (lines, heads) = virtual_lines(&replays);
 
         w.write_all(
             b"{\n\"traceEvents\": [\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \
@@ -631,11 +600,19 @@ impl Telemetry {
             render_wall(&mut row, event).send(w)?;
         }
         for line in &lines {
-            render_virtual(&mut row, line, &names).send(w)?;
+            render_virtual(&mut row, line, &heads).send(w)?;
         }
-        for (series, name) in [
-            (Series::InFlight, "in_flight"),
-            (Series::QueueDepth, "queue_depth"),
+        for (series, head) in [
+            (
+                Series::InFlight,
+                ",\n  {\"name\": \"in_flight\", \"cat\": \"serve\", \"ph\": \"C\", \"pid\": 2, \
+                 \"tid\": 0, \"ts\": ",
+            ),
+            (
+                Series::QueueDepth,
+                ",\n  {\"name\": \"queue_depth\", \"cat\": \"serve\", \"ph\": \"C\", \"pid\": 2, \
+                 \"tid\": 0, \"ts\": ",
+            ),
         ] {
             let tapes = replays.iter().flat_map(|r| &r.samples[series as usize]);
             let mut samples: Vec<(u64, usize)> = tapes.copied().collect();
@@ -643,9 +620,7 @@ impl Telemetry {
             // a linear scan.
             samples.sort_unstable();
             for (cycle, value) in samples {
-                row.str(",\n  {\"name\": \"").str(name);
-                row.str("\", \"cat\": \"serve\", \"ph\": \"C\", \"pid\": 2, \"tid\": 0, \"ts\": ");
-                row.u64(cycle).str(", \"args\": {\"value\": ");
+                row.str(head).u64(cycle).str(", \"args\": {\"value\": ");
                 row.u64(value as u64).str("}}").send(w)?;
             }
         }
@@ -661,8 +636,9 @@ impl Telemetry {
     }
 }
 
-/// The pid-2 spans and instants of every tape, sorted, with the escaped
-/// name table their name ranks index.
+/// The pid-2 spans and instants of every tape, sorted, with the table
+/// their name ranks index: each escaped name joined to the text that opens
+/// its event.
 fn virtual_lines(replays: &[Replay]) -> (Vec<VirtualLine>, Vec<String>) {
     let mut names: Vec<&str> = replays
         .iter()
@@ -711,8 +687,10 @@ fn virtual_lines(replays: &[Replay]) -> (Vec<VirtualLine>, Vec<String>) {
         }));
     }
     lines.sort_unstable();
-    let escaped = names.iter().map(|name| escape_json(name)).collect();
-    (lines, escaped)
+    let heads = (names.iter())
+        .map(|name| format!(",\n  {{\"name\": \"{}", escape_json(name)))
+        .collect();
+    (lines, heads)
 }
 
 /// Bytes reserved per rendered trace event: a little above the ~137-byte
@@ -730,30 +708,31 @@ fn render_wall<'r>(row: &'r mut Row, event: &TraceEvent) -> &'r mut Row {
         event.start_ns as f64 / 1e3,
         event.dur_ns as f64 / 1e3,
     ));
-    row.fields(event.args.iter().copied()).str("}}")
+    for (i, &(key, value)) in event.args.iter().enumerate() {
+        row.str(if i == 0 { "\"" } else { ", \"" });
+        row.str(key).str("\": ").u64(value);
+    }
+    row.str("}}")
 }
 
-fn render_virtual<'r>(row: &'r mut Row, line: &VirtualLine, names: &[String]) -> &'r mut Row {
+fn render_virtual<'r>(row: &'r mut Row, line: &VirtualLine, heads: &[String]) -> &'r mut Row {
     let VirtualLine(track, name, ts, lane, dur, args) = *line;
-    row.str(",\n  {\"name\": \"").str(match track {
-        Track::TileFault => ["inject", "recover"][name as usize],
-        Track::Transient => "transient",
-        _ => &names[name as usize],
+    row.str(match track {
+        Track::TileFault => {
+            [",\n  {\"name\": \"inject", ",\n  {\"name\": \"recover"][name as usize]
+        }
+        Track::Transient => ",\n  {\"name\": \"transient",
+        _ => &heads[name as usize],
     });
-    let (cat, keys) = track.labels();
-    row.str("\", \"cat\": \"").str(cat);
-    let span = matches!(track, Track::Dispatch | Track::Retry);
-    row.str(if span {
-        "\", \"ph\": \"X\", \"pid\": 2, \"tid\": "
-    } else {
-        "\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 2, \"tid\": "
-    });
-    row.u64(lane).str(", \"ts\": ").u64(ts);
-    if span {
+    let (head, keys) = track.labels();
+    row.str(head).u64(lane).str(", \"ts\": ").u64(ts);
+    if matches!(track, Track::Dispatch | Track::Retry) {
         row.str(", \"dur\": ").u64(dur);
     }
-    let pairs = keys.iter().copied().zip(args);
-    row.str(", \"args\": {").fields(pairs).str("}}")
+    for (key, value) in keys.iter().zip(args) {
+        row.str(key).u64(value);
+    }
+    row.str("}}")
 }
 
 #[cfg(test)]
@@ -862,8 +841,8 @@ mod tests {
         let mut tape = ReplayTape::new(true, &[], 4);
         // (cycle, queue depth, in-flight tiles) at five settled instants.
         for (cycle, depth, busy) in [(10, 3, 4), (20, 5, 4), (30, 5, 2), (40, 3, 2), (50, 3, 4)] {
-            tape.sample(cycle, Series::InFlight, busy);
-            tape.sample(cycle, Series::QueueDepth, depth);
+            tape.sample(cycle, Series::InFlight, || busy);
+            tape.sample(cycle, Series::QueueDepth, || depth);
         }
         let telemetry = Telemetry::new(1);
         telemetry.record_replay(tape);
@@ -890,9 +869,11 @@ mod tests {
             "{json}"
         );
         assert_eq!(telemetry.event_count(), kept.len());
-        // An untraced tape records nothing.
+        // An untraced tape records nothing and never computes a value.
         let mut off = ReplayTape::new(false, &[], 4);
-        off.sample(10, Series::InFlight, 1);
+        off.sample(10, Series::InFlight, || {
+            unreachable!("computed off the tape")
+        });
         assert!(off.0.is_none());
     }
 
